@@ -48,7 +48,7 @@ from .labels import (
     with_z2c,
 )
 from .piezo import diff_piez
-from .rotations import axis_angle, random_rotation
+from .rotations import axis_angle, pi_fraction, random_rotation
 from .tables import clips_type2_type3
 
 __all__ = ["main"]
@@ -352,9 +352,7 @@ def _primary_axis_order(label: ClassLabel):
 
 
 def _fraction_of_pi(angle: float) -> str:
-    from fractions import Fraction
-
-    frac = Fraction(angle / math.pi).limit_denominator(64)
+    frac = pi_fraction(angle)
     if frac == 0:
         return "0"
     if frac == 1:

@@ -77,8 +77,8 @@ def _as_label(spec: str | ClassLabel) -> ClassLabel:
     return canonicalize(parse_label(spec) if isinstance(spec, str) else spec)
 
 
-@lru_cache(maxsize=None)
-def _oracle_after_strips(a: ClassLabel, b: ClassLabel, seed: int) -> ClassSet:
+def _strip_for_oracle(a: ClassLabel,
+                      b: ClassLabel) -> tuple[ClassLabel, ClassLabel]:
     # Exact simplifications before brute force: a central inversion on one
     # side is invisible to a rotation group on the other, and a mixed-type
     # group meets a rotation group only through its rotation part.
@@ -90,6 +90,13 @@ def _oracle_after_strips(a: ClassLabel, b: ClassLabel, seed: int) -> ClassSet:
         a = proper_part(a)
     elif typeclass(b) == "III" and typeclass(a) == "I":
         b = proper_part(b)
+    return a, b
+
+
+@lru_cache(maxsize=None)
+def _oracle_after_strips(a: ClassLabel, b: ClassLabel, seed: int) -> ClassSet:
+    """Oracle answer for a pair already reduced by ``_strip_for_oracle``,
+    cached so that every pair stripping to the same one shares an entry."""
     return clips_oracle(a, b, seed=seed)
 
 
@@ -125,7 +132,7 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
         inner = clips(strip_z2c(a), strip_z2c(b), method="symbolic",
                       seed=seed)
         return ClassSet(with_z2c(k) for k in inner)
-    return _oracle_after_strips(a, b, seed)
+    return _oracle_after_strips(*_strip_for_oracle(a, b), seed)
 
 
 def clips_families(fam1: Iterable[str | ClassLabel],

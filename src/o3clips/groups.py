@@ -30,13 +30,13 @@ from .labels import (
 from .rotations import (
     EPS_MAT,
     IDENTITY,
+    ORDER_CAP,
     axis_angle,
     canonical_axis,
     rotation,
     rotoreflection,
 )
 
-ORDER_CAP = 256       # largest materializable group
 MIN_SEPARATION = 1e-2  # sanity floor on inter-element distance
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0  # golden ratio, order-5 axes of I

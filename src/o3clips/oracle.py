@@ -7,9 +7,16 @@ to one of H1 (plus a rotation about that axis), so a finite sweep of
 aligners and axis rotations is exhaustive; random conjugations are
 added as a safety net.
 
-The sweep is pruned exactly: replacing g by h1 g h2 (h_i in the
-reference groups) conjugates the intersection inside H1, so axes only
-need to range over orbit representatives.
+The sweep is pruned exactly in two ways.  Replacing g by h1 g h2 (h_i
+in the reference groups) conjugates the intersection inside H1, so
+axes only need to range over orbit representatives.  And once an
+aligner g0 takes axis a of H2 to the line of axis b of H1, only
+finitely many spins R(b, t) about b matter: the elements of
+R(b, t) g0 H2 g0^T R(b, t)^T on the line b (and ±Id) do not move with
+t, and every other element can only meet H1 at the solved angles
+where its axis line lands on an axis line of H1.  All other angles
+give one and the same intersection, so one generic angle stands for
+them (see ``conjugators``).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, format_label, order_of, strip_z2c
+from .labels import ClassLabel, ClassSet, format_label, order_of
 from .groups import (
     ORDER_CAP,
     axis_orbit_reps,
@@ -32,22 +39,12 @@ from .rotations import (
     EPS_MAT,
     IDENTITY,
     align,
-    axis_angle,
     random_rotation,
     rotation,
     unit,
 )
 
 N_RANDOM = 64  # extra random conjugations per pair
-
-
-def _cyclic_param(label: ClassLabel) -> int:
-    """Largest cyclic order about a structural axis; sets the angular
-    granularity needed to hit every critical alignment exactly."""
-    kind = strip_z2c(label).kind
-    if kind in ("Z", "D", "Z-", "Dz", "Dd"):
-        return max(2, label.n)
-    return {"1": 1, "T": 3, "O": 4, "I": 5, "O-": 4}[kind]
 
 
 class _Prepped:
@@ -105,26 +102,34 @@ def _pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(tag))
 
 
+@lru_cache(maxsize=None)
+def _orbit_axes(label: ClassLabel) -> tuple[tuple[np.ndarray, int], ...]:
+    """Axis orbit representatives, each with the proper cyclic order
+    about it: the number of rotations of the group fixing the axis."""
+    elems = reference_group(label)
+    proper = elems[np.linalg.det(elems) > 0]
+    reps = axis_orbit_reps(label)
+    reps.flags.writeable = False
+    return tuple(
+        (rep, int((np.abs(proper @ rep - rep).max(axis=1) < EPS_MAT).sum()))
+        for rep in reps
+    )
+
+
+@lru_cache(maxsize=None)
+def _all_axes(label: ClassLabel) -> np.ndarray:
+    axes = structural_axes(reference_group(label))
+    axes.flags.writeable = False
+    return axes
+
+
 def _candidate_axes(
     label: ClassLabel, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, int]]:
     """Axis orbit representatives with the proper cyclic order about
     each, plus one seeded generic axis (order 1)."""
-    elems = reference_group(label)
-    proper = elems[np.linalg.det(elems) > 0]
-    out = []
-    for rep in axis_orbit_reps(label):
-        m = 1
-        for g in proper:
-            if np.max(np.abs(g - IDENTITY)) < EPS_MAT:
-                continue
-            axis, _ = axis_angle(g)
-            if abs(abs(float(np.dot(axis, rep))) - 1.0) < 1e-9:
-                m += 1
-        out.append((rep, m))
     generic = rng.normal(size=3)
-    out.append((generic / np.linalg.norm(generic), 1))
-    return out
+    return [*_orbit_axes(label), (generic / np.linalg.norm(generic), 1)]
 
 
 def _perp_frame(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,35 +165,56 @@ def _solved_angles(
     return np.concatenate([diff.ravel(), diff.ravel() + np.pi])
 
 
+def _spin_angles(solved: np.ndarray, period: float) -> np.ndarray:
+    """The distinct solved angles modulo ``period`` plus one generic
+    angle: the midpoint of the largest gap between them, cyclically,
+    or 0 when there are none."""
+    solved = solved % period
+    # an angle a rounding error below the period is the angle 0
+    solved = np.sort(np.where(period - solved < 1e-9, 0.0, solved))
+    solved = solved[np.diff(solved, prepend=-1.0) > 1e-9]
+    if solved.size == 0:
+        return np.zeros(1)
+    gaps = np.diff(solved, append=solved[0] + period)
+    k = int(np.argmax(gaps))
+    generic = (solved[k] + gaps[k] / 2.0) % period
+    return np.append(solved, generic)
+
+
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     """Deterministic conjugator sweep for clips_oracle, shape (m, 3, 3).
 
-    For an aligner g0 taking axis a (of H2, proper cyclic order m_a) to
-    axis b (of H1, order m_b), composing with R(b, 2*pi/m_b) on the
-    left or R(a, 2*pi/m_a) on the right leaves the intersection class
-    unchanged (the right spin folds into a left one since g0 a = b), so
-    spin angles only matter modulo 2*pi / lcm(m_a, m_b).  The sweep
-    takes a grid of that size plus the solved secondary-axis angles.
+    For each aligner g0 taking axis a (of H2, proper cyclic order m_a)
+    to +b or -b (b an axis of H1, order m_b), the sweep takes spins
+    R(b, t) g0 at the solved angles t plus one generic angle, and this
+    is exhaustive:
+
+    - composing with R(b, 2*pi/m_b) on the left or R(a, 2*pi/m_a) on
+      the right leaves the intersection class unchanged (the right spin
+      folds into a left one since g0 a = ±b), so t only matters modulo
+      2*pi / lcm(m_a, m_b);
+    - R(b, t) commutes with every element of g H2 g^T whose axis line
+      is b, and with ±Id, so those elements do not depend on t;
+    - any other element can equal an element of H1 only when its axis
+      line lands on an axis line of H1.  That needs its azimuth about
+      b to match, and ``_solved_angles`` lists exactly those t;
+    - so every t outside the solved set gives the same intersection,
+      and one representative, the midpoint of the largest gap between
+      solved angles, suffices.
     """
     rng = _pair_rng(c1, c2, seed)
     axes1 = _candidate_axes(c1, rng)
     axes2 = _candidate_axes(c2, rng)
-    all1 = structural_axes(reference_group(c1))
-    all2 = structural_axes(reference_group(c2))
-    n_ang = 2 * math.lcm(_cyclic_param(c1), _cyclic_param(c2), 24)
+    all1 = _all_axes(c1)
+    all2 = _all_axes(c2)
     out = [IDENTITY[None]]
     for b, m_b in axes1:
         for a, m_a in axes2:
             period = 2.0 * np.pi / math.lcm(m_a, m_b)
-            count = (2 * n_ang) // math.lcm(m_a, m_b)
-            grid = np.arange(count) * (np.pi / n_ang)
             for target in (b, -b):
                 g0 = align(a, target)
-                solved = _solved_angles(g0, b, all1, all2) % period
-                angles = np.concatenate([grid, solved])
-                angles = np.unique(np.round(angles, 10))
-                spins = np.array([rotation(b, t) for t in angles])
-                out.append(np.einsum("kij,jl->kil", spins, g0))
+                solved = _solved_angles(g0, b, all1, all2)
+                out.append(rotation(b, _spin_angles(solved, period)) @ g0)
     out.append(np.array([random_rotation(rng) for _ in range(N_RANDOM)]))
     return np.concatenate(out)
 

@@ -16,7 +16,11 @@ import numpy as np
 
 EPS_MAT = 1e-9    # entrywise matrix equality
 EPS_AXIS = 1e-12  # minimum norm for a direction vector
-MAX_DENOM = 60    # rotation angles are snapped to pi * p / q, q <= MAX_DENOM
+# Largest materializable group.  An element of order k has angle
+# 2*pi*j/k = pi * (2j/k), whose reduced denominator divides k, so
+# snapping angles to pi * p / q with q <= ORDER_CAP is exact for every
+# element of every group the package materializes.
+ORDER_CAP = 256
 
 IDENTITY = np.eye(3)
 
@@ -35,10 +39,15 @@ def skew(n: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def rotation(axis, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about ``axis`` (Rodrigues formula)."""
+def rotation(axis, angle) -> np.ndarray:
+    """Rotation by ``angle`` about ``axis`` (Rodrigues formula).
+
+    ``angle`` may be a scalar, giving one (3, 3) matrix, or an array of
+    k angles, giving the k rotations about the common axis as (k, 3, 3).
+    """
     n = unit(axis)
     j = skew(n)
+    angle = np.asarray(angle, dtype=float)[..., None, None]
     return IDENTITY + np.sin(angle) * j + (1.0 - np.cos(angle)) * (j @ j)
 
 
@@ -60,12 +69,20 @@ def is_orthogonal(g: np.ndarray, eps: float = 1e-8) -> bool:
     return bool(np.max(np.abs(g @ g.T - IDENTITY)) < eps)
 
 
-def snap_angle(theta: float, max_denom: int = MAX_DENOM) -> float:
-    """Snap an angle in [0, 2*pi) to the nearest pi * p / q, q small."""
+def pi_fraction(theta: float) -> Fraction:
+    """theta / pi as the nearest fraction p / q in [0, 2), q <= ORDER_CAP.
+
+    This is the package's one angle-snapping rule: fractions with
+    denominators up to 256 lie at least 1/256**2 apart, far above the
+    rounding of any computed group element.
+    """
     theta = float(theta) % (2.0 * np.pi)
-    frac = Fraction(theta / np.pi).limit_denominator(max_denom)
-    snapped = float(frac) * np.pi
-    return snapped % (2.0 * np.pi)
+    return Fraction(theta / np.pi).limit_denominator(ORDER_CAP) % 2
+
+
+def snap_angle(theta: float) -> float:
+    """Snap an angle to the nearest pi * p / q in [0, 2*pi), q <= ORDER_CAP."""
+    return float(pi_fraction(theta)) * np.pi
 
 
 def axis_angle(g: np.ndarray) -> tuple[np.ndarray, float]:

@@ -206,6 +206,14 @@ def test_info_d6d(capsys):
     assert "primary axis order: 6" in lines
 
 
+@pytest.mark.parametrize("label, angle", [("Z128", "pi/64"),
+                                          ("Z127", "2*pi/127")])
+def test_info_angle_denominators_up_to_order_cap(capsys, label, angle):
+    code, out, _ = run(capsys, "info", label)
+    assert code == 0
+    assert out.splitlines()[-1] == f"generators: R([0 0 1], {angle})"
+
+
 def test_info_infinite(capsys):
     code, out, _ = run(capsys, "info", "O(2)^-")
     assert code == 0

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import load_pins
 from o3clips.labels import format_label, parse_label
-from o3clips.oracle import clips_oracle
+from o3clips.oracle import clips_oracle, conjugators
 
 PINS = load_pins("clips_oracle_pins")
 
@@ -45,3 +45,15 @@ def test_pin_labels_are_canonical():
             assert format_label(parse_label(part)) == part
         for lbl in cell:
             assert format_label(parse_label(lbl)) == lbl
+
+
+def test_oracle_above_old_snap_cap():
+    # Orders past 60 need angles snapped with denominators up to the cap.
+    got = clips_oracle(parse_label("Z128"), parse_label("Z130"))
+    assert got.labels() == ["1", "Z2"]
+
+
+def test_sweep_does_not_grow_with_lcm():
+    # The spin sweep takes solved angles plus one generic angle per
+    # aligner; a grid over lcm(7, 11) would need tens of thousands.
+    assert len(conjugators(parse_label("Z7"), parse_label("Z11"))) < 300

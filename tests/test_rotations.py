@@ -34,6 +34,15 @@ def test_rotation_angles_compose_about_common_axis():
                       rotation(axis, a + b))
 
 
+def test_rotation_batches_angles():
+    axis = [1.0, -2.0, 0.5]
+    angles = np.array([0.0, 0.3, np.pi, 5.0])
+    batch = rotation(axis, angles)
+    assert batch.shape == (4, 3, 3)
+    for g, t in zip(batch, angles):
+        assert mats_equal(g, rotation(axis, t))
+
+
 def test_rotation_period():
     for n in (2, 3, 5, 8):
         g = rotation([0, 0, 1], 2 * np.pi / n)
@@ -78,6 +87,8 @@ def test_axis_angle_half_turn():
 def test_snap_angle():
     assert snap_angle(np.pi / 3 + 1e-13) == pytest.approx(np.pi / 3)
     assert snap_angle(2 * np.pi - 1e-13) == pytest.approx(0.0)
+    # denominators up to the order cap survive the snap
+    assert snap_angle(np.pi / 64 + 1e-13) == pytest.approx(np.pi / 64)
 
 
 def test_align():
