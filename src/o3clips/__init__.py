@@ -29,7 +29,7 @@ from .groups import (
     recognize,
     reference_group,
 )
-from .infinite import clips_reduce, is_infinite, typeclass
+from .infinite import clips_reduce
 from .labels import (
     ClassLabel,
     ClassSet,
@@ -43,6 +43,7 @@ from .labels import (
     dihedral_z,
     format_label,
     icosa,
+    is_infinite,
     o2,
     o2_minus,
     o3,
@@ -58,6 +59,7 @@ from .labels import (
     tetra,
     tilde_part,
     trivial,
+    typeclass,
     with_z2c,
 )
 from .oracle import clips_oracle

@@ -18,18 +18,14 @@ import zlib
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, format_label, order_of
+from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
 from .groups import ORDER_CAP, recognize, reference_group, structural_axes
 from .rotations import EPS_MAT, IDENTITY
 
-_AXIAL_KINDS = {"SO2", "O2", "O2-", "SO3", "O3"}
-
 
 def is_axial(label: ClassLabel) -> bool:
-    """True for the infinite classes handled by clips_axial."""
-    if label.kind == "SO3":
-        return True
-    return label.kind in _AXIAL_KINDS
+    """True for the infinite classes handled by clips_axial: all of them."""
+    return is_infinite(label)
 
 
 def _axial_mask(label: ClassLabel, elems: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -58,22 +54,15 @@ def _axial_mask(label: ClassLabel, elems: np.ndarray, u: np.ndarray) -> np.ndarr
     raise ValueError(f"not an axial class: {format_label(label)}")
 
 
-def _candidate_directions(elems: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    axes = structural_axes(elems)
-    cands = [axes] if len(axes) else []
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            c = np.cross(axes[i], axes[j])
-            n = np.linalg.norm(c)
-            if n > 1e-9:
-                cands.append(c[None] / n)
-    probe = rng.normal(size=3)
-    for a in axes:
-        c = np.cross(a, probe)
-        cands.append(c[None] / np.linalg.norm(c))
-    randoms = rng.normal(size=(8, 3))
-    cands.append(randoms / np.linalg.norm(randoms, axis=1, keepdims=True))
-    return np.concatenate(cands)
+def _candidate_directions(axes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Every axis, the normal of every pair of axes, one generic point of
+    each axis's perpendicular circle, and eight random directions."""
+    i, j = np.triu_indices(len(axes), 1)
+    normals = np.cross(axes[i], axes[j])
+    normals = normals[np.linalg.norm(normals, axis=1) > 1e-9]
+    circle = np.cross(axes, rng.normal(size=3))
+    cands = np.concatenate([axes, normals, circle, rng.normal(size=(8, 3))])
+    return cands / np.linalg.norm(cands, axis=1, keepdims=True)
 
 
 def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet:
@@ -92,8 +81,7 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet
         All conjugacy classes of intersections of a representative of
         c_fin with representatives of c_inf.
     """
-    k = order_of(c_fin)
-    if not np.isfinite(k) or k > ORDER_CAP:
+    if is_infinite(c_fin) or order_of(c_fin) > ORDER_CAP:
         raise ValueError(f"finite class required, got {format_label(c_fin)}")
     if not is_axial(c_inf):
         raise ValueError(f"axial class required, got {format_label(c_inf)}")
@@ -103,7 +91,7 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet
     if c_inf.kind == "SO3":
         cands = np.array([[0.0, 0.0, 1.0]])
     else:
-        cands = _candidate_directions(elems, rng)
+        cands = _candidate_directions(structural_axes(c_fin)[0], rng)
     seen: set[bytes] = set()
     out: set[ClassLabel] = set()
     for u in cands:

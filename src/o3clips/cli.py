@@ -23,7 +23,6 @@ import numpy as np
 
 from .engine import clips, verify_cells
 from .groups import GroupError, generators, materialize
-from .infinite import is_infinite, typeclass
 from .labels import (
     ClassLabel,
     ClassSet,
@@ -34,6 +33,7 @@ from .labels import (
     dihedral_z,
     format_label,
     icosa,
+    is_infinite,
     o2,
     o2_minus,
     octa,
@@ -45,6 +45,7 @@ from .labels import (
     strip_z2c,
     tetra,
     tilde_part,
+    typeclass,
     with_z2c,
 )
 from .piezo import diff_piez

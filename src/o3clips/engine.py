@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .axial import clips_axial
-from .infinite import clips_reduce, is_infinite, typeclass
+from .infinite import clips_reduce
 from .labels import (
     ClassLabel,
     ClassSet,
@@ -34,6 +34,7 @@ from .labels import (
     dihedral_z,
     format_label,
     icosa,
+    is_infinite,
     o2_minus,
     octa,
     octa_minus,
@@ -42,6 +43,7 @@ from .labels import (
     so2,
     strip_z2c,
     tetra,
+    typeclass,
     with_z2c,
 )
 from .oracle import clips_oracle

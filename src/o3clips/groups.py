@@ -5,6 +5,12 @@ element set (shape (k, 3, 3)), kept in a deterministic lexicographic
 order.  ``recognize`` inverts this: given any finite set of orthogonal
 matrices forming a group, it returns the canonical class label, using
 only the determinant split, the rotation axes and the element count.
+
+``axis_census`` is the one place that finds axes: the unsigned axes of
+an element set, the cyclic order about each and their orbits under the
+set.  ``recognize`` reads its orders from it, and ``structural_axes``
+and ``axis_orbit_reps`` are its cached per-label views, from which both
+brute-force oracles (``oracle`` and ``axial``) take their axes.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .labels import (
     dihedral_d,
     dihedral_z,
     icosa,
+    is_infinite,
     octa,
     octa_minus,
     tetra,
@@ -31,13 +38,13 @@ from .rotations import (
     EPS_MAT,
     IDENTITY,
     ORDER_CAP,
-    axis_angle,
     canonical_axis,
     rotation,
     rotoreflection,
 )
 
 MIN_SEPARATION = 1e-2  # sanity floor on inter-element distance
+_SAME_AXIS = 1e-9  # 1 - |a.b| below this: one unsigned axis
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0  # golden ratio, order-5 axes of I
 
@@ -52,7 +59,7 @@ class GroupError(ValueError):
 
 def generators(label: ClassLabel) -> list[np.ndarray]:
     """Generator matrices of a finite class in reference orientation."""
-    if not label.is_finite:
+    if is_infinite(label):
         raise GroupError(f"{label} is infinite and has no finite generator set")
     kind, n = label.kind, label.n
     gens: list[np.ndarray]
@@ -198,87 +205,71 @@ def contains_element(group: np.ndarray, g: np.ndarray) -> bool:
     )
 
 
-def structural_axes(elems: np.ndarray) -> np.ndarray:
-    """Unsigned axes of all non-central elements.
+def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one axis census of a finite element set.
 
-    Proper rotations contribute their rotation axis; improper elements
-    contribute the axis of -g (the reflection normal for g = -R(v, pi)).
+    Returns
+    -------
+    axes : (n, 3) array
+        Unsigned axes (``canonical_axis`` signs) of the non-central
+        elements in order of first appearance; an improper g contributes
+        the axis of -g (the reflection normal for g = -R(v, pi)).
+    orders : (n,) int array
+        The proper cyclic order about each axis: the number of rotations
+        in the set, the identity included, that fix it.
+    reps : (n,) int array
+        For each axis the lowest index of an axis in its orbit under the
+        set's own action.  The set is a group, so the orbit of an axis
+        is exactly its set of images.
     """
-    axes: list[np.ndarray] = []
-    for g in elems:
-        h = g if np.linalg.det(g) > 0 else -g
-        if np.max(np.abs(h - IDENTITY)) < EPS_MAT:
-            continue
-        axis, _ = axis_angle(h)
-        axes.append(canonical_axis(axis))
-    if not axes:
-        return np.zeros((0, 3))
-    return _dedupe_axes(np.array(axes))
+    dets = np.linalg.det(elems)
+    h = elems * np.sign(dets)[:, None, None]
+    h = h[np.abs(h - IDENTITY).max(axis=(1, 2)) >= EPS_MAT]
+    if len(h) == 0:
+        return np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    # h + h^T - (tr h - 1) Id = 2 (1 - cos t) u u^T for the rotation by t
+    # about u: its largest diagonal entry picks a column along u, and a
+    # half turn needs no branch of its own
+    tr = np.einsum("aii->a", h)
+    sym = h + h.transpose(0, 2, 1) - (tr - 1.0)[:, None, None] * IDENTITY
+    col = np.einsum("aii->ai", sym).argmax(axis=1)
+    u = canonical_axis(sym[np.arange(len(sym)), :, col])
+    # distinct axes of a group within the order cap are >= pi/128 apart
+    same = np.abs(u @ u.T) > 1.0 - _SAME_AXIS
+    axes = u[same.argmax(axis=1) == np.arange(len(u))]
+    img = np.einsum("gij,aj->gai", elems, axes)
+    fixed = (np.abs(img - axes).max(axis=2) < EPS_MAT) & (dets > 0)[:, None]
+    orbit = (np.abs(img @ axes.T) > 1.0 - _SAME_AXIS).any(axis=0)
+    return axes, fixed.sum(axis=0), orbit.argmax(axis=1)
 
 
-def _dedupe_axes(axes: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for a in axes:
-        if not any(np.linalg.norm(a - b) < tol for b in out):
-            out.append(a)
-    return np.array(out)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def axis_orbit_reps(label: ClassLabel) -> np.ndarray:
-    """One representative per orbit of structural axes under the group's
-    own action (conjugation moves axes within an orbit, so clips only
-    depends on the orbit)."""
-    elems = reference_group(label)
-    axes = structural_axes(elems)
-    if len(axes) == 0:
-        return axes
-    parent = list(range(len(axes)))
+@lru_cache(maxsize=None)
+def structural_axes(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
+    """All structural axes of a finite class in reference orientation,
+    with the proper cyclic order about each (cached, read-only)."""
+    axes, orders, _ = axis_census(reference_group(label))
+    return _read_only(axes, orders)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for g in elems:
-        mapped = axes @ g.T
-        for i, m in enumerate(mapped):
-            m = canonical_axis(m)
-            dist = np.linalg.norm(axes - m[None], axis=1)
-            j = int(np.argmin(dist))
-            if dist[j] < 1e-6:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    reps = []
-    seen = set()
-    for i in range(len(axes)):
-        r = find(i)
-        if r not in seen:
-            seen.add(r)
-            reps.append(axes[i])
-    return np.array(reps)
+@lru_cache(maxsize=None)
+def axis_orbit_reps(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
+    """One axis per orbit of structural axes under the group's own
+    action, with the proper cyclic order about it (cached, read-only).
+    Conjugation by the group moves an axis within its orbit, so clips
+    only depends on the orbit."""
+    axes, orders, reps = axis_census(reference_group(label))
+    first = np.unique(reps)
+    return _read_only(axes[first], orders[first])
 
 
 class RecognitionError(ValueError):
     pass
-
-
-def _axis_census(proper: np.ndarray) -> dict[bytes, int]:
-    """Map each unique rotation axis to the cyclic order about it."""
-    buckets: list[tuple[np.ndarray, int]] = []
-    for g in proper:
-        if np.max(np.abs(g - IDENTITY)) < EPS_MAT:
-            continue
-        axis, _ = axis_angle(g)
-        axis = canonical_axis(axis)
-        for idx, (a, _) in enumerate(buckets):
-            if np.linalg.norm(a - axis) < 1e-6:
-                buckets[idx] = (a, buckets[idx][1] + 1)
-                break
-        else:
-            buckets.append((axis, 1))
-    return {a.tobytes(): count + 1 for a, count in buckets}
 
 
 def recognize_so3(proper: np.ndarray) -> ClassLabel:
@@ -286,9 +277,8 @@ def recognize_so3(proper: np.ndarray) -> ClassLabel:
     k = len(proper)
     if k == 1:
         return trivial()
-    census = _axis_census(proper)
-    orders = sorted(census.values(), reverse=True)
-    if len(census) == 1:
+    orders = sorted(axis_census(proper)[1].tolist(), reverse=True)
+    if len(orders) == 1:
         if orders[0] != k:
             raise RecognitionError(f"cyclic census mismatch: {orders} vs {k}")
         return cyclic(k)
@@ -315,8 +305,7 @@ def recognize(elems: np.ndarray) -> ClassLabel:
     improper = elems[dets < 0]
     if len(improper) == 0:
         return recognize_so3(proper)
-    minus_id = -IDENTITY
-    if any(np.max(np.abs(g - minus_id)) < EPS_MAT for g in improper):
+    if (np.abs(improper + IDENTITY).max(axis=(1, 2)) < EPS_MAT).any():
         return with_z2c(recognize_so3(proper))
     tilde = lexsort_elements(np.concatenate([proper, -improper]))
     t = recognize_so3(tilde)

@@ -20,40 +20,24 @@ Exact reductions used:
 
 from __future__ import annotations
 
-from math import gcd, isinf
-
 from .labels import (
     ClassLabel,
     ClassSet,
     canonicalize,
     class_set,
     cyclic,
-    cyclic_minus,
-    dihedral,
     dihedral_z,
     format_label,
+    is_infinite,
     o3,
-    order_of,
     proper_part,
     so3,
     strip_z2c,
     trivial,
+    typeclass,
     with_z2c,
 )
-from .tables import _COL_KINDS, _ROW_KINDS, clips_type2_type3
-
-_TYPE_III = set(_COL_KINDS)
-
-
-def typeclass(label: ClassLabel) -> str:
-    """'I' for rotation groups, 'II' for X+Z2c, 'III' for the rest."""
-    if label.plus:
-        return "II"
-    return "III" if label.kind in _TYPE_III else "I"
-
-
-def is_infinite(label: ClassLabel) -> bool:
-    return isinf(order_of(label))
+from .tables import clips_type2_type3
 
 
 def _axial_rule(fin: ClassLabel, inf: ClassLabel) -> ClassSet:

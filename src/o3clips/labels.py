@@ -65,21 +65,6 @@ class ClassLabel:
     def __repr__(self) -> str:
         return f"ClassLabel({format_label(self)!r})"
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind not in INFINITE_KINDS
-
-    @property
-    def type(self) -> str:
-        """Classification tag: 'I', 'II' or 'III'."""
-        if self.plus:
-            return "II"
-        return "III" if self.kind in KINDS_III else "I"
-
-    @property
-    def order(self) -> float:
-        return order_of(self)
-
 
 def _base(kind: str, n: int = 0) -> ClassLabel:
     return ClassLabel(kind, n, False)
@@ -221,6 +206,17 @@ def order_of(label: ClassLabel) -> float:
             "Z-": label.n, "Dz": 2 * label.n, "Dd": 2 * label.n,
         }[label.kind]
     return base * 2 if label.plus else base
+
+
+def typeclass(label: ClassLabel) -> str:
+    """'I' for rotation groups, 'II' for X+Z2c, 'III' for the rest."""
+    if label.plus:
+        return "II"
+    return "III" if label.kind in KINDS_III else "I"
+
+
+def is_infinite(label: ClassLabel) -> bool:
+    return label.kind in INFINITE_KINDS
 
 
 def sort_key(label: ClassLabel) -> tuple:

@@ -5,7 +5,8 @@ over all rotations g.  For the closed subgroups handled here every
 intersection class is realized with g aligning a structural axis of H2
 to one of H1 (plus a rotation about that axis), so a finite sweep of
 aligners and axis rotations is exhaustive; random conjugations are
-added as a safety net.
+added as a safety net.  The axes, their cyclic orders and their orbits
+come from ``groups.axis_census``, the census ``recognize`` also uses.
 
 The sweep is pruned exactly in two ways.  Replacing g by h1 g h2 (h_i
 in the reference groups) conjugates the intersection inside H1, so
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, format_label, order_of
+from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
 from .groups import (
     ORDER_CAP,
     axis_orbit_reps,
@@ -102,34 +103,14 @@ def _pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(tag))
 
 
-@lru_cache(maxsize=None)
-def _orbit_axes(label: ClassLabel) -> tuple[tuple[np.ndarray, int], ...]:
-    """Axis orbit representatives, each with the proper cyclic order
-    about it: the number of rotations of the group fixing the axis."""
-    elems = reference_group(label)
-    proper = elems[np.linalg.det(elems) > 0]
-    reps = axis_orbit_reps(label)
-    reps.flags.writeable = False
-    return tuple(
-        (rep, int((np.abs(proper @ rep - rep).max(axis=1) < EPS_MAT).sum()))
-        for rep in reps
-    )
-
-
-@lru_cache(maxsize=None)
-def _all_axes(label: ClassLabel) -> np.ndarray:
-    axes = structural_axes(reference_group(label))
-    axes.flags.writeable = False
-    return axes
-
-
 def _candidate_axes(
     label: ClassLabel, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, int]]:
     """Axis orbit representatives with the proper cyclic order about
     each, plus one seeded generic axis (order 1)."""
     generic = rng.normal(size=3)
-    return [*_orbit_axes(label), (generic / np.linalg.norm(generic), 1)]
+    reps, orders = axis_orbit_reps(label)
+    return [*zip(reps, orders.tolist()), (generic / np.linalg.norm(generic), 1)]
 
 
 def _perp_frame(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,16 +123,16 @@ def _perp_frame(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _solved_angles(
     g0: np.ndarray,
-    b: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
     all1: np.ndarray,
     all2: np.ndarray,
 ) -> np.ndarray:
-    """Spin angles about b that carry some g0-image of an axis of H2
+    """Spin angles about b = p x q that carry some g0-image of an axis of H2
     onto an axis line of H1.  An intersection class with two or more
     distinct axis lines is only realized when a second pair of axes
     lines up, and the required azimuth need not be a rational multiple
     of pi, so these angles have to be solved for rather than swept."""
-    p, q = _perp_frame(b)
     imgs = all2 @ g0.T
     alphas = []
     for v in (imgs, all1):
@@ -205,15 +186,16 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     rng = _pair_rng(c1, c2, seed)
     axes1 = _candidate_axes(c1, rng)
     axes2 = _candidate_axes(c2, rng)
-    all1 = _all_axes(c1)
-    all2 = _all_axes(c2)
+    all1, _ = structural_axes(c1)
+    all2, _ = structural_axes(c2)
     out = [IDENTITY[None]]
     for b, m_b in axes1:
+        p, q = _perp_frame(b)
         for a, m_a in axes2:
             period = 2.0 * np.pi / math.lcm(m_a, m_b)
             for target in (b, -b):
                 g0 = align(a, target)
-                solved = _solved_angles(g0, b, all1, all2)
+                solved = _solved_angles(g0, p, q, all1, all2)
                 out.append(rotation(b, _spin_angles(solved, period)) @ g0)
     out.append(np.array([random_rotation(rng) for _ in range(N_RANDOM)]))
     return np.concatenate(out)
@@ -236,7 +218,7 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> ClassSet:
         All intersection classes found.
     """
     for c in (c1, c2):
-        if not c.is_finite:
+        if is_infinite(c):
             raise ValueError(f"clips_oracle needs finite classes, got {c}")
         if order_of(c) > ORDER_CAP:
             raise ValueError(f"{c} exceeds the order cap {ORDER_CAP}")
@@ -254,8 +236,10 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> ClassSet:
 
 
 def _conjugator_chunks(c1: ClassLabel, c2: ClassLabel, seed: int):
-    """Conjugator sweep in batches that keep the einsum buffers small."""
+    """Conjugator sweep in batches that keep the einsum buffers and the
+    trace-bucket gather in ``member_mask`` small."""
     all_g = conjugators(c1, c2, seed)
-    step = max(1, int(2e6 // (9 * max(1, order_of(c2)))))
+    width = _prepped(c1).bucket.shape[1]
+    step = max(1, int(2e6 // (9 * order_of(c2) * width)))
     for i in range(0, len(all_g), step):
         yield all_g[i : i + step]

@@ -101,32 +101,29 @@ def axis_angle(g: np.ndarray) -> tuple[np.ndarray, float]:
     recovered from the +1 eigenspace of g.
     """
     tr = float(np.trace(g))
-    c = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
-    angle = float(np.arccos(c))
-    if angle < 1e-7:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    if angle > np.pi - 1e-7:
-        # +1 eigenvector of g, via the dominant column of g + I
+    if tr < -1.0 + 1e-9:
+        # Half turn, told by its trace: arccos turns a trace error of
+        # 1e-14 into an angle error of 1e-7.  The axis is the +1
+        # eigenvector of g, the dominant column of g + I.
         m = g + IDENTITY
         col = int(np.argmax(np.sum(m * m, axis=0)))
-        axis = unit(m[:, col])
-        return _canonical_sign(axis), snap_angle(np.pi)
+        return canonical_axis(m[:, col]), snap_angle(np.pi)
+    angle = float(np.arccos(min(1.0, (tr - 1.0) / 2.0)))
+    if angle < 1e-7:
+        return np.array([0.0, 0.0, 1.0]), 0.0
     v = np.array([g[2, 1] - g[1, 2], g[0, 2] - g[2, 0], g[1, 0] - g[0, 1]])
     axis = unit(v)
     return axis, snap_angle(angle)
 
 
-def _canonical_sign(axis: np.ndarray) -> np.ndarray:
-    for comp in axis:
-        if abs(comp) > 1e-7:
-            return axis if comp > 0 else -axis
-    raise ValueError("zero axis")
-
-
 def canonical_axis(axis) -> np.ndarray:
     """Unit axis with a deterministic sign (first significant component
-    positive), so that u and -u collapse to the same direction."""
-    return _canonical_sign(unit(axis))
+    positive), so that u and -u collapse to the same direction.  Takes
+    one axis or a stack of them, shape (..., 3)."""
+    u = np.asarray(axis, dtype=float)
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    lead = (np.abs(u) > 1e-7).argmax(axis=-1)[..., None]
+    return u * np.sign(np.take_along_axis(u, lead, axis=-1))
 
 
 def align(a, b) -> np.ndarray:

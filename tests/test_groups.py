@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from o3clips.groups import (
     ORDER_CAP,
     PHI,
     GroupError,
+    axis_census,
     close_group,
     contains_element,
     generators,
@@ -157,6 +159,7 @@ def test_contains_element():
 RECOG_SAMPLE = [
     "1", "1+Z2c", "Z2", "Z5", "D3", "T", "O", "I", "Z2^-", "Z6^-",
     "D4^z", "D8^d", "O^-", "Z3+Z2c", "D4+Z2c", "T+Z2c", "I+Z2c",
+    "Z176", "Z176^-", "Z246^-",
 ]
 
 
@@ -172,3 +175,29 @@ def test_recognize_round_trip(text):
 
 def test_recognize_reports_trivial():
     assert recognize(np.eye(3)[None]) == trivial()
+
+
+# label: (axis count, {cyclic order: axes with it}, orbit count)
+CENSUS = {
+    "Z5": (1, {5: 1}, 1),
+    "D5": (6, {2: 5, 5: 1}, 2),
+    "D6": (7, {2: 6, 6: 1}, 3),
+    "T": (7, {2: 3, 3: 4}, 2),
+    "O": (13, {2: 6, 3: 4, 4: 3}, 3),
+    "I+Z2c": (31, {2: 15, 3: 10, 5: 6}, 3),
+    "D3^z": (4, {1: 3, 3: 1}, 2),
+    "D4^z": (5, {1: 4, 4: 1}, 3),
+    "D6^d": (7, {1: 3, 2: 3, 3: 1}, 3),
+    "O^-": (13, {1: 6, 2: 3, 3: 4}, 3),
+    "Z6^-": (1, {3: 1}, 1),
+}
+
+
+@pytest.mark.parametrize("text", sorted(CENSUS))
+def test_axis_census(text):
+    label = parse_label(text)
+    g = random_rotation(np.random.default_rng(5))
+    for elems in (materialize(label), materialize(label, g)):
+        axes, orders, reps = axis_census(elems)
+        got = (len(axes), dict(Counter(orders.tolist())), len(set(reps.tolist())))
+        assert got == CENSUS[text]

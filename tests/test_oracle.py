@@ -8,6 +8,7 @@ that shifts one of them is a regression, not a table disagreement.
 import pytest
 
 from conftest import load_pins
+from o3clips.engine import clips
 from o3clips.labels import format_label, parse_label
 from o3clips.oracle import clips_oracle, conjugators
 
@@ -51,6 +52,10 @@ def test_oracle_above_old_snap_cap():
     # Orders past 60 need angles snapped with denominators up to the cap.
     got = clips_oracle(parse_label("Z128"), parse_label("Z130"))
     assert got.labels() == ["1", "Z2"]
+    # Z176^- holds a half turn whose trace misses -1 by ~1e-14
+    assert clips("Z176^-", "Z4^-").labels() == ["1", "Z2"]
+    got = clips_oracle(parse_label("Z176^-"), parse_label("Z3"))
+    assert got.labels() == ["1"]
 
 
 def test_sweep_does_not_grow_with_lcm():
