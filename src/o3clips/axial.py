@@ -28,30 +28,34 @@ def is_axial(label: ClassLabel) -> bool:
     return is_infinite(label)
 
 
-def _axial_mask(label: ClassLabel, elems: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _axial_masks(label: ClassLabel, elems: np.ndarray, dirs: np.ndarray):
+    """Membership mask of ``elems`` in the axial class ``label`` about
+    each direction of ``dirs`` in turn.  Properness and involution do
+    not depend on the direction, so they are computed once."""
     proper = np.linalg.det(elems) > 0
-    if label.kind == "SO3" and label.plus:
-        return np.ones(len(elems), dtype=bool)
     if label.kind == "SO3":
-        return proper
-    img = elems @ u
-    fix = np.abs(img - u).max(axis=1) < 1e-9
-    anti = np.abs(img + u).max(axis=1) < 1e-9
+        yield np.ones(len(elems), dtype=bool) if label.plus else proper
+        return
     invol = (
         np.abs(np.einsum("kij,kjl->kil", elems, elems) - IDENTITY).max(axis=(1, 2))
         < EPS_MAT
     )
-    if label.kind == "SO2" and not label.plus:
-        return proper & fix
-    if label.kind == "O2" and not label.plus:
-        return proper & (fix | (anti & invol))
-    if label.kind == "SO2":
-        return (proper & fix) | (~proper & anti)
-    if label.kind == "O2":
-        return np.where(proper, fix | (anti & invol), anti | (fix & invol))
-    if label.kind == "O2-":
-        return (proper & fix) | (~proper & fix & invol)
-    raise ValueError(f"not an axial class: {format_label(label)}")
+    for u in dirs:
+        img = elems @ u
+        fix = np.abs(img - u).max(axis=1) < 1e-9
+        anti = np.abs(img + u).max(axis=1) < 1e-9
+        if label.kind == "SO2" and not label.plus:
+            yield proper & fix
+        elif label.kind == "O2" and not label.plus:
+            yield proper & (fix | (anti & invol))
+        elif label.kind == "SO2":
+            yield (proper & fix) | (~proper & anti)
+        elif label.kind == "O2":
+            yield np.where(proper, fix | (anti & invol), anti | (fix & invol))
+        elif label.kind == "O2-":
+            yield (proper & fix) | (~proper & fix & invol)
+        else:
+            raise ValueError(f"not an axial class: {format_label(label)}")
 
 
 def _candidate_directions(axes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -94,8 +98,7 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet
         cands = _candidate_directions(structural_axes(c_fin)[0], rng)
     seen: set[bytes] = set()
     out: set[ClassLabel] = set()
-    for u in cands:
-        mask = _axial_mask(c_inf, elems, u)
+    for mask in _axial_masks(c_inf, elems, cands):
         key = mask.tobytes()
         if key in seen:
             continue

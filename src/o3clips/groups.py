@@ -7,10 +7,11 @@ matrices forming a group, it returns the canonical class label, using
 only the determinant split, the rotation axes and the element count.
 
 ``axis_census`` is the one place that finds axes: the unsigned axes of
-an element set, the cyclic order about each and their orbits under the
-set.  ``recognize`` reads its orders from it, and ``structural_axes``
-and ``axis_orbit_reps`` are its cached per-label views, from which both
-brute-force oracles (``oracle`` and ``axial``) take their axes.
+an element set and the cyclic order about each; ``axis_orbits`` groups
+them into orbits under the set.  ``recognize`` reads its orders from
+the census, and ``structural_axes`` and ``axis_orbit_reps`` are cached
+per-label views, from which both brute-force oracles (``oracle`` and
+``axial``) take their axes.
 """
 
 from __future__ import annotations
@@ -114,17 +115,14 @@ def lexsort_elements(mats: np.ndarray) -> np.ndarray:
     Distinct group elements are separated by at least MIN_SEPARATION
     while numerical copies agree to ~1e-12, so a coarse rounding pass
     can only split copies across a grid boundary, never merge distinct
-    elements; the exact tolerance scan re-merges the splits.
+    elements; one tolerance test of the surviving rows against each
+    other re-merges the splits, keeping the first row of each match.
     """
     flat = mats.reshape(-1, 9)
     _, first = np.unique(np.round(flat, 6), axis=0, return_index=True)
     flat = flat[np.sort(first)]
-    keep: list[int] = []
-    for i in range(len(flat)):
-        if keep and np.abs(flat[keep] - flat[i]).max(axis=1).min() < EPS_MAT:
-            continue
-        keep.append(i)
-    flat = flat[keep]
+    same = np.abs(flat[:, None] - flat[None]).max(axis=2) < EPS_MAT
+    flat = flat[same.argmax(axis=1) == np.arange(len(flat))]
     order = np.lexsort(flat.T[::-1])
     return flat[order].reshape(-1, 3, 3)
 
@@ -199,13 +197,7 @@ def intersect(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g2[mask]
 
 
-def contains_element(group: np.ndarray, g: np.ndarray) -> bool:
-    return bool(
-        (np.abs(group - g[None]).reshape(len(group), 9).max(axis=1) < EPS_MAT).any()
-    )
-
-
-def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The package's one axis census of a finite element set.
 
     Returns
@@ -217,16 +209,12 @@ def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orders : (n,) int array
         The proper cyclic order about each axis: the number of rotations
         in the set, the identity included, that fix it.
-    reps : (n,) int array
-        For each axis the lowest index of an axis in its orbit under the
-        set's own action.  The set is a group, so the orbit of an axis
-        is exactly its set of images.
     """
     dets = np.linalg.det(elems)
     h = elems * np.sign(dets)[:, None, None]
     h = h[np.abs(h - IDENTITY).max(axis=(1, 2)) >= EPS_MAT]
     if len(h) == 0:
-        return np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        return np.zeros((0, 3)), np.zeros(0, dtype=int)
     # h + h^T - (tr h - 1) Id = 2 (1 - cos t) u u^T for the rotation by t
     # about u: its largest diagonal entry picks a column along u, and a
     # half turn needs no branch of its own
@@ -239,8 +227,18 @@ def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     axes = u[same.argmax(axis=1) == np.arange(len(u))]
     img = np.einsum("gij,aj->gai", elems, axes)
     fixed = (np.abs(img - axes).max(axis=2) < EPS_MAT) & (dets > 0)[:, None]
+    return axes, fixed.sum(axis=0)
+
+
+def axis_orbits(elems: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """For each unsigned axis the lowest index of an axis in its orbit
+    under the element set.  The set is a group, so the orbit of an axis
+    is exactly its set of images."""
+    if len(axes) == 0:
+        return np.zeros(0, dtype=int)
+    img = np.einsum("gij,aj->gai", elems, axes)
     orbit = (np.abs(img @ axes.T) > 1.0 - _SAME_AXIS).any(axis=0)
-    return axes, fixed.sum(axis=0), orbit.argmax(axis=1)
+    return orbit.argmax(axis=1)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -253,7 +251,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def structural_axes(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
     """All structural axes of a finite class in reference orientation,
     with the proper cyclic order about each (cached, read-only)."""
-    axes, orders, _ = axis_census(reference_group(label))
+    axes, orders = axis_census(reference_group(label))
     return _read_only(axes, orders)
 
 
@@ -263,8 +261,8 @@ def axis_orbit_reps(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
     action, with the proper cyclic order about it (cached, read-only).
     Conjugation by the group moves an axis within its orbit, so clips
     only depends on the orbit."""
-    axes, orders, reps = axis_census(reference_group(label))
-    first = np.unique(reps)
+    axes, orders = structural_axes(label)
+    first = np.unique(axis_orbits(reference_group(label), axes))
     return _read_only(axes[first], orders[first])
 
 

@@ -49,48 +49,29 @@ N_RANDOM = 64  # extra random conjugations per pair
 
 
 class _Prepped:
-    """Per-label matching structure: elements bucketed by trace.
+    """Per-label matching structure: the flattened reference elements.
 
-    Conjugation preserves the trace, so a candidate g x g^T can only
-    equal reference elements in its own trace bucket; buckets stay an
-    order of magnitude smaller than the group.
+    A candidate h is a member when some element e lies within EPS_MAT
+    of it entrywise, and only the Frobenius-nearest element can.  For
+    orthogonal h and e, <h, e>_F = 3 - |h - e|_F^2 / 2, so the nearest
+    element of every candidate is the argmax of one matrix product.
+    Distinct elements are at least MIN_SEPARATION = 1e-2 apart
+    (``close_group`` checks it), and an element within 1e-9 entrywise
+    is within 3e-9 in Frobenius norm.  Its dot product therefore beats
+    every other element's by about 5e-5, far above the ~1e-15 rounding
+    of the product, and the entrywise test against the nearest element
+    alone is exactly the membership predicate.
     """
 
     def __init__(self, label: ClassLabel):
-        elems = reference_group(label)
-        traces = np.round(np.einsum("aii->a", elems), 6)
-        uniq = np.unique(traces)
-        ids = np.searchsorted(uniq, traces)
-        width = int(np.bincount(ids).max())
-        bucket = np.zeros((len(uniq), width, 9))
-        valid = np.zeros((len(uniq), width), dtype=bool)
-        fill = np.zeros(len(uniq), dtype=int)
-        for e, b in zip(elems.reshape(-1, 9), ids):
-            bucket[b, fill[b]] = e
-            valid[b, fill[b]] = True
-            fill[b] += 1
-        self.label = label
-        self.elems = elems
-        self.trace_values = uniq
-        self.bucket = bucket
-        self.valid = valid
+        self.flat = reference_group(label).reshape(-1, 9)
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group."""
         flat = cands.reshape(-1, 9)
-        tr = flat[:, 0] + flat[:, 4] + flat[:, 8]
-        idx = np.clip(
-            np.searchsorted(self.trace_values, tr), 0, len(self.trace_values) - 1
-        )
-        lo = np.clip(idx - 1, 0, None)
-        near_lo = np.abs(self.trace_values[lo] - tr) < np.abs(
-            self.trace_values[idx] - tr
-        )
-        idx = np.where(near_lo, lo, idx)
-        ok_trace = np.abs(self.trace_values[idx] - tr) < 1e-4
-        dist = np.abs(self.bucket[idx] - flat[:, None, :]).max(axis=2)
-        hit = ((dist < EPS_MAT) & self.valid[idx]).any(axis=1)
-        return (hit & ok_trace).reshape(cands.shape[:-2])
+        near = self.flat[(flat @ self.flat.T).argmax(axis=1)]
+        hit = np.abs(near - flat).max(axis=1) < EPS_MAT
+        return hit.reshape(cands.shape[:-2])
 
 
 @lru_cache(maxsize=None)
@@ -227,19 +208,22 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> ClassSet:
     found: dict[bytes, np.ndarray] = {}
     for chunk in _conjugator_chunks(c1, c2, seed):
         # h = g x g^T for every conjugator g and element x of G2
-        conj = np.einsum("kij,xjl,kml->kxim", chunk, g2, chunk)
-        masks = prep.member_mask(conj.reshape(-1, 3, 3)).reshape(len(chunk), len(g2))
-        for m in np.unique(masks, axis=0):
-            found.setdefault(m.tobytes(), m)
+        conj = (chunk[:, None] @ g2[None]) @ chunk.transpose(0, 2, 1)[:, None]
+        masks = prep.member_mask(conj)
+        # one packed-bit key per mask, deduplicated as 1-D bytes
+        packed = np.packbits(masks, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first = np.unique(keys, return_index=True)
+        for i in first:
+            found.setdefault(keys[i].tobytes(), masks[i])
     classes = [recognize(g2[m]) for m in found.values()]
     return ClassSet(classes)
 
 
 def _conjugator_chunks(c1: ClassLabel, c2: ClassLabel, seed: int):
-    """Conjugator sweep in batches that keep the einsum buffers and the
-    trace-bucket gather in ``member_mask`` small."""
+    """Conjugator sweep in batches that keep the conjugates and the
+    (rows, |H1|) dot matrix of ``member_mask`` near 2e6 floats each."""
     all_g = conjugators(c1, c2, seed)
-    width = _prepped(c1).bucket.shape[1]
-    step = max(1, int(2e6 // (9 * order_of(c2) * width)))
+    step = max(1, int(2e6 // (order_of(c2) * max(9, order_of(c1)))))
     for i in range(0, len(all_g), step):
         yield all_g[i : i + step]

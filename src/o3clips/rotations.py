@@ -61,14 +61,6 @@ def reflection(normal) -> np.ndarray:
     return rotoreflection(normal, np.pi)
 
 
-def mats_equal(a: np.ndarray, b: np.ndarray, eps: float = EPS_MAT) -> bool:
-    return bool(np.max(np.abs(a - b)) < eps)
-
-
-def is_orthogonal(g: np.ndarray, eps: float = 1e-8) -> bool:
-    return bool(np.max(np.abs(g @ g.T - IDENTITY)) < eps)
-
-
 def pi_fraction(theta: float) -> Fraction:
     """theta / pi as the nearest fraction p / q in [0, 2), q <= ORDER_CAP.
 

@@ -1,6 +1,10 @@
 import json
 import pathlib
 
+import numpy as np
+
+from o3clips.rotations import EPS_MAT
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -14,3 +18,18 @@ def load_pins(name: str) -> dict[str, list[str]]:
     """Frozen brute-force results keyed by 'LHS|RHS'."""
     with open(FIXTURES / f"{name}.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def mats_equal(a: np.ndarray, b: np.ndarray, eps: float = EPS_MAT) -> bool:
+    return bool(np.max(np.abs(a - b)) < eps)
+
+
+def is_orthogonal(g: np.ndarray, eps: float = 1e-8) -> bool:
+    return bool(np.max(np.abs(g @ g.T - np.eye(3))) < eps)
+
+
+def contains_element(group: np.ndarray, g: np.ndarray) -> bool:
+    """True when some element of ``group`` equals ``g`` within EPS_MAT."""
+    return bool(
+        (np.abs(group - g[None]).reshape(len(group), 9).max(axis=1) < EPS_MAT).any()
+    )

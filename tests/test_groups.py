@@ -4,13 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import contains_element
 from o3clips.groups import (
     ORDER_CAP,
     PHI,
     GroupError,
     axis_census,
+    axis_orbits,
     close_group,
-    contains_element,
     generators,
     intersect,
     materialize,
@@ -198,6 +199,7 @@ def test_axis_census(text):
     label = parse_label(text)
     g = random_rotation(np.random.default_rng(5))
     for elems in (materialize(label), materialize(label, g)):
-        axes, orders, reps = axis_census(elems)
+        axes, orders = axis_census(elems)
+        reps = axis_orbits(elems, axes)
         got = (len(axes), dict(Counter(orders.tolist())), len(set(reps.tolist())))
         assert got == CENSUS[text]

@@ -5,12 +5,15 @@ computed and frozen before the closed-form layer existed; any change
 that shifts one of them is a regression, not a table disagreement.
 """
 
+import numpy as np
 import pytest
 
 from conftest import load_pins
 from o3clips.engine import clips
+from o3clips.groups import intersect, materialize, reference_group
 from o3clips.labels import format_label, parse_label
-from o3clips.oracle import clips_oracle, conjugators
+from o3clips.oracle import _prepped, clips_oracle, conjugators
+from o3clips.rotations import random_rotation, rotation
 
 PINS = load_pins("clips_oracle_pins")
 
@@ -62,3 +65,21 @@ def test_sweep_does_not_grow_with_lcm():
     # The spin sweep takes solved angles plus one generic angle per
     # aligner; a grid over lcm(7, 11) would need tens of thousands.
     assert len(conjugators(parse_label("Z7"), parse_label("Z11"))) < 300
+
+
+@pytest.mark.parametrize("text", ["I+Z2c", "O^-", "D128^d", "Z256"])
+def test_member_mask_at_the_tolerance(text):
+    label = parse_label(text)
+    elems = reference_group(label)
+    member = _prepped(label).member_mask
+    assert member(elems).all()
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=3)
+    assert member(rotation(u, 1e-12) @ elems).all()
+    assert not member(rotation(u, 1e-6) @ elems).any()
+    # -Id is in I+Z2c and in no other group here, so -h is a member
+    # exactly when h is in I+Z2c
+    assert (member(-elems) == (text == "I+Z2c")).all()
+    for g in (random_rotation(rng), rotation([0.0, 0.0, 1.0], np.pi / 7)):
+        rot = materialize(label, g)
+        assert np.array_equal(rot[member(rot)], intersect(elems, rot))

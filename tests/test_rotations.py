@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import is_orthogonal, mats_equal
 from o3clips.rotations import (
     align,
     axis_angle,
     canonical_axis,
-    is_orthogonal,
-    mats_equal,
     random_rotation,
     reflection,
     rotation,
