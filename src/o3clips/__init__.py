@@ -12,7 +12,7 @@ for finite classes (``method="oracle"``); ``method="both"`` runs the
 two and raises :class:`ClipsMismatch` if they ever disagree.
 """
 
-from .axial import clips_axial, is_axial
+from .axial import clips_axial
 from .engine import (
     CellCheck,
     ClipsMismatch,
@@ -116,7 +116,6 @@ __all__ = [
     "format_label",
     "generators",
     "icosa",
-    "is_axial",
     "is_infinite",
     "isotropy_direct_sum",
     "materialize",

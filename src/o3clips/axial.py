@@ -14,18 +14,12 @@ finite x infinite cells that is independent of the closed-form tables.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
 from .groups import ORDER_CAP, recognize, reference_group, structural_axes
+from .oracle import pair_rng
 from .rotations import EPS_MAT, IDENTITY
-
-
-def is_axial(label: ClassLabel) -> bool:
-    """True for the infinite classes handled by clips_axial: all of them."""
-    return is_infinite(label)
 
 
 def _axial_masks(label: ClassLabel, elems: np.ndarray, dirs: np.ndarray):
@@ -60,12 +54,14 @@ def _axial_masks(label: ClassLabel, elems: np.ndarray, dirs: np.ndarray):
 
 def _candidate_directions(axes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Every axis, the normal of every pair of axes, one generic point of
-    each axis's perpendicular circle, and eight random directions."""
+    each axis's perpendicular circle, and one generic direction: off all
+    axis lines and circles only Id fixes u and only -Id reverses it, so
+    every such u gives one mask, which no other candidate need give."""
     i, j = np.triu_indices(len(axes), 1)
     normals = np.cross(axes[i], axes[j])
     normals = normals[np.linalg.norm(normals, axis=1) > 1e-9]
     circle = np.cross(axes, rng.normal(size=3))
-    cands = np.concatenate([axes, normals, circle, rng.normal(size=(8, 3))])
+    cands = np.concatenate([axes, normals, circle, rng.normal(size=(1, 3))])
     return cands / np.linalg.norm(cands, axis=1, keepdims=True)
 
 
@@ -87,11 +83,10 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet
     """
     if is_infinite(c_fin) or order_of(c_fin) > ORDER_CAP:
         raise ValueError(f"finite class required, got {format_label(c_fin)}")
-    if not is_axial(c_inf):
+    if not is_infinite(c_inf):
         raise ValueError(f"axial class required, got {format_label(c_inf)}")
     elems = reference_group(c_fin)
-    tag = f"{format_label(c_fin)}|{format_label(c_inf)}|{seed}".encode()
-    rng = np.random.default_rng(zlib.crc32(tag))
+    rng = pair_rng(c_fin, c_inf, seed)
     if c_inf.kind == "SO3":
         cands = np.array([[0.0, 0.0, 1.0]])
     else:

@@ -179,13 +179,15 @@ def materialize(label: ClassLabel, orientation: np.ndarray | None = None) -> np.
         ``GroupError``; their clips are handled by closed-form rules.
     orientation : (3, 3) array, optional
         Conjugating rotation g; the result is g G g^T in canonical
-        element order.
+        element order.  A conjugate of a duplicate-free set has no
+        duplicates, so it is sorted without ``lexsort_elements``.
     """
     elems = reference_group(label)
     if orientation is None:
         return elems
     g = np.asarray(orientation, dtype=float)
-    return lexsort_elements(np.einsum("ij,ajk,lk->ail", g, elems, g))
+    flat = np.einsum("ij,ajk,lk->ail", g, elems, g).reshape(-1, 9)
+    return flat[np.lexsort(flat.T[::-1])].reshape(-1, 3, 3)
 
 
 def intersect(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -297,6 +299,8 @@ def recognize(elems: np.ndarray) -> ClassLabel:
 
     The determinant splits the group; a type III group is identified by
     the pair (recognize(proper + negated improper), recognize(proper)).
+    Without -Id the two halves are disjoint (p = -q would put
+    -Id = q p^-1 in the group), so ``tilde`` needs no dedupe.
     """
     dets = np.linalg.det(elems)
     proper = elems[dets > 0]
@@ -305,7 +309,7 @@ def recognize(elems: np.ndarray) -> ClassLabel:
         return recognize_so3(proper)
     if (np.abs(improper + IDENTITY).max(axis=(1, 2)) < EPS_MAT).any():
         return with_z2c(recognize_so3(proper))
-    tilde = lexsort_elements(np.concatenate([proper, -improper]))
+    tilde = np.concatenate([proper, -improper])
     t = recognize_so3(tilde)
     p = recognize_so3(proper)
     match (t.kind, p.kind):

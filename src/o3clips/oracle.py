@@ -4,8 +4,10 @@ clips([H1], [H2]) is the set of conjugacy classes of H1 ∩ g H2 g^-1
 over all rotations g.  For the closed subgroups handled here every
 intersection class is realized with g aligning a structural axis of H2
 to one of H1 (plus a rotation about that axis), so a finite sweep of
-aligners and axis rotations is exhaustive; random conjugations are
-added as a safety net.  The axes, their cyclic orders and their orbits
+aligners and axis rotations is exhaustive.  An intersection with no
+aligned axes holds only ±Id; aligning one seeded generic axis per class
+realizes it, as at the generic spin about it no axis lines of H1 and
+g H2 g^T meet.  The axes, their cyclic orders and their orbits
 come from ``groups.axis_census``, the census ``recognize`` also uses.
 
 The sweep is pruned exactly in two ways.  Replacing g by h1 g h2 (h_i
@@ -40,12 +42,9 @@ from .rotations import (
     EPS_MAT,
     IDENTITY,
     align,
-    random_rotation,
     rotation,
     unit,
 )
-
-N_RANDOM = 64  # extra random conjugations per pair
 
 
 class _Prepped:
@@ -79,7 +78,8 @@ def _prepped(label: ClassLabel) -> _Prepped:
     return _Prepped(label)
 
 
-def _pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
+def pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
+    """Seeded generator of both oracles' generic draws for one pair."""
     tag = f"{format_label(c1)}|{format_label(c2)}|{seed}".encode()
     return np.random.default_rng(zlib.crc32(tag))
 
@@ -164,7 +164,7 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
       and one representative, the midpoint of the largest gap between
       solved angles, suffices.
     """
-    rng = _pair_rng(c1, c2, seed)
+    rng = pair_rng(c1, c2, seed)
     axes1 = _candidate_axes(c1, rng)
     axes2 = _candidate_axes(c2, rng)
     all1, _ = structural_axes(c1)
@@ -178,7 +178,6 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
                 g0 = align(a, target)
                 solved = _solved_angles(g0, p, q, all1, all2)
                 out.append(rotation(b, _spin_angles(solved, period)) @ g0)
-    out.append(np.array([random_rotation(rng) for _ in range(N_RANDOM)]))
     return np.concatenate(out)
 
 
@@ -190,8 +189,8 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> ClassSet:
     c1, c2 : ClassLabel
         Finite classes with order <= 256.
     seed : int
-        Seed for the generic axis and the random conjugations; the
-        sweep itself is deterministic.
+        Seed for the generic axis of each class; the rest of the sweep
+        is deterministic, and the answer does not depend on the seed.
 
     Returns
     -------

@@ -8,7 +8,7 @@ layer existed.
 import pytest
 
 from conftest import load_pins
-from o3clips.axial import clips_axial, is_axial
+from o3clips.axial import clips_axial
 from o3clips.labels import parse_label
 
 PINS = load_pins("clips_axial_pins")
@@ -19,14 +19,6 @@ def test_frozen_pin(key):
     fin, inf = key.split("|")
     got = clips_axial(parse_label(fin), parse_label(inf))
     assert got.labels() == PINS[key]
-
-
-def test_is_axial():
-    for text in ("SO(2)", "O(2)", "SO(2)+Z2c", "O(2)+Z2c", "O(2)^-",
-                 "SO(3)", "O(3)"):
-        assert is_axial(parse_label(text))
-    for text in ("Z4", "D4", "T", "O^-", "D4^z"):
-        assert not is_axial(parse_label(text))
 
 
 def test_rejects_wrong_arguments():

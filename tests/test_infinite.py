@@ -22,8 +22,8 @@ def test_is_infinite():
     for text in ("SO(2)", "O(2)", "SO(2)+Z2c", "O(2)+Z2c", "O(2)^-",
                  "SO(3)", "O(3)"):
         assert is_infinite(parse_label(text))
-    for text in ("1", "Z12", "D12", "T", "O", "I", "Z16^-", "D8^z",
-                 "D16^d", "O^-", "I+Z2c"):
+    for text in ("1", "Z4", "Z12", "D4", "D12", "T", "O", "I", "Z16^-",
+                 "D4^z", "D8^z", "D16^d", "O^-", "I+Z2c"):
         assert not is_infinite(parse_label(text))
 
 

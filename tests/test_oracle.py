@@ -67,6 +67,15 @@ def test_sweep_does_not_grow_with_lcm():
     assert len(conjugators(parse_label("Z7"), parse_label("Z11"))) < 300
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+def test_sweep_has_no_random_conjugators(seed):
+    # the identity, one spin for each of the six aligners that involve
+    # a z axis, and two solved spins plus a generic one for each of the
+    # two generic-to-generic aligners; the seed only moves the generic
+    # axes, so the count is the same for every seed
+    assert len(conjugators(parse_label("Z7"), parse_label("Z11"), seed=seed)) == 13
+
+
 @pytest.mark.parametrize("text", ["I+Z2c", "O^-", "D128^d", "Z256"])
 def test_member_mask_at_the_tolerance(text):
     label = parse_label(text)
