@@ -17,9 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
-from .groups import ORDER_CAP, recognize, reference_group, structural_axes
+from .groups import (
+    _SAME_AXIS,
+    ORDER_CAP,
+    recognize,
+    reference_group,
+    structural_axes,
+)
 from .oracle import pair_rng
-from .rotations import EPS_MAT, IDENTITY
+from .rotations import EPS_MAT, IDENTITY, canonical_axis
 
 
 def _axial_masks(label: ClassLabel, elems: np.ndarray, dirs: np.ndarray):
@@ -56,13 +62,22 @@ def _candidate_directions(axes: np.ndarray, rng: np.random.Generator) -> np.ndar
     """Every axis, the normal of every pair of axes, one generic point of
     each axis's perpendicular circle, and one generic direction: off all
     axis lines and circles only Id fixes u and only -Id reverses it, so
-    every such u gives one mask, which no other candidate need give."""
+    every such u gives one mask, which no other candidate need give.
+
+    u and -u give the same masks, so each unsigned line is kept once, the
+    first of its candidates.  Rounding only merges copies of one line; a
+    tolerance test of the survivors, as in the axis census, merges the
+    copies that rounding split."""
     i, j = np.triu_indices(len(axes), 1)
     normals = np.cross(axes[i], axes[j])
     normals = normals[np.linalg.norm(normals, axis=1) > 1e-9]
     circle = np.cross(axes, rng.normal(size=3))
-    cands = np.concatenate([axes, normals, circle, rng.normal(size=(1, 3))])
-    return cands / np.linalg.norm(cands, axis=1, keepdims=True)
+    cands = canonical_axis(
+        np.concatenate([axes, normals, circle, rng.normal(size=(1, 3))]))
+    _, first = np.unique(np.round(cands, 6), axis=0, return_index=True)
+    cands = cands[np.sort(first)]
+    same = np.abs(cands @ cands.T) > 1.0 - _SAME_AXIS
+    return cands[same.argmax(axis=1) == np.arange(len(cands))]
 
 
 def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet:

@@ -23,34 +23,22 @@ import numpy as np
 
 from .engine import clips, verify_cells
 from .groups import GroupError, generators, materialize
+from .infinite import clips_reduce
 from .labels import (
     ClassLabel,
     ClassSet,
-    cyclic,
-    cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
     format_label,
-    icosa,
     is_infinite,
-    o2,
-    o2_minus,
-    octa,
-    octa_minus,
     order_of,
     parse_label,
     proper_part,
-    so2,
     strip_z2c,
-    tetra,
     tilde_part,
     typeclass,
-    with_z2c,
 )
 from .piezo import diff_piez
 from .rotations import axis_angle, pi_fraction, random_rotation
-from .tables import clips_type2_type3
+from .tables import clips_type2_type3, table_cols, table_rows
 
 __all__ = ["main"]
 
@@ -102,12 +90,20 @@ def _labels(cs: ClassSet) -> str:
     return " ".join(cs.labels())
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj))
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(fmt: str, obj, header: list[str], rows: list[list[str]],
+          text: list[str]) -> None:
+    """Print one result: ``obj`` as JSON, ``header`` and ``rows`` as CSV
+    or a markdown table, ``text`` line by line."""
+    if fmt == "json":
+        print(json.dumps(obj))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
+    elif fmt == "markdown":
+        for line in (header, ["---"] * len(header), *rows):
+            print("| " + " | ".join(line) + " |")
+    else:
+        for line in text:
+            print(line)
 
 
 # ---------------------------------------------------------------- clips
@@ -118,51 +114,34 @@ def cmd_clips(args) -> int:
     lhs, rhs = format_label(a), format_label(b)
     if args.method != "both":
         result = clips(a, b, method=args.method)
-        if args.format == "json":
-            _print_json({"op": "clips", "lhs": lhs, "rhs": rhs,
-                         "result": result.labels()})
-        elif args.format == "csv":
-            w = _csv_writer()
-            w.writerow(["lhs", "rhs", "result"])
-            w.writerow([lhs, rhs, _labels(result)])
-        elif args.format == "markdown":
-            print("| lhs | rhs | result |")
-            print("| --- | --- | --- |")
-            print(f"| {lhs} | {rhs} | {_labels(result)} |")
-        else:
-            print(_labels(result))
+        _emit(args.format, {"op": "clips", "lhs": lhs, "rhs": rhs,
+                            "result": result.labels()},
+              ["lhs", "rhs", "result"], [[lhs, rhs, _labels(result)]],
+              [_labels(result)])
         return 0
 
     symbolic = clips(a, b, method="symbolic")
     finite_pair = not (is_infinite(a) or is_infinite(b))
     oracle = clips(a, b, method="oracle") if finite_pair else None
-    match = None if oracle is None else symbolic == oracle
-    if args.format == "json":
-        _print_json({
-            "op": "clips", "lhs": lhs, "rhs": rhs,
-            "result": symbolic.labels(),
-            "oracle": None if oracle is None else oracle.labels(),
-            "match": match,
-        })
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["method", "result"])
-        w.writerow(["symbolic", _labels(symbolic)])
-        if oracle is not None:
-            w.writerow(["oracle", _labels(oracle)])
-    elif args.format == "markdown":
-        print("| method | result |")
-        print("| --- | --- |")
-        print(f"| symbolic | {_labels(symbolic)} |")
-        if oracle is not None:
-            print(f"| oracle | {_labels(oracle)} |")
+    if oracle is None:
+        match, verdict = None, "oracle: skipped (needs finite classes)"
+    elif symbolic != oracle:
+        match, verdict = False, "MISMATCH"
+    elif clips_reduce(a, b) is None:
+        # the symbolic answer came from the oracle too
+        match, verdict = None, "oracle only, no independent check"
     else:
-        print(f"symbolic: {_labels(symbolic)}")
-        if oracle is None:
-            print("oracle: skipped (needs finite classes)")
-        else:
-            print(f"oracle: {_labels(oracle)}")
-            print("MATCH" if match else "MISMATCH")
+        match, verdict = True, "MATCH"
+    rows = [["symbolic", _labels(symbolic)]]
+    if oracle is not None:
+        rows.append(["oracle", _labels(oracle)])
+    _emit(args.format, {
+        "op": "clips", "lhs": lhs, "rhs": rhs,
+        "result": symbolic.labels(),
+        "oracle": None if oracle is None else oracle.labels(),
+        "match": match,
+    }, ["method", "result"], rows,
+        [f"{method}: {result}" for method, result in rows] + [verdict])
     return 2 if match is False else 0
 
 
@@ -202,74 +181,29 @@ def _split_tokens(text: str, table: dict, what: str) -> list[str]:
     return out
 
 
-def _table_rows(kinds: Sequence[str], m_range: range) -> list[ClassLabel]:
-    single = {"T": tetra(), "O": octa(), "I": icosa(),
-              "SO2": so2(), "O2": o2()}
-    out = []
-    for kind in kinds:
-        if kind == "Z":
-            out += [with_z2c(cyclic(m)) for m in m_range if m >= 2]
-        elif kind == "D":
-            out += [with_z2c(dihedral(m)) for m in m_range if m >= 2]
-        else:
-            out.append(with_z2c(single[kind]))
-    return out
-
-
-def _table_cols(kinds: Sequence[str], n_range: range) -> list[ClassLabel]:
-    out = []
-    for kind in kinds:
-        if kind == "Z-":
-            out += [cyclic_minus(2 * n) for n in n_range if n >= 1]
-        elif kind == "Dz":
-            out += [dihedral_z(n) for n in n_range if n >= 2]
-        elif kind == "Dd":
-            out += [dihedral_d(2 * n) for n in n_range if n >= 1]
-        elif kind == "O-":
-            out.append(octa_minus())
-        else:
-            out.append(o2_minus())
-    return out
-
-
 def cmd_table(args) -> int:
     n_range = _parse_range(args.n_range)
     m_range = _parse_range(args.m_range)
     col_kinds = _split_tokens(args.columns, _COLUMN_TOKENS, "column")
     row_kinds = _split_tokens(args.rows, _ROW_TOKENS, "row")
-    rows = _table_rows(row_kinds, m_range)
-    cols = _table_cols(col_kinds, n_range)
-
-    cells = []
-    for row in rows:
-        for col in cols:
-            branch, cell = clips_type2_type3(row, col)
-            cells.append((row, col, branch, cell))
-
-    if args.format == "json":
-        _print_json({"op": "table", "cells": [
-            {"row": format_label(r), "col": format_label(c),
-             "branch": branch, "result": cell.labels()}
-            for r, c, branch, cell in cells
-        ]})
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["row", "col", "branch", "result"])
-        for r, c, branch, cell in cells:
-            w.writerow([format_label(r), format_label(c), branch,
-                        _labels(cell)])
-    elif args.format == "markdown":
-        header = [""] + [format_label(c) for c in cols]
-        print("| " + " | ".join(header) + " |")
-        print("|" + " --- |" * len(header))
-        for row in rows:
-            line = [format_label(row)]
-            line += [_labels(cell) for r, c, branch, cell in cells
-                     if r == row]
-            print("| " + " | ".join(line) + " |")
-    else:
-        for r, c, branch, cell in cells:
-            print(f"{format_label(r)} x {format_label(c)}: {_labels(cell)}")
+    rows = table_rows(row_kinds, m_range)
+    cols = table_cols(col_kinds, n_range)
+    grid = [[clips_type2_type3(r, c) for c in cols] for r in rows]
+    rows = [format_label(r) for r in rows]
+    cols = [format_label(c) for c in cols]
+    cells = [(r, c, branch, cell) for r, line in zip(rows, grid)
+             for c, (branch, cell) in zip(cols, line)]
+    header = ["row", "col", "branch", "result"]
+    table = [[r, c, branch, _labels(cell)] for r, c, branch, cell in cells]
+    if args.format == "markdown":
+        header = [""] + cols
+        table = [[r] + [_labels(cell) for _, cell in line]
+                 for r, line in zip(rows, grid)]
+    _emit(args.format, {"op": "table", "cells": [
+        {"row": r, "col": c, "branch": branch, "result": cell.labels()}
+        for r, c, branch, cell in cells
+    ]}, header, table, [f"{r} x {c}: {_labels(cell)}"
+                       for r, c, _, cell in cells])
     return 0
 
 
@@ -299,36 +233,23 @@ def cmd_verify(args) -> int:
 def cmd_piez(args) -> int:
     d = diff_piez()
     computed = d.computed.labels()
-
-    if args.format == "json":
-        _print_json(computed)
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["label"])
-        for lbl in computed:
-            w.writerow([lbl])
-    elif args.format == "markdown":
-        for lbl in computed:
-            print(f"- `{lbl}`")
+    text = [f"computed isotropy classes ({len(computed)}):",
+            _labels(d.computed)]
+    text += [f"note: the builtin list spells {canon} twice ({printed} is "
+             f"the same class), {d.printed_count} entries name "
+             f"{d.canonical_count} classes" for printed, canon in d.collisions]
+    if d.match:
+        text.append("computed catalog matches the builtin one")
     else:
-        print(f"computed isotropy classes ({len(computed)}):")
-        print(_labels(d.computed))
-        for printed, canon in d.collisions:
-            print(f"note: the builtin list spells {canon} twice "
-                  f"({printed} is the same class), "
-                  f"{d.printed_count} entries name "
-                  f"{d.canonical_count} classes")
-        if d.match:
-            print("computed catalog matches the builtin one")
-        else:
-            print("computed catalog differs from the builtin one:")
-            for lbl in d.missing:
-                print(f"  missing: {lbl}")
-            for lbl in d.extra:
-                pair = d.witnesses.get(lbl)
-                where = (f" (from clips of {pair[0]} with {pair[1]})"
-                         if pair else "")
-                print(f"  extra: {lbl}{where}")
+        text.append("computed catalog differs from the builtin one:")
+        text += [f"  missing: {lbl}" for lbl in d.missing]
+        for lbl in d.extra:
+            pair = d.witnesses.get(lbl)
+            where = (f" (from clips of {pair[0]} with {pair[1]})"
+                     if pair else "")
+            text.append(f"  extra: {lbl}{where}")
+    _emit(args.format, computed, ["label"], [[lbl] for lbl in computed],
+          text)
     return 0 if d.match else 2
 
 

@@ -1,15 +1,14 @@
 """One product, three routes: closed form, brute force, or both.
 
 ``clips`` is the public entry point for the conjugacy-class intersection
-product on closed subgroups of O(3).  The symbolic route applies the exact
-reductions and closed-form tables whenever at least one class is infinite,
-and otherwise peels off exact simplifications (dropping a central inversion
-against a rotation group, replacing a mixed-type group by its rotation part
-against a rotation group) before handing the remaining finite pair to the
-matrix oracle.  The oracle route forces the brute-force computation and is
-therefore restricted to pairs of finite classes.  The "both" route returns
-the symbolic answer after cross-checking it against the oracle whenever the
-pair is finite, raising ``ClipsMismatch`` on disagreement.
+product on closed subgroups of O(3).  The symbolic route answers from
+``infinite.clips_reduce`` whenever it has a closed form, and otherwise
+hands the pair, reduced by the same ``infinite.normalize`` step (which
+holds the exact reductions), to the matrix oracle.  The oracle route
+forces the brute-force computation and is therefore restricted to pairs
+of finite classes.  The "both" route returns the symbolic answer after
+cross-checking it against the oracle whenever the pair is finite,
+raising ``ClipsMismatch`` on disagreement.
 
 ``class_leq`` decides the containment-up-to-conjugacy partial order, and
 ``clips_families`` extends the product to unions of classes memberwise.
@@ -22,31 +21,20 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .axial import clips_axial
-from .infinite import clips_reduce
+from .infinite import clips_reduce, lifted, normalize
 from .labels import (
     ClassLabel,
     ClassSet,
     canonicalize,
-    cyclic,
     cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
     format_label,
-    icosa,
     is_infinite,
-    o2_minus,
-    octa,
-    octa_minus,
     parse_label,
-    proper_part,
     so2,
-    strip_z2c,
-    tetra,
     typeclass,
-    with_z2c,
 )
 from .oracle import clips_oracle
+from .tables import table_cols, table_rows
 
 __all__ = [
     "CellCheck",
@@ -79,26 +67,10 @@ def _as_label(spec: str | ClassLabel) -> ClassLabel:
     return canonicalize(parse_label(spec) if isinstance(spec, str) else spec)
 
 
-def _strip_for_oracle(a: ClassLabel,
-                      b: ClassLabel) -> tuple[ClassLabel, ClassLabel]:
-    # Exact simplifications before brute force: a central inversion on one
-    # side is invisible to a rotation group on the other, and a mixed-type
-    # group meets a rotation group only through its rotation part.
-    if typeclass(a) == "II":
-        a = strip_z2c(a)
-    if typeclass(b) == "II":
-        b = strip_z2c(b)
-    if typeclass(a) == "III" and typeclass(b) == "I":
-        a = proper_part(a)
-    elif typeclass(b) == "III" and typeclass(a) == "I":
-        b = proper_part(b)
-    return a, b
-
-
 @lru_cache(maxsize=None)
 def _oracle_after_strips(a: ClassLabel, b: ClassLabel, seed: int) -> ClassSet:
-    """Oracle answer for a pair already reduced by ``_strip_for_oracle``,
-    cached so that every pair stripping to the same one shares an entry."""
+    """Oracle answer for a pair already reduced by ``normalize``, cached
+    so that every pair normalizing to the same one shares an entry."""
     return clips_oracle(a, b, seed=seed)
 
 
@@ -129,12 +101,8 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     reduced = clips_reduce(a, b)
     if reduced is not None:
         return reduced
-    # Both classes finite from here on.
-    if typeclass(a) == "II" and typeclass(b) == "II":
-        inner = clips(strip_z2c(a), strip_z2c(b), method="symbolic",
-                      seed=seed)
-        return ClassSet(with_z2c(k) for k in inner)
-    return _oracle_after_strips(*_strip_for_oracle(a, b), seed)
+    a, b, lift = normalize(a, b)
+    return lifted(_oracle_after_strips(a, b, seed), lift)
 
 
 def clips_families(fam1: Iterable[str | ClassLabel],
@@ -210,21 +178,6 @@ class CellCheck:
         return self.symbolic == self.brute
 
 
-def _sweep_rows(m_max: int) -> list[ClassLabel]:
-    rows = [with_z2c(cyclic(m)) for m in range(2, m_max + 1)]
-    rows += [with_z2c(dihedral(m)) for m in range(2, m_max + 1)]
-    rows += [with_z2c(tetra()), with_z2c(octa()), with_z2c(icosa())]
-    return rows
-
-
-def _sweep_cols(n_max: int) -> list[ClassLabel]:
-    cols = [cyclic_minus(2 * n) for n in range(1, n_max + 1)]
-    cols += [dihedral_z(n) for n in range(2, n_max + 1)]
-    cols += [dihedral_d(2 * n) for n in range(1, n_max + 1)]
-    cols += [octa_minus(), o2_minus()]
-    return cols
-
-
 def verify_cells(n_max: int = 8, m_max: int = 8,
                  seed: int = 0) -> Iterator[CellCheck]:
     """Sweep the closed-form grid against brute force, cell by cell.
@@ -236,8 +189,10 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     the matrix oracle, the O(2)^- column with the axial membership
     oracle.
     """
-    for row in _sweep_rows(m_max):
-        for col in _sweep_cols(n_max):
+    rows = table_rows(("Z", "D", "T", "O", "I"), range(2, m_max + 1))
+    cols = table_cols(("Z-", "Dz", "Dd", "O-", "O2-"), range(1, n_max + 1))
+    for row in rows:
+        for col in cols:
             symbolic = clips(row, col)
             if is_infinite(col):
                 brute = clips_axial(row, col, seed=seed)

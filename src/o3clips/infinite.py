@@ -1,13 +1,13 @@
 """Clips rules for pairs involving an infinite class.
 
-Everything here is a closed form: absorbers for the full groups,
-stripping reductions that are exact by construction, the axial rule
-sets, and the type II x type III table cells.  clips_reduce returns
-None when the pair has no closed form (finite pairs outside the
-tables), in which case the engine falls back to the brute-force
-oracle.
+Everything here is a closed form: absorbers for the full groups, the
+axial rule sets, and the type II x type III table cells, applied after
+``normalize``.  clips_reduce returns None when the normalized pair has
+no closed form (finite pairs outside the tables), in which case the
+engine hands that same normalized pair to the brute-force oracle.
 
-Exact reductions used:
+``normalize`` applies the three exact reductions, the only place they
+are written:
 
 * [H1] o [H2 + Z2c] = [H1] o [H2] when H1 is a rotation group, since
   g H1 g^-1 never meets the -g H2 g^-1 coset.
@@ -29,9 +29,7 @@ from .labels import (
     dihedral_z,
     format_label,
     is_infinite,
-    o3,
     proper_part,
-    so3,
     strip_z2c,
     trivial,
     typeclass,
@@ -96,46 +94,60 @@ def _o2minus_rule(fin: ClassLabel) -> ClassSet:
     raise ValueError(f"no O(2)^- rule for {format_label(fin)}")
 
 
+def normalize(c1: ClassLabel,
+              c2: ClassLabel) -> tuple[ClassLabel, ClassLabel, bool]:
+    """Canonical pair after the exact reductions, and whether to lift.
+
+    A type II x type II pair is stripped to its rotation parts with
+    ``lift`` set; against a type I side the other side becomes its
+    rotation part.  The result is a type I x I, II x III or III x III
+    pair, in the given order, and normalizing it again changes nothing.
+    """
+    a, b = canonicalize(c1), canonicalize(c2)
+    ta, tb = typeclass(a), typeclass(b)
+    if ta == tb == "II":
+        return strip_z2c(a), strip_z2c(b), True
+    if ta == "I":
+        return a, proper_part(b), False
+    if tb == "I":
+        return proper_part(a), b, False
+    return a, b, False
+
+
+def lifted(cs: ClassSet, lift: bool) -> ClassSet:
+    """The answer for the pair before ``normalize``; ``cs`` itself when
+    nothing is lifted."""
+    return ClassSet(with_z2c(k) for k in cs) if lift else cs
+
+
+def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet | None:
+    # a normalized pair: type I x I, II x III or III x III
+    for x, y in ((a, b), (b, a)):
+        if x.kind == "SO3":  # SO(3) against type I, O(3) against type III
+            return ClassSet([y])
+        if x.kind == "1":  # 1 against anything, 1+Z2c against type III
+            return ClassSet([trivial()])
+    ta, tb = typeclass(a), typeclass(b)
+    if ta != tb:
+        row, col = (a, b) if ta == "II" else (b, a)
+        return clips_type2_type3(row, col)[1]
+    if not (is_infinite(a) or is_infinite(b)):
+        return None
+    if ta == "I":
+        # the infinite side is SO(2) or O(2)
+        fin, inf = (a, b) if is_infinite(b) else (b, a)
+        return _axial_rule(fin, inf)
+    # III x III: the infinite side is O(2)^-
+    return _o2minus_rule(a if b.kind == "O2-" else b)
+
+
 def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet | None:
     """Closed-form clips, or None when only the oracle can answer.
 
     Covers every pair with an infinite side, the type II x type III
-    table cells, and the absorbing identities.  Symmetric in its
-    arguments.
+    table cells, the absorbing identities, and every pair that
+    ``normalize`` turns into one of those.  Symmetric in its arguments.
     """
-    a, b = canonicalize(c1), canonicalize(c2)
-    for x, y in ((a, b), (b, a)):
-        if x == o3():
-            return ClassSet([y])
-        if x == so3():
-            return ClassSet([proper_part(y)])
-        if x == trivial():
-            return ClassSet([trivial()])
-        if x == with_z2c(trivial()):
-            keep = typeclass(y) == "II"
-            return ClassSet([x if keep else trivial()])
-    ta, tb = typeclass(a), typeclass(b)
-    if {ta, tb} == {"II", "III"}:
-        row, col = (a, b) if ta == "II" else (b, a)
-        return clips_type2_type3(row, col)[1]
-    if ta == "II" and tb == "II":
-        inner = clips_reduce(strip_z2c(a), strip_z2c(b))
-        if inner is None:
-            return None
-        return ClassSet(with_z2c(k) for k in inner)
-    if not (is_infinite(a) or is_infinite(b)):
-        return None
-    # I side present: strip the other side down to rotations
-    if "I" in (ta, tb):
-        fin, other = (a, b) if ta == "I" else (b, a)
-        if typeclass(other) != "I":
-            return clips_reduce(fin, proper_part(other))
-        inf = other
-        if is_infinite(fin) and not is_infinite(inf):
-            fin, inf = inf, fin
-        if inf.kind in ("SO2", "O2"):
-            return _axial_rule(fin, inf)
-        return None
-    # III x III with an infinite side: the infinite one is O(2)^-
-    fin = a if b.kind == "O2-" else b
-    return _o2minus_rule(fin)
+    a, b, lift = normalize(c1, c2)
+    out = _closed_form(a, b)
+    return None if out is None else lifted(out, lift)

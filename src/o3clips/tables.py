@@ -43,6 +43,7 @@ oracle disagrees; the disagreements are pinned in the test suite.
 from __future__ import annotations
 
 from math import gcd
+from typing import Sequence
 
 from .labels import (
     ClassLabel,
@@ -53,11 +54,15 @@ from .labels import (
     dihedral_d,
     dihedral_z,
     format_label,
+    icosa,
+    o2,
     o2_minus,
+    octa,
     octa_minus,
     so2,
     tetra,
     trivial,
+    with_z2c,
 )
 
 _ROW_KINDS = ("Z", "D", "T", "O", "I", "SO2", "O2")
@@ -333,3 +338,38 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> tuple[str, ClassSet]:
     else:
         branch, cell = _cell_o2minus(row)
     return branch, ClassSet([trivial(), *cell])
+
+
+# family tag -> (class of parameter p, least p); _FIXED families take none
+_PARAMETRIC = {
+    "Z": (cyclic, 2), "D": (dihedral, 2),
+    "Z-": (lambda n: cyclic_minus(2 * n), 1), "Dz": (dihedral_z, 2),
+    "Dd": (lambda n: dihedral_d(2 * n), 1),
+}
+_FIXED = {"T": tetra, "O": octa, "I": icosa, "SO2": so2, "O2": o2,
+          "O-": octa_minus, "O2-": o2_minus}
+
+
+def _families(kinds: Sequence[str], params: range) -> list[ClassLabel]:
+    out = []
+    for kind in kinds:
+        if kind in _FIXED:
+            out.append(_FIXED[kind]())
+        else:
+            build, least = _PARAMETRIC[kind]
+            out += [build(p) for p in params if p >= least]
+    return out
+
+
+def table_rows(kinds: Sequence[str], m_range: range) -> list[ClassLabel]:
+    """The table's rows X+Z2c of the families ``kinds`` (tags of
+    ``_ROW_KINDS``) in that order, Z_m and D_m over the m >= 2 of
+    ``m_range``."""
+    return [with_z2c(x) for x in _families(kinds, m_range)]
+
+
+def table_cols(kinds: Sequence[str], n_range: range) -> list[ClassLabel]:
+    """The table's columns of the families ``kinds`` (tags of
+    ``_COL_KINDS``) in that order, Z_2n^- and D_2n^d over the n >= 1 of
+    ``n_range``, D_n^z over its n >= 2."""
+    return _families(kinds, n_range)

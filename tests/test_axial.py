@@ -5,10 +5,12 @@ infinite class; they were computed and frozen before the closed-form
 layer existed.
 """
 
+import numpy as np
 import pytest
 
 from conftest import load_pins
-from o3clips.axial import clips_axial
+from o3clips.axial import _candidate_directions, clips_axial
+from o3clips.groups import structural_axes
 from o3clips.labels import parse_label
 
 PINS = load_pins("clips_axial_pins")
@@ -36,3 +38,13 @@ def test_full_group_sides():
                        parse_label("SO(3)")).labels() == ["Z4"]
     assert clips_axial(parse_label("O"),
                        parse_label("SO(3)")).labels() == ["O"]
+
+
+def test_candidate_directions_merge_repeated_lines():
+    # D128^z: the z axis and 128 in-plane mirror normals, whose 8,256
+    # pairwise normals all lie on those lines; one generic point on each
+    # axis's circle and one generic direction make 259 distinct lines
+    axes = structural_axes(parse_label("D128^z"))[0]
+    dirs = _candidate_directions(axes, np.random.default_rng(0))
+    assert len(dirs) == 259
+    assert (np.abs(dirs @ dirs.T) > 1 - 1e-9).sum() == len(dirs)

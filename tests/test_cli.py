@@ -62,6 +62,34 @@ def test_clips_both_match(capsys):
                                 "MATCH"]
 
 
+def test_clips_both_without_a_rule_claims_no_check(capsys):
+    # no closed form covers Z4 x D6: both answers come from the oracle
+    code, out, _ = run(capsys, "clips", "Z4", "D6", "--method", "both")
+    assert code == 0
+    assert out.splitlines() == ["symbolic: 1 Z2", "oracle: 1 Z2",
+                                "oracle only, no independent check"]
+    code, out, _ = run(capsys, "clips", "Z4", "D6", "--method", "both",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["match"] is None
+
+
+def test_clips_both_mismatch_exit_2(capsys, monkeypatch):
+    from o3clips import infinite
+    from o3clips.labels import class_set
+
+    monkeypatch.setattr(infinite, "clips_type2_type3",
+                        lambda row, col: ("planted", class_set("1", "I")))
+    code, out, _ = run(capsys, "clips", "Z4+Z2c", "D4^z",
+                       "--method", "both")
+    assert code == 2
+    assert out.splitlines()[-1] == "MISMATCH"
+    code, out, _ = run(capsys, "clips", "Z4+Z2c", "D4^z",
+                       "--method", "both", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["match"] is False
+
+
 def test_clips_both_skips_oracle_for_infinite(capsys):
     code, out, _ = run(capsys, "clips", "Z4", "SO(2)",
                        "--method", "both")
@@ -192,6 +220,14 @@ def test_piez_json_is_the_computed_array(capsys):
     assert "O(3)" in labels
     _, out2, _ = run(capsys, "piez", "--format", "json")
     assert out == out2
+
+
+def test_piez_markdown_is_a_one_column_table(capsys):
+    code, out, _ = run(capsys, "piez", "--format", "markdown")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:3] == ["| label |", "| --- |", "| 1 |"]
+    assert len(lines) == 2 + 26
 
 
 def test_info_d6d(capsys):

@@ -88,6 +88,16 @@ def test_both_method_raises_on_planted_mismatch(monkeypatch):
     assert "symbolic" in str(err.value)
 
 
+def test_normalized_pair_answers_without_the_oracle(monkeypatch):
+    # T meets Z2^- only through Z2^-'s rotation part, the trivial group
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(engine, "clips_oracle", no_oracle)
+    assert clips("T", "Z2^-") == class_set("1")
+    assert clips("Z2^-", "O") == class_set("1")
+
+
 def test_clips_families_is_pairwise_union():
     fam1 = ["Z2", "Z3"]
     fam2 = ["D2", "D3"]

@@ -1,8 +1,9 @@
 import pytest
 
 from o3clips.engine import clips
-from o3clips.infinite import clips_reduce, is_infinite, typeclass
-from o3clips.labels import parse_label
+from o3clips.infinite import clips_reduce, is_infinite, normalize, typeclass
+from o3clips.labels import canonicalize, parse_label
+from test_properties import INFINITE, finite_labels
 
 
 def test_typeclass():
@@ -35,9 +36,35 @@ def test_reduce_domain():
     for a, b in deferred:
         assert clips_reduce(parse_label(a), parse_label(b)) is None
     handled = [("Z4+Z2c", "D4^z"), ("Z4", "SO(2)"), ("O^-", "O(3)"),
-               ("SO(2)", "SO(2)"), ("O(2)^-", "T")]
+               ("SO(2)", "SO(2)"), ("O(2)^-", "T"), ("T", "Z2^-")]
     for a, b in handled:
         assert clips_reduce(parse_label(a), parse_label(b)) is not None
+
+
+def test_normalize_is_idempotent_and_lands_in_three_type_pairs():
+    pool = dict.fromkeys([canonicalize(x) for x in finite_labels(12)]
+                         + INFINITE)
+    landed = set()
+    for a in pool:
+        for b in pool:
+            na, nb, _ = normalize(a, b)
+            assert normalize(na, nb) == (na, nb, False), (a, b)
+            landed.add(frozenset((typeclass(na), typeclass(nb))))
+    assert landed == {frozenset({"I"}), frozenset({"II", "III"}),
+                      frozenset({"III"})}
+
+
+def test_normalize_strips_and_lifts():
+    def norm(a, b):
+        return normalize(parse_label(a), parse_label(b))
+
+    assert norm("Z4+Z2c", "D6+Z2c") == (parse_label("Z4"),
+                                        parse_label("D6"), True)
+    assert norm("D6^d", "T+Z2c") == (parse_label("D6^d"),
+                                     parse_label("T+Z2c"), False)
+    assert norm("O^-", "Z4") == (parse_label("T"), parse_label("Z4"), False)
+    assert norm("Z4", "D4+Z2c") == (parse_label("Z4"), parse_label("D4"),
+                                    False)
 
 
 def test_reduce_is_symmetric_where_defined():
