@@ -8,7 +8,10 @@ holds the exact reductions), to the matrix oracle.  The oracle route
 forces the brute-force computation and is therefore restricted to pairs
 of finite classes.  The "both" route returns the symbolic answer after
 cross-checking it against the oracle whenever the pair is finite,
-raising ``ClipsMismatch`` on disagreement.
+raising ``ClipsMismatch`` on disagreement.  A finite pair without a
+closed form has the oracle on the normalized pair as its symbolic
+answer, so there "both" compares that with the oracle on the raw pair:
+it checks ``normalize``, not a rule.
 
 ``class_leq`` decides the containment-up-to-conjugacy partial order, and
 ``clips_families`` extends the product to unions of classes memberwise.
@@ -76,7 +79,13 @@ def _oracle_after_strips(a: ClassLabel, b: ClassLabel, seed: int) -> ClassSet:
 
 def clips(c1: str | ClassLabel, c2: str | ClassLabel,
           method: str = "symbolic", seed: int = 0) -> ClassSet:
-    """Set of classes of intersections of c1 with all conjugates of c2."""
+    """Set of classes of intersections of c1 with all conjugates of c2.
+
+    ``method="both"`` checks the symbolic answer against the oracle on a
+    finite pair.  When ``clips_reduce`` has no closed form for the pair,
+    the symbolic answer is the oracle on the ``normalize``d pair, so the
+    check compares two oracle runs and covers ``normalize`` only.
+    """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     a, b = _as_label(c1), _as_label(c2)

@@ -20,11 +20,17 @@ t, and every other element can only meet H1 at the solved angles
 where its axis line lands on an axis line of H1.  All other angles
 give one and the same intersection, so one generic angle stands for
 them (see ``conjugators``).
+
+The sweep is one array pass per pair.  Every aligner comes from one
+batched ``align``; row i of a padded table holds the solved angles of
+aligner i, one per pair of an axis of H1 and a g0-image of an axis of
+H2, with a mask that drops the pairs where either lies on the line b;
+each row is reduced to its distinct angles plus the generic one, and
+one batched ``rotation`` spins every aligner by every angle of its row.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from functools import lru_cache
 
@@ -42,8 +48,8 @@ from .rotations import (
     EPS_MAT,
     IDENTITY,
     align,
+    orthogonal,
     rotation,
-    unit,
 )
 
 
@@ -86,61 +92,49 @@ def pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
 
 def _candidate_axes(
     label: ClassLabel, rng: np.random.Generator
-) -> list[tuple[np.ndarray, int]]:
-    """Axis orbit representatives with the proper cyclic order about
-    each, plus one seeded generic axis (order 1)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Axis orbit representatives (k, 3) with the proper cyclic order
+    about each (k,), plus one seeded generic axis of order 1 last."""
     generic = rng.normal(size=3)
     reps, orders = axis_orbit_reps(label)
-    return [*zip(reps, orders.tolist()), (generic / np.linalg.norm(generic), 1)]
+    return (np.vstack([reps, generic / np.linalg.norm(generic)]),
+            np.append(orders, 1))
 
 
-def _perp_frame(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    probe = np.array([1.0, 0.0, 0.0]) if abs(b[0]) < 0.9 else np.array(
-        [0.0, 1.0, 0.0]
-    )
-    p = unit(np.cross(b, probe))
-    return p, np.cross(b, p)
+def _azimuths(perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuths of vectors from their components (rows, 2, k) in a frame
+    (p, q) orthogonal to b, and whether each lies off the line b."""
+    x, y = perp[:, 0], perp[:, 1]
+    return np.arctan2(y, x), np.hypot(x, y) > 1e-9
 
 
-def _solved_angles(
-    g0: np.ndarray,
-    p: np.ndarray,
-    q: np.ndarray,
-    all1: np.ndarray,
-    all2: np.ndarray,
-) -> np.ndarray:
-    """Spin angles about b = p x q that carry some g0-image of an axis of H2
-    onto an axis line of H1.  An intersection class with two or more
-    distinct axis lines is only realized when a second pair of axes
-    lines up, and the required azimuth need not be a rational multiple
-    of pi, so these angles have to be solved for rather than swept."""
-    imgs = all2 @ g0.T
-    alphas = []
-    for v in (imgs, all1):
-        perp = np.stack([v @ p, v @ q], axis=1)
-        norms = np.linalg.norm(perp, axis=1)
-        keep = perp[norms > 1e-9]
-        alphas.append(np.arctan2(keep[:, 1], keep[:, 0]))
-    if alphas[0].size == 0 or alphas[1].size == 0:
-        return np.empty(0)
-    diff = alphas[1][:, None] - alphas[0][None, :]
-    return np.concatenate([diff.ravel(), diff.ravel() + np.pi])
+def _spin_table(solved: np.ndarray, valid: np.ndarray,
+                period: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spin angles of every aligner, from its row of solved angles.
 
-
-def _spin_angles(solved: np.ndarray, period: float) -> np.ndarray:
-    """The distinct solved angles modulo ``period`` plus one generic
-    angle: the midpoint of the largest gap between them, cyclically,
-    or 0 when there are none."""
-    solved = solved % period
+    Each row keeps its distinct valid angles modulo its period, sorted,
+    and appends one generic angle: the midpoint of the largest gap
+    between them, cyclically, or 0 when there are none.  Returns the
+    angles packed to the left of a table, and the count of each row.
+    """
+    per = period[:, None]
+    pad = 2.0 * np.pi  # sorts after every angle below a period
+    t = solved % per
     # an angle a rounding error below the period is the angle 0
-    solved = np.sort(np.where(period - solved < 1e-9, 0.0, solved))
-    solved = solved[np.diff(solved, prepend=-1.0) > 1e-9]
-    if solved.size == 0:
-        return np.zeros(1)
-    gaps = np.diff(solved, append=solved[0] + period)
-    k = int(np.argmax(gaps))
-    generic = (solved[k] + gaps[k] / 2.0) % period
-    return np.append(solved, generic)
+    t = np.where(per - t < 1e-9, 0.0, t)
+    t = np.sort(np.where(valid, t, pad), axis=1)
+    new = (np.diff(t, axis=1, prepend=-1.0) > 1e-9) & (t < pad)
+    n = new.sum(axis=1)
+    t = np.sort(np.where(new, t, pad), axis=1)[:, : n.max()]
+    t = np.hstack([t, np.full((len(t), 1), pad)])
+    col = np.arange(t.shape[1])
+    gaps = np.diff(t, axis=1, append=pad)
+    gaps = np.where(col == n[:, None] - 1, t[:, :1] + per - t, gaps)
+    k = np.where(col < n[:, None], gaps, -1.0).argmax(axis=1)
+    rows = np.arange(len(t))
+    generic = (t[rows, k] + gaps[rows, k] / 2.0) % period
+    t[rows, n] = np.where(n > 0, generic, 0.0)
+    return t, n + 1
 
 
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
@@ -158,27 +152,46 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     - R(b, t) commutes with every element of g H2 g^T whose axis line
       is b, and with ±Id, so those elements do not depend on t;
     - any other element can equal an element of H1 only when its axis
-      line lands on an axis line of H1.  That needs its azimuth about
-      b to match, and ``_solved_angles`` lists exactly those t;
-    - so every t outside the solved set gives the same intersection,
-      and one representative, the midpoint of the largest gap between
-      solved angles, suffices.
+      line lands on an axis line of H1.  In a frame (p, q) orthogonal
+      to b, a g0-image v of an axis of H2 off the line b has azimuth
+      alpha_v, an axis w of H1 off that line has azimuth alpha_w, and
+      R(b, t) puts v on the line of w exactly at t = alpha_w - alpha_v
+      or that plus pi.  Such a t need not be a rational multiple of
+      pi, so it is solved for rather than swept: row g0 of the solved
+      table lists these angles for every such pair (v, w), with a mask
+      for the pairs where v or w lies on b;
+    - so every t outside a row's solved set gives the same
+      intersection, and one representative, the midpoint of the largest
+      gap between solved angles, suffices.
+
+    All aligners are built by one ``align`` call, their solved angles
+    form one (aligners, 2 |axes of H1| |axes of H2|) table, and all
+    spins come from one ``rotation`` call.
     """
     rng = pair_rng(c1, c2, seed)
-    axes1 = _candidate_axes(c1, rng)
-    axes2 = _candidate_axes(c2, rng)
+    axes1, m1 = _candidate_axes(c1, rng)
+    axes2, m2 = _candidate_axes(c2, rng)
     all1, _ = structural_axes(c1)
     all2, _ = structural_axes(c2)
-    out = [IDENTITY[None]]
-    for b, m_b in axes1:
-        p, q = _perp_frame(b)
-        for a, m_a in axes2:
-            period = 2.0 * np.pi / math.lcm(m_a, m_b)
-            for target in (b, -b):
-                g0 = align(a, target)
-                solved = _solved_angles(g0, p, q, all1, all2)
-                out.append(rotation(b, _spin_angles(solved, period)) @ g0)
-    return np.concatenate(out)
+    # aligners in (b, a, sign) order: axis a of H2 onto +b, then onto -b
+    b = np.repeat(axes1, 2 * len(axes2), axis=0)
+    a = np.tile(np.repeat(axes2, 2, axis=0), (len(axes1), 1))
+    sign = np.tile([1.0, -1.0], len(axes1) * len(axes2))[:, None]
+    g0 = align(a, sign * b)
+    period = 2.0 * np.pi / np.repeat(np.lcm.outer(m1, m2).ravel(), 2)
+    # a frame (p, q) orthogonal to each b
+    p = orthogonal(b)
+    frame = np.stack([p, np.cross(b, p)], axis=1)
+    alpha1, off1 = _azimuths(frame @ all1.T)
+    alpha2, off2 = _azimuths(frame @ g0 @ all2.T)
+    diff = (alpha1[:, :, None] - alpha2[:, None, :]).reshape(len(b), -1)
+    valid = (off1[:, :, None] & off2[:, None, :]).reshape(len(b), -1)
+    spins, count = _spin_table(
+        np.hstack([diff, diff + np.pi]), np.hstack([valid, valid]), period
+    )
+    angles = spins[np.arange(spins.shape[1]) < count[:, None]]
+    spun = rotation(np.repeat(b, count, axis=0), angles)
+    return np.concatenate([IDENTITY[None], spun @ np.repeat(g0, count, axis=0)])
 
 
 def clips_oracle(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> ClassSet:

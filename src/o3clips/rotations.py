@@ -26,27 +26,34 @@ IDENTITY = np.eye(3)
 
 
 def unit(v) -> np.ndarray:
+    """Unit direction of one vector or of a stack of them, shape (..., 3)."""
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm < EPS_AXIS:
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if (norm < EPS_AXIS).any():
         raise ValueError("zero direction vector")
     return v / norm
 
 
 def skew(n: np.ndarray) -> np.ndarray:
-    """Cross-product matrix j(n) with j(n) v = n x v."""
-    x, y, z = n
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrix j(n) with j(n) v = n x v, for one axis or a
+    stack of axes (..., 3)."""
+    x, y, z = np.moveaxis(n, -1, 0)
+    o = np.zeros_like(x)
+    return np.stack(
+        [np.stack([o, -z, y], -1), np.stack([z, o, -x], -1),
+         np.stack([-y, x, o], -1)], -2
+    )
 
 
 def rotation(axis, angle) -> np.ndarray:
     """Rotation by ``angle`` about ``axis`` (Rodrigues formula).
 
-    ``angle`` may be a scalar, giving one (3, 3) matrix, or an array of
-    k angles, giving the k rotations about the common axis as (k, 3, 3).
+    ``axis`` is one axis (3,) or a stack of axes (..., 3), and ``angle``
+    is broadcast against the stack: one axis with a scalar angle gives
+    one (3, 3) matrix, one axis with k angles gives the k rotations about
+    it as (k, 3, 3), and k axes with k angles give (k, 3, 3) pairwise.
     """
-    n = unit(axis)
-    j = skew(n)
+    j = skew(unit(axis))
     angle = np.asarray(angle, dtype=float)[..., None, None]
     return IDENTITY + np.sin(angle) * j + (1.0 - np.cos(angle)) * (j @ j)
 
@@ -118,22 +125,26 @@ def canonical_axis(axis) -> np.ndarray:
     return u * np.sign(np.take_along_axis(u, lead, axis=-1))
 
 
+def orthogonal(v) -> np.ndarray:
+    """A unit vector orthogonal to each direction of a stack (..., 3):
+    the direction of v x e1, or of v x e2 when v is near e1."""
+    v = np.asarray(v, dtype=float)
+    probe = np.where(np.abs(v[..., :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    return unit(np.cross(v, probe))
+
+
 def align(a, b) -> np.ndarray:
-    """A rotation taking direction ``a`` to direction ``b``."""
+    """A rotation taking direction ``a`` to direction ``b``; both may be
+    stacks (..., 3), aligned pairwise.  Parallel pairs give the identity
+    and antiparallel pairs a half turn about an axis orthogonal to ``a``."""
     a, b = unit(a), unit(b)
     cross = np.cross(a, b)
-    dot = float(np.dot(a, b))
-    norm = np.linalg.norm(cross)
-    if norm < EPS_AXIS:
-        if dot > 0:
-            return IDENTITY.copy()
-        # antiparallel: half turn about any axis orthogonal to a
-        probe = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(probe, a)) > 0.9:
-            probe = np.array([0.0, 1.0, 0.0])
-        return rotation(np.cross(a, probe), np.pi)
-    angle = float(np.arctan2(norm, dot))
-    return rotation(cross, angle)
+    dot = (a * b).sum(axis=-1)
+    norm = np.linalg.norm(cross, axis=-1)
+    flat = norm < EPS_AXIS
+    axis = np.where(flat[..., None], orthogonal(a), cross)
+    angle = np.where(flat, np.where(dot > 0, 0.0, np.pi), np.arctan2(norm, dot))
+    return rotation(axis, angle)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -88,6 +88,25 @@ def test_both_method_raises_on_planted_mismatch(monkeypatch):
     assert "symbolic" in str(err.value)
 
 
+def test_both_method_without_a_rule_checks_normalize_only(monkeypatch):
+    # Z4 x D6 has no closed form: the symbolic answer is the oracle on
+    # the normalized pair, and "both" checks it against the oracle on
+    # the raw pair, so it checks normalize, not a rule
+    a, b = parse_label("Z4"), parse_label("D6")
+    assert infinite.clips_reduce(a, b) is None
+    calls = []
+    oracle = engine.clips_oracle
+
+    def spy(x, y, seed=0):
+        calls.append((x, y))
+        return oracle(x, y, seed=seed)
+
+    monkeypatch.setattr(engine, "clips_oracle", spy)
+    engine._oracle_after_strips.cache_clear()
+    assert clips(a, b, method="both") == oracle(a, b)
+    assert calls == [infinite.normalize(a, b)[:2], (a, b)]
+
+
 def test_normalized_pair_answers_without_the_oracle(monkeypatch):
     # T meets Z2^- only through Z2^-'s rotation part, the trivial group
     def no_oracle(*args, **kwargs):

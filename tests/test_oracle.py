@@ -12,7 +12,7 @@ from conftest import load_pins
 from o3clips.engine import clips
 from o3clips.groups import intersect, materialize, reference_group
 from o3clips.labels import format_label, parse_label
-from o3clips.oracle import _prepped, clips_oracle, conjugators
+from o3clips.oracle import _prepped, _spin_table, clips_oracle, conjugators
 from o3clips.rotations import random_rotation, rotation
 
 PINS = load_pins("clips_oracle_pins")
@@ -67,13 +67,54 @@ def test_sweep_does_not_grow_with_lcm():
     assert len(conjugators(parse_label("Z7"), parse_label("Z11"))) < 300
 
 
+PROBE_COUNTS = {("Z7", "Z11"): 13, ("D12^z", "D11^z"): 1085,
+                ("I+Z2c", "O^-"): 3805, ("O+Z2c", "D8^d"): 1061}
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_sweep_has_no_random_conjugators(seed):
-    # the identity, one spin for each of the six aligners that involve
-    # a z axis, and two solved spins plus a generic one for each of the
-    # two generic-to-generic aligners; the seed only moves the generic
-    # axes, so the count is the same for every seed
-    assert len(conjugators(parse_label("Z7"), parse_label("Z11"), seed=seed)) == 13
+    # Z7 x Z11: the identity, one spin for each of the six aligners that
+    # involve a z axis, and two solved spins plus a generic one for each
+    # of the two generic-to-generic aligners.  The seed only moves the
+    # generic axes, so every count is the same for every seed.
+    for pair, count in PROBE_COUNTS.items():
+        g = conjugators(*map(parse_label, pair), seed=seed)
+        assert len(g) == count, pair
+        # every conjugator is a proper rotation
+        gram = g @ g.transpose(0, 2, 1)
+        assert np.abs(gram - np.eye(3)).max() < 1e-12, pair
+        assert np.abs(np.linalg.det(g) - 1.0).max() < 1e-12, pair
+
+
+def _spin_row(solved, period):
+    """The spin rule one aligner at a time: the reference for the table."""
+    solved = solved % period
+    solved = np.sort(np.where(period - solved < 1e-9, 0.0, solved))
+    solved = solved[np.diff(solved, prepend=-1.0) > 1e-9]
+    if solved.size == 0:
+        return np.zeros(1)
+    gaps = np.diff(solved, append=solved[0] + period)
+    k = int(np.argmax(gaps))
+    return np.append(solved, (solved[k] + gaps[k] / 2.0) % period)
+
+
+def test_spin_table_matches_the_per_row_rule():
+    rng = np.random.default_rng(3)
+    rows, width = 40, 24
+    period = 2.0 * np.pi / rng.integers(1, 13, size=rows)
+    solved = rng.uniform(-7.0, 7.0, size=(rows, width))
+    # repeats, exact and a rounding error apart, and an angle a rounding
+    # error below a multiple of the period
+    solved[:, 1] = solved[:, 0]
+    solved[:, 3] = solved[:, 2] + 1e-12
+    solved[:, 5] = 3.0 * period - 1e-12
+    valid = rng.random((rows, width)) < 0.7
+    valid[0] = False
+    valid[1] = np.arange(width) < 2
+    spins, count = _spin_table(solved, valid, period)
+    for i in range(rows):
+        want = _spin_row(solved[i][valid[i]], period[i])
+        assert np.array_equal(spins[i, : count[i]], want), i
 
 
 @pytest.mark.parametrize("text", ["I+Z2c", "O^-", "D128^d", "Z256"])

@@ -40,6 +40,12 @@ def test_rotation_batches_angles():
     assert batch.shape == (4, 3, 3)
     for g, t in zip(batch, angles):
         assert mats_equal(g, rotation(axis, t))
+    # a stack of axes, each with its own angle, equals the scalar calls
+    axes = RNG.normal(size=(4, 3))
+    batch = rotation(axes, angles)
+    assert batch.shape == (4, 3, 3)
+    for g, n, t in zip(batch, axes, angles):
+        assert np.abs(g - rotation(n, t)).max() < 1e-12
 
 
 def test_rotation_period():
@@ -101,6 +107,20 @@ def test_align():
     assert mats_equal(align([0, 0, 1], [0, 0, 1]), np.eye(3))
     g = align([0, 0, 1], [0, 0, -1])
     assert np.allclose(g @ [0, 0, 1], [0, 0, -1])
+    # a stack mixing generic, parallel and antiparallel pairs, one with
+    # a along e1 (the half turn's probe switches there), is aligned pairwise
+    a = np.vstack([RNG.normal(size=(3, 3)), [[0, 0, 1], [1, 0, 0],
+                                             [2, 0, 0], [0, 3, 4]]])
+    b = np.vstack([RNG.normal(size=(3, 3)), [[0, 0, 5], [-1, 0, 0],
+                                             [3, 0, 0], [0, -3, -4]]])
+    stack = align(a, b)
+    assert stack.shape == (7, 3, 3)
+    for g, u, v in zip(stack, a, b):
+        assert np.abs(g - align(u, v)).max() < 1e-12
+        assert np.allclose(g @ unit(u), unit(v), atol=1e-12)
+    assert np.array_equal(stack[5], np.eye(3))
+    for g in stack[[4, 6]]:
+        assert np.trace(g) == pytest.approx(-1.0)
 
 
 def test_canonical_axis_collapses_sign():
