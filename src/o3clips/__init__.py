@@ -10,9 +10,12 @@ Two independent evaluation paths are exposed: closed-form rules
 (``method="symbolic"``, the default) and a brute-force matrix oracle
 for finite classes (``method="oracle"``); ``method="both"`` runs the
 two and raises :class:`ClipsMismatch` if they ever disagree.
+
+The matrix layer (``clips_oracle``, ``clips_axial`` and the group
+constructors) needs numpy and is imported on first access, so the
+closed-form route and the catalog fold never load it.
 """
 
-from .axial import clips_axial
 from .engine import (
     CellCheck,
     ClipsMismatch,
@@ -20,14 +23,6 @@ from .engine import (
     clips,
     clips_families,
     verify_cells,
-)
-from .groups import (
-    GroupError,
-    RecognitionError,
-    generators,
-    materialize,
-    recognize,
-    reference_group,
 )
 from .infinite import clips_reduce
 from .labels import (
@@ -62,7 +57,6 @@ from .labels import (
     typeclass,
     with_z2c,
 )
-from .oracle import clips_oracle
 from .piezo import (
     ELA_CLASSES,
     PIEZ_CLASSES,
@@ -77,7 +71,7 @@ from .piezo import (
     isotropy_direct_sum,
     printed_collisions,
 )
-from .tables import clips_type2_type3
+from .tables import clips_type1_type1, clips_type2_type3
 
 __version__ = "0.1.0"
 
@@ -104,6 +98,7 @@ __all__ = [
     "clips_families",
     "clips_oracle",
     "clips_reduce",
+    "clips_type1_type1",
     "clips_type2_type3",
     "compare",
     "compute_piez",
@@ -141,3 +136,25 @@ __all__ = [
     "verify_cells",
     "with_z2c",
 ]
+
+# name -> submodule of the matrix layer that defines it
+_LAZY = {
+    "clips_axial": "axial",
+    "clips_oracle": "oracle",
+    "GroupError": "groups",
+    "RecognitionError": "groups",
+    "generators": "groups",
+    "materialize": "groups",
+    "recognize": "groups",
+    "reference_group": "groups",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -19,10 +19,7 @@ import re
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .engine import clips, verify_cells
-from .groups import GroupError, generators, materialize
 from .infinite import clips_reduce
 from .labels import (
     ClassLabel,
@@ -37,7 +34,6 @@ from .labels import (
     typeclass,
 )
 from .piezo import diff_piez
-from .rotations import axis_angle, pi_fraction, random_rotation
 from .tables import clips_type2_type3, table_cols, table_rows
 
 __all__ = ["main"]
@@ -274,6 +270,8 @@ def _primary_axis_order(label: ClassLabel):
 
 
 def _fraction_of_pi(angle: float) -> str:
+    from .rotations import pi_fraction
+
     frac = pi_fraction(angle)
     if frac == 0:
         return "0"
@@ -285,6 +283,10 @@ def _fraction_of_pi(angle: float) -> str:
 
 
 def _describe_generator(g: np.ndarray) -> str:
+    import numpy as np
+
+    from .rotations import axis_angle
+
     if np.linalg.det(g) > 0:
         axis, angle = axis_angle(g)
         sign = ""
@@ -314,6 +316,8 @@ def cmd_info(args) -> int:
     if primary is not None and not is_infinite(label):
         print(f"primary axis order: {primary}")
     if not is_infinite(label):
+        from .groups import generators
+
         gens = generators(label)
         print("generators: " + "; ".join(_describe_generator(g)
                                          for g in gens))
@@ -330,6 +334,11 @@ def cmd_materialize(args) -> int:
               "classes can be dumped as matrices (use clips or info "
               "for symbolic queries)", file=sys.stderr)
         return 1
+    import numpy as np
+
+    from .groups import materialize
+    from .rotations import random_rotation
+
     orientation = None
     if args.seed:
         orientation = random_rotation(np.random.default_rng(args.seed))
@@ -400,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GroupError) as exc:
+    except ValueError as exc:  # GroupError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

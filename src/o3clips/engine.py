@@ -2,16 +2,20 @@
 
 ``clips`` is the public entry point for the conjugacy-class intersection
 product on closed subgroups of O(3).  The symbolic route answers from
-``infinite.clips_reduce`` whenever it has a closed form, and otherwise
-hands the pair, reduced by the same ``infinite.normalize`` step (which
-holds the exact reductions), to the matrix oracle.  The oracle route
-forces the brute-force computation and is therefore restricted to pairs
-of finite classes.  The "both" route returns the symbolic answer after
-cross-checking it against the oracle whenever the pair is finite,
-raising ``ClipsMismatch`` on disagreement.  A finite pair without a
-closed form has the oracle on the normalized pair as its symbolic
-answer, so there "both" compares that with the oracle on the raw pair:
-it checks ``normalize``, not a rule.
+``infinite.clips_reduce`` whenever it has a closed form, which is every
+pair but a finite type III x type III one; that pair, reduced by the
+same ``infinite.normalize`` step (which holds the exact reductions),
+goes to the matrix oracle.  The oracle route forces the brute-force
+computation and is therefore restricted to pairs of finite classes.
+The "both" route returns the symbolic answer after cross-checking it
+against the oracle whenever the pair is finite, raising
+``ClipsMismatch`` on disagreement.  For a finite III x III pair the
+symbolic answer is the oracle on the normalized pair, so there "both"
+compares that with the oracle on the raw pair: it checks
+``normalize``, not a rule.
+
+The matrix layer (numpy, ``oracle``, ``axial``) is imported on the
+first brute-force call, so the symbolic route never loads it.
 
 ``class_leq`` decides the containment-up-to-conjugacy partial order, and
 ``clips_families`` extends the product to unions of classes memberwise.
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .axial import clips_axial
 from .infinite import clips_reduce, lifted, normalize
 from .labels import (
     ClassLabel,
@@ -36,7 +39,6 @@ from .labels import (
     so2,
     typeclass,
 )
-from .oracle import clips_oracle
 from .tables import table_cols, table_rows
 
 __all__ = [
@@ -70,6 +72,20 @@ def _as_label(spec: str | ClassLabel) -> ClassLabel:
     return canonicalize(parse_label(spec) if isinstance(spec, str) else spec)
 
 
+def clips_oracle(a: ClassLabel, b: ClassLabel, seed: int = 0) -> ClassSet:
+    """``oracle.clips_oracle``, imported on first use."""
+    from .oracle import clips_oracle
+
+    return clips_oracle(a, b, seed=seed)
+
+
+def clips_axial(a: ClassLabel, b: ClassLabel, seed: int = 0) -> ClassSet:
+    """``axial.clips_axial``, imported on first use."""
+    from .axial import clips_axial
+
+    return clips_axial(a, b, seed=seed)
+
+
 @lru_cache(maxsize=None)
 def _oracle_after_strips(a: ClassLabel, b: ClassLabel, seed: int) -> ClassSet:
     """Oracle answer for a pair already reduced by ``normalize``, cached
@@ -82,9 +98,10 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     """Set of classes of intersections of c1 with all conjugates of c2.
 
     ``method="both"`` checks the symbolic answer against the oracle on a
-    finite pair.  When ``clips_reduce`` has no closed form for the pair,
-    the symbolic answer is the oracle on the ``normalize``d pair, so the
-    check compares two oracle runs and covers ``normalize`` only.
+    finite pair.  When ``clips_reduce`` has no closed form for the pair
+    (a finite type III x type III pair), the symbolic answer is the
+    oracle on the ``normalize``d pair, so the check compares two oracle
+    runs and covers ``normalize`` only.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")

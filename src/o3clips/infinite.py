@@ -1,10 +1,10 @@
-"""Clips rules for pairs involving an infinite class.
+"""Closed-form clips: the exact reductions, then one rule per pair type.
 
 Everything here is a closed form: absorbers for the full groups, the
-axial rule sets, and the type II x type III table cells, applied after
-``normalize``.  clips_reduce returns None when the normalized pair has
-no closed form (finite pairs outside the tables), in which case the
-engine hands that same normalized pair to the brute-force oracle.
+axial rule sets, the type II x type III table cells and the finite
+type I x type I cells, applied after ``normalize``.  clips_reduce
+returns None only when the normalized pair is a finite type III x
+type III pair, which the engine hands to the brute-force oracle.
 
 ``normalize`` applies the three exact reductions, the only place they
 are written:
@@ -35,7 +35,7 @@ from .labels import (
     typeclass,
     with_z2c,
 )
-from .tables import clips_type2_type3
+from .tables import clips_type1_type1, clips_type2_type3
 
 
 def _axial_rule(fin: ClassLabel, inf: ClassLabel) -> ClassSet:
@@ -132,7 +132,8 @@ def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet | None:
         row, col = (a, b) if ta == "II" else (b, a)
         return clips_type2_type3(row, col)[1]
     if not (is_infinite(a) or is_infinite(b)):
-        return None
+        # finite III x III has no rule yet
+        return clips_type1_type1(a, b)[1] if ta == "I" else None
     if ta == "I":
         # the infinite side is SO(2) or O(2)
         fin, inf = (a, b) if is_infinite(b) else (b, a)
@@ -145,8 +146,10 @@ def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet | None:
     """Closed-form clips, or None when only the oracle can answer.
 
     Covers every pair with an infinite side, the type II x type III
-    table cells, the absorbing identities, and every pair that
-    ``normalize`` turns into one of those.  Symmetric in its arguments.
+    table cells, the finite type I x type I cells, the absorbing
+    identities, and every pair that ``normalize`` turns into one of
+    those: all but the finite type III x type III pairs.  Symmetric in
+    its arguments.
     """
     a, b, lift = normalize(c1, c2)
     out = _closed_form(a, b)

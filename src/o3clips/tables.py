@@ -1,4 +1,5 @@
-"""Closed-form clips cells: type II row against type III column.
+"""Closed-form clips cells: type II row against type III column, and
+finite rotation group against finite rotation group.
 
 Every cell of the two-column-family tables is a small set of classes
 given by gcd/parity branches in the row parameter m and the column
@@ -38,6 +39,28 @@ brute-force oracles (tests) agree with the versions here.
 The two infinite rows ([SO(2)+Z2c], [O(2)+Z2c]) are kept exactly as
 published for every column, including cells where the membership
 oracle disagrees; the disagreements are pinned in the test suite.
+
+clips_type1_type1 is the SO(3) clips table of the finite rotation
+groups (Olive & Auffray, *Symmetry classes for even-order tensors*,
+2013), with d = gcd(m, n), d_p = gcd(m, p), Z_1 = 1 and D_1 = Z_2;
+every cell also holds [1]:
+
+* Z_m x Z_n = {Z_d};  Z_m x D_n = {Z_d, Z_{d_2}}
+* Z_m x T = {Z_{d_2}, Z_{d_3}};  Z_m x O adds Z_{d_4};
+  Z_m x I = {Z_{d_2}, Z_{d_3}, Z_{d_5}}
+* D_m x D_n = {Z_2, Z_d, D_d}, plus D_2 when m and n are both even
+* D_m x T = {Z_2, Z_{d_3}};  D_m x O = {Z_2, Z_{d_3}, Z_{d_4}, D_{d_3},
+  D_{d_4}};  D_m x I = {Z_2, Z_{d_3}, Z_{d_5}, D_{d_3}, D_{d_5}}; each
+  plus D_2 when m is even
+* T x T = T x I = {Z_2, Z_3, T};  T x O = {Z_2, Z_3, D_2, T};
+  O x O = {Z_2, Z_3, Z_4, D_2, D_3, D_4, O};
+  O x I = {Z_2, Z_3, D_2, D_3, T};
+  I x I = {Z_2, Z_3, Z_5, D_3, D_5, T, I}
+
+[D_2] is absent from T x T, T x I and I x I for the reason given for
+the O^- column above: a shared D_2 frame forces a shared T.  The
+brute-force oracle agrees on every pair of {Z_k, D_k : k <= 30} and
+T, O, I (tests check k <= 12).
 """
 
 from __future__ import annotations
@@ -338,6 +361,111 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> tuple[str, ClassSet]:
     else:
         branch, cell = _cell_o2minus(row)
     return branch, ClassSet([trivial(), *cell])
+
+
+_TYPE1_RANK = {"Z": 0, "D": 1, "T": 2, "O": 3, "I": 4}
+# orders p > 2 of the rotation axes of each polyhedral group; all three
+# also have 2-fold axes
+_POLY_AXES = {"T": (3,), "O": (3, 4), "I": (3, 5)}
+_POLY_POLY = {
+    ("T", "T"): (cyclic(2), cyclic(3), tetra()),
+    ("T", "O"): (cyclic(2), cyclic(3), dihedral(2), tetra()),
+    ("T", "I"): (cyclic(2), cyclic(3), tetra()),
+    ("O", "O"): (cyclic(2), cyclic(3), cyclic(4), dihedral(2), dihedral(3),
+                 dihedral(4), octa()),
+    ("O", "I"): (cyclic(2), cyclic(3), dihedral(2), dihedral(3), tetra()),
+    ("I", "I"): (cyclic(2), cyclic(3), cyclic(5), dihedral(3), dihedral(5),
+                 tetra(), icosa()),
+}
+
+
+def clips_type1_type1(a: ClassLabel,
+                      b: ClassLabel) -> tuple[str, ClassSet]:
+    """Evaluate one finite rotation x rotation cell.
+
+    Parameters
+    ----------
+    a, b : ClassLabel
+        Finite rotation classes Z_m, D_m (m >= 2), T, O or I, in either
+        order.  Below, m belongs to the Z or D side, the Z side when
+        both are parametric.
+
+    Returns
+    -------
+    (branch, cell) : tuple[str, ClassSet]
+        branch names the parity condition that fired ("" when the cell
+        is unconditional); cell always includes the trivial class.
+
+    Every intersection K = H1 ∩ g H2 g^T is a rotation group inside
+    both, and a rotation axis of K is an axis of each side, of an order
+    dividing both orders.  With d = gcd(m, n) and d_p = gcd(m, p):
+
+    * Z_m against anything: K is cyclic about the axis of Z_m.  Laid on
+      a p-fold axis of the other side (D_n: n and 2; T: 2, 3; O: 2, 3, 4;
+      I: 2, 3, 5) it is Z_{gcd(m, p)}, and 1 off every axis.
+    * D_m x D_n, "m, n even" or "m or n odd": a 2-fold of each
+      aligned at a generic spin gives Z_2.  Principal axes aligned give
+      Z_d at a generic spin; turning one 2-fold axis of each onto the
+      other makes d of them coincide modulo pi, which gives D_d.  When m
+      and n are both even each side holds a D_2 frame (its principal
+      axis and two perpendicular 2-folds); aligning the frames with the
+      principal axes apart gives D_2 exactly, a class that is not
+      otherwise among them once d > 2.
+    * D_m x T, O or I, "m even" or "m odd": a shared 2-fold gives Z_2.
+      The principal axis on a p-fold axis, p > 2, gives Z_{d_p}; in O
+      and I every such axis has p perpendicular 2-folds spaced pi/p, so
+      a spin that puts a 2-fold of D_m on one of them gives D_{d_p}.  T
+      has no 2-fold perpendicular to a 3-fold, so there K stays Z_{d_3}.
+      For m even, aligning a D_2 frame of D_m with one of the other
+      side gives D_2.
+    * T, O, I against each other: the classes are the common subgroup
+      classes that occur exactly.  [D_2] is missing from T x T, T x I
+      and I x I: every D_2 frame of T or I lies in the one T its
+      body-diagonal 3-folds span, which both sides then contain.  O
+      also holds frames of one 4-fold and two 2-fold axes, which lie in
+      no T of O, so T x O, O x O and O x I keep [D_2].  [T] is missing
+      from O x O because O is the only octahedral group holding its T,
+      and [O], [I] occur only against themselves.
+    """
+    for lab in (a, b):
+        if (lab.plus or lab.kind not in _TYPE1_RANK
+                or (lab.kind in ("Z", "D") and lab.n < 2)):
+            raise ValueError(f"not a finite rotation class: "
+                             f"{format_label(lab)}")
+    x, y = sorted((a, b), key=lambda lab: _TYPE1_RANK[lab.kind])
+    branch, cell = _cell_type1(x, y)
+    return branch, ClassSet([trivial(), *cell])
+
+
+def _axis_orders(lab: ClassLabel) -> tuple[int, ...]:
+    # orders of the rotation axes of a finite rotation class
+    if lab.kind == "Z":
+        return (lab.n,)
+    if lab.kind == "D":
+        return (lab.n, 2)
+    return (2, *_POLY_AXES[lab.kind])
+
+
+def _cell_type1(x: ClassLabel, y: ClassLabel) -> tuple[str, list[ClassLabel]]:
+    if x.kind not in ("Z", "D"):
+        return "", list(_POLY_POLY[x.kind, y.kind])
+    m = x.n
+    if x.kind == "Z":
+        return "", [cyclic(gcd(m, p)) for p in _axis_orders(y)]
+    if y.kind == "D":
+        n = y.n
+        d = gcd(m, n)
+        if m % 2 == 0 and n % 2 == 0:
+            return "m, n even", [cyclic(2), cyclic(d), dihedral(d),
+                                 dihedral(2)]
+        return "m or n odd", [cyclic(2), cyclic(d), dihedral(d)]
+    high = _POLY_AXES[y.kind]
+    cell = [cyclic(2), *(cyclic(gcd(m, p)) for p in high)]
+    if y.kind != "T":
+        cell += [dihedral(gcd(m, p)) for p in high]
+    if m % 2 == 0:
+        return "m even", cell + [dihedral(2)]
+    return "m odd", cell
 
 
 # family tag -> (class of parameter p, least p); _FIXED families take none

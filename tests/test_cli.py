@@ -63,15 +63,40 @@ def test_clips_both_match(capsys):
 
 
 def test_clips_both_without_a_rule_claims_no_check(capsys):
-    # no closed form covers Z4 x D6: both answers come from the oracle
-    code, out, _ = run(capsys, "clips", "Z4", "D6", "--method", "both")
+    # no closed form covers the type III x III pair Z4^- x D4^z: both
+    # answers come from the oracle
+    code, out, _ = run(capsys, "clips", "Z4^-", "D4^z", "--method", "both")
     assert code == 0
     assert out.splitlines() == ["symbolic: 1 Z2", "oracle: 1 Z2",
                                 "oracle only, no independent check"]
-    code, out, _ = run(capsys, "clips", "Z4", "D6", "--method", "both",
+    code, out, _ = run(capsys, "clips", "Z4^-", "D4^z", "--method", "both",
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["match"] is None
+
+
+def test_clips_both_rotation_pair_is_checked(capsys):
+    # Z4 x D6 has a closed form, so the oracle is an independent check
+    code, out, _ = run(capsys, "clips", "Z4", "D6", "--method", "both")
+    assert code == 0
+    assert out.splitlines() == ["symbolic: 1 Z2", "oracle: 1 Z2", "MATCH"]
+
+
+def test_clips_beyond_the_order_cap(capsys):
+    # the gcd rule answers where the oracle could not build Z300
+    code, out, _ = run(capsys, "clips", "Z300", "D3")
+    assert code == 0
+    assert out == "1 Z2 Z3\n"
+
+
+def test_piez_loads_no_numpy():
+    script = ("import sys\n"
+              "from o3clips import cli\n"
+              "assert cli.main(['piez', '--format', 'json']) == 2\n"
+              "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_clips_both_mismatch_exit_2(capsys, monkeypatch):

@@ -89,10 +89,10 @@ def test_both_method_raises_on_planted_mismatch(monkeypatch):
 
 
 def test_both_method_without_a_rule_checks_normalize_only(monkeypatch):
-    # Z4 x D6 has no closed form: the symbolic answer is the oracle on
-    # the normalized pair, and "both" checks it against the oracle on
+    # Z4^- x D4^z has no closed form: the symbolic answer is the oracle
+    # on the normalized pair, and "both" checks it against the oracle on
     # the raw pair, so it checks normalize, not a rule
-    a, b = parse_label("Z4"), parse_label("D6")
+    a, b = parse_label("Z4^-"), parse_label("D4^z")
     assert infinite.clips_reduce(a, b) is None
     calls = []
     oracle = engine.clips_oracle
@@ -215,7 +215,15 @@ def test_order_divisibility_on_small_cells():
 
 
 def test_memoization_stability():
-    first = clips("D6", "O")
-    again = clips("D6", "O")
+    # a type III x III pair: the oracle fallback's cache answers again
+    first = clips("D4^d", "O^-")
+    again = clips("D4^d", "O^-")
     assert first == again
     assert first is again  # cached ClassSet comes back identical
+
+
+def test_every_public_name_resolves():
+    import o3clips
+
+    for name in o3clips.__all__:
+        assert getattr(o3clips, name) is not None, name

@@ -29,14 +29,16 @@ def test_is_infinite():
 
 
 def test_reduce_domain():
-    # closed forms cover every pair with an infinite member and the
-    # finite type II x type III grid; everything else defers
-    deferred = [("Z4", "D4"), ("Z4", "D4+Z2c"), ("Z4+Z2c", "D4+Z2c"),
-                ("Z4^-", "D4"), ("Z4^-", "D4^z"), ("T", "O")]
+    # closed forms cover every pair with an infinite member, the finite
+    # type II x type III grid and every pair that normalizes to a finite
+    # type I x type I one; only finite type III x type III defers
+    deferred = [("Z4^-", "D4^z"), ("D4^d", "O^-"), ("Z2^-", "Z6^-")]
     for a, b in deferred:
         assert clips_reduce(parse_label(a), parse_label(b)) is None
     handled = [("Z4+Z2c", "D4^z"), ("Z4", "SO(2)"), ("O^-", "O(3)"),
-               ("SO(2)", "SO(2)"), ("O(2)^-", "T"), ("T", "Z2^-")]
+               ("SO(2)", "SO(2)"), ("O(2)^-", "T"), ("T", "Z2^-"),
+               ("Z4", "D4"), ("Z4", "D4+Z2c"), ("Z4+Z2c", "D4+Z2c"),
+               ("Z4^-", "D4"), ("T", "O")]
     for a, b in handled:
         assert clips_reduce(parse_label(a), parse_label(b)) is not None
 

@@ -1,8 +1,25 @@
 import pytest
 
 from conftest import load_pins
-from o3clips.labels import ClassSet, class_set, format_label, parse_label
-from o3clips.tables import clips_type2_type3, ell_octa, gamma, zee
+from o3clips.labels import (
+    ClassSet,
+    class_set,
+    cyclic,
+    dihedral,
+    format_label,
+    icosa,
+    octa,
+    parse_label,
+    tetra,
+)
+from o3clips.oracle import clips_oracle
+from o3clips.tables import (
+    clips_type1_type1,
+    clips_type2_type3,
+    ell_octa,
+    gamma,
+    zee,
+)
 
 
 def _cell(row: str, col: str):
@@ -179,3 +196,42 @@ def test_membership_example_cells():
         "", ["1", "Z2^-", "D2^z", "D3^z", "D5^z"])
     assert class_set(*_cell("SO(2)+Z2c", "Z6^-")[1]) == \
         class_set("1", "Z6^-")
+
+
+ROTATIONS = ([cyclic(k) for k in range(2, 13)]
+             + [dihedral(k) for k in range(2, 13)] + [tetra(), octa(), icosa()])
+
+
+def test_type1_table_matches_oracle():
+    # every unordered pair of {Z_k, D_k : k <= 12} and T, O, I
+    pairs = [(a, b) for i, a in enumerate(ROTATIONS) for b in ROTATIONS[i:]]
+    assert len(pairs) == 325
+    for a, b in pairs:
+        cell = clips_type1_type1(a, b)[1]
+        assert cell == clips_type1_type1(b, a)[1], (a, b)
+        assert cell == clips_oracle(a, b), (a, b)
+
+
+def _type1(a: str, b: str):
+    branch, cell = clips_type1_type1(parse_label(a), parse_label(b))
+    return branch, cell.labels()
+
+
+def test_type1_branches():
+    assert _type1("Z6", "Z4") == ("", ["1", "Z2"])
+    assert _type1("D9", "Z6") == ("", ["1", "Z2", "Z3"])
+    assert _type1("D4", "D6") == ("m, n even", ["1", "Z2", "D2"])
+    assert _type1("D8", "D12") == ("m, n even", ["1", "Z2", "Z4", "D2", "D4"])
+    assert _type1("D3", "D6") == ("m or n odd", ["1", "Z2", "Z3", "D3"])
+    assert _type1("O", "D12") == (
+        "m even", ["1", "Z2", "Z3", "Z4", "D2", "D3", "D4"])
+    assert _type1("T", "D5") == ("m odd", ["1", "Z2"])
+    # a shared D2 frame forces a shared T
+    assert _type1("I", "T") == ("", ["1", "Z2", "Z3", "T"])
+
+
+def test_type1_rejects_wrong_kinds():
+    for a, b in (("Z4", "Z4^-"), ("Z4+Z2c", "D4"), ("1", "T"),
+                 ("SO(2)", "D4")):
+        with pytest.raises(ValueError):
+            clips_type1_type1(parse_label(a), parse_label(b))
