@@ -23,9 +23,8 @@ first brute-force call, so the symbolic route never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .infinite import clips_reduce, lifted, normalize
 from .labels import (
@@ -69,7 +68,8 @@ class ClipsMismatch(Exception):
 
 
 def _as_label(spec: str | ClassLabel) -> ClassLabel:
-    return canonicalize(parse_label(spec) if isinstance(spec, str) else spec)
+    # parse_label already returns the canonical label
+    return parse_label(spec) if isinstance(spec, str) else canonicalize(spec)
 
 
 def clips_oracle(a: ClassLabel, b: ClassLabel, seed: int = 0) -> ClassSet:
@@ -190,8 +190,7 @@ def class_leq(c1: str | ClassLabel, c2: str | ClassLabel,
     return (a.kind in _IN_O2MINUS and not a.plus) or a == cyclic_minus(2)
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     """One cross-checked cell of the closed-form grid."""
 
     row: ClassLabel

@@ -12,13 +12,23 @@ A closed subgroup of O(3) falls into one of three types:
 This module defines the label algebra only: parsing, formatting,
 canonicalization, group orders and a deterministic total order used to
 present sets of classes.  Matrix realizations live in ``groups``.
+
+Labels are interned: ``ClassLabel(kind, n, plus)`` returns the one
+shared instance for those fields, so ``==`` and ``is`` agree and a
+label hashes by identity.  A label built by hand with a degenerate
+parameter, such as ``ClassLabel("Z", 1)``, is its own instance and
+stays distinct from ``trivial()`` until ``canonicalize`` maps it there;
+every factory and ``parse_label`` return canonical labels.
+``parse_label``, ``canonicalize`` and ``sort_key`` are memoized on
+their argument, so a spelling or a class repeated within a workload is
+parsed, checked and ranked once.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 # Label kinds.  'Z-' stores the printed subscript (an even number, the
@@ -40,9 +50,8 @@ _INFINITE_SEQ = (
 )
 
 
-@dataclass(frozen=True, order=False)
 class ClassLabel:
-    """Canonical conjugacy class label.
+    """Conjugacy class label, one shared instance per field triple.
 
     Attributes
     ----------
@@ -53,17 +62,48 @@ class ClassLabel:
     plus : bool
         True for type II labels H (+) Z2c.  Only valid on type I kinds;
         ``SO3`` with ``plus`` displays as ``O(3)``.
+
+    Instances are immutable and interned on ``(kind, int(n),
+    bool(plus))``, so equality and hashing are those of ``object``:
+    identity.  The factories and ``parse_label`` build only canonical
+    labels; ``canonicalize`` maps a hand-built one to its class.
     """
 
+    __slots__ = ("kind", "n", "plus")
+
     kind: str
-    n: int = 0
-    plus: bool = False
+    n: int
+    plus: bool
+
+    def __new__(cls, kind: str, n: int = 0, plus: bool = False) -> ClassLabel:
+        key = (kind, int(n), bool(plus))
+        self = _POOL.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):
+                object.__setattr__(self, name, value)
+            # a concurrent builder of the same key may have won
+            self = _POOL.setdefault(key, self)
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"ClassLabel is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ClassLabel is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copies and unpickled labels go back through the pool
+        return ClassLabel, (self.kind, self.n, self.plus)
 
     def __str__(self) -> str:
         return format_label(self)
 
     def __repr__(self) -> str:
         return f"ClassLabel({format_label(self)!r})"
+
+
+_POOL: dict[tuple[str, int, bool], ClassLabel] = {}
 
 
 def _base(kind: str, n: int = 0) -> ClassLabel:
@@ -219,6 +259,7 @@ def is_infinite(label: ClassLabel) -> bool:
     return label.kind in INFINITE_KINDS
 
 
+@cache
 def sort_key(label: ClassLabel) -> tuple:
     """Deterministic total order: finite classes by (order, family, n),
     then the infinite ones in a fixed sequence."""
@@ -278,6 +319,7 @@ _LABEL_RE = re.compile(
 )
 
 
+@cache
 def parse_label(text: str) -> ClassLabel:
     """Parse an ASCII class label and return its canonical form.
 
@@ -333,6 +375,7 @@ def parse_label(text: str) -> ClassLabel:
     return label
 
 
+@cache
 def canonicalize(label: ClassLabel) -> ClassLabel:
     """Re-canonicalize a label built by hand (collapses degenerate n)."""
     if label.kind in ("T", "O", "I", "SO2", "O2", "SO3", "O-", "O2-", "1"):
@@ -352,13 +395,8 @@ class ClassSet:
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable[ClassLabel] = ()):
-        seen = {}
-        for it in items:
-            lab = canonicalize(it)
-            seen[lab] = None
-        object.__setattr__(
-            self, "_items", tuple(sorted(seen, key=sort_key))
-        )
+        seen = dict.fromkeys(map(canonicalize, items))
+        self._items = tuple(sorted(seen, key=sort_key))
 
     def __iter__(self) -> Iterator[ClassLabel]:
         return iter(self._items)

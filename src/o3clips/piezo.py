@@ -19,8 +19,7 @@ PiezLaw (the coupled triple).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import class_leq, clips, clips_families
 from .labels import ClassLabel, ClassSet, class_set, format_label, parse_label
@@ -69,8 +68,7 @@ PIEZ_LAW_PRINTED: tuple[str, ...] = (
 PIEZ_LAW_CLASSES = class_set(*PIEZ_LAW_PRINTED)
 
 
-@dataclass(frozen=True)
-class IsotropyCatalog:
+class IsotropyCatalog(NamedTuple):
     """A named space together with its set of symmetry classes."""
 
     space_name: str
@@ -148,8 +146,7 @@ def printed_collisions() -> list[tuple[str, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class PiezDiff:
+class PiezDiff(NamedTuple):
     """Computed coupled-law classes diffed against the published list."""
 
     computed: ClassSet

@@ -1,16 +1,31 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import o3clips
 from o3clips.cli import main
+
+# the source tree this suite imported, for the interpreters it starts
+SRC = str(pathlib.Path(o3clips.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*args, **env):
+    """Run a fresh interpreter on this source tree; extra keywords are
+    environment variables."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=SRC, **env),
+    )
 
 
 def test_clips_text(capsys):
@@ -93,10 +108,24 @@ def test_piez_loads_no_numpy():
     script = ("import sys\n"
               "from o3clips import cli\n"
               "assert cli.main(['piez', '--format', 'json']) == 2\n"
-              "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
+              "for mod in ('numpy', 'dataclasses', 'inspect'):\n"
+              "    assert mod not in sys.modules, mod + ' loaded'\n")
+    proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("piez", "--format", "json"), 2),
+    (("table", "--format", "csv"), 0),
+])
+def test_output_independent_of_hash_seed(argv, code):
+    # labels hash by identity; no set or dict order may reach the output
+    outs = set()
+    for seed in ("1", "2"):
+        proc = python("-m", "o3clips", *argv, PYTHONHASHSEED=seed)
+        assert proc.returncode == code, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_clips_both_mismatch_exit_2(capsys, monkeypatch):
@@ -327,9 +356,6 @@ def test_every_output_label_round_trips(capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "o3clips.cli", "clips", "1", "I+Z2c"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = python("-m", "o3clips.cli", "clips", "1", "I+Z2c")
     assert proc.returncode == 0
     assert proc.stdout == "1\n"

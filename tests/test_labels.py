@@ -1,8 +1,15 @@
+import copy
 import math
+import pickle
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+from o3clips import labels
 from o3clips.labels import (
+    ClassLabel,
     ClassSet,
     canonicalize,
     class_set,
@@ -188,3 +195,74 @@ def test_canonicalize_idempotent():
     for text in ROUND_TRIP:
         lab = parse_label(text)
         assert canonicalize(lab) == lab
+
+
+def test_labels_are_interned():
+    assert ClassLabel("Z", 4) is cyclic(4)
+    assert parse_label(" D2^d ") is dihedral_z(2)
+    assert ClassLabel("Z", np.int64(4)) is cyclic(4)
+    assert type(ClassLabel("Z", np.int64(4)).n) is int
+    assert ClassLabel("SO3", 0, 1) is o3()
+
+
+def test_hand_built_label_stays_distinct_until_canonicalized():
+    raw = ClassLabel("Z", 1)
+    assert raw is not trivial()
+    assert raw != trivial()
+    assert canonicalize(raw) is trivial()
+    assert raw in class_set("1", "Z2")
+    assert ClassSet([raw]).labels() == ["1"]
+
+
+def test_copies_and_pickles_are_the_same_label():
+    for lab in (trivial(), dihedral_d(8), o3(), with_z2c(icosa())):
+        assert copy.copy(lab) is lab
+        assert copy.deepcopy(lab) is lab
+        assert pickle.loads(pickle.dumps(lab)) is lab
+
+
+def test_labels_are_immutable():
+    lab = cyclic(4)
+    with pytest.raises(AttributeError):
+        lab.n = 5
+    with pytest.raises(AttributeError):
+        del lab.kind
+    with pytest.raises(AttributeError):
+        lab.extra = 1
+    assert lab is cyclic(4) and lab.n == 4
+
+
+def test_warm_fold_builds_no_new_label():
+    from o3clips.piezo import compute_piez
+
+    first = compute_piez()
+    size = len(labels._POOL)
+    assert compute_piez() == first
+    assert len(labels._POOL) == size
+
+
+def test_concurrent_builders_share_one_instance():
+    # four threads on two cores race to build the same unseen labels
+    keys = [("Z", 10**6 + i) for i in range(2000)]
+    got = [None] * 4
+    start = threading.Barrier(len(got))
+
+    def build(slot):
+        start.wait(timeout=60)
+        got[slot] = [ClassLabel(*key) for key in keys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for built in got[1:]:
+        assert all(a is b for a, b in zip(built, got[0], strict=True))
+    assert all(ClassLabel(*key) is lab for key, lab in zip(keys, got[0]))
