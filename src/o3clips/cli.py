@@ -269,34 +269,15 @@ def _primary_axis_order(label: ClassLabel):
     return _POLY_AXIS.get(label.kind)
 
 
-def _fraction_of_pi(angle: float) -> str:
-    from .rotations import pi_fraction
+def _describe_factor(sign: int, axis, order: int) -> str:
+    """A cyclic factor's generator, sign R([unit axis], 2*pi/order),
+    with the angle printed exactly as a reduced fraction of pi."""
+    from .rotations import unit
 
-    frac = pi_fraction(angle)
-    if frac == 0:
-        return "0"
-    if frac == 1:
-        return "pi"
-    if frac.numerator == 1:
-        return f"pi/{frac.denominator}"
-    return f"{frac.numerator}*pi/{frac.denominator}"
-
-
-def _describe_generator(g: np.ndarray) -> str:
-    import numpy as np
-
-    from .rotations import axis_angle
-
-    if np.linalg.det(g) > 0:
-        axis, angle = axis_angle(g)
-        sign = ""
-    else:
-        if np.max(np.abs(g + np.eye(3))) < 1e-9:
-            return "-Id"
-        axis, angle = axis_angle(-g)
-        sign = "-"
-    coords = " ".join(f"{x:.3f}".rstrip("0").rstrip(".") for x in axis)
-    return f"{sign}R([{coords}], {_fraction_of_pi(angle)})"
+    angle = (f"2*pi/{order}" if order % 2 else "pi" if order == 2
+             else f"pi/{order // 2}")
+    coords = " ".join(f"{x:.3f}".rstrip("0").rstrip(".") for x in unit(axis))
+    return f"{'-' if sign < 0 else ''}R([{coords}], {angle})"
 
 
 def cmd_info(args) -> int:
@@ -316,11 +297,10 @@ def cmd_info(args) -> int:
     if primary is not None and not is_infinite(label):
         print(f"primary axis order: {primary}")
     if not is_infinite(label):
-        from .groups import generators
+        from .groups import cyclic_factors
 
-        gens = generators(label)
-        print("generators: " + "; ".join(_describe_generator(g)
-                                         for g in gens))
+        gens = [_describe_factor(*f) for f in cyclic_factors(label)]
+        print("generators: " + "; ".join(gens + ["-Id"] * label.plus))
     return 0
 
 

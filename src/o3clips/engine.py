@@ -138,11 +138,8 @@ def clips_families(fam1: Iterable[str | ClassLabel],
     run over exactly this set when each factor runs over its own family."""
     left = [_as_label(c) for c in fam1]
     right = [_as_label(c) for c in fam2]
-    out = ClassSet()
-    for a in left:
-        for b in right:
-            out = out | clips(a, b, method=method, seed=seed)
-    return out
+    return ClassSet(c for a in left for b in right
+                    for c in clips(a, b, method=method, seed=seed))
 
 
 # Finite subgroups of SO(2): the n-fold rotation groups about its axis.

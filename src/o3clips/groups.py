@@ -1,10 +1,20 @@
 """Matrix realizations of the finite closed subgroups of O(3).
 
-A label is materialized from a fixed generator list into the full
-element set (shape (k, 3, 3)), kept in a deterministic lexicographic
-order.  ``recognize`` inverts this: given any finite set of orthogonal
-matrices forming a group, it returns the canonical class label, using
-only the determinant split, the rotation axes and the element count.
+Every finite class is built from one table, ``cyclic_factors``: a list
+of cyclic factors (sign, axis, order), the factor being the group of
+sign^k R(axis, 2 pi k / order) for k < order.  The class in reference
+orientation is the ordered product <f1><f2>... of its factors, doubled
+by {Id, -Id} for a +Z2c label.  ``reference_group`` multiplies the
+factors out and sorts the result once, and ``generators`` lists one
+generator per factor.  ``recognize`` inverts the construction: given
+any finite set of orthogonal matrices forming a group, it returns the
+canonical class label, using only the determinant split, the rotation
+axes and the element count.
+
+``close_group``, the dedupe of ``lexsort_elements`` and
+``_check_separation`` close a generator list by a fixpoint loop.  No
+library path calls them; they are the independent reference that the
+tests compare the factor construction against.
 
 ``axis_census`` is the one place that finds axes: the unsigned axes of
 an element set and the cyclic order about each; ``axis_orbits`` groups
@@ -27,10 +37,12 @@ from .labels import (
     dihedral,
     dihedral_d,
     dihedral_z,
+    format_label,
     icosa,
     is_infinite,
     octa,
     octa_minus,
+    order_of,
     tetra,
     trivial,
     with_z2c,
@@ -41,76 +53,78 @@ from .rotations import (
     ORDER_CAP,
     canonical_axis,
     rotation,
-    rotoreflection,
 )
 
-MIN_SEPARATION = 1e-2  # sanity floor on inter-element distance
+MIN_SEPARATION = 1e-2  # floor that ``_check_separation`` asserts
 _SAME_AXIS = 1e-9  # 1 - |a.b| below this: one unsigned axis
+# Decimals of the sort key: far above the ~1e-16 rounding of an entry
+# and far below the >= 0.017 separation of distinct elements.
+_KEY_DECIMALS = 9
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0  # golden ratio, order-5 axes of I
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
+DIAGONAL = E1 + E2 + E3  # a 3-fold axis of T, O, I and O^-
+FIVE_FOLD = E1 + PHI * E3  # a 5-fold axis of I
 
 
 class GroupError(ValueError):
     pass
 
 
-def generators(label: ClassLabel) -> list[np.ndarray]:
-    """Generator matrices of a finite class in reference orientation."""
+def cyclic_factors(label: ClassLabel) -> list[tuple[int, np.ndarray, int]]:
+    """The cyclic factors (sign, axis, order) of a finite class, whose
+    ordered product is the class in reference orientation (without the
+    {Id, -Id} factor of a +Z2c label)."""
     if is_infinite(label):
         raise GroupError(f"{label} is infinite and has no finite generator set")
-    kind, n = label.kind, label.n
-    gens: list[np.ndarray]
-    match kind:
+    n = label.n
+    match label.kind:
         case "1":
-            gens = []
+            return []
         case "Z":
-            gens = [rotation(E3, 2 * np.pi / n)]
+            return [(1, E3, n)]
         case "D":
-            gens = [rotation(E3, 2 * np.pi / n), rotation(E1, np.pi)]
+            return [(1, E3, n), (1, E1, 2)]
         case "T":
-            gens = [
-                rotation(E3, np.pi),
-                rotation(E1, np.pi),
-                rotation(E1 + E2 + E3, 2 * np.pi / 3),
-            ]
+            return [(1, E3, 2), (1, E1, 2), (1, DIAGONAL, 3)]
         case "O":
-            gens = [
-                rotation(E3, np.pi / 2),
-                rotation(E1, np.pi),
-                rotation(E1 + E2 + E3, 2 * np.pi / 3),
-            ]
+            return [(1, E3, 4), (1, E1, 2), (1, DIAGONAL, 3)]
         case "I":
-            gens = [
-                rotation(E3, np.pi),
-                rotation(E1 + E2 + E3, 2 * np.pi / 3),
-                rotation(E1 + PHI * E3, 2 * np.pi / 5),
-            ]
+            return [(1, E3, 2), (1, E1, 2), (1, DIAGONAL, 3), (1, FIVE_FOLD, 5)]
         case "Z-":
             # order n with subscript n even; -R(e3, 2*pi/n) generates it
-            gens = [rotoreflection(E3, 2 * np.pi / n)]
+            return [(-1, E3, n)]
         case "Dz":
-            gens = [rotation(E3, 2 * np.pi / n), rotoreflection(E1, np.pi)]
+            return [(1, E3, n), (-1, E1, 2)]
         case "Dd":
-            gens = [rotoreflection(E3, 2 * np.pi / n), rotation(E1, np.pi)]
+            return [(-1, E3, n), (1, E1, 2)]
         case "O-":
-            gens = [
-                rotoreflection(E3, np.pi / 2),
-                rotoreflection(E2 - E3, np.pi),
-            ]
-        case _:
-            raise GroupError(f"no generator table for {label}")
-    if label.plus:
-        gens = gens + [-IDENTITY]
-    return gens
+            return [(-1, E3, 4), (1, E1, 2), (1, DIAGONAL, 3)]
+    raise GroupError(f"no factor table for {label}")
+
+
+def generators(label: ClassLabel) -> list[np.ndarray]:
+    """Generator matrices of a finite class in reference orientation:
+    one per cyclic factor, then -Id for a +Z2c label."""
+    gens = [sign * rotation(axis, 2 * np.pi / m)
+            for sign, axis, m in cyclic_factors(label)]
+    return gens + [-IDENTITY] if label.plus else gens
+
+
+def _canonical_order(flat: np.ndarray) -> np.ndarray:
+    """Indices that sort flattened elements (k, 9) lexicographically by
+    their entries rounded to ``_KEY_DECIMALS``.  Entries equal in exact
+    arithmetic round alike, so the order does not depend on rounding
+    noise; distinct elements never share a key."""
+    return np.lexsort(np.round(flat, _KEY_DECIMALS).T[::-1])
 
 
 def lexsort_elements(mats: np.ndarray) -> np.ndarray:
     """Deduplicate matrices (entrywise within EPS_MAT) and return them
-    in lexicographic order of their flattened entries.
+    in canonical order (``_canonical_order``).
 
     Distinct group elements are separated by at least MIN_SEPARATION
     while numerical copies agree to ~1e-12, so a coarse rounding pass
@@ -123,12 +137,12 @@ def lexsort_elements(mats: np.ndarray) -> np.ndarray:
     flat = flat[np.sort(first)]
     same = np.abs(flat[:, None] - flat[None]).max(axis=2) < EPS_MAT
     flat = flat[same.argmax(axis=1) == np.arange(len(flat))]
-    order = np.lexsort(flat.T[::-1])
-    return flat[order].reshape(-1, 3, 3)
+    return flat[_canonical_order(flat)].reshape(-1, 3, 3)
 
 
 def close_group(gens: list[np.ndarray], cap: int = ORDER_CAP) -> np.ndarray:
-    """Close a generator list under multiplication.
+    """Close a generator list under multiplication: the fixpoint
+    reference for ``reference_group``, used by the tests only.
 
     Raises
     ------
@@ -163,8 +177,65 @@ def _check_separation(elems: np.ndarray) -> None:
 
 @lru_cache(maxsize=None)
 def reference_group(label: ClassLabel) -> np.ndarray:
-    """Cached element set of a finite class in reference orientation."""
-    elems = close_group(generators(label))
+    """Cached element set of a finite class in reference orientation,
+    shape (k, 3, 3), read-only, in canonical order.
+
+    The oracle reads this order: its membership mask bits index the
+    elements of the reference group of its second class.
+
+    No element is repeated.  For subgroups A and B,
+    |AB| = |A| |B| / |A ∩ B|, so a product of a subgroup and a cyclic
+    factor that meet only in Id has |A| |B| distinct elements:
+
+    - Z_n and Z_n^- are one factor;
+    - D_n = Z_n <R(e1, pi)>, D_n^z = Z_n <-R(e1, pi)> and
+      D_n^d = Z_n^- <R(e1, pi)>: every element of the first factor acts
+      on the e1 e2-plane as a rotation, the second factor's generator
+      as a reflection;
+    - T = D2 Z3, O = D4 Z3, O^- = D4^d Z3 and I = T Z5 (D2, D4 and D4^d
+      are the products of their first two factors): the two orders are
+      coprime;
+    - a +Z2c label appends {Id, -Id}, which meets a rotation group in Id.
+
+    Each product has the order of the class and lies in its group, so
+    it is the whole group.
+
+    Distinct elements are at least sqrt(2) sin(pi / N) apart entrywise,
+    N the group order, so at least 0.017 within the order cap.  In the
+    Z, D, Z^-, D^z and D^d families (and their +Z2c lifts) every
+    element maps e3 to ±e3 and acts on the e1 e2-plane as a rotation or
+    a reflection by a multiple of 2 pi / n plus a shift of 0 or pi that
+    the e3 sign and the plane kind fix.  Two elements that differ in
+    the e3 sign differ by 2 in entry (3, 3), a plane rotation and a
+    plane reflection by at least 1, and two rotations (or reflections)
+    of the plane by t != t' by max(|cos t - cos t'|, |sin t - sin t'|)
+    >= sqrt(2) sin(|t - t'| / 2) >= sqrt(2) sin(pi / n).  Here n <= N,
+    and a group with both plane kinds has N >= 4, where
+    sqrt(2) sin(pi / N) <= 1.  The polyhedral classes, finitely many,
+    are at least 0.8 apart.  The tests check the bound on every class
+    within the cap.
+
+    Raises
+    ------
+    GroupError
+        For an infinite class, or one above the order cap, before any
+        element is built.
+    """
+    factors = cyclic_factors(label)
+    order = order_of(label)
+    if order > ORDER_CAP:
+        raise GroupError(f"{format_label(label)} has order {order}, above "
+                         f"the order cap {ORDER_CAP}")
+    elems = IDENTITY[None]
+    for sign, axis, m in factors:
+        k = np.arange(m)
+        spin = rotation(axis, 2 * np.pi * k / m)
+        powers = (float(sign) ** k)[:, None, None] * spin
+        elems = (elems[:, None] @ powers[None]).reshape(-1, 3, 3)
+    if label.plus:
+        elems = np.concatenate([elems, -elems])
+    flat = elems.reshape(-1, 9)
+    elems = flat[_canonical_order(flat)].reshape(-1, 3, 3)
     elems.flags.writeable = False
     return elems
 
@@ -175,19 +246,20 @@ def materialize(label: ClassLabel, orientation: np.ndarray | None = None) -> np.
     Parameters
     ----------
     label : ClassLabel
-        A finite class (order <= 256).  Infinite classes raise
-        ``GroupError``; their clips are handled by closed-form rules.
+        A finite class of order <= ORDER_CAP.  Infinite classes and
+        larger ones raise ``GroupError`` before any element is built;
+        their clips are handled by closed-form rules.
     orientation : (3, 3) array, optional
-        Conjugating rotation g; the result is g G g^T in canonical
-        element order.  A conjugate of a duplicate-free set has no
-        duplicates, so it is sorted without ``lexsort_elements``.
+        Conjugating rotation g; the result is g G g^T in the canonical
+        order of ``reference_group``.  A conjugate of a duplicate-free
+        set has no duplicates, so it is sorted without a dedupe.
     """
     elems = reference_group(label)
     if orientation is None:
         return elems
     g = np.asarray(orientation, dtype=float)
     flat = np.einsum("ij,ajk,lk->ail", g, elems, g).reshape(-1, 9)
-    return flat[np.lexsort(flat.T[::-1])].reshape(-1, 3, 3)
+    return flat[_canonical_order(flat)].reshape(-1, 3, 3)
 
 
 def intersect(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:

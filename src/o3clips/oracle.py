@@ -60,12 +60,14 @@ class _Prepped:
     of it entrywise, and only the Frobenius-nearest element can.  For
     orthogonal h and e, <h, e>_F = 3 - |h - e|_F^2 / 2, so the nearest
     element of every candidate is the argmax of one matrix product.
-    Distinct elements are at least MIN_SEPARATION = 1e-2 apart
-    (``close_group`` checks it), and an element within 1e-9 entrywise
-    is within 3e-9 in Frobenius norm.  Its dot product therefore beats
-    every other element's by about 5e-5, far above the ~1e-15 rounding
-    of the product, and the entrywise test against the nearest element
-    alone is exactly the membership predicate.
+    Distinct elements are at least sqrt(2) sin(pi / 256) > 0.017 apart
+    entrywise within the order cap (the bound is argued per family in
+    ``groups.reference_group``), so at least as far in Frobenius norm,
+    and an element within 1e-9 entrywise is within 3e-9 in Frobenius
+    norm.  Its dot product therefore beats every other element's by
+    about 1.5e-4, far above the ~1e-15 rounding of the product, and the
+    entrywise test against the nearest element alone is exactly the
+    membership predicate.
     """
 
     def __init__(self, label: ClassLabel):

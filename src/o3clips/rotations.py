@@ -10,17 +10,11 @@ stays below 1e-12, so equality at 1e-9 is unambiguous.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 EPS_MAT = 1e-9    # entrywise matrix equality
 EPS_AXIS = 1e-12  # minimum norm for a direction vector
-# Largest materializable group.  An element of order k has angle
-# 2*pi*j/k = pi * (2j/k), whose reduced denominator divides k, so
-# snapping angles to pi * p / q with q <= ORDER_CAP is exact for every
-# element of every group the package materializes.
-ORDER_CAP = 256
+ORDER_CAP = 256  # largest materializable group order
 
 IDENTITY = np.eye(3)
 
@@ -66,53 +60,6 @@ def rotoreflection(axis, angle: float) -> np.ndarray:
 
 def reflection(normal) -> np.ndarray:
     return rotoreflection(normal, np.pi)
-
-
-def pi_fraction(theta: float) -> Fraction:
-    """theta / pi as the nearest fraction p / q in [0, 2), q <= ORDER_CAP.
-
-    This is the package's one angle-snapping rule: fractions with
-    denominators up to 256 lie at least 1/256**2 apart, far above the
-    rounding of any computed group element.
-    """
-    theta = float(theta) % (2.0 * np.pi)
-    return Fraction(theta / np.pi).limit_denominator(ORDER_CAP) % 2
-
-
-def snap_angle(theta: float) -> float:
-    """Snap an angle to the nearest pi * p / q in [0, 2*pi), q <= ORDER_CAP."""
-    return float(pi_fraction(theta)) * np.pi
-
-
-def axis_angle(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Axis and angle of a proper rotation.
-
-    Returns
-    -------
-    (axis, angle)
-        ``axis`` is a unit vector (sign such that angle is in (0, pi]
-        where possible; arbitrary e3 for the identity), ``angle`` is
-        snapped to a rational multiple of pi in [0, 2*pi).
-
-    Notes
-    -----
-    For a half turn the antisymmetric part vanishes and the axis is
-    recovered from the +1 eigenspace of g.
-    """
-    tr = float(np.trace(g))
-    if tr < -1.0 + 1e-9:
-        # Half turn, told by its trace: arccos turns a trace error of
-        # 1e-14 into an angle error of 1e-7.  The axis is the +1
-        # eigenvector of g, the dominant column of g + I.
-        m = g + IDENTITY
-        col = int(np.argmax(np.sum(m * m, axis=0)))
-        return canonical_axis(m[:, col]), snap_angle(np.pi)
-    angle = float(np.arccos(min(1.0, (tr - 1.0) / 2.0)))
-    if angle < 1e-7:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    v = np.array([g[2, 1] - g[1, 2], g[0, 2] - g[2, 0], g[1, 0] - g[0, 1]])
-    axis = unit(v)
-    return axis, snap_angle(angle)
 
 
 def canonical_axis(axis) -> np.ndarray:

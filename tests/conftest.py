@@ -3,6 +3,20 @@ import pathlib
 
 import numpy as np
 
+from o3clips.labels import (
+    cyclic,
+    cyclic_minus,
+    dihedral,
+    dihedral_d,
+    dihedral_z,
+    icosa,
+    octa,
+    octa_minus,
+    order_of,
+    tetra,
+    trivial,
+    with_z2c,
+)
 from o3clips.rotations import EPS_MAT
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -33,3 +47,20 @@ def contains_element(group: np.ndarray, g: np.ndarray) -> bool:
     return bool(
         (np.abs(group - g[None]).reshape(len(group), 9).max(axis=1) < EPS_MAT).any()
     )
+
+
+def labels_up_to(cap: int) -> list:
+    """Every finite canonical label of order at most cap."""
+    labs = [trivial(), with_z2c(trivial())]
+    labs += [cyclic(n) for n in range(2, cap + 1)]
+    labs += [dihedral(n) for n in range(2, cap // 2 + 1)]
+    labs += [tetra(), octa(), icosa()]
+    labs += [with_z2c(cyclic(n)) for n in range(2, cap // 2 + 1)]
+    labs += [with_z2c(dihedral(n)) for n in range(2, cap // 4 + 1)]
+    labs += [with_z2c(tetra()), with_z2c(octa()), with_z2c(icosa())]
+    labs += [cyclic_minus(2 * k) for k in range(1, cap // 2 + 1)]
+    labs += [dihedral_z(n) for n in range(2, cap // 2 + 1)]
+    labs += [dihedral_d(2 * k) for k in range(1, cap // 4 + 1)]
+    labs += [octa_minus()]
+    labs = [lab for lab in labs if order_of(lab) <= cap]
+    return list(dict.fromkeys(labs))

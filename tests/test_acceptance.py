@@ -49,6 +49,7 @@ from o3clips import (
 from o3clips.groups import PHI
 from o3clips.rotations import random_rotation
 
+from conftest import labels_up_to
 from test_infinite import INFINITE_ROW_CELLS
 
 
@@ -73,23 +74,6 @@ def _finite_labels(n_max):
     pool += [dihedral_d(2 * k) for k in range(1, n_max // 2 + 1)]
     pool.append(octa_minus())
     return list(dict.fromkeys(pool))
-
-
-def _labels_up_to(cap):
-    """Every finite canonical label of order at most cap."""
-    labs = [trivial(), with_z2c(trivial())]
-    labs += [cyclic(n) for n in range(2, cap + 1)]
-    labs += [dihedral(n) for n in range(2, cap // 2 + 1)]
-    labs += [tetra(), octa(), icosa()]
-    labs += [with_z2c(cyclic(n)) for n in range(2, cap // 2 + 1)]
-    labs += [with_z2c(dihedral(n)) for n in range(2, cap // 4 + 1)]
-    labs += [with_z2c(tetra()), with_z2c(octa()), with_z2c(icosa())]
-    labs += [cyclic_minus(2 * k) for k in range(1, cap // 2 + 1)]
-    labs += [dihedral_z(n) for n in range(2, cap // 2 + 1)]
-    labs += [dihedral_d(2 * k) for k in range(1, cap // 4 + 1)]
-    labs += [octa_minus()]
-    labs = [lab for lab in labs if order_of(lab) <= cap]
-    return list(dict.fromkeys(labs))
 
 
 def test_criterion_1_coupled_law_catalog():
@@ -145,7 +129,7 @@ def test_criterion_3_axial_row_transcriptions():
 
 
 def test_criterion_4_recognition_round_trip():
-    pool = _labels_up_to(120)
+    pool = labels_up_to(120)
     t0 = time.perf_counter()
     trips = 0
     failures = []
@@ -241,7 +225,7 @@ def _group_key(g):
 
 
 def test_criterion_7_group_audit():
-    pool = _labels_up_to(120)
+    pool = labels_up_to(120)
     bad = []
     for lab in pool:
         G = reference_group(lab)

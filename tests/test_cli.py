@@ -297,11 +297,29 @@ def test_info_d6d(capsys):
 
 
 @pytest.mark.parametrize("label, angle", [("Z128", "pi/64"),
-                                          ("Z127", "2*pi/127")])
+                                          ("Z127", "2*pi/127"),
+                                          ("Z257", "2*pi/257"),
+                                          ("Z1000", "pi/500"),
+                                          ("Z514^-", "pi/257")])
 def test_info_angle_denominators_up_to_order_cap(capsys, label, angle):
+    # exact from the cyclic factor, at any order; Z514^- is generated
+    # by the rotoreflection -R(e3, 2*pi/514)
     code, out, _ = run(capsys, "info", label)
     assert code == 0
-    assert out.splitlines()[-1] == f"generators: R([0 0 1], {angle})"
+    sign = "-" if label.endswith("^-") else ""
+    assert out.splitlines()[-1] == f"generators: {sign}R([0 0 1], {angle})"
+
+
+@pytest.mark.parametrize("label, gens", [
+    ("I+Z2c", "R([0 0 1], pi); R([1 0 0], pi); "
+              "R([0.577 0.577 0.577], 2*pi/3); R([0.526 0 0.851], 2*pi/5); -Id"),
+    ("O^-", "-R([0 0 1], pi/2); R([1 0 0], pi); "
+            "R([0.577 0.577 0.577], 2*pi/3)"),
+])
+def test_info_prints_the_cyclic_factors(capsys, label, gens):
+    code, out, _ = run(capsys, "info", label)
+    assert code == 0
+    assert out.splitlines()[-1] == f"generators: {gens}"
 
 
 def test_info_infinite(capsys):
@@ -339,6 +357,13 @@ def test_materialize_seeded_orientation(capsys):
     assert out0 != out7
     assert out7 == out7b
     assert out7.splitlines()[0] == "# label=D3 order=6"
+
+
+def test_materialize_above_order_cap_exit_1(capsys):
+    code, out, err = run(capsys, "materialize", "Z300")
+    assert code == 1
+    assert out == ""
+    assert err == "error: Z300 has order 300, above the order cap 256\n"
 
 
 def test_materialize_infinite_exit_1(capsys):

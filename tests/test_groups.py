@@ -5,11 +5,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import contains_element
+from conftest import contains_element, labels_up_to
+from o3clips import groups
 from o3clips.groups import (
     ORDER_CAP,
     PHI,
     GroupError,
+    _canonical_order,
     axis_census,
     axis_orbits,
     close_group,
@@ -129,8 +131,56 @@ def test_close_group_completes_generators():
     assert len(elems) == 24
 
 
-def test_order_cap_guard():
-    with pytest.raises(GroupError):
+# every kind at small parameters, the polyhedral classes and I+Z2c:
+# their closures take about 0.2 s together
+FACTOR_SAMPLE = [
+    "1", "1+Z2c", "Z5", "D4", "Z6^-", "D3^z", "D8^d", "Z3+Z2c", "D4+Z2c",
+    "T", "O", "I", "O^-", "T+Z2c", "I+Z2c",
+]
+
+
+@pytest.mark.parametrize("text", FACTOR_SAMPLE)
+def test_factor_product_matches_closure(text):
+    # the same elements in the same order as the fixpoint closure
+    label = parse_label(text)
+    elems = reference_group(label)
+    closed = close_group(generators(label))
+    assert elems.shape == closed.shape
+    assert np.abs(elems - closed).max() < 1e-12
+
+
+def test_separation_bound_on_every_class_within_the_cap():
+    # distinct elements of a group of order N lie at least
+    # sqrt(2) sin(pi / N) apart entrywise; the entrywise distance is at
+    # least a third of the Frobenius one, |g - h|^2 = 6 - 2 <g, h>, so
+    # only pairs within 3 bounds in Frobenius norm are checked entrywise
+    for label in labels_up_to(ORDER_CAP):
+        flat = reference_group(label).reshape(-1, 9)
+        bound = math.sqrt(2) * math.sin(math.pi / max(len(flat), 2))
+        i, j = np.nonzero(6.0 - 2.0 * (flat @ flat.T) < (3.0 * bound) ** 2)
+        i, j = i[i < j], j[i < j]
+        dist = np.abs(flat[i] - flat[j]).max(axis=1)
+        assert (dist >= bound - 1e-12).all(), format_label(label)
+
+
+@pytest.mark.parametrize("text", ["Z6", "D12+Z2c", "I+Z2c", "O^-", "D128^d"])
+def test_canonical_order_ignores_rounding_noise(text):
+    rng = np.random.default_rng(zlib.crc32(text.encode()))
+    elems = reference_group(parse_label(text)).reshape(-1, 9)
+    noisy = elems + rng.uniform(-1e-15, 1e-15, size=elems.shape)
+    shuffled = noisy[rng.permutation(len(noisy))]
+    assert np.array_equal(shuffled[_canonical_order(shuffled)], noisy)
+
+
+def test_order_cap_guard(monkeypatch):
+    # a class above the cap fails by its order before any rotation is
+    # built, not by a closure that outgrows the cap
+    def no_rotation(*args):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(groups, "rotation", no_rotation)
+    with pytest.raises(GroupError, match="Z257 has order 257, above the "
+                                         "order cap 256"):
         materialize(cyclic(ORDER_CAP + 1))
 
 

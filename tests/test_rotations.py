@@ -4,13 +4,11 @@ import pytest
 from conftest import is_orthogonal, mats_equal
 from o3clips.rotations import (
     align,
-    axis_angle,
     canonical_axis,
     random_rotation,
     reflection,
     rotation,
     rotoreflection,
-    snap_angle,
     unit,
 )
 
@@ -65,35 +63,6 @@ def test_rotoreflection_and_reflection_are_improper():
     assert mats_equal(s @ s, np.eye(3))
     assert np.allclose(s @ [0, 0, 1], [0, 0, -1])
     assert np.allclose(s @ [1, 0, 0], [1, 0, 0])
-
-
-def test_axis_angle_round_trip():
-    # Angles are snapped to small rational multiples of pi, as group
-    # elements always have; feed it exactly such angles.
-    for _ in range(50):
-        axis = unit(RNG.normal(size=3))
-        q = int(RNG.integers(2, 13))
-        p = int(RNG.integers(1, q))
-        theta = np.pi * p / q
-        got_axis, got_theta = axis_angle(rotation(axis, theta))
-        # Returned axis may be flipped with the angle negated mod 2*pi.
-        if np.dot(got_axis, axis) < 0:
-            got_axis, got_theta = -got_axis, 2 * np.pi - got_theta
-        assert np.allclose(got_axis, axis, atol=1e-8)
-        assert got_theta == pytest.approx(theta, abs=1e-8)
-
-
-def test_axis_angle_half_turn():
-    axis, theta = axis_angle(rotation([3, 4, 0], np.pi))
-    assert theta == pytest.approx(np.pi)
-    assert np.allclose(np.abs(axis), [0.6, 0.8, 0.0], atol=1e-9)
-
-
-def test_snap_angle():
-    assert snap_angle(np.pi / 3 + 1e-13) == pytest.approx(np.pi / 3)
-    assert snap_angle(2 * np.pi - 1e-13) == pytest.approx(0.0)
-    # denominators up to the order cap survive the snap
-    assert snap_angle(np.pi / 64 + 1e-13) == pytest.approx(np.pi / 64)
 
 
 def test_align():
