@@ -49,39 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Prefixes of valid label spellings, used only to point at the first
-# offending character when parsing fails.
-_PREFIX_RE = re.compile(
-    r"""^(?:
-        1 | T | I
-      | SO? | SO\( | SO\(2\)? | SO\(3\)?
-      | O | O\( | O\(2\)? | O\(2\)\^-? | O\(3\)?
-      | O\^-?
-      | Z\d*(?:\^-?)?
-      | D\d*(?:\^[zd]?)?
-    )$""",
-    re.VERBOSE,
-)
-
-
-def _parse_error_message(text: str) -> str:
-    s = text.strip().replace(" ", "")
-    core = s[: -len("+Z2c")] if s.endswith("+Z2c") else s
-    pos = max(len(core), 1)
-    for i in range(1, len(core) + 1):
-        if not _PREFIX_RE.match(core[:i]):
-            pos = i
-            break
-    return f"cannot parse class label {text!r} (near position {pos})"
-
-
-def _parse(text: str) -> ClassLabel:
-    try:
-        return parse_label(text)
-    except ValueError:
-        raise ValueError(_parse_error_message(text)) from None
-
-
 def _labels(cs: ClassSet) -> str:
     return " ".join(cs.labels())
 
@@ -106,7 +73,7 @@ def _emit(fmt: str, obj, header: list[str], rows: list[list[str]],
 
 
 def cmd_clips(args) -> int:
-    a, b = _parse(args.lhs), _parse(args.rhs)
+    a, b = parse_label(args.lhs), parse_label(args.rhs)
     lhs, rhs = format_label(a), format_label(b)
     if args.method != "both":
         result = clips(a, b, method=args.method)
@@ -281,7 +248,7 @@ def _describe_factor(sign: int, axis, order: int) -> str:
 
 
 def cmd_info(args) -> int:
-    label = _parse(args.label)
+    label = parse_label(args.label)
     canon = format_label(label)
     kind = typeclass(label)
     order = order_of(label)
@@ -308,7 +275,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_materialize(args) -> int:
-    label = _parse(args.label)
+    label = parse_label(args.label)
     if is_infinite(label):
         print(f"error: {format_label(label)} is infinite; only finite "
               "classes can be dumped as matrices (use clips or info "

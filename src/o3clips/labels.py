@@ -13,6 +13,12 @@ This module defines the label algebra only: parsing, formatting,
 canonicalization, group orders and a deterministic total order used to
 present sets of classes.  Matrix realizations live in ``groups``.
 
+Every spelling comes from one table: the fixed spellings (``1``, ``T``,
+``O(2)^-``, ...) and the parametric heads ``Z`` and ``D`` with their
+suffixes.  ``parse_label`` reads it, ``format_label`` writes it, and a
+text that is no spelling of it raises a ``ValueError`` that names the
+position where the text stops beginning one.
+
 Labels are interned: ``ClassLabel(kind, n, plus)`` returns the one
 shared instance for those fields, so ``==`` and ``is`` agree and a
 label hashes by identity.  A label built by hand with a degenerate
@@ -27,8 +33,8 @@ parsed, checked and ranked once.
 from __future__ import annotations
 
 import math
-import re
 from functools import cache
+from os.path import commonprefix
 from typing import Iterable, Iterator
 
 # Label kinds.  'Z-' stores the printed subscript (an even number, the
@@ -274,49 +280,88 @@ def compare(a: ClassLabel, b: ClassLabel) -> int:
     return (ka > kb) - (ka < kb)
 
 
-_FIXED_FORMS = {
-    "1": "1", "T": "T", "O": "O", "I": "I",
-    "SO2": "SO(2)", "O2": "O(2)", "SO3": "SO(3)",
-    "O-": "O^-", "O2-": "O(2)^-",
+# The one spelling table.  A class is spelled either as one of the fixed
+# spellings, or as a parametric head, its decimal subscript and one of
+# the head's suffixes; a type II class appends ``+Z2c`` to the spelling
+# of its rotation part, except that SO(3)+Z2c has the fixed spelling
+# ``O(3)``.  ``parse_label``, ``format_label`` and the position a parse
+# error reports all read these two dicts.
+_FIXED_SPELLINGS = {
+    "1": ("1", False), "T": ("T", False), "O": ("O", False),
+    "I": ("I", False), "SO(2)": ("SO2", False), "O(2)": ("O2", False),
+    "SO(3)": ("SO3", False), "O(3)": ("SO3", True),
+    "O^-": ("O-", False), "O(2)^-": ("O2-", False),
+}
+_PARAMETRIC_SPELLINGS = {
+    "Z": {"": "Z", "^-": "Z-"},
+    "D": {"": "D", "^z": "Dz", "^d": "Dd"},
+}
+_Z2C = "+Z2c"
+
+# The factory of each parametric kind, called on the printed subscript.
+_BUILDERS = {
+    "Z": cyclic, "D": dihedral,
+    "Z-": cyclic_minus, "Dz": dihedral_z, "Dd": dihedral_d,
+}
+_FIXED_FORMS = {key: spelling for spelling, key in _FIXED_SPELLINGS.items()}
+_PARAMETRIC_FORMS = {
+    kind: (head, suffix)
+    for head, suffixes in _PARAMETRIC_SPELLINGS.items()
+    for suffix, kind in suffixes.items()
 }
 
 
 def format_label(label: ClassLabel) -> str:
     """Canonical ASCII spelling of a class label."""
-    kind, n = label.kind, label.n
-    if kind in _FIXED_FORMS:
-        base = _FIXED_FORMS[kind]
-    elif kind == "Z":
-        base = f"Z{n}"
-    elif kind == "D":
-        base = f"D{n}"
-    elif kind == "Z-":
-        base = f"Z{n}^-"
-    elif kind == "Dz":
-        base = f"D{n}^z"
-    elif kind == "Dd":
-        base = f"D{n}^d"
+    kind, plus = label.kind, label.plus
+    if (kind, plus) in _FIXED_FORMS:
+        return _FIXED_FORMS[kind, plus]
+    if (kind, False) in _FIXED_FORMS:
+        base = _FIXED_FORMS[kind, False]
+    elif kind in _PARAMETRIC_FORMS:
+        head, suffix = _PARAMETRIC_FORMS[kind]
+        base = f"{head}{label.n}{suffix}"
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    if not label.plus:
-        return base
-    if kind == "SO3":
-        return "O(3)"
-    return base + "+Z2c"
+    return base + _Z2C if plus else base
 
 
-_LABEL_RE = re.compile(
-    r"""^(?:
-        (?P<one>1) |
-        (?P<plain>T|O|I) |
-        (?P<inf>SO\(2\)|O\(2\)|SO\(3\)|O\(3\)) |
-        O\^- (?P<ominus>) |
-        O\(2\)\^- (?P<o2minus>) |
-        Z(?P<zn>\d+) (?P<zmin>\^-)? |
-        D(?P<dn>\d+) (?P<dsuf>\^[zd])?
-    )$""",
-    re.VERBOSE,
-)
+def _subscript_end(core: str) -> int:
+    """Index just past the decimal digits that follow a one-letter head."""
+    end = 1
+    while end < len(core) and core[end].isdecimal():
+        end += 1
+    return end
+
+
+def _spelled_prefix(core: str) -> int:
+    """Length of the longest prefix of ``core`` that begins a spelling:
+    the start of a fixed spelling, or a parametric head with its digits
+    and the start of one of its suffixes."""
+    longest = max(len(commonprefix((core, s))) for s in _FIXED_SPELLINGS)
+    suffixes = _PARAMETRIC_SPELLINGS.get(core[:1])
+    if suffixes is not None:
+        end = _subscript_end(core)
+        longest = max(longest, end + max(len(commonprefix((core[end:], s)))
+                                         for s in suffixes))
+    return longest
+
+
+def _parse_core(core: str) -> ClassLabel | None:
+    """The class that ``core`` (a spelling without ``+Z2c``) names, or
+    None when the table has no such spelling.  A subscript outside its
+    family raises the factory's ValueError."""
+    if core in _FIXED_SPELLINGS:
+        kind, plus = _FIXED_SPELLINGS[core]
+        return ClassLabel(kind, 0, plus)
+    suffixes = _PARAMETRIC_SPELLINGS.get(core[:1])
+    if suffixes is None:
+        return None
+    end = _subscript_end(core)
+    kind = suffixes.get(core[end:])
+    if end == 1 or kind is None:
+        return None
+    return _BUILDERS[kind](int(core[1:end]))
 
 
 @cache
@@ -328,46 +373,33 @@ def parse_label(text: str) -> ClassLabel:
     text : str
         A spelling such as ``"D4"``, ``"Z6^-"``, ``"O(2)^-"`` or
         ``"D3+Z2c"``.  ``"+Z2c"`` marks the type II classes; ``"O(3)"``
-        abbreviates ``SO(3)+Z2c``.
+        abbreviates ``SO(3)+Z2c``.  Spaces are ignored.
 
     Returns
     -------
     ClassLabel
         Canonical label; degenerate spellings collapse (``Z1`` to ``1``,
         ``D1`` to ``Z2``, ``D1^z`` to ``Z2^-``, ``D2^d`` to ``D2^z``).
+
+    Raises
+    ------
+    ValueError
+        ``cannot parse class label '...' (near position N)`` when the
+        text is no spelling of the table.  N counts the characters
+        before a trailing ``+Z2c``, from 1, and points one past the
+        longest prefix that begins a spelling, or at the last character
+        when the whole text is such a prefix.  A well-spelled label
+        that names no group (``Z3^-``, ``D0``, ``Z4^-+Z2c``) raises the
+        message of the factory that rejects it.
     """
     s = text.strip().replace(" ", "")
-    plus = False
-    if s.endswith("+Z2c"):
-        plus = True
-        s = s[: -len("+Z2c")]
-    m = _LABEL_RE.match(s)
-    if not m:
-        raise ValueError(f"cannot parse class label {text!r}")
-    if m.group("one") is not None:
-        label = trivial()
-    elif m.group("plain") is not None:
-        label = {"T": tetra, "O": octa, "I": icosa}[m.group("plain")]()
-    elif m.group("inf") is not None:
-        label = {
-            "SO(2)": so2, "O(2)": o2, "SO(3)": so3, "O(3)": o3,
-        }[m.group("inf")]()
-    elif m.group("ominus") is not None:
-        label = octa_minus()
-    elif m.group("o2minus") is not None:
-        label = o2_minus()
-    elif m.group("zn") is not None:
-        n = int(m.group("zn"))
-        label = cyclic_minus(n) if m.group("zmin") else cyclic(n)
-    else:
-        n = int(m.group("dn"))
-        suf = m.group("dsuf")
-        if suf == "^z":
-            label = dihedral_z(n)
-        elif suf == "^d":
-            label = dihedral_d(n)
-        else:
-            label = dihedral(n)
+    plus = s.endswith(_Z2C)
+    core = s[: -len(_Z2C)] if plus else s
+    label = _parse_core(core)
+    if label is None:
+        pos = min(_spelled_prefix(core) + 1, max(len(core), 1))
+        raise ValueError(
+            f"cannot parse class label {text!r} (near position {pos})")
     if plus:
         if label.plus:
             raise ValueError(f"{text!r}: +Z2c applied twice")
@@ -378,14 +410,10 @@ def parse_label(text: str) -> ClassLabel:
 @cache
 def canonicalize(label: ClassLabel) -> ClassLabel:
     """Re-canonicalize a label built by hand (collapses degenerate n)."""
-    if label.kind in ("T", "O", "I", "SO2", "O2", "SO3", "O-", "O2-", "1"):
+    if (label.kind, False) in _FIXED_FORMS:
         out = _base(label.kind)
     else:
-        builder = {
-            "Z": cyclic, "D": dihedral,
-            "Z-": cyclic_minus, "Dz": dihedral_z, "Dd": dihedral_d,
-        }[label.kind]
-        out = builder(label.n)
+        out = _BUILDERS[label.kind](label.n)
     return with_z2c(out) if label.plus else out
 
 

@@ -1,4 +1,4 @@
-"""Rotation and rotoreflection matrices in O(3).
+"""Rotation matrices and axis helpers for O(3).
 
 Every element of O(3) is R(n, theta) or -R(n, theta) for a unit axis n;
 -R(n, pi) is the reflection through the plane normal to n and -R(n, 0)
@@ -50,16 +50,6 @@ def rotation(axis, angle) -> np.ndarray:
     j = skew(unit(axis))
     angle = np.asarray(angle, dtype=float)[..., None, None]
     return IDENTITY + np.sin(angle) * j + (1.0 - np.cos(angle)) * (j @ j)
-
-
-def rotoreflection(axis, angle: float) -> np.ndarray:
-    """-R(axis, angle); for angle = pi this is the reflection whose
-    plane is normal to ``axis``."""
-    return -rotation(axis, angle)
-
-
-def reflection(normal) -> np.ndarray:
-    return rotoreflection(normal, np.pi)
 
 
 def canonical_axis(axis) -> np.ndarray:

@@ -220,29 +220,46 @@ def test_criterion_6_inversion_extension_identities():
         f"\n  {which}: {h1} vs {h2}" for which, h1, h2 in bad[:10])
 
 
-def _group_key(g):
-    return np.round(g * 1e6).astype(np.int64).tobytes()
+def _group_keys(mats):
+    """One key per matrix of a stack: its entries rounded to 1e-6 as
+    integers, viewed as a single void scalar so that np.isin compares
+    whole matrices."""
+    keys = np.round(mats.reshape(-1, 9) * 1e6).astype(np.int64)
+    return keys.view(np.dtype((np.void, keys.itemsize * 9))).ravel()
+
+
+def _group_audit(G, order):
+    """The first group axiom that the element stack G breaks as a group
+    of the given order, or None: the order with distinct keys, the
+    identity, closure over all |G|^2 products, and inverses."""
+    keys = _group_keys(G)
+    if len(G) != order or len(np.unique(keys)) != len(G):
+        return "order"
+    if not np.isin(_group_keys(np.eye(3)), keys).all():
+        return "identity"
+    products = np.einsum("aij,bjk->abik", G, G)
+    if not np.isin(_group_keys(products), keys).all():
+        return "closure"
+    if not np.isin(_group_keys(G.transpose(0, 2, 1)), keys).all():
+        return "inverse"
+    return None
+
+
+def test_group_audit_catches_a_missing_element():
+    D6 = reference_group(dihedral(6))
+    assert _group_audit(D6, 12) is None
+    identity = [np.allclose(g, np.eye(3)) for g in D6]
+    for i, want in [(identity.index(True), "identity"),
+                    (identity.index(False), "closure")]:
+        broken = np.delete(D6, i, axis=0)
+        assert _group_audit(broken, 12) == "order"
+        assert _group_audit(broken, 11) == want
 
 
 def test_criterion_7_group_audit():
     pool = labels_up_to(120)
-    bad = []
-    for lab in pool:
-        G = reference_group(lab)
-        keys = {_group_key(g): i for i, g in enumerate(G)}
-        if len(G) != order_of(lab) or len(keys) != len(G):
-            bad.append((lab, "order"))
-            continue
-        if _group_key(np.eye(3)) not in keys:
-            bad.append((lab, "identity"))
-            continue
-        products = np.einsum("aij,bjk->abik", G, G)
-        if any(_group_key(p) not in keys
-               for p in products.reshape(-1, 3, 3)):
-            bad.append((lab, "closure"))
-            continue
-        if any(_group_key(g.T) not in keys for g in G):
-            bad.append((lab, "inverse"))
+    bad = [(lab, what) for lab in pool
+           if (what := _group_audit(reference_group(lab), order_of(lab)))]
 
     # golden-ratio guard: the five-fold icosahedral generator really has
     # period 5, and the group carries its full complement of such axes

@@ -105,11 +105,15 @@ def test_clips_beyond_the_order_cap(capsys):
 
 
 def test_piez_loads_no_numpy():
+    # the fold, a closed-form cell and a parse error stay symbolic
     script = ("import sys\n"
               "from o3clips import cli\n"
-              "assert cli.main(['piez', '--format', 'json']) == 2\n"
-              "for mod in ('numpy', 'dataclasses', 'inspect'):\n"
-              "    assert mod not in sys.modules, mod + ' loaded'\n")
+              "for argv, code in [(['piez', '--format', 'json'], 2),\n"
+              "                   (['clips', 'O^-', 'O+Z2c'], 0),\n"
+              "                   (['clips', 'X4', 'O'], 1)]:\n"
+              "    assert cli.main(argv) == code, argv\n"
+              "    for mod in ('numpy', 'dataclasses', 'inspect'):\n"
+              "        assert mod not in sys.modules, (mod, argv)\n")
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
 

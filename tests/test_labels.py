@@ -81,6 +81,31 @@ def test_parse_rejects(bad):
         parse_label(bad)
 
 
+# A syntax error points one past the longest prefix that begins a
+# spelling, counted before a trailing +Z2c.
+PARSE_ERROR_POSITIONS = [
+    ("X4", 1), ("Z4^+", 4), ("D3^q", 4), ("SO(4)", 4), ("O(2)^+", 6),
+    ("D3+Z2c+Z2c", 3),
+    # a newline inside a label is no spelling, even before +Z2c
+    ("Z4\n+Z2c", 3),
+]
+
+
+@pytest.mark.parametrize("bad,pos", PARSE_ERROR_POSITIONS)
+def test_parse_error_names_its_position(bad, pos):
+    with pytest.raises(ValueError) as err:
+        parse_label(bad)
+    assert str(err.value) == (f"cannot parse class label {bad!r} "
+                              f"(near position {pos})")
+
+
+def test_parameter_error_keeps_the_factory_message():
+    with pytest.raises(ValueError) as err:
+        parse_label("Z3^-")
+    assert str(err.value) == ("Z_3^- is not a group (even subscript >= 2 "
+                              "required)")
+
+
 def test_factories_match_parse():
     assert cyclic(5) == parse_label("Z5")
     assert dihedral(5) == parse_label("D5")

@@ -6,9 +6,7 @@ from o3clips.rotations import (
     align,
     canonical_axis,
     random_rotation,
-    reflection,
     rotation,
-    rotoreflection,
     unit,
 )
 
@@ -53,16 +51,6 @@ def test_rotation_period():
         for _ in range(n):
             acc = acc @ g
         assert mats_equal(acc, np.eye(3))
-
-
-def test_rotoreflection_and_reflection_are_improper():
-    g = rotoreflection([0, 0, 1], np.pi / 3)
-    assert is_orthogonal(g)
-    assert np.linalg.det(g) == pytest.approx(-1.0)
-    s = reflection([0, 0, 1])
-    assert mats_equal(s @ s, np.eye(3))
-    assert np.allclose(s @ [0, 0, 1], [0, 0, -1])
-    assert np.allclose(s @ [1, 0, 0], [1, 0, 0])
 
 
 def test_align():
