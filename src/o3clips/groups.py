@@ -16,10 +16,12 @@ axes and the element count.
 library path calls them; they are the independent reference that the
 tests compare the factor construction against.
 
-``axis_census`` is the one place that finds axes: the unsigned axes of
-an element set and the cyclic order about each; ``axis_orbits`` groups
-them into orbits under the set.  ``recognize`` reads its orders from
-the census, and ``structural_axes`` and ``axis_orbit_reps`` are cached
+``_census`` is the one place that finds axes: the unsigned axes of an
+element set and the axis of each element, from which ``axis_census``
+counts the cyclic order about each axis; ``axis_orbits`` groups them
+into orbits under the set.  ``recognize`` runs one census per call and
+counts both of its halves from it, and ``structural_axes`` and
+``axis_orbit_reps`` are cached
 per-label views, from which both brute-force oracles (``oracle`` and
 ``axial``) take their axes.
 """
@@ -271,6 +273,34 @@ def intersect(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g2[mask]
 
 
+def _census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Determinants, unsigned axes, and the axis index of each element
+    (-1 for ±Id): the element g, or -g when improper, rotates about it."""
+    dets = np.linalg.det(elems)
+    h = elems * np.sign(dets)[:, None, None]
+    moved = np.abs(h - IDENTITY).max(axis=(1, 2)) >= EPS_MAT
+    ids = np.full(len(elems), -1)
+    h = h[moved]
+    if len(h) == 0:
+        return dets, np.zeros((0, 3)), ids
+    # h + h^T - (tr h - 1) Id = 2 (1 - cos t) u u^T for the rotation by t
+    # about u: its largest diagonal entry picks a column along u, and a
+    # half turn needs no branch of its own
+    tr = np.einsum("aii->a", h)
+    sym = h + h.transpose(0, 2, 1) - (tr - 1.0)[:, None, None] * IDENTITY
+    col = np.einsum("aii->ai", sym).argmax(axis=1)
+    u = canonical_axis(sym[np.arange(len(sym)), :, col])
+    # distinct axes of a group within the order cap are >= pi/128 apart
+    same = np.abs(u @ u.T) > 1.0 - _SAME_AXIS
+    first, ids[moved] = np.unique(same.argmax(axis=1), return_inverse=True)
+    return dets, u[first], ids
+
+
+def _axis_counts(ids: np.ndarray, n: int) -> np.ndarray:
+    """Elements about each of n axes, from their census axis indices."""
+    return np.bincount(ids[ids >= 0], minlength=n)
+
+
 def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The package's one axis census of a finite element set.
 
@@ -284,24 +314,8 @@ def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         The proper cyclic order about each axis: the number of rotations
         in the set, the identity included, that fix it.
     """
-    dets = np.linalg.det(elems)
-    h = elems * np.sign(dets)[:, None, None]
-    h = h[np.abs(h - IDENTITY).max(axis=(1, 2)) >= EPS_MAT]
-    if len(h) == 0:
-        return np.zeros((0, 3)), np.zeros(0, dtype=int)
-    # h + h^T - (tr h - 1) Id = 2 (1 - cos t) u u^T for the rotation by t
-    # about u: its largest diagonal entry picks a column along u, and a
-    # half turn needs no branch of its own
-    tr = np.einsum("aii->a", h)
-    sym = h + h.transpose(0, 2, 1) - (tr - 1.0)[:, None, None] * IDENTITY
-    col = np.einsum("aii->ai", sym).argmax(axis=1)
-    u = canonical_axis(sym[np.arange(len(sym)), :, col])
-    # distinct axes of a group within the order cap are >= pi/128 apart
-    same = np.abs(u @ u.T) > 1.0 - _SAME_AXIS
-    axes = u[same.argmax(axis=1) == np.arange(len(u))]
-    img = np.einsum("gij,aj->gai", elems, axes)
-    fixed = (np.abs(img - axes).max(axis=2) < EPS_MAT) & (dets > 0)[:, None]
-    return axes, fixed.sum(axis=0)
+    dets, axes, ids = _census(elems)
+    return axes, 1 + _axis_counts(ids[dets > 0], len(axes))
 
 
 def axis_orbits(elems: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -344,12 +358,12 @@ class RecognitionError(ValueError):
     pass
 
 
-def recognize_so3(proper: np.ndarray) -> ClassLabel:
-    """Canonical class of a finite rotation group."""
-    k = len(proper)
+def _rotation_class(k: int, counts: np.ndarray) -> ClassLabel:
+    """Canonical class of a finite rotation group of order k, from the
+    count of its non-identity rotations about each axis of a census."""
     if k == 1:
         return trivial()
-    orders = sorted(axis_census(proper)[1].tolist(), reverse=True)
+    orders = sorted((counts[counts > 0] + 1).tolist(), reverse=True)
     if len(orders) == 1:
         if orders[0] != k:
             raise RecognitionError(f"cyclic census mismatch: {orders} vs {k}")
@@ -370,20 +384,21 @@ def recognize(elems: np.ndarray) -> ClassLabel:
     """Canonical class label of a finite subgroup of O(3).
 
     The determinant splits the group; a type III group is identified by
-    the pair (recognize(proper + negated improper), recognize(proper)).
-    Without -Id the two halves are disjoint (p = -q would put
-    -Id = q p^-1 in the group), so ``tilde`` needs no dedupe.
+    the pair (class of tilde, class of proper), tilde being the proper
+    elements and the negated improper ones.  Without -Id the two halves
+    are disjoint (p = -q would put -Id = q p^-1 in the group), so tilde
+    has |G| elements, and each of them is h = det(x) x for one x of G.
+    One census of h therefore serves both: per axis, tilde counts every
+    element about it and the proper part only the proper ones.
     """
-    dets = np.linalg.det(elems)
-    proper = elems[dets > 0]
-    improper = elems[dets < 0]
-    if len(improper) == 0:
-        return recognize_so3(proper)
-    if (np.abs(improper + IDENTITY).max(axis=(1, 2)) < EPS_MAT).any():
-        return with_z2c(recognize_so3(proper))
-    tilde = np.concatenate([proper, -improper])
-    t = recognize_so3(tilde)
-    p = recognize_so3(proper)
+    dets, axes, ids = _census(elems)
+    proper = dets > 0
+    p = _rotation_class(int(proper.sum()), _axis_counts(ids[proper], len(axes)))
+    if proper.all():
+        return p
+    if (ids[~proper] < 0).any():  # -Id
+        return with_z2c(p)
+    t = _rotation_class(len(elems), _axis_counts(ids, len(axes)))
     match (t.kind, p.kind):
         case ("Z", "1") if t.n == 2:
             return cyclic_minus(2)

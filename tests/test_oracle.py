@@ -10,10 +10,23 @@ import pytest
 
 from conftest import load_pins
 from o3clips.engine import clips
-from o3clips.groups import intersect, materialize, reference_group
+from o3clips.groups import (
+    intersect,
+    materialize,
+    reference_group,
+    structural_axes,
+)
 from o3clips.labels import format_label, parse_label
-from o3clips.oracle import _prepped, _spin_table, clips_oracle, conjugators
-from o3clips.rotations import random_rotation, rotation
+from o3clips.oracle import (
+    _distinct_masks,
+    _prepped,
+    _representatives,
+    _signatures,
+    _spin_table,
+    clips_oracle,
+    conjugators,
+)
+from o3clips.rotations import IDENTITY, random_rotation, rotation
 
 PINS = load_pins("clips_oracle_pins")
 
@@ -69,6 +82,11 @@ def test_sweep_does_not_grow_with_lcm():
 
 PROBE_COUNTS = {("Z7", "Z11"): 13, ("D12^z", "D11^z"): 1085,
                 ("I+Z2c", "O^-"): 3805, ("O+Z2c", "D8^d"): 1061}
+# conjugators of each probe sweep that go through the conjugation product
+REPRESENTATIVE_COUNTS = {("Z7", "Z11"): 3, ("D12^z", "D11^z"): 48,
+                         ("I+Z2c", "O^-"): 186, ("O+Z2c", "D8^d"): 102}
+# pairs where generic spins put an axis image 5e-6 rad from an axis of H1
+NEAR_MISS_PAIRS = [("D16^d", "T+Z2c"), ("D12", "O+Z2c"), ("O^-", "D32")]
 
 
 @pytest.mark.parametrize("seed", [0, 11])
@@ -84,6 +102,51 @@ def test_sweep_has_no_random_conjugators(seed):
         gram = g @ g.transpose(0, 2, 1)
         assert np.abs(gram - np.eye(3)).max() < 1e-12, pair
         assert np.abs(np.linalg.det(g) - 1.0).max() < 1e-12, pair
+
+
+def _signature_of(pair, g):
+    c1, c2 = map(parse_label, pair)
+    return _signatures(g, structural_axes(c1)[0], structural_axes(c2)[0])
+
+
+@pytest.mark.parametrize("pair", [*PROBE_COUNTS, *NEAR_MISS_PAIRS], ids="|".join)
+def test_pruned_masks_match_every_conjugator(pair):
+    c1, c2 = map(parse_label, pair)
+    g2 = reference_group(c2)
+    member = _prepped(c1).member_mask
+    want = set()
+    for g in np.array_split(conjugators(c1, c2), 20):
+        conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
+        want |= {np.packbits(m).tobytes() for m in member(conj)}
+    got = {np.packbits(m).tobytes() for m in _distinct_masks(c1, c2, 0)}
+    assert got == want
+
+
+@pytest.mark.parametrize("pair", sorted(REPRESENTATIVE_COUNTS), ids="|".join)
+def test_representative_counts(pair):
+    g = conjugators(*map(parse_label, pair))
+    keys, band = _signature_of(pair, g)
+    assert not band.any()
+    assert len(_representatives(keys, band, set())) == REPRESENTATIVE_COUNTS[pair]
+    # a key already seen in an earlier chunk is not represented again
+    seen = set()
+    half = len(g) // 2
+    n = sum(len(_representatives(keys[s], band[s], seen))
+            for s in (slice(None, half), slice(half, None)))
+    assert n == REPRESENTATIVE_COUNTS[pair]
+
+
+def test_near_miss_is_its_own_representative():
+    # D4 x D4: the identity puts every axis of H2 exactly on an axis of
+    # H1; tilting it by 1e-9 rad leaves every image near a line but not
+    # on it, so no merge may rest on it
+    u = np.array([0.3, -0.5, 0.8])
+    tilt = rotation(u, 1e-9)
+    g = np.stack([IDENTITY, tilt, IDENTITY, tilt, rotation(u, 1e-6)])
+    keys, band = _signature_of(("D4", "D4"), g)
+    assert band.tolist() == [False, True, False, True, False]
+    assert (keys[0] != 0).all() and (keys[4] == 0).all()
+    assert _representatives(keys, band, set()).tolist() == [0, 1, 3, 4]
 
 
 def _spin_row(solved, period):

@@ -109,12 +109,6 @@ def test_order_divides_both(a, b):
         assert nb % k == 0
 
 
-@settings(deadline=None, max_examples=300)
-@given(finite, finite)
-def test_leq_matches_self_clips(a, b):
-    assert class_leq(a, b) == (a in clips(a, b))
-
-
 @settings(deadline=None, max_examples=150)
 @given(rotations_small, rotations_small)
 def test_adding_inversion_to_one_side_changes_nothing(h1, h2):
