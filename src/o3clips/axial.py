@@ -14,6 +14,8 @@ finite x infinite cells that is independent of the closed-form tables.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
@@ -24,8 +26,13 @@ from .groups import (
     reference_group,
     structural_axes,
 )
-from .oracle import pair_rng
 from .rotations import EPS_MAT, IDENTITY, canonical_axis
+
+
+def pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
+    """Seeded generator of the generic directions for one pair."""
+    tag = f"{format_label(c1)}|{format_label(c2)}|{seed}".encode()
+    return np.random.default_rng(zlib.crc32(tag))
 
 
 def _axial_masks(label: ClassLabel, elems: np.ndarray, dirs: np.ndarray):

@@ -71,11 +71,11 @@ def _as_label(spec: str | ClassLabel) -> ClassLabel:
     return parse_label(spec) if isinstance(spec, str) else canonicalize(spec)
 
 
-def clips_oracle(a: ClassLabel, b: ClassLabel, seed: int = 0) -> ClassSet:
+def clips_oracle(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """``oracle.clips_oracle``, imported on first use."""
     from .oracle import clips_oracle
 
-    return clips_oracle(a, b, seed=seed)
+    return clips_oracle(a, b)
 
 
 def clips_axial(a: ClassLabel, b: ClassLabel, seed: int = 0) -> ClassSet:
@@ -86,10 +86,10 @@ def clips_axial(a: ClassLabel, b: ClassLabel, seed: int = 0) -> ClassSet:
 
 
 @lru_cache(maxsize=None)
-def _oracle_after_strips(a: ClassLabel, b: ClassLabel, seed: int) -> ClassSet:
+def _oracle_after_strips(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """Oracle answer for a pair already reduced by ``normalize``, cached
     so that every pair normalizing to the same one shares an entry."""
-    return clips_oracle(a, b, seed=seed)
+    return clips_oracle(a, b)
 
 
 def clips(c1: str | ClassLabel, c2: str | ClassLabel,
@@ -100,7 +100,8 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     finite pair.  When ``clips_reduce`` has no closed form for the pair
     (a finite type III x type III pair), the symbolic answer is the
     oracle on the ``normalize``d pair, so the check compares two oracle
-    runs and covers ``normalize`` only.
+    runs and covers ``normalize`` only.  ``seed`` has no effect: no
+    route draws random numbers.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -113,12 +114,12 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
                     f"oracle method needs finite classes, got "
                     f"{format_label(lab)}"
                 )
-        return clips_oracle(a, b, seed=seed)
+        return clips_oracle(a, b)
 
     if method == "both":
-        sym = clips(a, b, method="symbolic", seed=seed)
+        sym = clips(a, b)
         if not (is_infinite(a) or is_infinite(b)):
-            orc = clips_oracle(a, b, seed=seed)
+            orc = clips_oracle(a, b)
             if sym != orc:
                 raise ClipsMismatch(a, b, sym, orc)
         return sym
@@ -127,18 +128,18 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     if reduced is not None:
         return reduced
     a, b, lift = normalize(a, b)
-    return lifted(_oracle_after_strips(a, b, seed), lift)
+    return lifted(_oracle_after_strips(a, b), lift)
 
 
 def clips_families(fam1: Iterable[str | ClassLabel],
                    fam2: Iterable[str | ClassLabel],
-                   method: str = "symbolic", seed: int = 0) -> ClassSet:
+                   method: str = "symbolic") -> ClassSet:
     """Union of pairwise clips; the symmetry classes of a pair of tensors
     run over exactly this set when each factor runs over its own family."""
     left = [_as_label(c) for c in fam1]
     right = [_as_label(c) for c in fam2]
     return ClassSet(c for a in left for b in right
-                    for c in clips(a, b, method=method, seed=seed))
+                    for c in clips(a, b, method=method))
 
 
 def class_leq(c1: str | ClassLabel, c2: str | ClassLabel) -> bool:
@@ -178,7 +179,7 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     classes Z_{2n}^-, D_{2n}^d for n = 1..n_max, D_n^z for
     n = 2..n_max, O^-, and O(2)^-.  Finite columns are checked with
     the matrix oracle, the O(2)^- column with the axial membership
-    oracle.
+    oracle, whose generic directions ``seed`` draws.
     """
     rows = table_rows(("Z", "D", "T", "O", "I"), range(2, m_max + 1))
     cols = table_cols(("Z-", "Dz", "Dd", "O-", "O2-"), range(1, n_max + 1))
@@ -188,5 +189,5 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
             if is_infinite(col):
                 brute = clips_axial(row, col, seed=seed)
             else:
-                brute = clips(row, col, method="oracle", seed=seed)
+                brute = clips(row, col, method="oracle")
             yield CellCheck(row=row, col=col, symbolic=symbolic, brute=brute)

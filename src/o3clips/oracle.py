@@ -1,14 +1,19 @@
 """Brute-force clips oracle for pairs of finite classes.
 
 clips([H1], [H2]) is the set of conjugacy classes of H1 ∩ g H2 g^-1
-over all rotations g.  For the closed subgroups handled here every
-intersection class is realized with g aligning a structural axis of H2
-to one of H1 (plus a rotation about that axis), so a finite sweep of
-aligners and axis rotations is exhaustive.  An intersection with no
-aligned axes holds only ±Id; aligning one seeded generic axis per class
-realizes it, as at the generic spin about it no axis lines of H1 and
-g H2 g^T meet.  The axes, their cyclic orders and their orbits
-come from ``groups.axis_census``, the census ``recognize`` also uses.
+over all rotations g.  Every element of a finite subgroup but ±Id is
+s R(u, t) with s = ±1 and u on a structural axis line, so an
+intersection that holds a non-central element puts an axis line of
+g H2 g^T on one of H1's.  Such g align an axis of H2 to one of H1 and
+then spin about it, and the sweep of aligners and spins below covers
+them.  Every other intersection is central, and its class is stated
+rather than swept: the g that put some axis line u of H2 on some axis
+line w of H1 lie on finitely many circles in SO(3) (those with
+g u = ±w are R(w, t) g0 over t, for two aligners g0), so some g avoids
+them all, and for that g the intersection is H1 ∩ H2 ∩ {±Id}: ``1+Z2c``
+when both classes hold -Id, ``1`` otherwise.  The axes, their cyclic
+orders and their orbits come from ``groups.axis_census``, the census
+``recognize`` also uses.
 
 The sweep is pruned exactly in two ways.  Replacing g by h1 g h2 (h_i
 in the reference groups) conjugates the intersection inside H1, so
@@ -24,14 +29,15 @@ them (see ``conjugators``).
 A third exact pruning skips the conjugation product for most of the
 sweep.  Each conjugator g gets a key, its axis-image signature: for
 each structural axis u_a of H2, the axis line w_b of H1 that g u_a
-lands on and the sign e of g u_a = e w_b, or none.  The membership mask
-over H2 is a function of the key, so only the first conjugator of each
-key is conjugated and masked:
+lands on, or none.  The membership mask over H2 is a function of the
+key, so only the first conjugator of each key is conjugated and masked:
 
 - ±Id conjugate to themselves, whatever g is;
 - a non-central x = s R(u_a, t) maps to s R(g u_a, t), which is not
   central, so it can lie in H1 only if g u_a is on an axis line of H1,
-  and when g u_a = e w_b it is s R(w_b, e t), fixed by (a, b, e).
+  and when g u_a = ±w_b it is s R(w_b, ±t).  H1 is closed under
+  inverses, so s R(w_b, -t) is in H1 exactly when s R(w_b, t) is, and
+  the bit is fixed by (a, b).
 
 Numerically, the key reads the sine of the angle between g u_a and
 w_b.  Below ``_ON_LINE`` (1e-12) the conjugate is within ~1e-11 of
@@ -49,7 +55,7 @@ The sweep is one array pass per pair.  Every aligner comes from one
 batched ``align``; row i of a padded table holds the solved angles of
 aligner i, one per pair of an axis of H1 and a g0-image of an axis of
 H2, with a mask that drops the pairs where either lies on the line b;
-each row is reduced to its distinct angles plus the generic one, and
+each row is reduced to its distinct angles plus a generic one, and
 one batched ``rotation`` spins every aligner by every angle of its row.
 Signatures, representatives and masks then run in one chunked loop
 (``_distinct_masks``).
@@ -57,12 +63,11 @@ Signatures, representatives and masks then run in one chunked loop
 
 from __future__ import annotations
 
-import zlib
 from functools import lru_cache
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
+from .labels import ClassLabel, ClassSet, is_infinite, order_of
 from .groups import (
     ORDER_CAP,
     axis_orbit_reps,
@@ -70,13 +75,7 @@ from .groups import (
     reference_group,
     structural_axes,
 )
-from .rotations import (
-    EPS_MAT,
-    IDENTITY,
-    align,
-    orthogonal,
-    rotation,
-)
+from .rotations import EPS_MAT, align, orthogonal, rotation
 
 
 # Sine of the angle between an axis image g u_a and an axis line of H1:
@@ -121,23 +120,6 @@ def _prepped(label: ClassLabel) -> _Prepped:
     return _Prepped(label)
 
 
-def pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
-    """Seeded generator of both oracles' generic draws for one pair."""
-    tag = f"{format_label(c1)}|{format_label(c2)}|{seed}".encode()
-    return np.random.default_rng(zlib.crc32(tag))
-
-
-def _candidate_axes(
-    label: ClassLabel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Axis orbit representatives (k, 3) with the proper cyclic order
-    about each (k,), plus one seeded generic axis of order 1 last."""
-    generic = rng.normal(size=3)
-    reps, orders = axis_orbit_reps(label)
-    return (np.vstack([reps, generic / np.linalg.norm(generic)]),
-            np.append(orders, 1))
-
-
 def _azimuths(perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Azimuths of vectors from their components (rows, 2, k) in a frame
     (p, q) orthogonal to b, and whether each lies off the line b."""
@@ -177,10 +159,11 @@ def _spin_table(solved: np.ndarray, valid: np.ndarray,
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     """Deterministic conjugator sweep for clips_oracle, shape (m, 3, 3).
 
-    For each aligner g0 taking axis a (of H2, proper cyclic order m_a)
-    to +b or -b (b an axis of H1, order m_b), the sweep takes spins
-    R(b, t) g0 at the solved angles t plus one generic angle, and this
-    is exhaustive:
+    For each aligner g0 taking an axis orbit representative a (of H2,
+    proper cyclic order m_a) to +b or -b (b an orbit representative of
+    H1, order m_b), the sweep takes spins R(b, t) g0 at the solved
+    angles t plus one generic angle.  This realizes every intersection
+    that shares an axis line with H1 (see the module docstring):
 
     - composing with R(b, 2*pi/m_b) on the left or R(a, 2*pi/m_a) on
       the right leaves the intersection class unchanged (the right spin
@@ -203,11 +186,14 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
 
     All aligners are built by one ``align`` call, their solved angles
     form one (aligners, 2 |axes of H1| |axes of H2|) table, and all
-    spins come from one ``rotation`` call.
+    spins come from one ``rotation`` call.  When either class has no
+    axis (``1``, ``1+Z2c``) the sweep is empty.  ``seed`` has no effect:
+    the sweep draws no random numbers.
     """
-    rng = pair_rng(c1, c2, seed)
-    axes1, m1 = _candidate_axes(c1, rng)
-    axes2, m2 = _candidate_axes(c2, rng)
+    axes1, m1 = axis_orbit_reps(c1)
+    axes2, m2 = axis_orbit_reps(c2)
+    if len(axes1) == 0 or len(axes2) == 0:
+        return np.empty((0, 3, 3))
     all1, _ = structural_axes(c1)
     all2, _ = structural_axes(c2)
     # aligners in (b, a, sign) order: axis a of H2 onto +b, then onto -b
@@ -228,32 +214,29 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     )
     angles = spins[np.arange(spins.shape[1]) < count[:, None]]
     spun = rotation(np.repeat(b, count, axis=0), angles)
-    return np.concatenate([IDENTITY[None], spun @ np.repeat(g0, count, axis=0)])
+    return spun @ np.repeat(g0, count, axis=0)
 
 
 def _signatures(g: np.ndarray, axes1: np.ndarray,
                 axes2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Axis-image signature of each conjugator of a stack (m, 3, 3).
 
-    Returns int16 keys (m, |axes2|), entry a being e (b + 1) when g u_a
-    lies on the axis line w_b of H1 with g u_a = e w_b (sine of the
-    angle below ``_ON_LINE``) and 0 when it lies on none, and a flag per
-    conjugator that some image falls in the band between ``_ON_LINE``
-    and ``_OFF_LINE``.  Distinct axes of H1 are far apart, so only the
-    nearest line, the largest |g u_a . w_b|, can be close.
+    Returns int16 keys (m, |axes2|), entry a being b + 1 when g u_a
+    lies on the axis line w_b of H1 (sine of the angle below
+    ``_ON_LINE``), whichever its sign, and 0 when it lies on none, and a
+    flag per conjugator that some image falls in the band between
+    ``_ON_LINE`` and ``_OFF_LINE``.  Distinct axes of H1 are far apart,
+    so only the nearest line, the largest |g u_a . w_b|, can be close.
+    Both classes have axes: ``conjugators`` is empty otherwise.
     """
-    # without axes in H2 every conjugator gets one and the same 0 column
-    keys = np.zeros((len(g), max(1, len(axes2))), dtype=np.int16)
-    if len(axes1) == 0 or len(axes2) == 0:
-        return keys, np.zeros(len(g), dtype=bool)
+    keys = np.zeros((len(g), len(axes2)), dtype=np.int16)
     img = (g @ axes2.T).transpose(0, 2, 1).reshape(-1, 3)
     dots = img @ axes1.T
     b = np.abs(dots, out=dots).argmax(axis=1)
     # the sine from the cross product: 1 - |cos| cannot resolve 1e-12
     sine = np.linalg.norm(np.cross(img, axes1[b]), axis=1)
     on = sine < _ON_LINE
-    sign = np.sign((img[on] * axes1[b[on]]).sum(axis=1))
-    keys.reshape(-1)[on] = sign * (b[on] + 1)
+    keys.reshape(-1)[on] = b[on] + 1
     band = (sine <= _OFF_LINE) & ~on
     return keys, band.reshape(keys.shape).any(axis=1)
 
@@ -275,7 +258,7 @@ def _representatives(keys: np.ndarray, band: np.ndarray,
     return np.sort(np.concatenate([exact[new], np.flatnonzero(band)]))
 
 
-def _distinct_masks(c1: ClassLabel, c2: ClassLabel, seed: int) -> list[np.ndarray]:
+def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
     """The distinct membership masks of the sweep over the elements of
     the reference group of c2.
 
@@ -290,7 +273,7 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel, seed: int) -> list[np.ndarra
     g2 = reference_group(c2)
     axes1, _ = structural_axes(c1)
     axes2, _ = structural_axes(c2)
-    all_g = conjugators(c1, c2, seed)
+    all_g = conjugators(c1, c2)
     step = max(1, int(2e6 // max(1, len(axes1) * len(axes2))))
     mask_step = max(1, int(2e6 // (order_of(c2) * max(9, order_of(c1)))))
     seen: set[bytes] = set()
@@ -308,21 +291,21 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel, seed: int) -> list[np.ndarra
     return list(found.values())
 
 
-def clips_oracle(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> ClassSet:
+def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     """Clips of two finite classes by exhaustive conjugation sweep.
 
     The sweep is ``conjugators``; of the conjugators that share an
     axis-image signature only the first is conjugated and masked (see
     the module docstring), and a conjugator with an axis image in the
-    band between on and off a line of H1 is masked on its own.
+    band between on and off a line of H1 is masked on its own.  The
+    central class, met at every g that puts no axis line of H2 on one
+    of H1, is added without a sweep: ``1+Z2c`` when both classes hold
+    -Id, ``1`` otherwise.
 
     Parameters
     ----------
     c1, c2 : ClassLabel
         Finite classes with order <= 256.
-    seed : int
-        Seed for the generic axis of each class; the rest of the sweep
-        is deterministic, and the answer does not depend on the seed.
 
     Returns
     -------
@@ -335,4 +318,7 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> ClassSet:
         if order_of(c) > ORDER_CAP:
             raise ValueError(f"{c} exceeds the order cap {ORDER_CAP}")
     g2 = reference_group(c2)
-    return ClassSet([recognize(g2[m]) for m in _distinct_masks(c1, c2, seed)])
+    # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1 otherwise
+    center = ClassLabel("1", 0, c1.plus and c2.plus)
+    masks = _distinct_masks(c1, c2)
+    return ClassSet([center, *(recognize(g2[m]) for m in masks)])

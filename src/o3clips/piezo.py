@@ -112,8 +112,8 @@ def _classes_of(cat: IsotropyCatalog | ClassSet | Iterable) -> ClassSet:
     return class_set(*cat)
 
 
-def isotropy_direct_sum(catalogs: Sequence, method: str = "symbolic",
-                        seed: int = 0) -> ClassSet:
+def isotropy_direct_sum(catalogs: Sequence,
+                        method: str = "symbolic") -> ClassSet:
     """Symmetry classes of a direct sum of tensor spaces: the left fold
     of the family clips product over the factor catalogs.  The result is
     independent of the fold order."""
@@ -122,15 +122,15 @@ def isotropy_direct_sum(catalogs: Sequence, method: str = "symbolic",
     sets = [_classes_of(c) for c in catalogs]
     acc = sets[0]
     for nxt in sets[1:]:
-        acc = clips_families(acc, nxt, method=method, seed=seed)
+        acc = clips_families(acc, nxt, method=method)
     return acc
 
 
-def compute_piez(method: str = "symbolic", seed: int = 0) -> IsotropyCatalog:
+def compute_piez(method: str = "symbolic") -> IsotropyCatalog:
     """Symmetry classes of the coupled (elasticity, coupling,
     permittivity) triple, recomputed from the three factor catalogs."""
     classes = isotropy_direct_sum(
-        [ELA_CLASSES, PIEZ_CLASSES, SYM_CLASSES], method=method, seed=seed
+        [ELA_CLASSES, PIEZ_CLASSES, SYM_CLASSES], method=method
     )
     return IsotropyCatalog("PiezLaw", classes)
 
@@ -163,13 +163,12 @@ class PiezDiff(NamedTuple):
         return not self.missing and not self.extra
 
 
-def diff_piez(method: str = "symbolic", seed: int = 0) -> PiezDiff:
+def diff_piez(method: str = "symbolic") -> PiezDiff:
     """Recompute the coupled-law catalog and diff it against the
     published list; extras are traced back to a clips pair that produced
     them in the outer fold stage."""
-    stage1 = clips_families(ELA_CLASSES, PIEZ_CLASSES, method=method,
-                            seed=seed)
-    computed = clips_families(stage1, SYM_CLASSES, method=method, seed=seed)
+    stage1 = clips_families(ELA_CLASSES, PIEZ_CLASSES, method=method)
+    computed = clips_families(stage1, SYM_CLASSES, method=method)
     expected = PIEZ_LAW_CLASSES
     missing = tuple(lbl for lbl in expected.labels()
                     if parse_label(lbl) not in computed)
@@ -180,7 +179,7 @@ def diff_piez(method: str = "symbolic", seed: int = 0) -> PiezDiff:
         target = parse_label(lbl)
         for a in stage1:
             for b in SYM_CLASSES:
-                if target in clips(a, b, method=method, seed=seed):
+                if target in clips(a, b, method=method):
                     witnesses[lbl] = (format_label(a), format_label(b))
                     break
             if lbl in witnesses:

@@ -97,9 +97,9 @@ def test_both_method_without_a_rule_checks_normalize_only(monkeypatch):
     calls = []
     oracle = engine.clips_oracle
 
-    def spy(x, y, seed=0):
+    def spy(x, y):
         calls.append((x, y))
-        return oracle(x, y, seed=seed)
+        return oracle(x, y)
 
     monkeypatch.setattr(engine, "clips_oracle", spy)
     engine._oracle_after_strips.cache_clear()

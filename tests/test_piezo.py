@@ -107,10 +107,6 @@ def test_fold_is_order_independent():
         assert isotropy_direct_sum(list(perm)) == base
 
 
-def test_fold_is_seed_independent():
-    assert compute_piez(seed=0).classes == compute_piez(seed=23).classes
-
-
 def test_every_computed_label_round_trips():
     for lbl in compute_piez().classes.labels():
         assert format_label(parse_label(lbl)) == lbl
