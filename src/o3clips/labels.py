@@ -40,7 +40,6 @@ from typing import Iterable, Iterator
 # Label kinds.  'Z-' stores the printed subscript (an even number, the
 # group order), as do 'Dz' and 'Dd'.  'Dd' subscripts are even and the
 # group order is twice the subscript.
-KINDS_I = ("1", "Z", "D", "T", "O", "I", "SO2", "O2", "SO3")
 KINDS_III = ("Z-", "Dz", "Dd", "O-", "O2-")
 INFINITE_KINDS = frozenset({"SO2", "O2", "SO3", "O2-"})
 
@@ -62,7 +61,8 @@ class ClassLabel:
     Attributes
     ----------
     kind : str
-        Family tag, one of ``KINDS_I`` or ``KINDS_III``.
+        Family tag, such as ``"Z"``, ``"Dz"`` or ``"SO3"``; ``typeclass``
+        gives the type (I, II or III) of the label.
     n : int
         Printed subscript for parametric families, 0 otherwise.
     plus : bool

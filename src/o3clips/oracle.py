@@ -26,38 +26,13 @@ where its axis line lands on an axis line of H1.  All other angles
 give one and the same intersection, so one generic angle stands for
 them (see ``conjugators``).
 
-A third exact pruning skips the conjugation product for most of the
-sweep.  Each conjugator g gets a key, its axis-image signature: for
-each structural axis u_a of H2, the axis line w_b of H1 that g u_a
-lands on, or none.  The membership mask over H2 is a function of the
-key, so only the first conjugator of each key is conjugated and masked:
-
-- ±Id conjugate to themselves, whatever g is;
-- a non-central x = s R(u_a, t) maps to s R(g u_a, t), which is not
-  central, so it can lie in H1 only if g u_a is on an axis line of H1,
-  and when g u_a = ±w_b it is s R(w_b, ±t).  H1 is closed under
-  inverses, so s R(w_b, -t) is in H1 exactly when s R(w_b, t) is, and
-  the bit is fixed by (a, b).
-
-Numerically, the key reads the sine of the angle between g u_a and
-w_b.  Below ``_ON_LINE`` (1e-12) the conjugate is within ~1e-11 of
-s R(w_b, e t), which is a member to rounding or at least ~1e-5 from
-every element of H1, so its mask bit is the exact one.  Above
-``_OFF_LINE`` it is off the line: an element e1 of H1 with
-|s R(v, t) - e1| < EPS_MAT entrywise is some s R(w, p) with w an axis
-of H1 and p at least 2 pi / ORDER_CAP, as ±Id and the other
-determinant are far; but R(v, t) v - R(w, p) v has length
-2 sin(p / 2) sin(v, w), at most 3 EPS_MAT, so the sine is at most
-3 EPS_MAT / (2 sin(pi / ORDER_CAP)) = ``_OFF_LINE``.  A conjugator with
-an image in the band between is its own representative.
-
 The sweep is one array pass per pair.  Every aligner comes from one
 batched ``align``; row i of a padded table holds the solved angles of
 aligner i, one per pair of an axis of H1 and a g0-image of an axis of
 H2, with a mask that drops the pairs where either lies on the line b;
 each row is reduced to its distinct angles plus a generic one, and
 one batched ``rotation`` spins every aligner by every angle of its row.
-Signatures, representatives and masks then run in one chunked loop
+Every conjugator is then conjugated and masked, in one batched loop
 (``_distinct_masks``).
 """
 
@@ -76,15 +51,6 @@ from .groups import (
     structural_axes,
 )
 from .rotations import EPS_MAT, align, orthogonal, rotation
-
-
-# Sine of the angle between an axis image g u_a and an axis line of H1:
-# below _ON_LINE the image is on the line (exact landings leave ~1e-15),
-# above _OFF_LINE no element about it is within EPS_MAT of H1 (see the
-# module docstring); a conjugator with an image in between is masked on
-# its own, so that no merge rests on a near miss.
-_ON_LINE = 1e-12
-_OFF_LINE = 3.0 * EPS_MAT / (2.0 * np.sin(np.pi / ORDER_CAP))  # 1.2e-7
 
 
 class _Prepped:
@@ -217,90 +183,38 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     return spun @ np.repeat(g0, count, axis=0)
 
 
-def _signatures(g: np.ndarray, axes1: np.ndarray,
-                axes2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-image signature of each conjugator of a stack (m, 3, 3).
-
-    Returns int16 keys (m, |axes2|), entry a being b + 1 when g u_a
-    lies on the axis line w_b of H1 (sine of the angle below
-    ``_ON_LINE``), whichever its sign, and 0 when it lies on none, and a
-    flag per conjugator that some image falls in the band between
-    ``_ON_LINE`` and ``_OFF_LINE``.  Distinct axes of H1 are far apart,
-    so only the nearest line, the largest |g u_a . w_b|, can be close.
-    Both classes have axes: ``conjugators`` is empty otherwise.
-    """
-    keys = np.zeros((len(g), len(axes2)), dtype=np.int16)
-    img = (g @ axes2.T).transpose(0, 2, 1).reshape(-1, 3)
-    dots = img @ axes1.T
-    b = np.abs(dots, out=dots).argmax(axis=1)
-    # the sine from the cross product: 1 - |cos| cannot resolve 1e-12
-    sine = np.linalg.norm(np.cross(img, axes1[b]), axis=1)
-    on = sine < _ON_LINE
-    keys.reshape(-1)[on] = b[on] + 1
-    band = (sine <= _OFF_LINE) & ~on
-    return keys, band.reshape(keys.shape).any(axis=1)
-
-
-def _representatives(keys: np.ndarray, band: np.ndarray,
-                     seen: set[bytes]) -> np.ndarray:
-    """Indices of the conjugators that go through the conjugation
-    product: the first of each key not in ``seen`` (which then records
-    it), and every conjugator with an image in the band."""
-    exact = np.flatnonzero(~band)
-    rows = np.ascontiguousarray(keys[exact])
-    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    new = []
-    for row, i in zip(*np.unique(rows, return_index=True)):
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            new.append(i)
-    return np.sort(np.concatenate([exact[new], np.flatnonzero(band)]))
-
-
 def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
     """The distinct membership masks of the sweep over the elements of
     the reference group of c2.
 
-    One chunked pass: each batch of conjugators is reduced to its
-    representatives, whose conjugates of H2 are masked against H1.
-    Batches keep the (rows, |axes2|, |axes1|) dot products of the
-    signatures near 2e6 floats, and the representatives are masked in
-    turn in batches that keep the conjugates and the (rows, |H1|) dot
-    matrix of ``member_mask`` near as many.
+    Every conjugator g of ``conjugators`` conjugates H2, and the
+    conjugates g x g^T are masked against H1, in batches that keep them
+    and the (rows, |H1|) dot matrix of ``member_mask`` near 2.5e5
+    floats.
     """
     prep = _prepped(c1)
     g2 = reference_group(c2)
-    axes1, _ = structural_axes(c1)
-    axes2, _ = structural_axes(c2)
     all_g = conjugators(c1, c2)
-    step = max(1, int(2e6 // max(1, len(axes1) * len(axes2))))
-    mask_step = max(1, int(2e6 // (order_of(c2) * max(9, order_of(c1)))))
-    seen: set[bytes] = set()
+    step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
     found: dict[bytes, np.ndarray] = {}
     for i in range(0, len(all_g), step):
-        chunk = all_g[i : i + step]
-        reps = chunk[_representatives(*_signatures(chunk, axes1, axes2), seen)]
-        for j in range(0, len(reps), mask_step):
-            g = reps[j : j + mask_step]
-            # h = g x g^T for every representative g and element x of G2
-            conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
-            masks = prep.member_mask(conj)
-            for mask, key in zip(masks, np.packbits(masks, axis=1)):
-                found.setdefault(key.tobytes(), mask)
+        g = all_g[i : i + step]
+        # h = g x g^T for every conjugator g and element x of G2
+        conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
+        masks = prep.member_mask(conj)
+        for mask, key in zip(masks, np.packbits(masks, axis=1)):
+            found.setdefault(key.tobytes(), mask)
     return list(found.values())
 
 
 def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     """Clips of two finite classes by exhaustive conjugation sweep.
 
-    The sweep is ``conjugators``; of the conjugators that share an
-    axis-image signature only the first is conjugated and masked (see
-    the module docstring), and a conjugator with an axis image in the
-    band between on and off a line of H1 is masked on its own.  The
-    central class, met at every g that puts no axis line of H2 on one
-    of H1, is added without a sweep: ``1+Z2c`` when both classes hold
-    -Id, ``1`` otherwise.
+    The sweep is ``conjugators``, and every conjugator in it is
+    conjugated and masked (``_distinct_masks``); each distinct mask is
+    recognized once.  The central class, met at every g that puts no
+    axis line of H2 on one of H1, is added without a sweep: ``1+Z2c``
+    when both classes hold -Id, ``1`` otherwise.
 
     Parameters
     ----------

@@ -10,24 +10,17 @@ import pytest
 
 from conftest import load_pins
 from o3clips.engine import clips
-from o3clips.groups import (
-    intersect,
-    materialize,
-    recognize,
-    reference_group,
-    structural_axes,
-)
-from o3clips.labels import format_label, parse_label
+from o3clips.groups import intersect, materialize, recognize, reference_group
+from o3clips.labels import format_label, order_of, parse_label
+from o3clips import oracle
 from o3clips.oracle import (
     _distinct_masks,
     _prepped,
-    _representatives,
-    _signatures,
     _spin_table,
     clips_oracle,
     conjugators,
 )
-from o3clips.rotations import IDENTITY, random_rotation, rotation
+from o3clips.rotations import random_rotation, rotation
 
 PINS = load_pins("clips_oracle_pins")
 
@@ -104,11 +97,7 @@ def test_sweep_does_not_grow_with_lcm():
 
 PROBE_COUNTS = {("Z7", "Z11"): 2, ("D12^z", "D11^z"): 52,
                 ("I+Z2c", "O^-"): 314, ("O+Z2c", "D8^d"): 102}
-# conjugators of each probe sweep that go through the conjugation product
-REPRESENTATIVE_COUNTS = {("Z7", "Z11"): 1, ("D12^z", "D11^z"): 27,
-                         ("I+Z2c", "O^-"): 122, ("O+Z2c", "D8^d"): 68}
-# three more mixed pairs; the band itself is exercised by
-# test_near_miss_is_its_own_representative
+# three more pairs that mix the type I, II and III families
 MIXED_PAIRS = [("D16^d", "T+Z2c"), ("D12", "O+Z2c"), ("O^-", "D32")]
 
 
@@ -126,13 +115,10 @@ def test_sweep_has_no_random_conjugators(seed):
         assert np.abs(np.linalg.det(g) - 1.0).max() < 1e-12, pair
 
 
-def _signature_of(pair, g):
-    c1, c2 = map(parse_label, pair)
-    return _signatures(g, structural_axes(c1)[0], structural_axes(c2)[0])
-
-
 @pytest.mark.parametrize("pair", [*PROBE_COUNTS, *MIXED_PAIRS], ids="|".join)
 def test_pruned_masks_match_every_conjugator(pair):
+    # the distinct masks of the batched loop against every conjugator
+    # masked in 20 splits of the sweep
     c1, c2 = map(parse_label, pair)
     g2 = reference_group(c2)
     member = _prepped(c1).member_mask
@@ -144,31 +130,29 @@ def test_pruned_masks_match_every_conjugator(pair):
     assert got == want
 
 
-@pytest.mark.parametrize("pair", sorted(REPRESENTATIVE_COUNTS), ids="|".join)
-def test_representative_counts(pair):
-    g = conjugators(*map(parse_label, pair))
-    keys, band = _signature_of(pair, g)
-    assert not band.any()
-    assert len(_representatives(keys, band, set())) == REPRESENTATIVE_COUNTS[pair]
-    # a key already seen in an earlier chunk is not represented again
-    seen = set()
-    half = len(g) // 2
-    n = sum(len(_representatives(keys[s], band[s], seen))
-            for s in (slice(None, half), slice(half, None)))
-    assert n == REPRESENTATIVE_COUNTS[pair]
+# rows x |H2| x max(9, |H1|) floats that one member_mask call may hold
+MASK_BUDGET = 2.5e5
 
 
-def test_near_miss_is_its_own_representative():
-    # D4 x D4: the identity puts every axis of H2 exactly on an axis of
-    # H1; tilting it by 1e-9 rad leaves every image near a line but not
-    # on it, so no merge may rest on it
-    u = np.array([0.3, -0.5, 0.8])
-    tilt = rotation(u, 1e-9)
-    g = np.stack([IDENTITY, tilt, IDENTITY, tilt, rotation(u, 1e-6)])
-    keys, band = _signature_of(("D4", "D4"), g)
-    assert band.tolist() == [False, True, False, True, False]
-    assert (keys[0] != 0).all() and (keys[4] == 0).all()
-    assert _representatives(keys, band, set()).tolist() == [0, 1, 3, 4]
+@pytest.mark.parametrize("pair", [("I+Z2c", "O^-"), ("D128^z", "D128^z")],
+                         ids="|".join)
+def test_masks_stay_within_the_batch_budget(pair, monkeypatch):
+    c1, c2 = map(parse_label, pair)
+    calls = []
+    member = oracle._Prepped.member_mask
+
+    def spy(self, cands):
+        calls.append(cands.shape[:2])
+        return member(self, cands)
+
+    monkeypatch.setattr(oracle._Prepped, "member_mask", spy)
+    _distinct_masks(c1, c2)
+    width = max(9, order_of(c1))
+    assert all(rows * n * width <= MASK_BUDGET for rows, n in calls), calls
+    assert sum(rows for rows, _ in calls) == len(conjugators(c1, c2))
+    if pair == ("I+Z2c", "O^-"):
+        # 314 conjugators at 86 rows per batch
+        assert len(calls) > 1
 
 
 def _spin_row(solved, period):
