@@ -22,6 +22,7 @@ from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
 from .groups import (
     _SAME_AXIS,
     ORDER_CAP,
+    label_census,
     recognize,
     reference_group,
     structural_axes,
@@ -35,11 +36,12 @@ def pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(tag))
 
 
-def _axial_masks(label: ClassLabel, elems: np.ndarray, dirs: np.ndarray):
+def _axial_masks(label: ClassLabel, elems: np.ndarray, proper: np.ndarray,
+                 dirs: np.ndarray):
     """Membership mask of ``elems`` in the axial class ``label`` about
-    each direction of ``dirs`` in turn.  Properness and involution do
-    not depend on the direction, so they are computed once."""
-    proper = np.linalg.det(elems) > 0
+    each direction of ``dirs`` in turn.  Properness (``proper``, one flag
+    per element) and involution do not depend on the direction, so they
+    are computed once."""
     if label.kind == "SO3":
         yield np.ones(len(elems), dtype=bool) if label.plus else proper
         return
@@ -115,10 +117,10 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet
         cands = _candidate_directions(structural_axes(c_fin)[0], rng)
     seen: set[bytes] = set()
     out: set[ClassLabel] = set()
-    for mask in _axial_masks(c_inf, elems, cands):
+    for mask in _axial_masks(c_inf, elems, label_census(c_fin)[0], cands):
         key = mask.tobytes()
         if key in seen:
             continue
         seen.add(key)
-        out.add(recognize(elems[mask]))
+        out.add(recognize(c_fin, mask))
     return ClassSet(out)

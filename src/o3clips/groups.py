@@ -19,11 +19,13 @@ tests compare the factor construction against.
 ``_census`` is the one place that finds axes: the unsigned axes of an
 element set and the axis of each element, from which ``axis_census``
 counts the cyclic order about each axis; ``axis_orbits`` groups them
-into orbits under the set.  ``recognize`` runs one census per call and
-counts both of its halves from it, and ``structural_axes`` and
-``axis_orbit_reps`` are cached
-per-label views, from which both brute-force oracles (``oracle`` and
-``axial``) take their axes.
+into orbits under the set.  ``label_census`` runs it once per class,
+on the reference group.  ``recognize`` counts both of its halves from
+one census: its own for an element set, or the label's census
+restricted to a mask for a subgroup of a reference group, which is how
+both brute-force oracles (``oracle`` and ``axial``) recognize.
+``structural_axes`` and ``axis_orbit_reps`` are cached per-label views
+of the same census, from which the oracles take their axes.
 """
 
 from __future__ import annotations
@@ -274,15 +276,15 @@ def intersect(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 
 
 def _census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Determinants, unsigned axes, and the axis index of each element
+    """Proper flags, unsigned axes, and the axis index of each element
     (-1 for ±Id): the element g, or -g when improper, rotates about it."""
-    dets = np.linalg.det(elems)
-    h = elems * np.sign(dets)[:, None, None]
+    proper = np.linalg.det(elems) > 0
+    h = np.where(proper[:, None, None], elems, -elems)
     moved = np.abs(h - IDENTITY).max(axis=(1, 2)) >= EPS_MAT
     ids = np.full(len(elems), -1)
     h = h[moved]
     if len(h) == 0:
-        return dets, np.zeros((0, 3)), ids
+        return proper, np.zeros((0, 3)), ids
     # h + h^T - (tr h - 1) Id = 2 (1 - cos t) u u^T for the rotation by t
     # about u: its largest diagonal entry picks a column along u, and a
     # half turn needs no branch of its own
@@ -293,7 +295,7 @@ def _census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # distinct axes of a group within the order cap are >= pi/128 apart
     same = np.abs(u @ u.T) > 1.0 - _SAME_AXIS
     first, ids[moved] = np.unique(same.argmax(axis=1), return_inverse=True)
-    return dets, u[first], ids
+    return proper, u[first], ids
 
 
 def _axis_counts(ids: np.ndarray, n: int) -> np.ndarray:
@@ -314,8 +316,8 @@ def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         The proper cyclic order about each axis: the number of rotations
         in the set, the identity included, that fix it.
     """
-    dets, axes, ids = _census(elems)
-    return axes, 1 + _axis_counts(ids[dets > 0], len(axes))
+    proper, axes, ids = _census(elems)
+    return axes, 1 + _axis_counts(ids[proper], len(axes))
 
 
 def axis_orbits(elems: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -336,11 +338,19 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
+def label_census(label: ClassLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_census`` of the reference group of a finite class, run once per
+    class (cached, read-only): the proper flag and axis index of every
+    element, and the unsigned axes they index."""
+    return _read_only(*_census(reference_group(label)))
+
+
+@lru_cache(maxsize=None)
 def structural_axes(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
     """All structural axes of a finite class in reference orientation,
     with the proper cyclic order about each (cached, read-only)."""
-    axes, orders = axis_census(reference_group(label))
-    return _read_only(axes, orders)
+    proper, axes, ids = label_census(label)
+    return _read_only(axes, 1 + _axis_counts(ids[proper], len(axes)))
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +390,17 @@ def _rotation_class(k: int, counts: np.ndarray) -> ClassLabel:
     return dihedral(n)
 
 
-def recognize(elems: np.ndarray) -> ClassLabel:
+def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     """Canonical class label of a finite subgroup of O(3).
+
+    ``recognize(elems)`` takes an element set (k, 3, 3) and runs its
+    census; ``recognize(label, mask)`` takes the subgroup of
+    ``reference_group(label)`` that a boolean mask selects, and reads
+    the label's cached census (``label_census``) at the mask.  Axis lines
+    are merged by a tolerance test between them, so a census of the
+    subset would merge the subset's axes exactly as the label's census
+    does: the counts below, and so the class, are those of
+    ``recognize(reference_group(label)[mask])``.
 
     The determinant splits the group; a type III group is identified by
     the pair (class of tilde, class of proper), tilde being the proper
@@ -391,14 +410,17 @@ def recognize(elems: np.ndarray) -> ClassLabel:
     One census of h therefore serves both: per axis, tilde counts every
     element about it and the proper part only the proper ones.
     """
-    dets, axes, ids = _census(elems)
-    proper = dets > 0
+    if mask is None:
+        proper, axes, ids = _census(group)
+    else:
+        proper, axes, ids = label_census(group)
+        proper, ids = proper[mask], ids[mask]
     p = _rotation_class(int(proper.sum()), _axis_counts(ids[proper], len(axes)))
     if proper.all():
         return p
     if (ids[~proper] < 0).any():  # -Id
         return with_z2c(p)
-    t = _rotation_class(len(elems), _axis_counts(ids, len(axes)))
+    t = _rotation_class(len(ids), _axis_counts(ids, len(axes)))
     match (t.kind, p.kind):
         case ("Z", "1") if t.n == 2:
             return cyclic_minus(2)

@@ -12,8 +12,8 @@ line w of H1 lie on finitely many circles in SO(3) (those with
 g u = ±w are R(w, t) g0 over t, for two aligners g0), so some g avoids
 them all, and for that g the intersection is H1 ∩ H2 ∩ {±Id}: ``1+Z2c``
 when both classes hold -Id, ``1`` otherwise.  The axes, their cyclic
-orders and their orbits come from ``groups.axis_census``, the census
-``recognize`` also uses.
+orders and their orbits come from ``groups.label_census``, the census
+``recognize`` also reads.
 
 The sweep is pruned exactly in two ways.  Replacing g by h1 g h2 (h_i
 in the reference groups) conjugates the intersection inside H1, so
@@ -26,14 +26,19 @@ where its axis line lands on an axis line of H1.  All other angles
 give one and the same intersection, so one generic angle stands for
 them (see ``conjugators``).
 
-The sweep is one array pass per pair.  Every aligner comes from one
-batched ``align``; row i of a padded table holds the solved angles of
-aligner i, one per pair of an axis of H1 and a g0-image of an axis of
-H2, with a mask that drops the pairs where either lies on the line b;
-each row is reduced to its distinct angles plus a generic one, and
-one batched ``rotation`` spins every aligner by every angle of its row.
-Every conjugator is then conjugated and masked, in one batched loop
-(``_distinct_masks``).
+Everything that depends on one class is computed once per class
+(``_Prepped``): the flattened elements, a right-handed frame F_b per
+orbit representative b, and the azimuth about b of every structural
+axis in that frame.  What is left per pair is one array pass.  Row i
+of a padded table holds the solved angles of aligner i, one per pair of
+an axis of H1 and an image of an axis of H2, read off the two classes'
+azimuths, with a mask that drops the pairs where either lies on the
+line b; each row is reduced to its distinct angles plus a generic one,
+and one batched ``rotation`` about e3 spins every aligner by every
+angle of its row.  Every conjugator is then conjugated, by one
+Kronecker product per batch, and masked (``_distinct_masks``), and each
+distinct mask is recognized from the census of H2 (``recognize(c2,
+mask)``).
 """
 
 from __future__ import annotations
@@ -44,17 +49,21 @@ import numpy as np
 
 from .labels import ClassLabel, ClassSet, is_infinite, order_of
 from .groups import (
+    E3,
     ORDER_CAP,
     axis_orbit_reps,
     recognize,
     reference_group,
     structural_axes,
 )
-from .rotations import EPS_MAT, align, orthogonal, rotation
+from .rotations import EPS_MAT, orthogonal, rotation
+
+_FLIP = np.diag([1.0, -1.0, -1.0])  # the half turn about e1: e3 to -e3
 
 
 class _Prepped:
-    """Per-label matching structure: the flattened reference elements.
+    """Per-label oracle data: the flattened reference elements and the
+    axis frames.
 
     A candidate h is a member when some element e lies within EPS_MAT
     of it entrywise, and only the Frobenius-nearest element can.  For
@@ -68,10 +77,25 @@ class _Prepped:
     about 1.5e-4, far above the ~1e-15 rounding of the product, and the
     entrywise test against the nearest element alone is exactly the
     membership predicate.
+
+    For each axis orbit representative b (``axis_orbit_reps``, cyclic
+    order ``orders``), ``frames`` holds the rotation F_b with rows
+    (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``signed``
+    holds F_b and S F_b per representative, S the half turn about e1,
+    which takes b to -e3.  ``alpha`` and ``off`` hold, per representative
+    and per structural axis w, the azimuth of F_b w about e3 and whether
+    w lies off the line b.
     """
 
     def __init__(self, label: ClassLabel):
         self.flat = reference_group(label).reshape(-1, 9)
+        reps, self.orders = axis_orbit_reps(label)
+        p = orthogonal(reps)
+        self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
+        self.signed = np.stack([self.frames, _FLIP @ self.frames], axis=1)
+        x, y, _ = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
+        self.alpha = np.arctan2(y, x)
+        self.off = np.hypot(x, y) > 1e-9
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group."""
@@ -84,13 +108,6 @@ class _Prepped:
 @lru_cache(maxsize=None)
 def _prepped(label: ClassLabel) -> _Prepped:
     return _Prepped(label)
-
-
-def _azimuths(perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuths of vectors from their components (rows, 2, k) in a frame
-    (p, q) orthogonal to b, and whether each lies off the line b."""
-    x, y = perp[:, 0], perp[:, 1]
-    return np.arctan2(y, x), np.hypot(x, y) > 1e-9
 
 
 def _spin_table(solved: np.ndarray, valid: np.ndarray,
@@ -150,37 +167,38 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
       intersection, and one representative, the midpoint of the largest
       gap between solved angles, suffices.
 
-    All aligners are built by one ``align`` call, their solved angles
-    form one (aligners, 2 |axes of H1| |axes of H2|) table, and all
-    spins come from one ``rotation`` call.  When either class has no
-    axis (``1``, ``1+Z2c``) the sweep is empty.  ``seed`` has no effect:
-    the sweep draws no random numbers.
+    Any aligner will do: the rotations taking a to s b (s = ±1) are
+    R(b, phi) g0 over phi, so another choice of g0 shifts every solved
+    angle, and the generic one, by phi and sweeps the same rotations.
+    The sweep takes g0 = F_b^T S_s F_a from the frames of ``_Prepped``
+    (S_+ = Id, S_- the half turn about e1): F_a a = e3, S_s e3 = s e3 and
+    F_b^T e3 = b.  In b's frame an axis v of H2 then has the azimuth
+    s alpha_a(v), its azimuth in a's frame negated when s = -1, and
+    R(b, t) = F_b^T R(e3, t) F_b.  So the solved table is the outer
+    difference alpha_b(w) - s alpha_a(v) of per-label azimuths, and each
+    conjugator is F_b^T R(e3, t) S_s F_a, with all spins from one
+    ``rotation`` call.  When either class has no axis (``1``, ``1+Z2c``)
+    the sweep is empty.  ``seed`` has no effect: the sweep draws no
+    random numbers.
     """
-    axes1, m1 = axis_orbit_reps(c1)
-    axes2, m2 = axis_orbit_reps(c2)
-    if len(axes1) == 0 or len(axes2) == 0:
+    h1, h2 = _prepped(c1), _prepped(c2)
+    k1, k2 = len(h1.orders), len(h2.orders)
+    if k1 == 0 or k2 == 0:
         return np.empty((0, 3, 3))
-    all1, _ = structural_axes(c1)
-    all2, _ = structural_axes(c2)
-    # aligners in (b, a, sign) order: axis a of H2 onto +b, then onto -b
-    b = np.repeat(axes1, 2 * len(axes2), axis=0)
-    a = np.tile(np.repeat(axes2, 2, axis=0), (len(axes1), 1))
-    sign = np.tile([1.0, -1.0], len(axes1) * len(axes2))[:, None]
-    g0 = align(a, sign * b)
-    period = 2.0 * np.pi / np.repeat(np.lcm.outer(m1, m2).ravel(), 2)
-    # a frame (p, q) orthogonal to each b
-    p = orthogonal(b)
-    frame = np.stack([p, np.cross(b, p)], axis=1)
-    alpha1, off1 = _azimuths(frame @ all1.T)
-    alpha2, off2 = _azimuths(frame @ g0 @ all2.T)
-    diff = (alpha1[:, :, None] - alpha2[:, None, :]).reshape(len(b), -1)
-    valid = (off1[:, :, None] & off2[:, None, :]).reshape(len(b), -1)
-    spins, count = _spin_table(
-        np.hstack([diff, diff + np.pi]), np.hstack([valid, valid]), period
-    )
+    # aligners in (b, a, s) order: axis a of H2 onto +b, then onto -b
+    rows = 2 * k1 * k2
+    alpha2 = np.stack([h2.alpha, -h2.alpha], axis=1)
+    diff = h1.alpha[:, None, None, :, None] - alpha2[None, :, :, None, :]
+    valid = h1.off[:, None, None, :, None] & h2.off[None, :, None, None, :]
+    diff, valid = diff.reshape(rows, -1), valid.repeat(2, axis=2).reshape(rows, -1)
+    period = np.repeat(2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel(), 2)
+    spins, count = _spin_table(np.hstack([diff, diff + np.pi]),
+                               np.hstack([valid, valid]), period)
     angles = spins[np.arange(spins.shape[1]) < count[:, None]]
-    spun = rotation(np.repeat(b, count, axis=0), angles)
-    return spun @ np.repeat(g0, count, axis=0)
+    left = np.repeat(h1.frames.transpose(0, 2, 1), 2 * k2, axis=0)
+    right = np.tile(h2.signed.reshape(-1, 3, 3), (k1, 1, 1))
+    return (np.repeat(left, count, axis=0) @ rotation(E3, angles)
+            @ np.repeat(right, count, axis=0))
 
 
 def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
@@ -190,18 +208,20 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
     Every conjugator g of ``conjugators`` conjugates H2, and the
     conjugates g x g^T are masked against H1, in batches that keep them
     and the (rows, |H1|) dot matrix of ``member_mask`` near 2.5e5
-    floats.
+    floats.  In row-major flattening g x g^T is (g ⊗ g) x, so one batch
+    of conjugates is one product of the flattened H2 with the batch's
+    (rows, 9, 9) Kronecker squares.
     """
     prep = _prepped(c1)
-    g2 = reference_group(c2)
+    flat2 = _prepped(c2).flat
     all_g = conjugators(c1, c2)
     step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
     found: dict[bytes, np.ndarray] = {}
     for i in range(0, len(all_g), step):
         g = all_g[i : i + step]
-        # h = g x g^T for every conjugator g and element x of G2
-        conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
-        masks = prep.member_mask(conj)
+        kron = (g[:, :, None, :, None] * g[:, None, :, None, :]).reshape(-1, 9, 9)
+        conj = flat2 @ kron.transpose(0, 2, 1)
+        masks = prep.member_mask(conj.reshape(len(g), len(flat2), 3, 3))
         for mask, key in zip(masks, np.packbits(masks, axis=1)):
             found.setdefault(key.tobytes(), mask)
     return list(found.values())
@@ -212,9 +232,9 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
 
     The sweep is ``conjugators``, and every conjugator in it is
     conjugated and masked (``_distinct_masks``); each distinct mask is
-    recognized once.  The central class, met at every g that puts no
-    axis line of H2 on one of H1, is added without a sweep: ``1+Z2c``
-    when both classes hold -Id, ``1`` otherwise.
+    recognized once, from the census of c2.  The central class, met at
+    every g that puts no axis line of H2 on one of H1, is added without
+    a sweep: ``1+Z2c`` when both classes hold -Id, ``1`` otherwise.
 
     Parameters
     ----------
@@ -231,8 +251,7 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
             raise ValueError(f"clips_oracle needs finite classes, got {c}")
         if order_of(c) > ORDER_CAP:
             raise ValueError(f"{c} exceeds the order cap {ORDER_CAP}")
-    g2 = reference_group(c2)
     # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1 otherwise
     center = ClassLabel("1", 0, c1.plus and c2.plus)
     masks = _distinct_masks(c1, c2)
-    return ClassSet([center, *(recognize(g2[m]) for m in masks)])
+    return ClassSet([center, *(recognize(c2, m) for m in masks)])

@@ -70,20 +70,6 @@ def orthogonal(v) -> np.ndarray:
     return unit(np.cross(v, probe))
 
 
-def align(a, b) -> np.ndarray:
-    """A rotation taking direction ``a`` to direction ``b``; both may be
-    stacks (..., 3), aligned pairwise.  Parallel pairs give the identity
-    and antiparallel pairs a half turn about an axis orthogonal to ``a``."""
-    a, b = unit(a), unit(b)
-    cross = np.cross(a, b)
-    dot = (a * b).sum(axis=-1)
-    norm = np.linalg.norm(cross, axis=-1)
-    flat = norm < EPS_AXIS
-    axis = np.where(flat[..., None], orthogonal(a), cross)
-    angle = np.where(flat, np.where(dot > 0, 0.0, np.pi), np.arctan2(norm, dot))
-    return rotation(axis, angle)
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform random rotation from a normalized quaternion."""
     q = rng.normal(size=4)

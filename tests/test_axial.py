@@ -9,9 +9,20 @@ import numpy as np
 import pytest
 
 from conftest import load_pins
-from o3clips.axial import _candidate_directions, clips_axial
-from o3clips.groups import structural_axes
+from o3clips.axial import (
+    _axial_masks,
+    _candidate_directions,
+    clips_axial,
+    pair_rng,
+)
+from o3clips.groups import (
+    label_census,
+    recognize,
+    reference_group,
+    structural_axes,
+)
 from o3clips.labels import parse_label
+from o3clips.tables import table_rows
 
 PINS = load_pins("clips_axial_pins")
 
@@ -48,3 +59,15 @@ def test_candidate_directions_merge_repeated_lines():
     dirs = _candidate_directions(axes, np.random.default_rng(0))
     assert len(dirs) == 259
     assert (np.abs(dirs @ dirs.T) > 1 - 1e-9).sum() == len(dirs)
+
+
+def test_axial_mask_recognition_reads_the_label_census():
+    # every mask of clips_axial on the O(2)^- column of verify_cells(8, 8):
+    # recognize(row, mask) names the class of the masked elements
+    col = parse_label("O(2)^-")
+    for row in table_rows(("Z", "D", "T", "O", "I"), range(2, 9)):
+        elems = reference_group(row)
+        dirs = _candidate_directions(structural_axes(row)[0],
+                                     pair_rng(row, col, 0))
+        for mask in _axial_masks(col, elems, label_census(row)[0], dirs):
+            assert recognize(row, mask) == recognize(elems[mask]), row

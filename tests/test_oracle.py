@@ -10,8 +10,17 @@ import pytest
 
 from conftest import load_pins
 from o3clips.engine import clips
-from o3clips.groups import intersect, materialize, recognize, reference_group
+from o3clips.groups import (
+    E3,
+    axis_orbit_reps,
+    intersect,
+    materialize,
+    recognize,
+    reference_group,
+    structural_axes,
+)
 from o3clips.labels import format_label, order_of, parse_label
+from o3clips.tables import table_cols, table_rows
 from o3clips import oracle
 from o3clips.oracle import (
     _distinct_masks,
@@ -21,6 +30,7 @@ from o3clips.oracle import (
     conjugators,
 )
 from o3clips.rotations import random_rotation, rotation
+from test_acceptance import _finite_labels
 
 PINS = load_pins("clips_oracle_pins")
 
@@ -107,18 +117,24 @@ def test_sweep_has_no_random_conjugators(seed):
     # axis lies off the line z.  The sweep draws nothing, so the seed
     # changes no count.
     for pair, count in PROBE_COUNTS.items():
-        g = conjugators(*map(parse_label, pair), seed=seed)
+        c1, c2 = map(parse_label, pair)
+        g = conjugators(c1, c2, seed=seed)
         assert len(g) == count, pair
         # every conjugator is a proper rotation
         gram = g @ g.transpose(0, 2, 1)
         assert np.abs(gram - np.eye(3)).max() < 1e-12, pair
         assert np.abs(np.linalg.det(g) - 1.0).max() < 1e-12, pair
+        # and maps an orbit representative a of H2 onto ±b, b one of H1
+        b, a = axis_orbit_reps(c1)[0], axis_orbit_reps(c2)[0]
+        ga = np.einsum("mij,kj->mki", g, a)[:, :, None]
+        gap = np.minimum(np.abs(ga - b).max(axis=-1), np.abs(ga + b).max(axis=-1))
+        assert gap.min(axis=(1, 2)).max() < 1e-12, pair
 
 
 @pytest.mark.parametrize("pair", [*PROBE_COUNTS, *MIXED_PAIRS], ids="|".join)
 def test_pruned_masks_match_every_conjugator(pair):
-    # the distinct masks of the batched loop against every conjugator
-    # masked in 20 splits of the sweep
+    # the distinct masks of the batched Kronecker loop against every
+    # conjugator conjugated by matrix products, in 20 splits of the sweep
     c1, c2 = map(parse_label, pair)
     g2 = reference_group(c2)
     member = _prepped(c1).member_mask
@@ -128,6 +144,33 @@ def test_pruned_masks_match_every_conjugator(pair):
         want |= {np.packbits(m).tobytes() for m in member(conj)}
     got = {np.packbits(m).tobytes() for m in _distinct_masks(c1, c2)}
     assert got == want
+
+
+# the 63 finite pairs of verify_cells(3, 3)
+SWEEP_PAIRS = [(row, col)
+               for row in table_rows(("Z", "D", "T", "O", "I"), range(2, 4))
+               for col in table_cols(("Z-", "Dz", "Dd", "O-"), range(1, 4))]
+
+
+def test_mask_recognition_reads_the_label_census():
+    # recognize(c2, mask) reads the census of c2 at the mask; it must
+    # name the class that a census of the masked elements names
+    assert len(SWEEP_PAIRS) == 63
+    pairs = [tuple(map(parse_label, p)) for p in [*PROBE_COUNTS, *MIXED_PAIRS]]
+    for c1, c2 in pairs + SWEEP_PAIRS:
+        g2 = reference_group(c2)
+        for mask in _distinct_masks(c1, c2):
+            assert recognize(c2, mask) == recognize(g2[mask]), (c1, c2)
+
+
+def test_frames_take_each_representative_to_e3():
+    for label in _finite_labels(12):
+        frames = _prepped(label).frames
+        reps = axis_orbit_reps(label)[0]
+        gram = frames @ frames.transpose(0, 2, 1)
+        assert np.all(np.abs(gram - np.eye(3)) < 1e-12), label
+        assert np.all(np.abs(np.linalg.det(frames) - 1.0) < 1e-12), label
+        assert np.all(np.abs(frames @ reps[:, :, None] - E3[:, None]) < 1e-12)
 
 
 # rows x |H2| x max(9, |H1|) floats that one member_mask call may hold
@@ -153,6 +196,30 @@ def test_masks_stay_within_the_batch_budget(pair, monkeypatch):
     if pair == ("I+Z2c", "O^-"):
         # 314 conjugators at 86 rows per batch
         assert len(calls) > 1
+
+
+def _on_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(np.cross(x, y), axis=-1) < 1e-9
+
+
+@pytest.mark.parametrize("pair", list(PROBE_COUNTS), ids="|".join)
+def test_every_spin_but_the_generic_ones_is_solved(pair):
+    # A spin R(b, t) g0 is solved when it gives an axis of H2 off the
+    # line b the azimuth about b of an axis of H1 off that line, so that
+    # det(g v, w, b) = 0.  Each aligner row adds one generic spin, which
+    # gives no such pair, so exactly one conjugator per row is unsolved.
+    c1, c2 = map(parse_label, pair)
+    b, a = axis_orbit_reps(c1)[0], axis_orbit_reps(c2)[0]
+    w, v = structural_axes(c1)[0], structural_axes(c2)[0]
+    g = conjugators(c1, c2)
+    ga = np.einsum("mij,kj->mki", g, a)
+    gv = np.einsum("mij,kj->mki", g, v)
+    aligned = _on_line(ga[:, :, None], b).any(axis=1)
+    det = np.einsum("mvwi,bi->mvwb", np.cross(gv[:, :, None], w), b)
+    off = ~_on_line(gv[:, :, None], b)[:, :, None] & ~_on_line(w[:, None], b)
+    solved = ((np.abs(det) < 1e-9) & off).any(axis=(1, 2))
+    rows = 2 * len(b) * len(a)
+    assert (~(aligned & solved).any(axis=1)).sum() == rows
 
 
 def _spin_row(solved, period):

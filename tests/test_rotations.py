@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import is_orthogonal, mats_equal
-from o3clips.rotations import (
-    align,
-    canonical_axis,
-    random_rotation,
-    rotation,
-    unit,
-)
+from o3clips.rotations import canonical_axis, random_rotation, rotation
 
 RNG = np.random.default_rng(20260815)
 
@@ -51,33 +45,6 @@ def test_rotation_period():
         for _ in range(n):
             acc = acc @ g
         assert mats_equal(acc, np.eye(3))
-
-
-def test_align():
-    for _ in range(20):
-        a = RNG.normal(size=3)
-        b = RNG.normal(size=3)
-        g = align(a, b)
-        assert is_orthogonal(g)
-        assert np.linalg.det(g) == pytest.approx(1.0)
-        assert np.allclose(g @ unit(a), unit(b), atol=1e-9)
-    assert mats_equal(align([0, 0, 1], [0, 0, 1]), np.eye(3))
-    g = align([0, 0, 1], [0, 0, -1])
-    assert np.allclose(g @ [0, 0, 1], [0, 0, -1])
-    # a stack mixing generic, parallel and antiparallel pairs, one with
-    # a along e1 (the half turn's probe switches there), is aligned pairwise
-    a = np.vstack([RNG.normal(size=(3, 3)), [[0, 0, 1], [1, 0, 0],
-                                             [2, 0, 0], [0, 3, 4]]])
-    b = np.vstack([RNG.normal(size=(3, 3)), [[0, 0, 5], [-1, 0, 0],
-                                             [3, 0, 0], [0, -3, -4]]])
-    stack = align(a, b)
-    assert stack.shape == (7, 3, 3)
-    for g, u, v in zip(stack, a, b):
-        assert np.abs(g - align(u, v)).max() < 1e-12
-        assert np.allclose(g @ unit(u), unit(v), atol=1e-12)
-    assert np.array_equal(stack[5], np.eye(3))
-    for g in stack[[4, 6]]:
-        assert np.trace(g) == pytest.approx(-1.0)
 
 
 def test_canonical_axis_collapses_sign():
