@@ -15,30 +15,32 @@ when both classes hold -Id, ``1`` otherwise.  The axes, their cyclic
 orders and their orbits come from ``groups.label_census``, the census
 ``recognize`` also reads.
 
-The sweep is pruned exactly in two ways.  Replacing g by h1 g h2 (h_i
-in the reference groups) conjugates the intersection inside H1, so
-axes only need to range over orbit representatives.  And once an
-aligner g0 takes axis a of H2 to the line of axis b of H1, only
-finitely many spins R(b, t) about b matter: the elements of
-R(b, t) g0 H2 g0^T R(b, t)^T on the line b (and ±Id) do not move with
-t, and every other element can only meet H1 at the solved angles
-where its axis line lands on an axis line of H1.  All other angles
-give one and the same intersection, so one generic angle stands for
-them (see ``conjugators``).
+The sweep is pruned exactly in three ways.  Replacing g by h1 g h2
+(h_i in the reference groups) conjugates the intersection inside H1,
+so axes only need to range over orbit representatives.  An axis a of
+H2 only needs to go onto +b, not -b: a half turn that reverses a
+normalizes H2, so it turns any g with g a = -b into one with g a = +b
+and the same intersection.  And once an aligner g0 takes axis a of H2
+onto axis b of H1, only finitely many spins R(b, t) about b matter:
+the elements of R(b, t) g0 H2 g0^T R(b, t)^T on the line b (and ±Id)
+do not move with t, and every other element can only meet H1 at the
+solved angles where its axis line lands on an axis line of H1.  All
+other angles give one and the same intersection, so one generic angle
+stands for them (see ``conjugators``).
 
 Everything that depends on one class is computed once per class
 (``_Prepped``): the flattened elements, a right-handed frame F_b per
-orbit representative b, and the azimuth about b of every structural
-axis in that frame.  What is left per pair is one array pass.  Row i
-of a padded table holds the solved angles of aligner i, one per pair of
-an axis of H1 and an image of an axis of H2, read off the two classes'
-azimuths, with a mask that drops the pairs where either lies on the
-line b; each row is reduced to its distinct angles plus a generic one,
-and one batched ``rotation`` about e3 spins every aligner by every
-angle of its row.  Every conjugator is then conjugated, by one
-Kronecker product per batch, and masked (``_distinct_masks``), and each
-distinct mask is recognized from the census of H2 (``recognize(c2,
-mask)``).
+orbit representative b, and the azimuth and height about b of every
+structural axis in that frame.  What is left per pair is one array
+pass.  Row i of a padded table holds the solved angles of aligner i,
+one per pair of an axis of H1 and an image of an axis of H2, read off
+the two classes' azimuths, with a mask that keeps only the pairs off
+the line b whose heights let the spin land one on the other; each row
+is reduced to its distinct angles plus a generic one, and one batched
+``rotation`` about e3 spins every aligner by every angle of its row.
+Every conjugator is then conjugated, by one Kronecker product per
+batch, and masked (``_distinct_masks``), and each distinct mask is
+recognized from the census of H2 (``recognize(c2, mask)``).
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ from .groups import (
     structural_axes,
 )
 from .rotations import EPS_MAT, orthogonal, rotation
-
-_FLIP = np.diag([1.0, -1.0, -1.0])  # the half turn about e1: e3 to -e3
 
 
 class _Prepped:
@@ -80,11 +80,25 @@ class _Prepped:
 
     For each axis orbit representative b (``axis_orbit_reps``, cyclic
     order ``orders``), ``frames`` holds the rotation F_b with rows
-    (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``signed``
-    holds F_b and S F_b per representative, S the half turn about e1,
-    which takes b to -e3.  ``alpha`` and ``off`` hold, per representative
-    and per structural axis w, the azimuth of F_b w about e3 and whether
-    w lies off the line b.
+    (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha``,
+    ``z`` and ``off`` hold, per representative and per structural axis
+    w, the azimuth of F_b w about e3, its height b.w along e3, and
+    whether w lies off the line b.
+
+    Heights are compared to within 1e-9, and that is exact within the
+    order cap.  A height is the cosine of the angle between two axes of
+    one class.  Every finite class has one axis (Z_n, Z_n^-), axes
+    among those of D_n with n <= 128 (D_n, D_n^z, D_n^d and their
+    lifts), or axes among those of O or I.  Two axes of D_n make an angle j pi / n,
+    so distinct dihedral heights |z| = cos x != cos y, x and y in
+    [0, pi/2], are at least 2 sin((x + y) / 2) sin(|x - y| / 2) >=
+    2 (x + y)|x - y| / pi^2 >= 2 / (128 * 16256) > 9e-7 apart, since
+    x + y >= pi / 128 and |x - y| >= pi / (128 * 127).  The heights of
+    O and I are finitely many, and the tests measure the smallest gap
+    among all heights, these included: cos(pi/128) - cos(pi/127), about
+    4.8e-6.  Computed heights carry the ~1e-15 rounding of the census
+    axes, so equal heights differ by far less than 1e-9, and unequal
+    ones by far more.
     """
 
     def __init__(self, label: ClassLabel):
@@ -92,8 +106,7 @@ class _Prepped:
         reps, self.orders = axis_orbit_reps(label)
         p = orthogonal(reps)
         self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
-        self.signed = np.stack([self.frames, _FLIP @ self.frames], axis=1)
-        x, y, _ = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
+        x, y, self.z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
         self.alpha = np.arctan2(y, x)
         self.off = np.hypot(x, y) > 1e-9
 
@@ -143,40 +156,48 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     """Deterministic conjugator sweep for clips_oracle, shape (m, 3, 3).
 
     For each aligner g0 taking an axis orbit representative a (of H2,
-    proper cyclic order m_a) to +b or -b (b an orbit representative of
-    H1, order m_b), the sweep takes spins R(b, t) g0 at the solved
-    angles t plus one generic angle.  This realizes every intersection
-    that shares an axis line with H1 (see the module docstring):
+    proper cyclic order m_a) to +b (b an orbit representative of H1,
+    order m_b), the sweep takes spins R(b, t) g0 at the solved angles t
+    plus one generic angle.  This realizes every intersection that
+    shares an axis line with H1 (see the module docstring):
 
     - composing with R(b, 2*pi/m_b) on the left or R(a, 2*pi/m_a) on
       the right leaves the intersection class unchanged (the right spin
-      folds into a left one since g0 a = ±b), so t only matters modulo
+      folds into a left one since g0 a = b), so t only matters modulo
       2*pi / lcm(m_a, m_b);
     - R(b, t) commutes with every element of g H2 g^T whose axis line
       is b, and with ±Id, so those elements do not depend on t;
     - any other element can equal an element of H1 only when its axis
-      line lands on an axis line of H1.  In a frame (p, q) orthogonal
-      to b, a g0-image v of an axis of H2 off the line b has azimuth
-      alpha_v, an axis w of H1 off that line has azimuth alpha_w, and
-      R(b, t) puts v on the line of w exactly at t = alpha_w - alpha_v
-      or that plus pi.  Such a t need not be a rational multiple of
-      pi, so it is solved for rather than swept: row g0 of the solved
-      table lists these angles for every such pair (v, w), with a mask
-      for the pairs where v or w lies on b;
-    - so every t outside a row's solved set gives the same
-      intersection, and one representative, the midpoint of the largest
-      gap between solved angles, suffices.
+      line lands on an axis line of H1.  A g0-image v of an axis of H2
+      off the line b has azimuth alpha_v and height z_v = v.b about b,
+      and an axis w of H1 off that line has alpha_w and z_w.  R(b, t)
+      keeps heights, so it puts v on w only when z_v = z_w, exactly at
+      t = alpha_w - alpha_v, and on -w only when z_v = -z_w, exactly at
+      that plus pi.  Such a t need not be a rational multiple of pi, so
+      it is solved for rather than swept: row g0 of the solved table
+      lists both angles for every pair (v, w), with a mask that keeps
+      an angle only where its heights match;
+    - so every t outside a row's solved set lands no axis and gives the
+      same intersection, and one representative, the midpoint of the
+      largest gap between solved angles, suffices.
 
-    Any aligner will do: the rotations taking a to s b (s = ±1) are
-    R(b, phi) g0 over phi, so another choice of g0 shifts every solved
-    angle, and the generic one, by phi and sweeps the same rotations.
-    The sweep takes g0 = F_b^T S_s F_a from the frames of ``_Prepped``
-    (S_+ = Id, S_- the half turn about e1): F_a a = e3, S_s e3 = s e3 and
-    F_b^T e3 = b.  In b's frame an axis v of H2 then has the azimuth
-    s alpha_a(v), its azimuth in a's frame negated when s = -1, and
-    R(b, t) = F_b^T R(e3, t) F_b.  So the solved table is the outer
-    difference alpha_b(w) - s alpha_a(v) of per-label azimuths, and each
-    conjugator is F_b^T R(e3, t) S_s F_a, with all spins from one
+    Aligners onto -b are not needed.  For every finite class and each
+    axis a of it, some half turn n with n a = -a normalizes the class:
+    R(e1, pi) or R(e3, pi) for the cyclic and dihedral families and
+    their lifts, a half turn of O for T, O and O^- (O normalizes all
+    three), and one of I for I (the tests check every family).  So a g
+    with g a = -b meets H1 in H1 ∩ g n H2 n^T g^T, the intersection of
+    g n, which takes a to +b.
+
+    Any aligner will do: the rotations taking a to b are R(b, phi) g0
+    over phi, so another choice of g0 shifts every solved angle, and
+    the generic one, by phi and sweeps the same rotations.  The sweep
+    takes g0 = F_b^T F_a from the frames of ``_Prepped``: F_a a = e3 and
+    F_b^T e3 = b.  In b's frame an axis v of H2 then has its azimuth
+    and height in a's frame, and R(b, t) = F_b^T R(e3, t) F_b.  So the
+    solved table is the outer difference alpha_b(w) - alpha_a(v) of
+    per-label azimuths, its mask compares per-label heights, and each
+    conjugator is F_b^T R(e3, t) F_a, with all spins from one
     ``rotation`` call.  When either class has no axis (``1``, ``1+Z2c``)
     the sweep is empty.  ``seed`` has no effect: the sweep draws no
     random numbers.
@@ -185,18 +206,21 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     k1, k2 = len(h1.orders), len(h2.orders)
     if k1 == 0 or k2 == 0:
         return np.empty((0, 3, 3))
-    # aligners in (b, a, s) order: axis a of H2 onto +b, then onto -b
-    rows = 2 * k1 * k2
-    alpha2 = np.stack([h2.alpha, -h2.alpha], axis=1)
-    diff = h1.alpha[:, None, None, :, None] - alpha2[None, :, :, None, :]
-    valid = h1.off[:, None, None, :, None] & h2.off[None, :, None, None, :]
-    diff, valid = diff.reshape(rows, -1), valid.repeat(2, axis=2).reshape(rows, -1)
-    period = np.repeat(2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel(), 2)
+    # aligners F_b^T F_a in (b, a) order; R(e3, t) puts F_a v on F_b w
+    # at t = diff when their heights are equal, and on -F_b w at
+    # t = diff + pi when they are opposite
+    rows = k1 * k2
+    diff = (h1.alpha[:, None, :, None] - h2.alpha[None, :, None, :]).reshape(rows, -1)
+    z1, z2 = h1.z[:, None, :, None], h2.z[None, :, None, :]
+    off = h1.off[:, None, :, None] & h2.off[None, :, None, :]
+    same = (off & (np.abs(z1 - z2) < 1e-9)).reshape(rows, -1)
+    opposite = (off & (np.abs(z1 + z2) < 1e-9)).reshape(rows, -1)
+    period = 2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel()
     spins, count = _spin_table(np.hstack([diff, diff + np.pi]),
-                               np.hstack([valid, valid]), period)
+                               np.hstack([same, opposite]), period)
     angles = spins[np.arange(spins.shape[1]) < count[:, None]]
-    left = np.repeat(h1.frames.transpose(0, 2, 1), 2 * k2, axis=0)
-    right = np.tile(h2.signed.reshape(-1, 3, 3), (k1, 1, 1))
+    left = np.repeat(h1.frames.transpose(0, 2, 1), k2, axis=0)
+    right = np.tile(h2.frames, (k1, 1, 1))
     return (np.repeat(left, count, axis=0) @ rotation(E3, angles)
             @ np.repeat(right, count, axis=0))
 
