@@ -25,21 +25,22 @@ onto axis b of H1, only finitely many spins R(b, t) about b matter:
 the elements of R(b, t) g0 H2 g0^T R(b, t)^T on the line b (and ±Id)
 do not move with t, and every other element can only meet H1 at the
 solved angles where its axis line lands on an axis line of H1.  All
-other angles give one and the same intersection, so one generic angle
-stands for them (see ``conjugators``).
+other angles give one and the same intersection, and its mask is
+stated rather than swept: the mask of the bare aligner g0 restricted
+to the elements of H2 on the line a and ±Id (see ``conjugators``).
 
 Everything that depends on one class is computed once per class
 (``_Prepped``): the flattened elements, a right-handed frame F_b per
-orbit representative b, and the azimuth and height about b of every
-structural axis in that frame.  What is left per pair is one array
-pass.  Row i of a padded table holds the solved angles of aligner i,
-one per pair of an axis of H1 and an image of an axis of H2, read off
-the two classes' azimuths, with a mask that keeps only the pairs off
-the line b whose heights let the spin land one on the other; each row
-is reduced to its distinct angles plus a generic one, and one batched
-``rotation`` about e3 spins every aligner by every angle of its row.
-Every conjugator is then conjugated, by one Kronecker product per
-batch, and masked (``_distinct_masks``), and each distinct mask is
+orbit representative b, the azimuth and height about b of every
+structural axis in that frame, and which elements lie on the line b.
+What is left per pair is a few array passes.  Row i of a table
+holds the solved angles of aligner i, one per pair of an axis of H1
+and an image of an axis of H2, read off the two classes' azimuths,
+with a mask that keeps only the pairs off the line b whose heights let
+the spin land one on the other; each row is reduced to its distinct
+angles, and one ``einsum`` spins every aligner by every angle of its
+row.  Every conjugator is then conjugated, by one Kronecker product
+per batch, and masked (``_distinct_masks``), and each distinct mask is
 recognized from the census of H2 (``recognize(c2, mask)``).
 """
 
@@ -51,14 +52,22 @@ import numpy as np
 
 from .labels import ClassLabel, ClassSet, is_infinite, order_of
 from .groups import (
-    E3,
     ORDER_CAP,
     axis_orbit_reps,
+    label_census,
     recognize,
     reference_group,
     structural_axes,
 )
-from .rotations import EPS_MAT, orthogonal, rotation
+# ``rotation`` is imported only for perfbench/spans.py, which traces it
+# by this name
+from .rotations import EPS_MAT, orthogonal, rotation  # noqa: F401
+
+# R(e3, t) = cos t P + sin t J + E: the plane projector, the quarter
+# turn of the plane and the projector onto e3
+_SPIN = np.array([np.diag([1.0, 1.0, 0.0]),
+                  [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                  np.diag([0.0, 0.0, 1.0])])
 
 
 class _Prepped:
@@ -83,7 +92,10 @@ class _Prepped:
     (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha``,
     ``z`` and ``off`` hold, per representative and per structural axis
     w, the azimuth of F_b w about e3, its height b.w along e3, and
-    whether w lies off the line b.
+    whether w lies off the line b.  ``online`` holds, per representative
+    b and per element, whether the element is ±Id or rotates (up to
+    sign) about the line b, read from the census ids of
+    ``groups.label_census`` (id -1 is ±Id).
 
     Heights are compared to within 1e-9, and that is exact within the
     order cap.  A height is the cosine of the angle between two axes of
@@ -109,6 +121,8 @@ class _Prepped:
         x, y, self.z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
         self.alpha = np.arctan2(y, x)
         self.off = np.hypot(x, y) > 1e-9
+        ids = label_census(label)[2]
+        self.online = np.hstack([~self.off, np.ones((len(reps), 1), bool)])[:, ids]
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group."""
@@ -125,31 +139,20 @@ def _prepped(label: ClassLabel) -> _Prepped:
 
 def _spin_table(solved: np.ndarray, valid: np.ndarray,
                 period: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spin angles of every aligner, from its row of solved angles.
+    """Solved spin angles of every aligner, from its row of solved angles.
 
-    Each row keeps its distinct valid angles modulo its period, sorted,
-    and appends one generic angle: the midpoint of the largest gap
-    between them, cyclically, or 0 when there are none.  Returns the
-    angles packed to the left of a table, and the count of each row.
+    Each row keeps its distinct valid angles modulo its period.  Returns
+    them flattened and sorted row by row, with the row of each angle.
     """
-    per = period[:, None]
-    pad = 2.0 * np.pi  # sorts after every angle below a period
-    t = solved % per
+    row, col = np.nonzero(valid)
+    per = period[row]
+    t = solved[row, col] % per
     # an angle a rounding error below the period is the angle 0
     t = np.where(per - t < 1e-9, 0.0, t)
-    t = np.sort(np.where(valid, t, pad), axis=1)
-    new = (np.diff(t, axis=1, prepend=-1.0) > 1e-9) & (t < pad)
-    n = new.sum(axis=1)
-    t = np.sort(np.where(new, t, pad), axis=1)[:, : n.max()]
-    t = np.hstack([t, np.full((len(t), 1), pad)])
-    col = np.arange(t.shape[1])
-    gaps = np.diff(t, axis=1, append=pad)
-    gaps = np.where(col == n[:, None] - 1, t[:, :1] + per - t, gaps)
-    k = np.where(col < n[:, None], gaps, -1.0).argmax(axis=1)
-    rows = np.arange(len(t))
-    generic = (t[rows, k] + gaps[rows, k] / 2.0) % period
-    t[rows, n] = np.where(n > 0, generic, 0.0)
-    return t, n + 1
+    order = np.lexsort((t, row))
+    t, row = t[order], row[order]
+    new = (np.diff(t, prepend=-1.0) > 1e-9) | (np.diff(row, prepend=-1) != 0)
+    return t[new], row[new]
 
 
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
@@ -157,9 +160,10 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
 
     For each aligner g0 taking an axis orbit representative a (of H2,
     proper cyclic order m_a) to +b (b an orbit representative of H1,
-    order m_b), the sweep takes spins R(b, t) g0 at the solved angles t
-    plus one generic angle.  This realizes every intersection that
-    shares an axis line with H1 (see the module docstring):
+    order m_b), the sweep takes spins R(b, t) g0 at the solved angles t,
+    and g0 itself stands for every other angle.  This realizes every
+    intersection that shares an axis line with H1 (see the module
+    docstring):
 
     - composing with R(b, 2*pi/m_b) on the left or R(a, 2*pi/m_a) on
       the right leaves the intersection class unchanged (the right spin
@@ -177,9 +181,11 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
       it is solved for rather than swept: row g0 of the solved table
       lists both angles for every pair (v, w), with a mask that keeps
       an angle only where its heights match;
-    - so every t outside a row's solved set lands no axis and gives the
-      same intersection, and one representative, the midpoint of the
-      largest gap between solved angles, suffices.
+    - so at every t outside a row's solved set, R(b, t) g0 meets H1 in
+      exactly the elements on the line b and ±Id that g0 itself puts in
+      H1.  That generic intersection is stated, not swept: it is the
+      mask of g0 restricted to ``_Prepped.online`` of a, which
+      ``_distinct_masks`` applies to the aligner rows.
 
     Aligners onto -b are not needed.  For every finite class and each
     axis a of it, some half turn n with n a = -a normalizes the class:
@@ -190,17 +196,22 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     g n, which takes a to +b.
 
     Any aligner will do: the rotations taking a to b are R(b, phi) g0
-    over phi, so another choice of g0 shifts every solved angle, and
-    the generic one, by phi and sweeps the same rotations.  The sweep
-    takes g0 = F_b^T F_a from the frames of ``_Prepped``: F_a a = e3 and
-    F_b^T e3 = b.  In b's frame an axis v of H2 then has its azimuth
-    and height in a's frame, and R(b, t) = F_b^T R(e3, t) F_b.  So the
-    solved table is the outer difference alpha_b(w) - alpha_a(v) of
-    per-label azimuths, its mask compares per-label heights, and each
-    conjugator is F_b^T R(e3, t) F_a, with all spins from one
-    ``rotation`` call.  When either class has no axis (``1``, ``1+Z2c``)
-    the sweep is empty.  ``seed`` has no effect: the sweep draws no
-    random numbers.
+    over phi, so another choice of g0 shifts every solved angle by phi
+    and sweeps the same rotations.  The sweep takes g0 = F_b^T F_a from
+    the frames of ``_Prepped``: F_a a = e3 and F_b^T e3 = b.  In b's
+    frame an axis v of H2 then has its azimuth and height in a's frame,
+    and R(b, t) = F_b^T R(e3, t) F_b.  So the solved table is the outer
+    difference alpha_b(w) - alpha_a(v) of per-label azimuths, its mask
+    compares per-label heights, and each conjugator is
+    F_b^T R(e3, t) F_a = cos t A + sin t B + C, where A, B and C are
+    F_b^T P F_a, F_b^T J F_a and F_b^T E F_a for the parts P, J and E
+    of R(e3, t) = cos t P + sin t J + E.
+
+    Rows: the k1 k2 aligners g0 (t = 0) in (b, a) order first, then the
+    distinct solved spins of each aligner in the same order, each row's
+    sorted.  When either class has no axis (``1``, ``1+Z2c``) the sweep
+    is empty.  ``seed`` has no effect: the sweep draws no random
+    numbers.
     """
     h1, h2 = _prepped(c1), _prepped(c2)
     k1, k2 = len(h1.orders), len(h2.orders)
@@ -216,13 +227,14 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     same = (off & (np.abs(z1 - z2) < 1e-9)).reshape(rows, -1)
     opposite = (off & (np.abs(z1 + z2) < 1e-9)).reshape(rows, -1)
     period = 2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel()
-    spins, count = _spin_table(np.hstack([diff, diff + np.pi]),
-                               np.hstack([same, opposite]), period)
-    angles = spins[np.arange(spins.shape[1]) < count[:, None]]
-    left = np.repeat(h1.frames.transpose(0, 2, 1), k2, axis=0)
-    right = np.tile(h2.frames, (k1, 1, 1))
-    return (np.repeat(left, count, axis=0) @ rotation(E3, angles)
-            @ np.repeat(right, count, axis=0))
+    t, row = _spin_table(np.hstack([diff, diff + np.pi]),
+                         np.hstack([same, opposite]), period)
+    # the aligners themselves (t = 0) first, then the solved spins
+    t = np.concatenate([np.zeros(rows), t])
+    row = np.concatenate([np.arange(rows), row])
+    abc = np.einsum("bji,sjk,akl->basil", h1.frames, _SPIN, h2.frames)
+    coef = np.stack([np.cos(t), np.sin(t), np.ones_like(t)], axis=1)
+    return np.einsum("ns,nsil->nil", coef, abc.reshape(rows, 3, 3, 3)[row])
 
 
 def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
@@ -234,11 +246,14 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
     and the (rows, |H1|) dot matrix of ``member_mask`` near 2.5e5
     floats.  In row-major flattening g x g^T is (g ⊗ g) x, so one batch
     of conjugates is one product of the flattened H2 with the batch's
-    (rows, 9, 9) Kronecker squares.
+    (rows, 9, 9) Kronecker squares.  The aligner rows, first in the
+    sweep, stand for their generic spins, so their masks keep only the
+    elements of H2 on the line a and ±Id (``_Prepped.online``).
     """
-    prep = _prepped(c1)
-    flat2 = _prepped(c2).flat
+    prep, h2 = _prepped(c1), _prepped(c2)
+    flat2 = h2.flat
     all_g = conjugators(c1, c2)
+    line = np.tile(h2.online, (len(prep.orders), 1))
     step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
     found: dict[bytes, np.ndarray] = {}
     for i in range(0, len(all_g), step):
@@ -246,6 +261,8 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
         kron = (g[:, :, None, :, None] * g[:, None, :, None, :]).reshape(-1, 9, 9)
         conj = flat2 @ kron.transpose(0, 2, 1)
         masks = prep.member_mask(conj.reshape(len(g), len(flat2), 3, 3))
+        head = line[i : i + step]
+        masks[: len(head)] &= head
         for mask, key in zip(masks, np.packbits(masks, axis=1)):
             found.setdefault(key.tobytes(), mask)
     return list(found.values())

@@ -19,7 +19,7 @@ from o3clips.groups import (
     reference_group,
     structural_axes,
 )
-from o3clips.labels import format_label, order_of, parse_label
+from o3clips.labels import ClassLabel, format_label, order_of, parse_label
 from o3clips.tables import table_cols, table_rows
 from o3clips import oracle
 from o3clips.oracle import (
@@ -130,17 +130,30 @@ def test_sweep_has_no_random_conjugators(seed):
         assert gap.min(axis=(1, 2)).max() < 1e-12, pair
 
 
+def _on_line_elements(label: ClassLabel) -> np.ndarray:
+    """Per axis orbit representative a, the elements x of the reference
+    group that are ±Id or rotate about the line a: det(x) x fixes a."""
+    elems, reps = reference_group(label), axis_orbit_reps(label)[0]
+    h = np.linalg.det(elems)[:, None, None] * elems
+    return np.abs(np.einsum("xij,aj->axi", h, reps) - reps[:, None]).max(axis=2) < 1e-9
+
+
 @pytest.mark.parametrize("pair", [*PROBE_COUNTS, *MIXED_PAIRS], ids="|".join)
 def test_pruned_masks_match_every_conjugator(pair):
     # the distinct masks of the batched Kronecker loop against every
-    # conjugator conjugated by matrix products, in 20 splits of the sweep
+    # conjugator conjugated by matrix products, in 20 splits of the
+    # sweep; the first k1 k2 rows, the aligners, stand for their generic
+    # spins and keep only the elements on the line a and ±Id
     c1, c2 = map(parse_label, pair)
     g2 = reference_group(c2)
     member = _prepped(c1).member_mask
+    all_g = conjugators(c1, c2)
+    line = np.tile(_on_line_elements(c2), (len(axis_orbit_reps(c1)[0]), 1))
+    keep = np.vstack([line, np.ones((len(all_g) - len(line), len(g2)), bool)])
     want = set()
-    for g in np.array_split(conjugators(c1, c2), 20):
+    for g, kept in zip(np.array_split(all_g, 20), np.array_split(keep, 20)):
         conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
-        want |= {np.packbits(m).tobytes() for m in member(conj)}
+        want |= {np.packbits(m).tobytes() for m in member(conj) & kept}
     got = {np.packbits(m).tobytes() for m in _distinct_masks(c1, c2)}
     assert got == want
 
@@ -204,9 +217,9 @@ def _on_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("pair", list(PROBE_COUNTS), ids="|".join)
 def test_every_spin_but_the_generic_ones_is_solved(pair):
     # A spin R(b, t) g0 is solved when it puts an axis v of H2 off the
-    # line b on the line of an axis of H1.  Each aligner row adds one
-    # generic spin, which lands no axis, so exactly one conjugator per
-    # row is unsolved.
+    # line b on the line of an axis of H1.  The first k1 k2 rows are the
+    # aligners g0, which stand for the generic spins; every row after
+    # them is solved.
     c1, c2 = map(parse_label, pair)
     b, a = axis_orbit_reps(c1)[0], axis_orbit_reps(c2)[0]
     w, v = structural_axes(c1)[0], structural_axes(c2)[0]
@@ -217,7 +230,46 @@ def test_every_spin_but_the_generic_ones_is_solved(pair):
     landed = _on_line(gv[:, :, None], w).any(axis=2)[:, :, None]
     solved = (landed & ~_on_line(gv[:, :, None], b)).any(axis=1)
     rows = len(b) * len(a)
-    assert (~(aligned & solved).any(axis=1)).sum() == rows
+    assert (aligned & solved).any(axis=1)[rows:].all()
+
+
+def _generic_angle(solved: np.ndarray, period: float) -> float:
+    """The generic spin that the sweep used to build for one aligner:
+    the midpoint of the largest cyclic gap between its distinct solved
+    angles, or 0 when it has none."""
+    if solved.size == 0:
+        return 0.0
+    gaps = np.diff(solved, append=solved[0] + period)
+    k = int(np.argmax(gaps))
+    return (solved[k] + gaps[k] / 2.0) % period
+
+
+def test_stated_generic_masks_match_the_midpoint_spins(monkeypatch):
+    # for every aligner row (b, a), the mask of g0 restricted to the
+    # elements of H2 on the line a and ±Id is the mask of the spin
+    # R(b, t) g0 at the midpoint t of the row's largest gap
+    table = []
+    spin_table = oracle._spin_table
+
+    def spy(solved, valid, period):
+        out = spin_table(solved, valid, period)
+        table.append((period, *out))
+        return out
+
+    monkeypatch.setattr(oracle, "_spin_table", spy)
+    pairs = [tuple(map(parse_label, p)) for p in [*PROBE_COUNTS, *MIXED_PAIRS]]
+    for c1, c2 in pairs + SWEEP_PAIRS:
+        table.clear()
+        g = conjugators(c1, c2)
+        (period, angles, row), = table
+        reps, line = axis_orbit_reps(c1)[0], _on_line_elements(c2)
+        b, line = np.repeat(reps, len(line), axis=0), np.tile(line, (len(reps), 1))
+        g2, member = reference_group(c2), _prepped(c1).member_mask
+        for i, g0 in enumerate(g[: len(period)]):
+            t = _generic_angle(angles[row == i], period[i])
+            spun = rotation(b[i], t) @ g0
+            stated = member(g0 @ g2 @ g0.T) & line[i]
+            assert np.array_equal(stated, member(spun @ g2 @ spun.T)), (c1, c2, i)
 
 
 # the finite classes of the test pools, and the largest of each family
@@ -256,12 +308,7 @@ def _spin_row(solved, period):
     """The spin rule one aligner at a time: the reference for the table."""
     solved = solved % period
     solved = np.sort(np.where(period - solved < 1e-9, 0.0, solved))
-    solved = solved[np.diff(solved, prepend=-1.0) > 1e-9]
-    if solved.size == 0:
-        return np.zeros(1)
-    gaps = np.diff(solved, append=solved[0] + period)
-    k = int(np.argmax(gaps))
-    return np.append(solved, (solved[k] + gaps[k] / 2.0) % period)
+    return solved[np.diff(solved, prepend=-1.0) > 1e-9]
 
 
 def test_spin_table_matches_the_per_row_rule():
@@ -277,10 +324,11 @@ def test_spin_table_matches_the_per_row_rule():
     valid = rng.random((rows, width)) < 0.7
     valid[0] = False
     valid[1] = np.arange(width) < 2
-    spins, count = _spin_table(solved, valid, period)
+    angles, row = _spin_table(solved, valid, period)
+    assert np.all(np.diff(row) >= 0)
     for i in range(rows):
         want = _spin_row(solved[i][valid[i]], period[i])
-        assert np.array_equal(spins[i, : count[i]], want), i
+        assert np.array_equal(angles[row == i], want), i
 
 
 @pytest.mark.parametrize("text", ["I+Z2c", "O^-", "D128^d", "Z256"])
