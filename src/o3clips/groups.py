@@ -390,6 +390,11 @@ def _rotation_class(k: int, counts: np.ndarray) -> ClassLabel:
     return dihedral(n)
 
 
+# per class, the classes that ``recognize(label, mask)`` has named, keyed
+# by the packed bits of the mask
+_RECOGNIZED: dict[ClassLabel, dict[bytes, ClassLabel]] = {}
+
+
 def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     """Canonical class label of a finite subgroup of O(3).
 
@@ -402,6 +407,14 @@ def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     does: the counts below, and so the class, are those of
     ``recognize(reference_group(label)[mask])``.
 
+    The mask form therefore depends only on the label and the mask's
+    contents, and it is memoized per class, keyed by the mask's packed
+    bits: each mask is read from the census once, and a mask edited in
+    place is keyed afresh.  Every key is a subgroup of the reference
+    group, so a class never holds more entries than it has subgroups
+    (D128 has tau(128) + sigma(128) = 263).  The element form is not
+    memoized.
+
     The determinant splits the group; a type III group is identified by
     the pair (class of tilde, class of proper), tilde being the proper
     elements and the negated improper ones.  Without -Id the two halves
@@ -411,10 +424,19 @@ def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     element about it and the proper part only the proper ones.
     """
     if mask is None:
-        proper, axes, ids = _census(group)
-    else:
+        return _classify(*_census(group))
+    memo = _RECOGNIZED.setdefault(group, {})
+    key = np.packbits(mask).tobytes()
+    label = memo.get(key)
+    if label is None:
         proper, axes, ids = label_census(group)
-        proper, ids = proper[mask], ids[mask]
+        label = memo[key] = _classify(proper[mask], axes, ids[mask])
+    return label
+
+
+def _classify(proper: np.ndarray, axes: np.ndarray, ids: np.ndarray) -> ClassLabel:
+    """The class of ``recognize`` from a census: the proper flag and axis
+    index of every element, and the axes they index."""
     p = _rotation_class(int(proper.sum()), _axis_counts(ids[proper], len(axes)))
     if proper.all():
         return p

@@ -31,17 +31,22 @@ to the elements of H2 on the line a and ±Id (see ``conjugators``).
 
 Everything that depends on one class is computed once per class
 (``_Prepped``): the flattened elements, a right-handed frame F_b per
-orbit representative b, the azimuth and height about b of every
-structural axis in that frame, and which elements lie on the line b.
-What is left per pair is a few array passes.  Row i of a table
-holds the solved angles of aligner i, one per pair of an axis of H1
-and an image of an axis of H2, read off the two classes' azimuths,
-with a mask that keeps only the pairs off the line b whose heights let
-the spin land one on the other; each row is reduced to its distinct
-angles, and one ``einsum`` spins every aligner by every angle of its
-row.  Every conjugator is then conjugated, by one Kronecker product
-per batch, and masked (``_distinct_masks``), and each distinct mask is
-recognized from the census of H2 (``recognize(c2, mask)``).
+orbit representative b, the products F_b^T {P, J, E} with the parts of
+a spin about e3, the azimuth and height about b of every structural
+axis in that frame, and which elements lie on the line b.  What is
+left per pair is a few array passes.  Row i of a table holds the
+solved angles of aligner i, one per pair of an axis of H1 and an image
+of an axis of H2, read off the two classes' azimuths, with a mask that
+keeps only the pairs off the line b whose heights let the spin land
+one on the other; each row is reduced to its distinct angles.  One
+batched product of H1's F_b^T {P, J, E} with H2's frames gives the
+spin coefficients of every aligner, and one ``einsum`` spins every
+aligner by every angle of its row.  Every conjugator is then
+conjugated, by one Kronecker product per batch, and masked
+(``_distinct_masks``).  Each distinct mask is recognized from the
+census of H2 (``recognize(c2, mask)``), which memoizes its answer per
+class and mask, so a mask that recurs across pairs with the same H2 is
+recognized once per class, not once per pair.
 """
 
 from __future__ import annotations
@@ -68,6 +73,10 @@ from .rotations import EPS_MAT, orthogonal, rotation  # noqa: F401
 _SPIN = np.array([np.diag([1.0, 1.0, 0.0]),
                   [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                   np.diag([0.0, 0.0, 1.0])])
+# the two halves of the solved table: equal heights at the azimuth
+# difference, opposite heights half a turn further
+_SIGN = np.array([1.0, -1.0])[:, None, None]
+_TURN = np.array([0.0, np.pi])[:, None, None]
 
 
 class _Prepped:
@@ -92,7 +101,11 @@ class _Prepped:
     (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha``,
     ``z`` and ``off`` hold, per representative and per structural axis
     w, the azimuth of F_b w about e3, its height b.w along e3, and
-    whether w lies off the line b.  ``online`` holds, per representative
+    whether w lies off the line b.  ``parts`` holds F_b^T P, F_b^T J and
+    F_b^T E per representative, for the parts P, J and E of
+    R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a pair's spin
+    coefficients are one batched product of them with the other class's
+    frames (see ``conjugators``).  ``online`` holds, per representative
     b and per element, whether the element is ±Id or rotates (up to
     sign) about the line b, read from the census ids of
     ``groups.label_census`` (id -1 is ±Id).
@@ -118,6 +131,7 @@ class _Prepped:
         reps, self.orders = axis_orbit_reps(label)
         p = orthogonal(reps)
         self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
+        self.parts = self.frames.transpose(0, 2, 1)[:, None] @ _SPIN
         x, y, self.z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
         self.alpha = np.arctan2(y, x)
         self.off = np.hypot(x, y) > 1e-9
@@ -143,6 +157,9 @@ def _spin_table(solved: np.ndarray, valid: np.ndarray,
 
     Each row keeps its distinct valid angles modulo its period.  Returns
     them flattened and sorted row by row, with the row of each angle.
+    After one ``lexsort`` by row and angle, an entry is new when it
+    starts a row or lies more than 1e-9 above its predecessor, read off
+    two shifted slices of the sorted arrays.
     """
     row, col = np.nonzero(valid)
     per = period[row]
@@ -151,7 +168,8 @@ def _spin_table(solved: np.ndarray, valid: np.ndarray,
     t = np.where(per - t < 1e-9, 0.0, t)
     order = np.lexsort((t, row))
     t, row = t[order], row[order]
-    new = (np.diff(t, prepend=-1.0) > 1e-9) | (np.diff(row, prepend=-1) != 0)
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = (t[1:] - t[:-1] > 1e-9) | (row[1:] != row[:-1])
     return t[new], row[new]
 
 
@@ -205,7 +223,9 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     compares per-label heights, and each conjugator is
     F_b^T R(e3, t) F_a = cos t A + sin t B + C, where A, B and C are
     F_b^T P F_a, F_b^T J F_a and F_b^T E F_a for the parts P, J and E
-    of R(e3, t) = cos t P + sin t J + E.
+    of R(e3, t) = cos t P + sin t J + E.  H1's factors F_b^T {P, J, E}
+    are per-label (``_Prepped.parts``), so A, B and C of every aligner
+    come from one batched product with H2's frames.
 
     Rows: the k1 k2 aligners g0 (t = 0) in (b, a) order first, then the
     distinct solved spins of each aligner in the same order, each row's
@@ -218,23 +238,21 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     if k1 == 0 or k2 == 0:
         return np.empty((0, 3, 3))
     # aligners F_b^T F_a in (b, a) order; R(e3, t) puts F_a v on F_b w
-    # at t = diff when their heights are equal, and on -F_b w at
-    # t = diff + pi when they are opposite
+    # at t = diff when their heights are equal (sign +1), and on -F_b w
+    # at t = diff + pi when they are opposite (sign -1)
     rows = k1 * k2
-    diff = (h1.alpha[:, None, :, None] - h2.alpha[None, :, None, :]).reshape(rows, -1)
-    z1, z2 = h1.z[:, None, :, None], h2.z[None, :, None, :]
-    off = h1.off[:, None, :, None] & h2.off[None, :, None, :]
-    same = (off & (np.abs(z1 - z2) < 1e-9)).reshape(rows, -1)
-    opposite = (off & (np.abs(z1 + z2) < 1e-9)).reshape(rows, -1)
+    z1, z2 = h1.z[:, None, None, :, None], h2.z[None, :, None, None, :]
+    off = h1.off[:, None, None, :, None] & h2.off[None, :, None, None, :]
+    valid = off & (np.abs(z1 - _SIGN * z2) < 1e-9)
+    solved = h1.alpha[:, None, None, :, None] - h2.alpha[None, :, None, None, :] + _TURN
     period = 2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel()
-    t, row = _spin_table(np.hstack([diff, diff + np.pi]),
-                         np.hstack([same, opposite]), period)
+    t, row = _spin_table(solved.reshape(rows, -1), valid.reshape(rows, -1), period)
     # the aligners themselves (t = 0) first, then the solved spins
     t = np.concatenate([np.zeros(rows), t])
     row = np.concatenate([np.arange(rows), row])
-    abc = np.einsum("bji,sjk,akl->basil", h1.frames, _SPIN, h2.frames)
+    abc = (h1.parts[:, None] @ h2.frames[None, :, None]).reshape(rows, 3, 3, 3)
     coef = np.stack([np.cos(t), np.sin(t), np.ones_like(t)], axis=1)
-    return np.einsum("ns,nsil->nil", coef, abc.reshape(rows, 3, 3, 3)[row])
+    return np.einsum("ns,nsil->nil", coef, abc[row])
 
 
 def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:

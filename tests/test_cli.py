@@ -118,6 +118,20 @@ def test_piez_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_symbolic_routes_load_no_matrix_layer():
+    # the fold, a II x III cell and a finite x axial cell of public
+    # clips answer in closed form, so groups and oracle stay unloaded
+    script = ("import sys\n"
+              "from o3clips import cli, clips\n"
+              "assert cli.main(['piez', '--format', 'json']) == 2\n"
+              "assert clips('D4+Z2c', 'D6^d').labels()\n"
+              "assert clips('O+Z2c', 'O(2)^-').labels()\n"
+              "for mod in ('o3clips.groups', 'o3clips.oracle'):\n"
+              "    assert mod not in sys.modules, mod\n")
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv,code", [
     (("piez", "--format", "json"), 2),
     (("table", "--format", "csv"), 0),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import load_pins
-from o3clips.engine import clips
+from o3clips.engine import clips, verify_cells
 from o3clips.groups import (
     E3,
     axis_orbit_reps,
@@ -21,7 +21,7 @@ from o3clips.groups import (
 )
 from o3clips.labels import ClassLabel, format_label, order_of, parse_label
 from o3clips.tables import table_cols, table_rows
-from o3clips import oracle
+from o3clips import axial, groups, oracle
 from o3clips.oracle import (
     _distinct_masks,
     _prepped,
@@ -164,15 +164,71 @@ SWEEP_PAIRS = [(row, col)
                for col in table_cols(("Z-", "Dz", "Dd", "O-"), range(1, 4))]
 
 
-def test_mask_recognition_reads_the_label_census():
+def test_mask_recognition_reads_the_label_census(monkeypatch):
     # recognize(c2, mask) reads the census of c2 at the mask; it must
-    # name the class that a census of the masked elements names
+    # name the class that a census of the masked elements names, both
+    # when it reads the census (a miss of its memo) and when it hits
     assert len(SWEEP_PAIRS) == 63
+    monkeypatch.setattr(groups, "_RECOGNIZED", {})
     pairs = [tuple(map(parse_label, p)) for p in [*PROBE_COUNTS, *MIXED_PAIRS]]
     for c1, c2 in pairs + SWEEP_PAIRS:
         g2 = reference_group(c2)
         for mask in _distinct_masks(c1, c2):
-            assert recognize(c2, mask) == recognize(g2[mask]), (c1, c2)
+            want = recognize(g2[mask])
+            assert recognize(c2, mask) == want, (c1, c2)
+            assert recognize(c2, mask) == want, (c1, c2)
+
+
+def _spy_census_reads(monkeypatch) -> list:
+    """Record the label of every census read that ``recognize`` makes."""
+    reads = []
+    census = groups.label_census
+
+    def spy(label):
+        reads.append(label)
+        return census(label)
+
+    monkeypatch.setattr(groups, "label_census", spy)
+    return reads
+
+
+def test_recognition_memo_keys_masks_by_content(monkeypatch):
+    monkeypatch.setattr(groups, "_RECOGNIZED", {})
+    reads = _spy_census_reads(monkeypatch)
+    label = parse_label("D4+Z2c")
+    mask = np.linalg.det(reference_group(label)) > 0
+    assert recognize(label, mask) == parse_label("D4")
+    assert len(reads) == 1
+    # a copy with equal contents hits the memo
+    assert recognize(label, mask.copy()) == parse_label("D4")
+    assert len(reads) == 1
+    # a mask edited in place is a new key, recognized afresh
+    mask[:] = True
+    assert recognize(label, mask) == label
+    assert len(reads) == 2
+
+
+def test_a_sweep_reads_the_census_once_per_class_and_mask(monkeypatch):
+    # warm every per-class cache, then start the memo empty: the first
+    # pass reads the census once per distinct (class, mask), the second
+    # never
+    list(verify_cells(3, 3))
+    monkeypatch.setattr(groups, "_RECOGNIZED", {})
+    reads = _spy_census_reads(monkeypatch)
+    keys = []
+    plain = groups.recognize
+
+    def spy(label, mask):
+        keys.append((label, np.packbits(mask).tobytes()))
+        return plain(label, mask)
+
+    monkeypatch.setattr(oracle, "recognize", spy)
+    monkeypatch.setattr(axial, "recognize", spy)
+    list(verify_cells(3, 3))
+    assert len(reads) == len(set(keys)) < len(keys)
+    reads.clear()
+    list(verify_cells(3, 3))
+    assert reads == []
 
 
 def test_frames_take_each_representative_to_e3():
@@ -183,6 +239,42 @@ def test_frames_take_each_representative_to_e3():
         assert np.all(np.abs(gram - np.eye(3)) < 1e-12), label
         assert np.all(np.abs(np.linalg.det(frames) - 1.0) < 1e-12), label
         assert np.all(np.abs(frames @ reps[:, :, None] - E3[:, None]) < 1e-12)
+
+
+def _einsum_conjugators(c1: ClassLabel, c2: ClassLabel) -> np.ndarray:
+    """The sweep as it was built from the frames alone: the solved table
+    and its mask side by side by ``hstack``, new angles by ``np.diff``,
+    and A, B, C by one three-operand ``einsum`` per pair."""
+    h1, h2 = _prepped(c1), _prepped(c2)
+    k1, k2 = len(h1.orders), len(h2.orders)
+    rows = k1 * k2
+    diff = (h1.alpha[:, None, :, None] - h2.alpha[None, :, None, :]).reshape(rows, -1)
+    z1, z2 = h1.z[:, None, :, None], h2.z[None, :, None, :]
+    off = h1.off[:, None, :, None] & h2.off[None, :, None, :]
+    same = (off & (np.abs(z1 - z2) < 1e-9)).reshape(rows, -1)
+    opposite = (off & (np.abs(z1 + z2) < 1e-9)).reshape(rows, -1)
+    period = 2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel()
+    row, col = np.nonzero(np.hstack([same, opposite]))
+    t = np.hstack([diff, diff + np.pi])[row, col] % period[row]
+    t = np.where(period[row] - t < 1e-9, 0.0, t)
+    order = np.lexsort((t, row))
+    t, row = t[order], row[order]
+    new = (np.diff(t, prepend=-1.0) > 1e-9) | (np.diff(row, prepend=-1) != 0)
+    t = np.concatenate([np.zeros(rows), t[new]])
+    row = np.concatenate([np.arange(rows), row[new]])
+    abc = np.einsum("bji,sjk,akl->basil", h1.frames, oracle._SPIN, h2.frames)
+    coef = np.stack([np.cos(t), np.sin(t), np.ones_like(t)], axis=1)
+    return np.einsum("ns,nsil->nil", coef, abc.reshape(rows, 3, 3, 3)[row])
+
+
+def test_conjugators_match_the_frame_einsum():
+    # the per-label F_b^T {P, J, E} times H2's frames, and the sliced
+    # dedupe, give the einsum build's rows in its order
+    pairs = [tuple(map(parse_label, p)) for p in [*PROBE_COUNTS, *MIXED_PAIRS]]
+    for c1, c2 in pairs + SWEEP_PAIRS:
+        got, want = conjugators(c1, c2), _einsum_conjugators(c1, c2)
+        assert got.shape == want.shape, (c1, c2)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-15, (c1, c2)
 
 
 # rows x |H2| x max(9, |H1|) floats that one member_mask call may hold
