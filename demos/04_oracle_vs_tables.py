@@ -38,7 +38,7 @@ print()
 # systematic sweep over a small parameter grid; each cell compares the
 # symbolic table against the brute-force recomputation
 ok = 0
-for check in verify_cells(n_max=2, m_max=3, seed=0):
+for check in verify_cells(n_max=2, m_max=3):
     status = "ok" if check.match else "MISMATCH"
     print(f"{status:8s} {check.row} x {check.col}: {check.symbolic}")
     ok += check.match

@@ -3,22 +3,27 @@
 An axial group (rotations about an axis u, possibly extended by
 perpendicular half-turns, reflections or the central inversion) is
 determined by u, and membership of an orthogonal matrix is a pointwise
-predicate in u.  The intersection with a finite group G therefore only
-depends on how u sits relative to the structural axes of G: the
+predicate in u: whether the matrix is proper, is an involution, and
+fixes or reverses u.  The intersection with a finite group G therefore
+only depends on how u sits relative to the structural axes of G: the
 critical positions are u parallel to an axis, u perpendicular to two
 axes (their cross product), u perpendicular to exactly one axis
 (generic point of that circle), and u fully generic.  Conjugating by
 an element of G moves u within its orbit and keeps the class of the
-intersection, so one candidate per orbit of each kind is exhaustive
-(``_candidate_directions``).  All candidates are masked in one array
-pass and each distinct mask is recognized once, so this module
-provides an oracle for the finite x infinite cells that is
-independent of the closed-form tables.
+intersection, so one position per orbit of each kind is exhaustive
+(``_candidate_directions``).  The two generic kinds are stated from the
+census rather than sampled, so every answer is deterministic.
+
+Everything but the predicate depends on G alone and is computed once
+per finite class (``_direction_rows``).  A call evaluates the
+predicate on the cached rows and recognizes each distinct mask once,
+so this module provides an oracle for the finite x infinite cells that
+is independent of the closed-form tables.
 """
 
 from __future__ import annotations
 
-import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,43 +31,29 @@ from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
 from .groups import (
     _SAME_AXIS,
     ORDER_CAP,
+    _read_only,
     axis_orbit_reps,
     label_census,
     recognize,
     reference_group,
+    rep_line_mask,
     structural_axes,
 )
-from .rotations import EPS_MAT, IDENTITY, canonical_axis
+from .rotations import EPS_MAT, IDENTITY, canonical_axis, orthogonal
 
 
-def pair_rng(c1: ClassLabel, c2: ClassLabel, seed: int) -> np.random.Generator:
-    """Seeded generator of the generic directions for one pair."""
-    tag = f"{format_label(c1)}|{format_label(c2)}|{seed}".encode()
-    return np.random.default_rng(zlib.crc32(tag))
+def _axial_masks(label: ClassLabel, proper: np.ndarray, invol: np.ndarray,
+                 fix: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """Membership masks in the axial class ``label`` about each axis of
+    a stack, one row per row of ``fix`` and ``anti`` (which elements fix
+    and which reverse that axis); one row for SO(3) and O(3), which have
+    no axis.  ``proper`` and ``invol`` flag each element.
 
-
-def _axial_masks(label: ClassLabel, elems: np.ndarray, proper: np.ndarray,
-                 dirs: np.ndarray) -> np.ndarray:
-    """Membership masks of ``elems`` in the axial class ``label`` about
-    each direction of ``dirs``, shape (len(dirs), len(elems)); one row
-    for SO(3) and O(3), which have no axis.
-
-    One broadcast product takes every element to every direction, so
-    it holds |G| x len(dirs) x 3 floats: at most about 1.02e5 on the
-    orbit-representative candidates of ``_candidate_directions`` within
-    the order cap (D128, D128^z and D128^d), and the tests bound it by
-    2.5e5.  Properness (``proper``, one flag per element) and
-    involution do not depend on the direction, so they are computed
-    once."""
+    Every mask is (A & fix) | (B & anti) for flags A and B of the
+    element, so restricting ``fix`` and ``anti`` to some elements
+    restricts the mask to them."""
     if label.kind == "SO3":
-        return (np.ones(len(elems), dtype=bool) if label.plus else proper)[None]
-    invol = (
-        np.abs(np.einsum("kij,kjl->kil", elems, elems) - IDENTITY).max(axis=(1, 2))
-        < EPS_MAT
-    )
-    img = dirs @ elems.transpose(0, 2, 1)  # img[g, k] = elems[g] @ dirs[k]
-    fix = (np.abs(img - dirs).max(axis=2) < 1e-9).T
-    anti = (np.abs(img + dirs).max(axis=2) < 1e-9).T
+        return (np.ones(len(proper), dtype=bool) if label.plus else proper)[None]
     if label.kind == "SO2" and not label.plus:
         return proper & fix
     if label.kind == "O2" and not label.plus:
@@ -76,50 +67,81 @@ def _axial_masks(label: ClassLabel, elems: np.ndarray, proper: np.ndarray,
     raise ValueError(f"not an axial class: {format_label(label)}")
 
 
-def _candidate_directions(label: ClassLabel, rng: np.random.Generator) -> np.ndarray:
-    """The candidate directions u of a finite class: one per orbit of
-    the group on each kind of critical position.
+def _candidate_directions(label: ClassLabel) -> np.ndarray:
+    """The directions of a finite class at which ``_direction_rows``
+    computes the masks: one per orbit of the group on each critical
+    line, then one probe on the circle of each axis representative.
 
-    The critical positions are every axis, the normal of every pair of
-    axes, a generic point of each axis's perpendicular circle, and one
-    generic direction: off all axis lines and circles only Id fixes u
-    and only -Id reverses it, so every such u gives one mask, which no
-    other candidate need give.  Conjugating by h in G maps G ∩ A(u)
-    onto G ∩ A(hu), A(u) the axial group about u, so u and hu give one
-    class, and each kind only needs one direction per orbit: the axis
-    orbit representatives (``axis_orbit_reps``), the normals of the
-    pairs whose first axis is a representative (h takes the pair
-    (w, w') with w = ±h r to (r, ±h^-1 w')), and the circle points of
-    the representatives.  The circle points take one draw of ``rng``
-    and the generic direction a second.
+    The critical lines are every axis and the normal of every pair of
+    axes.  Conjugating by h in G maps G ∩ A(u) onto G ∩ A(hu), A(u) the
+    axial group about u, so u and hu give one class, and each kind only
+    needs one direction per orbit: the axis orbit representatives
+    (``axis_orbit_reps``) and the normals of the pairs whose first axis
+    is a representative (h takes the pair (w, w') with w = ±h r to
+    (r, ±h^-1 w')).  u and -u give the same masks, so each unsigned line
+    is kept once, the first of its candidates, by the tolerance test of
+    the axis census.  There are at most |reps| x |axes| candidates, 387
+    for D128, so the pairwise test is small.
 
-    u and -u give the same masks, so each unsigned line is kept once, the
-    first of its candidates.  Rounding only merges copies of one line; a
-    tolerance test of the survivors, as in the axis census, merges the
-    copies that rounding split."""
+    The last rows are ``orthogonal(a)`` for each representative a, in
+    the order of ``axis_orbit_reps``.  A probe may lie on another axis
+    line or circle: ``_direction_rows`` keeps only the elements that act
+    alike on all of a's circle, so any point of it serves."""
     axes, reps = structural_axes(label)[0], axis_orbit_reps(label)[0]
     normals = np.cross(reps[:, None], axes[None]).reshape(-1, 3)
     normals = normals[np.linalg.norm(normals, axis=1) > 1e-9]
-    circle = np.cross(reps, rng.normal(size=3))
-    cands = canonical_axis(
-        np.concatenate([reps, normals, circle, rng.normal(size=(1, 3))]))
-    _, first = np.unique(np.round(cands, 6), axis=0, return_index=True)
-    cands = cands[np.sort(first)]
-    same = np.abs(cands @ cands.T) > 1.0 - _SAME_AXIS
-    return cands[same.argmax(axis=1) == np.arange(len(cands))]
+    lines = canonical_axis(np.concatenate([reps, normals]))
+    later = np.triu(np.abs(lines @ lines.T) > 1.0 - _SAME_AXIS, 1).any(axis=0)
+    return np.concatenate([lines[~later], orthogonal(reps)])
 
 
-def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet:
+@lru_cache(maxsize=None)
+def _direction_rows(label: ClassLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The involution flag of each element of a finite class, and which
+    elements fix (``fix``) and reverse (``anti``) the axis at each
+    candidate position, one row per position (cached, read-only).
+
+    Rows: the critical lines of ``_candidate_directions``, a generic
+    point of each representative's circle, then a generic direction.
+
+    - At a generic u normal to a representative a, only ±Id and the
+      elements about the line a fix or reverse u: an element about
+      another line n fixes or reverses only n and, for a half turn or a
+      reflection, the circle of n, and a's circle meets those in
+      finitely many points.  Each of them acts alike on every u normal
+      to a: R(a, t) fixes u at t = 0 and reverses it at t = pi, and
+      -R(a, t) the other way round.  So the row is the one at the probe
+      ``orthogonal(a)`` restricted to those elements
+      (``groups.rep_line_mask``).
+    - Off every axis line and circle only Id fixes u and only -Id
+      reverses it, so that row is read from the census.
+
+    One broadcast product takes every element to every direction, so it
+    holds |G| x directions x 3 floats: at most about 1.01e5 within the
+    order cap (D128, D128^z and D128^d), and the tests bound it by
+    2.5e5."""
+    elems, dirs = reference_group(label), _candidate_directions(label)
+    proper, _, ids = label_census(label)
+    invol = np.abs(elems @ elems - IDENTITY).max(axis=(1, 2)) < EPS_MAT
+    on = rep_line_mask(label)
+    keep = np.vstack([np.ones((len(dirs) - len(on), len(ids)), dtype=bool), on])
+    img = dirs @ elems.transpose(0, 2, 1)  # img[g, k] = elems[g] @ dirs[k]
+    fix, anti = [(np.abs(img - s * dirs).max(axis=2) < 1e-9).T & keep for s in (1, -1)]
+    return _read_only(invol, np.vstack([fix, (ids < 0) & proper]),
+                      np.vstack([anti, (ids < 0) & ~proper]))
+
+
+def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel) -> ClassSet:
     """Clips of a finite class with an axial or full infinite class.
 
-    Every candidate direction of ``_candidate_directions`` is masked in
-    one pass (``_axial_masks``), and each distinct mask is recognized
-    once, from the census of the finite class.
+    The predicate of c_inf is evaluated on the cached rows of c_fin
+    (``_direction_rows``), one mask per candidate position, and each
+    distinct mask is recognized once, from the census of c_fin.
 
     Parameters
     ----------
     c_fin : ClassLabel
-        Finite class with order <= 256.
+        Finite class of order at most ``ORDER_CAP``.
     c_inf : ClassLabel
         One of SO(2), O(2), SO(2)+Z2c, O(2)+Z2c, O(2)^-, SO(3), O(3).
 
@@ -129,12 +151,11 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel, seed: int = 0) -> ClassSet
         All conjugacy classes of intersections of a representative of
         c_fin with representatives of c_inf.
     """
-    if is_infinite(c_fin) or order_of(c_fin) > ORDER_CAP:
-        raise ValueError(f"finite class required, got {format_label(c_fin)}")
-    if not is_infinite(c_inf):
-        raise ValueError(f"axial class required, got {format_label(c_inf)}")
-    dirs = (np.zeros((0, 3)) if c_inf.kind == "SO3"
-            else _candidate_directions(c_fin, pair_rng(c_fin, c_inf, seed)))
-    masks = _axial_masks(c_inf, reference_group(c_fin), label_census(c_fin)[0], dirs)
+    if is_infinite(c_fin) or not is_infinite(c_inf):
+        raise ValueError(f"finite and axial classes required, got "
+                         f"{format_label(c_fin)} and {format_label(c_inf)}")
+    if order_of(c_fin) > ORDER_CAP:
+        raise ValueError(f"{format_label(c_fin)} exceeds the order cap {ORDER_CAP}")
+    masks = _axial_masks(c_inf, label_census(c_fin)[0], *_direction_rows(c_fin))
     _, first = np.unique(np.packbits(masks, axis=1), axis=0, return_index=True)
     return ClassSet({recognize(c_fin, mask) for mask in masks[first]})

@@ -175,8 +175,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     checked = mismatches = 0
-    for cell in verify_cells(n_max=args.n_max, m_max=args.m_max,
-                             seed=args.seed):
+    for cell in verify_cells(n_max=args.n_max, m_max=args.m_max):
         checked += 1
         row, col = format_label(cell.row), format_label(cell.col)
         if cell.match:
@@ -330,7 +329,6 @@ def build_parser() -> _Parser:
                        help="sweep the grid against brute force")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("piez",

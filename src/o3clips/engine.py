@@ -78,11 +78,11 @@ def clips_oracle(a: ClassLabel, b: ClassLabel) -> ClassSet:
     return clips_oracle(a, b)
 
 
-def clips_axial(a: ClassLabel, b: ClassLabel, seed: int = 0) -> ClassSet:
+def clips_axial(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """``axial.clips_axial``, imported on first use."""
     from .axial import clips_axial
 
-    return clips_axial(a, b, seed=seed)
+    return clips_axial(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +179,8 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     classes Z_{2n}^-, D_{2n}^d for n = 1..n_max, D_n^z for
     n = 2..n_max, O^-, and O(2)^-.  Finite columns are checked with
     the matrix oracle, the O(2)^- column with the axial membership
-    oracle, whose generic directions ``seed`` draws.
+    oracle.  ``seed`` has no effect: neither oracle draws random
+    numbers.
     """
     rows = table_rows(("Z", "D", "T", "O", "I"), range(2, m_max + 1))
     cols = table_cols(("Z-", "Dz", "Dd", "O-", "O2-"), range(1, n_max + 1))
@@ -187,7 +188,7 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
         for col in cols:
             symbolic = clips(row, col)
             if is_infinite(col):
-                brute = clips_axial(row, col, seed=seed)
+                brute = clips_axial(row, col)
             else:
                 brute = clips(row, col, method="oracle")
             yield CellCheck(row=row, col=col, symbolic=symbolic, brute=brute)

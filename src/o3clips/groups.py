@@ -24,8 +24,9 @@ on the reference group.  ``recognize`` counts both of its halves from
 one census: its own for an element set, or the label's census
 restricted to a mask for a subgroup of a reference group, which is how
 both brute-force oracles (``oracle`` and ``axial``) recognize.
-``structural_axes`` and ``axis_orbit_reps`` are cached per-label views
-of the same census, from which the oracles take their axes.
+``structural_axes``, ``axis_orbit_reps`` and ``rep_line_mask`` are
+cached per-label views of the same census, from which the oracles take
+their axes and the elements on the line of each representative.
 """
 
 from __future__ import annotations
@@ -362,6 +363,19 @@ def axis_orbit_reps(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
     axes, orders = structural_axes(label)
     first = np.unique(axis_orbits(reference_group(label), axes))
     return _read_only(axes[first], orders[first])
+
+
+@lru_cache(maxsize=None)
+def rep_line_mask(label: ClassLabel) -> np.ndarray:
+    """Per axis orbit representative a (``axis_orbit_reps``) and per
+    element of the reference group, whether the element is ±Id or
+    rotates, up to sign, about the line a (cached, read-only).  These
+    are the elements that act alike on every direction normal to a:
+    the matrix oracle keeps them at a generic spin about a, and the
+    axial oracle at a generic point of a's circle."""
+    _, axes, ids = label_census(label)
+    on = np.abs(axis_orbit_reps(label)[0] @ axes.T) > 1.0 - _SAME_AXIS
+    return _read_only(np.hstack([on, np.ones((len(on), 1), bool)])[:, ids])[0]
 
 
 class RecognitionError(ValueError):

@@ -59,9 +59,9 @@ from .labels import ClassLabel, ClassSet, is_infinite, order_of
 from .groups import (
     ORDER_CAP,
     axis_orbit_reps,
-    label_census,
     recognize,
     reference_group,
+    rep_line_mask,
     structural_axes,
 )
 # ``rotation`` is imported only for perfbench/spans.py, which traces it
@@ -107,8 +107,7 @@ class _Prepped:
     coefficients are one batched product of them with the other class's
     frames (see ``conjugators``).  ``online`` holds, per representative
     b and per element, whether the element is ±Id or rotates (up to
-    sign) about the line b, read from the census ids of
-    ``groups.label_census`` (id -1 is ±Id).
+    sign) about the line b (``groups.rep_line_mask``).
 
     Heights are compared to within 1e-9, and that is exact within the
     order cap.  A height is the cosine of the angle between two axes of
@@ -135,8 +134,7 @@ class _Prepped:
         x, y, self.z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
         self.alpha = np.arctan2(y, x)
         self.off = np.hypot(x, y) > 1e-9
-        ids = label_census(label)[2]
-        self.online = np.hstack([~self.off, np.ones((len(reps), 1), bool)])[:, ids]
+        self.online = rep_line_mask(label)
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group."""

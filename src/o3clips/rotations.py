@@ -14,7 +14,14 @@ import numpy as np
 
 EPS_MAT = 1e-9    # entrywise matrix equality
 EPS_AXIS = 1e-12  # minimum norm for a direction vector
-ORDER_CAP = 256  # largest materializable group order
+# Largest materializable group order.  It is a memory limit, not a
+# tolerance limit.  ``groups.axis_orbits`` holds |G| x axes^2 floats:
+# 256 x 129^2, about 4.3e6 (34 MB), for D128, while D1000 asks for a
+# (2000, 1001, 1001) float64 array and raises MemoryError.  The
+# tolerances would allow orders in the thousands: the axes of D_N are
+# pi/N apart against the ~4.5e-5 rad of ``groups._SAME_AXIS``, and its
+# elements sqrt(2) sin(pi/N) apart against EPS_MAT.
+ORDER_CAP = 256
 
 IDENTITY = np.eye(3)
 

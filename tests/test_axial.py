@@ -5,6 +5,8 @@ infinite class; they were computed and frozen before the closed-form
 layer existed.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -12,19 +14,19 @@ from conftest import load_pins
 from o3clips.axial import (
     _axial_masks,
     _candidate_directions,
+    _direction_rows,
     clips_axial,
-    pair_rng,
 )
 from o3clips.groups import (
+    axis_orbit_reps,
     label_census,
     recognize,
     reference_group,
     structural_axes,
 )
 from o3clips.labels import ClassSet, format_label, parse_label
-from o3clips.rotations import canonical_axis
+from o3clips.rotations import IDENTITY, canonical_axis, unit
 from o3clips.tables import table_rows
-from test_acceptance import _finite_labels
 from test_oracle import CAP_LABELS
 
 PINS = load_pins("clips_axial_pins")
@@ -44,6 +46,11 @@ def test_rejects_wrong_arguments():
         clips_axial(parse_label("Z4"), parse_label("D4"))
 
 
+def test_rejects_a_class_above_the_order_cap():
+    with pytest.raises(ValueError, match="D300 exceeds the order cap 256"):
+        clips_axial(parse_label("D300"), parse_label("O(2)^-"))
+
+
 def test_full_group_sides():
     # O(3) absorbs; SO(3) keeps the rotation part.
     assert clips_axial(parse_label("D4^z"),
@@ -57,12 +64,15 @@ def test_full_group_sides():
 def test_candidate_directions_merge_repeated_lines():
     # D128^z: the z axis and 128 in-plane mirror normals in three
     # orbits.  The normals of the pairs that start at a representative
-    # lie on the z axis and the 128 in-plane lines; with one generic
-    # point on each representative's circle and one generic direction
-    # they make 133 distinct lines
-    dirs = _candidate_directions(parse_label("D128^z"), np.random.default_rng(0))
-    assert len(dirs) == 133
-    assert (np.abs(dirs @ dirs.T) > 1 - 1e-9).sum() == len(dirs)
+    # lie on the z axis and the 128 in-plane lines, so with the
+    # representatives they make 129 distinct lines; one probe normal to
+    # each representative follows them
+    label = parse_label("D128^z")
+    dirs, reps = _candidate_directions(label), axis_orbit_reps(label)[0]
+    lines, probes = dirs[:-len(reps)], dirs[-len(reps):]
+    assert len(lines) == 129
+    assert (np.abs(lines @ lines.T) > 1 - 1e-9).sum() == len(lines)
+    assert np.abs(np.einsum("ij,ij->i", probes, reps)).max() < 1e-15
 
 
 def test_axial_mask_recognition_reads_the_label_census():
@@ -71,9 +81,8 @@ def test_axial_mask_recognition_reads_the_label_census():
     col = parse_label("O(2)^-")
     for row in table_rows(("Z", "D", "T", "O", "I"), range(2, 9)):
         elems = reference_group(row)
-        dirs = _candidate_directions(row, pair_rng(row, col, 0))
-        masks = _axial_masks(col, elems, label_census(row)[0], dirs)
-        assert masks.shape == (len(dirs), len(elems))
+        masks = _axial_masks(col, label_census(row)[0], *_direction_rows(row))
+        assert masks.shape == (len(_candidate_directions(row)) + 1, len(elems))
         for mask in masks:
             assert recognize(row, mask) == recognize(elems[mask]), row
 
@@ -82,33 +91,69 @@ AXIAL = [parse_label(text) for text in
          ("SO(2)", "O(2)", "SO(2)+Z2c", "O(2)+Z2c", "O(2)^-")]
 
 
-def _all_directions(label, rng):
-    """Every axis, the normal of every pair of axes, one generic point
-    of every axis's circle and one generic direction, with the same two
-    draws of ``rng``: the candidate set before the orbit reduction."""
+def _involutions(elems):
+    return np.abs(elems @ elems - IDENTITY).max(axis=(1, 2)) < 1e-9
+
+
+def _fix_anti(elems, dirs):
+    """Which elements fix and which reverse each direction, one row per
+    direction."""
+    img = np.einsum("gij,kj->kgi", elems, dirs)
+    return (np.abs(img - dirs[:, None]).max(axis=2) < 1e-9,
+            np.abs(img + dirs[:, None]).max(axis=2) < 1e-9)
+
+
+@lru_cache(maxsize=None)
+def _pair_line_rows(label):
+    """``_fix_anti`` at every axis and the normal of every pair of
+    axes, one copy of each line that several pairs share."""
     axes = structural_axes(label)[0]
     i, j = np.triu_indices(len(axes), 1)
-    normals = np.cross(axes[i], axes[j])
-    normals = normals[np.linalg.norm(normals, axis=1) > 1e-9]
-    circle = np.cross(axes, rng.normal(size=3))
-    return canonical_axis(
-        np.concatenate([axes, normals, circle, rng.normal(size=(1, 3))]))
+    lines = canonical_axis(np.concatenate([axes, np.cross(axes[i], axes[j])]))
+    _, first = np.unique(np.round(lines, 6), axis=0, return_index=True)
+    return _fix_anti(reference_group(label), lines[np.sort(first)])
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(11))
 def test_orbit_representatives_give_the_classes_of_every_direction(seed):
-    for fin in _finite_labels(12):
+    # the candidate set before the orbit reduction, with random points
+    # for the generic ones: every axis, every pair normal, a random
+    # point of every axis's circle and a random direction
+    rng = np.random.default_rng(seed)
+    for fin in CAP_LABELS:
         elems, proper = reference_group(fin), label_census(fin)[0]
+        axes = structural_axes(fin)[0]
+        drawn = np.concatenate([unit(np.cross(axes, rng.normal(size=3))),
+                                unit(rng.normal(size=(1, 3)))])
+        fix, anti = map(np.vstack, zip(_pair_line_rows(fin), _fix_anti(elems, drawn)))
         for col in AXIAL:
-            dirs = _all_directions(fin, pair_rng(fin, col, seed))
-            masks = np.unique(_axial_masks(col, elems, proper, dirs), axis=0)
+            masks = _axial_masks(col, proper, _involutions(elems), fix, anti)
             want = ClassSet(recognize(fin, mask) for mask in masks)
-            assert clips_axial(fin, col, seed) == want, (fin, col)
+            assert clips_axial(fin, col) == want, (fin, col)
+
+
+def test_stated_rows_hold_at_random_points():
+    # the circle row of a representative a is the row at three random
+    # points normal to a, and the last row is that of a random direction.
+    # orthogonal(e3) is e2, a 2-fold axis of D_n for even n, so the row
+    # at the probe alone would also hold the half turn about e2
+    rng = np.random.default_rng(0)
+    for label in CAP_LABELS:
+        elems, reps = reference_group(label), axis_orbit_reps(label)[0]
+        _, fix, anti = _direction_rows(label)
+        circle = len(fix) - 1 - len(reps)
+        for r, a in enumerate(reps):
+            u = unit(np.cross(a, rng.normal(size=(3, 3))))
+            got_fix, got_anti = _fix_anti(elems, u)
+            assert (got_fix == fix[circle + r]).all(), (label, a)
+            assert (got_anti == anti[circle + r]).all(), (label, a)
+        got_fix, got_anti = _fix_anti(elems, unit(rng.normal(size=(1, 3))))
+        assert (got_fix == fix[-1]).all() and (got_anti == anti[-1]).all(), label
 
 
 def test_axial_masks_stay_within_the_float_budget():
-    # the broadcast in _axial_masks holds |G| x directions x 3 floats
+    # the broadcast in _direction_rows holds |G| x directions x 3 floats
     sizes = {format_label(label): len(reference_group(label)) * 3
-             * len(_candidate_directions(label, np.random.default_rng(0)))
+             * len(_candidate_directions(label))
              for label in CAP_LABELS}
     assert max(sizes.values()) <= 2.5e5, sizes

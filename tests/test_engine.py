@@ -225,6 +225,13 @@ def test_verify_cells_small_grid_all_match():
     assert all(c.match for c in checks)
 
 
+def test_verify_cells_seed_has_no_effect():
+    # the benchmark's worker still passes a seed; neither oracle draws
+    # random numbers, so every seed gives the same cells
+    runs = [list(verify_cells(n_max=3, m_max=3, seed=s)) for s in (0, 1, 7)]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_dominance_on_small_cells():
     for a, b in [("D4", "O"), ("Z6+Z2c", "D4^z"), ("O^-", "T+Z2c")]:
         cell = clips(a, b)
