@@ -22,8 +22,8 @@ from typing import Sequence
 from .engine import clips, verify_cells
 from .infinite import clips_reduce
 from .labels import (
-    ClassLabel,
     ClassSet,
+    family_spelling,
     format_label,
     is_infinite,
     order_of,
@@ -34,7 +34,13 @@ from .labels import (
     typeclass,
 )
 from .piezo import diff_piez
-from .tables import clips_type2_type3, table_cols, table_rows
+from .tables import (
+    COL_KINDS,
+    ROW_KINDS,
+    clips_type2_type3,
+    table_cols,
+    table_rows,
+)
 
 __all__ = ["main"]
 
@@ -111,17 +117,13 @@ def cmd_clips(args) -> int:
 # ---------------------------------------------------------------- table
 
 
-_COLUMN_TOKENS = {
-    "Z^-": "Z-", "Z-": "Z-",
-    "D^z": "Dz", "Dz": "Dz",
-    "D^d": "Dd", "Dd": "Dd",
-    "O^-": "O-", "O-": "O-",
-    "O(2)^-": "O2-", "O2-": "O2-", "O2^-": "O2-",
-}
-_ROW_TOKENS = {
-    "Z": "Z", "D": "D", "T": "T", "O": "O", "I": "I",
-    "SO(2)": "SO2", "SO2": "SO2", "O(2)": "O2", "O2": "O2",
-}
+def _tokens(kinds) -> dict[str, str]:
+    # each family by its spelling and by its kind tag (``D^z``, ``Dz``)
+    return {tok: kind for kind in kinds for tok in (family_spelling(kind), kind)}
+
+
+_COLUMN_TOKENS = {**_tokens(COL_KINDS), "O2^-": "O2-"}
+_ROW_TOKENS = _tokens(ROW_KINDS)
 
 
 def _parse_range(text: str) -> range:
@@ -224,17 +226,6 @@ _TYPE_NOTES = {
     "III": "has improper elements but not the inversion",
 }
 
-_POLY_AXIS = {"T": 3, "O": 4, "I": 5, "O-": 4}
-
-
-def _primary_axis_order(label: ClassLabel):
-    if label.kind == "1":
-        return 1
-    if label.kind in ("Z", "D", "Z-", "Dz", "Dd"):
-        return label.n
-    return _POLY_AXIS.get(label.kind)
-
-
 def _describe_factor(sign: int, axis, order: int) -> str:
     """A cyclic factor's generator, sign R([unit axis], 2*pi/order),
     with the angle printed exactly as a reduced fraction of pi."""
@@ -259,13 +250,12 @@ def cmd_info(args) -> int:
     elif kind == "III":
         print(f"rotation part: {format_label(proper_part(label))}")
         print(f"rotation envelope: {format_label(tilde_part(label))}")
-    primary = _primary_axis_order(label)
-    if primary is not None and not is_infinite(label):
-        print(f"primary axis order: {primary}")
     if not is_infinite(label):
         from .groups import cyclic_factors
 
-        gens = [_describe_factor(*f) for f in cyclic_factors(label)]
+        factors = cyclic_factors(label)
+        print(f"primary axis order: {max((m for *_, m in factors), default=1)}")
+        gens = [_describe_factor(*f) for f in factors]
         print("generators: " + "; ".join(gens + ["-Id"] * label.plus))
     return 0
 

@@ -37,7 +37,7 @@ from .labels import (
     is_infinite,
     parse_label,
 )
-from .tables import table_cols, table_rows
+from .tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 
 __all__ = [
     "CellCheck",
@@ -182,8 +182,8 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     oracle.  ``seed`` has no effect: neither oracle draws random
     numbers.
     """
-    rows = table_rows(("Z", "D", "T", "O", "I"), range(2, m_max + 1))
-    cols = table_cols(("Z-", "Dz", "Dd", "O-", "O2-"), range(1, n_max + 1))
+    rows = table_rows(FINITE_KINDS, range(2, m_max + 1))
+    cols = table_cols(COL_KINDS, range(1, n_max + 1))
     for row in rows:
         for col in cols:
             symbolic = clips(row, col)

@@ -2,14 +2,17 @@
 
 Every finite class is built from one table, ``cyclic_factors``: a list
 of cyclic factors (sign, axis, order), the factor being the group of
-sign^k R(axis, 2 pi k / order) for k < order.  The class in reference
-orientation is the ordered product <f1><f2>... of its factors, doubled
-by {Id, -Id} for a +Z2c label.  ``reference_group`` multiplies the
-factors out and sorts the result once, and ``generators`` lists one
-generator per factor.  ``recognize`` inverts the construction: given
-any finite set of orthogonal matrices forming a group, it returns the
-canonical class label, using only the determinant split, the rotation
-axes and the element count.
+sign^k R(axis, 2 pi k / order) for k < order.  A rotation class has its
+own row; a type III class takes its envelope's factors times the signs
+of ``labels.TYPE_III``.  The class in reference orientation is the
+ordered product <f1><f2>... of its factors, doubled by {Id, -Id} for a
++Z2c label.  ``reference_group`` multiplies the factors out and sorts
+the result once, and ``generators`` lists one generator per factor.
+``recognize`` inverts the construction: given any finite set of
+orthogonal matrices forming a group, it returns the canonical class
+label, using only the determinant split, the rotation axes and the
+element count; a type III class is named from its envelope and kernel
+by ``labels.type3_class``.
 
 ``close_group``, the dedupe of ``lexsort_elements`` and
 ``_check_separation`` close a generator list by a fixpoint loop.  No
@@ -36,20 +39,19 @@ from functools import lru_cache
 import numpy as np
 
 from .labels import (
+    TYPE_III,
     ClassLabel,
     cyclic,
-    cyclic_minus,
     dihedral,
-    dihedral_d,
-    dihedral_z,
     format_label,
     icosa,
     is_infinite,
     octa,
-    octa_minus,
     order_of,
     tetra,
+    tilde_part,
     trivial,
+    type3_class,
     with_z2c,
 )
 from .rotations import (
@@ -85,6 +87,11 @@ def cyclic_factors(label: ClassLabel) -> list[tuple[int, np.ndarray, int]]:
     {Id, -Id} factor of a +Z2c label)."""
     if is_infinite(label):
         raise GroupError(f"{label} is infinite and has no finite generator set")
+    if label.kind in TYPE_III:
+        # the envelope's factors, each times the sign the class puts on it
+        signs = TYPE_III[label.kind][3]
+        return [(s * sign, axis, m) for s, (sign, axis, m)
+                in zip(signs, cyclic_factors(tilde_part(label)))]
     n = label.n
     match label.kind:
         case "1":
@@ -99,15 +106,6 @@ def cyclic_factors(label: ClassLabel) -> list[tuple[int, np.ndarray, int]]:
             return [(1, E3, 4), (1, E1, 2), (1, DIAGONAL, 3)]
         case "I":
             return [(1, E3, 2), (1, E1, 2), (1, DIAGONAL, 3), (1, FIVE_FOLD, 5)]
-        case "Z-":
-            # order n with subscript n even; -R(e3, 2*pi/n) generates it
-            return [(-1, E3, n)]
-        case "Dz":
-            return [(1, E3, n), (-1, E1, 2)]
-        case "Dd":
-            return [(-1, E3, n), (1, E1, 2)]
-        case "O-":
-            return [(-1, E3, 4), (1, E1, 2), (1, DIAGONAL, 3)]
     raise GroupError(f"no factor table for {label}")
 
 
@@ -429,9 +427,10 @@ def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     (D128 has tau(128) + sigma(128) = 263).  The element form is not
     memoized.
 
-    The determinant splits the group; a type III group is identified by
-    the pair (class of tilde, class of proper), tilde being the proper
-    elements and the negated improper ones.  Without -Id the two halves
+    The determinant splits the group; a type III group is named by
+    ``labels.type3_class`` from its envelope tilde, the proper elements
+    and the negated improper ones, and its kernel, the proper part
+    (the ``labels.TYPE_III`` table).  Without -Id the two halves
     are disjoint (p = -q would put -Id = q p^-1 in the group), so tilde
     has |G| elements, and each of them is h = det(x) x for one x of G.
     One census of h therefore serves both: per axis, tilde counts every
@@ -457,15 +456,7 @@ def _classify(proper: np.ndarray, axes: np.ndarray, ids: np.ndarray) -> ClassLab
     if (ids[~proper] < 0).any():  # -Id
         return with_z2c(p)
     t = _rotation_class(len(ids), _axis_counts(ids, len(axes)))
-    match (t.kind, p.kind):
-        case ("Z", "1") if t.n == 2:
-            return cyclic_minus(2)
-        case ("Z", "Z") if t.n == 2 * p.n:
-            return cyclic_minus(t.n)
-        case ("D", "Z") if t.n == p.n:
-            return dihedral_z(t.n)
-        case ("D", "D") if t.n == 2 * p.n:
-            return dihedral_d(t.n)
-        case ("O", "T"):
-            return octa_minus()
-    raise RecognitionError(f"unrecognized improper group: tilde {t}, proper {p}")
+    label = type3_class(t, p)
+    if label is None:
+        raise RecognitionError(f"unrecognized improper group: tilde {t}, proper {p}")
+    return label

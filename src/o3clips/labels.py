@@ -13,6 +13,23 @@ This module defines the label algebra only: parsing, formatting,
 canonicalization, group orders and a deterministic total order used to
 present sets of classes.  Matrix realizations live in ``groups``.
 
+A type III class H is read as a rotation group K, its envelope
+{det(x) x : x in H} (``tilde_part``), with an index-2 subgroup L, its
+kernel H ∩ SO(3) (``proper_part``): H = L ∪ −(K∖L).  One table,
+``TYPE_III``, holds this decision.  Per kind it names the envelope, the
+kernel, and the sign H puts on each cyclic factor of K:
+
+    Z_n^-   (Z_n, Z_{n/2}, −)
+    D_n^z   (D_n, Z_n, +, −)
+    D_n^d   (D_n, D_{n/2}, −, +)
+    O^-     (O, T, −, +, +)
+    O(2)^-  (O(2), SO(2)), no factors
+
+``proper_part`` and ``tilde_part`` look it up, ``type3_class`` inverts
+it, ``order_of`` gives H the envelope's order (x -> det(x) x is one to
+one from H onto K), and ``groups.cyclic_factors`` multiplies the
+envelope's factors by the signs.
+
 Every spelling comes from one table: the fixed spellings (``1``, ``T``,
 ``O(2)^-``, ...) and the parametric heads ``Z`` and ``D`` with their
 suffixes.  ``parse_label`` reads it, ``format_label`` writes it, and a
@@ -40,8 +57,19 @@ from typing import Iterable, Iterator
 # Label kinds.  'Z-' stores the printed subscript (an even number, the
 # group order), as do 'Dz' and 'Dd'.  'Dd' subscripts are even and the
 # group order is twice the subscript.
-KINDS_III = ("Z-", "Dz", "Dd", "O-", "O2-")
 INFINITE_KINDS = frozenset({"SO2", "O2", "SO3", "O2-"})
+
+# The type III table of the module docstring.  Per kind: the envelope's
+# kind, which takes the class's own printed subscript n; the kernel's
+# kind, which takes n // divisor; and the signs on the envelope's cyclic
+# factors.  The fixed kinds have subscript 0.
+TYPE_III = {
+    "Z-": ("Z", "Z", 2, (-1,)),
+    "Dz": ("D", "Z", 1, (1, -1)),
+    "Dd": ("D", "D", 2, (-1, 1)),
+    "O-": ("O", "T", 1, (-1, 1, 1)),
+    "O2-": ("O2", "SO2", 1, ()),
+}
 
 _FAMILY_RANK = {
     "1": 0, "Z": 1, "D": 2, "T": 3, "O": 4, "I": 5,
@@ -161,22 +189,22 @@ def o3() -> ClassLabel:
 
 
 def cyclic_minus(k: int) -> ClassLabel:
-    # Z_k^-: order k, proper part Z_{k/2}; the subscript is even.
+    # the kernel Z_{k/2} (``TYPE_III``) needs an even subscript
     if k < 2 or k % 2:
         raise ValueError(f"Z_{k}^- is not a group (even subscript >= 2 required)")
     return _base("Z-", k)
 
 
 def dihedral_z(n: int) -> ClassLabel:
-    # D_n^z: order 2n, proper part Z_n.  D_1^z degenerates to Z_2^-.
+    # D_1^z degenerates to Z_2^-
     if n < 1:
         raise ValueError(f"D_{n}^z is not a group")
     return cyclic_minus(2) if n == 1 else _base("Dz", n)
 
 
 def dihedral_d(k: int) -> ClassLabel:
-    # D_k^d: order 2k, proper part D_{k/2}; subscript k is even.
-    # D_2^d is conjugate to D_2^z, the z spelling is canonical.
+    # the kernel D_{k/2} needs an even subscript; D_2^d is conjugate to
+    # D_2^z, and the z spelling is canonical
     if k < 2 or k % 2:
         raise ValueError(f"D_{k}^d is not a group (even subscript >= 2 required)")
     return dihedral_z(2) if k == 2 else _base("Dd", k)
@@ -194,7 +222,7 @@ def with_z2c(label: ClassLabel) -> ClassLabel:
     """The type II class H (+) Z2c for a type I class H."""
     if label.plus:
         return label
-    if label.kind in KINDS_III:
+    if label.kind in TYPE_III:
         raise ValueError(f"{label} already contains improper elements")
     return ClassLabel(label.kind, label.n, True)
 
@@ -205,52 +233,49 @@ def strip_z2c(label: ClassLabel) -> ClassLabel:
 
 
 def proper_part(label: ClassLabel) -> ClassLabel:
-    """Class of the intersection with SO(3) (the determinant +1 part)."""
+    """Class of the intersection with SO(3) (the determinant +1 part):
+    the kernel of a type III class."""
     if label.plus:
         return strip_z2c(label)
-    match label.kind:
-        case "Z-":
-            return cyclic(label.n // 2)
-        case "Dz":
-            return cyclic(label.n)
-        case "Dd":
-            return dihedral(label.n // 2)
-        case "O-":
-            return tetra()
-        case "O2-":
-            return so2()
-    return label
+    row = TYPE_III.get(label.kind)
+    return label if row is None else _build(row[1], label.n // row[2])
 
 
 def tilde_part(label: ClassLabel) -> ClassLabel:
     """For a type III class, the rotation group obtained by negating the
-    improper half; identity on type I / II labels."""
-    if label.plus:
-        return label
-    match label.kind:
-        case "Z-":
-            return cyclic(label.n)
-        case "Dz" | "Dd":
-            return dihedral(label.n)
-        case "O-":
-            return octa()
-        case "O2-":
-            return o2()
-    return label
+    improper half (its envelope); identity on type I / II labels."""
+    row = TYPE_III.get(label.kind)
+    return label if row is None else _build(row[0], label.n)
+
+
+def type3_class(envelope: ClassLabel, kernel: ClassLabel) -> ClassLabel | None:
+    """The type III class with this envelope and kernel, the inverse of
+    (``tilde_part``, ``proper_part``); None when no class has them.
+
+    A type III class has its envelope's subscript, so the candidates are
+    the at most two kinds of ``TYPE_III`` with the envelope's kind."""
+    n = envelope.n
+    for kind, (env, ker, divisor, _) in TYPE_III.items():
+        if (env == envelope.kind and not envelope.plus and n % divisor == 0
+                and _build(ker, n // divisor) is kernel):
+            return _build(kind, n)
+    return None
+
+
+# group orders of the fixed finite rotation kinds
+_ORDERS = {"1": 1, "T": 12, "O": 24, "I": 60}
 
 
 def order_of(label: ClassLabel) -> float:
-    """Group order; ``math.inf`` for the continuous classes."""
-    if label.kind in INFINITE_KINDS:
+    """Group order; ``math.inf`` for the continuous classes.  A type III
+    class has its envelope's order: x -> det(x) x maps it onto the
+    envelope one to one."""
+    kind = label.kind
+    if kind in INFINITE_KINDS:
         return math.inf
-    base = {
-        "1": 1, "T": 12, "O": 24, "I": 60, "O-": 24,
-    }.get(label.kind)
-    if base is None:
-        base = {
-            "Z": label.n, "D": 2 * label.n,
-            "Z-": label.n, "Dz": 2 * label.n, "Dd": 2 * label.n,
-        }[label.kind]
+    if kind in TYPE_III:
+        return order_of(tilde_part(label))
+    base = _ORDERS.get(kind) or (label.n if kind == "Z" else 2 * label.n)
     return base * 2 if label.plus else base
 
 
@@ -258,7 +283,7 @@ def typeclass(label: ClassLabel) -> str:
     """'I' for rotation groups, 'II' for X+Z2c, 'III' for the rest."""
     if label.plus:
         return "II"
-    return "III" if label.kind in KINDS_III else "I"
+    return "III" if label.kind in TYPE_III else "I"
 
 
 def is_infinite(label: ClassLabel) -> bool:
@@ -309,6 +334,21 @@ _PARAMETRIC_FORMS = {
     for head, suffixes in _PARAMETRIC_SPELLINGS.items()
     for suffix, kind in suffixes.items()
 }
+
+
+def _build(kind: str, n: int) -> ClassLabel:
+    """The canonical class of a kind and a printed subscript, which the
+    fixed kinds ignore."""
+    if (kind, False) in _FIXED_FORMS:
+        return _base(kind)
+    return _BUILDERS[kind](n)
+
+
+def family_spelling(kind: str) -> str:
+    """A family's spelling without a subscript: ``Z^-``, ``D``, ``O(2)``."""
+    if kind in _PARAMETRIC_FORMS:
+        return "".join(_PARAMETRIC_FORMS[kind])
+    return _FIXED_FORMS[kind, False]
 
 
 def format_label(label: ClassLabel) -> str:
@@ -410,10 +450,7 @@ def parse_label(text: str) -> ClassLabel:
 @cache
 def canonicalize(label: ClassLabel) -> ClassLabel:
     """Re-canonicalize a label built by hand (collapses degenerate n)."""
-    if (label.kind, False) in _FIXED_FORMS:
-        out = _base(label.kind)
-    else:
-        out = _BUILDERS[label.kind](label.n)
+    out = _build(label.kind, label.n)
     return with_z2c(out) if label.plus else out
 
 

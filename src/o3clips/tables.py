@@ -69,8 +69,12 @@ from math import gcd
 from typing import Sequence
 
 from .labels import (
+    _BUILDERS,
+    _FAMILY_RANK,
+    TYPE_III,
     ClassLabel,
     ClassSet,
+    _build,
     cyclic,
     cyclic_minus,
     dihedral,
@@ -78,7 +82,6 @@ from .labels import (
     dihedral_z,
     format_label,
     icosa,
-    o2,
     o2_minus,
     octa,
     octa_minus,
@@ -88,8 +91,13 @@ from .labels import (
     with_z2c,
 )
 
-_ROW_KINDS = ("Z", "D", "T", "O", "I", "SO2", "O2")
-_COL_KINDS = ("Z-", "Dz", "Dd", "O-", "O2-")
+# The table's families by kind tag.  The columns are the type III
+# kinds; the rows X+Z2c range over the finite rotation kinds but 1, in
+# ``_FAMILY_RANK`` order (the kinds of ``clips_type1_type1``), then SO(2)
+# and O(2).
+COL_KINDS = tuple(TYPE_III)
+FINITE_KINDS = tuple(k for k in _FAMILY_RANK if k != "1" and k not in TYPE_III)
+ROW_KINDS = (*FINITE_KINDS, "SO2", "O2")
 
 
 def zee(n: int) -> ClassLabel:
@@ -344,11 +352,11 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> tuple[str, ClassSet]:
         branch names the parameter condition that fired ("" when the
         cell is unconditional); cell always includes the trivial class.
     """
-    if not (row.plus and row.kind in _ROW_KINDS):
+    if not (row.plus and row.kind in ROW_KINDS):
         raise ValueError(f"not a table row class: {format_label(row)}")
     if row.kind in ("Z", "D") and row.n < 2:
         raise ValueError(f"row parameter out of range: {format_label(row)}")
-    if col.plus or col.kind not in _COL_KINDS:
+    if col.plus or col.kind not in COL_KINDS:
         raise ValueError(f"not a table column class: {format_label(col)}")
     if col.kind == "Z-":
         branch, cell = _cell_zminus(row, col.n // 2)
@@ -363,7 +371,6 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> tuple[str, ClassSet]:
     return branch, ClassSet([trivial(), *cell])
 
 
-_TYPE1_RANK = {"Z": 0, "D": 1, "T": 2, "O": 3, "I": 4}
 # orders p > 2 of the rotation axes of each polyhedral group; all three
 # also have 2-fold axes
 _POLY_AXES = {"T": (3,), "O": (3, 4), "I": (3, 5)}
@@ -428,11 +435,11 @@ def clips_type1_type1(a: ClassLabel,
       and [O], [I] occur only against themselves.
     """
     for lab in (a, b):
-        if (lab.plus or lab.kind not in _TYPE1_RANK
+        if (lab.plus or lab.kind not in FINITE_KINDS
                 or (lab.kind in ("Z", "D") and lab.n < 2)):
             raise ValueError(f"not a finite rotation class: "
                              f"{format_label(lab)}")
-    x, y = sorted((a, b), key=lambda lab: _TYPE1_RANK[lab.kind])
+    x, y = sorted((a, b), key=lambda lab: _FAMILY_RANK[lab.kind])
     branch, cell = _cell_type1(x, y)
     return branch, ClassSet([trivial(), *cell])
 
@@ -468,36 +475,27 @@ def _cell_type1(x: ClassLabel, y: ClassLabel) -> tuple[str, list[ClassLabel]]:
     return "m odd", cell
 
 
-# family tag -> (class of parameter p, least p); _FIXED families take none
-_PARAMETRIC = {
-    "Z": (cyclic, 2), "D": (dihedral, 2),
-    "Z-": (lambda n: cyclic_minus(2 * n), 1), "Dz": (dihedral_z, 2),
-    "Dd": (lambda n: dihedral_d(2 * n), 1),
-}
-_FIXED = {"T": tetra, "O": octa, "I": icosa, "SO2": so2, "O2": o2,
-          "O-": octa_minus, "O2-": o2_minus}
-
-
 def _families(kinds: Sequence[str], params: range) -> list[ClassLabel]:
     out = []
     for kind in kinds:
-        if kind in _FIXED:
-            out.append(_FIXED[kind]())
+        if kind not in _BUILDERS:
+            out.append(_build(kind, 0))
+        elif kind in ("Z-", "Dd"):  # Z_2p^- and D_2p^d
+            out += [_build(kind, 2 * p) for p in params if p >= 1]
         else:
-            build, least = _PARAMETRIC[kind]
-            out += [build(p) for p in params if p >= least]
+            out += [_build(kind, p) for p in params if p >= 2]
     return out
 
 
 def table_rows(kinds: Sequence[str], m_range: range) -> list[ClassLabel]:
     """The table's rows X+Z2c of the families ``kinds`` (tags of
-    ``_ROW_KINDS``) in that order, Z_m and D_m over the m >= 2 of
+    ``ROW_KINDS``) in that order, Z_m and D_m over the m >= 2 of
     ``m_range``."""
     return [with_z2c(x) for x in _families(kinds, m_range)]
 
 
 def table_cols(kinds: Sequence[str], n_range: range) -> list[ClassLabel]:
     """The table's columns of the families ``kinds`` (tags of
-    ``_COL_KINDS``) in that order, Z_2n^- and D_2n^d over the n >= 1 of
+    ``COL_KINDS``) in that order, Z_2n^- and D_2n^d over the n >= 1 of
     ``n_range``, D_n^z over its n >= 2."""
     return _families(kinds, n_range)

@@ -263,6 +263,42 @@ def test_table_unknown_column(capsys):
     assert "unknown column" in err
 
 
+# every table token, with the family it selects at parameter 2
+COLUMN_TOKENS = {
+    "Z^-": "Z4^-", "Z-": "Z4^-", "D^z": "D2^z", "Dz": "D2^z",
+    "D^d": "D4^d", "Dd": "D4^d", "O^-": "O^-", "O-": "O^-",
+    "O(2)^-": "O(2)^-", "O2-": "O(2)^-", "O2^-": "O(2)^-",
+}
+ROW_TOKENS = {
+    "Z": "Z2+Z2c", "D": "D2+Z2c", "T": "T+Z2c", "O": "O+Z2c",
+    "I": "I+Z2c", "SO(2)": "SO(2)+Z2c", "SO2": "SO(2)+Z2c",
+    "O(2)": "O(2)+Z2c", "O2": "O(2)+Z2c",
+}
+
+
+@pytest.mark.parametrize("flag, token, family", [
+    *(("--columns", tok, fam) for tok, fam in COLUMN_TOKENS.items()),
+    *(("--rows", tok, fam) for tok, fam in ROW_TOKENS.items()),
+])
+def test_table_token_selects_its_family(capsys, flag, token, family):
+    key, other = (("col", ["--rows", "Z"]) if flag == "--columns"
+                  else ("row", ["--columns", "O^-"]))
+    code, out, _ = run(capsys, "table", "--n-range", "2..2", "--m-range",
+                       "2..2", flag, token, *other, "--format", "json")
+    assert code == 0
+    assert [cell[key] for cell in json.loads(out)["cells"]] == [family]
+
+
+@pytest.mark.parametrize("flag, what, tokens", [
+    ("--columns", "column", COLUMN_TOKENS), ("--rows", "row", ROW_TOKENS),
+])
+def test_table_unknown_token_lists_every_token(capsys, flag, what, tokens):
+    code, _, err = run(capsys, "table", flag, "Q")
+    assert code == 1
+    assert (f"unknown {what} 'Q'; expected one of "
+            f"{', '.join(sorted(tokens))}") in err
+
+
 def test_verify_small_grid(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2")
     assert code == 0
@@ -311,7 +347,17 @@ def test_info_d6d(capsys):
     assert lines[2] == "order: 12"
     assert "rotation part: D3" in lines
     assert "rotation envelope: D6" in lines
-    assert "primary axis order: 6" in lines
+
+
+@pytest.mark.parametrize("label, order", [
+    ("1", 1), ("1+Z2c", 1), ("Z5", 5), ("D4+Z2c", 4), ("T", 3), ("O", 4),
+    ("I+Z2c", 5), ("Z2^-", 2), ("Z8^-", 8), ("D3^z", 3), ("D6^d", 6),
+    ("O^-", 4),
+])
+def test_info_primary_axis_order(capsys, label, order):
+    code, out, _ = run(capsys, "info", label)
+    assert code == 0
+    assert f"primary axis order: {order}" in out.splitlines()
 
 
 @pytest.mark.parametrize("label, angle", [("Z128", "pi/64"),
@@ -345,6 +391,7 @@ def test_info_infinite(capsys):
     assert code == 0
     assert "order: infinite" in out
     assert "rotation part: SO(2)" in out
+    assert "primary axis order" not in out
 
 
 def test_info_type2(capsys):

@@ -11,6 +11,7 @@ from o3clips.groups import (
     ORDER_CAP,
     PHI,
     GroupError,
+    RecognitionError,
     _canonical_order,
     axis_census,
     axis_orbits,
@@ -40,7 +41,7 @@ from o3clips.labels import (
     trivial,
     with_z2c,
 )
-from o3clips.rotations import random_rotation
+from o3clips.rotations import random_rotation, rotation
 
 AUDIT_LABELS = (
     ["1", "1+Z2c", "T", "O", "I", "O^-", "T+Z2c", "O+Z2c", "I+Z2c"]
@@ -237,6 +238,18 @@ def test_recognize_round_trip(text):
 
 def test_recognize_reports_trivial():
     assert recognize(np.eye(3)[None]) == trivial()
+
+
+def test_recognize_names_no_class_for_an_unmatched_envelope_and_kernel():
+    # not a group: the proper part {Id, R(e3, 2pi/3)} counts as Z2 and
+    # the envelope {Id, R(e3, 2pi/3), R(e3, 4pi/3)} as Z3, which no type
+    # III class has as its (envelope, kernel)
+    e3 = np.array([0.0, 0.0, 1.0])
+    elems = np.array([np.eye(3), rotation(e3, 2 * np.pi / 3),
+                      -rotation(e3, 4 * np.pi / 3)])
+    with pytest.raises(RecognitionError, match=r"^unrecognized improper "
+                       r"group: tilde Z3, proper Z2$"):
+        recognize(elems)
 
 
 # label: (axis count, {cyclic order: axes with it}, orbit count)

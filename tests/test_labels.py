@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import labels_up_to
 from o3clips import labels
 from o3clips.labels import (
     ClassLabel,
@@ -36,8 +37,11 @@ from o3clips.labels import (
     tetra,
     tilde_part,
     trivial,
+    type3_class,
+    typeclass,
     with_z2c,
 )
+from o3clips.rotations import ORDER_CAP
 
 ROUND_TRIP = [
     "1", "Z2", "Z3", "Z12", "D2", "D3", "D8", "T", "O", "I",
@@ -176,6 +180,19 @@ def test_strip_and_parts():
     assert tilde_part(dihedral_d(8)) == dihedral(8)
     assert tilde_part(octa_minus()) == octa()
     assert tilde_part(o2_minus()) == o2()
+
+
+def test_type3_table_round_trips_every_class_within_the_cap():
+    # reads labels only: no group is built
+    third = [lab for lab in labels_up_to(ORDER_CAP) if typeclass(lab) == "III"]
+    assert len(third) == 319
+    for lab in third:
+        envelope = tilde_part(lab)
+        assert type3_class(envelope, proper_part(lab)) is lab
+        assert order_of(lab) == order_of(envelope)
+    assert type3_class(o2(), so2()) is o2_minus()
+    for envelope, kernel in (("Z3", "1"), ("Z4", "1"), ("T", "Z2"), ("O", "D4")):
+        assert type3_class(parse_label(envelope), parse_label(kernel)) is None
 
 
 def test_sort_order_finite_before_infinite():
