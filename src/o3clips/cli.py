@@ -12,7 +12,6 @@ verification found a mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -66,6 +65,8 @@ def _emit(fmt: str, obj, header: list[str], rows: list[list[str]],
     if fmt == "json":
         print(json.dumps(obj))
     elif fmt == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
     elif fmt == "markdown":
         for line in (header, ["---"] * len(header), *rows):
@@ -152,7 +153,8 @@ def cmd_table(args) -> int:
     col_kinds = _split_tokens(args.columns, _COLUMN_TOKENS, "column")
     row_kinds = _split_tokens(args.rows, _ROW_TOKENS, "row")
     rows = table_rows(row_kinds, m_range)
-    cols = table_cols(col_kinds, n_range)
+    # D2^d is D2^z: with n from 1 the D^d column repeats the D^z one
+    cols = list(dict.fromkeys(table_cols(col_kinds, n_range)))
     grid = [[clips_type2_type3(r, c) for c in cols] for r in rows]
     rows = [format_label(r) for r in rows]
     cols = [format_label(c) for c in cols]

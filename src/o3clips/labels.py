@@ -42,9 +42,14 @@ label hashes by identity.  A label built by hand with a degenerate
 parameter, such as ``ClassLabel("Z", 1)``, is its own instance and
 stays distinct from ``trivial()`` until ``canonicalize`` maps it there;
 every factory and ``parse_label`` return canonical labels.
-``parse_label``, ``canonicalize`` and ``sort_key`` are memoized on
-their argument, so a spelling or a class repeated within a workload is
-parsed, checked and ranked once.
+``parse_label``, ``canonicalize``, ``sort_key`` and every factory
+(``cyclic``, ``dihedral_d``, ``o3``, ...) are memoized on their one
+argument, so a spelling, a class or a subscript repeated within a
+workload is parsed, checked, ranked or built once.  A factory's memo is
+exact: a factory is a pure function of its subscript and labels are
+interned, so the memo holds the pooled instance an uncached call would
+return; and a memo stores no exception, so an invalid subscript raises
+the factory's ``ValueError`` on every call.
 """
 
 from __future__ import annotations
@@ -144,50 +149,61 @@ def _base(kind: str, n: int = 0) -> ClassLabel:
     return ClassLabel(kind, n, False)
 
 
+@cache
 def trivial() -> ClassLabel:
     return _base("1")
 
 
+@cache
 def cyclic(n: int) -> ClassLabel:
     if n < 1:
         raise ValueError(f"Z_{n} is not a group")
     return trivial() if n == 1 else _base("Z", n)
 
 
+@cache
 def dihedral(n: int) -> ClassLabel:
     if n < 1:
         raise ValueError(f"D_{n} is not a group")
     return cyclic(2) if n == 1 else _base("D", n)
 
 
+@cache
 def tetra() -> ClassLabel:
     return _base("T")
 
 
+@cache
 def octa() -> ClassLabel:
     return _base("O")
 
 
+@cache
 def icosa() -> ClassLabel:
     return _base("I")
 
 
+@cache
 def so2() -> ClassLabel:
     return _base("SO2")
 
 
+@cache
 def o2() -> ClassLabel:
     return _base("O2")
 
 
+@cache
 def so3() -> ClassLabel:
     return _base("SO3")
 
 
+@cache
 def o3() -> ClassLabel:
     return ClassLabel("SO3", 0, True)
 
 
+@cache
 def cyclic_minus(k: int) -> ClassLabel:
     # the kernel Z_{k/2} (``TYPE_III``) needs an even subscript
     if k < 2 or k % 2:
@@ -195,6 +211,7 @@ def cyclic_minus(k: int) -> ClassLabel:
     return _base("Z-", k)
 
 
+@cache
 def dihedral_z(n: int) -> ClassLabel:
     # D_1^z degenerates to Z_2^-
     if n < 1:
@@ -202,6 +219,7 @@ def dihedral_z(n: int) -> ClassLabel:
     return cyclic_minus(2) if n == 1 else _base("Dz", n)
 
 
+@cache
 def dihedral_d(k: int) -> ClassLabel:
     # the kernel D_{k/2} needs an even subscript; D_2^d is conjugate to
     # D_2^z, and the z spelling is canonical
@@ -210,10 +228,12 @@ def dihedral_d(k: int) -> ClassLabel:
     return dihedral_z(2) if k == 2 else _base("Dd", k)
 
 
+@cache
 def octa_minus() -> ClassLabel:
     return _base("O-")
 
 
+@cache
 def o2_minus() -> ClassLabel:
     return _base("O2-")
 

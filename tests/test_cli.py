@@ -112,7 +112,7 @@ def test_piez_loads_no_numpy():
               "                   (['clips', 'O^-', 'O+Z2c'], 0),\n"
               "                   (['clips', 'X4', 'O'], 1)]:\n"
               "    assert cli.main(argv) == code, argv\n"
-              "    for mod in ('numpy', 'dataclasses', 'inspect'):\n"
+              "    for mod in ('numpy', 'dataclasses', 'inspect', 'csv'):\n"
               "        assert mod not in sys.modules, (mod, argv)\n")
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
@@ -212,6 +212,18 @@ def test_table_text(capsys):
     assert out.splitlines() == [
         "Z2+Z2c x D4^d: 1 Z2 Z2^-",
         "Z2+Z2c x D6^d: 1 Z2 Z2^-",
+    ]
+
+
+def test_table_lists_each_column_once(capsys):
+    # from n = 1 the D^d column's D2^d is the D^z column's D2^z
+    code, out, _ = run(capsys, "table", "--n-range", "1..3",
+                       "--m-range", "2..2", "--rows", "Z")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"Z2+Z2c x {col}" for col in ("Z2^-", "Z4^-", "Z6^-", "D2^z",
+                                      "D3^z", "D4^d", "D6^d", "O^-",
+                                      "O(2)^-")
     ]
 
 

@@ -130,16 +130,60 @@ def test_factories_match_parse():
 
 
 def test_factory_degenerate_parameters():
-    assert cyclic(1) == trivial()
-    assert dihedral(1) == cyclic(2)
-    assert dihedral_z(1) == cyclic_minus(2)
-    assert dihedral_d(2) == dihedral_z(2)
-    with pytest.raises(ValueError):
-        cyclic_minus(3)
-    with pytest.raises(ValueError):
-        cyclic_minus(0)
-    with pytest.raises(ValueError):
-        dihedral_d(3)
+    # the second round is answered by the factories' memos
+    for _ in range(2):
+        assert cyclic(1) is trivial()
+        assert dihedral(1) is cyclic(2)
+        assert dihedral_z(1) is cyclic_minus(2)
+        assert dihedral_d(2) is dihedral_z(2)
+
+
+@pytest.mark.parametrize("factory, n, message", [
+    (cyclic, 0, "Z_0 is not a group"),
+    (dihedral, -1, "D_-1 is not a group"),
+    (cyclic_minus, 3, "Z_3^- is not a group (even subscript >= 2 required)"),
+    (cyclic_minus, 0, "Z_0^- is not a group (even subscript >= 2 required)"),
+    (dihedral_z, 0, "D_0^z is not a group"),
+    (dihedral_d, 3, "D_3^d is not a group (even subscript >= 2 required)"),
+])
+def test_an_invalid_subscript_raises_on_every_call(factory, n, message):
+    # a memo stores no exception, so the second call checks again
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            factory(n)
+        assert str(err.value) == message
+
+
+FIXED_FACTORIES = (trivial, tetra, octa, icosa, so2, o2, so3, o3,
+                   octa_minus, o2_minus)
+
+
+def test_every_factory_is_memoized():
+    for factory in (*labels._BUILDERS.values(), *FIXED_FACTORIES):
+        assert callable(getattr(factory, "cache_info", None)), factory
+
+
+@pytest.mark.parametrize("factory_first", [True, False])
+@pytest.mark.parametrize("kind", sorted(labels._BUILDERS))
+def test_a_memoized_factory_returns_the_pooled_label(kind, factory_first):
+    # a subscript no other test builds, so this test decides whether the
+    # factory or the pool meets it first
+    n = 2 * 10**8 + 2 * factory_first
+    build = labels._BUILDERS[kind]
+    if factory_first:
+        first = build(n)
+        assert ClassLabel(kind, n) is first
+    else:
+        first = ClassLabel(kind, n)
+    assert build(n) is first
+    assert build(n) is first
+
+
+@pytest.mark.parametrize("factory", FIXED_FACTORIES)
+def test_a_fixed_factory_returns_the_pooled_label(factory):
+    lab = factory()
+    assert factory() is lab
+    assert ClassLabel(lab.kind, lab.n, lab.plus) is lab
 
 
 def test_with_z2c_rejects_type3():
