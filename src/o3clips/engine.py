@@ -1,18 +1,15 @@
 """One product, three routes: closed form, brute force, or both.
 
 ``clips`` is the public entry point for the conjugacy-class intersection
-product on closed subgroups of O(3).  The symbolic route answers from
-``infinite.clips_reduce`` whenever it has a closed form, which is every
-pair but a finite type III x type III one; that pair, reduced by the
-same ``infinite.normalize`` step (which holds the exact reductions),
-goes to the matrix oracle.  The oracle route forces the brute-force
-computation and is therefore restricted to pairs of finite classes.
-The "both" route returns the symbolic answer after cross-checking it
-against the oracle whenever the pair is finite, raising
-``ClipsMismatch`` on disagreement.  For a finite III x III pair the
-symbolic answer is the oracle on the normalized pair, so there "both"
-compares that with the oracle on the raw pair: it checks
-``normalize``, not a rule.
+product on closed subgroups of O(3).  The symbolic route answers every
+pair from ``infinite.clips_reduce``, in closed form.  The oracle route
+forces the brute-force computation and is therefore restricted to
+pairs of finite classes.  The "both" route returns the symbolic answer
+after cross-checking it against the oracle whenever the pair is
+finite, raising ``ClipsMismatch`` on disagreement, so it always
+compares a rule with brute force.  Above the oracle's order cap
+"both" raises the oracle's ``ValueError``; the symbolic route has no
+cap.
 
 The matrix layer (numpy, ``oracle``, ``axial``) is imported on the
 first brute-force call, so the symbolic route never loads it.
@@ -28,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .infinite import clips_reduce, lifted, normalize
+from .infinite import clips_reduce
 from .labels import (
     ClassLabel,
     ClassSet,
@@ -87,8 +84,9 @@ def clips_axial(a: ClassLabel, b: ClassLabel) -> ClassSet:
 
 @lru_cache(maxsize=None)
 def _oracle_after_strips(a: ClassLabel, b: ClassLabel) -> ClassSet:
-    """Oracle answer for a pair already reduced by ``normalize``, cached
-    so that every pair normalizing to the same one shares an entry."""
+    """The cached oracle answer for a pair.  No library path calls it:
+    the benchmark's tracer wraps it and reads its ``cache_info``, and
+    ROADMAP item 1 deletes it with that tracer target."""
     return clips_oracle(a, b)
 
 
@@ -96,12 +94,10 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
           method: str = "symbolic", seed: int = 0) -> ClassSet:
     """Set of classes of intersections of c1 with all conjugates of c2.
 
-    ``method="both"`` checks the symbolic answer against the oracle on a
-    finite pair.  When ``clips_reduce`` has no closed form for the pair
-    (a finite type III x type III pair), the symbolic answer is the
-    oracle on the ``normalize``d pair, so the check compares two oracle
-    runs and covers ``normalize`` only.  ``seed`` has no effect: no
-    route draws random numbers.
+    ``method="symbolic"`` answers every pair in closed form.
+    ``method="both"`` checks that answer against the oracle on a finite
+    pair, and raises the oracle's ``ValueError`` above its order cap.
+    ``seed`` has no effect: no route draws random numbers.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -124,11 +120,7 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
                 raise ClipsMismatch(a, b, sym, orc)
         return sym
 
-    reduced = clips_reduce(a, b)
-    if reduced is not None:
-        return reduced
-    a, b, lift = normalize(a, b)
-    return lifted(_oracle_after_strips(a, b), lift)
+    return clips_reduce(a, b)
 
 
 def clips_families(fam1: Iterable[str | ClassLabel],
@@ -150,11 +142,9 @@ def class_leq(c1: str | ClassLabel, c2: str | ClassLabel) -> bool:
     g b g^-1 is conjugate to a, then K is a closed subgroup of a with
     the dimension and the number of components of a, so K = a and a
     sits inside g b g^-1; conversely, a inside g b g^-1 makes K = a.
-    ``a == b`` answers first, so a class beyond the oracle's order cap
-    is still below itself.
     """
     a, b = _as_label(c1), _as_label(c2)
-    return a == b or a in clips(a, b)
+    return a in clips(a, b)
 
 
 class CellCheck(NamedTuple):

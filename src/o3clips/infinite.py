@@ -1,10 +1,10 @@
 """Closed-form clips: the exact reductions, then one rule per pair type.
 
 Everything here is a closed form: absorbers for the full groups, the
-axial rule sets, the type II x type III table cells and the finite
-type I x type I cells, applied after ``normalize``.  clips_reduce
-returns None only when the normalized pair is a finite type III x
-type III pair, which the engine hands to the brute-force oracle.
+axial rule sets, the type II x type III table cells, the finite
+type I x type I cells and the finite type III x type III cells,
+applied after ``normalize``.  Every pair has one, so ``clips_reduce``
+answers every pair and never reaches the matrix layer.
 
 ``normalize`` applies the three exact reductions, the only place they
 are written:
@@ -35,7 +35,7 @@ from .labels import (
     typeclass,
     with_z2c,
 )
-from .tables import clips_type1_type1, clips_type2_type3
+from .tables import clips_type1_type1, clips_type2_type3, clips_type3_type3
 
 
 def _axial_rule(fin: ClassLabel, inf: ClassLabel) -> ClassSet:
@@ -120,7 +120,7 @@ def lifted(cs: ClassSet, lift: bool) -> ClassSet:
     return ClassSet(with_z2c(k) for k in cs) if lift else cs
 
 
-def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet | None:
+def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet:
     # a normalized pair: type I x I, II x III or III x III
     for x, y in ((a, b), (b, a)):
         if x.kind == "SO3":  # SO(3) against type I, O(3) against type III
@@ -132,8 +132,9 @@ def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet | None:
         row, col = (a, b) if ta == "II" else (b, a)
         return clips_type2_type3(row, col)[1]
     if not (is_infinite(a) or is_infinite(b)):
-        # finite III x III has no rule yet
-        return clips_type1_type1(a, b)[1] if ta == "I" else None
+        if ta == "I":
+            return clips_type1_type1(a, b)[1]
+        return clips_type3_type3(a, b)
     if ta == "I":
         # the infinite side is SO(2) or O(2)
         fin, inf = (a, b) if is_infinite(b) else (b, a)
@@ -142,15 +143,14 @@ def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet | None:
     return _o2minus_rule(a if b.kind == "O2-" else b)
 
 
-def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet | None:
-    """Closed-form clips, or None when only the oracle can answer.
+def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
+    """Closed-form clips of any pair of classes.
 
     Covers every pair with an infinite side, the type II x type III
-    table cells, the finite type I x type I cells, the absorbing
-    identities, and every pair that ``normalize`` turns into one of
-    those: all but the finite type III x type III pairs.  Symmetric in
-    its arguments.
+    table cells, the finite type I x type I and type III x type III
+    cells, the absorbing identities, and every pair that ``normalize``
+    turns into one of those, which is every pair.  Symmetric in its
+    arguments.
     """
     a, b, lift = normalize(c1, c2)
-    out = _closed_form(a, b)
-    return None if out is None else lifted(out, lift)
+    return lifted(_closed_form(a, b), lift)

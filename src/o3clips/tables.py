@@ -1,5 +1,6 @@
-"""Closed-form clips cells: type II row against type III column, and
-finite rotation group against finite rotation group.
+"""Closed-form clips cells: type II row against type III column, finite
+rotation group against finite rotation group, and finite type III
+against finite type III.
 
 Every cell of the two-column-family tables is a small set of classes
 given by gcd/parity branches in the row parameter m and the column
@@ -61,6 +62,33 @@ every cell also holds [1]:
 the O^- column above: a shared D_2 frame forces a shared T.  The
 brute-force oracle agrees on every pair of {Z_k, D_k : k <= 30} and
 T, O, I (tests check k <= 12).
+
+clips_type3_type3 evaluates a finite type III x type III cell from
+signed axes, with no table of its own.  A type III class is its
+envelope K with a sign chi on K (``labels.TYPE_III``), and H1 ∩ g H2 g^T
+is chi1 over the part of M = K1 ∩ g K2 g^T where chi1 = chi2.  For Z
+and D envelopes M is one of:
+
+1. 1, at a generic g;
+2. Z_d, d = gcd(n1, n2), principal axis on principal axis at a
+   generic spin, the generator at the signs (a1^(n1/d), a2^(n2/d));
+3. D_d when both sides are D and a secondary of each is aligned too,
+   the half-turn at (b1 a1^j, b2 a2^k) for j, k in {0, 1};
+4. Z_gcd(n, 2), a principal axis on a secondary line of the other side;
+5. D_2, both principal axes on secondary lines of the other side, when
+   both n are even;
+6. Z_2, a secondary line on a secondary line.
+
+Z_e yields [Z_e] or [Z_e^-], D_e yields [D_e], [D_e^z] or [D_e^d], or
+the halves when chi1 and chi2 differ.  The function reaches cases 2
+to 5 by putting the principal axis of one side on each axis orbit of
+the other, and cases 4 and 6 by putting a secondary line of the one
+side on each half-turn of the other.  O^- enters through its three
+axis orbits, and O^- x O^- is one fixed cell; the function's docstring
+gives both arguments.  The oracle agrees on every ordered pair of
+Z_2k^- (k <= 30), D_n^z (n <= 60), D_2k^d (2 <= k <= 30) and O^-
+(tests check the 23 classes of order at most 24 and pairs near the
+order cap).
 """
 
 from __future__ import annotations
@@ -473,6 +501,155 @@ def _cell_type1(x: ClassLabel, y: ClassLabel) -> tuple[str, list[ClassLabel]]:
     if m % 2 == 0:
         return "m even", cell + [dihedral(2)]
     return "m odd", cell
+
+
+# The signed axes of O^-, one entry (p, alpha, beta) per axis orbit of
+# O, as ``_signed_axes`` gives them for the Z and D envelopes: the
+# 4-fold axes (the 90-degree turns lie outside T, the half-turn about a
+# perpendicular 4-fold axis inside), the 3-fold axes (their turns lie in
+# T, the perpendicular edge half-turns outside) and the edge 2-fold
+# axes (outside T, with the perpendicular 4-fold axis inside).
+_OMINUS_AXES = ((4, -1, 1), (3, 1, -1), (2, -1, 1))
+_OMINUS_OMINUS = (cyclic_minus(2), cyclic(3), cyclic_minus(4),
+                  dihedral_z(3), octa_minus())
+
+# the kind of Z_e or D_e under the signs on its cyclic factors: the
+# rotation groups, and the rows of ``TYPE_III``
+_KIND_OF_SIGNS = {(1,): "Z", (1, 1): "D",
+                  **{signs: kind for kind, (*_, signs) in TYPE_III.items()}}
+
+
+def clips_type3_type3(a: ClassLabel, b: ClassLabel) -> ClassSet:
+    """Evaluate one finite type III x type III cell.
+
+    Parameters
+    ----------
+    a, b : ClassLabel
+        Finite type III classes Z_2n^-, D_n^z, D_2n^d or O^-, in either
+        order.
+
+    Returns
+    -------
+    ClassSet
+        The cell; it always includes the trivial class.
+
+    A type III class H is its envelope K with the character chi that is
+    -1 on K minus the kernel L (``labels.TYPE_III``): H = {chi(k) k}.
+    An element chi1(k) k of H1 lies in g H2 g^T exactly when k lies in
+    M = K1 ∩ g K2 g^T and chi1(k) = chi2(k), since the determinant
+    reads the sign.  So H1 ∩ g H2 g^T is chi1 over E = ker(chi1 chi2)
+    inside M, the class of envelope E and kernel ker chi1 ∩ E
+    (``_meet``).
+
+    K enters through its signed axes (``_signed_axes``): per orbit of
+    rotation axes w, the order p, the sign alpha of the generator
+    R(w, 2 pi/p), and the sign beta of a reference perpendicular
+    half-turn, the j-th one after it having beta alpha^j.
+    For the Z_n and D_n envelopes these come from the signs (a, b) of
+    ``TYPE_III`` on the principal generator and on R(e1, pi): the
+    principal axis is (n, a, b), and the secondary lines S_j have the
+    half-turn sign b a^j, so they fall in two orbits j in {0, 1}, each
+    with the principal half-turn a^(n/2) as its perpendicular reference
+    when n is even.  O^- has one entry per axis orbit of O
+    (``_OMINUS_AXES``).
+
+    Let K2 be a Z_n or D_n envelope with signs (a2, b2) and principal
+    axis w.  Every element of K2 keeps the line w, so if M holds a
+    rotation about w, then w lies on some axis of K1, of order p, and M
+    sits in the stabilizer of that line: with e = gcd(p, n), M is Z_e
+    (a generic spin) or, when both sides have perpendicular half-turns
+    and one pair of them is aligned, D_e.  The generator of M has the
+    signs (alpha^(p/e), a2^(n/e)), and the aligned half-turn
+    (beta alpha^j, b2 a2^k) for any j, k in {0, 1}.  Otherwise M holds
+    no rotation about w, so it holds at most one secondary half-turn of
+    K2, the product of two being such a rotation: M is 1 (a generic g)
+    or Z_2, one half-turn of K1 (the half-turn alpha^(p/2) of an axis
+    of even order p) on a secondary line of K2 at a generic spin about
+    it.  Every configuration named here occurs, and each names M
+    exactly, so the cell is the union of their classes.
+
+    O^- x O^- is the one cell with no Z or D side, and the count above
+    does not hold there: aligning the two 4-fold frames makes M all of
+    O, not the D_4 about one axis.  There chi is +1 on T (the 3-fold
+    turns and the half-turns about 4-fold axes) and -1 on the
+    quarter-turns and the edge half-turns, and M runs over the classes
+    of the O x O cell:
+
+    * M = Z_2: two edges give [Z_2^-]; a 4-fold axis on an edge gives
+      [1]; two 4-fold axes share a Z_4, never just Z_2.
+    * M = Z_3 gives [Z_3]; M = Z_4 has -1 on both quarter-turns and
+      gives [Z_4^-].
+    * M = D_2: each frame is an edge frame (one 4-fold axis, two edges)
+      with its 4-fold axis on an edge of the other, since two 4-fold
+      axes on each other share a Z_4 and a coordinate frame is kept by
+      O alone.  Only the third axis, an edge on an edge, lies in E:
+      [Z_2^-].
+    * M = D_3: a 3-fold axis and its edges aligned at the spin pi/3
+      (the spin 0 puts g in O) give [D_3^z].
+    * M = D_4: two 4-fold axes at the spin pi/4 put each 4-fold
+      half-turn of one side on an edge of the other, so E = Z_4:
+      [Z_4^-].
+    * M = O, for g in O, gives [O^-]; with M = 1 the cell is
+      {1, Z_2^-, Z_3, Z_4^-, D_3^z, O^-}.
+    """
+    for lab in (a, b):
+        if lab.plus or lab.kind not in TYPE_III or lab.kind == "O2-":
+            raise ValueError(f"not a finite type III class: "
+                             f"{format_label(lab)}")
+    if a.kind == b.kind == "O-":
+        return ClassSet([trivial(), *_OMINUS_OMINUS])
+    # y has a Z or D envelope; its principal axis meets the axes of x
+    x, y = (a, b) if a.kind == "O-" else (b, a)
+    (n, a2, b2), *_ = _signed_axes(y)
+    cell = [trivial()]
+    for p, alpha, beta in _signed_axes(x):
+        e = gcd(p, n)
+        rho1, rho2 = alpha ** (p // e), a2 ** (n // e)
+        cell.append(_meet(e, (rho1,), (rho2,)))
+        if b2 is None:
+            continue
+        if beta is not None:
+            cell += [_meet(e, (rho1, beta * alpha ** j), (rho2, b2 * a2 ** k))
+                     for j in (0, 1) for k in (0, 1)]
+        if p % 2 == 0:
+            cell += [_meet(2, (alpha ** (p // 2),), (b2 * a2 ** k,))
+                     for k in (0, 1)]
+    return ClassSet(cell)
+
+
+def _signed_axes(lab: ClassLabel) -> tuple[tuple[int, int, int | None], ...]:
+    # (order, generator sign, reference perpendicular half-turn sign or
+    # None) per axis orbit of a finite type III class's envelope
+    if lab.kind == "O-":
+        return _OMINUS_AXES
+    n, (a, *rest) = lab.n, TYPE_III[lab.kind][3]
+    if not rest:
+        return ((n, a, None),)
+    b = rest[0]
+    perp = a ** (n // 2) if n % 2 == 0 else None
+    return ((n, a, b), (2, b, perp), (2, b * a, perp))
+
+
+def _meet(e: int, x: tuple[int, ...], y: tuple[int, ...]) -> ClassLabel:
+    # The class of chi1 over ker(chi1 chi2) in M = Z_e, or D_e when x and
+    # y also hold a half-turn sigma: x and y are chi1 and chi2 on the
+    # generator rho and on sigma.  When they differ on rho, the kernel
+    # keeps rho^2 and the half-turns rho^j sigma of one parity of j.
+    if x[0] == y[0]:
+        return _signed_class(e, x if x[1:] == y[1:] else x[:1])
+    if len(x) == 1:
+        return cyclic(e // 2)
+    j = 0 if x[1] == y[1] else 1
+    return _signed_class(e // 2, (1, x[1] * x[0] ** j))
+
+
+def _signed_class(e: int, signs: tuple[int, ...]) -> ClassLabel:
+    # the class {chi(k) k} of Z_e or D_e under the signs chi on its
+    # cyclic factors; with rho at -1 a D_e^d may take either half-turn
+    # orbit as its reference, and the table's is the one at +1
+    if signs == (-1, -1):
+        signs = (-1, 1)
+    return _build(_KIND_OF_SIGNS[signs], e)
 
 
 def _families(kinds: Sequence[str], params: range) -> list[ClassLabel]:

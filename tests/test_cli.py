@@ -77,17 +77,15 @@ def test_clips_both_match(capsys):
                                 "MATCH"]
 
 
-def test_clips_both_without_a_rule_claims_no_check(capsys):
-    # no closed form covers the type III x III pair Z4^- x D4^z: both
-    # answers come from the oracle
+def test_clips_both_checks_a_type3_pair(capsys):
+    # the type III x III rule answers Z4^- x D4^z, and the oracle checks it
     code, out, _ = run(capsys, "clips", "Z4^-", "D4^z", "--method", "both")
     assert code == 0
-    assert out.splitlines() == ["symbolic: 1 Z2", "oracle: 1 Z2",
-                                "oracle only, no independent check"]
+    assert out.splitlines() == ["symbolic: 1 Z2", "oracle: 1 Z2", "MATCH"]
     code, out, _ = run(capsys, "clips", "Z4^-", "D4^z", "--method", "both",
                        "--format", "json")
     assert code == 0
-    assert json.loads(out)["match"] is None
+    assert json.loads(out)["match"] is True
 
 
 def test_clips_both_rotation_pair_is_checked(capsys):
@@ -102,6 +100,19 @@ def test_clips_beyond_the_order_cap(capsys):
     code, out, _ = run(capsys, "clips", "Z300", "D3")
     assert code == 0
     assert out == "1 Z2 Z3\n"
+
+
+def test_clips_type3_pair_beyond_the_order_cap(capsys):
+    # the signed-axes rule answers where the oracle could not build
+    # D129^z, and the check "both" asks for stops at the cap
+    code, out, _ = run(capsys, "clips", "D129^z", "D2^z")
+    assert code == 0
+    assert out == "1 Z2^-\n"
+    code, out, err = run(capsys, "clips", "D129^z", "D2^z",
+                         "--method", "both")
+    assert code == 1
+    assert out == ""
+    assert "exceeds the order cap 256" in err
 
 
 def test_piez_loads_no_numpy():
@@ -119,13 +130,16 @@ def test_piez_loads_no_numpy():
 
 
 def test_symbolic_routes_load_no_matrix_layer():
-    # the fold, a II x III cell and a finite x axial cell of public
-    # clips answer in closed form, so groups and oracle stay unloaded
+    # the fold, a II x III cell, a finite x axial cell and two III x III
+    # cells of public clips answer in closed form, so groups and oracle
+    # stay unloaded
     script = ("import sys\n"
               "from o3clips import cli, clips\n"
               "assert cli.main(['piez', '--format', 'json']) == 2\n"
               "assert clips('D4+Z2c', 'D6^d').labels()\n"
               "assert clips('O+Z2c', 'O(2)^-').labels()\n"
+              "assert clips('Z4^-', 'D4^z').labels()\n"
+              "assert clips('O^-', 'O^-').labels()\n"
               "for mod in ('o3clips.groups', 'o3clips.oracle'):\n"
               "    assert mod not in sys.modules, mod\n")
     proc = python("-c", script)

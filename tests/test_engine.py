@@ -19,6 +19,7 @@ from o3clips.labels import (
     parse_label,
     with_z2c,
 )
+from test_properties import finite_labels
 
 
 def test_accepts_strings_and_labels():
@@ -88,12 +89,10 @@ def test_both_method_raises_on_planted_mismatch(monkeypatch):
     assert "symbolic" in str(err.value)
 
 
-def test_both_method_without_a_rule_checks_normalize_only(monkeypatch):
-    # Z4^- x D4^z has no closed form: the symbolic answer is the oracle
-    # on the normalized pair, and "both" checks it against the oracle on
-    # the raw pair, so it checks normalize, not a rule
+def test_both_method_checks_the_type3_rule(monkeypatch):
+    # the type III x III rule answers Z4^- x D4^z, and "both" checks it
+    # with one oracle call on the pair itself
     a, b = parse_label("Z4^-"), parse_label("D4^z")
-    assert infinite.clips_reduce(a, b) is None
     calls = []
     oracle = engine.clips_oracle
 
@@ -102,9 +101,26 @@ def test_both_method_without_a_rule_checks_normalize_only(monkeypatch):
         return oracle(x, y)
 
     monkeypatch.setattr(engine, "clips_oracle", spy)
-    engine._oracle_after_strips.cache_clear()
-    assert clips(a, b, method="both") == oracle(a, b)
-    assert calls == [infinite.normalize(a, b)[:2], (a, b)]
+    assert clips(a, b, method="both") == class_set("1", "Z2")
+    assert calls == [(a, b)]
+    monkeypatch.setattr(infinite, "clips_type3_type3",
+                        lambda x, y: class_set("1", "Z4^-"))
+    with pytest.raises(ClipsMismatch):
+        clips(a, b, method="both")
+
+
+def test_symbolic_route_never_calls_brute_force(monkeypatch):
+    # criterion 5's pool: 75 finite classes and the 7 infinite ones
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute force called")
+
+    monkeypatch.setattr(engine, "clips_oracle", refuse)
+    monkeypatch.setattr(engine, "clips_axial", refuse)
+    pool = (list(dict.fromkeys(finite_labels(12)))
+            + [parse_label(x) for x in INFINITE])
+    assert len(pool) == 82
+    answered = [clips(a, b) for a in pool for b in pool]
+    assert len(answered) == 6724
 
 
 def test_normalized_pair_answers_without_the_oracle(monkeypatch):
@@ -148,8 +164,8 @@ LEQ_TRUE = [
     ("1+Z2c", "Z4+Z2c"), ("Z3+Z2c", "D3+Z2c"),
     ("T+Z2c", "O+Z2c"), ("O^-", "O(3)"), ("O(2)+Z2c", "O(3)"),
     ("SO(3)", "O(3)"), ("D4^z", "D8^z"), ("Z4", "D8^z"),
-    # beyond the oracle's order cap: the first by a == b alone
-    ("Z600^-", "Z600^-"), ("Z600^-", "SO(2)+Z2c"),
+    # beyond the oracle's order cap
+    ("Z600^-", "Z600^-"), ("Z600^-", "SO(2)+Z2c"), ("D150^z", "D300^z"),
 ]
 
 LEQ_FALSE = [
@@ -248,12 +264,11 @@ def test_order_divisibility_on_small_cells():
             assert na % k == 0 and nb % k == 0
 
 
-def test_memoization_stability():
-    # a type III x III pair: the oracle fallback's cache answers again
+def test_repeated_type3_calls_agree():
+    # a type III x III pair answers from the rule alike on every call
     first = clips("D4^d", "O^-")
-    again = clips("D4^d", "O^-")
-    assert first == again
-    assert first is again  # cached ClassSet comes back identical
+    assert clips("D4^d", "O^-") == first == clips("O^-", "D4^d")
+    assert first == class_set("1", "Z2", "Z2^-", "Z4^-", "D4^d")
 
 
 def test_every_public_name_resolves():

@@ -2,7 +2,7 @@ import pytest
 
 from o3clips.engine import clips
 from o3clips.infinite import clips_reduce, is_infinite, normalize, typeclass
-from o3clips.labels import canonicalize, parse_label
+from o3clips.labels import ClassSet, canonicalize, parse_label
 from test_properties import INFINITE, finite_labels
 
 
@@ -29,18 +29,19 @@ def test_is_infinite():
 
 
 def test_reduce_domain():
-    # closed forms cover every pair with an infinite member, the finite
-    # type II x type III grid and every pair that normalizes to a finite
-    # type I x type I one; only finite type III x type III defers
-    deferred = [("Z4^-", "D4^z"), ("D4^d", "O^-"), ("Z2^-", "Z6^-")]
-    for a, b in deferred:
-        assert clips_reduce(parse_label(a), parse_label(b)) is None
-    handled = [("Z4+Z2c", "D4^z"), ("Z4", "SO(2)"), ("O^-", "O(3)"),
-               ("SO(2)", "SO(2)"), ("O(2)^-", "T"), ("T", "Z2^-"),
-               ("Z4", "D4"), ("Z4", "D4+Z2c"), ("Z4+Z2c", "D4+Z2c"),
-               ("Z4^-", "D4"), ("T", "O")]
-    for a, b in handled:
-        assert clips_reduce(parse_label(a), parse_label(b)) is not None
+    # every pair has a closed form, the finite type III x III pairs too
+    pool = dict.fromkeys([canonicalize(x) for x in finite_labels(12)]
+                         + INFINITE)
+    for a in pool:
+        for b in pool:
+            assert isinstance(clips_reduce(a, b), ClassSet), (a, b)
+    formerly_deferred = {
+        ("Z4^-", "D4^z"): ["1", "Z2"],
+        ("D4^d", "O^-"): ["1", "Z2", "Z2^-", "Z4^-", "D4^d"],
+        ("Z2^-", "Z6^-"): ["1", "Z2^-"],
+    }
+    for (a, b), cell in formerly_deferred.items():
+        assert clips_reduce(parse_label(a), parse_label(b)).labels() == cell
 
 
 def test_normalize_is_idempotent_and_lands_in_three_type_pairs():

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import load_pins
+from test_properties import finite_labels
 from o3clips.labels import (
     ClassSet,
     class_set,
@@ -11,11 +12,13 @@ from o3clips.labels import (
     octa,
     parse_label,
     tetra,
+    typeclass,
 )
 from o3clips.oracle import clips_oracle
 from o3clips.tables import (
     clips_type1_type1,
     clips_type2_type3,
+    clips_type3_type3,
     ell_octa,
     gamma,
     zee,
@@ -235,3 +238,45 @@ def test_type1_rejects_wrong_kinds():
                  ("SO(2)", "D4")):
         with pytest.raises(ValueError):
             clips_type1_type1(parse_label(a), parse_label(b))
+
+
+# the finite type III classes of criterion 5's pool: order at most 24
+TYPE_III_POOL = [lab for lab in dict.fromkeys(finite_labels(12))
+                 if typeclass(lab) == "III"]
+
+
+def test_type3_table_matches_oracle():
+    # all ordered pairs, so the rule is also checked for symmetry
+    assert len(TYPE_III_POOL) == 23
+    for a in TYPE_III_POOL:
+        for b in TYPE_III_POOL:
+            assert clips_type3_type3(a, b) == clips_oracle(a, b), (a, b)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("D128^z", "D96^d"), ("Z256^-", "D128^d"), ("D127^z", "Z254^-"),
+    ("D128^d", "O^-"), ("O^-", "D120^z"),
+])
+def test_type3_table_matches_oracle_near_the_cap(a, b):
+    a, b = parse_label(a), parse_label(b)
+    assert clips_type3_type3(a, b) == clips_oracle(a, b)
+
+
+def _type3(a: str, b: str) -> list[str]:
+    return clips_type3_type3(parse_label(a), parse_label(b)).labels()
+
+
+def test_type3_cells():
+    assert _type3("Z4^-", "D4^z") == ["1", "Z2"]
+    assert _type3("D4^d", "O^-") == ["1", "Z2", "Z2^-", "Z4^-", "D4^d"]
+    assert _type3("O^-", "O^-") == ["1", "Z2^-", "Z3", "Z4^-", "D3^z", "O^-"]
+    # above the oracle's order cap
+    assert _type3("D129^z", "D2^z") == ["1", "Z2^-"]
+    assert _type3("Z258^-", "D3^z") == ["1", "Z2^-", "Z3"]
+
+
+def test_type3_rejects_wrong_kinds():
+    for a, b in (("Z4", "Z4^-"), ("Z4+Z2c", "D4^z"), ("O(2)^-", "D4^z"),
+                 ("O^-", "T")):
+        with pytest.raises(ValueError):
+            clips_type3_type3(parse_label(a), parse_label(b))
