@@ -135,8 +135,9 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel) -> ClassSet:
     """Clips of a finite class with an axial or full infinite class.
 
     The predicate of c_inf is evaluated on the cached rows of c_fin
-    (``_direction_rows``), one mask per candidate position, and each
-    distinct mask is recognized once, from the census of c_fin.
+    (``_direction_rows``), one mask per candidate position.  Masks are
+    told apart by their raw bytes, and each distinct mask is recognized
+    once, from the census of c_fin.
 
     Parameters
     ----------
@@ -157,5 +158,5 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel) -> ClassSet:
     if order_of(c_fin) > ORDER_CAP:
         raise ValueError(f"{format_label(c_fin)} exceeds the order cap {ORDER_CAP}")
     masks = _axial_masks(c_inf, label_census(c_fin)[0], *_direction_rows(c_fin))
-    _, first = np.unique(np.packbits(masks, axis=1), axis=0, return_index=True)
-    return ClassSet({recognize(c_fin, mask) for mask in masks[first]})
+    distinct = {mask.tobytes(): mask for mask in masks}
+    return ClassSet({recognize(c_fin, mask) for mask in distinct.values()})

@@ -403,7 +403,7 @@ def _rotation_class(k: int, counts: np.ndarray) -> ClassLabel:
 
 
 # per class, the classes that ``recognize(label, mask)`` has named, keyed
-# by the packed bits of the mask
+# by the raw bytes of the mask
 _RECOGNIZED: dict[ClassLabel, dict[bytes, ClassLabel]] = {}
 
 
@@ -420,12 +420,12 @@ def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     ``recognize(reference_group(label)[mask])``.
 
     The mask form therefore depends only on the label and the mask's
-    contents, and it is memoized per class, keyed by the mask's packed
-    bits: each mask is read from the census once, and a mask edited in
-    place is keyed afresh.  Every key is a subgroup of the reference
-    group, so a class never holds more entries than it has subgroups
-    (D128 has tau(128) + sigma(128) = 263).  The element form is not
-    memoized.
+    contents, and it is memoized per class, keyed by the mask's raw
+    bytes (``tobytes``, one byte per element of a boolean mask): each
+    mask is read from the census once, and a mask edited in place is
+    keyed afresh.  Every key is a subgroup of the reference group, so a
+    class never holds more entries than it has subgroups (D128 has
+    tau(128) + sigma(128) = 263).  The element form is not memoized.
 
     The determinant splits the group; a type III group is named by
     ``labels.type3_class`` from its envelope tilde, the proper elements
@@ -439,7 +439,7 @@ def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     if mask is None:
         return _classify(*_census(group))
     memo = _RECOGNIZED.setdefault(group, {})
-    key = np.packbits(mask).tobytes()
+    key = mask.tobytes()
     label = memo.get(key)
     if label is None:
         proper, axes, ids = label_census(group)

@@ -42,10 +42,10 @@ label hashes by identity.  A label built by hand with a degenerate
 parameter, such as ``ClassLabel("Z", 1)``, is its own instance and
 stays distinct from ``trivial()`` until ``canonicalize`` maps it there;
 every factory and ``parse_label`` return canonical labels.
-``parse_label``, ``canonicalize``, ``sort_key`` and every factory
-(``cyclic``, ``dihedral_d``, ``o3``, ...) are memoized on their one
-argument, so a spelling, a class or a subscript repeated within a
-workload is parsed, checked, ranked or built once.  A factory's memo is
+``parse_label``, ``canonicalize``, ``sort_key``, ``order_of`` and every
+factory (``cyclic``, ``dihedral_d``, ``o3``, ...) are memoized on their
+one argument, so a spelling, a class or a subscript repeated within a
+workload is parsed, checked, ranked, counted or built once.  A factory's memo is
 exact: a factory is a pure function of its subscript and labels are
 interned, so the memo holds the pooled instance an uncached call would
 return; and a memo stores no exception, so an invalid subscript raises
@@ -286,10 +286,12 @@ def type3_class(envelope: ClassLabel, kernel: ClassLabel) -> ClassLabel | None:
 _ORDERS = {"1": 1, "T": 12, "O": 24, "I": 60}
 
 
+@cache
 def order_of(label: ClassLabel) -> float:
     """Group order; ``math.inf`` for the continuous classes.  A type III
     class has its envelope's order: x -> det(x) x maps it onto the
-    envelope one to one."""
+    envelope one to one.  Memoized, which is exact: labels are interned
+    and the order depends on the label alone."""
     kind = label.kind
     if kind in INFINITE_KINDS:
         return math.inf

@@ -30,23 +30,27 @@ stated rather than swept: the mask of the bare aligner g0 restricted
 to the elements of H2 on the line a and ±Id (see ``conjugators``).
 
 Everything that depends on one class is computed once per class
-(``_Prepped``): the flattened elements, a right-handed frame F_b per
-orbit representative b, the products F_b^T {P, J, E} with the parts of
-a spin about e3, the azimuth and height about b of every structural
-axis in that frame, and which elements lie on the line b.  What is
-left per pair is a few array passes.  Row i of a table holds the
-solved angles of aligner i, one per pair of an axis of H1 and an image
-of an axis of H2, read off the two classes' azimuths, with a mask that
-keeps only the pairs off the line b whose heights let the spin land
-one on the other; each row is reduced to its distinct angles.  One
-batched product of H1's F_b^T {P, J, E} with H2's frames gives the
-spin coefficients of every aligner, and one ``einsum`` spins every
-aligner by every angle of its row.  Every conjugator is then
-conjugated, by one Kronecker product per batch, and masked
-(``_distinct_masks``).  Each distinct mask is recognized from the
-census of H2 (``recognize(c2, mask)``), which memoizes its answer per
-class and mask, so a mask that recurs across pairs with the same H2 is
-recognized once per class, not once per pair.
+(``_Prepped``): the flattened elements and their transpose, a
+right-handed frame F_b per orbit representative b, the products
+F_b^T {P, J, E} with the parts of a spin about e3, the azimuth and
+height about b of every structural axis in that frame (the height NaN
+for an axis on the line b, so that it matches no height), and which
+elements lie on the line b.  What is left per pair is a few array
+passes.  The aligners are one batched product of H1's frames with
+H2's.  One comparison of H1's heights with H2's signed heights finds
+every pair of an axis of H1 and an image of an axis of H2 that a spin
+can land one on the other; only at those pairs are the azimuths
+subtracted, and each aligner's angles are reduced to its distinct ones
+(``_spin_table``).  A pair with no such axes, for instance one class
+with a single axis, sweeps its aligners alone.  Otherwise one batched
+product of H1's F_b^T {P, J, E} with H2's frames gives the spin
+coefficients of every aligner, and one ``matmul`` spins each aligner
+by each of its angles.  Every conjugator is then conjugated, by one
+Kronecker product per batch, and masked (``_distinct_masks``), and
+masks are told apart by their raw bytes.  Each distinct mask is
+recognized from the census of H2 (``recognize(c2, mask)``), which
+memoizes its answer per class and mask, so a mask that recurs across
+pairs with the same H2 is recognized once per class, not once per pair.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, is_infinite, order_of
+from .labels import ClassLabel, ClassSet, is_infinite, order_of, trivial, with_z2c
 from .groups import (
     ORDER_CAP,
     axis_orbit_reps,
@@ -73,10 +77,6 @@ from .rotations import EPS_MAT, orthogonal, rotation  # noqa: F401
 _SPIN = np.array([np.diag([1.0, 1.0, 0.0]),
                   [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                   np.diag([0.0, 0.0, 1.0])])
-# the two halves of the solved table: equal heights at the azimuth
-# difference, opposite heights half a turn further
-_SIGN = np.array([1.0, -1.0])[:, None, None]
-_TURN = np.array([0.0, np.pi])[:, None, None]
 
 
 class _Prepped:
@@ -86,28 +86,32 @@ class _Prepped:
     A candidate h is a member when some element e lies within EPS_MAT
     of it entrywise, and only the Frobenius-nearest element can.  For
     orthogonal h and e, <h, e>_F = 3 - |h - e|_F^2 / 2, so the nearest
-    element of every candidate is the argmax of one matrix product.
-    Distinct elements are at least sqrt(2) sin(pi / 256) > 0.017 apart
+    element of every candidate is the argmax of one matrix product with
+    ``flat_t``, the flattened elements as contiguous columns.  Distinct
+    elements are at least sqrt(2) sin(pi / 256) > 0.017 apart
     entrywise within the order cap (the bound is argued per family in
     ``groups.reference_group``), so at least as far in Frobenius norm,
     and an element within 1e-9 entrywise is within 3e-9 in Frobenius
     norm.  Its dot product therefore beats every other element's by
     about 1.5e-4, far above the ~1e-15 rounding of the product, and the
     entrywise test against the nearest element alone is exactly the
-    membership predicate.
+    membership predicate.  ``member_mask`` gathers the nearest elements
+    as columns of ``flat_t``, so the test reduces the 9 entries of all
+    candidates as 9 long rows rather than one short row per candidate.
 
     For each axis orbit representative b (``axis_orbit_reps``, cyclic
     order ``orders``), ``frames`` holds the rotation F_b with rows
-    (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha``,
-    ``z`` and ``off`` hold, per representative and per structural axis
-    w, the azimuth of F_b w about e3, its height b.w along e3, and
-    whether w lies off the line b.  ``parts`` holds F_b^T P, F_b^T J and
-    F_b^T E per representative, for the parts P, J and E of
-    R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a pair's spin
-    coefficients are one batched product of them with the other class's
-    frames (see ``conjugators``).  ``online`` holds, per representative
-    b and per element, whether the element is ±Id or rotates (up to
-    sign) about the line b (``groups.rep_line_mask``).
+    (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha`` and
+    ``z`` hold, per representative and per structural axis w, the
+    azimuth of F_b w about e3 and its height b.w along e3; the height is
+    NaN when w lies on the line b, as no comparison holds for NaN.
+    ``signed_z`` stacks z and -z per representative.  ``parts`` holds
+    F_b^T P, F_b^T J and F_b^T E per representative, for the parts P, J
+    and E of R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a
+    pair's spin coefficients are one batched product of them with the
+    other class's frames (see ``conjugators``).  ``online`` holds, per
+    representative b and per element, whether the element is ±Id or
+    rotates (up to sign) about the line b (``groups.rep_line_mask``).
 
     Heights are compared to within 1e-9, and that is exact within the
     order cap.  A height is the cosine of the angle between two axes of
@@ -127,20 +131,23 @@ class _Prepped:
 
     def __init__(self, label: ClassLabel):
         self.flat = reference_group(label).reshape(-1, 9)
+        self.flat_t = np.ascontiguousarray(self.flat.T)
         reps, self.orders = axis_orbit_reps(label)
         p = orthogonal(reps)
         self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
         self.parts = self.frames.transpose(0, 2, 1)[:, None] @ _SPIN
-        x, y, self.z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
+        x, y, z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
         self.alpha = np.arctan2(y, x)
-        self.off = np.hypot(x, y) > 1e-9
+        self.z = np.where(np.hypot(x, y) > 1e-9, z, np.nan)
+        self.signed_z = np.stack([self.z, -self.z], axis=1)
         self.online = rep_line_mask(label)
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
-        """Boolean mask over candidate matrices that lie in the group."""
+        """Boolean mask over candidate matrices that lie in the group:
+        each candidate against its nearest element, entry by entry."""
         flat = cands.reshape(-1, 9)
-        near = self.flat[(flat @ self.flat.T).argmax(axis=1)]
-        hit = np.abs(near - flat).max(axis=1) < EPS_MAT
+        near = self.flat_t.take((flat @ self.flat_t).argmax(axis=1), axis=1)
+        hit = (np.abs(near - flat.T) < EPS_MAT).all(axis=0)
         return hit.reshape(cands.shape[:-2])
 
 
@@ -149,21 +156,22 @@ def _prepped(label: ClassLabel) -> _Prepped:
     return _Prepped(label)
 
 
-def _spin_table(solved: np.ndarray, valid: np.ndarray,
+def _spin_table(t: np.ndarray, row: np.ndarray,
                 period: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solved spin angles of every aligner, from its row of solved angles.
+    """The distinct solved spin angles of every aligner.
 
-    Each row keeps its distinct valid angles modulo its period.  Returns
-    them flattened and sorted row by row, with the row of each angle.
-    After one ``lexsort`` by row and angle, an entry is new when it
-    starts a row or lies more than 1e-9 above its predecessor, read off
-    two shifted slices of the sorted arrays.
+    ``t`` holds solved angles, ``row`` the aligner of each, and
+    ``period`` the period of each aligner.  Each row keeps its distinct
+    angles modulo its period.  Returns them flattened and sorted row by
+    row, with the row of each angle.  After one ``lexsort`` by row and
+    angle, an entry is new when it starts a row or lies more than 1e-9
+    above its predecessor, read off two shifted slices of the sorted
+    arrays.
     """
-    row, col = np.nonzero(valid)
     per = period[row]
-    t = solved[row, col] % per
+    t = t % per
     # an angle a rounding error below the period is the angle 0
-    t = np.where(per - t < 1e-9, 0.0, t)
+    t[per - t < 1e-9] = 0.0
     order = np.lexsort((t, row))
     t, row = t[order], row[order]
     new = np.ones(len(t), dtype=bool)
@@ -216,41 +224,45 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     and sweeps the same rotations.  The sweep takes g0 = F_b^T F_a from
     the frames of ``_Prepped``: F_a a = e3 and F_b^T e3 = b.  In b's
     frame an axis v of H2 then has its azimuth and height in a's frame,
-    and R(b, t) = F_b^T R(e3, t) F_b.  So the solved table is the outer
-    difference alpha_b(w) - alpha_a(v) of per-label azimuths, its mask
-    compares per-label heights, and each conjugator is
-    F_b^T R(e3, t) F_a = cos t A + sin t B + C, where A, B and C are
-    F_b^T P F_a, F_b^T J F_a and F_b^T E F_a for the parts P, J and E
-    of R(e3, t) = cos t P + sin t J + E.  H1's factors F_b^T {P, J, E}
-    are per-label (``_Prepped.parts``), so A, B and C of every aligner
-    come from one batched product with H2's frames.
+    and R(b, t) = F_b^T R(e3, t) F_b.  So the solved angles are the
+    differences alpha_b(w) - alpha_a(v) of per-label azimuths, taken
+    where per-label heights match (a NaN height, on the line, matches
+    none), and each conjugator is F_b^T R(e3, t) F_a =
+    cos t A + sin t B + C, where A, B and C are F_b^T P F_a,
+    F_b^T J F_a and F_b^T E F_a for the parts P, J and E of
+    R(e3, t) = cos t P + sin t J + E.  H1's factors F_b^T {P, J, E} are
+    per-label (``_Prepped.parts``), so A, B and C of every aligner come
+    from one batched product with H2's frames.
 
-    Rows: the k1 k2 aligners g0 (t = 0) in (b, a) order first, then the
+    Rows: the k1 k2 aligners g0 in (b, a) order first, then the
     distinct solved spins of each aligner in the same order, each row's
-    sorted.  When either class has no axis (``1``, ``1+Z2c``) the sweep
-    is empty.  ``seed`` has no effect: the sweep draws no random
-    numbers.
+    sorted.  When no heights match, the aligners are the whole sweep.
+    When either class has no axis (``1``, ``1+Z2c``) the sweep is
+    empty.  ``seed`` has no effect: the sweep draws no random numbers.
     """
     h1, h2 = _prepped(c1), _prepped(c2)
     k1, k2 = len(h1.orders), len(h2.orders)
     if k1 == 0 or k2 == 0:
         return np.empty((0, 3, 3))
-    # aligners F_b^T F_a in (b, a) order; R(e3, t) puts F_a v on F_b w
-    # at t = diff when their heights are equal (sign +1), and on -F_b w
-    # at t = diff + pi when they are opposite (sign -1)
+    # the aligners F_b^T F_a in (b, a) order
     rows = k1 * k2
-    z1, z2 = h1.z[:, None, None, :, None], h2.z[None, :, None, None, :]
-    off = h1.off[:, None, None, :, None] & h2.off[None, :, None, None, :]
-    valid = off & (np.abs(z1 - _SIGN * z2) < 1e-9)
-    solved = h1.alpha[:, None, None, :, None] - h2.alpha[None, :, None, None, :] + _TURN
+    g0 = (h1.frames.transpose(0, 2, 1)[:, None] @ h2.frames[None]).reshape(rows, 3, 3)
+    # R(e3, t) puts F_a v on s F_b w at t = alpha(w) - alpha(v), plus pi
+    # for s = -1, when z(w) = s z(v); (b, w) index H1's heights and
+    # (a, s, v) H2's signed ones
+    match = np.abs(h1.z.reshape(-1, 1) - h2.signed_z.reshape(1, -1)) < 1e-9
+    b, w, a, s, v = np.nonzero(match.reshape(*h1.z.shape, *h2.signed_z.shape))
+    if len(b) == 0:
+        return g0
     period = 2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel()
-    t, row = _spin_table(solved.reshape(rows, -1), valid.reshape(rows, -1), period)
-    # the aligners themselves (t = 0) first, then the solved spins
-    t = np.concatenate([np.zeros(rows), t])
-    row = np.concatenate([np.arange(rows), row])
-    abc = (h1.parts[:, None] @ h2.frames[None, :, None]).reshape(rows, 3, 3, 3)
-    coef = np.stack([np.cos(t), np.sin(t), np.ones_like(t)], axis=1)
-    return np.einsum("ns,nsil->nil", coef, abc[row])
+    t, row = _spin_table(h1.alpha[b, w] - h2.alpha[a, v] + np.pi * s,
+                         b * k2 + a, period)
+    # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
+    coef = np.ones((len(t), 1, 3))
+    coef[:, 0, 0] = np.cos(t)
+    coef[:, 0, 1] = np.sin(t)
+    abc = (h1.parts[:, None] @ h2.frames[None, :, None]).reshape(rows, 3, 9)
+    return np.concatenate([g0, (coef @ abc[row]).reshape(-1, 3, 3)])
 
 
 def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
@@ -264,13 +276,16 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
     of conjugates is one product of the flattened H2 with the batch's
     (rows, 9, 9) Kronecker squares.  The aligner rows, first in the
     sweep, stand for their generic spins, so their masks keep only the
-    elements of H2 on the line a and ±Id (``_Prepped.online``).
+    elements of H2 on the line a and ±Id (``_Prepped.online``, one row
+    per a, repeated for every b).  Masks are told apart by their raw
+    bytes, each row read as one void scalar.
     """
     prep, h2 = _prepped(c1), _prepped(c2)
-    flat2 = h2.flat
+    flat2, k2 = h2.flat, len(h2.orders)
     all_g = conjugators(c1, c2)
-    line = np.tile(h2.online, (len(prep.orders), 1))
+    line = h2.online[np.arange(len(prep.orders) * k2) % k2]
     step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
+    row_bytes = np.dtype((np.void, len(flat2)))
     found: dict[bytes, np.ndarray] = {}
     for i in range(0, len(all_g), step):
         g = all_g[i : i + step]
@@ -279,8 +294,7 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
         masks = prep.member_mask(conj.reshape(len(g), len(flat2), 3, 3))
         head = line[i : i + step]
         masks[: len(head)] &= head
-        for mask, key in zip(masks, np.packbits(masks, axis=1)):
-            found.setdefault(key.tobytes(), mask)
+        found.update(zip(masks.view(row_bytes).ravel().tolist(), masks))
     return list(found.values())
 
 
@@ -309,6 +323,6 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
         if order_of(c) > ORDER_CAP:
             raise ValueError(f"{c} exceeds the order cap {ORDER_CAP}")
     # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1 otherwise
-    center = ClassLabel("1", 0, c1.plus and c2.plus)
+    center = with_z2c(trivial()) if c1.plus and c2.plus else trivial()
     masks = _distinct_masks(c1, c2)
     return ClassSet([center, *(recognize(c2, m) for m in masks)])

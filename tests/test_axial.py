@@ -27,6 +27,7 @@ from o3clips.groups import (
 from o3clips.labels import ClassSet, format_label, parse_label
 from o3clips.rotations import IDENTITY, canonical_axis, unit
 from o3clips.tables import table_rows
+from test_acceptance import _finite_labels
 from test_oracle import CAP_LABELS
 
 PINS = load_pins("clips_axial_pins")
@@ -89,6 +90,16 @@ def test_axial_mask_recognition_reads_the_label_census():
 
 AXIAL = [parse_label(text) for text in
          ("SO(2)", "O(2)", "SO(2)+Z2c", "O(2)+Z2c", "O(2)^-")]
+
+
+def test_dedupe_keeps_the_class_of_every_mask():
+    # clips_axial recognizes one mask per distinct row of _axial_masks;
+    # recognizing every row, with no dedupe, gives the same classes
+    for fin in _finite_labels(12):
+        rows = (label_census(fin)[0], *_direction_rows(fin))
+        for inf in AXIAL + [parse_label("SO(3)"), parse_label("O(3)")]:
+            every = ClassSet({recognize(fin, m) for m in _axial_masks(inf, *rows)})
+            assert clips_axial(fin, inf) == every, (fin, inf)
 
 
 def _involutions(elems):
