@@ -45,11 +45,11 @@ every factory and ``parse_label`` return canonical labels.
 ``parse_label``, ``canonicalize``, ``sort_key``, ``order_of`` and every
 factory (``cyclic``, ``dihedral_d``, ``o3``, ...) are memoized on their
 one argument, so a spelling, a class or a subscript repeated within a
-workload is parsed, checked, ranked, counted or built once.  A factory's memo is
-exact: a factory is a pure function of its subscript and labels are
-interned, so the memo holds the pooled instance an uncached call would
-return; and a memo stores no exception, so an invalid subscript raises
-the factory's ``ValueError`` on every call.
+workload is parsed, checked, ranked, counted or built once.  A
+factory's memo is exact: a factory is a pure function of its subscript
+and labels are interned, so the memo holds the pooled instance an
+uncached call would return; and a memo stores no exception, so an
+invalid subscript raises the factory's ``ValueError`` on every call.
 """
 
 from __future__ import annotations

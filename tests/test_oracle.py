@@ -432,8 +432,11 @@ def test_spin_table_matches_the_per_row_rule():
     valid = rng.random((rows, width)) < 0.7
     valid[0] = False
     valid[1] = np.arange(width) < 2
+    # the valid entries flat, in no particular row order, as the sweep
+    # passes them
     i, j = np.nonzero(valid)
-    angles, row = _spin_table(solved[i, j], i, period)
+    shuffle = rng.permutation(len(i))
+    angles, row = _spin_table(solved[i, j][shuffle], i[shuffle], period)
     assert np.all(np.diff(row) >= 0)
     for i in range(rows):
         want = _spin_row(solved[i][valid[i]], period[i])
