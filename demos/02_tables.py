@@ -2,32 +2,44 @@
 Closed-form clips tables for the reflection families
 ====================================================
 
-Clips cells where one argument is a rotation-plus-inversion group and
-the other contains improper elements without -Id follow closed forms
-with a handful of parity and gcd branch conditions.  This script prints
-a slice of those tables and shows the helper sets they are built from.
+Clips cells where one argument is a rotation-plus-inversion group X+Z2c
+and the other contains improper elements without -Id follow from one
+rule.  Each class is read as its envelope with a sign on every axis
+orbit: the order p of the axis, the sign of its generator, the signs of
+the half-turns perpendicular to it, and the sign of its own half-turn.
+The rule puts the principal axis of the Z or D side on each axis of the
+other side and names what the shared axes keep.  This script prints the
+signed axes of one row and one column, and the cells they give.
 """
 
-from o3clips import ClassSet, clips, parse_label
-from o3clips.tables import clips_type2_type3, ell_octa, gamma, zee
+from o3clips import clips, parse_label
+from o3clips.tables import _signed_axes, clips_type2_type3
 
-# the branch helpers: zee picks Z2 or Z2^- by parity, gamma collapses a
-# cyclic factor through a gcd, ell_octa is the octahedral common core
-for n in (2, 3, 4, 6):
-    print(f"zee({n}) = {zee(n)}")
-print("gamma(2, 4) =", " ".join(map(str, gamma(2, 4))))
-print("gamma(3, 4) =", " ".join(map(str, gamma(3, 4))))
-print("ell_octa(3) =", ClassSet(ell_octa(3)))
-print("ell_octa(4) =", ClassSet(ell_octa(4)))
+
+def show_axes(spelling: str) -> None:
+    print(f"signed axes of {spelling}:")
+    for p, alpha, half, h in _signed_axes(parse_label(spelling)):
+        print(f"  order {p}, generator {alpha:+d}, "
+              f"perpendicular half-turns {list(half) or 'none'}, "
+              f"own half-turn {'none' if h is None else f'{h:+d}'}")
+
+
+# one row: D6+Z2c enters by its rotation part D6, every sign +1 (its two
+# orbits of secondary lines carry equal signs and count once)
+show_axes("D6+Z2c")
+row = parse_label("D6+Z2c")
+for col in ("Z4^-", "Z6^-", "D4^z", "D6^z", "D8^d", "D12^d", "O^-"):
+    print(f"  {row} x {col}: {clips_type2_type3(row, parse_label(col))}")
 print()
 
-# one full table row: Z6+Z2c against each reflection family column
-row = parse_label("Z6+Z2c")
-for col in ("Z4^-", "Z12^-", "D4^z", "D6^z", "D8^d", "D12^d", "O^-",
-            "O(2)^-"):
-    branch, cell = clips_type2_type3(row, parse_label(col))
-    note = f"  [{branch}]" if branch else ""
-    print(f"{row} x {col}: {' '.join(map(str, cell))}{note}")
+# one column: D8^d is D8 with -1 on the 45-degree turn, so its two orbits
+# of secondary lines carry opposite signs, and a secondary line of a row
+# laid on either gives Z2 or Z2^-
+show_axes("D8^d")
+col = parse_label("D8^d")
+for row in ("Z2+Z2c", "Z4+Z2c", "D3+Z2c", "D4+Z2c", "T+Z2c", "O+Z2c",
+            "I+Z2c"):
+    print(f"  {row} x {col}: {clips_type2_type3(parse_label(row), col)}")
 print()
 
 # the same cells through the public entry point (which also handles the
@@ -35,6 +47,6 @@ print()
 print("D2^d resolves to", parse_label("D2^d"))
 print("O+Z2c x D2^d:", clips("O+Z2c", "D2^d"))
 
-# axial rows have closed forms too
+# the axial rows are kept as published
 for col in ("Z4^-", "D6^z", "D8^d", "O(2)^-"):
     print(f"O(2)+Z2c x {col}:", clips("O(2)+Z2c", col))

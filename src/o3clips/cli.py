@@ -154,19 +154,19 @@ def cmd_table(args) -> int:
     grid = [[clips_type2_type3(r, c) for c in cols] for r in rows]
     rows = [format_label(r) for r in rows]
     cols = [format_label(c) for c in cols]
-    cells = [(r, c, branch, cell) for r, line in zip(rows, grid)
-             for c, (branch, cell) in zip(cols, line)]
-    header = ["row", "col", "branch", "result"]
-    table = [[r, c, branch, _labels(cell)] for r, c, branch, cell in cells]
+    cells = [(r, c, cell) for r, line in zip(rows, grid)
+             for c, cell in zip(cols, line)]
+    header = ["row", "col", "result"]
+    table = [[r, c, _labels(cell)] for r, c, cell in cells]
     if args.format == "markdown":
         header = [""] + cols
-        table = [[r] + [_labels(cell) for _, cell in line]
+        table = [[r] + [_labels(cell) for cell in line]
                  for r, line in zip(rows, grid)]
     _emit(args.format, {"op": "table", "cells": [
-        {"row": r, "col": c, "branch": branch, "result": cell.labels()}
-        for r, c, branch, cell in cells
+        {"row": r, "col": c, "result": cell.labels()}
+        for r, c, cell in cells
     ]}, header, table, [f"{r} x {c}: {_labels(cell)}"
-                       for r, c, _, cell in cells])
+                       for r, c, cell in cells])
     return 0
 
 

@@ -130,10 +130,10 @@ def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet:
     ta, tb = typeclass(a), typeclass(b)
     if ta != tb:
         row, col = (a, b) if ta == "II" else (b, a)
-        return clips_type2_type3(row, col)[1]
+        return clips_type2_type3(row, col)
     if not (is_infinite(a) or is_infinite(b)):
         if ta == "I":
-            return clips_type1_type1(a, b)[1]
+            return clips_type1_type1(a, b)
         return clips_type3_type3(a, b)
     if ta == "I":
         # the infinite side is SO(2) or O(2)

@@ -1,98 +1,51 @@
-"""Closed-form clips cells: type II row against type III column, finite
-rotation group against finite rotation group, and finite type III
-against finite type III.
+"""Closed-form clips cells of finite pairs, and the table of type II row
+against type III column.
 
-Every cell of the two-column-family tables is a small set of classes
-given by gcd/parity branches in the row parameter m and the column
-parameter n.  clips_type2_type3 evaluates one cell and reports which
-branch fired.  Cells and helpers:
+Every finite cell with a Z or D side comes from one rule,
+``_signed_rule``: read each class as its envelope K with a sign chi on
+K, put the principal axis of the Z or D side on each signed axis of the
+other side, and name what the shared axes keep.  A rotation group takes
+every sign +1, a type III class the signs of ``labels.TYPE_III``, and a
+type II class X+Z2c is its rotation part X, whose -Id lets the type III
+side's sign through.  The rule answers
 
-* rows:    [Z_m+Z2c], [D_m+Z2c], [T+Z2c], [O+Z2c], [I+Z2c],
-           [SO(2)+Z2c], [O(2)+Z2c]
-* columns: [Z_2n^-], [D_n^z], [D_2n^d], [O^-], [O(2)^-]
+* type I x type I: Z_m or D_m against Z_n, D_n, T, O or I, the SO(3)
+  cells of Olive & Auffray (*Symmetry classes for even-order tensors*,
+  2013);
+* type II x type III: the rows [Z_m+Z2c], [D_m+Z2c], [T+Z2c], [O+Z2c],
+  [I+Z2c] against the columns [Z_2n^-], [D_n^z], [D_2n^d], and the rows
+  [Z_m+Z2c], [D_m+Z2c] against [O^-];
+* type III x type III: Z_2n^-, D_n^z, D_2n^d and O^- against each
+  other, but for O^- x O^-.
 
-Four cell families differ from the usual published form; the
-brute-force oracles (tests) agree with the versions here.
+The rest is data, each with its reason where it is defined:
 
-* O^- column, T+Z2c and I+Z2c rows: [D_2] dropped.  A D_2 inside the
-  intersection forces the whole 2-fold frame to be shared, and the
-  only tetrahedral group containing a given D_2 frame is the one
-  spanned by its body-diagonal 3-folds, so the intersection always
-  contains a full T and the class [D_2] is never exact.
-* D_n^z column, D_m+Z2c row, m even: [Z_{d_2}] added.  Aligning a
-  secondary 2-fold of D_m to e_3 at generic azimuth leaves exactly
-  {1, R(e_3, pi)}, a bare [Z_2], whenever n is even.
-* D_2n^d column, D_m+Z2c row, m odd: [Z_2] and [Z_2^-] both added
-  (the parity-selected gamma(m, n) supplies only one of them).  A
-  secondary-to-secondary alignment at generic azimuth isolates
-  {1, R(v, pi)}, and a mirror-to-mirror alignment isolates {1, sigma},
-  for every parameter pair.
-* O(2)^- column, finite rows other than Z_m+Z2c: the bare cyclic
-  classes are dropped ([Z_m] for D_m+Z2c; [Z_2] for T+Z2c; [Z_2],
-  [Z_3], [Z_4] for O+Z2c; [Z_2], [Z_3], [Z_5] for I+Z2c).  See the
-  comment on the cell function: aligning the axial group with a k-fold
-  axis that has a perpendicular half-turn always drags reflections in,
-  so those intersections are [D_k^z], never bare [Z_k].  The only bare
-  cyclic survivors are [Z_m] against Z_m+Z2c (no half-turns off-axis
-  at all) and [Z_2] against D_m+Z2c with m odd (half-turn axes spaced
-  pi/m have no perpendicular partner, and R(e_3, pi) is missing).
+* ``_POLY_POLY``: the cells with no Z or D side, that is T, O and I
+  against each other, [T+Z2c], [O+Z2c] and [I+Z2c] against [O^-], and
+  O^- x O^-;
+* ``_printed``: the rows [SO(2)+Z2c] and [O(2)+Z2c], as published
+  (the tests pin where the axial membership oracle disagrees), and the
+  column [O(2)^-].
 
-The two infinite rows ([SO(2)+Z2c], [O(2)+Z2c]) are kept exactly as
-published for every column, including cells where the membership
-oracle disagrees; the disagreements are pinned in the test suite.
+Four cell families of the table differ from their usual published form,
+and the brute-force oracles (tests) agree with the versions here.  Two
+are consequences of the rule:
 
-clips_type1_type1 is the SO(3) clips table of the finite rotation
-groups (Olive & Auffray, *Symmetry classes for even-order tensors*,
-2013), with d = gcd(m, n), d_p = gcd(m, p), Z_1 = 1 and D_1 = Z_2;
-every cell also holds [1]:
+* D_n^z column, D_m+Z2c row, m even: [Z_{d_2}] added, d_2 = gcd(2, n).
+  It is the principal axis of D_n^z on a secondary line of D_m at a
+  generic spin: M = Z_{d_2}, whose half-turn R(e_3, pi) has the sign +1.
+* D_2n^d column, D_m+Z2c row, m odd: [Z_2] and [Z_2^-] both added.  A
+  secondary line of D_m lies on a secondary line of either orbit of
+  D_2n^d, whose half-turns carry the signs +1 and -1.
 
-* Z_m x Z_n = {Z_d};  Z_m x D_n = {Z_d, Z_{d_2}}
-* Z_m x T = {Z_{d_2}, Z_{d_3}};  Z_m x O adds Z_{d_4};
-  Z_m x I = {Z_{d_2}, Z_{d_3}, Z_{d_5}}
-* D_m x D_n = {Z_2, Z_d, D_d}, plus D_2 when m and n are both even
-* D_m x T = {Z_2, Z_{d_3}};  D_m x O = {Z_2, Z_{d_3}, Z_{d_4}, D_{d_3},
-  D_{d_4}};  D_m x I = {Z_2, Z_{d_3}, Z_{d_5}, D_{d_3}, D_{d_5}}; each
-  plus D_2 when m is even
-* T x T = T x I = {Z_2, Z_3, T};  T x O = {Z_2, Z_3, D_2, T};
-  O x O = {Z_2, Z_3, Z_4, D_2, D_3, D_4, O};
-  O x I = {Z_2, Z_3, D_2, D_3, T};
-  I x I = {Z_2, Z_3, Z_5, D_3, D_5, T, I}
-
-[D_2] is absent from T x T, T x I and I x I for the reason given for
-the O^- column above: a shared D_2 frame forces a shared T.  The
-brute-force oracle agrees on every pair of {Z_k, D_k : k <= 30} and
-T, O, I (tests check k <= 12).
-
-clips_type3_type3 evaluates a finite type III x type III cell from
-signed axes, with no table of its own.  A type III class is its
-envelope K with a sign chi on K (``labels.TYPE_III``), and H1 ∩ g H2 g^T
-is chi1 over the part of M = K1 ∩ g K2 g^T where chi1 = chi2.  For Z
-and D envelopes M is one of:
-
-1. 1, at a generic g;
-2. Z_d, d = gcd(n1, n2), principal axis on principal axis at a
-   generic spin, the generator at the signs (a1^(n1/d), a2^(n2/d));
-3. D_d when both sides are D and a secondary of each is aligned too,
-   the half-turn at (b1 a1^j, b2 a2^k) for j, k in {0, 1};
-4. Z_gcd(n, 2), a principal axis on a secondary line of the other side;
-5. D_2, both principal axes on secondary lines of the other side, when
-   both n are even;
-6. Z_2, a secondary line on a secondary line.
-
-Z_e yields [Z_e] or [Z_e^-], D_e yields [D_e], [D_e^z] or [D_e^d], or
-the halves when chi1 and chi2 differ.  The function reaches cases 2
-to 5 by putting the principal axis of one side on each axis orbit of
-the other, and cases 4 and 6 by putting a secondary line of the one
-side on each half-turn of the other.  O^- enters through its three
-axis orbits, and O^- x O^- is one fixed cell; the function's docstring
-gives both arguments.  The oracle agrees on every ordered pair of
-Z_2k^- (k <= 30), D_n^z (n <= 60), D_2k^d (2 <= k <= 30) and O^-
-(tests check the 23 classes of order at most 24 and pairs near the
-order cap).
+The other two are data: [D_2] dropped from T+Z2c and I+Z2c against O^-
+(``_POLY_POLY``), and the bare cyclic classes dropped from the O(2)^-
+column (``_printed``).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 from typing import Sequence
 
@@ -127,245 +80,90 @@ COL_KINDS = tuple(TYPE_III)
 FINITE_KINDS = tuple(k for k in _FAMILY_RANK if k != "1" and k not in TYPE_III)
 ROW_KINDS = (*FINITE_KINDS, "SO2", "O2")
 
+# The cells with no Z or D side, by kinds in ``_FAMILY_RANK`` order; a
+# type II row enters by its rotation part.  Each lists the common
+# subgroup classes that occur exactly.
+#
+# * T, O, I: [D_2] is missing from T x T, T x I and I x I, since every
+#   D_2 frame of T or I lies in the one T its body-diagonal 3-folds
+#   span, which both sides then contain.  O also holds frames of one
+#   4-fold and two 2-fold axes, which lie in no T of O, so T x O, O x O
+#   and O x I keep [D_2].  [T] is missing from O x O because O is the
+#   only octahedral group holding its T, and [O], [I] occur only against
+#   themselves.
+# * T+Z2c, O+Z2c, I+Z2c against O^-: the intersection is chi of O^- over
+#   M = X ∩ g O g^T, with chi +1 on T and -1 off it.  [D_2] is dropped
+#   from the T and I rows for the reason above: the only D_2 frame of O
+#   inside its T is the coordinate frame, and that frame in X forces
+#   all of T into M.  An edge frame gives [D_2^z].
+# * O^- x O^- (the count of ``_signed_rule`` fails here: aligning the
+#   two 4-fold frames makes M all of O, not the D_4 about one axis).  M
+#   runs over the classes of the O x O cell, and the intersection is
+#   chi over the part E of M where both signs agree:
+#   - M = Z_2: two edges give [Z_2^-]; a 4-fold axis on an edge gives
+#     [1]; two 4-fold axes share a Z_4, never just Z_2.
+#   - M = Z_3 gives [Z_3]; M = Z_4 has -1 on both quarter-turns and
+#     gives [Z_4^-].
+#   - M = D_2: each frame is an edge frame with its 4-fold axis on an
+#     edge of the other, since two 4-fold axes on each other share a Z_4
+#     and a coordinate frame is kept by O alone.  Only the third axis,
+#     an edge on an edge, lies in E: [Z_2^-].
+#   - M = D_3: a 3-fold axis and its edges aligned at the spin pi/3 (the
+#     spin 0 puts g in O) give [D_3^z].
+#   - M = D_4: two 4-fold axes at the spin pi/4 put each 4-fold
+#     half-turn of one side on an edge of the other, so E = Z_4: [Z_4^-].
+#   - M = O, for g in O, gives [O^-].
+_POLY_POLY = {kinds: ClassSet([trivial(), *cell]) for kinds, cell in {
+    ("T", "T"): (cyclic(2), cyclic(3), tetra()),
+    ("T", "O"): (cyclic(2), cyclic(3), dihedral(2), tetra()),
+    ("T", "I"): (cyclic(2), cyclic(3), tetra()),
+    ("O", "O"): (cyclic(2), cyclic(3), cyclic(4), dihedral(2), dihedral(3),
+                 dihedral(4), octa()),
+    ("O", "I"): (cyclic(2), cyclic(3), dihedral(2), dihedral(3), tetra()),
+    ("I", "I"): (cyclic(2), cyclic(3), cyclic(5), dihedral(3), dihedral(5),
+                 tetra(), icosa()),
+    ("T", "O-"): (cyclic(2), cyclic(3), cyclic_minus(2), dihedral_z(2),
+                  tetra()),
+    ("O", "O-"): (cyclic(2), cyclic(3), cyclic_minus(2), cyclic_minus(4),
+                  dihedral_z(2), dihedral_z(3), dihedral_d(4), octa_minus()),
+    ("I", "O-"): (cyclic(2), cyclic_minus(2), dihedral_z(2), cyclic(3),
+                  dihedral_z(3), tetra()),
+    ("O-", "O-"): (cyclic_minus(2), cyclic(3), cyclic_minus(4),
+                   dihedral_z(3), octa_minus()),
+}.items()}
 
-def zee(n: int) -> ClassLabel:
-    """Z_2 for even n, Z_2^- for odd n."""
-    return cyclic(2) if n % 2 == 0 else cyclic_minus(2)
+# The signed axes (``_signed_rule``) of the classes without a Z or D
+# envelope, one entry (p, alpha, beta) per axis orbit.  The rotation
+# groups take every sign +1; only the 3-fold axes of T have no
+# perpendicular half-turn.  O^- has the orbits of O: the 4-fold axes
+# (the quarter-turns lie outside T, the half-turn about a perpendicular
+# 4-fold axis inside), the 3-fold axes (their turns lie in T, the
+# perpendicular edge half-turns outside) and the edge 2-fold axes
+# (outside T, with the perpendicular 4-fold axis inside).
+_POLYHEDRAL_AXES = {
+    "T": ((2, 1, 1), (3, 1, None)),
+    "O": ((4, 1, 1), (3, 1, 1), (2, 1, 1)),
+    "I": ((5, 1, 1), (3, 1, 1), (2, 1, 1)),
+    "O-": ((4, -1, 1), (3, 1, -1), (2, -1, 1)),
+}
 
-
-def gamma(m: int, n: int) -> tuple[ClassLabel, ...]:
-    """Parity-selected order-4 (or order-2) classes.
-
-    {D_2, D_2^z} for m, n both even; {D_2^z} for m even, n odd;
-    {Z_2} for m odd, n even; {Z_2^-} for both odd.
-    """
-    if m % 2 == 0 and n % 2 == 0:
-        return (dihedral(2), dihedral_z(2))
-    if m % 2 == 0:
-        return (dihedral_z(2),)
-    if n % 2 == 0:
-        return (cyclic(2),)
-    return (cyclic_minus(2),)
-
-
-def ell_octa(n: int) -> tuple[ClassLabel, ...]:
-    """Common core of the D_2n^d x O+Z2c cell."""
-    d3 = gcd(3, n)
-    return (
-        trivial(),
-        cyclic(2),
-        cyclic_minus(2),
-        *gamma(n, 3),
-        cyclic(d3),
-        dihedral(d3),
-        dihedral_z(d3),
-    )
-
-
-def _zminus(k: int) -> ClassLabel:
-    # degenerate subscript: Z_1^- is just the trivial class
-    return trivial() if k == 1 else cyclic_minus(k)
-
-
-def _cell_zminus(row: ClassLabel, n: int) -> tuple[str, list[ClassLabel]]:
-    if row.kind == "Z":
-        m = row.n
-        d = gcd(m, n)
-        if (m // d) % 2 == 0:
-            return "m/d even", [cyclic_minus(2 * d)]
-        return "m/d odd", [cyclic(d)]
-    if row.kind == "D":
-        m = row.n
-        d = gcd(m, n)
-        if (m // d) % 2 == 0:
-            return "m/d even", [cyclic_minus(2 * d), zee(n)]
-        return "m/d odd", [cyclic(d), zee(n)]
-    if row.kind == "T":
-        return "", [cyclic(gcd(3, n)), zee(n)]
-    if row.kind == "O":
-        if n % 4 == 0:
-            return "4|n", [cyclic(2), cyclic(gcd(3, n)), cyclic(4)]
-        if n % 2 == 0:
-            return "n even, 4 does not divide n", [
-                cyclic(2), cyclic(gcd(3, n)), cyclic_minus(4),
-            ]
-        return "n odd", [cyclic_minus(2), cyclic(gcd(3, n))]
-    if row.kind == "I":
-        return "", [zee(n), cyclic(gcd(3, n)), cyclic(gcd(5, n))]
-    if row.kind == "SO2":
-        return "", [cyclic_minus(2 * n)]
-    return "", [zee(n), cyclic_minus(2 * n)]
-
-
-def _cell_dz(row: ClassLabel, n: int) -> tuple[str, list[ClassLabel]]:
-    d2 = gcd(2, n)
-    if row.kind == "Z":
-        m = row.n
-        d = gcd(m, n)
-        if m % 2 == 0:
-            return "m even", [cyclic(d), cyclic_minus(2)]
-        return "m odd", [cyclic(d)]
-    if row.kind == "D":
-        m = row.n
-        d = gcd(m, n)
-        if m % 2 == 0:
-            return "m even", [
-                cyclic(d), cyclic(d2), cyclic_minus(2),
-                dihedral_z(d2), dihedral_z(d),
-            ]
-        return "m odd", [
-            cyclic(d), cyclic_minus(2), cyclic(d2), dihedral_z(d),
-        ]
-    if row.kind == "T":
-        return "", [
-            cyclic_minus(2), cyclic(d2), cyclic(gcd(3, n)), dihedral_z(d2),
-        ]
-    if row.kind == "O":
-        d3, d4 = gcd(3, n), gcd(4, n)
-        return "", [
-            cyclic(d2), cyclic(d3), cyclic(d4), cyclic_minus(2),
-            dihedral_z(d2), dihedral_z(d3), dihedral_z(d4),
-        ]
-    if row.kind == "I":
-        d3, d5 = gcd(3, n), gcd(5, n)
-        return "", [
-            cyclic(d2), cyclic(d3), cyclic(d5), cyclic_minus(2),
-            dihedral_z(d2), dihedral_z(d3), dihedral_z(d5),
-        ]
-    if row.kind == "SO2":
-        return "", [cyclic_minus(2), cyclic(n)]
-    return "", [dihedral_z(d2), dihedral_z(n)]
+# the signs on the cyclic factors of each finite kind with a Z or D
+# envelope: +1 for the rotation groups, and the rows of ``TYPE_III``;
+# read backwards, the kind of Z_e or D_e under given signs
+_SIGNS = {"Z": (1,), "D": (1, 1),
+          **{kind: signs for kind, (*_, signs) in TYPE_III.items()}}
+_KIND_OF_SIGNS = {signs: kind for kind, signs in _SIGNS.items()}
 
 
-def _cell_dd(row: ClassLabel, n: int) -> tuple[str, list[ClassLabel]]:
-    if row.kind == "Z":
-        m = row.n
-        d = gcd(m, n)
-        if (m // d) % 2 == 0:
-            return "m/d even", [cyclic(2), cyclic_minus(2), cyclic_minus(2 * d)]
-        if m % 2 == 0:
-            return "m even, m/d odd", [cyclic(2), cyclic_minus(2), cyclic(d)]
-        return "m odd", [cyclic(d)]
-    if row.kind == "D":
-        m = row.n
-        d = gcd(m, n)
-        if (m // d) % 2 == 0:
-            return "m/d even", [
-                *gamma(m, n), cyclic(2), cyclic_minus(2),
-                cyclic_minus(2 * d), dihedral_d(2 * d),
-            ]
-        if m % 2 == 0:
-            return "m even, m/d odd", [
-                *gamma(m, n), cyclic(2), cyclic_minus(2),
-                cyclic(d), dihedral(d), dihedral_z(d),
-            ]
-        return "m odd", [
-            cyclic(2), cyclic_minus(2), cyclic(d), dihedral(d), dihedral_z(d),
-        ]
-    if row.kind == "T":
-        return "", [
-            cyclic(2), cyclic_minus(2), *gamma(2, n), cyclic(gcd(3, n)),
-        ]
-    if row.kind == "O":
-        core = list(ell_octa(n))
-        if n % 4 == 0:
-            return "4|n", core + [
-                dihedral(2), dihedral_z(2), cyclic(4), dihedral(4),
-                dihedral_z(4),
-            ]
-        if n % 2 == 0:
-            return "n even, 4 does not divide n", core + [
-                dihedral(2), dihedral_z(2), cyclic_minus(4), dihedral_d(4),
-            ]
-        return "n odd", core + [dihedral_z(2)]
-    if row.kind == "I":
-        d3, d5 = gcd(3, n), gcd(5, n)
-        return "", [
-            cyclic(2), cyclic_minus(2),
-            *gamma(2, n), *gamma(3, n), *gamma(5, n),
-            cyclic(d3), dihedral(d3), dihedral_z(d3),
-            cyclic(d5), dihedral(d5), dihedral_z(d5),
-        ]
-    if row.kind == "SO2":
-        return "", [cyclic(2), cyclic_minus(2), cyclic_minus(2 * n)]
-    return "", [zee(n), dihedral(gcd(2, n)), dihedral_z(2), dihedral_d(2 * n)]
+def _check(lab: ClassLabel, kinds: Sequence[str], what: str,
+           plus: bool = False) -> None:
+    if (lab.plus != plus or lab.kind not in kinds
+            or (lab.kind in ("Z", "D") and lab.n < 2)):
+        raise ValueError(f"not a {what}: {format_label(lab)}")
 
 
-def _cell_ominus(row: ClassLabel) -> tuple[str, list[ClassLabel]]:
-    if row.kind == "Z":
-        m = row.n
-        if m % 4 == 0:
-            return "4|m", [cyclic(gcd(3, m)), cyclic_minus(2), cyclic_minus(4)]
-        return "4 does not divide m", [
-            cyclic(gcd(2, m)), cyclic(gcd(3, m)), _zminus(gcd(2, m)),
-        ]
-    if row.kind == "D":
-        m = row.n
-        d3 = gcd(3, m)
-        if m % 4 == 0:
-            return "4|m", [
-                cyclic(2), cyclic(d3), cyclic_minus(2), cyclic_minus(4),
-                dihedral_z(d3), dihedral_z(2), dihedral_d(4),
-            ]
-        if m % 2 == 0:
-            return "m even, 4 does not divide m", [
-                cyclic(2), cyclic(d3), cyclic_minus(2),
-                dihedral(2), dihedral_z(d3), dihedral_z(2),
-            ]
-        return "m odd", [
-            cyclic(2), cyclic(d3), cyclic_minus(2), dihedral_z(d3),
-        ]
-    if row.kind == "T":
-        return "", [
-            cyclic(2), cyclic(3), cyclic_minus(2), dihedral_z(2), tetra(),
-        ]
-    if row.kind == "O":
-        return "", [
-            cyclic(2), cyclic(3), cyclic_minus(2), cyclic_minus(4),
-            dihedral_z(2), dihedral_z(3), dihedral_d(4), octa_minus(),
-        ]
-    if row.kind == "I":
-        return "", [
-            cyclic(2), cyclic_minus(2), dihedral_z(2), cyclic(3),
-            dihedral_z(3), tetra(),
-        ]
-    if row.kind == "SO2":
-        return "", [cyclic(3), cyclic_minus(2), cyclic_minus(4)]
-    return "", [cyclic_minus(2), dihedral_z(3), dihedral_d(4)]
-
-
-def _cell_o2minus(row: ClassLabel) -> tuple[str, list[ClassLabel]]:
-    # Finite rows follow the membership oracle.  A bare cyclic class
-    # [Z_k], k >= 2, would need the axis of the axial group aligned with
-    # a k-fold axis w of the rotation part H, but then every half-turn
-    # axis of H perpendicular to w contributes a reflection to the
-    # intersection, upgrading it to [D_k^z]; only axes with no
-    # perpendicular half-turn in H keep a bare cyclic class.
-    if row.kind == "Z":
-        m = row.n
-        return "", [cyclic(m), _zminus(gcd(2, m))]
-    if row.kind == "D":
-        m = row.n
-        if m % 2 == 0:
-            return "m even", [cyclic_minus(2), dihedral_z(2), dihedral_z(m)]
-        return "m odd", [cyclic(2), cyclic_minus(2), dihedral_z(m)]
-    if row.kind == "T":
-        return "", [cyclic(3), cyclic_minus(2), dihedral_z(2)]
-    if row.kind == "O":
-        return "", [
-            cyclic_minus(2), dihedral_z(2), dihedral_z(3), dihedral_z(4),
-        ]
-    if row.kind == "I":
-        return "", [
-            cyclic_minus(2), dihedral_z(2), dihedral_z(3), dihedral_z(5),
-        ]
-    if row.kind == "SO2":
-        return "", [cyclic_minus(2), so2()]
-    return "", [dihedral_z(2), o2_minus()]
-
-
-def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> tuple[str, ClassSet]:
-    """Evaluate one closed-form cell.
+def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
+    """Evaluate one cell of the type II x type III table.
 
     Parameters
     ----------
@@ -376,147 +174,38 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> tuple[str, ClassSet]:
 
     Returns
     -------
-    (branch, cell) : tuple[str, ClassSet]
-        branch names the parameter condition that fired ("" when the
-        cell is unconditional); cell always includes the trivial class.
+    ClassSet
+        The cell; it always includes the trivial class.  The finite rows
+        and columns come from ``_signed_rule`` but for the polyhedral
+        cells of ``_POLY_POLY``, the rest from ``_printed``.
     """
-    if not (row.plus and row.kind in ROW_KINDS):
-        raise ValueError(f"not a table row class: {format_label(row)}")
-    if row.kind in ("Z", "D") and row.n < 2:
-        raise ValueError(f"row parameter out of range: {format_label(row)}")
-    if col.plus or col.kind not in COL_KINDS:
-        raise ValueError(f"not a table column class: {format_label(col)}")
-    if col.kind == "Z-":
-        branch, cell = _cell_zminus(row, col.n // 2)
-    elif col.kind == "Dz":
-        branch, cell = _cell_dz(row, col.n)
-    elif col.kind == "Dd":
-        branch, cell = _cell_dd(row, col.n // 2)
-    elif col.kind == "O-":
-        branch, cell = _cell_ominus(row)
-    else:
-        branch, cell = _cell_o2minus(row)
-    return branch, ClassSet([trivial(), *cell])
+    _check(row, ROW_KINDS, "table row class", plus=True)
+    _check(col, COL_KINDS, "table column class")
+    if row.kind in ("SO2", "O2") or col.kind == "O2-":
+        return ClassSet([trivial(), *_printed(row, col)])
+    # the signed axes of X+Z2c are those of X
+    return _finite_cell(row, col, 1)
 
 
-# orders p > 2 of the rotation axes of each polyhedral group; all three
-# also have 2-fold axes
-_POLY_AXES = {"T": (3,), "O": (3, 4), "I": (3, 5)}
-_POLY_POLY = {
-    ("T", "T"): (cyclic(2), cyclic(3), tetra()),
-    ("T", "O"): (cyclic(2), cyclic(3), dihedral(2), tetra()),
-    ("T", "I"): (cyclic(2), cyclic(3), tetra()),
-    ("O", "O"): (cyclic(2), cyclic(3), cyclic(4), dihedral(2), dihedral(3),
-                 dihedral(4), octa()),
-    ("O", "I"): (cyclic(2), cyclic(3), dihedral(2), dihedral(3), tetra()),
-    ("I", "I"): (cyclic(2), cyclic(3), cyclic(5), dihedral(3), dihedral(5),
-                 tetra(), icosa()),
-}
-
-
-def clips_type1_type1(a: ClassLabel,
-                      b: ClassLabel) -> tuple[str, ClassSet]:
+def clips_type1_type1(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """Evaluate one finite rotation x rotation cell.
 
     Parameters
     ----------
     a, b : ClassLabel
         Finite rotation classes Z_m, D_m (m >= 2), T, O or I, in either
-        order.  Below, m belongs to the Z or D side, the Z side when
-        both are parametric.
+        order.
 
     Returns
     -------
-    (branch, cell) : tuple[str, ClassSet]
-        branch names the parity condition that fired ("" when the cell
-        is unconditional); cell always includes the trivial class.
-
-    Every intersection K = H1 ∩ g H2 g^T is a rotation group inside
-    both, and a rotation axis of K is an axis of each side, of an order
-    dividing both orders.  With d = gcd(m, n) and d_p = gcd(m, p):
-
-    * Z_m against anything: K is cyclic about the axis of Z_m.  Laid on
-      a p-fold axis of the other side (D_n: n and 2; T: 2, 3; O: 2, 3, 4;
-      I: 2, 3, 5) it is Z_{gcd(m, p)}, and 1 off every axis.
-    * D_m x D_n, "m, n even" or "m or n odd": a 2-fold of each
-      aligned at a generic spin gives Z_2.  Principal axes aligned give
-      Z_d at a generic spin; turning one 2-fold axis of each onto the
-      other makes d of them coincide modulo pi, which gives D_d.  When m
-      and n are both even each side holds a D_2 frame (its principal
-      axis and two perpendicular 2-folds); aligning the frames with the
-      principal axes apart gives D_2 exactly, a class that is not
-      otherwise among them once d > 2.
-    * D_m x T, O or I, "m even" or "m odd": a shared 2-fold gives Z_2.
-      The principal axis on a p-fold axis, p > 2, gives Z_{d_p}; in O
-      and I every such axis has p perpendicular 2-folds spaced pi/p, so
-      a spin that puts a 2-fold of D_m on one of them gives D_{d_p}.  T
-      has no 2-fold perpendicular to a 3-fold, so there K stays Z_{d_3}.
-      For m even, aligning a D_2 frame of D_m with one of the other
-      side gives D_2.
-    * T, O, I against each other: the classes are the common subgroup
-      classes that occur exactly.  [D_2] is missing from T x T, T x I
-      and I x I: every D_2 frame of T or I lies in the one T its
-      body-diagonal 3-folds span, which both sides then contain.  O
-      also holds frames of one 4-fold and two 2-fold axes, which lie in
-      no T of O, so T x O, O x O and O x I keep [D_2].  [T] is missing
-      from O x O because O is the only octahedral group holding its T,
-      and [O], [I] occur only against themselves.
+    ClassSet
+        The cell; it always includes the trivial class.  It comes from
+        ``_signed_rule``, whose docstring lists the cells, or from
+        ``_POLY_POLY`` when neither side is Z or D.
     """
     for lab in (a, b):
-        if (lab.plus or lab.kind not in FINITE_KINDS
-                or (lab.kind in ("Z", "D") and lab.n < 2)):
-            raise ValueError(f"not a finite rotation class: "
-                             f"{format_label(lab)}")
-    x, y = sorted((a, b), key=lambda lab: _FAMILY_RANK[lab.kind])
-    branch, cell = _cell_type1(x, y)
-    return branch, ClassSet([trivial(), *cell])
-
-
-def _axis_orders(lab: ClassLabel) -> tuple[int, ...]:
-    # orders of the rotation axes of a finite rotation class
-    if lab.kind == "Z":
-        return (lab.n,)
-    if lab.kind == "D":
-        return (lab.n, 2)
-    return (2, *_POLY_AXES[lab.kind])
-
-
-def _cell_type1(x: ClassLabel, y: ClassLabel) -> tuple[str, list[ClassLabel]]:
-    if x.kind not in ("Z", "D"):
-        return "", list(_POLY_POLY[x.kind, y.kind])
-    m = x.n
-    if x.kind == "Z":
-        return "", [cyclic(gcd(m, p)) for p in _axis_orders(y)]
-    if y.kind == "D":
-        n = y.n
-        d = gcd(m, n)
-        if m % 2 == 0 and n % 2 == 0:
-            return "m, n even", [cyclic(2), cyclic(d), dihedral(d),
-                                 dihedral(2)]
-        return "m or n odd", [cyclic(2), cyclic(d), dihedral(d)]
-    high = _POLY_AXES[y.kind]
-    cell = [cyclic(2), *(cyclic(gcd(m, p)) for p in high)]
-    if y.kind != "T":
-        cell += [dihedral(gcd(m, p)) for p in high]
-    if m % 2 == 0:
-        return "m even", cell + [dihedral(2)]
-    return "m odd", cell
-
-
-# The signed axes of O^-, one entry (p, alpha, beta) per axis orbit of
-# O, as ``_signed_axes`` gives them for the Z and D envelopes: the
-# 4-fold axes (the 90-degree turns lie outside T, the half-turn about a
-# perpendicular 4-fold axis inside), the 3-fold axes (their turns lie in
-# T, the perpendicular edge half-turns outside) and the edge 2-fold
-# axes (outside T, with the perpendicular 4-fold axis inside).
-_OMINUS_AXES = ((4, -1, 1), (3, 1, -1), (2, -1, 1))
-_OMINUS_OMINUS = (cyclic_minus(2), cyclic(3), cyclic_minus(4),
-                  dihedral_z(3), octa_minus())
-
-# the kind of Z_e or D_e under the signs on its cyclic factors: the
-# rotation groups, and the rows of ``TYPE_III``
-_KIND_OF_SIGNS = {(1,): "Z", (1, 1): "D",
-                  **{signs: kind for kind, (*_, signs) in TYPE_III.items()}}
+        _check(lab, FINITE_KINDS, "finite rotation class")
+    return _finite_cell(a, b, None)
 
 
 def clips_type3_type3(a: ClassLabel, b: ClassLabel) -> ClassSet:
@@ -531,103 +220,128 @@ def clips_type3_type3(a: ClassLabel, b: ClassLabel) -> ClassSet:
     Returns
     -------
     ClassSet
-        The cell; it always includes the trivial class.
+        The cell; it always includes the trivial class.  It comes from
+        ``_signed_rule``, or from ``_POLY_POLY`` for O^- x O^-.
+    """
+    for lab in (a, b):
+        _check(lab, ("Z-", "Dz", "Dd", "O-"), "finite type III class")
+    return _finite_cell(a, b, None)
 
-    A type III class H is its envelope K with the character chi that is
-    -1 on K minus the kernel L (``labels.TYPE_III``): H = {chi(k) k}.
-    An element chi1(k) k of H1 lies in g H2 g^T exactly when k lies in
-    M = K1 ∩ g K2 g^T and chi1(k) = chi2(k), since the determinant
-    reads the sign.  So H1 ∩ g H2 g^T is chi1 over E = ker(chi1 chi2)
-    inside M, the class of envelope E and kernel ker chi1 ∩ E
-    (``_meet``).
+
+def _finite_cell(a: ClassLabel, b: ClassLabel, only: int | None) -> ClassSet:
+    if a.kind in _POLYHEDRAL_AXES and b.kind in _POLYHEDRAL_AXES:
+        return _POLY_POLY[tuple(sorted((a.kind, b.kind),
+                                       key=_FAMILY_RANK.__getitem__))]
+    return _signed_rule(a, b, only)
+
+
+def _signed_rule(a: ClassLabel, b: ClassLabel, only: int | None) -> ClassSet:
+    """The cell of a finite pair with a Z or D side, from signed axes.
+
+    A class H is its envelope K with a character chi on K: H = {chi(k) k}.
+    A rotation group is its own envelope with chi = +1, and a type III
+    class has the envelope and signs of ``labels.TYPE_III``.  An element
+    chi1(k) k of H1 lies in g H2 g^T exactly when k lies in
+    M = K1 ∩ g K2 g^T and chi1(k) = chi2(k), since the determinant reads
+    the sign.  So H1 ∩ g H2 g^T is chi1 over E = ker(chi1 chi2) inside
+    M, the class of envelope E and kernel ker chi1 ∩ E (``_meet``); for
+    two rotation groups it is M.  A type II class X+Z2c enters as a = X
+    with ``only`` = 1: it holds -Id, so every chi2(k) k with k in M lies
+    in it, and the intersection is chi2 over all of M.
 
     K enters through its signed axes (``_signed_axes``): per orbit of
     rotation axes w, the order p, the sign alpha of the generator
     R(w, 2 pi/p), and the sign beta of a reference perpendicular
-    half-turn, the j-th one after it having beta alpha^j.
-    For the Z_n and D_n envelopes these come from the signs (a, b) of
-    ``TYPE_III`` on the principal generator and on R(e1, pi): the
-    principal axis is (n, a, b), and the secondary lines S_j have the
-    half-turn sign b a^j, so they fall in two orbits j in {0, 1}, each
-    with the principal half-turn a^(n/2) as its perpendicular reference
-    when n is even.  O^- has one entry per axis orbit of O
-    (``_OMINUS_AXES``).
+    half-turn, the j-th one after it having beta alpha^j, or None when w
+    has no perpendicular half-turn.  A Z_n or D_n envelope with signs
+    (a, b) on the principal generator and on R(e1, pi) has the principal
+    axis (n, a, b); the secondary lines S_j of D_n have the half-turn
+    sign b a^j, so they fall in two orbits j in {0, 1}, each with the
+    principal half-turn a^(n/2) as its perpendicular reference when n is
+    even.  T, O, I and O^- list their axis orbits (``_POLYHEDRAL_AXES``).
 
     Let K2 be a Z_n or D_n envelope with signs (a2, b2) and principal
     axis w.  Every element of K2 keeps the line w, so if M holds a
     rotation about w, then w lies on some axis of K1, of order p, and M
     sits in the stabilizer of that line: with e = gcd(p, n), M is Z_e
     (a generic spin) or, when both sides have perpendicular half-turns
-    and one pair of them is aligned, D_e.  The generator of M has the
-    signs (alpha^(p/e), a2^(n/e)), and the aligned half-turn
-    (beta alpha^j, b2 a2^k) for any j, k in {0, 1}.  Otherwise M holds
-    no rotation about w, so it holds at most one secondary half-turn of
-    K2, the product of two being such a rotation: M is 1 (a generic g)
-    or Z_2, one half-turn of K1 (the half-turn alpha^(p/2) of an axis
-    of even order p) on a secondary line of K2 at a generic spin about
-    it.  Every configuration named here occurs, and each names M
-    exactly, so the cell is the union of their classes.
+    and one pair of them is aligned, D_e, e of them then coinciding
+    modulo pi.  The generator of M has the signs (alpha^(p/e),
+    a2^(n/e)), and the aligned half-turn (beta alpha^j, b2 a2^k) for any
+    j, k in {0, 1}.  Otherwise M holds no rotation about w, so it holds
+    at most one secondary half-turn of K2, the product of two being such
+    a rotation: M is 1 (a generic g) or Z_2, one half-turn of K1 (the
+    half-turn alpha^(p/2) of an axis of even order p) on a secondary
+    line of K2 at a generic spin about it.  Every configuration named
+    here occurs, and each names M exactly, so the cell is the union of
+    their classes.
 
-    O^- x O^- is the one cell with no Z or D side, and the count above
-    does not hold there: aligning the two 4-fold frames makes M all of
-    O, not the D_4 about one axis.  There chi is +1 on T (the 3-fold
-    turns and the half-turns about 4-fold axes) and -1 on the
-    quarter-turns and the edge half-turns, and M runs over the classes
-    of the O x O cell:
+    With every sign +1 these are the SO(3) cells of Olive & Auffray,
+    with d = gcd(m, n), d_p = gcd(m, p), Z_1 = 1 and D_1 = Z_2, each also
+    holding [1]:
 
-    * M = Z_2: two edges give [Z_2^-]; a 4-fold axis on an edge gives
-      [1]; two 4-fold axes share a Z_4, never just Z_2.
-    * M = Z_3 gives [Z_3]; M = Z_4 has -1 on both quarter-turns and
-      gives [Z_4^-].
-    * M = D_2: each frame is an edge frame (one 4-fold axis, two edges)
-      with its 4-fold axis on an edge of the other, since two 4-fold
-      axes on each other share a Z_4 and a coordinate frame is kept by
-      O alone.  Only the third axis, an edge on an edge, lies in E:
-      [Z_2^-].
-    * M = D_3: a 3-fold axis and its edges aligned at the spin pi/3
-      (the spin 0 puts g in O) give [D_3^z].
-    * M = D_4: two 4-fold axes at the spin pi/4 put each 4-fold
-      half-turn of one side on an edge of the other, so E = Z_4:
-      [Z_4^-].
-    * M = O, for g in O, gives [O^-]; with M = 1 the cell is
-      {1, Z_2^-, Z_3, Z_4^-, D_3^z, O^-}.
+    * Z_m x Z_n = {Z_d};  Z_m x D_n = {Z_d, Z_{d_2}};
+      Z_m x T = {Z_{d_2}, Z_{d_3}};  Z_m x O adds Z_{d_4};
+      Z_m x I = {Z_{d_2}, Z_{d_3}, Z_{d_5}}
+    * D_m x D_n = {Z_2, Z_d, D_d}, plus D_2 when m and n are both even:
+      each principal axis on a secondary line of the other side
+    * D_m x T = {Z_2, Z_{d_3}}, since no half-turn of T is perpendicular
+      to a 3-fold axis;  D_m x O = {Z_2, Z_{d_3}, Z_{d_4}, D_{d_3},
+      D_{d_4}};  D_m x I = {Z_2, Z_{d_3}, Z_{d_5}, D_{d_3}, D_{d_5}};
+      each plus D_2 when m is even
     """
-    for lab in (a, b):
-        if lab.plus or lab.kind not in TYPE_III or lab.kind == "O2-":
-            raise ValueError(f"not a finite type III class: "
-                             f"{format_label(lab)}")
-    if a.kind == b.kind == "O-":
-        return ClassSet([trivial(), *_OMINUS_OMINUS])
-    # y has a Z or D envelope; its principal axis meets the axes of x
-    x, y = (a, b) if a.kind == "O-" else (b, a)
-    (n, a2, b2), *_ = _signed_axes(y)
-    cell = [trivial()]
-    for p, alpha, beta in _signed_axes(x):
+    swap = b.kind in _POLYHEDRAL_AXES
+    x, y = (b, a) if swap else (a, b)
+    if only is not None and swap:
+        only = 1 - only
+    n, a2, half2, _ = _signed_axes(y)[0]
+    axes = []
+    for p, alpha, half1, h in _signed_axes(x):
         e = gcd(p, n)
-        rho1, rho2 = alpha ** (p // e), a2 ** (n // e)
-        cell.append(_meet(e, (rho1,), (rho2,)))
-        if b2 is None:
-            continue
-        if beta is not None:
-            cell += [_meet(e, (rho1, beta * alpha ** j), (rho2, b2 * a2 ** k))
-                     for j in (0, 1) for k in (0, 1)]
-        if p % 2 == 0:
-            cell += [_meet(2, (alpha ** (p // 2),), (b2 * a2 ** k,))
-                     for k in (0, 1)]
+        axes.append((e, alpha ** (p // e), a2 ** (n // e), half1, h))
+    return _cell(tuple(axes), half2, only)
+
+
+@cache
+def _cell(axes: tuple, half2: tuple[int, ...], only: int | None) -> ClassSet:
+    # The union of ``_signed_rule``'s configurations, one entry of axes
+    # per axis orbit of x: (e, the generator's signs on each side, the
+    # signs of the perpendicular half-turns of x, the sign of x's
+    # half-turn or None); half2 holds the signs of y's secondary lines.
+    # The key is this signature, not the pair, so the memo stays small.
+    def name(e, s1, s2):
+        return _meet(e, s1, s2) if only is None else \
+            _signed_class(e, (s1, s2)[only])
+
+    cell = [trivial()]
+    for e, rho1, rho2, half1, h in axes:
+        cell.append(name(e, (rho1,), (rho2,)))
+        cell += [name(e, (rho1, s1), (rho2, s2))
+                 for s1 in half1 for s2 in half2]
+        if h is not None:
+            cell += [name(2, (h,), (s2,)) for s2 in half2]
     return ClassSet(cell)
 
 
-def _signed_axes(lab: ClassLabel) -> tuple[tuple[int, int, int | None], ...]:
-    # (order, generator sign, reference perpendicular half-turn sign or
-    # None) per axis orbit of a finite type III class's envelope
-    if lab.kind == "O-":
-        return _OMINUS_AXES
-    n, (a, *rest) = lab.n, TYPE_III[lab.kind][3]
-    if not rest:
-        return ((n, a, None),)
-    b = rest[0]
-    perp = a ** (n // 2) if n % 2 == 0 else None
-    return ((n, a, b), (2, b, perp), (2, b * a, perp))
+@cache
+def _signed_axes(lab: ClassLabel) -> tuple[tuple, ...]:
+    # per axis orbit of a finite class's envelope: the order p, the
+    # generator sign alpha, the signs (beta, beta alpha) of the
+    # perpendicular half-turns or (), and the half-turn sign alpha^(p/2)
+    # or None for odd p; orbits with equal entries give equal
+    # configurations, so one of them is kept
+    if lab.kind in _POLYHEDRAL_AXES:
+        axes = _POLYHEDRAL_AXES[lab.kind]
+    else:
+        n, (a, *rest) = lab.n, _SIGNS[lab.kind]
+        axes = ((n, a, rest[0] if rest else None),)
+        if rest:
+            perp = a ** (n // 2) if n % 2 == 0 else None
+            axes += ((2, rest[0], perp), (2, rest[0] * a, perp))
+    return tuple(dict.fromkeys(
+        (p, alpha, () if beta is None else (beta, beta * alpha),
+         alpha ** (p // 2) if p % 2 == 0 else None)
+        for p, alpha, beta in axes))
 
 
 def _meet(e: int, x: tuple[int, ...], y: tuple[int, ...]) -> ClassLabel:
@@ -650,6 +364,49 @@ def _signed_class(e: int, signs: tuple[int, ...]) -> ClassLabel:
     if signs == (-1, -1):
         signs = (-1, 1)
     return _build(_KIND_OF_SIGNS[signs], e)
+
+
+# the O(2)^- column's cells of the rows without a parameter (``_printed``)
+_O2MINUS_FIXED_ROWS = {
+    "T": [cyclic(3), cyclic_minus(2), dihedral_z(2)],
+    "O": [cyclic_minus(2), dihedral_z(2), dihedral_z(3), dihedral_z(4)],
+    "I": [cyclic_minus(2), dihedral_z(2), dihedral_z(3), dihedral_z(5)],
+    "SO2": [cyclic_minus(2), so2()],
+    "O2": [dihedral_z(2), o2_minus()],
+}
+
+
+def _printed(row: ClassLabel, col: ClassLabel) -> list[ClassLabel]:
+    # The rows SO(2)+Z2c and O(2)+Z2c and the column O(2)^- as published,
+    # but for the finite rows of the column, which follow the membership
+    # oracle.  A bare cyclic class [Z_k], k >= 2, would need the axis of
+    # the axial group aligned with a k-fold axis w of the rotation part
+    # H, but then every half-turn axis of H perpendicular to w
+    # contributes a reflection to the intersection, upgrading it to
+    # [D_k^z]; only axes with no perpendicular half-turn in H keep a bare
+    # cyclic class: the axis of Z_m, a secondary line of D_m for m odd,
+    # and a 3-fold axis of T.
+    kind, m, n = row.kind, row.n, col.n
+    if col.kind == "O2-":
+        if kind == "Z":
+            return [cyclic(m), *([cyclic_minus(2)] if m % 2 == 0 else [])]
+        if kind == "D":
+            return [cyclic_minus(2), dihedral_z(m),
+                    dihedral_z(2) if m % 2 == 0 else cyclic(2)]
+        return _O2MINUS_FIXED_ROWS[kind]
+    around = kind == "SO2"
+    if col.kind == "O-":
+        return ([cyclic(3), cyclic_minus(2), cyclic_minus(4)] if around
+                else [cyclic_minus(2), dihedral_z(3), dihedral_d(4)])
+    if col.kind == "Dz":
+        return ([cyclic_minus(2), cyclic(n)] if around
+                else [dihedral_z(gcd(2, n)), col])
+    # Z_2n^- and D_2n^d; the O(2)+Z2c row's Z_2 is Z_2^- for odd n
+    z2 = cyclic(2) if n % 4 == 0 else cyclic_minus(2)
+    if col.kind == "Z-":
+        return [col] if around else [z2, col]
+    return ([cyclic(2), cyclic_minus(2), cyclic_minus(n)] if around
+            else [z2, dihedral(gcd(2, n // 2)), dihedral_z(2), col])
 
 
 def _families(kinds: Sequence[str], params: range) -> list[ClassLabel]:

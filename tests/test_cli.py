@@ -165,7 +165,7 @@ def test_clips_both_mismatch_exit_2(capsys, monkeypatch):
     from o3clips.labels import class_set
 
     monkeypatch.setattr(infinite, "clips_type2_type3",
-                        lambda row, col: ("planted", class_set("1", "I")))
+                        lambda row, col: class_set("1", "I"))
     code, out, _ = run(capsys, "clips", "Z4+Z2c", "D4^z",
                        "--method", "both")
     assert code == 2
@@ -257,15 +257,14 @@ def test_table_csv_and_json(capsys):
                        "--m-range", "2..2", "--columns", "Z^-",
                        "--rows", "Z", "--format", "csv")
     assert code == 0
-    assert out == ("row,col,branch,result\n"
-                   "Z2+Z2c,Z4^-,m/d odd,1 Z2\n")
+    assert out == ("row,col,result\n"
+                   "Z2+Z2c,Z4^-,1 Z2\n")
     code, out, _ = run(capsys, "table", "--n-range", "2..2",
                        "--m-range", "2..2", "--columns", "Z^-",
                        "--rows", "Z", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"op": "table", "cells": [
-        {"row": "Z2+Z2c", "col": "Z4^-", "branch": "m/d odd",
-         "result": ["1", "Z2"]},
+        {"row": "Z2+Z2c", "col": "Z4^-", "result": ["1", "Z2"]},
     ]}
 
 

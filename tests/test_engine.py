@@ -78,7 +78,7 @@ def test_both_method_raises_on_planted_mismatch(monkeypatch):
     wrong = class_set("1", "I")
 
     def lying_cell(row, col):
-        return "planted", wrong
+        return wrong
 
     # the closed-form cell is imported into both namespaces
     monkeypatch.setattr(tables, "clips_type2_type3", lying_cell)

@@ -1,67 +1,48 @@
+import json
+import pathlib
+
 import pytest
 
 from conftest import load_pins
 from test_properties import finite_labels
+from o3clips import clips, tables
 from o3clips.labels import (
-    ClassSet,
     class_set,
     cyclic,
+    cyclic_minus,
     dihedral,
-    format_label,
+    dihedral_d,
+    dihedral_z,
     icosa,
     octa,
+    octa_minus,
     parse_label,
+    strip_z2c,
     tetra,
     typeclass,
+    with_z2c,
 )
 from o3clips.oracle import clips_oracle
 from o3clips.tables import (
     clips_type1_type1,
     clips_type2_type3,
     clips_type3_type3,
-    ell_octa,
-    gamma,
-    zee,
 )
 
 
-def _cell(row: str, col: str):
-    branch, cell = clips_type2_type3(parse_label(row), parse_label(col))
-    return branch, cell.labels()
+def _cell(row: str, col: str) -> list[str]:
+    return clips_type2_type3(parse_label(row), parse_label(col)).labels()
 
 
-def test_zee_parity():
-    assert format_label(zee(4)) == "Z2"
-    assert format_label(zee(3)) == "Z2^-"
-    assert format_label(zee(1)) == "Z2^-"
-    assert format_label(zee(2)) == "Z2"
-
-
-@pytest.mark.parametrize("m,n,expected", [
-    (2, 4, ["D2", "D2^z"]),
-    (2, 3, ["D2^z"]),
-    (3, 4, ["Z2"]),
-    (3, 3, ["Z2^-"]),
-])
-def test_gamma_four_branches(m, n, expected):
-    assert ClassSet(gamma(m, n)).labels() == expected
-
-
-def test_ell_octa_core():
-    assert ClassSet(ell_octa(1)).labels() == ["1", "Z2", "Z2^-"]
-    assert ClassSet(ell_octa(4)).labels() == ["1", "Z2", "Z2^-", "D2^z"]
-    assert ClassSet(ell_octa(3)).labels() == [
-        "1", "Z2", "Z2^-", "Z3", "D3", "D3^z",
-    ]
-    # the n-odd cell adds D2^z on top of the core
-    assert _cell("O+Z2c", "D6^d") == (
-        "n odd", ["1", "Z2", "Z2^-", "Z3", "D2^z", "D3", "D3^z"],
-    )
+def test_octa_row_against_d6d():
+    assert _cell("O+Z2c", "D6^d") == [
+        "1", "Z2", "Z2^-", "Z3", "D2^z", "D3", "D3^z"]
 
 
 # Cells that differ from a literal transcription: each was corrected to
 # the brute-force value (matrix oracle for finite columns, the axial
-# membership oracle for O(2)^-).
+# membership oracle for O(2)^-).  The third column is the condition on
+# the row parameter m that selects the corrected form, if any.
 CORRECTED_CELLS = [
     ("T+Z2c", "O^-", "", ["1", "Z2", "Z2^-", "Z3", "D2^z", "T"]),
     ("I+Z2c", "O^-", "", ["1", "Z2", "Z2^-", "Z3", "D2^z", "D3^z", "T"]),
@@ -81,22 +62,21 @@ CORRECTED_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("row,col,branch,expected", CORRECTED_CELLS)
-def test_corrected_cells(row, col, branch, expected):
-    assert _cell(row, col) == (branch, expected)
+@pytest.mark.parametrize("row,col,where,expected", CORRECTED_CELLS)
+def test_corrected_cells(row, col, where, expected):
+    assert _cell(row, col) == expected
+    if where:
+        assert parse_label(row).n % 2 == (where == "m odd")
 
 
 def test_unaffected_neighbours_of_corrections():
     # sanity anchors around the corrected cells
-    assert _cell("O+Z2c", "O^-") == (
-        "", ["1", "Z2", "Z2^-", "Z3", "Z4^-", "D2^z", "D3^z", "D4^d",
-             "O^-"],
-    )
-    assert _cell("D3+Z2c", "D6^d") == (
-        "m odd", ["1", "Z2", "Z2^-", "Z3", "D3", "D3^z"],
-    )
-    assert _cell("Z6+Z2c", "Z4^-") == ("m/d odd", ["1", "Z2"])
-    assert _cell("T+Z2c", "D4^z") == ("", ["1", "Z2", "Z2^-", "D2^z"])
+    assert _cell("O+Z2c", "O^-") == [
+        "1", "Z2", "Z2^-", "Z3", "Z4^-", "D2^z", "D3^z", "D4^d", "O^-"]
+    assert _cell("D3+Z2c", "D6^d") == [
+        "1", "Z2", "Z2^-", "Z3", "D3", "D3^z"]
+    assert _cell("Z6+Z2c", "Z4^-") == ["1", "Z2"]
+    assert _cell("T+Z2c", "D4^z") == ["1", "Z2", "Z2^-", "D2^z"]
 
 
 # The two infinite rows are kept exactly as published.  Where the
@@ -136,7 +116,7 @@ PRINTED_DIVERGENCES = [
 
 @pytest.mark.parametrize("row,col,printed,measured", PRINTED_DIVERGENCES)
 def test_printed_divergences_pinned(row, col, printed, measured):
-    branch, cell = _cell(row, col)
+    cell = _cell(row, col)
     assert cell == printed
     pins = load_pins("clips_axial_pins")
     assert pins[f"{col}|{row}"] == measured
@@ -154,7 +134,7 @@ def test_divergence_list_is_exhaustive():
         if not parse_label(inf).plus:
             continue
         try:
-            branch, cell = _cell(inf, fin)
+            cell = _cell(inf, fin)
         except ValueError:
             continue
         if (inf, fin) in diverging:
@@ -164,7 +144,7 @@ def test_divergence_list_is_exhaustive():
 
 def test_o2_membrane_cell_kept_printed():
     # published cell; the geometric value would also contain Z2^-
-    assert _cell("O(2)+Z2c", "O(2)^-") == ("", ["1", "D2^z", "O(2)^-"])
+    assert _cell("O(2)+Z2c", "O(2)^-") == ["1", "D2^z", "O(2)^-"]
 
 
 def test_cells_always_contain_trivial():
@@ -175,8 +155,7 @@ def test_cells_always_contain_trivial():
     one = parse_label("1")
     for row in rows:
         for col in cols:
-            _, cell = clips_type2_type3(parse_label(row),
-                                        parse_label(col))
+            cell = clips_type2_type3(parse_label(row), parse_label(col))
             assert one in cell
 
 
@@ -193,12 +172,10 @@ def test_rejects_wrong_kinds():
 
 def test_membership_example_cells():
     # a handful of spot values straight from the published grid
-    assert _cell("Z6+Z2c", "D4^z") == ("m even", ["1", "Z2", "Z2^-"])
-    assert _cell("T+Z2c", "Z6^-") == ("", ["1", "Z2^-", "Z3"])
-    assert _cell("I+Z2c", "O(2)^-") == (
-        "", ["1", "Z2^-", "D2^z", "D3^z", "D5^z"])
-    assert class_set(*_cell("SO(2)+Z2c", "Z6^-")[1]) == \
-        class_set("1", "Z6^-")
+    assert _cell("Z6+Z2c", "D4^z") == ["1", "Z2", "Z2^-"]
+    assert _cell("T+Z2c", "Z6^-") == ["1", "Z2^-", "Z3"]
+    assert _cell("I+Z2c", "O(2)^-") == ["1", "Z2^-", "D2^z", "D3^z", "D5^z"]
+    assert class_set(*_cell("SO(2)+Z2c", "Z6^-")) == class_set("1", "Z6^-")
 
 
 ROTATIONS = ([cyclic(k) for k in range(2, 13)]
@@ -210,27 +187,26 @@ def test_type1_table_matches_oracle():
     pairs = [(a, b) for i, a in enumerate(ROTATIONS) for b in ROTATIONS[i:]]
     assert len(pairs) == 325
     for a, b in pairs:
-        cell = clips_type1_type1(a, b)[1]
-        assert cell == clips_type1_type1(b, a)[1], (a, b)
+        cell = clips_type1_type1(a, b)
+        assert cell == clips_type1_type1(b, a), (a, b)
         assert cell == clips_oracle(a, b), (a, b)
 
 
-def _type1(a: str, b: str):
-    branch, cell = clips_type1_type1(parse_label(a), parse_label(b))
-    return branch, cell.labels()
+def _type1(a: str, b: str) -> list[str]:
+    return clips_type1_type1(parse_label(a), parse_label(b)).labels()
 
 
 def test_type1_branches():
-    assert _type1("Z6", "Z4") == ("", ["1", "Z2"])
-    assert _type1("D9", "Z6") == ("", ["1", "Z2", "Z3"])
-    assert _type1("D4", "D6") == ("m, n even", ["1", "Z2", "D2"])
-    assert _type1("D8", "D12") == ("m, n even", ["1", "Z2", "Z4", "D2", "D4"])
-    assert _type1("D3", "D6") == ("m or n odd", ["1", "Z2", "Z3", "D3"])
-    assert _type1("O", "D12") == (
-        "m even", ["1", "Z2", "Z3", "Z4", "D2", "D3", "D4"])
-    assert _type1("T", "D5") == ("m odd", ["1", "Z2"])
+    assert _type1("Z6", "Z4") == ["1", "Z2"]
+    assert _type1("D9", "Z6") == ["1", "Z2", "Z3"]
+    # D2 from each principal axis on a secondary line of the other side
+    assert _type1("D4", "D6") == ["1", "Z2", "D2"]
+    assert _type1("D8", "D12") == ["1", "Z2", "Z4", "D2", "D4"]
+    assert _type1("D3", "D6") == ["1", "Z2", "Z3", "D3"]
+    assert _type1("O", "D12") == ["1", "Z2", "Z3", "Z4", "D2", "D3", "D4"]
+    assert _type1("T", "D5") == ["1", "Z2"]
     # a shared D2 frame forces a shared T
-    assert _type1("I", "T") == ("", ["1", "Z2", "Z3", "T"])
+    assert _type1("I", "T") == ["1", "Z2", "Z3", "T"]
 
 
 def test_type1_rejects_wrong_kinds():
@@ -280,3 +256,55 @@ def test_type3_rejects_wrong_kinds():
                  ("O^-", "T")):
         with pytest.raises(ValueError):
             clips_type3_type3(parse_label(a), parse_label(b))
+
+
+# parameters with many divisors, where the deleted gcd and parity
+# branches of the table were corrected by hand
+MANY_DIVISORS = (12, 18, 20, 24, 30)
+
+
+@pytest.mark.parametrize("row", [f"{family}{m}+Z2c" for family in "ZD"
+                                 for m in MANY_DIVISORS])
+def test_rule_matches_oracle_at_many_divisors(row):
+    row = parse_label(row)
+    cols = [f(n) for n in MANY_DIVISORS
+            for f in (lambda n: cyclic_minus(2 * n), dihedral_z,
+                      lambda n: dihedral_d(2 * n))]
+    for col in (*cols, octa_minus()):
+        assert clips_type2_type3(row, col) == clips_oracle(row, col), col
+
+
+# the pairs of criterion 5's pool that the rule answers with a Z or D
+# envelope on both sides: I x I, II x III (a type II class entering by
+# its rotation part) and III x III
+ZD_POOL = [lab for lab in dict.fromkeys(finite_labels(12))
+           if strip_z2c(lab).kind in ("Z", "D", "Z-", "Dz", "Dd")]
+
+
+def test_rule_reads_either_z_or_d_side_as_the_principal_one():
+    checked = 0
+    for a in ZD_POOL:
+        for b in ZD_POOL:
+            types = (typeclass(a), typeclass(b))
+            if types == ("II", "III"):
+                x = strip_z2c(a)
+                assert (tables._signed_rule(x, b, 1)
+                        == tables._signed_rule(b, x, 0)), (a, b)
+            elif types in (("I", "I"), ("III", "III")):
+                assert (tables._signed_rule(a, b, None)
+                        == tables._signed_rule(b, a, None)), (a, b)
+            else:
+                continue
+            checked += 1
+    assert checked == 3 * 22 ** 2
+
+
+def test_cell_memo_is_keyed_by_signature_not_pair():
+    with open(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+              / "expected_grid.json", encoding="utf-8") as fh:
+        grid = json.load(fh)
+    tables._cell.cache_clear()
+    for row in grid["table"]:
+        for col in grid["cols"]:
+            clips(row, col)
+    assert 0 < tables._cell.cache_info().currsize < 1000
