@@ -174,19 +174,24 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checked = mismatches = 0
-    for cell in verify_cells(n_max=args.n_max, m_max=args.m_max):
-        checked += 1
-        row, col = format_label(cell.row), format_label(cell.col)
-        if cell.match:
-            print(f"ok   {row} x {col}: {_labels(cell.symbolic)}")
-        else:
-            mismatches += 1
-            print(f"FAIL {row} x {col}: symbolic {_labels(cell.symbolic)}"
-                  f" != brute {_labels(cell.brute)}")
-    print(f"{checked} cells checked, {checked - mismatches} ok, "
-          f"{mismatches} mismatched")
-    return 2 if mismatches else 0
+    cells = [(format_label(cell.row), format_label(cell.col), cell)
+             for cell in verify_cells(n_max=args.n_max, m_max=args.m_max)]
+    mismatched = sum(not cell.match for *_, cell in cells)
+    text = [f"ok   {row} x {col}: {_labels(cell.symbolic)}" if cell.match
+            else f"FAIL {row} x {col}: symbolic {_labels(cell.symbolic)}"
+                 f" != brute {_labels(cell.brute)}"
+            for row, col, cell in cells]
+    text.append(f"{len(cells)} cells checked, {len(cells) - mismatched} ok, "
+                f"{mismatched} mismatched")
+    _emit(args.format, {"op": "verify", "cells": [
+        {"row": row, "col": col, "symbolic": cell.symbolic.labels(),
+         "brute": cell.brute.labels(), "match": cell.match}
+        for row, col, cell in cells
+    ], "checked": len(cells), "mismatched": mismatched},
+        ["row", "col", "symbolic", "brute", "match"],
+        [[row, col, _labels(cell.symbolic), _labels(cell.brute),
+          str(cell.match).lower()] for row, col, cell in cells], text)
+    return 2 if mismatched else 0
 
 
 # ----------------------------------------------------------------- piez
@@ -317,6 +322,7 @@ def build_parser() -> _Parser:
                        help="sweep the grid against brute force")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--m-max", type=int, default=8)
+    p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("piez",

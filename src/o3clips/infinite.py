@@ -1,10 +1,10 @@
-"""Closed-form clips: the exact reductions, then one rule per pair type.
+"""Closed-form clips: the exact reductions, then one cell per pair type.
 
-Everything here is a closed form: absorbers for the full groups, the
-axial rule sets, the type II x type III table cells, the finite
-type I x type I cells and the finite type III x type III cells,
-applied after ``normalize``.  Every pair has one, so ``clips_reduce``
-answers every pair and never reaches the matrix layer.
+Everything here is a closed form, applied after ``normalize``: the
+absorbers for 1, SO(3) and O(3), then the cells of ``tables`` for a
+type II x type III, type I x type I or type III x type III pair, axial
+sides included.  Every pair has one, so ``clips_reduce`` answers every
+pair and never reaches the matrix layer.
 
 ``normalize`` applies the three exact reductions, the only place they
 are written:
@@ -24,11 +24,6 @@ from .labels import (
     ClassLabel,
     ClassSet,
     canonicalize,
-    class_set,
-    cyclic,
-    dihedral_z,
-    format_label,
-    is_infinite,
     proper_part,
     strip_z2c,
     trivial,
@@ -36,62 +31,6 @@ from .labels import (
     with_z2c,
 )
 from .tables import clips_type1_type1, clips_type2_type3, clips_type3_type3
-
-
-def _axial_rule(fin: ClassLabel, inf: ClassLabel) -> ClassSet:
-    # fin is type I (possibly SO(2)/O(2) themselves), inf is SO(2) or O(2)
-    k, n = fin.kind, fin.n
-    around = inf.kind == "SO2"
-    if k == "Z":
-        if around:
-            return class_set("1", fin)
-        items = ["1", fin] + (["Z2"] if n % 2 == 0 else [])
-        return class_set(*items)
-    if k == "D":
-        if around:
-            return class_set("1", "Z2", cyclic(n))
-        items = ["1", "Z2", fin] + (["D2"] if n % 2 == 0 else [])
-        return class_set(*items)
-    if k == "T":
-        return class_set("1", "Z2", "Z3") if around else class_set("1", "Z2", "Z3", "D2")
-    if k == "O":
-        if around:
-            return class_set("1", "Z2", "Z3", "Z4")
-        return class_set("1", "Z2", "D2", "D3", "D4")
-    if k == "I":
-        if around:
-            return class_set("1", "Z2", "Z3", "Z5")
-        return class_set("1", "Z2", "D2", "D3", "D5")
-    if k == "SO2":
-        return class_set("1", "SO(2)") if around else class_set("1", "Z2", "SO(2)")
-    if k == "O2":
-        if around:
-            return class_set("1", "Z2", "SO(2)")
-        # two half-turn families always share a perpendicular axis
-        return class_set("Z2", "D2", "O(2)")
-    raise ValueError(f"no axial rule for {format_label(fin)}")
-
-
-def _o2minus_rule(fin: ClassLabel) -> ClassSet:
-    # type III x O(2)^-; mirror alignments decide the small classes
-    k = fin.kind
-    if k == "Z-":
-        n = fin.n // 2
-        items = ["1", cyclic(n)] + ([] if n % 2 == 0 else ["Z2^-"])
-        return class_set(*items)
-    if k == "Dz":
-        return class_set("1", "Z2^-", fin)
-    if k == "Dd":
-        n = fin.n // 2
-        if n % 2 == 0:
-            return class_set("1", "Z2", "Z2^-", dihedral_z(n))
-        return class_set("1", "Z2^-", "D2^z", dihedral_z(n))
-    if k == "O-":
-        return class_set("1", "Z2^-", "D2^z", "D3^z")
-    if k == "O2-":
-        # a common mirror plane through both axes always exists
-        return class_set("Z2^-", "O(2)^-")
-    raise ValueError(f"no O(2)^- rule for {format_label(fin)}")
 
 
 def normalize(c1: ClassLabel,
@@ -131,26 +70,18 @@ def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet:
     if ta != tb:
         row, col = (a, b) if ta == "II" else (b, a)
         return clips_type2_type3(row, col)
-    if not (is_infinite(a) or is_infinite(b)):
-        if ta == "I":
-            return clips_type1_type1(a, b)
-        return clips_type3_type3(a, b)
     if ta == "I":
-        # the infinite side is SO(2) or O(2)
-        fin, inf = (a, b) if is_infinite(b) else (b, a)
-        return _axial_rule(fin, inf)
-    # III x III: the infinite side is O(2)^-
-    return _o2minus_rule(a if b.kind == "O2-" else b)
+        return clips_type1_type1(a, b)
+    return clips_type3_type3(a, b)
 
 
 def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     """Closed-form clips of any pair of classes.
 
-    Covers every pair with an infinite side, the type II x type III
-    table cells, the finite type I x type I and type III x type III
-    cells, the absorbing identities, and every pair that ``normalize``
-    turns into one of those, which is every pair.  Symmetric in its
-    arguments.
+    Covers the absorbing identities, the type II x type III table
+    cells, the type I x type I and type III x type III cells, and every
+    pair that ``normalize`` turns into one of those, which is every
+    pair.  Symmetric in its arguments.
     """
     a, b, lift = normalize(c1, c2)
     return lifted(_closed_form(a, b), lift)

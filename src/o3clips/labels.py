@@ -23,12 +23,16 @@ kernel, and the sign H puts on each cyclic factor of K:
     D_n^z   (D_n, Z_n, +, −)
     D_n^d   (D_n, D_{n/2}, −, +)
     O^-     (O, T, −, +, +)
-    O(2)^-  (O(2), SO(2)), no factors
+    O(2)^-  (O(2), SO(2), +, −)
 
 ``proper_part`` and ``tilde_part`` look it up, ``type3_class`` inverts
 it, ``order_of`` gives H the envelope's order (x -> det(x) x is one to
 one from H onto K), and ``groups.cyclic_factors`` multiplies the
-envelope's factors by the signs.
+envelope's factors by the signs.  The envelope O(2) of O(2)^- has no
+finite factors: its two signs are those of the rotations about its axis
+and of its perpendicular half-turns, the two factors of D_n read at
+n = ∞.  ``tables`` reads them, and ``groups.cyclic_factors`` refuses
+the infinite classes before it reads any sign.
 
 Every spelling comes from one table: the fixed spellings (``1``, ``T``,
 ``O(2)^-``, ...) and the parametric heads ``Z`` and ``D`` with their
@@ -73,7 +77,7 @@ TYPE_III = {
     "Dz": ("D", "Z", 1, (1, -1)),
     "Dd": ("D", "D", 2, (-1, 1)),
     "O-": ("O", "T", 1, (-1, 1, 1)),
-    "O2-": ("O2", "SO2", 1, ()),
+    "O2-": ("O2", "SO2", 1, (1, -1)),
 }
 
 _FAMILY_RANK = {

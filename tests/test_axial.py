@@ -24,6 +24,7 @@ from o3clips.groups import (
     reference_group,
     structural_axes,
 )
+from o3clips.engine import clips
 from o3clips.labels import ClassSet, format_label, parse_label
 from o3clips.rotations import IDENTITY, canonical_axis, unit
 from o3clips.tables import table_rows
@@ -38,6 +39,26 @@ def test_frozen_pin(key):
     fin, inf = key.split("|")
     got = clips_axial(parse_label(fin), parse_label(inf))
     assert got.labels() == PINS[key]
+
+
+AXIAL = [parse_label(s)
+         for s in ("SO(2)", "O(2)", "SO(2)+Z2c", "O(2)+Z2c", "O(2)^-")]
+
+
+def test_symbolic_route_matches_clips_axial_on_criterion_5_pool():
+    # every class of criterion 5's pool against the five axial classes;
+    # the pairs that differ are exactly the printed cells of the
+    # O(2)+Z2c row: D_2k^z, D_4k^d and O^-
+    pool = _finite_labels(12)
+    assert len(pool) == 75
+    o2_z2c = parse_label("O(2)+Z2c")
+    printed = {(fin, o2_z2c) for fin in pool
+               if (fin.kind == "Dz" and fin.n % 2 == 0)
+               or (fin.kind == "Dd" and fin.n % 4 == 0) or fin.kind == "O-"}
+    assert len(printed) == 10
+    differ = {(fin, inf) for fin in pool for inf in AXIAL
+              if clips(fin, inf) != clips_axial(fin, inf)}
+    assert differ == printed
 
 
 def test_rejects_wrong_arguments():

@@ -332,6 +332,46 @@ def test_verify_small_grid(capsys):
     assert all(line.startswith("ok   ") for line in lines[:-1])
 
 
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
+                       "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj) == ["op", "cells", "checked", "mismatched"]
+    assert (obj["op"], obj["checked"], obj["mismatched"]) == ("verify", 20, 0)
+    assert len(obj["cells"]) == 20
+    assert obj["cells"][0] == {"row": "Z2+Z2c", "col": "Z2^-",
+                               "symbolic": ["1", "Z2^-"],
+                               "brute": ["1", "Z2^-"], "match": True}
+
+
+def test_verify_csv(capsys):
+    code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
+                       "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 21
+    assert lines[0] == "row,col,symbolic,brute,match"
+    assert lines[1] == "Z2+Z2c,Z2^-,1 Z2^-,1 Z2^-,true"
+
+
+def test_verify_mismatch_exit_2(capsys, monkeypatch):
+    from o3clips import infinite
+    from o3clips.labels import class_set
+
+    monkeypatch.setattr(infinite, "clips_type2_type3",
+                        lambda row, col: class_set("1", "I"))
+    code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2")
+    assert code == 2
+    assert out.splitlines()[-1] == "20 cells checked, 0 ok, 20 mismatched"
+    code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
+                       "--format", "json")
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["mismatched"] == 20
+    assert not any(cell["match"] for cell in obj["cells"])
+
+
 def test_piez_text_reports_the_difference(capsys):
     code, out, _ = run(capsys, "piez")
     assert code == 2

@@ -1,8 +1,14 @@
 import pytest
 
 from o3clips.engine import clips
-from o3clips.infinite import clips_reduce, is_infinite, normalize, typeclass
-from o3clips.labels import ClassSet, canonicalize, parse_label
+from o3clips.infinite import clips_reduce, normalize
+from o3clips.labels import (
+    ClassSet,
+    canonicalize,
+    is_infinite,
+    parse_label,
+    typeclass,
+)
 from test_properties import INFINITE, finite_labels
 
 

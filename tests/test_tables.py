@@ -210,10 +210,12 @@ def test_type1_branches():
 
 
 def test_type1_rejects_wrong_kinds():
-    for a, b in (("Z4", "Z4^-"), ("Z4+Z2c", "D4"), ("1", "T"),
-                 ("SO(2)", "D4")):
+    for a, b in (("Z4", "Z4^-"), ("Z4+Z2c", "D4"), ("1", "T")):
         with pytest.raises(ValueError):
             clips_type1_type1(parse_label(a), parse_label(b))
+    # an axial side is a rotation class of the rule
+    a, b = parse_label("SO(2)"), parse_label("D4")
+    assert clips_type1_type1(a, b) == clips(a, b)
 
 
 # the finite type III classes of criterion 5's pool: order at most 24
@@ -252,10 +254,12 @@ def test_type3_cells():
 
 
 def test_type3_rejects_wrong_kinds():
-    for a, b in (("Z4", "Z4^-"), ("Z4+Z2c", "D4^z"), ("O(2)^-", "D4^z"),
-                 ("O^-", "T")):
+    for a, b in (("Z4", "Z4^-"), ("Z4+Z2c", "D4^z"), ("O^-", "T")):
         with pytest.raises(ValueError):
             clips_type3_type3(parse_label(a), parse_label(b))
+    # O(2)^- is a type III class of the rule
+    a, b = parse_label("O(2)^-"), parse_label("D4^z")
+    assert clips_type3_type3(a, b) == clips(a, b)
 
 
 # parameters with many divisors, where the deleted gcd and parity
