@@ -73,7 +73,7 @@ from .piezo import (
     isotropy_direct_sum,
     printed_collisions,
 )
-from .tables import clips_type1_type1, clips_type2_type3
+from .tables import clips_type2_type3
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "clips_families",
     "clips_oracle",
     "clips_reduce",
-    "clips_type1_type1",
     "clips_type2_type3",
     "compare",
     "compute_piez",

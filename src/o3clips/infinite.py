@@ -1,10 +1,10 @@
-"""Closed-form clips: the exact reductions, then one cell per pair type.
+"""Closed-form clips: the exact reductions, then one cell.
 
-Everything here is a closed form, applied after ``normalize``: the
-absorbers for 1, SO(3) and O(3), then the cells of ``tables`` for a
-type II x type III, type I x type I or type III x type III pair, axial
-sides included.  Every pair has one, so ``clips_reduce`` answers every
-pair and never reaches the matrix layer.
+``clips_reduce`` applies ``normalize``, answers the normalized pair with
+``tables.cell`` and lifts the answer back.  Every pair that ``normalize``
+returns, type I x I, II x III or III x III with axial sides included,
+has a cell, so ``clips_reduce`` answers every pair and never reaches the
+matrix layer.
 
 ``normalize`` applies the three exact reductions, the only place they
 are written:
@@ -26,11 +26,11 @@ from .labels import (
     canonicalize,
     proper_part,
     strip_z2c,
-    trivial,
     typeclass,
     with_z2c,
 )
-from .tables import clips_type1_type1, clips_type2_type3, clips_type3_type3
+# ``clips_type2_type3`` is imported only for perfbench/spans.py to trace
+from .tables import cell, clips_type2_type3  # noqa: F401
 
 
 def normalize(c1: ClassLabel,
@@ -59,29 +59,11 @@ def lifted(cs: ClassSet, lift: bool) -> ClassSet:
     return ClassSet(with_z2c(k) for k in cs) if lift else cs
 
 
-def _closed_form(a: ClassLabel, b: ClassLabel) -> ClassSet:
-    # a normalized pair: type I x I, II x III or III x III
-    for x, y in ((a, b), (b, a)):
-        if x.kind == "SO3":  # SO(3) against type I, O(3) against type III
-            return ClassSet([y])
-        if x.kind == "1":  # 1 against anything, 1+Z2c against type III
-            return ClassSet([trivial()])
-    ta, tb = typeclass(a), typeclass(b)
-    if ta != tb:
-        row, col = (a, b) if ta == "II" else (b, a)
-        return clips_type2_type3(row, col)
-    if ta == "I":
-        return clips_type1_type1(a, b)
-    return clips_type3_type3(a, b)
-
-
 def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     """Closed-form clips of any pair of classes.
 
-    Covers the absorbing identities, the type II x type III table
-    cells, the type I x type I and type III x type III cells, and every
-    pair that ``normalize`` turns into one of those, which is every
-    pair.  Symmetric in its arguments.
+    ``normalize``, then ``tables.cell`` on the normalized pair, then
+    ``lifted``; every pair has a cell.  Symmetric in its arguments.
     """
     a, b, lift = normalize(c1, c2)
-    return lifted(_closed_form(a, b), lift)
+    return lifted(cell(a, b), lift)

@@ -1,6 +1,12 @@
 """Closed-form clips cells of every pair the reductions leave, and the
 table of type II row against type III column.
 
+``cell`` answers every pair that ``infinite.normalize`` returns, a type
+I x I, II x III or III x III pair in either order: the absorbers 1 and
+SO(3) first, then the printed row, the data cells, and otherwise the
+rule.  ``clips_type2_type3`` is the same cell for a checked table row
+and column.
+
 Every cell with a Z, D or axial side comes from one rule,
 ``_signed_rule``: read each class as its envelope K with a sign chi on
 K, put the principal axis of the Z, D or axial side on each signed axis
@@ -79,9 +85,8 @@ from .labels import (
 )
 
 # The table's families by kind tag.  The columns are the type III
-# kinds (those of ``clips_type3_type3``); the rows X+Z2c range over the
-# finite rotation kinds but 1, in ``_FAMILY_RANK`` order, then SO(2) and
-# O(2) (those of ``clips_type1_type1``).
+# kinds; the rows X+Z2c range over the finite rotation kinds but 1, in
+# ``_FAMILY_RANK`` order, then SO(2) and O(2).
 COL_KINDS = tuple(TYPE_III)
 FINITE_KINDS = tuple(k for k in _FAMILY_RANK if k != "1" and k not in TYPE_III)
 ROW_KINDS = (*FINITE_KINDS, "SO2", "O2")
@@ -201,6 +206,34 @@ def _check(lab: ClassLabel, kinds: Sequence[str], what: str,
         raise ValueError(f"not a {what}: {format_label(lab)}")
 
 
+def cell(a: ClassLabel, b: ClassLabel) -> ClassSet:
+    """Evaluate the closed-form cell of a normalized pair.
+
+    Parameters
+    ----------
+    a, b : ClassLabel
+        A pair that ``infinite.normalize`` returns: type I x type I,
+        type II x type III or type III x type III, in either order.
+
+    Returns
+    -------
+    ClassSet
+        The cell: the absorbers' answer when either side is 1 or SO(3)
+        (1+Z2c or O(3) against type III), ``_printed`` for O(2)+Z2c
+        against a finite column, a data cell of ``_POLY_POLY`` or
+        ``_AXIAL_AXIAL``, and otherwise ``_signed_rule``.
+    """
+    for x, y in ((a, b), (b, a)):
+        if x.kind == "SO3":  # SO(3) against type I, O(3) against type III
+            return ClassSet([y])
+        if x.kind == "1":  # 1 against anything, 1+Z2c against type III
+            return ClassSet([trivial()])
+        if x.plus and x.kind == "O2" and y.kind != "O2-":
+            return ClassSet([trivial(), *_printed(y)])
+    data = _DATA.get((a.kind, b.kind))
+    return _signed_rule(a, b) if data is None else data
+
+
 def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
     """Evaluate one cell of the type II x type III table.
 
@@ -214,66 +247,15 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
     Returns
     -------
     ClassSet
-        The cell; it always includes the trivial class.  It comes from
-        ``_signed_rule``, from the data cells of ``_POLY_POLY`` and
-        ``_AXIAL_AXIAL``, or from ``_printed`` for the O(2)+Z2c row
-        against a finite column.
+        ``cell(row, col)``, after checking that row and column are
+        classes of the table; it always includes the trivial class.
     """
     _check(row, ROW_KINDS, "table row class", plus=True)
     _check(col, COL_KINDS, "table column class")
-    if row.kind == "O2" and col.kind != "O2-":
-        return ClassSet([trivial(), *_printed(col)])
-    # the signed axes of X+Z2c are those of X
-    return _pair_cell(row, col, 1)
+    return cell(row, col)
 
 
-def clips_type1_type1(a: ClassLabel, b: ClassLabel) -> ClassSet:
-    """Evaluate one rotation x rotation cell.
-
-    Parameters
-    ----------
-    a, b : ClassLabel
-        Rotation classes Z_m, D_m (m >= 2), T, O, I, SO(2) or O(2), in
-        either order.
-
-    Returns
-    -------
-    ClassSet
-        The cell.  It comes from ``_signed_rule``, whose docstring lists
-        the finite cells, from ``_POLY_POLY`` when neither side is Z, D
-        or axial, or from ``_AXIAL_AXIAL`` when both sides are axial.
-    """
-    for lab in (a, b):
-        _check(lab, ROW_KINDS, "rotation class")
-    return _pair_cell(a, b, None)
-
-
-def clips_type3_type3(a: ClassLabel, b: ClassLabel) -> ClassSet:
-    """Evaluate one type III x type III cell.
-
-    Parameters
-    ----------
-    a, b : ClassLabel
-        Type III classes Z_2n^-, D_n^z, D_2n^d, O^- or O(2)^-, in either
-        order.
-
-    Returns
-    -------
-    ClassSet
-        The cell.  It comes from ``_signed_rule``, or from ``_POLY_POLY``
-        for O^- x O^- and ``_AXIAL_AXIAL`` for O(2)^- x O(2)^-.
-    """
-    for lab in (a, b):
-        _check(lab, COL_KINDS, "type III class")
-    return _pair_cell(a, b, None)
-
-
-def _pair_cell(a: ClassLabel, b: ClassLabel, only: int | None) -> ClassSet:
-    cell = _DATA.get((a.kind, b.kind))
-    return _signed_rule(a, b, only) if cell is None else cell
-
-
-def _signed_rule(a: ClassLabel, b: ClassLabel, only: int | None) -> ClassSet:
+def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """The cell of a pair with a Z, D or axial side, from signed axes.
 
     A class H is its envelope K with a character chi on K: H = {chi(k) k}.
@@ -283,9 +265,10 @@ def _signed_rule(a: ClassLabel, b: ClassLabel, only: int | None) -> ClassSet:
     M = K1 ∩ g K2 g^T and chi1(k) = chi2(k), since the determinant reads
     the sign.  So H1 ∩ g H2 g^T is chi1 over E = ker(chi1 chi2) inside
     M, the class of envelope E and kernel ker chi1 ∩ E (``_meet``); for
-    two rotation groups it is M.  A type II class X+Z2c enters as a = X
-    with ``only`` = 1: it holds -Id, so every chi2(k) k with k in M lies
-    in it, and the intersection is chi2 over all of M.
+    two rotation groups it is M.  A type II class X+Z2c, the side with
+    ``plus`` set, enters with the signed axes of X: it holds -Id, so
+    every chi2(k) k with k in M lies in it, and the intersection is chi2
+    over all of M, named by the other side's signs alone.
 
     K enters through its signed axes (``_signed_axes``): per orbit of
     rotation axes w, the order p, the sign alpha of the generator
@@ -340,8 +323,7 @@ def _signed_rule(a: ClassLabel, b: ClassLabel, only: int | None) -> ClassSet:
     """
     swap = b.kind in _POLYHEDRAL_AXES or a.kind in INFINITE_KINDS
     x, y = (b, a) if swap else (a, b)
-    if only is not None and swap:
-        only = 1 - only
+    only = 1 if x.plus else 0 if y.plus else None
     n, a2, half2, _ = _signed_axes(y)[0]
     axes = []
     for p, alpha, half1, h in _signed_axes(x):
@@ -357,22 +339,23 @@ def _cell(axes: tuple, half2: tuple[int, ...], only: int | None,
     # per axis orbit of x: (e, the generator's signs on each side, the
     # signs of the perpendicular half-turns of x, the sign of x's
     # half-turn or None); half2 holds the signs of y's secondary lines,
-    # and full says that y holds every half-turn perpendicular to its
-    # axis.  The key is this signature, not the pair, so the memo stays
-    # small.
+    # only is None or the side (0 for x, 1 for y) whose signs alone name
+    # the classes, and full says that y holds every half-turn
+    # perpendicular to its axis.  The key is this signature, not the
+    # pair, so the memo stays small.
     def name(e, s1, s2):
         return _meet(e, s1, s2) if only is None else \
             _signed_class(e, (s1, s2)[only])
 
-    cell = [trivial()]
+    out = [trivial()]
     for e, rho1, rho2, half1, h in axes:
         if not (full and half1):
-            cell.append(name(e, (rho1,), (rho2,)))
-        cell += [name(e, (rho1, s1), (rho2, s2))
-                 for s1 in half1 for s2 in half2]
+            out.append(name(e, (rho1,), (rho2,)))
+        out += [name(e, (rho1, s1), (rho2, s2))
+                for s1 in half1 for s2 in half2]
         if h is not None:
-            cell += [name(2, (h,), (s2,)) for s2 in half2]
-    return ClassSet(cell)
+            out += [name(2, (h,), (s2,)) for s2 in half2]
+    return ClassSet(out)
 
 
 @cache

@@ -164,8 +164,8 @@ def test_clips_both_mismatch_exit_2(capsys, monkeypatch):
     from o3clips import infinite
     from o3clips.labels import class_set
 
-    monkeypatch.setattr(infinite, "clips_type2_type3",
-                        lambda row, col: class_set("1", "I"))
+    monkeypatch.setattr(infinite, "cell",
+                        lambda a, b: class_set("1", "I"))
     code, out, _ = run(capsys, "clips", "Z4+Z2c", "D4^z",
                        "--method", "both")
     assert code == 2
@@ -359,8 +359,8 @@ def test_verify_mismatch_exit_2(capsys, monkeypatch):
     from o3clips import infinite
     from o3clips.labels import class_set
 
-    monkeypatch.setattr(infinite, "clips_type2_type3",
-                        lambda row, col: class_set("1", "I"))
+    monkeypatch.setattr(infinite, "cell",
+                        lambda a, b: class_set("1", "I"))
     code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2")
     assert code == 2
     assert out.splitlines()[-1] == "20 cells checked, 0 ok, 20 mismatched"

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from o3clips import engine, infinite, tables
+from o3clips import engine, infinite
 from o3clips.engine import (
     ClipsMismatch,
     class_leq,
@@ -77,12 +77,11 @@ def test_both_method_agrees_on_sample():
 def test_both_method_raises_on_planted_mismatch(monkeypatch):
     wrong = class_set("1", "I")
 
-    def lying_cell(row, col):
+    def lying_cell(a, b):
         return wrong
 
-    # the closed-form cell is imported into both namespaces
-    monkeypatch.setattr(tables, "clips_type2_type3", lying_cell)
-    monkeypatch.setattr(infinite, "clips_type2_type3", lying_cell)
+    # every normalized pair reaches the one closed-form dispatch
+    monkeypatch.setattr(infinite, "cell", lying_cell)
     with pytest.raises(ClipsMismatch) as err:
         clips("Z4+Z2c", "D4^z", method="both")
     assert err.value.symbolic == wrong
@@ -103,7 +102,7 @@ def test_both_method_checks_the_type3_rule(monkeypatch):
     monkeypatch.setattr(engine, "clips_oracle", spy)
     assert clips(a, b, method="both") == class_set("1", "Z2")
     assert calls == [(a, b)]
-    monkeypatch.setattr(infinite, "clips_type3_type3",
+    monkeypatch.setattr(infinite, "cell",
                         lambda x, y: class_set("1", "Z4^-"))
     with pytest.raises(ClipsMismatch):
         clips(a, b, method="both")
