@@ -27,10 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, format_label, is_infinite, order_of
+from .labels import ClassLabel, ClassSet, format_label
 from .groups import (
     _SAME_AXIS,
-    ORDER_CAP,
     _read_only,
     axis_orbit_reps,
     label_census,
@@ -151,12 +150,15 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel) -> ClassSet:
     ClassSet
         All conjugacy classes of intersections of a representative of
         c_fin with representatives of c_inf.
+
+    Raises
+    ------
+    GroupError
+        For an infinite c_fin, or one above the order cap: the gate
+        ``groups.reference_group`` refuses it before any row is built.
+    ValueError
+        For a c_inf that is no axial or full infinite class.
     """
-    if is_infinite(c_fin) or not is_infinite(c_inf):
-        raise ValueError(f"finite and axial classes required, got "
-                         f"{format_label(c_fin)} and {format_label(c_inf)}")
-    if order_of(c_fin) > ORDER_CAP:
-        raise ValueError(f"{format_label(c_fin)} exceeds the order cap {ORDER_CAP}")
     masks = _axial_masks(c_inf, label_census(c_fin)[0], *_direction_rows(c_fin))
     distinct = {mask.tobytes(): mask for mask in masks}
     return ClassSet({recognize(c_fin, mask) for mask in distinct.values()})

@@ -268,11 +268,6 @@ def cmd_info(args) -> int:
 
 def cmd_materialize(args) -> int:
     label = parse_label(args.label)
-    if is_infinite(label):
-        print(f"error: {format_label(label)} is infinite; only finite "
-              "classes can be dumped as matrices (use clips or info "
-              "for symbolic queries)", file=sys.stderr)
-        return 1
     import numpy as np
 
     from .groups import materialize

@@ -7,9 +7,10 @@ forces the brute-force computation and is therefore restricted to
 pairs of finite classes.  The "both" route returns the symbolic answer
 after cross-checking it against the oracle whenever the pair is
 finite, raising ``ClipsMismatch`` on disagreement, so it always
-compares a rule with brute force.  Above the oracle's order cap
-"both" raises the oracle's ``ValueError``; the symbolic route has no
-cap.
+compares a rule with brute force.  The oracle refuses an infinite
+class, or one above its order cap, at the one gate of the matrix
+layer, ``groups.reference_group``, with a ``GroupError`` (a
+``ValueError``); "both" passes it on.  The symbolic route has no cap.
 
 The matrix layer (numpy, ``oracle``, ``axial``) is imported on the
 first brute-force call, so the symbolic route never loads it.
@@ -95,8 +96,10 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     """Set of classes of intersections of c1 with all conjugates of c2.
 
     ``method="symbolic"`` answers every pair in closed form.
-    ``method="both"`` checks that answer against the oracle on a finite
-    pair, and raises the oracle's ``ValueError`` above its order cap.
+    ``method="oracle"`` sweeps a finite pair by brute force.
+    ``method="both"`` checks the symbolic answer against the oracle on a
+    finite pair.  The oracle raises ``groups.GroupError`` (a
+    ``ValueError``) for an infinite class, or one above its order cap.
     ``seed`` has no effect: no route draws random numbers.
     """
     if method not in _METHODS:
@@ -104,12 +107,6 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     a, b = _as_label(c1), _as_label(c2)
 
     if method == "oracle":
-        for lab in (a, b):
-            if is_infinite(lab):
-                raise ValueError(
-                    f"oracle method needs finite classes, got "
-                    f"{format_label(lab)}"
-                )
         return clips_oracle(a, b)
 
     if method == "both":

@@ -8,6 +8,14 @@ of ``labels.TYPE_III``.  The class in reference orientation is the
 ordered product <f1><f2>... of its factors, doubled by {Id, -Id} for a
 +Z2c label.  ``reference_group`` multiplies the factors out and sorts
 the result once, and ``generators`` lists one generator per factor.
+
+``reference_group`` is the one gate of the matrix layer.  It raises
+``GroupError`` (a ``ValueError``) before any element is built: for an
+infinite class, through ``cyclic_factors``, and for a class above
+``rotations.ORDER_CAP``.  Every matrix path (``materialize``, the
+census views below, both oracles and ``o3clips materialize``) reaches
+it first, so none of them checks a class again.
+
 ``recognize`` inverts the construction: given any finite set of
 orthogonal matrices forming a group, it returns the canonical class
 label, using only the determinant split, the rotation axes and the
@@ -21,12 +29,12 @@ tests compare the factor construction against.
 
 ``_census`` is the one place that finds axes: the unsigned axes of an
 element set and the axis of each element, from which ``axis_census``
-counts the cyclic order about each axis; ``axis_orbits`` groups them
-into orbits under the set.  ``label_census`` runs it once per class,
-on the reference group.  ``recognize`` counts both of its halves from
-one census: its own for an element set, or the label's census
-restricted to a mask for a subgroup of a reference group, which is how
-both brute-force oracles (``oracle`` and ``axial``) recognize.
+counts the cyclic order about each axis and ``orbit_reps`` picks the
+lowest axis of each orbit under the set.  ``label_census`` runs it once
+per class, on the reference group.  ``recognize`` counts both of its
+halves from one census: its own for an element set, or the label's
+census restricted to a mask for a subgroup of a reference group, which
+is how both brute-force oracles (``oracle`` and ``axial``) recognize.
 ``structural_axes``, ``axis_orbit_reps`` and ``rep_line_mask`` are
 cached per-label views of the same census, from which the oracles take
 their axes and the elements on the line of each representative.
@@ -319,15 +327,20 @@ def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return axes, 1 + _axis_counts(ids[proper], len(axes))
 
 
-def axis_orbits(elems: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """For each unsigned axis the lowest index of an axis in its orbit
-    under the element set.  The set is a group, so the orbit of an axis
-    is exactly its set of images."""
-    if len(axes) == 0:
-        return np.zeros(0, dtype=int)
-    img = np.einsum("gij,aj->gai", elems, axes)
-    orbit = (np.abs(img @ axes.T) > 1.0 - _SAME_AXIS).any(axis=0)
-    return orbit.argmax(axis=1)
+def orbit_reps(elems: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Indices of one unsigned axis per orbit under the element set, each
+    the lowest index of its orbit, in increasing order.
+
+    The set is a group, so the orbit of an axis is exactly its set of
+    images.  The lowest axis not yet placed therefore starts a new orbit,
+    and its images under the set are the whole orbit, which is dropped
+    before the next pick.  Each pick holds |G| x axes floats."""
+    reps, left = [], np.ones(len(axes), dtype=bool)
+    while left.any():
+        reps.append(int(left.argmax()))
+        img = elems @ axes[reps[-1]]
+        left &= ~(np.abs(img @ axes.T) > 1.0 - _SAME_AXIS).any(axis=0)
+    return np.array(reps, dtype=int)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -359,7 +372,7 @@ def axis_orbit_reps(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
     Conjugation by the group moves an axis within its orbit, so clips
     only depends on the orbit."""
     axes, orders = structural_axes(label)
-    first = np.unique(axis_orbits(reference_group(label), axes))
+    first = orbit_reps(reference_group(label), axes)
     return _read_only(axes[first], orders[first])
 
 

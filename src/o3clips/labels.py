@@ -108,8 +108,10 @@ class ClassLabel:
 
     Instances are immutable and interned on ``(kind, int(n),
     bool(plus))``, so equality and hashing are those of ``object``:
-    identity.  The factories and ``parse_label`` build only canonical
-    labels; ``canonicalize`` maps a hand-built one to its class.
+    identity.  A kind outside ``_FAMILY_RANK`` and ``INFINITE_KINDS``
+    raises ``ValueError``.  The factories and ``parse_label`` build only
+    canonical labels; ``canonicalize`` maps a hand-built one to its
+    class.
     """
 
     __slots__ = ("kind", "n", "plus")
@@ -122,6 +124,8 @@ class ClassLabel:
         key = (kind, int(n), bool(plus))
         self = _POOL.get(key)
         if self is None:
+            if kind not in _FAMILY_RANK and kind not in INFINITE_KINDS:
+                raise ValueError(f"unknown kind {kind!r}")
             self = object.__new__(cls)
             for name, value in zip(cls.__slots__, key):
                 object.__setattr__(self, name, value)
@@ -382,13 +386,11 @@ def format_label(label: ClassLabel) -> str:
     kind, plus = label.kind, label.plus
     if (kind, plus) in _FIXED_FORMS:
         return _FIXED_FORMS[kind, plus]
-    if (kind, False) in _FIXED_FORMS:
-        base = _FIXED_FORMS[kind, False]
-    elif kind in _PARAMETRIC_FORMS:
+    if kind in _PARAMETRIC_FORMS:
         head, suffix = _PARAMETRIC_FORMS[kind]
         base = f"{head}{label.n}{suffix}"
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        base = _FIXED_FORMS[kind, False]
     return base + _Z2C if plus else base
 
 

@@ -59,9 +59,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, is_infinite, order_of, trivial, with_z2c
+from .labels import ClassLabel, ClassSet, order_of, trivial, with_z2c
 from .groups import (
-    ORDER_CAP,
     axis_orbit_reps,
     recognize,
     reference_group,
@@ -310,18 +309,19 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     Parameters
     ----------
     c1, c2 : ClassLabel
-        Finite classes with order <= 256.
+        Finite classes of order at most ``ORDER_CAP``.
 
     Returns
     -------
     ClassSet
         All intersection classes found.
+
+    Raises
+    ------
+    GroupError
+        For an infinite class, or one above the order cap: the gate
+        ``groups.reference_group`` refuses it before the sweep starts.
     """
-    for c in (c1, c2):
-        if is_infinite(c):
-            raise ValueError(f"clips_oracle needs finite classes, got {c}")
-        if order_of(c) > ORDER_CAP:
-            raise ValueError(f"{c} exceeds the order cap {ORDER_CAP}")
     # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1 otherwise
     center = with_z2c(trivial()) if c1.plus and c2.plus else trivial()
     masks = _distinct_masks(c1, c2)

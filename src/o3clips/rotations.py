@@ -14,13 +14,18 @@ import numpy as np
 
 EPS_MAT = 1e-9    # entrywise matrix equality
 EPS_AXIS = 1e-12  # minimum norm for a direction vector
-# Largest materializable group order.  It is a memory limit, not a
-# tolerance limit.  ``groups.axis_orbits`` holds |G| x axes^2 floats:
-# 256 x 129^2, about 4.3e6 (34 MB), for D128, while D1000 asks for a
-# (2000, 1001, 1001) float64 array and raises MemoryError.  The
-# tolerances would allow orders in the thousands: the axes of D_N are
-# pi/N apart against the ~4.5e-5 rad of ``groups._SAME_AXIS``, and its
-# elements sqrt(2) sin(pi/N) apart against EPS_MAT.
+# Largest materializable group order, refused above it by the one gate
+# of the matrix layer, ``groups.reference_group``.  The cap rests on the
+# tolerance arguments written for it, not on memory:
+# - distinct elements of a class of order N are sqrt(2) sin(pi/N)
+#   apart, at least 0.017 within the cap, against EPS_MAT and the 1e-9
+#   rounding of ``groups._KEY_DECIMALS`` (``groups.reference_group``);
+# - distinct axes are at least pi/128 apart within the cap, against the
+#   ~4.5e-5 rad of ``groups._SAME_AXIS`` (``groups._census``);
+# - the tests check the element separation on every class within it.
+# The largest per-class arrays left grow as |G|^2.  At D128^d (order 256)
+# they peak, under tracemalloc, at 2.5 MB (``axial._direction_rows``),
+# 1.1 MB (``groups.label_census``) and 0.5 MB (``groups.axis_orbit_reps``).
 ORDER_CAP = 256
 
 IDENTITY = np.eye(3)

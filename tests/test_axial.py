@@ -69,7 +69,8 @@ def test_rejects_wrong_arguments():
 
 
 def test_rejects_a_class_above_the_order_cap():
-    with pytest.raises(ValueError, match="D300 exceeds the order cap 256"):
+    with pytest.raises(ValueError, match="D300 has order 600, above the "
+                                         "order cap 256"):
         clips_axial(parse_label("D300"), parse_label("O(2)^-"))
 
 

@@ -112,7 +112,7 @@ def test_clips_type3_pair_beyond_the_order_cap(capsys):
                          "--method", "both")
     assert code == 1
     assert out == ""
-    assert "exceeds the order cap 256" in err
+    assert "above the order cap 256" in err
 
 
 def test_piez_loads_no_numpy():

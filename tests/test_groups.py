@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 from collections import Counter
 
@@ -14,14 +15,16 @@ from o3clips.groups import (
     RecognitionError,
     _canonical_order,
     axis_census,
-    axis_orbits,
+    axis_orbit_reps,
     close_group,
     generators,
     intersect,
     lexsort_elements,
     materialize,
+    orbit_reps,
     recognize,
     reference_group,
+    structural_axes,
 )
 from o3clips.labels import (
     cyclic,
@@ -274,6 +277,41 @@ def test_axis_census(text):
     g = random_rotation(np.random.default_rng(5))
     for elems in (materialize(label), materialize(label, g)):
         axes, orders = axis_census(elems)
-        reps = axis_orbits(elems, axes)
-        got = (len(axes), dict(Counter(orders.tolist())), len(set(reps.tolist())))
+        reps = orbit_reps(elems, axes)
+        got = (len(axes), dict(Counter(orders.tolist())), len(reps))
         assert got == CENSUS[text]
+
+
+def test_axis_orbit_reps_hold_the_lowest_axis_of_each_orbit():
+    # The orbit of a representative r is its image set {g r}.  The
+    # orbits of the representatives must partition the structural axes,
+    # each orbit holding its representative as its lowest index.
+    for label in labels_up_to(ORDER_CAP):
+        name = format_label(label)
+        axes, orders = structural_axes(label)
+        reps, rep_orders = axis_orbit_reps(label)
+        if len(axes) == 0:
+            assert len(reps) == 0, name
+            continue
+        same = np.abs(reps @ axes.T) > 1.0 - 1e-9
+        assert (same.sum(axis=1) == 1).all(), name
+        index = same.argmax(axis=1)
+        assert (np.diff(index) > 0).all(), name
+        assert np.array_equal(rep_orders, orders[index]), name
+        img = np.einsum("gij,rj,ai->rga", reference_group(label), reps, axes)
+        orbit = (np.abs(img) > 1.0 - 1e-9).any(axis=1)
+        assert (orbit.sum(axis=0) == 1).all(), name
+        assert np.array_equal(orbit.argmax(axis=1), index), name
+
+
+def test_axis_orbit_reps_peak_memory():
+    # each orbit pick holds |G| x axes floats, not a |G| x axes^2 table
+    label = parse_label("D128^d")
+    structural_axes(label)  # the group and its census have caches of their own
+    tracemalloc.start()
+    try:
+        axis_orbit_reps.__wrapped__(label)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6

@@ -300,6 +300,16 @@ def test_hand_built_label_stays_distinct_until_canonicalized():
     assert ClassSet([raw]).labels() == ["1"]
 
 
+def test_unknown_kind_is_refused_at_construction():
+    # a kind outside the label table would otherwise get an order and a
+    # type, and fail only later in canonicalize or sort_key
+    with pytest.raises(ValueError, match="unknown kind 'Foo'"):
+        ClassLabel("Foo", 2)
+    assert not any(kind == "Foo" for kind, _, _ in labels._POOL)
+    assert ClassLabel("O2-") is o2_minus()
+    assert ClassLabel("1", 0, True) is with_z2c(trivial())
+
+
 def test_copies_and_pickles_are_the_same_label():
     for lab in (trivial(), dihedral_d(8), o3(), with_z2c(icosa())):
         assert copy.copy(lab) is lab
