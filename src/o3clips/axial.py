@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, format_label
+from .labels import ClassLabel, ClassSet, format_label, is_infinite
 from .groups import (
     _SAME_AXIS,
     _read_only,
@@ -46,7 +46,8 @@ def _axial_masks(label: ClassLabel, proper: np.ndarray, invol: np.ndarray,
     """Membership masks in the axial class ``label`` about each axis of
     a stack, one row per row of ``fix`` and ``anti`` (which elements fix
     and which reverse that axis); one row for SO(3) and O(3), which have
-    no axis.  ``proper`` and ``invol`` flag each element.
+    no axis.  ``proper`` and ``invol`` flag each element.  ``label`` is
+    an infinite class (``clips_axial`` refuses any other).
 
     Every mask is (A & fix) | (B & anti) for flags A and B of the
     element, so restricting ``fix`` and ``anti`` to some elements
@@ -61,9 +62,7 @@ def _axial_masks(label: ClassLabel, proper: np.ndarray, invol: np.ndarray,
         return (proper & fix) | (~proper & anti)
     if label.kind == "O2":
         return np.where(proper, fix | (anti & invol), anti | (fix & invol))
-    if label.kind == "O2-":
-        return (proper & fix) | (~proper & fix & invol)
-    raise ValueError(f"not an axial class: {format_label(label)}")
+    return (proper & fix) | (~proper & fix & invol)  # O(2)^-
 
 
 def _candidate_directions(label: ClassLabel) -> np.ndarray:
@@ -157,8 +156,11 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel) -> ClassSet:
         For an infinite c_fin, or one above the order cap: the gate
         ``groups.reference_group`` refuses it before any row is built.
     ValueError
-        For a c_inf that is no axial or full infinite class.
+        For a c_inf that is no axial or full infinite class, refused
+        before any row of c_fin is built.
     """
+    if not is_infinite(c_inf):
+        raise ValueError(f"not an axial class: {format_label(c_inf)}")
     masks = _axial_masks(c_inf, label_census(c_fin)[0], *_direction_rows(c_fin))
     distinct = {mask.tobytes(): mask for mask in masks}
     return ClassSet({recognize(c_fin, mask) for mask in distinct.values()})

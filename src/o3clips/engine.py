@@ -168,14 +168,19 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     the matrix oracle, the O(2)^- column with the axial membership
     oracle.  ``seed`` has no effect: neither oracle draws random
     numbers.
+
+    Each distinct cell is swept once per call: the D_{2n}^d column at
+    n = 1 is D2^z, which the D_n^z column also holds, and a row's
+    repeat of it is yielded again from a record local to the row.
     """
     rows = table_rows(FINITE_KINDS, range(2, m_max + 1))
     cols = table_cols(COL_KINDS, range(1, n_max + 1))
     for row in rows:
+        done: dict[ClassLabel, CellCheck] = {}
         for col in cols:
-            symbolic = clips(row, col)
-            if is_infinite(col):
-                brute = clips_axial(row, col)
-            else:
-                brute = clips(row, col, method="oracle")
-            yield CellCheck(row=row, col=col, symbolic=symbolic, brute=brute)
+            if col not in done:
+                symbolic = clips(row, col)
+                brute = (clips_axial(row, col) if is_infinite(col)
+                         else clips(row, col, method="oracle"))
+                done[col] = CellCheck(row, col, symbolic, brute)
+            yield done[col]

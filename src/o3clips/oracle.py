@@ -36,21 +36,21 @@ F_b^T {P, J, E} with the parts of a spin about e3, the azimuth and
 height about b of every structural axis in that frame (the height NaN
 for an axis on the line b, so that it matches no height), and which
 elements lie on the line b.  What is left per pair is a few array
-passes.  The aligners are one batched product of H1's frames with
-H2's.  One comparison of H1's heights with H2's signed heights finds
-every pair of an axis of H1 and an image of an axis of H2 that a spin
-can land one on the other; only at those pairs are the azimuths
-subtracted, and each aligner's angles are reduced to its distinct ones
-(``_spin_table``).  A pair with no such axes, for instance one class
-with a single axis, sweeps its aligners alone.  Otherwise one batched
-product of H1's F_b^T {P, J, E} with H2's frames gives the spin
-coefficients of every aligner, and one ``matmul`` spins each aligner
-by each of its angles.  Every conjugator is then conjugated, by one
-Kronecker product per batch, and masked (``_distinct_masks``), and
-masks are told apart by their raw bytes.  Each distinct mask is
-recognized from the census of H2 (``recognize(c2, mask)``), which
-memoizes its answer per class and mask, so a mask that recurs across
-pairs with the same H2 is recognized once per class, not once per pair.
+passes.  One batched product of H1's F_b^T {P, J, E} with H2's frames
+gives the spin coefficients of every aligner and, at angle 0, the
+aligner itself.  One 2-D comparison of H1's heights with H2's signed
+heights finds every pair of an axis of H1 and an image of an axis of
+H2 that a spin can land one on the other; only at those pairs are the
+azimuths subtracted, and each aligner's angles are reduced to its
+distinct ones (``_spin_table``).  A pair with no such axes, for instance one class
+with a single axis, sweeps its aligners alone.  Otherwise one
+``matmul`` spins each aligner by each of its angles.  Every conjugator
+is then conjugated, by one 2-D product with Kronecker squares per
+batch, and masked (``_distinct_masks``), and masks are told apart by
+their raw bytes.  Each distinct mask is recognized from the census of
+H2 (``recognize(c2, mask)``), which memoizes its answer per class and
+mask, so a mask that recurs across pairs with the same H2 is
+recognized once per class, not once per pair.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ _SPIN = np.array([np.diag([1.0, 1.0, 0.0]),
 
 
 class _Prepped:
-    """Per-label oracle data: the flattened reference elements and the
-    axis frames.
+    """Per-label oracle data: the flattened reference elements, the
+    axis frames and the flat height tables.
 
     A candidate h is a member when some element e lies within EPS_MAT
     of it entrywise, and only the Frobenius-nearest element can.  For
@@ -101,16 +101,19 @@ class _Prepped:
     For each axis orbit representative b (``axis_orbit_reps``, cyclic
     order ``orders``), ``frames`` holds the rotation F_b with rows
     (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha`` and
-    ``z`` hold, per representative and per structural axis w, the
-    azimuth of F_b w about e3 and its height b.w along e3; the height is
-    NaN when w lies on the line b, as no comparison holds for NaN.
-    ``signed_z`` stacks z and -z per representative.  ``parts`` holds
-    F_b^T P, F_b^T J and F_b^T E per representative, for the parts P, J
-    and E of R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a
-    pair's spin coefficients are one batched product of them with the
-    other class's frames (see ``conjugators``).  ``online`` holds, per
-    representative b and per element, whether the element is ±Id or
-    rotates (up to sign) about the line b (``groups.rep_line_mask``).
+    ``z`` hold, flat over (b, w) for each structural axis w, the azimuth
+    of F_b w about e3 and its height b.w (NaN when w lies on the line b,
+    as no comparison holds for NaN), and ``rep`` each entry's b.
+    ``signed_alpha``, ``signed_z`` and ``signed_rep`` hold the same over
+    (b, s, w) for the ends (-1)^s w, s = 0, 1: height (-1)^s b.w and
+    azimuth alpha - pi s.  ``row_bytes`` is the void dtype of one mask
+    over the elements.  ``parts`` holds F_b^T P, F_b^T J and F_b^T E per
+    representative, for the parts P, J and E of
+    R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a pair's spin
+    coefficients are one batched product of them with the other class's
+    frames (see ``conjugators``).  ``online`` holds, per representative
+    b and per element, whether the element is ±Id or rotates (up to
+    sign) about the line b (``groups.rep_line_mask``).
 
     Heights are compared to within 1e-9, and that is exact within the
     order cap.  A height is the cosine of the angle between two axes of
@@ -136,10 +139,14 @@ class _Prepped:
         self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
         self.parts = self.frames.transpose(0, 2, 1)[:, None] @ _SPIN
         x, y, z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
-        self.alpha = np.arctan2(y, x)
-        self.z = np.where(np.hypot(x, y) > 1e-9, z, np.nan)
-        self.signed_z = np.stack([self.z, -self.z], axis=1)
+        alpha, z = np.arctan2(y, x), np.where(np.hypot(x, y) > 1e-9, z, np.nan)
+        self.alpha, self.z = alpha.ravel(), z.ravel()
+        self.rep = np.repeat(np.arange(len(reps)), z.shape[1])
+        self.signed_alpha = np.stack([alpha, alpha - np.pi], axis=1).ravel()
+        self.signed_z = np.stack([z, -z], axis=1).ravel()
+        self.signed_rep = np.repeat(self.rep, 2)
         self.online = rep_line_mask(label)
+        self.row_bytes = np.dtype((np.void, len(self.flat)))
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group:
@@ -231,7 +238,10 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     F_b^T J F_a and F_b^T E F_a for the parts P, J and E of
     R(e3, t) = cos t P + sin t J + E.  H1's factors F_b^T {P, J, E} are
     per-label (``_Prepped.parts``), so A, B and C of every aligner come
-    from one batched product with H2's frames.
+    from one batched product with H2's frames, and the aligner is its
+    spin by 0, A + C.  Heights are compared as one 2-D table, H1's flat
+    (b, w) against H2's signed (a, s, v) (``_Prepped``), whose entries
+    carry their representatives and, for s = 1, the pi.
 
     Rows: the k1 k2 aligners g0 in (b, a) order first, then the
     distinct solved spins of each aligner in the same order, each row's
@@ -243,24 +253,21 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     k1, k2 = len(h1.orders), len(h2.orders)
     if k1 == 0 or k2 == 0:
         return np.empty((0, 3, 3))
-    # the aligners F_b^T F_a in (b, a) order
-    rows = k1 * k2
-    g0 = (h1.frames.transpose(0, 2, 1)[:, None] @ h2.frames[None]).reshape(rows, 3, 3)
+    # A, B and C of every aligner in (b, a) order
+    abc = (h1.parts[:, None] @ h2.frames[None, :, None]).reshape(k1 * k2, 3, 9)
+    g0 = (abc[:, 0] + abc[:, 2]).reshape(-1, 3, 3)
     # R(e3, t) puts F_a v on s F_b w at t = alpha(w) - alpha(v), plus pi
-    # for s = -1, when z(w) = s z(v); (b, w) index H1's heights and
-    # (a, s, v) H2's signed ones
-    match = np.abs(h1.z.reshape(-1, 1) - h2.signed_z.reshape(1, -1)) < 1e-9
-    b, w, a, s, v = np.nonzero(match.reshape(*h1.z.shape, *h2.signed_z.shape))
-    if len(b) == 0:
+    # for s = -1, when z(w) = s z(v)
+    i, j = np.nonzero(np.abs(h1.z[:, None] - h2.signed_z) < 1e-9)
+    if len(i) == 0:
         return g0
     period = 2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel()
-    t, row = _spin_table(h1.alpha[b, w] - h2.alpha[a, v] + np.pi * s,
-                         b * k2 + a, period)
+    t, row = _spin_table(h1.alpha[i] - h2.signed_alpha[j],
+                         h1.rep[i] * k2 + h2.signed_rep[j], period)
     # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
     coef = np.ones((len(t), 1, 3))
     coef[:, 0, 0] = np.cos(t)
     coef[:, 0, 1] = np.sin(t)
-    abc = (h1.parts[:, None] @ h2.frames[None, :, None]).reshape(rows, 3, 9)
     return np.concatenate([g0, (coef @ abc[row]).reshape(-1, 3, 3)])
 
 
@@ -272,28 +279,30 @@ def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
     conjugates g x g^T are masked against H1, in batches that keep them
     and the (rows, |H1|) dot matrix of ``member_mask`` near 2.5e5
     floats.  In row-major flattening g x g^T is (g ⊗ g) x, so one batch
-    of conjugates is one product of the flattened H2 with the batch's
-    (rows, 9, 9) Kronecker squares.  The aligner rows, first in the
-    sweep, stand for their generic spins, so their masks keep only the
-    elements of H2 on the line a and ±Id (``_Prepped.online``, one row
-    per a, repeated for every b).  Masks are told apart by their raw
-    bytes, each row read as one void scalar.
+    of conjugates is one 2-D product of the flattened H2 with the
+    batch's Kronecker squares, (9, 9 rows) with the conjugator axis
+    innermost.  The aligner rows, first in the sweep, stand for their
+    generic spins, so their masks keep only the elements of H2 on the
+    line a and ±Id (``_Prepped.online``, one row per a, repeated for
+    every b).  Masks are told apart by their raw bytes, each row read
+    as one void scalar.
     """
     prep, h2 = _prepped(c1), _prepped(c2)
     flat2, k2 = h2.flat, len(h2.orders)
     all_g = conjugators(c1, c2)
     line = h2.online[np.arange(len(prep.orders) * k2) % k2]
     step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
-    row_bytes = np.dtype((np.void, len(flat2)))
     found: dict[bytes, np.ndarray] = {}
     for i in range(0, len(all_g), step):
-        g = all_g[i : i + step]
-        kron = (g[:, :, None, :, None] * g[:, None, :, None, :]).reshape(-1, 9, 9)
-        conj = flat2 @ kron.transpose(0, 2, 1)
-        masks = prep.member_mask(conj.reshape(len(g), len(flat2), 3, 3))
+        # kron[(k, l), (p, q, r)] = g_r[p, k] g_r[q, l]
+        gt = all_g[i : i + step].transpose(2, 1, 0).copy()
+        kron = (gt[:, None, :, None] * gt[None, :, None, :]).reshape(9, -1)
+        # copied, so the (|H2|, 9, rows) product is freed before masking
+        conj = (flat2 @ kron).reshape(len(flat2), 9, -1).transpose(2, 0, 1).copy()
+        masks = prep.member_mask(conj.reshape(-1, len(flat2), 3, 3))
         head = line[i : i + step]
         masks[: len(head)] &= head
-        found.update(zip(masks.view(row_bytes).ravel().tolist(), masks))
+        found.update(zip(masks.view(h2.row_bytes).ravel().tolist(), masks))
     return list(found.values())
 
 

@@ -68,6 +68,15 @@ def test_rejects_wrong_arguments():
         clips_axial(parse_label("Z4"), parse_label("D4"))
 
 
+def test_refuses_a_finite_second_class_before_building_rows():
+    # the kind of c_inf is read first, so no direction rows of c_fin
+    # are built or cached for a call that is refused
+    _direction_rows.cache_clear()
+    with pytest.raises(ValueError, match="not an axial class: Z4"):
+        clips_axial(parse_label("D128"), parse_label("Z4"))
+    assert _direction_rows.cache_info().currsize == 0
+
+
 def test_rejects_a_class_above_the_order_cap():
     with pytest.raises(ValueError, match="D300 has order 600, above the "
                                          "order cap 256"):

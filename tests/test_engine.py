@@ -19,6 +19,7 @@ from o3clips.labels import (
     parse_label,
     with_z2c,
 )
+from o3clips.tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 from test_properties import finite_labels
 
 
@@ -245,6 +246,32 @@ def test_verify_cells_seed_has_no_effect():
     # random numbers, so every seed gives the same cells
     runs = [list(verify_cells(n_max=3, m_max=3, seed=s)) for s in (0, 1, 7)]
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("size, swept, cells", [(3, 56, 70), (8, 391, 425)])
+def test_verify_cells_sweeps_each_distinct_cell_once(size, swept, cells,
+                                                     monkeypatch):
+    # the D_2n^d column at n = 1 is D2^z, so each row meets that cell
+    # twice; the oracle sees it once per call, and every cell is still
+    # yielded in row-major order over the table's rows and columns
+    calls = []
+    oracle = engine.clips_oracle
+
+    def spy(a, b):
+        calls.append((a, b))
+        return oracle(a, b)
+
+    monkeypatch.setattr(engine, "clips_oracle", spy)
+    checks = list(verify_cells(size, size))
+    rows = table_rows(FINITE_KINDS, range(2, size + 1))
+    cols = table_cols(COL_KINDS, range(1, size + 1))
+    assert [(c.row, c.col) for c in checks] == [(r, c) for r in rows for c in cols]
+    assert len(checks) == cells
+    assert len(calls) == len(set(calls)) == swept
+    assert all(c.match for c in checks)
+    # a second call sweeps every distinct cell again
+    list(verify_cells(size, size))
+    assert len(calls) == 2 * swept
 
 
 def test_dominance_on_small_cells():

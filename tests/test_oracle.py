@@ -130,6 +130,40 @@ def test_sweep_has_no_random_conjugators(seed):
         assert gap.min(axis=(1, 2)).max() < 1e-12, pair
 
 
+@pytest.mark.parametrize("pair", list(PROBE_COUNTS), ids="|".join)
+def test_aligner_rows_are_the_frame_products(pair):
+    # conjugators reads each aligner as A + C of its spin product; it
+    # must be F_b^T F_a, in (b, a) order
+    c1, c2 = map(parse_label, pair)
+    f1, f2 = _prepped(c1).frames, _prepped(c2).frames
+    want = (f1.transpose(0, 2, 1)[:, None] @ f2[None]).reshape(-1, 3, 3)
+    got = conjugators(c1, c2)[: len(want)]
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("pair", [("I+Z2c", "O^-"), ("D128^z", "D128^z")],
+                         ids="|".join)
+def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
+    # the candidates that _distinct_masks hands to member_mask, batch by
+    # batch, are g x g^T for every conjugator g and every x in H2
+    c1, c2 = map(parse_label, pair)
+    seen = []
+    member = oracle._Prepped.member_mask
+
+    def spy(self, cands):
+        seen.append(cands.copy())
+        return member(self, cands)
+
+    monkeypatch.setattr(oracle._Prepped, "member_mask", spy)
+    _distinct_masks(c1, c2)
+    g, g2 = conjugators(c1, c2), reference_group(c2)
+    want = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
+    assert np.abs(np.concatenate(seen) - want).max() < 1e-12
+    if pair == ("D128^z", "D128^z"):
+        # 35 conjugators at 3 rows per batch under the 2.5e5 budget
+        assert len(seen) == 12
+
+
 def _on_line_elements(label: ClassLabel) -> np.ndarray:
     """Per axis orbit representative a, the elements x of the reference
     group that are ±Id or rotate about the line a: det(x) x fixes a."""
@@ -260,7 +294,8 @@ def _einsum_conjugators(c1: ClassLabel, c2: ClassLabel) -> np.ndarray:
     h1, h2 = _prepped(c1), _prepped(c2)
     k1, k2 = len(h1.orders), len(h2.orders)
     rows = k1 * k2
-    diff = (h1.alpha[:, None, :, None] - h2.alpha[None, :, None, :]).reshape(rows, -1)
+    a1, a2 = h1.alpha.reshape(k1, -1), h2.alpha.reshape(k2, -1)
+    diff = (a1[:, None, :, None] - a2[None, :, None, :]).reshape(rows, -1)
     (z1, off1), (z2, off2) = _heights(c1), _heights(c2)
     z1, z2 = z1[:, None, :, None], z2[None, :, None, :]
     off = off1[:, None, :, None] & off2[None, :, None, :]
