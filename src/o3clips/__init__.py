@@ -18,6 +18,8 @@ constructors) needs numpy and is imported on first access, so the
 closed-form route and the catalog fold never load it.
 """
 
+import types as _types
+
 from .engine import (
     CellCheck,
     ClipsMismatch,
@@ -77,67 +79,6 @@ from .tables import clips_type2_type3
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CellCheck",
-    "ClassLabel",
-    "ClassSet",
-    "ClipsMismatch",
-    "ELA_CLASSES",
-    "GroupError",
-    "IsotropyCatalog",
-    "PIEZ_CLASSES",
-    "PIEZ_LAW_CLASSES",
-    "PIEZ_LAW_PRINTED",
-    "PiezDiff",
-    "RecognitionError",
-    "SYM_CLASSES",
-    "builtin_isotropy",
-    "canonicalize",
-    "class_leq",
-    "class_set",
-    "clips",
-    "clips_axial",
-    "clips_families",
-    "clips_oracle",
-    "clips_reduce",
-    "clips_type2_type3",
-    "compare",
-    "compute_piez",
-    "cyclic",
-    "cyclic_minus",
-    "diff_piez",
-    "dihedral",
-    "dihedral_d",
-    "dihedral_z",
-    "format_label",
-    "generators",
-    "icosa",
-    "is_infinite",
-    "isotropy_direct_sum",
-    "materialize",
-    "o2",
-    "o2_minus",
-    "o3",
-    "octa",
-    "octa_minus",
-    "order_of",
-    "parse_label",
-    "printed_collisions",
-    "proper_part",
-    "recognize",
-    "reference_group",
-    "so2",
-    "so3",
-    "sort_key",
-    "strip_z2c",
-    "tetra",
-    "tilde_part",
-    "trivial",
-    "typeclass",
-    "verify_cells",
-    "with_z2c",
-]
-
 # name -> submodule of the matrix layer that defines it
 _LAZY = {
     "clips_axial": "axial",
@@ -149,6 +90,12 @@ _LAZY = {
     "recognize": "groups",
     "reference_group": "groups",
 }
+
+# the import blocks and ``_LAZY`` are the one list of public names
+__all__ = sorted([name for name, value in globals().items()
+                  if not (name.startswith("_")
+                          or isinstance(value, _types.ModuleType))]
+                 + list(_LAZY))
 
 
 def __getattr__(name):

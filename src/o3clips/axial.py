@@ -3,9 +3,9 @@
 An axial group (rotations about an axis u, possibly extended by
 perpendicular half-turns, reflections or the central inversion) is
 determined by u, and membership of an orthogonal matrix is a pointwise
-predicate in u: whether the matrix is proper, is an involution, and
-fixes or reverses u.  The intersection with a finite group G therefore
-only depends on how u sits relative to the structural axes of G: the
+predicate in u: whether the matrix is proper, and whether it fixes or
+reverses u.  The intersection with a finite group G therefore only
+depends on how u sits relative to the structural axes of G: the
 critical positions are u parallel to an axis, u perpendicular to two
 axes (their cross product), u perpendicular to exactly one axis
 (generic point of that circle), and u fully generic.  Conjugating by
@@ -29,40 +29,42 @@ import numpy as np
 
 from .labels import ClassLabel, ClassSet, format_label, is_infinite
 from .groups import (
-    _SAME_AXIS,
     _read_only,
     axis_orbit_reps,
     label_census,
     recognize,
     reference_group,
     rep_line_mask,
+    same_line,
     structural_axes,
 )
-from .rotations import EPS_MAT, IDENTITY, canonical_axis, orthogonal
+from .rotations import canonical_axis, orthogonal
 
 
-def _axial_masks(label: ClassLabel, proper: np.ndarray, invol: np.ndarray,
-                 fix: np.ndarray, anti: np.ndarray) -> np.ndarray:
+def _axial_masks(label: ClassLabel, proper: np.ndarray, fix: np.ndarray,
+                 anti: np.ndarray) -> np.ndarray:
     """Membership masks in the axial class ``label`` about each axis of
     a stack, one row per row of ``fix`` and ``anti`` (which elements fix
     and which reverse that axis); one row for SO(3) and O(3), which have
-    no axis.  ``proper`` and ``invol`` flag each element.  ``label`` is
-    an infinite class (``clips_axial`` refuses any other).
+    no axis.  ``proper`` flags each element.  ``label`` is an infinite
+    class (``clips_axial`` refuses any other).
 
-    Every mask is (A & fix) | (B & anti) for flags A and B of the
-    element, so restricting ``fix`` and ``anti`` to some elements
-    restricts the mask to them."""
+    A proper x with x a = -a is a half turn, and an improper x with
+    x a = a is a reflection, so each class is a predicate on det x,
+    x a = a and x a = -a alone.  Every mask is (A & fix) | (B & anti)
+    for flags A and B of the element, so restricting ``fix`` and
+    ``anti`` to some elements restricts the mask to them."""
     if label.kind == "SO3":
         return (np.ones(len(proper), dtype=bool) if label.plus else proper)[None]
     if label.kind == "SO2" and not label.plus:
         return proper & fix
     if label.kind == "O2" and not label.plus:
-        return proper & (fix | (anti & invol))
+        return proper & (fix | anti)
     if label.kind == "SO2":
         return (proper & fix) | (~proper & anti)
     if label.kind == "O2":
-        return np.where(proper, fix | (anti & invol), anti | (fix & invol))
-    return (proper & fix) | (~proper & fix & invol)  # O(2)^-
+        return fix | anti
+    return fix  # O(2)^-
 
 
 def _candidate_directions(label: ClassLabel) -> np.ndarray:
@@ -89,15 +91,15 @@ def _candidate_directions(label: ClassLabel) -> np.ndarray:
     normals = np.cross(reps[:, None], axes[None]).reshape(-1, 3)
     normals = normals[np.linalg.norm(normals, axis=1) > 1e-9]
     lines = canonical_axis(np.concatenate([reps, normals]))
-    later = np.triu(np.abs(lines @ lines.T) > 1.0 - _SAME_AXIS, 1).any(axis=0)
+    later = np.triu(same_line(lines, lines), 1).any(axis=0)
     return np.concatenate([lines[~later], orthogonal(reps)])
 
 
 @lru_cache(maxsize=None)
-def _direction_rows(label: ClassLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The involution flag of each element of a finite class, and which
-    elements fix (``fix``) and reverse (``anti``) the axis at each
-    candidate position, one row per position (cached, read-only).
+def _direction_rows(label: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
+    """Which elements of a finite class fix (``fix``) and reverse
+    (``anti``) the axis at each candidate position, one row per position
+    (cached, read-only).
 
     Rows: the critical lines of ``_candidate_directions``, a generic
     point of each representative's circle, then a generic direction.
@@ -120,12 +122,11 @@ def _direction_rows(label: ClassLabel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     2.5e5."""
     elems, dirs = reference_group(label), _candidate_directions(label)
     proper, _, ids = label_census(label)
-    invol = np.abs(elems @ elems - IDENTITY).max(axis=(1, 2)) < EPS_MAT
     on = rep_line_mask(label)
     keep = np.vstack([np.ones((len(dirs) - len(on), len(ids)), dtype=bool), on])
     img = dirs @ elems.transpose(0, 2, 1)  # img[g, k] = elems[g] @ dirs[k]
     fix, anti = [(np.abs(img - s * dirs).max(axis=2) < 1e-9).T & keep for s in (1, -1)]
-    return _read_only(invol, np.vstack([fix, (ids < 0) & proper]),
+    return _read_only(np.vstack([fix, (ids < 0) & proper]),
                       np.vstack([anti, (ids < 0) & ~proper]))
 
 
@@ -133,9 +134,10 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel) -> ClassSet:
     """Clips of a finite class with an axial or full infinite class.
 
     The predicate of c_inf is evaluated on the cached rows of c_fin
-    (``_direction_rows``), one mask per candidate position.  Masks are
-    told apart by their raw bytes, and each distinct mask is recognized
-    once, from the census of c_fin.
+    (``_direction_rows``), one mask per candidate position.  Each mask
+    is recognized from the census of c_fin by ``recognize``, which
+    memoizes per class on the mask's raw bytes, so a repeated mask is
+    classified once.
 
     Parameters
     ----------
@@ -162,5 +164,4 @@ def clips_axial(c_fin: ClassLabel, c_inf: ClassLabel) -> ClassSet:
     if not is_infinite(c_inf):
         raise ValueError(f"not an axial class: {format_label(c_inf)}")
     masks = _axial_masks(c_inf, label_census(c_fin)[0], *_direction_rows(c_fin))
-    distinct = {mask.tobytes(): mask for mask in masks}
-    return ClassSet({recognize(c_fin, mask) for mask in distinct.values()})
+    return ClassSet({recognize(c_fin, mask) for mask in masks})

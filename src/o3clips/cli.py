@@ -18,7 +18,7 @@ import re
 import sys
 from typing import Sequence
 
-from .engine import clips, verify_cells
+from .engine import _METHODS, clips, verify_cells
 from .labels import (
     ClassSet,
     family_spelling,
@@ -117,6 +117,10 @@ def cmd_clips(args) -> int:
 def _tokens(kinds) -> dict[str, str]:
     # each family by its spelling and by its kind tag (``D^z``, ``Dz``)
     return {tok: kind for kind in kinds for tok in (family_spelling(kind), kind)}
+
+
+def _families(kinds) -> str:
+    return ",".join(map(family_spelling, kinds))
 
 
 _COLUMN_TOKENS = {**_tokens(COL_KINDS), "O2^-": "O2-"}
@@ -296,8 +300,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("clips", help="clips product of two classes")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.add_argument("--method", choices=("symbolic", "oracle", "both"),
-                   default="symbolic")
+    p.add_argument("--method", choices=_METHODS, default="symbolic")
     p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=cmd_clips)
 
@@ -306,9 +309,9 @@ def build_parser() -> _Parser:
                    help="column parameter range (default 2..6)")
     p.add_argument("--m-range", default="2..6", metavar="A..B",
                    help="row parameter range (default 2..6)")
-    p.add_argument("--columns", default="Z^-,D^z,D^d,O^-,O(2)^-",
+    p.add_argument("--columns", default=_families(COL_KINDS),
                    help="comma separated column families")
-    p.add_argument("--rows", default="Z,D,T,O,I,SO(2),O(2)",
+    p.add_argument("--rows", default=_families(ROW_KINDS),
                    help="comma separated row families")
     p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=cmd_table)

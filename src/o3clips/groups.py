@@ -30,7 +30,9 @@ tests compare the factor construction against.
 ``_census`` is the one place that finds axes: the unsigned axes of an
 element set and the axis of each element, from which ``axis_census``
 counts the cyclic order about each axis and ``orbit_reps`` picks the
-lowest axis of each orbit under the set.  ``label_census`` runs it once
+lowest axis of each orbit under the set.  ``same_line`` is the one test
+of whether two directions lie on one line, for the census, the orbits,
+``rep_line_mask`` and both oracles.  ``label_census`` runs it once
 per class, on the reference group.  ``recognize`` counts both of its
 halves from one census: its own for an element set, or the label's
 census restricted to a mask for a subgroup of a reference group, which
@@ -282,6 +284,13 @@ def intersect(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g2[mask]
 
 
+def same_line(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether unit vectors u and v lie on one unsigned line, one row per
+    vector of u and one column per vector of v: the package's one
+    same-line test, 1 - |u.v| below ``_SAME_AXIS``."""
+    return np.abs(u @ v.T) > 1.0 - _SAME_AXIS
+
+
 def _census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Proper flags, unsigned axes, and the axis index of each element
     (-1 for ±Id): the element g, or -g when improper, rotates about it."""
@@ -300,8 +309,8 @@ def _census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     col = np.einsum("aii->ai", sym).argmax(axis=1)
     u = canonical_axis(sym[np.arange(len(sym)), :, col])
     # distinct axes of a group within the order cap are >= pi/128 apart
-    same = np.abs(u @ u.T) > 1.0 - _SAME_AXIS
-    first, ids[moved] = np.unique(same.argmax(axis=1), return_inverse=True)
+    first, ids[moved] = np.unique(same_line(u, u).argmax(axis=1),
+                                  return_inverse=True)
     return proper, u[first], ids
 
 
@@ -339,7 +348,7 @@ def orbit_reps(elems: np.ndarray, axes: np.ndarray) -> np.ndarray:
     while left.any():
         reps.append(int(left.argmax()))
         img = elems @ axes[reps[-1]]
-        left &= ~(np.abs(img @ axes.T) > 1.0 - _SAME_AXIS).any(axis=0)
+        left &= ~same_line(img, axes).any(axis=0)
     return np.array(reps, dtype=int)
 
 
@@ -385,7 +394,7 @@ def rep_line_mask(label: ClassLabel) -> np.ndarray:
     the matrix oracle keeps them at a generic spin about a, and the
     axial oracle at a generic point of a's circle."""
     _, axes, ids = label_census(label)
-    on = np.abs(axis_orbit_reps(label)[0] @ axes.T) > 1.0 - _SAME_AXIS
+    on = same_line(axis_orbit_reps(label)[0], axes)
     return _read_only(np.hstack([on, np.ones((len(on), 1), bool)])[:, ids])[0]
 
 

@@ -65,6 +65,7 @@ from .groups import (
     recognize,
     reference_group,
     rep_line_mask,
+    same_line,
     structural_axes,
 )
 # ``rotation`` is imported only for perfbench/spans.py, which traces it
@@ -102,8 +103,9 @@ class _Prepped:
     order ``orders``), ``frames`` holds the rotation F_b with rows
     (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha`` and
     ``z`` hold, flat over (b, w) for each structural axis w, the azimuth
-    of F_b w about e3 and its height b.w (NaN when w lies on the line b,
-    as no comparison holds for NaN), and ``rep`` each entry's b.
+    of F_b w about e3 and its height b.w (NaN when w lies on the line b
+    by ``groups.same_line``, as no comparison holds for NaN), and
+    ``rep`` each entry's b.
     ``signed_alpha``, ``signed_z`` and ``signed_rep`` hold the same over
     (b, s, w) for the ends (-1)^s w, s = 0, 1: height (-1)^s b.w and
     azimuth alpha - pi s.  ``row_bytes`` is the void dtype of one mask
@@ -138,8 +140,9 @@ class _Prepped:
         p = orthogonal(reps)
         self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
         self.parts = self.frames.transpose(0, 2, 1)[:, None] @ _SPIN
-        x, y, z = np.moveaxis(self.frames @ structural_axes(label)[0].T, 1, 0)
-        alpha, z = np.arctan2(y, x), np.where(np.hypot(x, y) > 1e-9, z, np.nan)
+        axes = structural_axes(label)[0]
+        x, y, z = np.moveaxis(self.frames @ axes.T, 1, 0)
+        alpha, z = np.arctan2(y, x), np.where(same_line(reps, axes), np.nan, z)
         self.alpha, self.z = alpha.ravel(), z.ravel()
         self.rep = np.repeat(np.arange(len(reps)), z.shape[1])
         self.signed_alpha = np.stack([alpha, alpha - np.pi], axis=1).ravel()

@@ -40,8 +40,6 @@ __all__ = [
     "printed_collisions",
 ]
 
-SPACE_NAMES = ("Ela", "Piez", "Sym", "PiezLaw")
-
 # Elasticity tensors: 8 classes.
 ELA_CLASSES = class_set(
     "1", "Z2+Z2c", "D2+Z2c", "D3+Z2c", "D4+Z2c", "O+Z2c", "O(2)+Z2c", "O(3)",
@@ -92,6 +90,8 @@ _BUILTIN = {
     "Sym": SYM_CLASSES,
     "PiezLaw": PIEZ_LAW_CLASSES,
 }
+
+SPACE_NAMES = tuple(_BUILTIN)
 
 
 def builtin_isotropy(space_name: str) -> IsotropyCatalog:

@@ -21,8 +21,9 @@ EPS_AXIS = 1e-12  # minimum norm for a direction vector
 #   apart, at least 0.017 within the cap, against EPS_MAT and the 1e-9
 #   rounding of ``groups._KEY_DECIMALS`` (``groups.reference_group``);
 # - distinct axes are at least pi/128 apart within the cap, against the
-#   ~4.5e-5 rad of ``groups._SAME_AXIS`` (``groups._census``);
-# - the tests check the element separation on every class within it.
+#   ~4.5e-5 rad of ``groups.same_line``, the one same-line test of the
+#   census, the orbits and both oracles;
+# - the tests check both separations on every class within it.
 # The largest per-class arrays left grow as |G|^2.  At D128^d (order 256)
 # they peak, under tracemalloc, at 2.5 MB (``axial._direction_rows``),
 # 1.1 MB (``groups.label_census``) and 0.5 MB (``groups.axis_orbit_reps``).

@@ -119,22 +119,16 @@ def test_axial_mask_recognition_reads_the_label_census():
             assert recognize(row, mask) == recognize(elems[mask]), row
 
 
-AXIAL = [parse_label(text) for text in
-         ("SO(2)", "O(2)", "SO(2)+Z2c", "O(2)+Z2c", "O(2)^-")]
-
-
 def test_dedupe_keeps_the_class_of_every_mask():
-    # clips_axial recognizes one mask per distinct row of _axial_masks;
-    # recognizing every row, with no dedupe, gives the same classes
+    # clips_axial keeps no dedupe of its own: it hands every row of
+    # _axial_masks to recognize, which memoizes per class and mask; each
+    # row's elements, recognized one by one with no memo, give the same
+    # classes
     for fin in _finite_labels(12):
-        rows = (label_census(fin)[0], *_direction_rows(fin))
+        rows, elems = (label_census(fin)[0], *_direction_rows(fin)), reference_group(fin)
         for inf in AXIAL + [parse_label("SO(3)"), parse_label("O(3)")]:
-            every = ClassSet({recognize(fin, m) for m in _axial_masks(inf, *rows)})
+            every = ClassSet({recognize(elems[m]) for m in _axial_masks(inf, *rows)})
             assert clips_axial(fin, inf) == every, (fin, inf)
-
-
-def _involutions(elems):
-    return np.abs(elems @ elems - IDENTITY).max(axis=(1, 2)) < 1e-9
 
 
 def _fix_anti(elems, dirs):
@@ -169,9 +163,34 @@ def test_orbit_representatives_give_the_classes_of_every_direction(seed):
                                 unit(rng.normal(size=(1, 3)))])
         fix, anti = map(np.vstack, zip(_pair_line_rows(fin), _fix_anti(elems, drawn)))
         for col in AXIAL:
-            masks = _axial_masks(col, proper, _involutions(elems), fix, anti)
+            masks = _axial_masks(col, proper, fix, anti)
             want = ClassSet(recognize(fin, mask) for mask in masks)
             assert clips_axial(fin, col) == want, (fin, col)
+
+
+def test_axial_masks_follow_the_definitions_of_the_axial_classes():
+    # each class about u from its definition: SO(2) the rotations about
+    # u; O(2) those and the half turns about lines normal to u; +Z2c
+    # adds -x for each x; O(2)^- the rotations about u and the
+    # reflections in planes through u.  _axial_masks reads no involution
+    # flag: a proper x with x u = -u is a half turn, and an improper x
+    # with x u = u is a reflection
+    for fin in _finite_labels(12):
+        elems, dirs = reference_group(fin), _candidate_directions(fin)
+        dirs = dirs[:len(dirs) - len(axis_orbit_reps(fin)[0])]  # the lines
+        proper = np.linalg.det(elems) > 0
+        square = np.abs(elems @ elems - IDENTITY).max(axis=(1, 2)) < 1e-9
+        fix, anti = _fix_anti(elems, dirs)
+        so2 = proper & fix
+        o2 = so2 | (proper & square & anti)
+        want = {"SO(2)": so2, "O(2)": o2,
+                "SO(2)+Z2c": so2 | (~proper & anti),
+                "O(2)+Z2c": o2 | (~proper & (anti | (square & fix))),
+                "O(2)^-": so2 | (~proper & square & fix)}
+        got_fix, got_anti = (rows[:len(dirs)] for rows in _direction_rows(fin))
+        for col in AXIAL:
+            got = _axial_masks(col, proper, got_fix, got_anti)
+            assert np.array_equal(got, want[format_label(col)]), (fin, col)
 
 
 def test_stated_rows_hold_at_random_points():
@@ -182,7 +201,7 @@ def test_stated_rows_hold_at_random_points():
     rng = np.random.default_rng(0)
     for label in CAP_LABELS:
         elems, reps = reference_group(label), axis_orbit_reps(label)[0]
-        _, fix, anti = _direction_rows(label)
+        fix, anti = _direction_rows(label)
         circle = len(fix) - 1 - len(reps)
         for r, a in enumerate(reps):
             u = unit(np.cross(a, rng.normal(size=(3, 3))))

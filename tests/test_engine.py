@@ -298,7 +298,14 @@ def test_repeated_type3_calls_agree():
 
 
 def test_every_public_name_resolves():
+    # __all__ is computed from the package's imports: it stays sorted,
+    # and holds no submodule and no private name
+    import types
+
     import o3clips
 
+    assert o3clips.__all__ == sorted(o3clips.__all__)
     for name in o3clips.__all__:
         assert getattr(o3clips, name) is not None, name
+        assert not name.startswith("_"), name
+        assert not isinstance(getattr(o3clips, name), types.ModuleType), name

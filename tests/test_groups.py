@@ -167,6 +167,22 @@ def test_separation_bound_on_every_class_within_the_cap():
         assert (dist >= bound - 1e-12).all(), format_label(label)
 
 
+def test_axis_separation_on_every_class_within_the_cap():
+    # the ORDER_CAP comment: distinct census axes are at least pi/128
+    # apart, so 1 - |cos| between them is at least 1 - cos(pi/128),
+    # about 3.0e-4, far above the 1e-9 of the same-line test
+    floor = 1.0 - math.cos(math.pi / 128)
+    closest = 1.0
+    for label in labels_up_to(ORDER_CAP):
+        axes = structural_axes(label)[0]
+        gap = 1.0 - np.abs(axes @ axes.T)
+        np.fill_diagonal(gap, 1.0)
+        closest = min(closest, gap.min(initial=1.0))
+        assert gap.min(initial=1.0) >= floor - 1e-12, format_label(label)
+    assert closest == pytest.approx(floor, rel=1e-6)
+    assert closest > 1e5 * groups._SAME_AXIS
+
+
 @pytest.mark.parametrize("text", ["Z6", "D12+Z2c", "I+Z2c", "O^-", "D128^d"])
 def test_canonical_order_ignores_rounding_noise(text):
     rng = np.random.default_rng(zlib.crc32(text.encode()))
