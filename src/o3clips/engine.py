@@ -24,7 +24,7 @@ product to unions of classes memberwise.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .infinite import clips_reduce
 from .labels import (
@@ -69,11 +69,11 @@ def _as_label(spec: str | ClassLabel) -> ClassLabel:
     return parse_label(spec) if isinstance(spec, str) else canonicalize(spec)
 
 
-def clips_oracle(a: ClassLabel, b: ClassLabel) -> ClassSet:
-    """``oracle.clips_oracle``, imported on first use."""
-    from .oracle import clips_oracle
+def clips_oracle(a: ClassLabel, cols: Sequence[ClassLabel]) -> list[ClassSet]:
+    """``oracle.clips_oracles``, imported on first use."""
+    from .oracle import clips_oracles
 
-    return clips_oracle(a, b)
+    return clips_oracles(a, cols)
 
 
 def clips_axial(a: ClassLabel, b: ClassLabel) -> ClassSet:
@@ -88,7 +88,7 @@ def _oracle_after_strips(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """The cached oracle answer for a pair.  No library path calls it:
     the benchmark's tracer wraps it and reads its ``cache_info``, and
     ROADMAP item 1 deletes it with that tracer target."""
-    return clips_oracle(a, b)
+    return clips_oracle(a, (b,))[0]
 
 
 def clips(c1: str | ClassLabel, c2: str | ClassLabel,
@@ -107,12 +107,12 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     a, b = _as_label(c1), _as_label(c2)
 
     if method == "oracle":
-        return clips_oracle(a, b)
+        return clips_oracle(a, (b,))[0]
 
     if method == "both":
         sym = clips(a, b)
         if not (is_infinite(a) or is_infinite(b)):
-            orc = clips_oracle(a, b)
+            orc = clips_oracle(a, (b,))[0]
             if sym != orc:
                 raise ClipsMismatch(a, b, sym, orc)
         return sym
@@ -169,18 +169,21 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     oracle.  ``seed`` has no effect: neither oracle draws random
     numbers.
 
-    Each distinct cell is swept once per call: the D_{2n}^d column at
-    n = 1 is D2^z, which the D_n^z column also holds, and a row's
-    repeat of it is yielded again from a record local to the row.
+    A row's finite columns are swept by one oracle call, made when the
+    row's first cell is drawn.  Each distinct cell is swept once per
+    call: the D_{2n}^d column at n = 1 is D2^z, which the D_n^z column
+    also holds, and a row's repeat of it is yielded again from a record
+    local to the row.
     """
     rows = table_rows(FINITE_KINDS, range(2, m_max + 1))
     cols = table_cols(COL_KINDS, range(1, n_max + 1))
+    finite = tuple(dict.fromkeys(c for c in cols if not is_infinite(c)))
     for row in rows:
+        swept = dict(zip(finite, clips_oracle(row, finite)))
         done: dict[ClassLabel, CellCheck] = {}
         for col in cols:
             if col not in done:
-                symbolic = clips(row, col)
                 brute = (clips_axial(row, col) if is_infinite(col)
-                         else clips(row, col, method="oracle"))
-                done[col] = CellCheck(row, col, symbolic, brute)
+                         else swept[col])
+                done[col] = CellCheck(row, col, clips(row, col), brute)
             yield done[col]

@@ -35,20 +35,22 @@ right-handed frame F_b per orbit representative b, the products
 F_b^T {P, J, E} with the parts of a spin about e3, the azimuth and
 height about b of every structural axis in that frame (the height NaN
 for an axis on the line b, so that it matches no height), and which
-elements lie on the line b.  What is left per pair is a few array
-passes.  One batched product of H1's F_b^T {P, J, E} with H2's frames
-gives the spin coefficients of every aligner and, at angle 0, the
-aligner itself.  One 2-D comparison of H1's heights with H2's signed
-heights finds every pair of an axis of H1 and an image of an axis of
-H2 that a spin can land one on the other; only at those pairs are the
-azimuths subtracted, and each aligner's angles are reduced to its
-distinct ones (``_spin_table``).  A pair with no such axes, for instance one class
-with a single axis, sweeps its aligners alone.  Otherwise one
-``matmul`` spins each aligner by each of its angles.  Every conjugator
-is then conjugated, by one 2-D product with Kronecker squares per
-batch, and masked (``_distinct_masks``), and masks are told apart by
-their raw bytes.  Each distinct mask is recognized from the census of
-H2 (``recognize(c2, mask)``), which memoizes its answer per class and
+elements lie on the line b.  What is left is a few array passes per
+class H1, shared by every H2 it is swept against (``clips_oracles``;
+``verify_cells`` makes one such call per row, when the row's first cell
+is drawn).  One batched product of H1's F_b^T {P, J, E} with the frames
+of every H2 gives the spin coefficients of every aligner and, at angle
+0, the aligner itself.  One 2-D comparison of H1's heights with the
+signed heights of every H2 finds every pair of an axis of H1 and an
+image of an axis of H2 that a spin can land one on the other; only at
+those pairs are the azimuths subtracted, and each aligner's angles are
+reduced to its distinct ones (``_spin_table``).  An aligner with no
+such pair sweeps alone.  One ``matmul`` spins each aligner by each of
+its angles.  Every conjugator is then conjugated, by one 2-D product
+with Kronecker squares per batch, and masked, per H2
+(``_column_masks``), and masks are told apart by their raw bytes.  Each
+distinct mask is recognized from the census of H2
+(``recognize(c2, mask)``), which memoizes its answer per class and
 mask, so a mask that recurs across pairs with the same H2 is
 recognized once per class, not once per pair.
 """
@@ -56,6 +58,7 @@ recognized once per class, not once per pair.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -172,20 +175,67 @@ def _spin_table(t: np.ndarray, row: np.ndarray,
     ``t`` holds solved angles, ``row`` the aligner of each, and
     ``period`` the period of each aligner.  Each row keeps its distinct
     angles modulo its period.  Returns them flattened and sorted row by
-    row, with the row of each angle.  After one ``lexsort`` by row and
-    angle, an entry is new when it starts a row or lies more than 1e-9
-    above its predecessor, read off two shifted slices of the sorted
-    arrays.
+    row, with the row of each angle.  After one ``argsort`` of the key
+    row * 8 + t, an entry is new when it starts a row or lies more than
+    1e-9 above its predecessor, read off two shifted slices of t and row
+    in that order (not rebuilt from the key), and it stands for the
+    smallest angle of its run.  Every t lies in [0, period), and a
+    period is at most 2 pi < 8, so rows never interleave, and the
+    rounded key is monotone in t.  So only angles closer than its
+    rounding (about 8 rows 2^-52, far below 1e-9) can tie and swap;
+    neither is new against the other, and the runs and their smallest
+    angles are those of a sort by row and angle, however rows are
+    numbered.
     """
     per = period[row]
     t = t % per
     # an angle a rounding error below the period is the angle 0
     t[per - t < 1e-9] = 0.0
-    order = np.lexsort((t, row))
+    order = np.argsort(row * 8.0 + t)
     t, row = t[order], row[order]
     new = np.ones(len(t), dtype=bool)
     new[1:] = (t[1:] - t[:-1] > 1e-9) | (row[1:] != row[:-1])
-    return t[new], row[new]
+    start = np.flatnonzero(new)
+    return np.minimum.reduceat(t, start), row[start]
+
+
+def _sweeps(c1: ClassLabel, cols: Sequence[ClassLabel]) -> list[np.ndarray]:
+    """``conjugators`` of c1 against each class of ``cols``, from one
+    pass over their concatenated frames and signed heights.  An aligner's
+    row, b times the representatives of all columns plus a's place among
+    them, carries its column, and a stable regroup by column keeps each
+    column's rows in the order ``conjugators`` gives them alone."""
+    h1, h2s = _prepped(c1), [_prepped(c) for c in cols]
+    sizes = [len(h.orders) for h in h2s]
+    k1, k2 = len(h1.orders), sum(sizes)
+    if k1 == 0 or k2 == 0:
+        return [np.empty((0, 3, 3)) for _ in cols]
+    frames = np.concatenate([h.frames for h in h2s])
+    # A, B and C of every aligner in (b, a) order, a over all columns
+    abc = (h1.parts[:, None] @ frames[None, :, None]).reshape(k1 * k2, 3, 9)
+    g = (abc[:, 0] + abc[:, 2]).reshape(-1, 3, 3)
+    row = np.arange(k1 * k2)
+    # R(e3, t) puts F_a v on s F_b w at t = alpha(w) - alpha(v), plus pi
+    # for s = -1, when z(w) = s z(v)
+    signed_z = np.concatenate([h.signed_z for h in h2s])
+    i, j = np.nonzero(np.abs(h1.z[:, None] - signed_z) < 1e-9)
+    if len(i):
+        first = np.cumsum([0, *sizes[:-1]])
+        alpha = np.concatenate([h.signed_alpha for h in h2s])
+        rep = np.concatenate([h.signed_rep + f for h, f in zip(h2s, first)])
+        orders = np.concatenate([h.orders for h in h2s])
+        period = 2.0 * np.pi / np.lcm.outer(h1.orders, orders).ravel()
+        t, spun = _spin_table(h1.alpha[i] - alpha[j], h1.rep[i] * k2 + rep[j],
+                              period)
+        # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
+        coef = np.ones((len(t), 1, 3))
+        coef[:, 0, 0] = np.cos(t)
+        coef[:, 0, 1] = np.sin(t)
+        g = np.concatenate([g, (coef @ abc[spun]).reshape(-1, 3, 3)])
+        row = np.concatenate([row, spun])
+    col = np.repeat(np.arange(len(cols)), sizes)[row % k2]
+    cuts = np.cumsum(np.bincount(col, minlength=len(cols)))[:-1]
+    return np.split(g[np.argsort(col, kind="stable")], cuts)
 
 
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
@@ -218,7 +268,7 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
       exactly the elements on the line b and ±Id that g0 itself puts in
       H1.  That generic intersection is stated, not swept: it is the
       mask of g0 restricted to ``_Prepped.online`` of a, which
-      ``_distinct_masks`` applies to the aligner rows.
+      ``_column_masks`` applies to the aligner rows.
 
     Aligners onto -b are not needed.  For every finite class and each
     axis a of it, some half turn n with n a = -a normalizes the class:
@@ -250,83 +300,80 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     distinct solved spins of each aligner in the same order, each row's
     sorted.  When no heights match, the aligners are the whole sweep.
     When either class has no axis (``1``, ``1+Z2c``) the sweep is
-    empty.  ``seed`` has no effect: the sweep draws no random numbers.
+    empty.  It is the one-column case of ``_sweeps``.  ``seed`` has no
+    effect: the sweep draws no random numbers.
     """
-    h1, h2 = _prepped(c1), _prepped(c2)
-    k1, k2 = len(h1.orders), len(h2.orders)
-    if k1 == 0 or k2 == 0:
-        return np.empty((0, 3, 3))
-    # A, B and C of every aligner in (b, a) order
-    abc = (h1.parts[:, None] @ h2.frames[None, :, None]).reshape(k1 * k2, 3, 9)
-    g0 = (abc[:, 0] + abc[:, 2]).reshape(-1, 3, 3)
-    # R(e3, t) puts F_a v on s F_b w at t = alpha(w) - alpha(v), plus pi
-    # for s = -1, when z(w) = s z(v)
-    i, j = np.nonzero(np.abs(h1.z[:, None] - h2.signed_z) < 1e-9)
-    if len(i) == 0:
-        return g0
-    period = 2.0 * np.pi / np.lcm.outer(h1.orders, h2.orders).ravel()
-    t, row = _spin_table(h1.alpha[i] - h2.signed_alpha[j],
-                         h1.rep[i] * k2 + h2.signed_rep[j], period)
-    # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
-    coef = np.ones((len(t), 1, 3))
-    coef[:, 0, 0] = np.cos(t)
-    coef[:, 0, 1] = np.sin(t)
-    return np.concatenate([g0, (coef @ abc[row]).reshape(-1, 3, 3)])
+    return _sweeps(c1, (c2,))[0]
+
+
+def _column_masks(c1: ClassLabel,
+                  cols: Sequence[ClassLabel]) -> list[list[np.ndarray]]:
+    """Per class H2 of ``cols``, the distinct membership masks of the
+    sweep over the elements of its reference group.
+
+    Every conjugator g in H2's share of ``_sweeps`` conjugates H2, and
+    the conjugates g x g^T are masked against H1, in batches that keep
+    them and the (rows, |H1|) dot matrix of ``member_mask`` near 2.5e5
+    floats, however many columns there are.  In row-major flattening
+    g x g^T is (g ⊗ g) x, so one batch of conjugates is one 2-D product
+    of the flattened H2 with the batch's Kronecker squares, (9, 9 rows)
+    with the conjugator axis innermost.  The aligner rows, first in the
+    sweep, stand for their generic spins, so their masks keep only the
+    elements of H2 on the line a and ±Id (``_Prepped.online``, one row
+    per a, repeated for every b).  Masks are told apart by their raw
+    bytes, each row read as one void scalar.
+    """
+    prep = _prepped(c1)
+    out = []
+    for c2, all_g in zip(cols, _sweeps(c1, cols)):
+        h2 = _prepped(c2)
+        flat2, k2 = h2.flat, len(h2.orders)
+        line = h2.online[np.arange(len(prep.orders) * k2) % k2]
+        step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
+        found: dict[bytes, np.ndarray] = {}
+        for i in range(0, len(all_g), step):
+            # kron[(k, l), (p, q, r)] = g_r[p, k] g_r[q, l]
+            gt = all_g[i : i + step].transpose(2, 1, 0).copy()
+            kron = (gt[:, None, :, None] * gt[None, :, None, :]).reshape(9, -1)
+            # copied, so the (|H2|, 9, rows) product is freed before masking
+            conj = (flat2 @ kron).reshape(len(flat2), 9, -1).transpose(2, 0, 1).copy()
+            masks = prep.member_mask(conj.reshape(-1, len(flat2), 3, 3))
+            head = line[i : i + step]
+            masks[: len(head)] &= head
+            found.update(zip(masks.view(h2.row_bytes).ravel().tolist(), masks))
+        out.append(list(found.values()))
+    return out
 
 
 def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
-    """The distinct membership masks of the sweep over the elements of
-    the reference group of c2.
-
-    Every conjugator g of ``conjugators`` conjugates H2, and the
-    conjugates g x g^T are masked against H1, in batches that keep them
-    and the (rows, |H1|) dot matrix of ``member_mask`` near 2.5e5
-    floats.  In row-major flattening g x g^T is (g ⊗ g) x, so one batch
-    of conjugates is one 2-D product of the flattened H2 with the
-    batch's Kronecker squares, (9, 9 rows) with the conjugator axis
-    innermost.  The aligner rows, first in the sweep, stand for their
-    generic spins, so their masks keep only the elements of H2 on the
-    line a and ±Id (``_Prepped.online``, one row per a, repeated for
-    every b).  Masks are told apart by their raw bytes, each row read
-    as one void scalar.
-    """
-    prep, h2 = _prepped(c1), _prepped(c2)
-    flat2, k2 = h2.flat, len(h2.orders)
-    all_g = conjugators(c1, c2)
-    line = h2.online[np.arange(len(prep.orders) * k2) % k2]
-    step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
-    found: dict[bytes, np.ndarray] = {}
-    for i in range(0, len(all_g), step):
-        # kron[(k, l), (p, q, r)] = g_r[p, k] g_r[q, l]
-        gt = all_g[i : i + step].transpose(2, 1, 0).copy()
-        kron = (gt[:, None, :, None] * gt[None, :, None, :]).reshape(9, -1)
-        # copied, so the (|H2|, 9, rows) product is freed before masking
-        conj = (flat2 @ kron).reshape(len(flat2), 9, -1).transpose(2, 0, 1).copy()
-        masks = prep.member_mask(conj.reshape(-1, len(flat2), 3, 3))
-        head = line[i : i + step]
-        masks[: len(head)] &= head
-        found.update(zip(masks.view(h2.row_bytes).ravel().tolist(), masks))
-    return list(found.values())
+    """``_column_masks`` of c1 against c2 alone."""
+    return _column_masks(c1, (c2,))[0]
 
 
-def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
-    """Clips of two finite classes by exhaustive conjugation sweep.
+def clips_oracles(c1: ClassLabel,
+                  cols: Sequence[ClassLabel]) -> list[ClassSet]:
+    """Clips of a finite class with each of several, by one exhaustive
+    conjugation sweep.
 
-    The sweep is ``conjugators``, and every conjugator in it is
-    conjugated and masked (``_distinct_masks``); each distinct mask is
-    recognized once, from the census of c2.  The central class, met at
-    every g that puts no axis line of H2 on one of H1, is added without
-    a sweep: ``1+Z2c`` when both classes hold -Id, ``1`` otherwise.
+    The sweep is ``conjugators`` against every class of ``cols`` at once
+    (``_sweeps``), and every conjugator in it is conjugated and masked
+    (``_column_masks``); each distinct mask is recognized once, from the
+    census of its column's class.  The central class, met at every g
+    that puts no axis line of H2 on one of H1, is added without a sweep:
+    ``1+Z2c`` when both classes hold -Id, ``1`` otherwise.
 
     Parameters
     ----------
-    c1, c2 : ClassLabel
+    c1 : ClassLabel
+        A finite class of order at most ``ORDER_CAP``.
+    cols : sequence of ClassLabel
         Finite classes of order at most ``ORDER_CAP``.
 
     Returns
     -------
-    ClassSet
-        All intersection classes found.
+    list of ClassSet
+        All intersection classes found, one set per class of ``cols``,
+        in its order.
 
     Raises
     ------
@@ -334,7 +381,14 @@ def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
         For an infinite class, or one above the order cap: the gate
         ``groups.reference_group`` refuses it before the sweep starts.
     """
-    # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1 otherwise
-    center = with_z2c(trivial()) if c1.plus and c2.plus else trivial()
-    masks = _distinct_masks(c1, c2)
-    return ClassSet([center, *(recognize(c2, m) for m in masks)])
+    return [
+        # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1 otherwise
+        ClassSet([with_z2c(trivial()) if c1.plus and c2.plus else trivial(),
+                  *(recognize(c2, m) for m in masks)])
+        for c2, masks in zip(cols, _column_masks(c1, cols))
+    ]
+
+
+def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
+    """Clips of two finite classes: ``clips_oracles`` of one column."""
+    return clips_oracles(c1, (c2,))[0]

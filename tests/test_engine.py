@@ -15,6 +15,7 @@ from o3clips.labels import (
     class_set,
     cyclic,
     dihedral,
+    is_infinite,
     order_of,
     parse_label,
     with_z2c,
@@ -96,13 +97,13 @@ def test_both_method_checks_the_type3_rule(monkeypatch):
     calls = []
     oracle = engine.clips_oracle
 
-    def spy(x, y):
-        calls.append((x, y))
-        return oracle(x, y)
+    def spy(x, cols):
+        calls.append((x, tuple(cols)))
+        return oracle(x, cols)
 
     monkeypatch.setattr(engine, "clips_oracle", spy)
     assert clips(a, b, method="both") == class_set("1", "Z2")
-    assert calls == [(a, b)]
+    assert calls == [(a, (b,))]
     monkeypatch.setattr(infinite, "cell",
                         lambda x, y: class_set("1", "Z4^-"))
     with pytest.raises(ClipsMismatch):
@@ -252,14 +253,16 @@ def test_verify_cells_seed_has_no_effect():
 def test_verify_cells_sweeps_each_distinct_cell_once(size, swept, cells,
                                                      monkeypatch):
     # the D_2n^d column at n = 1 is D2^z, so each row meets that cell
-    # twice; the oracle sees it once per call, and every cell is still
-    # yielded in row-major order over the table's rows and columns
+    # twice; the oracle sees it once per call, in one call per row with
+    # the row's distinct finite columns in table order, and every cell
+    # is still yielded in row-major order over the table's rows and
+    # columns
     calls = []
     oracle = engine.clips_oracle
 
-    def spy(a, b):
-        calls.append((a, b))
-        return oracle(a, b)
+    def spy(a, cols):
+        calls.append((a, tuple(cols)))
+        return oracle(a, cols)
 
     monkeypatch.setattr(engine, "clips_oracle", spy)
     checks = list(verify_cells(size, size))
@@ -267,11 +270,15 @@ def test_verify_cells_sweeps_each_distinct_cell_once(size, swept, cells,
     cols = table_cols(COL_KINDS, range(1, size + 1))
     assert [(c.row, c.col) for c in checks] == [(r, c) for r in rows for c in cols]
     assert len(checks) == cells
-    assert len(calls) == len(set(calls)) == swept
+    finite = tuple(dict.fromkeys(c for c in cols if not is_infinite(c)))
+    assert calls == [(r, finite) for r in rows]
+    assert len(calls) == 2 * size + 1
+    pairs = [(a, b) for a, cols in calls for b in cols]
+    assert len(pairs) == len(set(pairs)) == swept
     assert all(c.match for c in checks)
     # a second call sweeps every distinct cell again
     list(verify_cells(size, size))
-    assert len(calls) == 2 * swept
+    assert calls[len(rows):] == calls[: len(rows)]
 
 
 def test_dominance_on_small_cells():

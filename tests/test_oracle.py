@@ -19,14 +19,23 @@ from o3clips.groups import (
     reference_group,
     structural_axes,
 )
-from o3clips.labels import ClassLabel, format_label, order_of, parse_label
-from o3clips.tables import table_cols, table_rows
+from o3clips.labels import (
+    ClassLabel,
+    format_label,
+    is_infinite,
+    order_of,
+    parse_label,
+)
+from o3clips.tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 from o3clips import axial, groups, oracle
 from o3clips.oracle import (
+    _column_masks,
     _distinct_masks,
     _prepped,
     _spin_table,
+    _sweeps,
     clips_oracle,
+    clips_oracles,
     conjugators,
 )
 from o3clips.rotations import random_rotation, rotation
@@ -325,14 +334,55 @@ def test_conjugators_match_the_frame_einsum():
         assert np.abs(got - want).max(initial=0.0) <= 1e-15, (c1, c2)
 
 
+def _finite_cols(size: int) -> tuple[ClassLabel, ...]:
+    """The distinct finite columns of ``verify_cells(size, size)``, in
+    table order."""
+    cols = table_cols(COL_KINDS, range(1, size + 1))
+    return tuple(dict.fromkeys(c for c in cols if not is_infinite(c)))
+
+
+def _packed(masks: list[np.ndarray]) -> list[bytes]:
+    return sorted(np.packbits(m).tobytes() for m in masks)
+
+
+def test_one_sweep_of_many_columns_answers_as_each_column_alone():
+    # every row of verify_cells(8, 8) against its 23 distinct finite
+    # columns at once: the answers and the distinct masks of each column
+    # are those of the column swept alone
+    cols = _finite_cols(8)
+    assert len(cols) == 23
+    for row in table_rows(FINITE_KINDS, range(2, 9)):
+        assert clips_oracles(row, cols) == [clips_oracle(row, c) for c in cols]
+        for col, masks in zip(cols, _column_masks(row, cols)):
+            alone = _distinct_masks(row, col)
+            assert _packed(masks) == _packed(alone), (row, col)
+
+
+# large classes within the cap, the classes of the probe pairs, T+Z2c
+# and I
+HEAVY = [parse_label(text) for text in (
+    "D128^z", "D128", "D128^d", "D64+Z2c", "D60+Z2c", "I+Z2c", "I", "O^-",
+    "T+Z2c", "Z7", "Z11", "D12^z", "D11^z")]
+
+
+def test_one_sweep_of_many_columns_keeps_each_columns_rows():
+    # the shared sweep regroups its rows by column: each column gets the
+    # rows of conjugators on that pair alone, in the same order
+    for row in HEAVY:
+        for col, g in zip(HEAVY, _sweeps(row, HEAVY)):
+            assert np.array_equal(g, conjugators(row, col)), (row, col)
+
+
 # rows x |H2| x max(9, |H1|) floats that one member_mask call may hold
 MASK_BUDGET = 2.5e5
 
 
-@pytest.mark.parametrize("pair", [("I+Z2c", "I+Z2c"), ("I+Z2c", "O^-"),
-                                  ("D128^z", "D128^z")], ids="|".join)
-def test_masks_stay_within_the_batch_budget(pair, monkeypatch):
-    c1, c2 = map(parse_label, pair)
+@pytest.mark.parametrize("row, cols", [
+    ("I+Z2c", ("I+Z2c",)), ("I+Z2c", ("O^-",)), ("D128^z", ("D128^z",)),
+    ("I+Z2c", tuple(map(str, _finite_cols(3))))],
+    ids=["I+Z2c|I+Z2c", "I+Z2c|O^-", "D128^z|D128^z", "I+Z2c|size-3 columns"])
+def test_masks_stay_within_the_batch_budget(row, cols, monkeypatch):
+    c1, labels = parse_label(row), [parse_label(c) for c in cols]
     calls = []
     member = oracle._Prepped.member_mask
 
@@ -341,11 +391,12 @@ def test_masks_stay_within_the_batch_budget(pair, monkeypatch):
         return member(self, cands)
 
     monkeypatch.setattr(oracle._Prepped, "member_mask", spy)
-    _distinct_masks(c1, c2)
+    _column_masks(c1, labels)
     width = max(9, order_of(c1))
     assert all(rows * n * width <= MASK_BUDGET for rows, n in calls), calls
-    assert sum(rows for rows, _ in calls) == len(conjugators(c1, c2))
-    if pair == ("I+Z2c", "I+Z2c"):
+    assert sum(rows for rows, _ in calls) == sum(
+        len(conjugators(c1, c2)) for c2 in labels)
+    if (row, cols) == ("I+Z2c", ("I+Z2c",)):
         # 69 conjugators at 17 rows per batch
         assert len(calls) == 5
 

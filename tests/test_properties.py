@@ -144,3 +144,33 @@ def test_results_are_canonical_and_ordered(a, b):
     assert labels == sorted(labels, key=sort_key)
     if not is_infinite(a) and not is_infinite(b):
         assert not any(is_infinite(c) for c in cell)
+
+
+# 1, Z_n and D_n for n <= 6, D_n^z, Z_2n^- and D_2n^d for n in
+# {2, 3, 4, 6}, T, O, I, O^-, the seven infinite classes, and the +Z2c
+# lifts of 1, Z2, Z3, Z4, D2, D3, D4, T, O and I: 44 classes, among them
+# 13 +Z2c lifts (with SO(2)+Z2c, O(2)+Z2c and O(3))
+ORDER_POOL = (
+    [trivial(), *map(cyclic, range(2, 7)), *map(dihedral, range(2, 7))]
+    + [x for n in (2, 3, 4, 6)
+       for x in (dihedral_z(n), cyclic_minus(2 * n), dihedral_d(2 * n))]
+    + [tetra(), octa(), icosa(), octa_minus(), *INFINITE]
+    + [with_z2c(c) for c in (trivial(), cyclic(2), cyclic(3), cyclic(4),
+                             dihedral(2), dihedral(3), dihedral(4),
+                             tetra(), octa(), icosa())])
+
+
+def test_class_leq_is_a_partial_order_below_both_factors():
+    # class_leq is reflexive, antisymmetric and transitive on the pool,
+    # and every class of a o b lies below a and below b
+    assert len(set(ORDER_POOL)) == 44
+    leq = {(a, b): class_leq(a, b) for a in ORDER_POOL for b in ORDER_POOL}
+    for a in ORDER_POOL:
+        assert leq[a, a], a
+        for b in ORDER_POOL:
+            if leq[a, b] and b != a:
+                assert not leq[b, a], (a, b)
+                assert all(leq[a, c] for c in ORDER_POOL if leq[b, c]), (a, b)
+        for b in ORDER_POOL:
+            for x in clips(a, b):
+                assert class_leq(x, a) and class_leq(x, b), (a, b, x)
