@@ -32,13 +32,7 @@ from .labels import (
     typeclass,
 )
 from .piezo import diff_piez
-from .tables import (
-    COL_KINDS,
-    ROW_KINDS,
-    clips_type2_type3,
-    table_cols,
-    table_rows,
-)
+from .tables import COL_KINDS, ROW_KINDS, table_cols, table_rows
 
 __all__ = ["main"]
 
@@ -129,7 +123,7 @@ _ROW_TOKENS = _tokens(ROW_KINDS)
 
 def _parse_range(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-    if not m:
+    if not m or int(m.group(2)) < int(m.group(1)):
         raise ValueError(f"bad range {text!r}; expected A..B")
     return range(int(m.group(1)), int(m.group(2)) + 1)
 
@@ -155,7 +149,7 @@ def cmd_table(args) -> int:
     rows = table_rows(row_kinds, m_range)
     # D2^d is D2^z: with n from 1 the D^d column repeats the D^z one
     cols = list(dict.fromkeys(table_cols(col_kinds, n_range)))
-    grid = [[clips_type2_type3(r, c) for c in cols] for r in rows]
+    grid = [[clips(r, c) for c in cols] for r in rows]
     rows = [format_label(r) for r in rows]
     cols = [format_label(c) for c in cols]
     cells = [(r, c, cell) for r, line in zip(rows, grid)

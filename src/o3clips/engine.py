@@ -169,21 +169,16 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     oracle.  ``seed`` has no effect: neither oracle draws random
     numbers.
 
-    A row's finite columns are swept by one oracle call, made when the
-    row's first cell is drawn.  Each distinct cell is swept once per
-    call: the D_{2n}^d column at n = 1 is D2^z, which the D_n^z column
-    also holds, and a row's repeat of it is yielded again from a record
-    local to the row.
+    A row's distinct finite columns are swept by one oracle call, made
+    when the row's first cell is drawn, so each distinct cell is swept
+    once per call: the D_{2n}^d column at n = 1 is D2^z, which the D_n^z
+    column also holds, and both cells read the one sweep.
     """
     rows = table_rows(FINITE_KINDS, range(2, m_max + 1))
     cols = table_cols(COL_KINDS, range(1, n_max + 1))
     finite = tuple(dict.fromkeys(c for c in cols if not is_infinite(c)))
     for row in rows:
         swept = dict(zip(finite, clips_oracle(row, finite)))
-        done: dict[ClassLabel, CellCheck] = {}
         for col in cols:
-            if col not in done:
-                brute = (clips_axial(row, col) if is_infinite(col)
-                         else swept[col])
-                done[col] = CellCheck(row, col, clips(row, col), brute)
-            yield done[col]
+            brute = clips_axial(row, col) if is_infinite(col) else swept[col]
+            yield CellCheck(row, col, clips(row, col), brute)

@@ -153,22 +153,22 @@ def lexsort_elements(mats: np.ndarray) -> np.ndarray:
     return flat[_canonical_order(flat)].reshape(-1, 3, 3)
 
 
-def close_group(gens: list[np.ndarray], cap: int = ORDER_CAP) -> np.ndarray:
+def close_group(gens: list[np.ndarray]) -> np.ndarray:
     """Close a generator list under multiplication: the fixpoint
     reference for ``reference_group``, used by the tests only.
 
     Raises
     ------
     GroupError
-        If the closure exceeds ``cap`` elements (in particular for
+        If the closure exceeds ``ORDER_CAP`` elements (in particular for
         generator sets of infinite groups).
     """
     elems = lexsort_elements(np.array([IDENTITY, *gens]))
     while True:
         prods = np.einsum("aij,bjk->abik", elems, elems).reshape(-1, 3, 3)
         new = lexsort_elements(np.concatenate([elems, prods]))
-        if len(new) > cap:
-            raise GroupError(f"group closure exceeds cap {cap}")
+        if len(new) > ORDER_CAP:
+            raise GroupError(f"group closure exceeds cap {ORDER_CAP}")
         if len(new) == len(elems):
             break
         elems = new

@@ -5,54 +5,28 @@ over all rotations g.  Every element of a finite subgroup but ±Id is
 s R(u, t) with s = ±1 and u on a structural axis line, so an
 intersection that holds a non-central element puts an axis line of
 g H2 g^T on one of H1's.  Such g align an axis of H2 to one of H1 and
-then spin about it, and the sweep of aligners and spins below covers
-them.  Every other intersection is central, and its class is stated
-rather than swept: the g that put some axis line u of H2 on some axis
-line w of H1 lie on finitely many circles in SO(3) (those with
-g u = ±w are R(w, t) g0 over t, for two aligners g0), so some g avoids
-them all, and for that g the intersection is H1 ∩ H2 ∩ {±Id}: ``1+Z2c``
-when both classes hold -Id, ``1`` otherwise.  The axes, their cyclic
-orders and their orbits come from ``groups.label_census``, the census
-``recognize`` also reads.
+then spin about it, and the finite sweep of aligners and spins that
+``_sweeps`` builds realizes every such intersection.  Every other
+intersection is central, and its class is stated rather than swept:
+the g that put some axis line u of H2 on some axis line w of H1 lie on
+finitely many circles in SO(3) (those with g u = ±w are R(w, t) g0
+over t, for two aligners g0), so some g avoids them all, and for that
+g the intersection is H1 ∩ H2 ∩ {±Id}: ``1+Z2c`` when both classes
+hold -Id, ``1`` otherwise.  The axes, their cyclic orders and their
+orbits come from ``groups.label_census``, the census ``recognize``
+also reads.
 
-The sweep is pruned exactly in three ways.  Replacing g by h1 g h2
-(h_i in the reference groups) conjugates the intersection inside H1,
-so axes only need to range over orbit representatives.  An axis a of
-H2 only needs to go onto +b, not -b: a half turn that reverses a
-normalizes H2, so it turns any g with g a = -b into one with g a = +b
-and the same intersection.  And once an aligner g0 takes axis a of H2
-onto axis b of H1, only finitely many spins R(b, t) about b matter:
-the elements of R(b, t) g0 H2 g0^T R(b, t)^T on the line b (and ±Id)
-do not move with t, and every other element can only meet H1 at the
-solved angles where its axis line lands on an axis line of H1.  All
-other angles give one and the same intersection, and its mask is
-stated rather than swept: the mask of the bare aligner g0 restricted
-to the elements of H2 on the line a and ±Id (see ``conjugators``).
-
-Everything that depends on one class is computed once per class
-(``_Prepped``): the flattened elements and their transpose, a
-right-handed frame F_b per orbit representative b, the products
-F_b^T {P, J, E} with the parts of a spin about e3, the azimuth and
-height about b of every structural axis in that frame (the height NaN
-for an axis on the line b, so that it matches no height), and which
-elements lie on the line b.  What is left is a few array passes per
-class H1, shared by every H2 it is swept against (``clips_oracles``;
-``verify_cells`` makes one such call per row, when the row's first cell
-is drawn).  One batched product of H1's F_b^T {P, J, E} with the frames
-of every H2 gives the spin coefficients of every aligner and, at angle
-0, the aligner itself.  One 2-D comparison of H1's heights with the
-signed heights of every H2 finds every pair of an axis of H1 and an
-image of an axis of H2 that a spin can land one on the other; only at
-those pairs are the azimuths subtracted, and each aligner's angles are
-reduced to its distinct ones (``_spin_table``).  An aligner with no
-such pair sweeps alone.  One ``matmul`` spins each aligner by each of
-its angles.  Every conjugator is then conjugated, by one 2-D product
-with Kronecker squares per batch, and masked, per H2
-(``_column_masks``), and masks are told apart by their raw bytes.  Each
-distinct mask is recognized from the census of H2
-(``recognize(c2, mask)``), which memoizes its answer per class and
-mask, so a mask that recurs across pairs with the same H2 is
-recognized once per class, not once per pair.
+The sweep is pruned exactly, as argued at ``_sweeps``: axes range over
+orbit representatives, each axis of H2 goes onto +b only, and about
+each aligner only the solved spin angles are swept, one stated mask
+standing for every other angle.  Everything that depends on one class
+is computed once per class (``_Prepped``), so a few array passes sweep
+one class H1 against several H2 at once (``clips_oracles``;
+``verify_cells`` makes one such call per row): ``_sweeps`` builds every
+conjugator, ``_column_masks`` conjugates each H2 by them and masks the
+conjugates against H1, and each distinct mask is recognized from the
+census of H2 (``recognize(c2, mask)``), which memoizes its answer per
+class and mask.
 """
 
 from __future__ import annotations
@@ -116,7 +90,7 @@ class _Prepped:
     representative, for the parts P, J and E of
     R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a pair's spin
     coefficients are one batched product of them with the other class's
-    frames (see ``conjugators``).  ``online`` holds, per representative
+    frames (see ``_sweeps``).  ``online`` holds, per representative
     b and per element, whether the element is ±Id or rotates (up to
     sign) about the line b (``groups.rep_line_mask``).
 
@@ -200,11 +174,74 @@ def _spin_table(t: np.ndarray, row: np.ndarray,
 
 
 def _sweeps(c1: ClassLabel, cols: Sequence[ClassLabel]) -> list[np.ndarray]:
-    """``conjugators`` of c1 against each class of ``cols``, from one
-    pass over their concatenated frames and signed heights.  An aligner's
-    row, b times the representatives of all columns plus a's place among
-    them, carries its column, and a stable regroup by column keeps each
-    column's rows in the order ``conjugators`` gives them alone."""
+    """The conjugator sweep of c1 against each class of ``cols``, shape
+    (m, 3, 3) per class, from one pass over their concatenated frames
+    and signed heights.
+
+    For each aligner g0 taking an axis orbit representative a (of H2,
+    proper cyclic order m_a) to +b (b an orbit representative of H1,
+    order m_b), the sweep takes spins R(b, t) g0 at the solved angles t,
+    and g0 itself stands for every other angle.  This realizes every
+    intersection that shares an axis line with H1 (see the module
+    docstring), because the sweep is pruned exactly:
+
+    - replacing g by h1 g h2 (h_i in the reference groups) conjugates
+      the intersection inside H1, so a and b range over axis orbit
+      representatives only;
+    - aligners onto -b are not needed.  For every finite class and each
+      axis a of it, some half turn n with n a = -a normalizes the
+      class: R(e1, pi) or R(e3, pi) for the cyclic and dihedral
+      families and their lifts, a half turn of O for T, O and O^- (O
+      normalizes all three), and one of I for I (the tests check every
+      family).  So a g with g a = -b meets H1 in H1 ∩ g n H2 n^T g^T,
+      the intersection of g n, which takes a to +b;
+    - composing with R(b, 2*pi/m_b) on the left or R(a, 2*pi/m_a) on
+      the right leaves the intersection class unchanged (the right spin
+      folds into a left one since g0 a = b), so t only matters modulo
+      2*pi / lcm(m_a, m_b);
+    - R(b, t) commutes with every element of g H2 g^T whose axis line
+      is b, and with ±Id, so those elements do not depend on t;
+    - any other element can equal an element of H1 only when its axis
+      line lands on an axis line of H1.  A g0-image v of an axis of H2
+      off the line b has azimuth alpha_v and height z_v = v.b about b,
+      and an axis w of H1 off that line has alpha_w and z_w.  R(b, t)
+      keeps heights, so it puts v on w only when z_v = z_w, exactly at
+      t = alpha_w - alpha_v, and on -w only when z_v = -z_w, exactly at
+      that plus pi.  Such a t need not be a rational multiple of pi, so
+      it is solved for rather than swept;
+    - so at every t outside an aligner's solved set, R(b, t) g0 meets
+      H1 in exactly the elements on the line b and ±Id that g0 itself
+      puts in H1.  That generic intersection is stated, not swept: it
+      is the mask of g0 restricted to ``_Prepped.online`` of a, which
+      ``_column_masks`` applies to the aligner rows.
+
+    Any aligner will do: the rotations taking a to b are R(b, phi) g0
+    over phi, so another choice of g0 shifts every solved angle by phi
+    and sweeps the same rotations.  The sweep takes g0 = F_b^T F_a from
+    the frames of ``_Prepped``: F_a a = e3 and F_b^T e3 = b.  In b's
+    frame an axis v of H2 then has its azimuth and height in a's frame,
+    and R(b, t) = F_b^T R(e3, t) F_b.  So the solved angles are the
+    differences alpha_b(w) - alpha_a(v) of per-label azimuths, taken
+    where per-label heights match (a NaN height, on the line, matches
+    none), and each conjugator is F_b^T R(e3, t) F_a =
+    cos t A + sin t B + C, where A, B and C are F_b^T P F_a,
+    F_b^T J F_a and F_b^T E F_a for the parts of R(e3, t) (``_SPIN``).
+    H1's factors F_b^T {P, J, E} are per-label (``_Prepped.parts``), so
+    A, B and C of every aligner come from one batched product with the
+    frames of every H2, and the aligner is its spin by 0, A + C.
+    Heights are compared as one 2-D table, H1's flat (b, w) against the
+    signed (a, s, v) of every H2, whose entries carry their
+    representatives and, for s = 1, the pi.
+
+    Rows, per class of ``cols``: its k1 k2 aligners g0 in (b, a) order
+    first, then the distinct solved spins of each aligner in the same
+    order, each aligner's sorted (``_spin_table``).  When no heights
+    match, the aligners are the whole sweep.  When either class has no
+    axis (``1``, ``1+Z2c``) the sweep is empty.  An aligner's row, b
+    times the representatives of all columns plus a's place among them,
+    carries its column, and a stable regroup by column keeps each
+    column's rows in the order a sweep of that column alone gives them.
+    """
     h1, h2s = _prepped(c1), [_prepped(c) for c in cols]
     sizes = [len(h.orders) for h in h2s]
     k1, k2 = len(h1.orders), sum(sizes)
@@ -239,69 +276,11 @@ def _sweeps(c1: ClassLabel, cols: Sequence[ClassLabel]) -> list[np.ndarray]:
 
 
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
-    """Deterministic conjugator sweep for clips_oracle, shape (m, 3, 3).
-
-    For each aligner g0 taking an axis orbit representative a (of H2,
-    proper cyclic order m_a) to +b (b an orbit representative of H1,
-    order m_b), the sweep takes spins R(b, t) g0 at the solved angles t,
-    and g0 itself stands for every other angle.  This realizes every
-    intersection that shares an axis line with H1 (see the module
-    docstring):
-
-    - composing with R(b, 2*pi/m_b) on the left or R(a, 2*pi/m_a) on
-      the right leaves the intersection class unchanged (the right spin
-      folds into a left one since g0 a = b), so t only matters modulo
-      2*pi / lcm(m_a, m_b);
-    - R(b, t) commutes with every element of g H2 g^T whose axis line
-      is b, and with ±Id, so those elements do not depend on t;
-    - any other element can equal an element of H1 only when its axis
-      line lands on an axis line of H1.  A g0-image v of an axis of H2
-      off the line b has azimuth alpha_v and height z_v = v.b about b,
-      and an axis w of H1 off that line has alpha_w and z_w.  R(b, t)
-      keeps heights, so it puts v on w only when z_v = z_w, exactly at
-      t = alpha_w - alpha_v, and on -w only when z_v = -z_w, exactly at
-      that plus pi.  Such a t need not be a rational multiple of pi, so
-      it is solved for rather than swept: row g0 of the solved table
-      lists both angles for every pair (v, w), with a mask that keeps
-      an angle only where its heights match;
-    - so at every t outside a row's solved set, R(b, t) g0 meets H1 in
-      exactly the elements on the line b and ±Id that g0 itself puts in
-      H1.  That generic intersection is stated, not swept: it is the
-      mask of g0 restricted to ``_Prepped.online`` of a, which
-      ``_column_masks`` applies to the aligner rows.
-
-    Aligners onto -b are not needed.  For every finite class and each
-    axis a of it, some half turn n with n a = -a normalizes the class:
-    R(e1, pi) or R(e3, pi) for the cyclic and dihedral families and
-    their lifts, a half turn of O for T, O and O^- (O normalizes all
-    three), and one of I for I (the tests check every family).  So a g
-    with g a = -b meets H1 in H1 ∩ g n H2 n^T g^T, the intersection of
-    g n, which takes a to +b.
-
-    Any aligner will do: the rotations taking a to b are R(b, phi) g0
-    over phi, so another choice of g0 shifts every solved angle by phi
-    and sweeps the same rotations.  The sweep takes g0 = F_b^T F_a from
-    the frames of ``_Prepped``: F_a a = e3 and F_b^T e3 = b.  In b's
-    frame an axis v of H2 then has its azimuth and height in a's frame,
-    and R(b, t) = F_b^T R(e3, t) F_b.  So the solved angles are the
-    differences alpha_b(w) - alpha_a(v) of per-label azimuths, taken
-    where per-label heights match (a NaN height, on the line, matches
-    none), and each conjugator is F_b^T R(e3, t) F_a =
-    cos t A + sin t B + C, where A, B and C are F_b^T P F_a,
-    F_b^T J F_a and F_b^T E F_a for the parts P, J and E of
-    R(e3, t) = cos t P + sin t J + E.  H1's factors F_b^T {P, J, E} are
-    per-label (``_Prepped.parts``), so A, B and C of every aligner come
-    from one batched product with H2's frames, and the aligner is its
-    spin by 0, A + C.  Heights are compared as one 2-D table, H1's flat
-    (b, w) against H2's signed (a, s, v) (``_Prepped``), whose entries
-    carry their representatives and, for s = 1, the pi.
-
-    Rows: the k1 k2 aligners g0 in (b, a) order first, then the
-    distinct solved spins of each aligner in the same order, each row's
-    sorted.  When no heights match, the aligners are the whole sweep.
-    When either class has no axis (``1``, ``1+Z2c``) the sweep is
-    empty.  It is the one-column case of ``_sweeps``.  ``seed`` has no
-    effect: the sweep draws no random numbers.
+    """The conjugator sweep of c1 against c2 alone, shape (m, 3, 3): the
+    one-column case of ``_sweeps``, where the sweep is argued.  No
+    library path calls it; perfbench's conjugator probe and the tests'
+    reference checks read it.  ``seed`` has no effect: the sweep draws
+    no random numbers.
     """
     return _sweeps(c1, (c2,))[0]
 
@@ -345,18 +324,13 @@ def _column_masks(c1: ClassLabel,
     return out
 
 
-def _distinct_masks(c1: ClassLabel, c2: ClassLabel) -> list[np.ndarray]:
-    """``_column_masks`` of c1 against c2 alone."""
-    return _column_masks(c1, (c2,))[0]
-
-
 def clips_oracles(c1: ClassLabel,
                   cols: Sequence[ClassLabel]) -> list[ClassSet]:
     """Clips of a finite class with each of several, by one exhaustive
     conjugation sweep.
 
-    The sweep is ``conjugators`` against every class of ``cols`` at once
-    (``_sweeps``), and every conjugator in it is conjugated and masked
+    The sweep is ``_sweeps`` of c1 against every class of ``cols`` at
+    once, and every conjugator in it is conjugated and masked
     (``_column_masks``); each distinct mask is recognized once, from the
     census of its column's class.  The central class, met at every g
     that puts no axis line of H2 on one of H1, is added without a sweep:

@@ -165,31 +165,25 @@ class PiezDiff(NamedTuple):
 
 def diff_piez(method: str = "symbolic") -> PiezDiff:
     """Recompute the coupled-law catalog and diff it against the
-    published list; extras are traced back to a clips pair that produced
-    them in the outer fold stage."""
+    published list; extras are traced back to the first clips pair that
+    produced them in the outer fold stage."""
     stage1 = clips_families(ELA_CLASSES, PIEZ_CLASSES, method=method)
-    computed = clips_families(stage1, SYM_CLASSES, method=method)
+    first: dict[ClassLabel, tuple[ClassLabel, ClassLabel]] = {}
+    for a in stage1:
+        for b in SYM_CLASSES:
+            for c in clips(a, b, method=method):
+                first.setdefault(c, (a, b))
+    computed = ClassSet(first)
     expected = PIEZ_LAW_CLASSES
-    missing = tuple(lbl for lbl in expected.labels()
-                    if parse_label(lbl) not in computed)
-    extra = tuple(lbl for lbl in computed.labels()
-                  if parse_label(lbl) not in expected)
-    witnesses = {}
-    for lbl in extra:
-        target = parse_label(lbl)
-        for a in stage1:
-            for b in SYM_CLASSES:
-                if target in clips(a, b, method=method):
-                    witnesses[lbl] = (format_label(a), format_label(b))
-                    break
-            if lbl in witnesses:
-                break
+    missing = tuple(format_label(c) for c in expected if c not in computed)
+    extra = [c for c in computed if c not in expected]
     return PiezDiff(
         computed=computed,
         expected=expected,
         missing=missing,
-        extra=extra,
-        witnesses=witnesses,
+        extra=tuple(map(format_label, extra)),
+        witnesses={format_label(c): tuple(map(format_label, first[c]))
+                   for c in extra},
         printed_count=len(PIEZ_LAW_PRINTED),
         canonical_count=len(expected),
         collisions=tuple(printed_collisions()),

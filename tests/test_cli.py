@@ -268,12 +268,14 @@ def test_table_csv_and_json(capsys):
     ]}
 
 
-def test_table_empty_range(capsys):
-    code, out, _ = run(capsys, "table", "--n-range", "4..2",
-                       "--m-range", "4..2", "--columns", "Z^-",
-                       "--rows", "Z")
-    assert code == 0
+@pytest.mark.parametrize("option", ["--n-range", "--m-range"])
+def test_table_reversed_range(capsys, option):
+    # B < A is refused, not read as an empty range: with the O^- and
+    # O(2)^- columns, which have no parameter, it would print a table
+    code, out, err = run(capsys, "table", option, "5..2")
+    assert code == 1
     assert out == ""
+    assert "bad range '5..2'" in err
 
 
 def test_table_bad_range(capsys):

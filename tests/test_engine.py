@@ -276,6 +276,11 @@ def test_verify_cells_sweeps_each_distinct_cell_once(size, swept, cells,
     pairs = [(a, b) for a, cols in calls for b in cols]
     assert len(pairs) == len(set(pairs)) == swept
     assert all(c.match for c in checks)
+    # both D2^z cells of a row read the row's one sweep
+    d2z = parse_label("D2^z")
+    for r in rows:
+        twins = [c for c in checks if c.row == r and c.col == d2z]
+        assert len(twins) == 2 and twins[0] == twins[1], r
     # a second call sweeps every distinct cell again
     list(verify_cells(size, size))
     assert calls[len(rows):] == calls[: len(rows)]

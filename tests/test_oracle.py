@@ -30,7 +30,6 @@ from o3clips.tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 from o3clips import axial, groups, oracle
 from o3clips.oracle import (
     _column_masks,
-    _distinct_masks,
     _prepped,
     _spin_table,
     _sweeps,
@@ -153,8 +152,9 @@ def test_aligner_rows_are_the_frame_products(pair):
 @pytest.mark.parametrize("pair", [("I+Z2c", "O^-"), ("D128^z", "D128^z")],
                          ids="|".join)
 def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
-    # the candidates that _distinct_masks hands to member_mask, batch by
-    # batch, are g x g^T for every conjugator g and every x in H2
+    # the candidates that _column_masks of one column hands to
+    # member_mask, batch by batch, are g x g^T for every conjugator g and
+    # every x in H2
     c1, c2 = map(parse_label, pair)
     seen = []
     member = oracle._Prepped.member_mask
@@ -164,7 +164,7 @@ def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
         return member(self, cands)
 
     monkeypatch.setattr(oracle._Prepped, "member_mask", spy)
-    _distinct_masks(c1, c2)
+    _column_masks(c1, (c2,))
     g, g2 = conjugators(c1, c2), reference_group(c2)
     want = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
     assert np.abs(np.concatenate(seen) - want).max() < 1e-12
@@ -208,7 +208,7 @@ def test_pruned_masks_match_every_conjugator(pair):
     for g, kept in zip(np.array_split(all_g, 20), np.array_split(keep, 20)):
         conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
         want |= {np.packbits(m).tobytes() for m in member(conj) & kept}
-    got = {np.packbits(m).tobytes() for m in _distinct_masks(c1, c2)}
+    got = {np.packbits(m).tobytes() for m in _column_masks(c1, (c2,))[0]}
     assert got == want
 
 
@@ -221,7 +221,7 @@ def test_mask_recognition_reads_the_label_census(monkeypatch):
     pairs = [tuple(map(parse_label, p)) for p in [*PROBE_COUNTS, *MIXED_PAIRS]]
     for c1, c2 in pairs + SWEEP_PAIRS:
         g2 = reference_group(c2)
-        for mask in _distinct_masks(c1, c2):
+        for mask in _column_masks(c1, (c2,))[0]:
             want = recognize(g2[mask])
             assert recognize(c2, mask) == want, (c1, c2)
             assert recognize(c2, mask) == want, (c1, c2)
@@ -354,7 +354,7 @@ def test_one_sweep_of_many_columns_answers_as_each_column_alone():
     for row in table_rows(FINITE_KINDS, range(2, 9)):
         assert clips_oracles(row, cols) == [clips_oracle(row, c) for c in cols]
         for col, masks in zip(cols, _column_masks(row, cols)):
-            alone = _distinct_masks(row, col)
+            alone = _column_masks(row, (col,))[0]
             assert _packed(masks) == _packed(alone), (row, col)
 
 

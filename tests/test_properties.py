@@ -6,9 +6,13 @@ engine accepts.  The deterministic bulk sweep lives in the acceptance
 suite; this layer just shrinks counterexamples when an invariant breaks.
 """
 
+from functools import cache
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from o3clips import tables
 from o3clips import (
     class_leq,
     class_set,
@@ -174,3 +178,26 @@ def test_class_leq_is_a_partial_order_below_both_factors():
         for b in ORDER_POOL:
             for x in clips(a, b):
                 assert class_leq(x, a) and class_leq(x, b), (a, b, x)
+
+
+@pytest.mark.parametrize("row, failing", [("printed", 66), ("rule", 0)])
+def test_associativity_fails_only_through_the_printed_o2_row(row, failing,
+                                                              monkeypatch):
+    # clips is associative on classes: both groupings of a triple give
+    # the classes of H1 ∩ g H2 g^-1 ∩ k H3 k^-1 over all g and k.  Of the
+    # 85,184 ordered triples of the pool, the printed O(2)+Z2c row
+    # (tables._printed) breaks it on 66, each holding O(2)+Z2c, and the
+    # signed-axis rule in its place on none.  Once ROADMAP item 2 answers
+    # that row by the rule, the printed case expects 0 as well.
+    o2_z2c = with_z2c(o2())
+    if row == "rule":
+        monkeypatch.setattr(tables, "_printed", lambda col: list(
+            tables._signed_rule(o2_z2c, col)))
+    pair = cache(clips)
+    family = cache(lambda cs, c: clips_families(cs, (c,)))
+    broken = [(a, b, c) for a in ORDER_POOL for b in ORDER_POOL
+              for c in ORDER_POOL
+              if family(pair(a, b), c) != family(pair(b, c), a)]
+    assert len(ORDER_POOL) ** 3 == 85_184
+    assert len(broken) == failing
+    assert all(o2_z2c in triple for triple in broken)
