@@ -172,6 +172,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a negative size is refused, not read as an empty range (as B < A
+    # is for ``table``): with T, O and I and the O^- and O(2)^- columns,
+    # which have no parameter, it would still check 6 cells
+    for option, size in (("--n-max", args.n_max), ("--m-max", args.m_max)):
+        if size < 0:
+            raise ValueError(f"bad {option} {size}; expected a size >= 0")
     cells = [(format_label(cell.row), format_label(cell.col), cell)
              for cell in verify_cells(n_max=args.n_max, m_max=args.m_max)]
     mismatched = sum(not cell.match for *_, cell in cells)

@@ -24,20 +24,24 @@ is computed once per class (``_Prepped``), so a few array passes sweep
 one class H1 against several H2 at once (``clips_oracles``;
 ``verify_cells`` makes one such call per row): ``_sweeps`` builds every
 conjugator, ``_column_masks`` conjugates each H2 by them and masks the
-conjugates against H1, and each distinct mask is recognized from the
-census of H2 (``recognize(c2, mask)``), which memoizes its answer per
-class and mask.
+conjugates of all the H2 against H1 together, each against the one
+element of H1 whose key is nearest its own (``_Prepped``), and each
+distinct mask is recognized from the census of H2
+(``recognize(c2, mask)``), which memoizes its answer per class and
+mask.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, order_of, trivial, with_z2c
+from .labels import ClassLabel, ClassSet, trivial, with_z2c
 from .groups import (
+    GroupError,
     axis_orbit_reps,
     recognize,
     reference_group,
@@ -55,26 +59,36 @@ _SPIN = np.array([np.diag([1.0, 1.0, 0.0]),
                   [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                   np.diag([0.0, 0.0, 1.0])])
 
+# the membership key weights, proportional to pi^-i, with |w|_1 = 1 (see
+# ``_Prepped``)
+_KEY = np.pi ** -np.arange(9.0)
+_KEY /= _KEY.sum()
+
 
 class _Prepped:
-    """Per-label oracle data: the flattened reference elements, the
-    axis frames and the flat height tables.
+    """Per-label oracle data: the flattened reference elements (``flat``)
+    and their membership keys, the axis frames and the flat height
+    tables.
 
     A candidate h is a member when some element e lies within EPS_MAT
-    of it entrywise, and only the Frobenius-nearest element can.  For
-    orthogonal h and e, <h, e>_F = 3 - |h - e|_F^2 / 2, so the nearest
-    element of every candidate is the argmax of one matrix product with
-    ``flat_t``, the flattened elements as contiguous columns.  Distinct
-    elements are at least sqrt(2) sin(pi / 256) > 0.017 apart
-    entrywise within the order cap (the bound is argued per family in
-    ``groups.reference_group``), so at least as far in Frobenius norm,
-    and an element within 1e-9 entrywise is within 3e-9 in Frobenius
-    norm.  Its dot product therefore beats every other element's by
-    about 1.5e-4, far above the ~1e-15 rounding of the product, and the
-    entrywise test against the nearest element alone is exactly the
-    membership predicate.  ``member_mask`` gathers the nearest elements
-    as columns of ``flat_t``, so the test reduces the 9 entries of all
-    candidates as 9 long rows rather than one short row per candidate.
+    of it entrywise, and only the element of nearest key can.  The key
+    of a 3x3 matrix x is k(x) = w . x over its 9 flattened entries, for
+    the fixed weights w_i proportional to pi^-i with |w|_1 = 1
+    (``_KEY``), so |k(h) - k(e)| <= sum_i w_i |h_i - e_i| < EPS_MAT for a
+    member, up to the ~1e-15 rounding of the two 9-term products.  The
+    keys of the elements, sorted, are checked at construction to lie
+    more than 3 EPS_MAT apart (the smallest gap within the order cap is
+    about 3.6e-7, at D127, and the tests measure it on every class);
+    a weight vector without that separation is refused with a
+    ``GroupError`` rather than answered less exactly.  So every midpoint
+    between neighbouring keys (``mids``) lies more than 1.5 EPS_MAT
+    from k(e), and one ``searchsorted`` of k(h) among them lands on e.
+    A non-member fails the entrywise test against every element, so the
+    test against the one element found is exactly the membership
+    predicate.  ``near`` holds the elements in key order as contiguous
+    columns, so ``member_mask`` gathers each candidate's element as a
+    column and reduces the 9 entries of all candidates as 9 long rows
+    rather than one short row per candidate.
 
     For each axis orbit representative b (``axis_orbit_reps``, cyclic
     order ``orders``), ``frames`` holds the rotation F_b with rows
@@ -112,7 +126,12 @@ class _Prepped:
 
     def __init__(self, label: ClassLabel):
         self.flat = reference_group(label).reshape(-1, 9)
-        self.flat_t = np.ascontiguousarray(self.flat.T)
+        order = np.argsort(self.flat @ _KEY)
+        key = self.flat[order] @ _KEY
+        if np.diff(key).min(initial=np.inf) <= 3 * EPS_MAT:
+            raise GroupError(f"{label}: membership keys closer than 3 EPS_MAT")
+        self.mids = (key[1:] + key[:-1]) / 2
+        self.near = np.ascontiguousarray(self.flat[order].T)
         reps, self.orders = axis_orbit_reps(label)
         p = orthogonal(reps)
         self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
@@ -130,10 +149,12 @@ class _Prepped:
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group:
-        each candidate against its nearest element, entry by entry."""
+        each candidate against the element of nearest key, entry by
+        entry."""
         flat = cands.reshape(-1, 9)
-        near = self.flat_t.take((flat @ self.flat_t).argmax(axis=1), axis=1)
-        hit = (np.abs(near - flat.T) < EPS_MAT).all(axis=0)
+        near = self.near.take(self.mids.searchsorted(flat @ _KEY), axis=1)
+        near -= flat.T
+        hit = (np.abs(near, out=near) < EPS_MAT).all(axis=0)
         return hit.reshape(cands.shape[:-2])
 
 
@@ -285,43 +306,76 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     return _sweeps(c1, (c2,))[0]
 
 
+# candidates that one ``member_mask`` call takes, 9 floats each: 2^16
+# floats
+_MASK_BATCH = 2 ** 16 // 9
+
+
+def _batches(sweeps: Sequence[np.ndarray],
+             sizes: Sequence[int]) -> Iterator[list[tuple[int, int, int]]]:
+    """The conjugators of ``sweeps``, column after column, cut into
+    batches of at most ``_MASK_BATCH`` candidates, where a conjugator of
+    column j brings ``sizes[j]`` of them.  Each batch is a list of
+    pieces (j, first row, stop row) of whole conjugators, in sweep
+    order.  A conjugator brings at most ``ORDER_CAP`` = 256 candidates,
+    so it always fits a batch."""
+    batch, room = [], _MASK_BATCH
+    for j, (g, n) in enumerate(zip(sweeps, sizes)):
+        i = 0
+        while i < len(g):
+            if room < n:
+                yield batch
+                batch, room = [], _MASK_BATCH
+            stop = min(len(g), i + room // n)
+            batch.append((j, i, stop))
+            room -= (stop - i) * n
+            i = stop
+    if batch:
+        yield batch
+
+
 def _column_masks(c1: ClassLabel,
                   cols: Sequence[ClassLabel]) -> list[list[np.ndarray]]:
     """Per class H2 of ``cols``, the distinct membership masks of the
     sweep over the elements of its reference group.
 
     Every conjugator g in H2's share of ``_sweeps`` conjugates H2, and
-    the conjugates g x g^T are masked against H1, in batches that keep
-    them and the (rows, |H1|) dot matrix of ``member_mask`` near 2.5e5
-    floats, however many columns there are.  In row-major flattening
-    g x g^T is (g ⊗ g) x, so one batch of conjugates is one 2-D product
-    of the flattened H2 with the batch's Kronecker squares, (9, 9 rows)
-    with the conjugator axis innermost.  The aligner rows, first in the
-    sweep, stand for their generic spins, so their masks keep only the
-    elements of H2 on the line a and ±Id (``_Prepped.online``, one row
-    per a, repeated for every b).  Masks are told apart by their raw
-    bytes, each row read as one void scalar.
+    the conjugates g x g^T of all columns are masked against H1 together,
+    one ``member_mask`` call per batch of at most ``_MASK_BATCH``
+    candidates (``_batches``), however many columns there are.  In
+    row-major flattening g x g^T is (g ⊗ g) x, so a column's piece of a
+    batch is one 2-D product of the flattened H2 with the piece's
+    Kronecker squares, (9, 9 rows) with the conjugator axis innermost,
+    written into the batch's candidates.  The batch's mask is split back
+    into pieces.  The aligner rows, first in each column's sweep, stand
+    for their generic spins, so their masks keep only the elements of H2
+    on the line a and ±Id (``_Prepped.online``, one row per a, repeated
+    for every b).  Masks are told apart per column by their raw bytes,
+    each row read as one void scalar.
     """
-    prep = _prepped(c1)
-    out = []
-    for c2, all_g in zip(cols, _sweeps(c1, cols)):
-        h2 = _prepped(c2)
-        flat2, k2 = h2.flat, len(h2.orders)
-        line = h2.online[np.arange(len(prep.orders) * k2) % k2]
-        step = max(1, int(2.5e5 // (order_of(c2) * max(9, order_of(c1)))))
-        found: dict[bytes, np.ndarray] = {}
-        for i in range(0, len(all_g), step):
+    prep, h2s = _prepped(c1), [_prepped(c) for c in cols]
+    sweeps, sizes = _sweeps(c1, cols), [len(h.flat) for h in h2s]
+    k1 = len(prep.orders)
+    found: list[dict[bytes, np.ndarray]] = [{} for _ in cols]
+    for batch in _batches(sweeps, sizes):
+        ends = list(accumulate((stop - i) * sizes[j] for j, i, stop in batch))
+        pieces = list(zip(batch, [0, *ends], ends))
+        cands = np.empty((ends[-1], 9))
+        for (j, i, stop), start, end in pieces:
             # kron[(k, l), (p, q, r)] = g_r[p, k] g_r[q, l]
-            gt = all_g[i : i + step].transpose(2, 1, 0).copy()
+            gt = sweeps[j][i:stop].transpose(2, 1, 0).copy()
             kron = (gt[:, None, :, None] * gt[None, :, None, :]).reshape(9, -1)
-            # copied, so the (|H2|, 9, rows) product is freed before masking
-            conj = (flat2 @ kron).reshape(len(flat2), 9, -1).transpose(2, 0, 1).copy()
-            masks = prep.member_mask(conj.reshape(-1, len(flat2), 3, 3))
-            head = line[i : i + step]
-            masks[: len(head)] &= head
-            found.update(zip(masks.view(h2.row_bytes).ravel().tolist(), masks))
-        out.append(list(found.values()))
-    return out
+            cands[start:end].reshape(stop - i, sizes[j], 9)[...] = (
+                (h2s[j].flat @ kron).reshape(sizes[j], 9, -1).transpose(2, 0, 1))
+        masks = prep.member_mask(cands.reshape(-1, 3, 3))
+        for (j, i, stop), start, end in pieces:
+            h2 = h2s[j]
+            k2 = len(h2.orders)
+            m = masks[start:end].reshape(stop - i, sizes[j])
+            head = np.arange(i, min(stop, k1 * k2))
+            m[: len(head)] &= h2.online[head % k2]
+            found[j].update(zip(m.view(h2.row_bytes).ravel().tolist(), m))
+    return [list(f.values()) for f in found]
 
 
 def clips_oracles(c1: ClassLabel,

@@ -334,6 +334,19 @@ def test_verify_small_grid(capsys):
     assert all(line.startswith("ok   ") for line in lines[:-1])
 
 
+@pytest.mark.parametrize("n_max, m_max, bad", [
+    ("-2", "-5", "--n-max -2"), ("-1", "2", "--n-max -1"),
+    ("1", "-1", "--m-max -1")])
+def test_verify_negative_size(capsys, n_max, m_max, bad):
+    # a negative size is refused, not read as an empty range that leaves
+    # the 6 cells of T, O and I against O^- and O(2)^-
+    code, out, err = run(capsys, "verify", "--n-max", n_max,
+                         "--m-max", m_max)
+    assert code == 1
+    assert out == ""
+    assert f"bad {bad}; expected a size >= 0" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2",
                        "--format", "json")

@@ -8,10 +8,11 @@ that shifts one of them is a regression, not a table disagreement.
 import numpy as np
 import pytest
 
-from conftest import load_pins
+from conftest import labels_up_to, load_pins
 from o3clips.engine import clips, verify_cells
 from o3clips.groups import (
     E3,
+    GroupError,
     axis_orbit_reps,
     intersect,
     materialize,
@@ -37,7 +38,7 @@ from o3clips.oracle import (
     clips_oracles,
     conjugators,
 )
-from o3clips.rotations import random_rotation, rotation
+from o3clips.rotations import EPS_MAT, random_rotation, rotation
 from test_acceptance import _finite_labels
 
 PINS = load_pins("clips_oracle_pins")
@@ -149,13 +150,8 @@ def test_aligner_rows_are_the_frame_products(pair):
     assert np.abs(got - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("pair", [("I+Z2c", "O^-"), ("D128^z", "D128^z")],
-                         ids="|".join)
-def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
-    # the candidates that _column_masks of one column hands to
-    # member_mask, batch by batch, are g x g^T for every conjugator g and
-    # every x in H2
-    c1, c2 = map(parse_label, pair)
+def _spy_candidates(monkeypatch) -> list:
+    """The candidates of every member_mask call, copied, in call order."""
     seen = []
     member = oracle._Prepped.member_mask
 
@@ -164,13 +160,31 @@ def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
         return member(self, cands)
 
     monkeypatch.setattr(oracle._Prepped, "member_mask", spy)
-    _column_masks(c1, (c2,))
+    return seen
+
+
+def _conjugates(c1: ClassLabel, c2: ClassLabel) -> np.ndarray:
+    """g x g^T for every conjugator g of the pair's sweep and every x in
+    H2, conjugator by conjugator, shape (m |H2|, 3, 3)."""
     g, g2 = conjugators(c1, c2), reference_group(c2)
     want = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
-    assert np.abs(np.concatenate(seen) - want).max() < 1e-12
+    return want.reshape(-1, 3, 3)
+
+
+@pytest.mark.parametrize("pair", [("I+Z2c", "O^-"), ("D128^z", "D128^z")],
+                         ids="|".join)
+def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
+    # the candidates that _column_masks of one column hands to
+    # member_mask, batch by batch, are g x g^T for every conjugator g and
+    # every x in H2
+    c1, c2 = map(parse_label, pair)
+    seen = _spy_candidates(monkeypatch)
+    _column_masks(c1, (c2,))
+    assert np.abs(np.concatenate(seen) - _conjugates(c1, c2)).max() < 1e-12
     if pair == ("D128^z", "D128^z"):
-        # 35 conjugators at 3 rows per batch under the 2.5e5 budget
-        assert len(seen) == 12
+        # 35 conjugators of 256 candidates, 28 of them in a batch of
+        # 2^16 // 9 = 7281 candidates
+        assert [len(cands) for cands in seen] == [28 * 256, 7 * 256]
 
 
 def _on_line_elements(label: ClassLabel) -> np.ndarray:
@@ -373,8 +387,8 @@ def test_one_sweep_of_many_columns_keeps_each_columns_rows():
             assert np.array_equal(g, conjugators(row, col)), (row, col)
 
 
-# rows x |H2| x max(9, |H1|) floats that one member_mask call may hold
-MASK_BUDGET = 2.5e5
+# floats, 9 per candidate, that one member_mask call may hold
+MASK_BUDGET = 2 ** 16
 
 
 @pytest.mark.parametrize("row, cols", [
@@ -382,23 +396,26 @@ MASK_BUDGET = 2.5e5
     ("I+Z2c", tuple(map(str, _finite_cols(3))))],
     ids=["I+Z2c|I+Z2c", "I+Z2c|O^-", "D128^z|D128^z", "I+Z2c|size-3 columns"])
 def test_masks_stay_within_the_batch_budget(row, cols, monkeypatch):
+    # the row's candidates over all its columns go to member_mask in
+    # batches of whole conjugators within the budget: the calls hold
+    # every conjugate of every column, in sweep order, and each call
+    # ends where a conjugator ends
     c1, labels = parse_label(row), [parse_label(c) for c in cols]
-    calls = []
-    member = oracle._Prepped.member_mask
-
-    def spy(self, cands):
-        calls.append(cands.shape[:2])
-        return member(self, cands)
-
-    monkeypatch.setattr(oracle._Prepped, "member_mask", spy)
+    seen = _spy_candidates(monkeypatch)
     _column_masks(c1, labels)
-    width = max(9, order_of(c1))
-    assert all(rows * n * width <= MASK_BUDGET for rows, n in calls), calls
-    assert sum(rows for rows, _ in calls) == sum(
-        len(conjugators(c1, c2)) for c2 in labels)
+    sizes = [len(cands) for cands in seen]
+    assert all(9 * n <= MASK_BUDGET for n in sizes), sizes
+    want = np.concatenate([_conjugates(c1, c2) for c2 in labels])
+    assert np.abs(np.concatenate(seen) - want).max() < 1e-12
+    ends = np.cumsum(np.repeat([order_of(c2) for c2 in labels],
+                               [len(conjugators(c1, c2)) for c2 in labels]))
+    assert set(np.cumsum(sizes)) <= set(ends)
     if (row, cols) == ("I+Z2c", ("I+Z2c",)):
-        # 69 conjugators at 17 rows per batch
-        assert len(calls) == 5
+        # 69 conjugators of 120 candidates, 60 of them in a batch
+        assert sizes == [60 * 120, 9 * 120]
+    if len(cols) > 1:
+        # the 3,920 candidates of the row's 8 columns in one call
+        assert sizes == [3920]
 
 
 def _on_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -545,3 +562,46 @@ def test_member_mask_at_the_tolerance(text):
     for g in (random_rotation(rng), rotation([0.0, 0.0, 1.0], np.pi / 7)):
         rot = materialize(label, g)
         assert np.array_equal(rot[member(rot)], intersect(elems, rot))
+
+
+def test_membership_keys_are_far_apart_on_every_class():
+    # member_mask takes the element of nearest key, which is a member's
+    # own element when the keys of distinct elements lie more than
+    # 2 EPS_MAT apart (|w|_1 = 1); every class within the cap clears
+    # that by far, the closest being D127 at about 3.6e-7
+    assert np.all(oracle._KEY > 0) and abs(oracle._KEY.sum() - 1.0) < 1e-15
+    gaps = {}
+    for label in labels_up_to(256):
+        keys = np.sort(reference_group(label).reshape(-1, 9) @ oracle._KEY)
+        gaps[format_label(label)] = np.diff(keys).min(initial=np.inf)
+    worst = min(gaps, key=gaps.get)
+    assert gaps[worst] >= 1e-7, (worst, gaps[worst])
+
+
+def test_close_membership_keys_are_refused(monkeypatch):
+    # weights proportional to 1, ..., 9 give two elements of T one key;
+    # _Prepped refuses such weights rather than mask by a shared key
+    monkeypatch.setattr(oracle, "_KEY", np.arange(1.0, 10.0) / 45.0)
+    with pytest.raises(GroupError, match="membership keys"):
+        oracle._Prepped(parse_label("T"))
+
+
+def _dense_member_mask(label: ClassLabel, cands: np.ndarray) -> np.ndarray:
+    """Each candidate against its Frobenius-nearest element of the
+    class, the argmax of one product with all elements, entry by
+    entry."""
+    elems, flat = reference_group(label).reshape(-1, 9), cands.reshape(-1, 9)
+    near = elems[(flat @ elems.T).argmax(axis=1)]
+    return (np.abs(near - flat) < EPS_MAT).all(axis=1)
+
+
+def test_member_mask_matches_the_dense_nearest_element():
+    # the sweep candidates of the probe pairs and of the 56 distinct
+    # pairs of verify_cells(3, 3)
+    pairs = dict.fromkeys([*(tuple(map(parse_label, p)) for p in PROBE_COUNTS),
+                           *SWEEP_PAIRS])
+    assert len(pairs) == 59
+    for c1, c2 in pairs:
+        cands = _conjugates(c1, c2)
+        got = _prepped(c1).member_mask(cands)
+        assert np.array_equal(got, _dense_member_mask(c1, cands)), (c1, c2)
