@@ -7,14 +7,20 @@ own row; a type III class takes its envelope's factors times the signs
 of ``labels.TYPE_III``.  The class in reference orientation is the
 ordered product <f1><f2>... of its factors, doubled by {Id, -Id} for a
 +Z2c label.  ``reference_group`` multiplies the factors out and sorts
-the result once, and ``generators`` lists one generator per factor.
+the result once, by one key, and ``generators`` lists one generator per
+factor.
 
 ``reference_group`` is the one gate of the matrix layer.  It raises
-``GroupError`` (a ``ValueError``) before any element is built: for an
+``GroupError`` (a ``ValueError``): before any element is built, for an
 infinite class, through ``cyclic_factors``, and for a class above
-``rotations.ORDER_CAP``.  Every matrix path (``materialize``, the
+``rotations.ORDER_CAP``; and for a class whose elements' keys lie within
+3 EPS_MAT of each other.  Every matrix path (``materialize``, the
 census views below, both oracles and ``o3clips materialize``) reaches
-it first, so none of them checks a class again.
+it first, so none of them checks a class again.  Its key order,
+k(x) = w . x for one fixed weight vector w (``_KEY``), is the one
+element order of the matrix layer: ``materialize`` and
+``lexsort_elements`` sort by the same key, and the oracle's membership
+test looks a candidate up by it.
 
 ``recognize`` inverts the construction: given any finite set of
 orthogonal matrices forming a group, it returns the canonical class
@@ -74,9 +80,11 @@ from .rotations import (
 
 MIN_SEPARATION = 1e-2  # floor that ``_check_separation`` asserts
 _SAME_AXIS = 1e-9  # 1 - |a.b| below this: one unsigned axis
-# Decimals of the sort key: far above the ~1e-16 rounding of an entry
-# and far below the >= 0.017 separation of distinct elements.
-_KEY_DECIMALS = 9
+# the membership key weights, proportional to pi^-i, with |w|_1 = 1: the
+# key k(x) = w . x of a matrix's 9 flattened entries is the one element
+# order of the matrix layer (``reference_group``)
+_KEY = np.pi ** -np.arange(9.0)
+_KEY /= _KEY.sum()
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0  # golden ratio, order-5 axes of I
 
@@ -127,17 +135,14 @@ def generators(label: ClassLabel) -> list[np.ndarray]:
     return gens + [-IDENTITY] if label.plus else gens
 
 
-def _canonical_order(flat: np.ndarray) -> np.ndarray:
-    """Indices that sort flattened elements (k, 9) lexicographically by
-    their entries rounded to ``_KEY_DECIMALS``.  Entries equal in exact
-    arithmetic round alike, so the order does not depend on rounding
-    noise; distinct elements never share a key."""
-    return np.lexsort(np.round(flat, _KEY_DECIMALS).T[::-1])
+def _key_sorted(flat: np.ndarray) -> np.ndarray:
+    """Flattened elements (k, 9) sorted by their key (``_KEY``)."""
+    return flat[np.argsort(flat @ _KEY)]
 
 
 def lexsort_elements(mats: np.ndarray) -> np.ndarray:
     """Deduplicate matrices (entrywise within EPS_MAT) and return them
-    in canonical order (``_canonical_order``).
+    in key order, the order of ``reference_group``.
 
     Distinct group elements are separated by at least MIN_SEPARATION
     while numerical copies agree to ~1e-12, so a coarse rounding pass
@@ -150,7 +155,7 @@ def lexsort_elements(mats: np.ndarray) -> np.ndarray:
     flat = flat[np.sort(first)]
     same = np.abs(flat[:, None] - flat[None]).max(axis=2) < EPS_MAT
     flat = flat[same.argmax(axis=1) == np.arange(len(flat))]
-    return flat[_canonical_order(flat)].reshape(-1, 3, 3)
+    return _key_sorted(flat).reshape(-1, 3, 3)
 
 
 def close_group(gens: list[np.ndarray]) -> np.ndarray:
@@ -191,10 +196,20 @@ def _check_separation(elems: np.ndarray) -> None:
 @lru_cache(maxsize=None)
 def reference_group(label: ClassLabel) -> np.ndarray:
     """Cached element set of a finite class in reference orientation,
-    shape (k, 3, 3), read-only, in canonical order.
+    shape (k, 3, 3), read-only, sorted by key.
 
-    The oracle reads this order: its membership mask bits index the
-    elements of the reference group of its second class.
+    The key of a 3x3 matrix x is k(x) = w . x over its 9 flattened
+    entries, for the fixed weights w_i proportional to pi^-i with
+    |w|_1 = 1 (``_KEY``), so two matrices within d of each other
+    entrywise have keys within d.  The sorted keys of the elements are
+    checked to lie more than 3 EPS_MAT apart (the smallest gap within
+    the order cap is about 3.6e-7, at D127, and the tests measure it on
+    every class), and a class without that separation is refused.  So
+    this order is the one element order of the matrix layer: noise
+    below 1.5 EPS_MAT per entry cannot swap two elements, and the
+    oracle finds a candidate's one possible match among the elements by
+    its key alone (``oracle._Prepped``).  The oracle's membership mask
+    bits index the elements in this order.
 
     No element is repeated.  For subgroups A and B,
     |AB| = |A| |B| / |A ∩ B|, so a product of a subgroup and a cyclic
@@ -232,7 +247,8 @@ def reference_group(label: ClassLabel) -> np.ndarray:
     ------
     GroupError
         For an infinite class, or one above the order cap, before any
-        element is built.
+        element is built; and for a class whose keys lie within
+        3 EPS_MAT, which no class within the cap has.
     """
     factors = cyclic_factors(label)
     order = order_of(label)
@@ -247,8 +263,11 @@ def reference_group(label: ClassLabel) -> np.ndarray:
         elems = (elems[:, None] @ powers[None]).reshape(-1, 3, 3)
     if label.plus:
         elems = np.concatenate([elems, -elems])
-    flat = elems.reshape(-1, 9)
-    elems = flat[_canonical_order(flat)].reshape(-1, 3, 3)
+    flat = _key_sorted(elems.reshape(-1, 9))
+    if np.diff(flat @ _KEY).min(initial=np.inf) <= 3 * EPS_MAT:
+        raise GroupError(f"{format_label(label)}: membership keys closer "
+                         "than 3 EPS_MAT")
+    elems = flat.reshape(-1, 3, 3)
     elems.flags.writeable = False
     return elems
 
@@ -263,16 +282,17 @@ def materialize(label: ClassLabel, orientation: np.ndarray | None = None) -> np.
         larger ones raise ``GroupError`` before any element is built;
         their clips are handled by closed-form rules.
     orientation : (3, 3) array, optional
-        Conjugating rotation g; the result is g G g^T in the canonical
-        order of ``reference_group``.  A conjugate of a duplicate-free
-        set has no duplicates, so it is sorted without a dedupe.
+        Conjugating rotation g; the result is g G g^T sorted by the
+        key of ``reference_group``, its own elements' keys.  A conjugate
+        of a duplicate-free set has no duplicates, so it is sorted
+        without a dedupe.
     """
     elems = reference_group(label)
     if orientation is None:
         return elems
     g = np.asarray(orientation, dtype=float)
     flat = np.einsum("ij,ajk,lk->ail", g, elems, g).reshape(-1, 9)
-    return flat[_canonical_order(flat)].reshape(-1, 3, 3)
+    return _key_sorted(flat).reshape(-1, 3, 3)
 
 
 def intersect(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:

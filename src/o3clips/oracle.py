@@ -24,24 +24,25 @@ is computed once per class (``_Prepped``), so a few array passes sweep
 one class H1 against several H2 at once (``clips_oracles``;
 ``verify_cells`` makes one such call per row): ``_sweeps`` builds every
 conjugator, ``_column_masks`` conjugates each H2 by them and masks the
-conjugates of all the H2 against H1 together, each against the one
-element of H1 whose key is nearest its own (``_Prepped``), and each
+conjugates against H1 in runs of whole columns, each against the one
+element of H1 whose key (the key that orders every reference group,
+``groups.reference_group``) is nearest its own (``_Prepped``), and each
 distinct mask is recognized from the census of H2
 (``recognize(c2, mask)``), which memoizes its answer per class and
-mask.
+mask.  The oracle refuses no class itself: the gate
+``groups.reference_group`` does.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .labels import ClassLabel, ClassSet, trivial, with_z2c
 from .groups import (
-    GroupError,
+    _KEY,
     axis_orbit_reps,
     recognize,
     reference_group,
@@ -59,36 +60,27 @@ _SPIN = np.array([np.diag([1.0, 1.0, 0.0]),
                   [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                   np.diag([0.0, 0.0, 1.0])])
 
-# the membership key weights, proportional to pi^-i, with |w|_1 = 1 (see
-# ``_Prepped``)
-_KEY = np.pi ** -np.arange(9.0)
-_KEY /= _KEY.sum()
-
 
 class _Prepped:
     """Per-label oracle data: the flattened reference elements (``flat``)
-    and their membership keys, the axis frames and the flat height
-    tables.
+    and the midpoints of their membership keys, the axis frames and the
+    flat height tables.
 
     A candidate h is a member when some element e lies within EPS_MAT
     of it entrywise, and only the element of nearest key can.  The key
-    of a 3x3 matrix x is k(x) = w . x over its 9 flattened entries, for
-    the fixed weights w_i proportional to pi^-i with |w|_1 = 1
-    (``_KEY``), so |k(h) - k(e)| <= sum_i w_i |h_i - e_i| < EPS_MAT for a
-    member, up to the ~1e-15 rounding of the two 9-term products.  The
-    keys of the elements, sorted, are checked at construction to lie
-    more than 3 EPS_MAT apart (the smallest gap within the order cap is
-    about 3.6e-7, at D127, and the tests measure it on every class);
-    a weight vector without that separation is refused with a
-    ``GroupError`` rather than answered less exactly.  So every midpoint
-    between neighbouring keys (``mids``) lies more than 1.5 EPS_MAT
-    from k(e), and one ``searchsorted`` of k(h) among them lands on e.
-    A non-member fails the entrywise test against every element, so the
+    is that of ``groups.reference_group``, k(x) = w . x with |w|_1 = 1,
+    so |k(h) - k(e)| <= sum_i w_i |h_i - e_i| < EPS_MAT for a member, up
+    to the ~1e-15 rounding of the two 9-term products.  The reference
+    group comes sorted by key, its keys more than 3 EPS_MAT apart (the
+    gate refuses any other class).  So every midpoint between
+    neighbouring keys (``mids``) lies more than 1.5 EPS_MAT from k(e),
+    and one ``searchsorted`` of k(h) among them lands on e.  A
+    non-member fails the entrywise test against every element, so the
     test against the one element found is exactly the membership
-    predicate.  ``near`` holds the elements in key order as contiguous
-    columns, so ``member_mask`` gathers each candidate's element as a
-    column and reduces the 9 entries of all candidates as 9 long rows
-    rather than one short row per candidate.
+    predicate.  ``near`` holds the elements as contiguous columns, so
+    ``member_mask`` gathers each candidate's element as a column and
+    reduces the 9 entries of all candidates as 9 long rows rather than
+    one short row per candidate.
 
     For each axis orbit representative b (``axis_orbit_reps``, cyclic
     order ``orders``), ``frames`` holds the rotation F_b with rows
@@ -126,12 +118,9 @@ class _Prepped:
 
     def __init__(self, label: ClassLabel):
         self.flat = reference_group(label).reshape(-1, 9)
-        order = np.argsort(self.flat @ _KEY)
-        key = self.flat[order] @ _KEY
-        if np.diff(key).min(initial=np.inf) <= 3 * EPS_MAT:
-            raise GroupError(f"{label}: membership keys closer than 3 EPS_MAT")
+        key = self.flat @ _KEY
         self.mids = (key[1:] + key[:-1]) / 2
-        self.near = np.ascontiguousarray(self.flat[order].T)
+        self.near = np.ascontiguousarray(self.flat.T)
         reps, self.orders = axis_orbit_reps(label)
         p = orthogonal(reps)
         self.frames = np.stack([p, np.cross(reps, p), reps], axis=1)
@@ -266,8 +255,6 @@ def _sweeps(c1: ClassLabel, cols: Sequence[ClassLabel]) -> list[np.ndarray]:
     h1, h2s = _prepped(c1), [_prepped(c) for c in cols]
     sizes = [len(h.orders) for h in h2s]
     k1, k2 = len(h1.orders), sum(sizes)
-    if k1 == 0 or k2 == 0:
-        return [np.empty((0, 3, 3)) for _ in cols]
     frames = np.concatenate([h.frames for h in h2s])
     # A, B and C of every aligner in (b, a) order, a over all columns
     abc = (h1.parts[:, None] @ frames[None, :, None]).reshape(k1 * k2, 3, 9)
@@ -277,20 +264,19 @@ def _sweeps(c1: ClassLabel, cols: Sequence[ClassLabel]) -> list[np.ndarray]:
     # for s = -1, when z(w) = s z(v)
     signed_z = np.concatenate([h.signed_z for h in h2s])
     i, j = np.nonzero(np.abs(h1.z[:, None] - signed_z) < 1e-9)
-    if len(i):
-        first = np.cumsum([0, *sizes[:-1]])
-        alpha = np.concatenate([h.signed_alpha for h in h2s])
-        rep = np.concatenate([h.signed_rep + f for h, f in zip(h2s, first)])
-        orders = np.concatenate([h.orders for h in h2s])
-        period = 2.0 * np.pi / np.lcm.outer(h1.orders, orders).ravel()
-        t, spun = _spin_table(h1.alpha[i] - alpha[j], h1.rep[i] * k2 + rep[j],
-                              period)
-        # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
-        coef = np.ones((len(t), 1, 3))
-        coef[:, 0, 0] = np.cos(t)
-        coef[:, 0, 1] = np.sin(t)
-        g = np.concatenate([g, (coef @ abc[spun]).reshape(-1, 3, 3)])
-        row = np.concatenate([row, spun])
+    first = np.cumsum([0, *sizes[:-1]])
+    alpha = np.concatenate([h.signed_alpha for h in h2s])
+    rep = np.concatenate([h.signed_rep + f for h, f in zip(h2s, first)])
+    orders = np.concatenate([h.orders for h in h2s])
+    period = 2.0 * np.pi / np.lcm.outer(h1.orders, orders).ravel()
+    t, spun = _spin_table(h1.alpha[i] - alpha[j], h1.rep[i] * k2 + rep[j],
+                          period)
+    # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
+    coef = np.ones((len(t), 1, 3))
+    coef[:, 0, 0] = np.cos(t)
+    coef[:, 0, 1] = np.sin(t)
+    g = np.concatenate([g, (coef @ abc[spun]).reshape(-1, 3, 3)])
+    row = np.concatenate([row, spun])
     col = np.repeat(np.arange(len(cols)), sizes)[row % k2]
     cuts = np.cumsum(np.bincount(col, minlength=len(cols)))[:-1]
     return np.split(g[np.argsort(col, kind="stable")], cuts)
@@ -306,32 +292,9 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     return _sweeps(c1, (c2,))[0]
 
 
-# candidates that one ``member_mask`` call takes, 9 floats each: 2^16
-# floats
+# candidates that one ``member_mask`` call takes, 9 floats each, unless
+# one column brings more: 2^16 floats
 _MASK_BATCH = 2 ** 16 // 9
-
-
-def _batches(sweeps: Sequence[np.ndarray],
-             sizes: Sequence[int]) -> Iterator[list[tuple[int, int, int]]]:
-    """The conjugators of ``sweeps``, column after column, cut into
-    batches of at most ``_MASK_BATCH`` candidates, where a conjugator of
-    column j brings ``sizes[j]`` of them.  Each batch is a list of
-    pieces (j, first row, stop row) of whole conjugators, in sweep
-    order.  A conjugator brings at most ``ORDER_CAP`` = 256 candidates,
-    so it always fits a batch."""
-    batch, room = [], _MASK_BATCH
-    for j, (g, n) in enumerate(zip(sweeps, sizes)):
-        i = 0
-        while i < len(g):
-            if room < n:
-                yield batch
-                batch, room = [], _MASK_BATCH
-            stop = min(len(g), i + room // n)
-            batch.append((j, i, stop))
-            room -= (stop - i) * n
-            i = stop
-    if batch:
-        yield batch
 
 
 def _column_masks(c1: ClassLabel,
@@ -340,42 +303,53 @@ def _column_masks(c1: ClassLabel,
     sweep over the elements of its reference group.
 
     Every conjugator g in H2's share of ``_sweeps`` conjugates H2, and
-    the conjugates g x g^T of all columns are masked against H1 together,
-    one ``member_mask`` call per batch of at most ``_MASK_BATCH``
-    candidates (``_batches``), however many columns there are.  In
-    row-major flattening g x g^T is (g ⊗ g) x, so a column's piece of a
-    batch is one 2-D product of the flattened H2 with the piece's
-    Kronecker squares, (9, 9 rows) with the conjugator axis innermost,
-    written into the batch's candidates.  The batch's mask is split back
-    into pieces.  The aligner rows, first in each column's sweep, stand
-    for their generic spins, so their masks keep only the elements of H2
-    on the line a and ±Id (``_Prepped.online``, one row per a, repeated
-    for every b).  Masks are told apart per column by their raw bytes,
-    each row read as one void scalar.
+    the conjugates g x g^T are masked against H1 in runs of whole
+    columns, one ``member_mask`` call per run, however many columns
+    there are.  A run closes before a column that would push it past
+    ``_MASK_BATCH`` candidates, and a larger column is a run of its own
+    (within the order cap the largest is I+Z2c against D128^d, 17,664
+    candidates).  In row-major flattening g x g^T is (g ⊗ g) x, so a
+    column's conjugates are one 2-D product of the flattened H2 with the
+    Kronecker squares of its whole sweep, (9, 9 rows) with the
+    conjugator axis innermost, written into the run's candidates.  Each
+    column's share of the run's mask is then read in one place.  Its
+    aligner rows, first in its sweep, stand for their generic spins, so
+    their masks keep only the elements of H2 on the line a and ±Id
+    (``_Prepped.online``, one row per a, repeated for every b).  Its
+    masks are told apart by their raw bytes, each row read as one void
+    scalar.
     """
     prep, h2s = _prepped(c1), [_prepped(c) for c in cols]
-    sweeps, sizes = _sweeps(c1, cols), [len(h.flat) for h in h2s]
-    k1 = len(prep.orders)
-    found: list[dict[bytes, np.ndarray]] = [{} for _ in cols]
-    for batch in _batches(sweeps, sizes):
-        ends = list(accumulate((stop - i) * sizes[j] for j, i, stop in batch))
-        pieces = list(zip(batch, [0, *ends], ends))
-        cands = np.empty((ends[-1], 9))
-        for (j, i, stop), start, end in pieces:
+    # no columns, no sweep: ``_sweeps`` has no column table to concatenate
+    k1, sweeps = len(prep.orders), _sweeps(c1, cols) if cols else []
+    # each run: (column, start, stop) of its candidates in the run
+    runs, used = [], 0
+    for j, (g, h2) in enumerate(zip(sweeps, h2s)):
+        n = len(g) * len(h2.flat)
+        if not runs or used + n > _MASK_BATCH:
+            runs.append([])
+            used = 0
+        runs[-1].append((j, used, used + n))
+        used += n
+    masks = []
+    for run in runs:
+        cands = np.empty((run[-1][2], 9))
+        for j, start, stop in run:
+            x = h2s[j].flat
             # kron[(k, l), (p, q, r)] = g_r[p, k] g_r[q, l]
-            gt = sweeps[j][i:stop].transpose(2, 1, 0).copy()
+            gt = sweeps[j].transpose(2, 1, 0).copy()
             kron = (gt[:, None, :, None] * gt[None, :, None, :]).reshape(9, -1)
-            cands[start:end].reshape(stop - i, sizes[j], 9)[...] = (
-                (h2s[j].flat @ kron).reshape(sizes[j], 9, -1).transpose(2, 0, 1))
-        masks = prep.member_mask(cands.reshape(-1, 3, 3))
-        for (j, i, stop), start, end in pieces:
+            cands[start:stop].reshape(-1, len(x), 9)[...] = (
+                (x @ kron).reshape(len(x), 9, -1).transpose(2, 0, 1))
+        hits = prep.member_mask(cands.reshape(-1, 3, 3))
+        for j, start, stop in run:
             h2 = h2s[j]
-            k2 = len(h2.orders)
-            m = masks[start:end].reshape(stop - i, sizes[j])
-            head = np.arange(i, min(stop, k1 * k2))
-            m[: len(head)] &= h2.online[head % k2]
-            found[j].update(zip(m.view(h2.row_bytes).ravel().tolist(), m))
-    return [list(f.values()) for f in found]
+            m = hits[start:stop].reshape(-1, len(h2.flat))
+            head = m[: k1 * len(h2.orders)]
+            head.reshape(k1, *h2.online.shape)[...] &= h2.online
+            keys = m.view(h2.row_bytes).ravel().tolist()
+            masks.append(list(dict(zip(keys, m)).values()))
+    return masks
 
 
 def clips_oracles(c1: ClassLabel,

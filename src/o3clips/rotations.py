@@ -18,8 +18,9 @@ EPS_AXIS = 1e-12  # minimum norm for a direction vector
 # of the matrix layer, ``groups.reference_group``.  The cap rests on the
 # tolerance arguments written for it, not on memory:
 # - distinct elements of a class of order N are sqrt(2) sin(pi/N)
-#   apart, at least 0.017 within the cap, against EPS_MAT and the 1e-9
-#   rounding of ``groups._KEY_DECIMALS`` (``groups.reference_group``);
+#   apart, at least 0.017 within the cap, against EPS_MAT, and their
+#   keys, which order every class, at least 3.6e-7 apart, against the
+#   3 EPS_MAT that ``groups.reference_group`` asserts;
 # - distinct axes are at least pi/128 apart within the cap, against the
 #   ~4.5e-5 rad of ``groups.same_line``, the one same-line test of the
 #   census, the orbits and both oracles;

@@ -13,7 +13,6 @@ from o3clips.groups import (
     PHI,
     GroupError,
     RecognitionError,
-    _canonical_order,
     axis_census,
     axis_orbit_reps,
     close_group,
@@ -183,13 +182,16 @@ def test_axis_separation_on_every_class_within_the_cap():
     assert closest > 1e5 * groups._SAME_AXIS
 
 
-@pytest.mark.parametrize("text", ["Z6", "D12+Z2c", "I+Z2c", "O^-", "D128^d"])
-def test_canonical_order_ignores_rounding_noise(text):
-    rng = np.random.default_rng(zlib.crc32(text.encode()))
-    elems = reference_group(parse_label(text)).reshape(-1, 9)
-    noisy = elems + rng.uniform(-1e-15, 1e-15, size=elems.shape)
-    shuffled = noisy[rng.permutation(len(noisy))]
-    assert np.array_equal(shuffled[_canonical_order(shuffled)], noisy)
+def test_key_order_ignores_rounding_noise():
+    # keys of distinct elements lie more than 3 EPS_MAT apart and move by
+    # at most the entrywise noise, so a shuffled copy of every class with
+    # 1e-12 of noise on each entry sorts back into the reference order
+    rng = np.random.default_rng(0)
+    for label in labels_up_to(ORDER_CAP):
+        elems = reference_group(label).reshape(-1, 9)
+        noisy = elems + rng.uniform(-1e-12, 1e-12, size=elems.shape)
+        shuffled = noisy[rng.permutation(len(noisy))]
+        assert np.array_equal(groups._key_sorted(shuffled), noisy), label
 
 
 def test_order_cap_guard(monkeypatch):

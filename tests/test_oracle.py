@@ -77,17 +77,28 @@ def test_generic_rotation_meets_in_the_stated_central_class(pair):
     assert central in clips_oracle(c1, c2)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", ["1", "1+Z2c"])
 def test_axisless_class_sweeps_nothing(text):
+    # the sweep carries its empty tables through without a warning, as a
+    # row, as a column and beside a column whose heights match none of
+    # the row's (Z5 against D4+Z2c: its 3 aligners and no spin)
     c, d4 = parse_label(text), parse_label("D4+Z2c")
-    for pair in [(c, d4), (d4, c)]:
+    for pair in [(c, d4), (d4, c), (c, c)]:
         assert conjugators(*pair).shape == (0, 3, 3)
         assert clips_oracle(*pair).labels() == [text]
+    assert [len(g) for g in _sweeps(d4, (c, parse_label("Z5"), c))] == [0, 3, 0]
 
 
 def test_oracle_rejects_infinite():
     with pytest.raises(Exception):
         clips_oracle(parse_label("SO(2)"), parse_label("Z2"))
+
+
+def test_no_columns_sweep_nothing_but_pass_the_gate():
+    assert clips_oracles(parse_label("D4"), ()) == []
+    with pytest.raises(GroupError):
+        clips_oracles(parse_label("SO(2)"), ())
 
 
 def test_pin_labels_are_canonical():
@@ -175,16 +186,18 @@ def _conjugates(c1: ClassLabel, c2: ClassLabel) -> np.ndarray:
                          ids="|".join)
 def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
     # the candidates that _column_masks of one column hands to
-    # member_mask, batch by batch, are g x g^T for every conjugator g and
+    # member_mask, in one call, are g x g^T for every conjugator g and
     # every x in H2
     c1, c2 = map(parse_label, pair)
     seen = _spy_candidates(monkeypatch)
     _column_masks(c1, (c2,))
-    assert np.abs(np.concatenate(seen) - _conjugates(c1, c2)).max() < 1e-12
+    assert len(seen) == 1
+    assert np.abs(seen[0] - _conjugates(c1, c2)).max() < 1e-12
     if pair == ("D128^z", "D128^z"):
-        # 35 conjugators of 256 candidates, 28 of them in a batch of
-        # 2^16 // 9 = 7281 candidates
-        assert [len(cands) for cands in seen] == [28 * 256, 7 * 256]
+        # 35 conjugators of 256 candidates, past the budget of
+        # 2^16 // 9 = 7281 candidates, and still one call: a column is
+        # never cut
+        assert len(seen[0]) == 35 * 256
 
 
 def _on_line_elements(label: ClassLabel) -> np.ndarray:
@@ -397,22 +410,21 @@ MASK_BUDGET = 2 ** 16
     ids=["I+Z2c|I+Z2c", "I+Z2c|O^-", "D128^z|D128^z", "I+Z2c|size-3 columns"])
 def test_masks_stay_within_the_batch_budget(row, cols, monkeypatch):
     # the row's candidates over all its columns go to member_mask in
-    # batches of whole conjugators within the budget: the calls hold
-    # every conjugate of every column, in sweep order, and each call
-    # ends where a conjugator ends
+    # runs of whole columns: the calls hold every conjugate of every
+    # column, in column order, each call ends where a column ends, and
+    # a call stays within the budget unless it is a single column
     c1, labels = parse_label(row), [parse_label(c) for c in cols]
     seen = _spy_candidates(monkeypatch)
     _column_masks(c1, labels)
     sizes = [len(cands) for cands in seen]
-    assert all(9 * n <= MASK_BUDGET for n in sizes), sizes
+    per_col = [len(conjugators(c1, c2)) * order_of(c2) for c2 in labels]
+    assert set(np.cumsum(sizes)) <= set(np.cumsum(per_col))
+    assert all(9 * n <= MASK_BUDGET or n in per_col for n in sizes), sizes
     want = np.concatenate([_conjugates(c1, c2) for c2 in labels])
     assert np.abs(np.concatenate(seen) - want).max() < 1e-12
-    ends = np.cumsum(np.repeat([order_of(c2) for c2 in labels],
-                               [len(conjugators(c1, c2)) for c2 in labels]))
-    assert set(np.cumsum(sizes)) <= set(ends)
     if (row, cols) == ("I+Z2c", ("I+Z2c",)):
-        # 69 conjugators of 120 candidates, 60 of them in a batch
-        assert sizes == [60 * 120, 9 * 120]
+        # 69 conjugators of 120 candidates, past the budget, in one call
+        assert sizes == [69 * 120]
     if len(cols) > 1:
         # the 3,920 candidates of the row's 8 columns in one call
         assert sizes == [3920]
@@ -568,11 +580,12 @@ def test_membership_keys_are_far_apart_on_every_class():
     # member_mask takes the element of nearest key, which is a member's
     # own element when the keys of distinct elements lie more than
     # 2 EPS_MAT apart (|w|_1 = 1); every class within the cap clears
-    # that by far, the closest being D127 at about 3.6e-7
-    assert np.all(oracle._KEY > 0) and abs(oracle._KEY.sum() - 1.0) < 1e-15
+    # that by far, the closest being D127 at about 3.6e-7, and comes
+    # from the gate already sorted by key
+    assert np.all(groups._KEY > 0) and abs(groups._KEY.sum() - 1.0) < 1e-15
     gaps = {}
     for label in labels_up_to(256):
-        keys = np.sort(reference_group(label).reshape(-1, 9) @ oracle._KEY)
+        keys = reference_group(label).reshape(-1, 9) @ groups._KEY
         gaps[format_label(label)] = np.diff(keys).min(initial=np.inf)
     worst = min(gaps, key=gaps.get)
     assert gaps[worst] >= 1e-7, (worst, gaps[worst])
@@ -580,10 +593,11 @@ def test_membership_keys_are_far_apart_on_every_class():
 
 def test_close_membership_keys_are_refused(monkeypatch):
     # weights proportional to 1, ..., 9 give two elements of T one key;
-    # _Prepped refuses such weights rather than mask by a shared key
-    monkeypatch.setattr(oracle, "_KEY", np.arange(1.0, 10.0) / 45.0)
+    # the gate refuses such a class rather than sort and mask it by a
+    # shared key (the uncached body, as the cached class stays built)
+    monkeypatch.setattr(groups, "_KEY", np.arange(1.0, 10.0) / 45.0)
     with pytest.raises(GroupError, match="membership keys"):
-        oracle._Prepped(parse_label("T"))
+        groups.reference_group.__wrapped__(parse_label("T"))
 
 
 def _dense_member_mask(label: ClassLabel, cands: np.ndarray) -> np.ndarray:
