@@ -182,6 +182,19 @@ def test_axis_separation_on_every_class_within_the_cap():
     assert closest > 1e5 * groups._SAME_AXIS
 
 
+@pytest.mark.parametrize("text", ["Z6", "D12+Z2c", "I+Z2c", "O^-", "D128^d"])
+def test_canonical_order_ignores_rounding_noise(text):
+    # the key order is the canonical order: a shuffled, noisy copy of a
+    # class sorts back into the reference order, also from a noise level
+    # well below EPS_MAT up to 1e-12
+    rng = np.random.default_rng(zlib.crc32(text.encode()))
+    elems = reference_group(parse_label(text)).reshape(-1, 9)
+    for scale in (1e-15, 1e-12):
+        noisy = elems + rng.uniform(-scale, scale, size=elems.shape)
+        shuffled = noisy[rng.permutation(len(noisy))]
+        assert np.array_equal(groups._key_sorted(shuffled), noisy), scale
+
+
 def test_key_order_ignores_rounding_noise():
     # keys of distinct elements lie more than 3 EPS_MAT apart and move by
     # at most the entrywise noise, so a shuffled copy of every class with
