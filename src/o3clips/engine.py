@@ -30,11 +30,12 @@ from .infinite import clips_reduce
 from .labels import (
     ClassLabel,
     ClassSet,
-    canonicalize,
     format_label,
     is_infinite,
     parse_label,
 )
+# ``canonicalize`` is imported only for perfbench/spans.py, which traces it
+from .labels import canonicalize  # noqa: F401
 from .tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 
 __all__ = [
@@ -65,8 +66,7 @@ class ClipsMismatch(Exception):
 
 
 def _as_label(spec: str | ClassLabel) -> ClassLabel:
-    # parse_label already returns the canonical label
-    return parse_label(spec) if isinstance(spec, str) else canonicalize(spec)
+    return parse_label(spec) if isinstance(spec, str) else spec
 
 
 def clips_oracle(a: ClassLabel, cols: Sequence[ClassLabel]) -> list[ClassSet]:

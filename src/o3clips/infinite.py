@@ -23,18 +23,19 @@ from __future__ import annotations
 from .labels import (
     ClassLabel,
     ClassSet,
-    canonicalize,
     proper_part,
     strip_z2c,
     typeclass,
     with_z2c,
 )
+# ``canonicalize`` is imported only for perfbench/spans.py, which traces it
+from .labels import canonicalize  # noqa: F401
 # ``clips_type2_type3`` is imported only for perfbench/spans.py to trace
 from .tables import cell, clips_type2_type3  # noqa: F401
 
 
-def normalize(c1: ClassLabel,
-              c2: ClassLabel) -> tuple[ClassLabel, ClassLabel, bool]:
+def normalize(a: ClassLabel,
+              b: ClassLabel) -> tuple[ClassLabel, ClassLabel, bool]:
     """Canonical pair after the exact reductions, and whether to lift.
 
     A type II x type II pair is stripped to its rotation parts with
@@ -42,7 +43,6 @@ def normalize(c1: ClassLabel,
     rotation part.  The result is a type I x I, II x III or III x III
     pair, in the given order, and normalizing it again changes nothing.
     """
-    a, b = canonicalize(c1), canonicalize(c2)
     ta, tb = typeclass(a), typeclass(b)
     if ta == tb == "II":
         return strip_z2c(a), strip_z2c(b), True

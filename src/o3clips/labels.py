@@ -40,20 +40,16 @@ suffixes.  ``parse_label`` reads it, ``format_label`` writes it, and a
 text that is no spelling of it raises a ``ValueError`` that names the
 position where the text stops beginning one.
 
-Labels are interned: ``ClassLabel(kind, n, plus)`` returns the one
-shared instance for those fields, so ``==`` and ``is`` agree and a
-label hashes by identity.  A label built by hand with a degenerate
-parameter, such as ``ClassLabel("Z", 1)``, is its own instance and
-stays distinct from ``trivial()`` until ``canonicalize`` maps it there;
-every factory and ``parse_label`` return canonical labels.
-``parse_label``, ``canonicalize``, ``sort_key``, ``order_of`` and every
-factory (``cyclic``, ``dihedral_d``, ``o3``, ...) are memoized on their
-one argument, so a spelling, a class or a subscript repeated within a
-workload is parsed, checked, ranked, counted or built once.  A
-factory's memo is exact: a factory is a pure function of its subscript
-and labels are interned, so the memo holds the pooled instance an
-uncached call would return; and a memo stores no exception, so an
-invalid subscript raises the factory's ``ValueError`` on every call.
+Labels are canonical when built: ``ClassLabel(kind, n, plus)`` checks
+the fields, collapses a degenerate subscript (``ClassLabel("Z", 1)`` is
+``trivial()``, ``ClassLabel("Dd", 2)`` is ``dihedral_z(2)``) and returns
+the one shared instance of the class, so ``==`` and ``is`` agree and a
+label hashes by identity.  The pool of instances is the factories' only
+memo: each factory (``cyclic``, ``dihedral_d``, ``o3``, ...) is one
+constructor call, and an invalid subscript raises its ``ValueError`` on
+every call and pools nothing.  ``parse_label``, ``sort_key`` and
+``order_of`` are memoized on their one argument, so a spelling or a
+class repeated within a workload is parsed, ranked or counted once.
 """
 
 from __future__ import annotations
@@ -93,7 +89,7 @@ _INFINITE_SEQ = (
 
 
 class ClassLabel:
-    """Conjugacy class label, one shared instance per field triple.
+    """Conjugacy class label, one shared instance per class.
 
     Attributes
     ----------
@@ -106,12 +102,10 @@ class ClassLabel:
         True for type II labels H (+) Z2c.  Only valid on type I kinds;
         ``SO3`` with ``plus`` displays as ``O(3)``.
 
-    Instances are immutable and interned on ``(kind, int(n),
-    bool(plus))``, so equality and hashing are those of ``object``:
-    identity.  A kind outside ``_FAMILY_RANK`` and ``INFINITE_KINDS``
-    raises ``ValueError``.  The factories and ``parse_label`` build only
-    canonical labels; ``canonicalize`` maps a hand-built one to its
-    class.
+    Instances are immutable and canonical: the constructor maps its
+    fields to those of their class (``_canonical_key``) and returns the
+    pooled instance, so equality and hashing are those of ``object``:
+    identity.  Fields that name no class raise ``ValueError``.
     """
 
     __slots__ = ("kind", "n", "plus")
@@ -124,13 +118,14 @@ class ClassLabel:
         key = (kind, int(n), bool(plus))
         self = _POOL.get(key)
         if self is None:
-            if kind not in _FAMILY_RANK and kind not in INFINITE_KINDS:
-                raise ValueError(f"unknown kind {kind!r}")
+            canonical = _canonical_key(*key)
             self = object.__new__(cls)
-            for name, value in zip(cls.__slots__, key):
+            for name, value in zip(cls.__slots__, canonical):
                 object.__setattr__(self, name, value)
-            # a concurrent builder of the same key may have won
-            self = _POOL.setdefault(key, self)
+            # a concurrent builder of either key may have won; the pool
+            # holds one instance per canonical key, found under both
+            self = _POOL.setdefault(canonical, self)
+            _POOL[key] = self
         return self
 
     def __setattr__(self, name: str, value) -> None:
@@ -152,112 +147,104 @@ class ClassLabel:
 
 _POOL: dict[tuple[str, int, bool], ClassLabel] = {}
 
+# The degenerate subscripts and the class each one names: Z_1 is 1, D_1
+# is Z_2, D_1^z is Z_2^-, and D_2^d is conjugate to D_2^z, whose
+# spelling is canonical.
+_DEGENERATE = {
+    ("Z", 1): ("1", 0), ("D", 1): ("Z", 2),
+    ("Dz", 1): ("Z-", 2), ("Dd", 2): ("Dz", 2),
+}
 
-def _base(kind: str, n: int = 0) -> ClassLabel:
-    return ClassLabel(kind, n, False)
+
+def _canonical_key(kind: str, n: int, plus: bool) -> tuple[str, int, bool]:
+    """The fields of the class that ``(kind, n, plus)`` names.  A
+    parametric subscript must be a positive multiple of the kernel's
+    divisor in ``TYPE_III`` (1 outside it); a fixed kind ignores it."""
+    if kind in _PARAMETRIC_FORMS:
+        divisor = TYPE_III[kind][2] if kind in TYPE_III else 1
+        if n < divisor or n % divisor:
+            head, suffix = _PARAMETRIC_FORMS[kind]
+            even = " (even subscript >= 2 required)" if divisor == 2 else ""
+            raise ValueError(f"{head}_{n}{suffix} is not a group{even}")
+        kind, n = _DEGENERATE.get((kind, n), (kind, n))
+    elif (kind, False) in _FIXED_FORMS:
+        n = 0
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if plus and kind in TYPE_III:
+        raise ValueError(
+            f"{ClassLabel(kind, n)} already contains improper elements")
+    return kind, n, plus
 
 
-@cache
 def trivial() -> ClassLabel:
-    return _base("1")
+    return ClassLabel("1")
 
 
-@cache
 def cyclic(n: int) -> ClassLabel:
-    if n < 1:
-        raise ValueError(f"Z_{n} is not a group")
-    return trivial() if n == 1 else _base("Z", n)
+    return ClassLabel("Z", n)
 
 
-@cache
 def dihedral(n: int) -> ClassLabel:
-    if n < 1:
-        raise ValueError(f"D_{n} is not a group")
-    return cyclic(2) if n == 1 else _base("D", n)
+    return ClassLabel("D", n)
 
 
-@cache
 def tetra() -> ClassLabel:
-    return _base("T")
+    return ClassLabel("T")
 
 
-@cache
 def octa() -> ClassLabel:
-    return _base("O")
+    return ClassLabel("O")
 
 
-@cache
 def icosa() -> ClassLabel:
-    return _base("I")
+    return ClassLabel("I")
 
 
-@cache
 def so2() -> ClassLabel:
-    return _base("SO2")
+    return ClassLabel("SO2")
 
 
-@cache
 def o2() -> ClassLabel:
-    return _base("O2")
+    return ClassLabel("O2")
 
 
-@cache
 def so3() -> ClassLabel:
-    return _base("SO3")
+    return ClassLabel("SO3")
 
 
-@cache
 def o3() -> ClassLabel:
     return ClassLabel("SO3", 0, True)
 
 
-@cache
 def cyclic_minus(k: int) -> ClassLabel:
-    # the kernel Z_{k/2} (``TYPE_III``) needs an even subscript
-    if k < 2 or k % 2:
-        raise ValueError(f"Z_{k}^- is not a group (even subscript >= 2 required)")
-    return _base("Z-", k)
+    return ClassLabel("Z-", k)
 
 
-@cache
 def dihedral_z(n: int) -> ClassLabel:
-    # D_1^z degenerates to Z_2^-
-    if n < 1:
-        raise ValueError(f"D_{n}^z is not a group")
-    return cyclic_minus(2) if n == 1 else _base("Dz", n)
+    return ClassLabel("Dz", n)
 
 
-@cache
 def dihedral_d(k: int) -> ClassLabel:
-    # the kernel D_{k/2} needs an even subscript; D_2^d is conjugate to
-    # D_2^z, and the z spelling is canonical
-    if k < 2 or k % 2:
-        raise ValueError(f"D_{k}^d is not a group (even subscript >= 2 required)")
-    return dihedral_z(2) if k == 2 else _base("Dd", k)
+    return ClassLabel("Dd", k)
 
 
-@cache
 def octa_minus() -> ClassLabel:
-    return _base("O-")
+    return ClassLabel("O-")
 
 
-@cache
 def o2_minus() -> ClassLabel:
-    return _base("O2-")
+    return ClassLabel("O2-")
 
 
 def with_z2c(label: ClassLabel) -> ClassLabel:
     """The type II class H (+) Z2c for a type I class H."""
-    if label.plus:
-        return label
-    if label.kind in TYPE_III:
-        raise ValueError(f"{label} already contains improper elements")
     return ClassLabel(label.kind, label.n, True)
 
 
 def strip_z2c(label: ClassLabel) -> ClassLabel:
     """The type I part H of a type II class H (+) Z2c."""
-    return ClassLabel(label.kind, label.n, False) if label.plus else label
+    return ClassLabel(label.kind, label.n)
 
 
 def proper_part(label: ClassLabel) -> ClassLabel:
@@ -266,14 +253,14 @@ def proper_part(label: ClassLabel) -> ClassLabel:
     if label.plus:
         return strip_z2c(label)
     row = TYPE_III.get(label.kind)
-    return label if row is None else _build(row[1], label.n // row[2])
+    return label if row is None else ClassLabel(row[1], label.n // row[2])
 
 
 def tilde_part(label: ClassLabel) -> ClassLabel:
     """For a type III class, the rotation group obtained by negating the
     improper half (its envelope); identity on type I / II labels."""
     row = TYPE_III.get(label.kind)
-    return label if row is None else _build(row[0], label.n)
+    return label if row is None else ClassLabel(row[0], label.n)
 
 
 def type3_class(envelope: ClassLabel, kernel: ClassLabel) -> ClassLabel | None:
@@ -285,8 +272,8 @@ def type3_class(envelope: ClassLabel, kernel: ClassLabel) -> ClassLabel | None:
     n = envelope.n
     for kind, (env, ker, divisor, _) in TYPE_III.items():
         if (env == envelope.kind and not envelope.plus and n % divisor == 0
-                and _build(ker, n // divisor) is kernel):
-            return _build(kind, n)
+                and ClassLabel(ker, n // divisor) is kernel):
+            return ClassLabel(kind, n)
     return None
 
 
@@ -339,8 +326,9 @@ def compare(a: ClassLabel, b: ClassLabel) -> int:
 # spellings, or as a parametric head, its decimal subscript and one of
 # the head's suffixes; a type II class appends ``+Z2c`` to the spelling
 # of its rotation part, except that SO(3)+Z2c has the fixed spelling
-# ``O(3)``.  ``parse_label``, ``format_label`` and the position a parse
-# error reports all read these two dicts.
+# ``O(3)``.  ``parse_label``, ``format_label``, the position a parse
+# error reports and the kinds and messages of ``ClassLabel`` all read
+# these two dicts.
 _FIXED_SPELLINGS = {
     "1": ("1", False), "T": ("T", False), "O": ("O", False),
     "I": ("I", False), "SO(2)": ("SO2", False), "O(2)": ("O2", False),
@@ -353,25 +341,12 @@ _PARAMETRIC_SPELLINGS = {
 }
 _Z2C = "+Z2c"
 
-# The factory of each parametric kind, called on the printed subscript.
-_BUILDERS = {
-    "Z": cyclic, "D": dihedral,
-    "Z-": cyclic_minus, "Dz": dihedral_z, "Dd": dihedral_d,
-}
 _FIXED_FORMS = {key: spelling for spelling, key in _FIXED_SPELLINGS.items()}
 _PARAMETRIC_FORMS = {
     kind: (head, suffix)
     for head, suffixes in _PARAMETRIC_SPELLINGS.items()
     for suffix, kind in suffixes.items()
 }
-
-
-def _build(kind: str, n: int) -> ClassLabel:
-    """The canonical class of a kind and a printed subscript, which the
-    fixed kinds ignore."""
-    if (kind, False) in _FIXED_FORMS:
-        return _base(kind)
-    return _BUILDERS[kind](n)
 
 
 def family_spelling(kind: str) -> str:
@@ -418,7 +393,7 @@ def _spelled_prefix(core: str) -> int:
 def _parse_core(core: str) -> ClassLabel | None:
     """The class that ``core`` (a spelling without ``+Z2c``) names, or
     None when the table has no such spelling.  A subscript outside its
-    family raises the factory's ValueError."""
+    family raises the constructor's ValueError."""
     if core in _FIXED_SPELLINGS:
         kind, plus = _FIXED_SPELLINGS[core]
         return ClassLabel(kind, 0, plus)
@@ -429,7 +404,7 @@ def _parse_core(core: str) -> ClassLabel | None:
     kind = suffixes.get(core[end:])
     if end == 1 or kind is None:
         return None
-    return _BUILDERS[kind](int(core[1:end]))
+    return ClassLabel(kind, int(core[1:end]))
 
 
 @cache
@@ -458,7 +433,7 @@ def parse_label(text: str) -> ClassLabel:
         longest prefix that begins a spelling, or at the last character
         when the whole text is such a prefix.  A well-spelled label
         that names no group (``Z3^-``, ``D0``, ``Z4^-+Z2c``) raises the
-        message of the factory that rejects it.
+        message of the constructor that rejects it.
     """
     s = text.strip().replace(" ", "")
     plus = s.endswith(_Z2C)
@@ -475,11 +450,10 @@ def parse_label(text: str) -> ClassLabel:
     return label
 
 
-@cache
 def canonicalize(label: ClassLabel) -> ClassLabel:
-    """Re-canonicalize a label built by hand (collapses degenerate n)."""
-    out = _build(label.kind, label.n)
-    return with_z2c(out) if label.plus else out
+    """The canonical label of a label's fields; every label already is
+    one, so this returns ``label``."""
+    return ClassLabel(label.kind, label.n, label.plus)
 
 
 class ClassSet:
@@ -488,8 +462,7 @@ class ClassSet:
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable[ClassLabel] = ()):
-        seen = dict.fromkeys(map(canonicalize, items))
-        self._items = tuple(sorted(seen, key=sort_key))
+        self._items = tuple(sorted(dict.fromkeys(items), key=sort_key))
 
     def __iter__(self) -> Iterator[ClassLabel]:
         return iter(self._items)
@@ -498,7 +471,10 @@ class ClassSet:
         return len(self._items)
 
     def __contains__(self, label: ClassLabel) -> bool:
-        return canonicalize(label) in self._items
+        if not isinstance(label, ClassLabel):
+            raise TypeError(
+                f"a ClassSet holds ClassLabel, not {type(label).__name__}")
+        return label in self._items
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ClassSet) and self._items == other._items

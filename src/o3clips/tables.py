@@ -60,13 +60,12 @@ from math import gcd
 from typing import Sequence
 
 from .labels import (
-    _BUILDERS,
     _FAMILY_RANK,
+    _PARAMETRIC_FORMS,
     INFINITE_KINDS,
     TYPE_III,
     ClassLabel,
     ClassSet,
-    _build,
     cyclic,
     cyclic_minus,
     dihedral,
@@ -201,8 +200,7 @@ _KIND_OF_SIGNS = {signs: kind for kind, signs in _SIGNS.items()
 
 def _check(lab: ClassLabel, kinds: Sequence[str], what: str,
            plus: bool = False) -> None:
-    if (lab.plus != plus or lab.kind not in kinds
-            or (lab.kind in ("Z", "D") and lab.n < 2)):
+    if lab.plus != plus or lab.kind not in kinds:
         raise ValueError(f"not a {what}: {format_label(lab)}")
 
 
@@ -398,7 +396,7 @@ def _signed_class(e: int, signs: tuple[int, ...]) -> ClassLabel:
     # orbit as its reference, and the table's is the one at +1
     if signs == (-1, -1):
         signs = (-1, 1)
-    return _build(_KIND_OF_SIGNS[signs], e)
+    return ClassLabel(_KIND_OF_SIGNS[signs], e)
 
 
 def _printed(col: ClassLabel) -> list[ClassLabel]:
@@ -422,12 +420,12 @@ def _printed(col: ClassLabel) -> list[ClassLabel]:
 def _families(kinds: Sequence[str], params: range) -> list[ClassLabel]:
     out = []
     for kind in kinds:
-        if kind not in _BUILDERS:
-            out.append(_build(kind, 0))
+        if kind not in _PARAMETRIC_FORMS:
+            out.append(ClassLabel(kind))
         elif kind in ("Z-", "Dd"):  # Z_2p^- and D_2p^d
-            out += [_build(kind, 2 * p) for p in params if p >= 1]
+            out += [ClassLabel(kind, 2 * p) for p in params if p >= 1]
         else:
-            out += [_build(kind, p) for p in params if p >= 2]
+            out += [ClassLabel(kind, p) for p in params if p >= 2]
     return out
 
 

@@ -130,12 +130,20 @@ def test_factories_match_parse():
 
 
 def test_factory_degenerate_parameters():
-    # the second round is answered by the factories' memos
+    # the second round is answered by the pool
     for _ in range(2):
         assert cyclic(1) is trivial()
         assert dihedral(1) is cyclic(2)
         assert dihedral_z(1) is cyclic_minus(2)
         assert dihedral_d(2) is dihedral_z(2)
+
+
+FIXED_FACTORIES = (trivial, tetra, octa, icosa, so2, o2, so3, o3,
+                   octa_minus, o2_minus)
+PARAMETRIC_FACTORIES = {
+    "Z": cyclic, "D": dihedral,
+    "Z-": cyclic_minus, "Dz": dihedral_z, "Dd": dihedral_d,
+}
 
 
 @pytest.mark.parametrize("factory, n, message", [
@@ -147,29 +155,24 @@ def test_factory_degenerate_parameters():
     (dihedral_d, 3, "D_3^d is not a group (even subscript >= 2 required)"),
 ])
 def test_an_invalid_subscript_raises_on_every_call(factory, n, message):
-    # a memo stores no exception, so the second call checks again
-    for _ in range(2):
+    # the pool stores no failure, so every call checks again, and the
+    # constructor raises the factory's message
+    kind, = (k for k, f in PARAMETRIC_FACTORIES.items() if f is factory)
+    for build in (factory, lambda n: ClassLabel(kind, n)) * 2:
         with pytest.raises(ValueError) as err:
-            factory(n)
+            build(n)
         assert str(err.value) == message
-
-
-FIXED_FACTORIES = (trivial, tetra, octa, icosa, so2, o2, so3, o3,
-                   octa_minus, o2_minus)
-
-
-def test_every_factory_is_memoized():
-    for factory in (*labels._BUILDERS.values(), *FIXED_FACTORIES):
-        assert callable(getattr(factory, "cache_info", None)), factory
+    assert not any(key[:2] == (kind, n) for key in labels._POOL)
 
 
 @pytest.mark.parametrize("factory_first", [True, False])
-@pytest.mark.parametrize("kind", sorted(labels._BUILDERS))
+@pytest.mark.parametrize("kind", sorted(PARAMETRIC_FACTORIES))
 def test_a_memoized_factory_returns_the_pooled_label(kind, factory_first):
-    # a subscript no other test builds, so this test decides whether the
-    # factory or the pool meets it first
+    # the pool is each factory's memo; a subscript no other test builds,
+    # so this test decides whether the factory or the constructor meets
+    # it first
     n = 2 * 10**8 + 2 * factory_first
-    build = labels._BUILDERS[kind]
+    build = PARAMETRIC_FACTORIES[kind]
     if factory_first:
         first = build(n)
         assert ClassLabel(kind, n) is first
@@ -291,18 +294,38 @@ def test_labels_are_interned():
     assert ClassLabel("SO3", 0, 1) is o3()
 
 
-def test_hand_built_label_stays_distinct_until_canonicalized():
-    raw = ClassLabel("Z", 1)
-    assert raw is not trivial()
-    assert raw != trivial()
-    assert canonicalize(raw) is trivial()
-    assert raw in class_set("1", "Z2")
-    assert ClassSet([raw]).labels() == ["1"]
+def test_a_degenerate_label_is_canonical_when_built():
+    assert ClassLabel("Z", 1) is trivial()
+    assert ClassLabel("Dd", 2) is dihedral_z(2)
+    assert ClassLabel("T", 5) is tetra()
+    assert ClassLabel("D", 1, True) is with_z2c(cyclic(2))
+    assert canonicalize(ClassLabel("Dz", 1)) is cyclic_minus(2)
+    assert ClassSet([ClassLabel("Z", 1)]).labels() == ["1"]
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("Z-", 4, "Z4^- already contains improper elements"),
+    ("Dz", 1, "Z2^- already contains improper elements"),
+    ("Dd", 2, "D2^z already contains improper elements"),
+    ("O2-", 0, "O(2)^- already contains improper elements"),
+])
+def test_a_type3_kind_refuses_z2c_at_construction(kind, n, message):
+    with pytest.raises(ValueError) as err:
+        ClassLabel(kind, n, True)
+    assert str(err.value) == message
+    assert (kind, n, True) not in labels._POOL
+
+
+def test_class_set_membership_takes_only_labels():
+    with pytest.raises(TypeError, match="not str"):
+        "Z2" in class_set("Z2")
+    with pytest.raises(TypeError, match="not NoneType"):
+        None in class_set()
 
 
 def test_unknown_kind_is_refused_at_construction():
     # a kind outside the label table would otherwise get an order and a
-    # type, and fail only later in canonicalize or sort_key
+    # type, and fail only later in sort_key
     with pytest.raises(ValueError, match="unknown kind 'Foo'"):
         ClassLabel("Foo", 2)
     assert not any(kind == "Foo" for kind, _, _ in labels._POOL)
@@ -338,8 +361,14 @@ def test_warm_fold_builds_no_new_label():
 
 
 def test_concurrent_builders_share_one_instance():
-    # four threads on two cores race to build the same unseen labels
-    keys = [("Z", 10**6 + i) for i in range(2000)]
+    # four threads on two cores race to build the same unseen labels,
+    # and to pool unseen raw keys of degenerate subscripts
+    canonical = {("Z", 1): trivial(), ("D", 1, True): with_z2c(cyclic(2)),
+                 ("Dz", 1): cyclic_minus(2), ("Dd", 2): dihedral_z(2)}
+    canonical |= {("T", 10**6 + i): tetra() for i in range(500)}
+    canonical |= {("1", 10**6 + i, True): with_z2c(trivial())
+                  for i in range(500)}
+    keys = [("Z", 10**6 + i) for i in range(2000)] + list(canonical)
     got = [None] * 4
     start = threading.Barrier(len(got))
 
@@ -362,3 +391,5 @@ def test_concurrent_builders_share_one_instance():
     for built in got[1:]:
         assert all(a is b for a, b in zip(built, got[0], strict=True))
     assert all(ClassLabel(*key) is lab for key, lab in zip(keys, got[0]))
+    assert all(lab is canonical.get(key, lab)
+               for key, lab in zip(keys, got[0]))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 from o3clips import tables
 from o3clips import (
+    ClassLabel,
     class_leq,
     class_set,
     clips,
@@ -38,6 +39,7 @@ from o3clips import (
     trivial,
     with_z2c,
 )
+from o3clips.infinite import normalize
 
 MAX_PARAM = 12
 
@@ -201,3 +203,41 @@ def test_associativity_fails_only_through_the_printed_o2_row(row, failing,
     assert len(ORDER_POOL) ** 3 == 85_184
     assert len(broken) == failing
     assert all(o2_z2c in triple for triple in broken)
+
+
+# An axial class with axis a, read at a generic angle to another axis b:
+# the only elements but Id that keep both lines are -Id, R(n, pi) and
+# -R(n, pi), n normal to both axes.  Which of them each class holds
+# follows from its definition: O(2) holds every half-turn about a line
+# normal to a, O(2)^- = SO(2) ∪ -(O(2)∖SO(2)) every reflection in a plane
+# through a, and +Z2c adds -Id and the negatives.
+GENERIC_ELEMENTS = {
+    so2(): set(),
+    o2(): {"R"},
+    with_z2c(so2()): {"-Id"},
+    with_z2c(o2()): {"-Id", "R", "-R"},
+    o2_minus(): {"-R"},
+}
+GENERIC_CLASS = {
+    frozenset(): trivial(),
+    frozenset({"R"}): cyclic(2),
+    frozenset({"-Id"}): with_z2c(trivial()),
+    frozenset({"-R"}): cyclic_minus(2),
+    frozenset({"-Id", "R", "-R"}): with_z2c(cyclic(2)),
+}
+# the published cell {1, D2^z, O(2)^-} against the generic class Z2^-
+AXIAL_DIVERGENCES = {("O2", "O2-")}
+
+
+def test_an_axial_cell_holds_1_only_at_a_generic_trivial_meeting():
+    diverging = set()
+    for key, data in tables._AXIAL_AXIAL.items():
+        # an SO(2) or O(2) side facing O(2)^- serves the +Z2c row
+        a, b = (ClassLabel(k, 0, k != "O2-" and "O2-" in key) for k in key)
+        assert normalize(a, b) == (a, b, False)
+        assert clips(a, b) == data
+        common = GENERIC_CLASS[frozenset(
+            GENERIC_ELEMENTS[a] & GENERIC_ELEMENTS[b])]
+        if common not in data or (trivial() in data) != (common is trivial()):
+            diverging.add(key)
+    assert diverging == AXIAL_DIVERGENCES
