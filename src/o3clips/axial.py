@@ -88,8 +88,7 @@ def _candidate_directions(label: ClassLabel) -> np.ndarray:
     line or circle: ``_direction_rows`` keeps only the elements that act
     alike on all of a's circle, so any point of it serves."""
     axes, reps = structural_axes(label)[0], axis_orbit_reps(label)[0]
-    normals = np.cross(reps[:, None], axes[None]).reshape(-1, 3)
-    normals = normals[np.linalg.norm(normals, axis=1) > 1e-9]
+    normals = np.cross(reps[:, None], axes[None])[~same_line(reps, axes)]
     lines = canonical_axis(np.concatenate([reps, normals]))
     later = np.triu(same_line(lines, lines), 1).any(axis=0)
     return np.concatenate([lines[~later], orthogonal(reps)])

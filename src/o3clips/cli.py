@@ -34,8 +34,6 @@ from .labels import (
 from .piezo import diff_piez
 from .tables import COL_KINDS, ROW_KINDS, table_cols, table_rows
 
-__all__ = ["main"]
-
 _FORMATS = ("text", "json", "csv", "markdown")
 
 

@@ -38,15 +38,6 @@ from .labels import (
 from .labels import canonicalize  # noqa: F401
 from .tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 
-__all__ = [
-    "CellCheck",
-    "ClipsMismatch",
-    "class_leq",
-    "clips",
-    "clips_families",
-    "verify_cells",
-]
-
 _METHODS = ("symbolic", "oracle", "both")
 
 

@@ -370,9 +370,9 @@ def format_label(label: ClassLabel) -> str:
 
 
 def _subscript_end(core: str) -> int:
-    """Index just past the decimal digits that follow a one-letter head."""
+    """Index just past the ASCII digits that follow a one-letter head."""
     end = 1
-    while end < len(core) and core[end].isdecimal():
+    while end < len(core) and core[end] in "0123456789":
         end += 1
     return end
 

@@ -21,24 +21,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .engine import class_leq, clips, clips_families
+from .engine import class_leq, clips
 from .labels import ClassLabel, ClassSet, class_set, format_label, parse_label
-
-__all__ = [
-    "ELA_CLASSES",
-    "IsotropyCatalog",
-    "PIEZ_CLASSES",
-    "PIEZ_LAW_CLASSES",
-    "PIEZ_LAW_PRINTED",
-    "PiezDiff",
-    "SPACE_NAMES",
-    "SYM_CLASSES",
-    "builtin_isotropy",
-    "compute_piez",
-    "diff_piez",
-    "isotropy_direct_sum",
-    "printed_collisions",
-]
 
 # Elasticity tensors: 8 classes.
 ELA_CLASSES = class_set(
@@ -104,12 +88,25 @@ def builtin_isotropy(space_name: str) -> IsotropyCatalog:
         ) from None
 
 
-def _classes_of(cat: IsotropyCatalog | ClassSet | Iterable) -> ClassSet:
+def _classes_of(cat: IsotropyCatalog | Iterable) -> ClassSet:
     if isinstance(cat, IsotropyCatalog):
         return cat.classes
-    if isinstance(cat, ClassSet):
-        return cat
     return class_set(*cat)
+
+
+def _fold(sets: Sequence[ClassSet],
+          method: str) -> dict[ClassLabel, tuple[ClassLabel, ClassLabel] | None]:
+    """The left fold of the family clips product over ``sets``: each
+    class of the last stage, mapped to the first pair (a, b), in
+    canonical order, whose clips holds it (None for a single set)."""
+    first = dict.fromkeys(sets[0])
+    for nxt in sets[1:]:
+        stage, first = ClassSet(first), {}
+        for a in stage:
+            for b in nxt:
+                for c in clips(a, b, method=method):
+                    first.setdefault(c, (a, b))
+    return first
 
 
 def isotropy_direct_sum(catalogs: Sequence,
@@ -119,11 +116,7 @@ def isotropy_direct_sum(catalogs: Sequence,
     independent of the fold order."""
     if not catalogs:
         raise ValueError("need at least one catalog")
-    sets = [_classes_of(c) for c in catalogs]
-    acc = sets[0]
-    for nxt in sets[1:]:
-        acc = clips_families(acc, nxt, method=method)
-    return acc
+    return ClassSet(_fold([_classes_of(c) for c in catalogs], method))
 
 
 def compute_piez(method: str = "symbolic") -> IsotropyCatalog:
@@ -167,12 +160,7 @@ def diff_piez(method: str = "symbolic") -> PiezDiff:
     """Recompute the coupled-law catalog and diff it against the
     published list; extras are traced back to the first clips pair that
     produced them in the outer fold stage."""
-    stage1 = clips_families(ELA_CLASSES, PIEZ_CLASSES, method=method)
-    first: dict[ClassLabel, tuple[ClassLabel, ClassLabel]] = {}
-    for a in stage1:
-        for b in SYM_CLASSES:
-            for c in clips(a, b, method=method):
-                first.setdefault(c, (a, b))
+    first = _fold([ELA_CLASSES, PIEZ_CLASSES, SYM_CLASSES], method)
     computed = ClassSet(first)
     expected = PIEZ_LAW_CLASSES
     missing = tuple(format_label(c) for c in expected if c not in computed)

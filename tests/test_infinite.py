@@ -1,14 +1,20 @@
 import pytest
 
+from conftest import labels_up_to
 from o3clips.engine import clips
 from o3clips.infinite import clips_reduce, normalize
 from o3clips.labels import (
     ClassSet,
     canonicalize,
+    cyclic,
     is_infinite,
+    order_of,
     parse_label,
+    so2,
     typeclass,
+    with_z2c,
 )
+from o3clips.rotations import ORDER_CAP
 from test_properties import INFINITE, finite_labels
 
 
@@ -111,6 +117,16 @@ def test_finite_with_axial():
     assert clips("D8^d", "O(2)").labels() == ["1", "Z2", "D2", "D4"]
     assert clips("O^-", "SO(2)+Z2c").labels() == ["1", "Z2^-", "Z3",
                                                   "Z4^-"]
+
+
+def test_so2_limit_identity():
+    # A rotation g with g or -g in H has an order dividing 2|H|, so an
+    # axis of SO(2) meets H exactly where the Z_N about that axis does,
+    # N = 2|H|: the closed form of SO(2) is its finite cells' limit.
+    for h in labels_up_to(ORDER_CAP):
+        z_n = cyclic(2 * order_of(h))
+        assert clips(h, so2()) == clips(h, z_n), h
+        assert clips(h, with_z2c(so2())) == clips(h, with_z2c(z_n)), h
 
 
 # Cells of the two infinite rows, transcribed from the published grid

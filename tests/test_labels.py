@@ -92,6 +92,8 @@ PARSE_ERROR_POSITIONS = [
     ("D3+Z2c+Z2c", 3),
     # a newline inside a label is no spelling, even before +Z2c
     ("Z4\n+Z2c", 3),
+    # subscripts are ASCII digits only: no Arabic-Indic or fullwidth ones
+    ("Z\u0663", 2), ("Z\uff13", 2), ("D\u0664^z", 2),
 ]
 
 

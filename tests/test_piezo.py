@@ -87,8 +87,16 @@ def test_diff_piez_reports_the_single_extra():
     assert d.printed_count == 26
     assert d.canonical_count == 25
     assert d.collisions == (("D2^d", "D2^z"),)
+    # the first pair, in canonical order, that gives the extra class
+    assert d.witnesses == {"1+Z2c": ("Z2+Z2c", "D2+Z2c")}
     pair = d.witnesses["1+Z2c"]
     assert parse_label("1+Z2c") in __import__("o3clips").clips(*pair)
+
+
+def test_fold_methods_agree():
+    # "both" checks every finite pair of the fold against the oracle
+    assert compute_piez(method="both") == compute_piez()
+    assert diff_piez().computed == compute_piez().classes
 
 
 def test_extra_class_witnessed_at_the_matrix_level():
