@@ -60,11 +60,12 @@ def _as_label(spec: str | ClassLabel) -> ClassLabel:
     return parse_label(spec) if isinstance(spec, str) else spec
 
 
-def clips_oracle(a: ClassLabel, cols: Sequence[ClassLabel]) -> list[ClassSet]:
+def clips_oracle(rows: Sequence[ClassLabel],
+                 cols: Sequence[ClassLabel]) -> list[list[ClassSet]]:
     """``oracle.clips_oracles``, imported on first use."""
     from .oracle import clips_oracles
 
-    return clips_oracles(a, cols)
+    return clips_oracles(rows, cols)
 
 
 def clips_axial(a: ClassLabel, b: ClassLabel) -> ClassSet:
@@ -79,7 +80,7 @@ def _oracle_after_strips(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """The cached oracle answer for a pair.  No library path calls it:
     the benchmark's tracer wraps it and reads its ``cache_info``, and
     ROADMAP item 1 deletes it with that tracer target."""
-    return clips_oracle(a, (b,))[0]
+    return clips_oracle((a,), (b,))[0][0]
 
 
 def clips(c1: str | ClassLabel, c2: str | ClassLabel,
@@ -98,12 +99,12 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     a, b = _as_label(c1), _as_label(c2)
 
     if method == "oracle":
-        return clips_oracle(a, (b,))[0]
+        return clips_oracle((a,), (b,))[0][0]
 
     if method == "both":
         sym = clips(a, b)
         if not (is_infinite(a) or is_infinite(b)):
-            orc = clips_oracle(a, (b,))[0]
+            orc = clips_oracle((a,), (b,))[0][0]
             if sym != orc:
                 raise ClipsMismatch(a, b, sym, orc)
         return sym
@@ -160,16 +161,17 @@ def verify_cells(n_max: int = 8, m_max: int = 8,
     oracle.  ``seed`` has no effect: neither oracle draws random
     numbers.
 
-    A row's distinct finite columns are swept by one oracle call, made
-    when the row's first cell is drawn, so each distinct cell is swept
-    once per call: the D_{2n}^d column at n = 1 is D2^z, which the D_n^z
-    column also holds, and both cells read the one sweep.
+    Every row against the distinct finite columns is swept by one
+    oracle call, made when the first cell is drawn, so each distinct
+    cell is swept once per call: the D_{2n}^d column at n = 1 is D2^z,
+    which the D_n^z column also holds, and both cells read the one
+    sweep.  The oracle sweeps the rows in blocks (``oracle._blocks``).
     """
     rows = table_rows(FINITE_KINDS, range(2, m_max + 1))
     cols = table_cols(COL_KINDS, range(1, n_max + 1))
     finite = tuple(dict.fromkeys(c for c in cols if not is_infinite(c)))
-    for row in rows:
-        swept = dict(zip(finite, clips_oracle(row, finite)))
+    for row, answers in zip(rows, clips_oracle(rows, finite)):
+        swept = dict(zip(finite, answers))
         for col in cols:
             brute = clips_axial(row, col) if is_infinite(col) else swept[col]
             yield CellCheck(row, col, clips(row, col), brute)

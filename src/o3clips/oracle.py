@@ -21,16 +21,19 @@ orbit representatives, each axis of H2 goes onto +b only, and about
 each aligner only the solved spin angles are swept, one stated mask
 standing for every other angle.  Everything that depends on one class
 is computed once per class (``_Prepped``), so a few array passes sweep
-one class H1 against several H2 at once (``clips_oracles``;
-``verify_cells`` makes one such call per row): ``_sweeps`` builds every
-conjugator, ``_column_masks`` conjugates each H2 by them and masks the
-conjugates against H1 in runs of whole columns, each against the one
-element of H1 whose key (the key that orders every reference group,
+a block of classes H1 against several H2 at once (``clips_oracles``;
+``verify_cells`` makes one such call per pass, and the rows are cut
+into blocks whose height tables stay within a fixed budget,
+``_blocks``): ``_sweeps`` builds every conjugator of a block,
+``_column_masks`` conjugates each H2 by them and masks the conjugates
+against each H1 in runs of whole columns, each against the one element
+of H1 whose key (the key that orders every reference group,
 ``groups.reference_group``) is nearest its own (``_Prepped``), and each
 distinct mask is recognized from the census of H2
 (``recognize(c2, mask)``), which memoizes its answer per class and
 mask.  The oracle refuses no class itself: the gate
-``groups.reference_group`` does.
+``groups.reference_group`` does, for every class of a call before any
+block is swept.
 """
 
 from __future__ import annotations
@@ -166,10 +169,21 @@ def _spin_table(t: np.ndarray, row: np.ndarray,
     smallest angle of its run.  Every t lies in [0, period), and a
     period is at most 2 pi < 8, so rows never interleave, and the
     rounded key is monotone in t.  So only angles closer than its
-    rounding (about 8 rows 2^-52, far below 1e-9) can tie and swap;
-    neither is new against the other, and the runs and their smallest
-    angles are those of a sort by row and angle, however rows are
-    numbered.
+    rounding can tie and swap; neither is new against the other, and
+    the runs and their smallest angles are those of a sort by row and
+    angle, however rows are numbered.
+
+    For R aligners the key is below 8 R, and its rounding below
+    8 R 2^-53.  In a block of several rows of ``_sweeps`` the height
+    table holds at most ``_BATCH`` = 2^16 entries, and at least 2 R: each
+    representative brings at least one flat height to the rows' side
+    and two signed ones to the columns'.  So R <= 2^15 and the rounding
+    is below 2^-35, about 3e-11.
+    A block of one row has at most 3 representatives (no finite class
+    has more axis orbits), as has each column, so R <= 9 per column and
+    the rounding is below 1e-14 per column: 2e-12 for the 191 distinct
+    finite columns of ``verify_cells(64, 64)``.  Both are far below
+    1e-9.
     """
     per = period[row]
     t = t % per
@@ -183,10 +197,12 @@ def _spin_table(t: np.ndarray, row: np.ndarray,
     return np.minimum.reduceat(t, start), row[start]
 
 
-def _sweeps(c1: ClassLabel, cols: Sequence[ClassLabel]) -> list[np.ndarray]:
-    """The conjugator sweep of c1 against each class of ``cols``, shape
-    (m, 3, 3) per class, from one pass over their concatenated frames
-    and signed heights.
+def _sweeps(rows: Sequence[ClassLabel],
+            cols: Sequence[ClassLabel]) -> list[list[np.ndarray]]:
+    """The conjugator sweep of each class H1 of ``rows`` against each
+    class H2 of ``cols``, shape (m, 3, 3) per pair, listed row by row,
+    from one pass over the rows' concatenated tables and the columns'
+    concatenated frames and signed heights.
 
     For each aligner g0 taking an axis orbit representative a (of H2,
     proper cyclic order m_a) to +b (b an orbit representative of H1,
@@ -237,160 +253,227 @@ def _sweeps(c1: ClassLabel, cols: Sequence[ClassLabel]) -> list[np.ndarray]:
     cos t A + sin t B + C, where A, B and C are F_b^T P F_a,
     F_b^T J F_a and F_b^T E F_a for the parts of R(e3, t) (``_SPIN``).
     H1's factors F_b^T {P, J, E} are per-label (``_Prepped.parts``), so
-    A, B and C of every aligner come from one batched product with the
-    frames of every H2, and the aligner is its spin by 0, A + C.
-    Heights are compared as one 2-D table, H1's flat (b, w) against the
-    signed (a, s, v) of every H2, whose entries carry their
-    representatives and, for s = 1, the pi.
+    A, B and C of every aligner come from one batched product of every
+    row's factors with the frames of every column, and the aligner is
+    its spin by 0, A + C.  Heights are compared as one 2-D table, the
+    flat (b, w) of every row against the signed (a, s, v) of every
+    column, whose entries carry their representatives and, for s = 1,
+    the pi.  Every entry of the table belongs to one row and one column,
+    so no comparison is made for a pair that is not swept.
 
-    Rows, per class of ``cols``: its k1 k2 aligners g0 in (b, a) order
-    first, then the distinct solved spins of each aligner in the same
-    order, each aligner's sorted (``_spin_table``).  When no heights
-    match, the aligners are the whole sweep.  When either class has no
-    axis (``1``, ``1+Z2c``) the sweep is empty.  An aligner's row, b
-    times the representatives of all columns plus a's place among them,
-    carries its column, and a stable regroup by column keeps each
-    column's rows in the order a sweep of that column alone gives them.
+    Rows, per pair: its k1 k2 aligners g0 in (b, a) order first, then
+    the distinct solved spins of each aligner in the same order, each
+    aligner's sorted (``_spin_table``).  When no heights match, the
+    aligners are the whole sweep.  When either class has no axis
+    (``1``, ``1+Z2c``) the sweep is empty.  An aligner is numbered b
+    times the representatives of all columns plus a, b counted over all
+    rows and a over all columns, which names its pair, and a stable
+    regroup by pair keeps each pair's rows in the order a sweep of that
+    pair alone gives them.
     """
-    h1, h2s = _prepped(c1), [_prepped(c) for c in cols]
-    sizes = [len(h.orders) for h in h2s]
-    k1, k2 = len(h1.orders), sum(sizes)
+    if not (rows and cols):
+        # nothing to sweep, and no table to concatenate
+        return [[] for _ in rows]
+    h1s, h2s = [_prepped(c) for c in rows], [_prepped(c) for c in cols]
+    size1, size2 = [len(h.orders) for h in h1s], [len(h.orders) for h in h2s]
+    k1, k2 = sum(size1), sum(size2)
+    parts = np.concatenate([h.parts for h in h1s])
     frames = np.concatenate([h.frames for h in h2s])
-    # A, B and C of every aligner in (b, a) order, a over all columns
-    abc = (h1.parts[:, None] @ frames[None, :, None]).reshape(k1 * k2, 3, 9)
+    # A, B and C of every aligner in (b, a) order, b over all rows and a
+    # over all columns
+    abc = (parts[:, None] @ frames[None, :, None]).reshape(k1 * k2, 3, 9)
     g = (abc[:, 0] + abc[:, 2]).reshape(-1, 3, 3)
-    row = np.arange(k1 * k2)
     # R(e3, t) puts F_a v on s F_b w at t = alpha(w) - alpha(v), plus pi
     # for s = -1, when z(w) = s z(v)
+    z = np.concatenate([h.z for h in h1s])
     signed_z = np.concatenate([h.signed_z for h in h2s])
-    i, j = np.nonzero(np.abs(h1.z[:, None] - signed_z) < 1e-9)
-    first = np.cumsum([0, *sizes[:-1]])
-    alpha = np.concatenate([h.signed_alpha for h in h2s])
-    rep = np.concatenate([h.signed_rep + f for h, f in zip(h2s, first)])
-    orders = np.concatenate([h.orders for h in h2s])
-    period = 2.0 * np.pi / np.lcm.outer(h1.orders, orders).ravel()
-    t, spun = _spin_table(h1.alpha[i] - alpha[j], h1.rep[i] * k2 + rep[j],
-                          period)
+    # heights within 1e-9 of each other, told by two boolean tables
+    # rather than a table of float gaps, which takes eight times the
+    # memory
+    i, j = np.nonzero((z[:, None] > signed_z - 1e-9)
+                      & (z[:, None] < signed_z + 1e-9))
+    alpha = np.concatenate([h.alpha for h in h1s])
+    signed_alpha = np.concatenate([h.signed_alpha for h in h2s])
+    rep = np.concatenate([
+        h.rep + f for h, f in zip(h1s, np.cumsum([0, *size1[:-1]]))])
+    signed_rep = np.concatenate([
+        h.signed_rep + f for h, f in zip(h2s, np.cumsum([0, *size2[:-1]]))])
+    orders = np.concatenate([h.orders for h in h1s])
+    period = 2.0 * np.pi / np.lcm.outer(
+        orders, np.concatenate([h.orders for h in h2s])).ravel()
+    t, spun = _spin_table(alpha[i] - signed_alpha[j],
+                          rep[i] * k2 + signed_rep[j], period)
     # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
     coef = np.ones((len(t), 1, 3))
     coef[:, 0, 0] = np.cos(t)
     coef[:, 0, 1] = np.sin(t)
     g = np.concatenate([g, (coef @ abc[spun]).reshape(-1, 3, 3)])
-    row = np.concatenate([row, spun])
-    col = np.repeat(np.arange(len(cols)), sizes)[row % k2]
-    cuts = np.cumsum(np.bincount(col, minlength=len(cols)))[:-1]
-    return np.split(g[np.argsort(col, kind="stable")], cuts)
+    aligner = np.concatenate([np.arange(k1 * k2), spun])
+    # the pair of each conjugator, row-major over rows and columns
+    pair = (np.repeat(np.arange(len(rows)), size1)[aligner // k2] * len(cols)
+            + np.repeat(np.arange(len(cols)), size2)[aligner % k2])
+    # one array per row, so that each row's sweep can be freed once it
+    # is masked
+    ends = np.cumsum(np.bincount(pair, minlength=len(rows) * len(cols)))
+    ends = ends.reshape(len(rows), len(cols))
+    order = np.argsort(pair, kind="stable")
+    return [np.split(g[order[start:stop[-1]]], stop[:-1] - start)
+            for start, stop in zip([0, *ends[:-1, -1]], ends)]
 
 
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     """The conjugator sweep of c1 against c2 alone, shape (m, 3, 3): the
-    one-column case of ``_sweeps``, where the sweep is argued.  No
-    library path calls it; perfbench's conjugator probe and the tests'
-    reference checks read it.  ``seed`` has no effect: the sweep draws
-    no random numbers.
+    one-row, one-column case of ``_sweeps``, where the sweep is argued.
+    No library path calls it; perfbench's conjugator probe and the
+    tests' reference checks read it.  ``seed`` has no effect: the sweep
+    draws no random numbers.
     """
-    return _sweeps(c1, (c2,))[0]
+    return _sweeps((c1,), (c2,))[0][0]
 
 
-# candidates that one ``member_mask`` call takes, 9 floats each, unless
-# one column brings more: 2^16 floats
-_MASK_BATCH = 2 ** 16 // 9
+# what one batch holds: the entries of a block's height table in
+# ``_sweeps``, or the floats of one ``member_mask`` call's candidates,
+# 9 each, unless one item (a row's table, a column's candidates) brings
+# more
+_BATCH = 2 ** 16
 
 
-def _column_masks(c1: ClassLabel,
-                  cols: Sequence[ClassLabel]) -> list[list[np.ndarray]]:
-    """Per class H2 of ``cols``, the distinct membership masks of the
-    sweep over the elements of its reference group.
-
-    Every conjugator g in H2's share of ``_sweeps`` conjugates H2, and
-    the conjugates g x g^T are masked against H1 in runs of whole
-    columns, one ``member_mask`` call per run, however many columns
-    there are.  A run closes before a column that would push it past
-    ``_MASK_BATCH`` candidates, and a larger column is a run of its own
-    (within the order cap the largest is I+Z2c against D128^d, 17,664
-    candidates).  In row-major flattening g x g^T is (g ⊗ g) x, so a
-    column's conjugates are one 2-D product of the flattened H2 with the
-    Kronecker squares of its whole sweep, (9, 9 rows) with the
-    conjugator axis innermost, written into the run's candidates.  Each
-    column's share of the run's mask is then read in one place.  Its
-    aligner rows, first in its sweep, stand for their generic spins, so
-    their masks keep only the elements of H2 on the line a and ±Id
-    (``_Prepped.online``, one row per a, repeated for every b).  Its
-    masks are told apart by their raw bytes, each row read as one void
-    scalar.
-    """
-    prep, h2s = _prepped(c1), [_prepped(c) for c in cols]
-    # no columns, no sweep: ``_sweeps`` has no column table to concatenate
-    k1, sweeps = len(prep.orders), _sweeps(c1, cols) if cols else []
-    # each run: (column, start, stop) of its candidates in the run
+def _runs(sizes: Sequence[int]) -> list[list[int]]:
+    """The indices of ``sizes`` cut into consecutive runs: a run closes
+    before an item that would push its total past ``_BATCH``, and a
+    larger item is a run of its own."""
     runs, used = [], 0
-    for j, (g, h2) in enumerate(zip(sweeps, h2s)):
-        n = len(g) * len(h2.flat)
-        if not runs or used + n > _MASK_BATCH:
+    for i, n in enumerate(sizes):
+        if not runs or used + n > _BATCH:
             runs.append([])
             used = 0
-        runs[-1].append((j, used, used + n))
+        runs[-1].append(i)
         used += n
-    masks = []
-    for run in runs:
-        cands = np.empty((run[-1][2], 9))
-        for j, start, stop in run:
-            x = h2s[j].flat
-            # kron[(k, l), (p, q, r)] = g_r[p, k] g_r[q, l]
-            gt = sweeps[j].transpose(2, 1, 0).copy()
-            kron = (gt[:, None, :, None] * gt[None, :, None, :]).reshape(9, -1)
-            cands[start:stop].reshape(-1, len(x), 9)[...] = (
-                (x @ kron).reshape(len(x), 9, -1).transpose(2, 0, 1))
-        hits = prep.member_mask(cands.reshape(-1, 3, 3))
-        for j, start, stop in run:
-            h2 = h2s[j]
-            m = hits[start:stop].reshape(-1, len(h2.flat))
-            head = m[: k1 * len(h2.orders)]
-            head.reshape(k1, *h2.online.shape)[...] &= h2.online
-            keys = m.view(h2.row_bytes).ravel().tolist()
-            masks.append(list(dict(zip(keys, m)).values()))
+    return runs
+
+
+def _blocks(rows: Sequence[ClassLabel],
+            cols: Sequence[ClassLabel]) -> list[list[ClassLabel]]:
+    """``rows`` cut into the blocks that ``clips_oracles`` sweeps one at
+    a time against all of ``cols``: a block's height table in
+    ``_sweeps``, its rows' flat heights against every column's signed
+    ones, stays within ``_BATCH`` entries unless the block is one row.
+    Every row and column is prepared here, so the gate refuses a class
+    before any block is swept."""
+    width = sum(len(_prepped(c).signed_z) for c in cols)
+    sizes = [len(_prepped(c).z) * width for c in rows]
+    return [[rows[i] for i in run] for run in _runs(sizes)]
+
+
+def _conjugates(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g x g^T for every flattened x (n, 9) and every g (m, 3, 3), shape
+    (m, n, 9): one 2-D product of x with the Kronecker squares g ⊗ g,
+    (9, 9 m) with the conjugator axis innermost.  The squares are freed
+    on return, before the caller masks what it wrote."""
+    # kron[(k, l), (p, q, r)] = g_r[p, k] g_r[q, l]
+    gt = g.transpose(2, 1, 0).copy()
+    kron = (gt[:, None, :, None] * gt[None, :, None, :]).reshape(9, -1)
+    return (x @ kron).reshape(len(x), 9, -1).transpose(2, 0, 1)
+
+
+def _column_masks(rows: Sequence[ClassLabel], cols: Sequence[ClassLabel]
+                  ) -> list[list[list[np.ndarray]]]:
+    """Per class H1 of ``rows`` and per class H2 of ``cols``, the
+    distinct membership masks of the pair's sweep over the elements of
+    H2's reference group, from one ``_sweeps`` of the rows as one block.
+
+    Every conjugator g in a pair's share of the sweep conjugates H2, and
+    the conjugates g x g^T are masked against H1 in runs of whole
+    columns of H1's row, one ``member_mask`` call per run, however many
+    columns there are.  A run closes before a column that would push it
+    past ``_BATCH`` floats of candidates, and a larger column is a run
+    of its own (within the order cap the largest is I+Z2c against
+    D128^d, 17,664 candidates).  In row-major flattening g x g^T is
+    (g ⊗ g) x, so a pair's conjugates are one 2-D product of the
+    flattened H2 with the Kronecker squares of its whole sweep
+    (``_conjugates``), written into the run's candidates.  A row's sweep
+    is dropped once its columns are masked.  Each column's share of the
+    run's mask is then read in one place.  Its aligner rows, first in
+    its sweep, stand for their generic spins, so their masks keep only
+    the elements of H2 on the line a and ±Id (``_Prepped.online``, one
+    row per a, repeated for every b).  Its masks are told apart by their
+    raw bytes, each row read as one void scalar.
+    """
+    h2s, masks = [_prepped(c) for c in cols], []
+    # popped row by row, so that each row's sweep is freed once masked
+    swept = _sweeps(rows, cols)[::-1]
+    for c1 in rows:
+        prep, row, sweeps = _prepped(c1), [], swept.pop()
+        k1 = len(prep.orders)
+        counts = [len(g) * len(h2.flat) for g, h2 in zip(sweeps, h2s)]
+        for run in _runs([9 * n for n in counts]):
+            # (column, start, stop) of each column's candidates in the run
+            stops = np.cumsum([counts[j] for j in run]).tolist()
+            run = list(zip(run, [0, *stops[:-1]], stops))
+            cands = np.empty((stops[-1], 9))
+            for j, start, stop in run:
+                x = h2s[j].flat
+                cands[start:stop].reshape(-1, len(x), 9)[...] = (
+                    _conjugates(x, sweeps[j]))
+            hits = prep.member_mask(cands.reshape(-1, 3, 3))
+            for j, start, stop in run:
+                h2 = h2s[j]
+                m = hits[start:stop].reshape(-1, len(h2.flat))
+                head = m[: k1 * len(h2.orders)]
+                head.reshape(k1, *h2.online.shape)[...] &= h2.online
+                keys = m.view(h2.row_bytes).ravel().tolist()
+                row.append(list(dict(zip(keys, m)).values()))
+        masks.append(row)
     return masks
 
 
-def clips_oracles(c1: ClassLabel,
-                  cols: Sequence[ClassLabel]) -> list[ClassSet]:
-    """Clips of a finite class with each of several, by one exhaustive
-    conjugation sweep.
+def clips_oracles(rows: Sequence[ClassLabel],
+                  cols: Sequence[ClassLabel]) -> list[list[ClassSet]]:
+    """Clips of each of several finite classes with each of several, by
+    exhaustive conjugation sweeps, one per block of rows.
 
-    The sweep is ``_sweeps`` of c1 against every class of ``cols`` at
-    once, and every conjugator in it is conjugated and masked
+    The rows are cut into blocks (``_blocks``), each block is swept
+    against every class of ``cols`` at once (``_sweeps``), and every
+    conjugator in the sweep is conjugated and masked
     (``_column_masks``); each distinct mask is recognized once, from the
-    census of its column's class.  The central class, met at every g
-    that puts no axis line of H2 on one of H1, is added without a sweep:
+    census of its column's class.  A block's arrays are dropped before
+    the next block is swept.  The central class, met at every g that
+    puts no axis line of H2 on one of H1, is added without a sweep:
     ``1+Z2c`` when both classes hold -Id, ``1`` otherwise.
 
     Parameters
     ----------
-    c1 : ClassLabel
-        A finite class of order at most ``ORDER_CAP``.
+    rows : sequence of ClassLabel
+        Finite classes of order at most ``ORDER_CAP``.
     cols : sequence of ClassLabel
         Finite classes of order at most ``ORDER_CAP``.
 
     Returns
     -------
-    list of ClassSet
-        All intersection classes found, one set per class of ``cols``,
-        in its order.
+    list of list of ClassSet
+        All intersection classes found, one list per class of ``rows``
+        and in it one set per class of ``cols``, in their orders.
 
     Raises
     ------
     GroupError
         For an infinite class, or one above the order cap: the gate
-        ``groups.reference_group`` refuses it before the sweep starts.
+        ``groups.reference_group`` refuses it before any block is swept.
     """
     return [
-        # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1 otherwise
-        ClassSet([with_z2c(trivial()) if c1.plus and c2.plus else trivial(),
-                  *(recognize(c2, m) for m in masks)])
-        for c2, masks in zip(cols, _column_masks(c1, cols))
+        [
+            # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1
+            # otherwise
+            ClassSet([with_z2c(trivial()) if c1.plus and c2.plus
+                      else trivial(), *(recognize(c2, m) for m in masks)])
+            for c2, masks in zip(cols, row)
+        ]
+        for block in _blocks(rows, cols)
+        for c1, row in zip(block, _column_masks(block, cols))
     ]
 
 
 def clips_oracle(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
-    """Clips of two finite classes: ``clips_oracles`` of one column."""
-    return clips_oracles(c1, (c2,))[0]
+    """Clips of two finite classes: ``clips_oracles`` of one row and one
+    column."""
+    return clips_oracles((c1,), (c2,))[0][0]

@@ -97,13 +97,13 @@ def test_both_method_checks_the_type3_rule(monkeypatch):
     calls = []
     oracle = engine.clips_oracle
 
-    def spy(x, cols):
-        calls.append((x, tuple(cols)))
-        return oracle(x, cols)
+    def spy(rows, cols):
+        calls.append((tuple(rows), tuple(cols)))
+        return oracle(rows, cols)
 
     monkeypatch.setattr(engine, "clips_oracle", spy)
     assert clips(a, b, method="both") == class_set("1", "Z2")
-    assert calls == [(a, (b,))]
+    assert calls == [((a,), (b,))]
     monkeypatch.setattr(infinite, "cell",
                         lambda x, y: class_set("1", "Z4^-"))
     with pytest.raises(ClipsMismatch):
@@ -253,16 +253,16 @@ def test_verify_cells_seed_has_no_effect():
 def test_verify_cells_sweeps_each_distinct_cell_once(size, swept, cells,
                                                      monkeypatch):
     # the D_2n^d column at n = 1 is D2^z, so each row meets that cell
-    # twice; the oracle sees it once per call, in one call per row with
-    # the row's distinct finite columns in table order, and every cell
-    # is still yielded in row-major order over the table's rows and
-    # columns
+    # twice; the oracle sees it once per call, in one call per pass with
+    # every row against the distinct finite columns in table order, and
+    # every cell is still yielded in row-major order over the table's
+    # rows and columns
     calls = []
     oracle = engine.clips_oracle
 
-    def spy(a, cols):
-        calls.append((a, tuple(cols)))
-        return oracle(a, cols)
+    def spy(rows, cols):
+        calls.append((tuple(rows), tuple(cols)))
+        return oracle(rows, cols)
 
     monkeypatch.setattr(engine, "clips_oracle", spy)
     checks = list(verify_cells(size, size))
@@ -271,19 +271,19 @@ def test_verify_cells_sweeps_each_distinct_cell_once(size, swept, cells,
     assert [(c.row, c.col) for c in checks] == [(r, c) for r in rows for c in cols]
     assert len(checks) == cells
     finite = tuple(dict.fromkeys(c for c in cols if not is_infinite(c)))
-    assert calls == [(r, finite) for r in rows]
-    assert len(calls) == 2 * size + 1
-    pairs = [(a, b) for a, cols in calls for b in cols]
+    assert calls == [(tuple(rows), finite)]
+    assert len(rows) == 2 * size + 1
+    pairs = [(a, b) for rows_, cols_ in calls for a in rows_ for b in cols_]
     assert len(pairs) == len(set(pairs)) == swept
     assert all(c.match for c in checks)
-    # both D2^z cells of a row read the row's one sweep
+    # both D2^z cells of a row read the pass's one sweep
     d2z = parse_label("D2^z")
     for r in rows:
         twins = [c for c in checks if c.row == r and c.col == d2z]
         assert len(twins) == 2 and twins[0] == twins[1], r
     # a second call sweeps every distinct cell again
     list(verify_cells(size, size))
-    assert calls[len(rows):] == calls[: len(rows)]
+    assert calls[1:] == calls[:1]
 
 
 def test_dominance_on_small_cells():

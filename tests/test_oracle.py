@@ -87,7 +87,8 @@ def test_axisless_class_sweeps_nothing(text):
     for pair in [(c, d4), (d4, c), (c, c)]:
         assert conjugators(*pair).shape == (0, 3, 3)
         assert clips_oracle(*pair).labels() == [text]
-    assert [len(g) for g in _sweeps(d4, (c, parse_label("Z5"), c))] == [0, 3, 0]
+    sweeps = _sweeps((d4,), (c, parse_label("Z5"), c))[0]
+    assert [len(g) for g in sweeps] == [0, 3, 0]
 
 
 def test_oracle_rejects_infinite():
@@ -96,9 +97,9 @@ def test_oracle_rejects_infinite():
 
 
 def test_no_columns_sweep_nothing_but_pass_the_gate():
-    assert clips_oracles(parse_label("D4"), ()) == []
+    assert clips_oracles((parse_label("D4"),), ())[0] == []
     with pytest.raises(GroupError):
-        clips_oracles(parse_label("SO(2)"), ())
+        clips_oracles((parse_label("SO(2)"),), ())
 
 
 def test_pin_labels_are_canonical():
@@ -190,7 +191,7 @@ def test_batched_conjugates_are_g_x_g_transpose(pair, monkeypatch):
     # every x in H2
     c1, c2 = map(parse_label, pair)
     seen = _spy_candidates(monkeypatch)
-    _column_masks(c1, (c2,))
+    _column_masks((c1,), (c2,))
     assert len(seen) == 1
     assert np.abs(seen[0] - _conjugates(c1, c2)).max() < 1e-12
     if pair == ("D128^z", "D128^z"):
@@ -235,7 +236,7 @@ def test_pruned_masks_match_every_conjugator(pair):
     for g, kept in zip(np.array_split(all_g, 20), np.array_split(keep, 20)):
         conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
         want |= {np.packbits(m).tobytes() for m in member(conj) & kept}
-    got = {np.packbits(m).tobytes() for m in _column_masks(c1, (c2,))[0]}
+    got = {np.packbits(m).tobytes() for m in _column_masks((c1,), (c2,))[0][0]}
     assert got == want
 
 
@@ -248,7 +249,7 @@ def test_mask_recognition_reads_the_label_census(monkeypatch):
     pairs = [tuple(map(parse_label, p)) for p in [*PROBE_COUNTS, *MIXED_PAIRS]]
     for c1, c2 in pairs + SWEEP_PAIRS:
         g2 = reference_group(c2)
-        for mask in _column_masks(c1, (c2,))[0]:
+        for mask in _column_masks((c1,), (c2,))[0][0]:
             want = recognize(g2[mask])
             assert recognize(c2, mask) == want, (c1, c2)
             assert recognize(c2, mask) == want, (c1, c2)
@@ -379,9 +380,10 @@ def test_one_sweep_of_many_columns_answers_as_each_column_alone():
     cols = _finite_cols(8)
     assert len(cols) == 23
     for row in table_rows(FINITE_KINDS, range(2, 9)):
-        assert clips_oracles(row, cols) == [clips_oracle(row, c) for c in cols]
-        for col, masks in zip(cols, _column_masks(row, cols)):
-            alone = _column_masks(row, (col,))[0]
+        want = [clips_oracle(row, c) for c in cols]
+        assert clips_oracles((row,), cols)[0] == want
+        for col, masks in zip(cols, _column_masks((row,), cols)[0]):
+            alone = _column_masks((row,), (col,))[0][0]
             assert _packed(masks) == _packed(alone), (row, col)
 
 
@@ -396,11 +398,13 @@ def test_one_sweep_of_many_columns_keeps_each_columns_rows():
     # the shared sweep regroups its rows by column: each column gets the
     # rows of conjugators on that pair alone, in the same order
     for row in HEAVY:
-        for col, g in zip(HEAVY, _sweeps(row, HEAVY)):
+        for col, g in zip(HEAVY, _sweeps((row,), HEAVY)[0]):
             assert np.array_equal(g, conjugators(row, col)), (row, col)
 
 
-# floats, 9 per candidate, that one member_mask call may hold
+# what one batch may hold: the floats of one member_mask call's
+# candidates, 9 per candidate, or the entries of the height table of one
+# block of rows
 MASK_BUDGET = 2 ** 16
 
 
@@ -415,7 +419,7 @@ def test_masks_stay_within_the_batch_budget(row, cols, monkeypatch):
     # a call stays within the budget unless it is a single column
     c1, labels = parse_label(row), [parse_label(c) for c in cols]
     seen = _spy_candidates(monkeypatch)
-    _column_masks(c1, labels)
+    _column_masks((c1,), labels)
     sizes = [len(cands) for cands in seen]
     per_col = [len(conjugators(c1, c2)) * order_of(c2) for c2 in labels]
     assert set(np.cumsum(sizes)) <= set(np.cumsum(per_col))
@@ -428,6 +432,109 @@ def test_masks_stay_within_the_batch_budget(row, cols, monkeypatch):
     if len(cols) > 1:
         # the 3,920 candidates of the row's 8 columns in one call
         assert sizes == [3920]
+
+
+def _verify_rows(size: int) -> tuple[ClassLabel, ...]:
+    """The rows of ``verify_cells(size, size)``, in table order."""
+    return tuple(table_rows(FINITE_KINDS, range(2, size + 1)))
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (_verify_rows(8), _finite_cols(8)), (tuple(HEAVY), tuple(HEAVY))],
+    ids=["verify 8x8", "HEAVY x HEAVY"])
+def test_a_block_of_rows_sweeps_as_each_row_alone(rows, cols):
+    # every row swept in one block, past the budget: each pair gets the
+    # rows of conjugators on that pair alone, in the same order, and
+    # each row the masks of its sweep alone; the answers of the budgeted
+    # blocks are those of each pair alone
+    for row, sweeps in zip(rows, _sweeps(rows, cols), strict=True):
+        for col, g in zip(cols, sweeps, strict=True):
+            assert np.array_equal(g, conjugators(row, col)), (row, col)
+    for row, masks in zip(rows, _column_masks(rows, cols), strict=True):
+        alone = _column_masks((row,), cols)[0]
+        assert [_packed(m) for m in masks] == [_packed(m) for m in alone], row
+    want = [[clips_oracle(row, col) for col in cols] for row in rows]
+    assert clips_oracles(rows, cols) == want
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``a``."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_each_row_of_a_block_owns_its_sweep():
+    # ``_column_masks`` drops each row's sweep once it is masked, which
+    # frees it only when no other row's sweep is a view of the same array
+    swept = _sweeps(_verify_rows(3), _finite_cols(3))
+    owners = [{id(_owner(g)) for g in row} for row in swept]
+    assert all(len(o) == 1 for o in owners)
+    assert len(set().union(*owners)) == len(swept)
+
+
+def _spy_blocks(monkeypatch) -> list:
+    """The rows of every ``_sweeps`` call, in call order."""
+    blocks = []
+    sweeps = oracle._sweeps
+
+    def spy(rows, cols):
+        blocks.append(tuple(rows))
+        return sweeps(rows, cols)
+
+    monkeypatch.setattr(oracle, "_sweeps", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("bad", ["SO(2)", "D129"])
+@pytest.mark.parametrize("at", [0, 8, 17])
+def test_a_refused_row_stops_the_sweep_before_any_block(bad, at, monkeypatch):
+    # the 17 rows of verify_cells(8, 8) make four blocks; an infinite or
+    # over-cap class at the head, in the middle or at the end of the rows
+    # is refused before the first of them is swept
+    rows = list(_verify_rows(8))
+    rows.insert(at, parse_label(bad))
+    blocks = _spy_blocks(monkeypatch)
+    with pytest.raises(GroupError):
+        clips_oracles(rows, _finite_cols(8))
+    assert blocks == []
+
+
+def _table_size(rows, cols) -> int:
+    """The entries of the height table of one block of ``_sweeps``."""
+    return (sum(len(_prepped(c).z) for c in rows)
+            * sum(len(_prepped(c).signed_z) for c in cols))
+
+
+@pytest.mark.parametrize("size, blocks", [(3, [7]), (8, [12, 3, 1, 1])])
+def test_blocks_stay_within_the_batch_budget(size, blocks, monkeypatch):
+    # clips_oracles sweeps the rows in order, in blocks that each take
+    # rows while the height table stays within the budget, unless the
+    # block is one row; a block of several rows also holds at most 2^15
+    # aligners, as ``_spin_table``'s rounding bound reads
+    rows, cols = _verify_rows(size), _finite_cols(size)
+    swept = _spy_blocks(monkeypatch)
+    clips_oracles(rows, cols)
+    assert [len(block) for block in swept] == blocks
+    assert [row for block in swept for row in block] == list(rows)
+    aligners = sum(len(_prepped(c).orders) for c in cols)
+    for block, after in zip(swept, [*swept[1:], None]):
+        table = _table_size(block, cols)
+        assert table <= MASK_BUDGET or len(block) == 1, block
+        if len(block) > 1:
+            assert sum(len(_prepped(c).orders) for c in block) * aligners <= 2 ** 15
+        if after:
+            # the block closed because its next row would not fit
+            assert _table_size((*block, after[0]), cols) > MASK_BUDGET
+
+
+def test_every_row_is_a_block_of_its_own_at_size_64():
+    # against the 191 distinct finite columns of verify_cells(64, 64)
+    # each row's table alone fills the budget, so the rows are swept one
+    # at a time
+    rows, cols = _verify_rows(64), _finite_cols(64)
+    assert len(cols) == 191
+    assert oracle._blocks(rows, cols) == [[row] for row in rows]
 
 
 def _on_line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
