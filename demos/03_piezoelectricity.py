@@ -21,7 +21,7 @@ print("coupling classes    (16):", " ".join(PIEZ_CLASSES.labels()))
 print("permittivity classes (3):", " ".join(SYM_CLASSES.labels()))
 print()
 
-computed = compute_piez().classes
+computed = compute_piez()
 print(f"coupled law classes ({len(computed)}):")
 for lab in computed.labels():
     print("  ", lab)

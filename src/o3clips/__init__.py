@@ -67,9 +67,7 @@ from .piezo import (
     PIEZ_LAW_CLASSES,
     PIEZ_LAW_PRINTED,
     SYM_CLASSES,
-    IsotropyCatalog,
     PiezDiff,
-    builtin_isotropy,
     compute_piez,
     diff_piez,
     isotropy_direct_sum,

@@ -18,7 +18,7 @@ import re
 import sys
 from typing import Sequence
 
-from .engine import _METHODS, clips, verify_cells
+from .engine import _METHODS, _oracle_check, clips, verify_cells
 from .labels import (
     ClassSet,
     family_spelling,
@@ -82,8 +82,7 @@ def cmd_clips(args) -> int:
         return 0
 
     symbolic = clips(a, b, method="symbolic")
-    finite_pair = not (is_infinite(a) or is_infinite(b))
-    oracle = clips(a, b, method="oracle") if finite_pair else None
+    oracle = _oracle_check(a, b)
     if oracle is None:
         match, verdict = None, "oracle: skipped (needs finite classes)"
     elif symbolic != oracle:

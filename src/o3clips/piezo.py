@@ -13,15 +13,16 @@ spellings in the published answer denote one class (D2^d is conjugate to
 D2^z), so the printed list has 26 entries and 25 distinct classes; the
 diff report keeps both counts visible instead of silently folding them.
 
-Space names: Ela (elasticity), Piez (coupling), Sym (permittivity),
-PiezLaw (the coupled triple).
+Every catalog is a plain ``ClassSet``: ``compute_piez()`` returns the
+``ClassSet`` of the coupled law, and ``isotropy_direct_sum`` folds any
+iterables of labels or spellings.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .engine import class_leq, clips
+from .engine import clips
 from .labels import ClassLabel, ClassSet, class_set, format_label, parse_label
 
 # Elasticity tensors: 8 classes.
@@ -50,50 +51,6 @@ PIEZ_LAW_PRINTED: tuple[str, ...] = (
 PIEZ_LAW_CLASSES = class_set(*PIEZ_LAW_PRINTED)
 
 
-class IsotropyCatalog(NamedTuple):
-    """A named space together with its set of symmetry classes."""
-
-    space_name: str
-    classes: ClassSet
-
-    def bounds(self) -> tuple[ClassLabel, ClassLabel]:
-        """(least, greatest) members under class_leq; raises if either
-        is missing (every genuine catalog is bounded)."""
-        least = [a for a in self.classes
-                 if all(class_leq(a, b) for b in self.classes)]
-        greatest = [b for b in self.classes
-                    if all(class_leq(a, b) for a in self.classes)]
-        if not least or not greatest:
-            raise ValueError(f"catalog {self.space_name} is not bounded")
-        return least[0], greatest[0]
-
-
-_BUILTIN = {
-    "Ela": ELA_CLASSES,
-    "Piez": PIEZ_CLASSES,
-    "Sym": SYM_CLASSES,
-    "PiezLaw": PIEZ_LAW_CLASSES,
-}
-
-SPACE_NAMES = tuple(_BUILTIN)
-
-
-def builtin_isotropy(space_name: str) -> IsotropyCatalog:
-    """The published catalog for one of the known spaces."""
-    try:
-        return IsotropyCatalog(space_name, _BUILTIN[space_name])
-    except KeyError:
-        raise ValueError(
-            f"unknown space {space_name!r}; expected one of {SPACE_NAMES}"
-        ) from None
-
-
-def _classes_of(cat: IsotropyCatalog | Iterable) -> ClassSet:
-    if isinstance(cat, IsotropyCatalog):
-        return cat.classes
-    return class_set(*cat)
-
-
 def _fold(sets: Sequence[ClassSet],
           method: str) -> dict[ClassLabel, tuple[ClassLabel, ClassLabel] | None]:
     """The left fold of the family clips product over ``sets``: each
@@ -109,23 +66,23 @@ def _fold(sets: Sequence[ClassSet],
     return first
 
 
-def isotropy_direct_sum(catalogs: Sequence,
+def isotropy_direct_sum(catalogs: Iterable[Iterable],
                         method: str = "symbolic") -> ClassSet:
     """Symmetry classes of a direct sum of tensor spaces: the left fold
-    of the family clips product over the factor catalogs.  The result is
-    independent of the fold order."""
-    if not catalogs:
+    of the family clips product over the factor catalogs, each any
+    iterable of labels or spellings.  The result is independent of the
+    fold order."""
+    sets = [class_set(*c) for c in catalogs]
+    if not sets:
         raise ValueError("need at least one catalog")
-    return ClassSet(_fold([_classes_of(c) for c in catalogs], method))
+    return ClassSet(_fold(sets, method))
 
 
-def compute_piez(method: str = "symbolic") -> IsotropyCatalog:
+def compute_piez(method: str = "symbolic") -> ClassSet:
     """Symmetry classes of the coupled (elasticity, coupling,
     permittivity) triple, recomputed from the three factor catalogs."""
-    classes = isotropy_direct_sum(
-        [ELA_CLASSES, PIEZ_CLASSES, SYM_CLASSES], method=method
-    )
-    return IsotropyCatalog("PiezLaw", classes)
+    return isotropy_direct_sum([ELA_CLASSES, PIEZ_CLASSES, SYM_CLASSES],
+                               method=method)
 
 
 def printed_collisions() -> list[tuple[str, str]]:

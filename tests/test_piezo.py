@@ -3,16 +3,14 @@ import itertools
 import pytest
 
 from conftest import load_catalog
+from o3clips.engine import class_leq
 from o3clips.labels import class_set, format_label, parse_label
 from o3clips.piezo import (
     ELA_CLASSES,
     PIEZ_CLASSES,
     PIEZ_LAW_CLASSES,
     PIEZ_LAW_PRINTED,
-    SPACE_NAMES,
     SYM_CLASSES,
-    IsotropyCatalog,
-    builtin_isotropy,
     compute_piez,
     diff_piez,
     isotropy_direct_sum,
@@ -35,24 +33,18 @@ def test_catalog_sizes():
     assert len(PIEZ_LAW_PRINTED) == 26
 
 
-def test_builtin_isotropy_lookup():
-    for name in SPACE_NAMES:
-        cat = builtin_isotropy(name)
-        assert isinstance(cat, IsotropyCatalog)
-        assert cat.space_name == name
-    with pytest.raises(ValueError):
-        builtin_isotropy("Magneto")
+def _bounds(classes):
+    # the least and the greatest class under class_leq
+    least = [a for a in classes if all(class_leq(a, b) for b in classes)]
+    greatest = [b for b in classes if all(class_leq(a, b) for a in classes)]
+    return [format_label(least[0]), format_label(greatest[0])]
 
 
 def test_catalog_bounds():
-    assert [format_label(x) for x in builtin_isotropy("Ela").bounds()] \
-        == ["1", "O(3)"]
-    assert [format_label(x) for x in builtin_isotropy("Piez").bounds()] \
-        == ["1", "O(3)"]
-    assert [format_label(x) for x in builtin_isotropy("Sym").bounds()] \
-        == ["D2+Z2c", "O(3)"]
-    assert [format_label(x)
-            for x in builtin_isotropy("PiezLaw").bounds()] == ["1", "O(3)"]
+    assert _bounds(ELA_CLASSES) == ["1", "O(3)"]
+    assert _bounds(PIEZ_CLASSES) == ["1", "O(3)"]
+    assert _bounds(SYM_CLASSES) == ["D2+Z2c", "O(3)"]
+    assert _bounds(PIEZ_LAW_CLASSES) == ["1", "O(3)"]
 
 
 def test_printed_collisions():
@@ -64,8 +56,16 @@ def test_direct_sum_pair():
     got = isotropy_direct_sum([SYM_CLASSES, SYM_CLASSES])
     assert parse_label("D2+Z2c") in got
     assert parse_label("O(3)") in got
-    with pytest.raises(ValueError):
-        isotropy_direct_sum([])
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError, match="need at least one catalog"):
+            isotropy_direct_sum(empty)
+    # catalogs may be spelled, ClassSets, or drawn from a generator
+    spelled = [["D2+Z2c", "O(3)"], ["O(2)+Z2c"]]
+    sets = tuple(class_set(*c) for c in spelled)
+    want = isotropy_direct_sum(spelled)
+    assert want == class_set("1+Z2c", "Z2+Z2c", "D2+Z2c", "O(2)+Z2c")
+    assert isotropy_direct_sum(sets) == want
+    assert isotropy_direct_sum(c for c in spelled) == want
 
 
 def test_compute_piez_regression():
@@ -74,7 +74,7 @@ def test_compute_piez_regression():
     # elasticity catalog) with D2+Z2c (in the permittivity catalog) and
     # survives the fold.  Pinned so any drift in either direction is
     # caught.
-    computed = compute_piez().classes
+    computed = compute_piez()
     assert computed == PIEZ_LAW_CLASSES | class_set("1+Z2c")
     assert len(computed) == 26
 
@@ -96,7 +96,7 @@ def test_diff_piez_reports_the_single_extra():
 def test_fold_methods_agree():
     # "both" checks every finite pair of the fold against the oracle
     assert compute_piez(method="both") == compute_piez()
-    assert diff_piez().computed == compute_piez().classes
+    assert diff_piez().computed == compute_piez()
 
 
 def test_extra_class_witnessed_at_the_matrix_level():
@@ -109,12 +109,12 @@ def test_extra_class_witnessed_at_the_matrix_level():
 
 
 def test_fold_is_order_independent():
-    base = compute_piez().classes
+    base = compute_piez()
     for perm in itertools.permutations(
             [ELA_CLASSES, PIEZ_CLASSES, SYM_CLASSES]):
         assert isotropy_direct_sum(list(perm)) == base
 
 
 def test_every_computed_label_round_trips():
-    for lbl in compute_piez().classes.labels():
+    for lbl in compute_piez().labels():
         assert format_label(parse_label(lbl)) == lbl
