@@ -15,6 +15,10 @@ takes every sign +1, a type III class the signs of ``labels.TYPE_III``,
 and a type II class X+Z2c is its rotation part X, whose -Id lets the
 other side's sign through.  SO(2), O(2) and O(2)^- are the Z or D
 envelopes of order infinity, written n = 0 so that gcd(p, 0) = p.  The
+rule keeps one memo, ``_RULE``: with x the side whose axes are read
+and y the Z, D or axial side of order n, it is keyed by x, the kind and
+lift of y and d = gcd(n, 2L), L the lcm of x's axis orders, since the
+cell reads n only through gcd(2p, n) for each axis order p of x.  The
 rule answers
 
 * type I x type I: Z_m or D_m against Z_n, D_n, T, O or I, the SO(3)
@@ -56,7 +60,7 @@ The fourth is data: [D_2] dropped from T+Z2c and I+Z2c against O^-
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .labels import (
@@ -321,32 +325,45 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """
     swap = b.kind in _POLYHEDRAL_AXES or a.kind in INFINITE_KINDS
     x, y = (b, a) if swap else (a, b)
+    key = (x, y.kind, y.plus, gcd(y.n, _period(x)))
+    out = _RULE.get(key)
+    if out is None:
+        out = _RULE.setdefault(key, _cell(x, y))
+    return out
+
+
+# The rule's one memo, of ``_cell`` by (x, y.kind, y.plus, d) with
+# d = gcd(y.n, 2L) and L the lcm of the orbit orders p of x.  The cell
+# reads y's order n only through e = gcd(p, n) and the parity of n/e,
+# and gcd(2p, n) fixes both: e = gcd(p, gcd(2p, n)), and n/e is even
+# exactly when gcd(2p, n) = 2e.  Since 2p divides 2L, gcd(2p, n) =
+# gcd(2p, d), so pairs of one key share their cell; an axial y (n = 0)
+# gives d = 2L.  Labels are interned and hash by identity, so a key
+# costs one gcd, and the memo holds per x at most one cell per kind and
+# lift of y and divisor of 2L, however many pairs it answers.
+_RULE: dict[tuple, ClassSet] = {}
+
+
+def _cell(x: ClassLabel, y: ClassLabel) -> ClassSet:
+    # The union of ``_signed_rule``'s configurations of x and y in the
+    # rule's order, unmemoized.  Per axis orbit of x: e, the generator's
+    # signs on each side, the signs of the perpendicular half-turns of x
+    # and the sign of x's half-turn or None; half2 holds the signs of
+    # y's secondary lines, only is None or the side (0 for x, 1 for y)
+    # whose signs alone name the classes, and full says that y holds
+    # every half-turn perpendicular to its axis.
     only = 1 if x.plus else 0 if y.plus else None
+    full = y.kind in ("O2", "O2-")
     n, a2, half2, _ = _signed_axes(y)[0]
-    axes = []
-    for p, alpha, half1, h in _signed_axes(x):
-        e = gcd(p, n)
-        axes.append((e, alpha ** (p // e), a2 ** (n // e), half1, h))
-    return _cell(tuple(axes), half2, only, y.kind in ("O2", "O2-"))
 
-
-@cache
-def _cell(axes: tuple, half2: tuple[int, ...], only: int | None,
-          full: bool) -> ClassSet:
-    # The union of ``_signed_rule``'s configurations, one entry of axes
-    # per axis orbit of x: (e, the generator's signs on each side, the
-    # signs of the perpendicular half-turns of x, the sign of x's
-    # half-turn or None); half2 holds the signs of y's secondary lines,
-    # only is None or the side (0 for x, 1 for y) whose signs alone name
-    # the classes, and full says that y holds every half-turn
-    # perpendicular to its axis.  The key is this signature, not the
-    # pair, so the memo stays small.
     def name(e, s1, s2):
         return _meet(e, s1, s2) if only is None else \
             _signed_class(e, (s1, s2)[only])
 
     out = [trivial()]
-    for e, rho1, rho2, half1, h in axes:
+    for p, alpha, half1, h in _signed_axes(x):
+        e = gcd(p, n)
+        rho1, rho2 = alpha ** (p // e), a2 ** (n // e)
         if not (full and half1):
             out.append(name(e, (rho1,), (rho2,)))
         out += [name(e, (rho1, s1), (rho2, s2))
@@ -354,6 +371,12 @@ def _cell(axes: tuple, half2: tuple[int, ...], only: int | None,
         if h is not None:
             out += [name(2, (h,), (s2,)) for s2 in half2]
     return ClassSet(out)
+
+
+@cache
+def _period(lab: ClassLabel) -> int:
+    # 2L, L the lcm of the orbit orders of a class with no axial axis
+    return 2 * lcm(*(p for p, *_ in _signed_axes(lab)))
 
 
 @cache

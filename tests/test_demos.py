@@ -26,8 +26,11 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+# ids count the blocks, not the lines, so that editing README's prose
+# renames no test
 @pytest.mark.parametrize("lineno,block", BLOCKS,
-                         ids=[f"README.md:{n + 1}" for n, _ in BLOCKS])
+                         ids=[f"README.md#{i}"
+                              for i in range(1, len(BLOCKS) + 1)])
 def test_readme_examples(lineno, block):
     test = doctest.DocTestParser().get_doctest(
         block, {}, README.name, str(README), lineno)

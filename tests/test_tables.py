@@ -1,12 +1,15 @@
 import json
 import pathlib
+import random
 
 import pytest
 
 from conftest import load_pins
 from test_properties import finite_labels
 from o3clips import clips, tables
+from o3clips.infinite import normalize
 from o3clips.labels import (
+    ClassLabel,
     class_set,
     cyclic,
     cyclic_minus,
@@ -14,9 +17,12 @@ from o3clips.labels import (
     dihedral_d,
     dihedral_z,
     icosa,
+    o2,
+    o2_minus,
     octa,
     octa_minus,
     parse_label,
+    so2,
     strip_z2c,
     tetra,
     typeclass,
@@ -290,12 +296,53 @@ def test_rule_reads_either_z_or_d_side_as_the_principal_one():
     assert checked == 4 * 22 ** 2
 
 
-def test_cell_memo_is_keyed_by_signature_not_pair():
+# every Z, D, Z^-, D^z and D^d class with a subscript up to 40, the
+# lifts +Z2c, T, O, I, O^- and the five axial classes: 248 classes,
+# whose 61,504 pairs normalize to 60,118 that reach ``_signed_rule``
+RULE_POOL = list(dict.fromkeys([*finite_labels(40), so2(), o2(), o2_minus(),
+                                with_z2c(so2()), with_z2c(o2())]))
+
+
+def test_rule_memo_is_exact(monkeypatch):
+    # A pair answered from the memo gets the cell that a fresh
+    # computation of that very pair gives, whichever pair of its key
+    # came first.  Keyed on gcd(n, L) instead of gcd(n, 2L), the memo
+    # gives about 1,400 of these pairs a wrong cell, the count depending
+    # on the order.
+    pairs = [normalize(a, b)[:2] for a in RULE_POOL for b in RULE_POOL]
+    random.Random(0).shuffle(pairs)
+    monkeypatch.setattr(tables, "_RULE", {})
+    memoized = [cell(a, b) for a, b in pairs]
+    assert len(tables._RULE) > 0
+    fresh = {}
+    for pair, got in zip(pairs, memoized):
+        if pair not in fresh:
+            tables._RULE.clear()
+            fresh[pair] = cell(*pair)
+        assert got == fresh[pair], pair
+
+
+def _divisors(n: int) -> int:
+    return sum(n % k == 0 for k in range(1, n + 1))
+
+
+def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
     with open(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
               / "expected_grid.json", encoding="utf-8") as fh:
         grid = json.load(fh)
-    tables._cell.cache_clear()
-    for row in grid["table"]:
-        for col in grid["cols"]:
-            clips(row, col)
-    assert 0 < tables._cell.cache_info().currsize < 1000
+    pairs = [(row, col) for row in grid["table"] for col in grid["cols"]]
+    monkeypatch.setattr(tables, "_RULE", {})
+    for row, col in pairs:
+        clips(row, col)
+    keys = list(tables._RULE)
+    # each key is one class x with the kind, lift and one divisor d of
+    # 2L of the other side, never the other class itself
+    for x, kind, plus, d in keys:
+        assert isinstance(x, ClassLabel) and type(kind) is str
+        assert type(plus) is bool and tables._period(x) % d == 0
+    # so the memo holds at most one cell per x, (kind, lift) of y and
+    # divisor of 2L: 6 x 1,003 = 6,018 here, for 24,897 pairs
+    sides = {(kind, plus) for _, kind, plus, _ in keys}
+    bound = len(sides) * sum(_divisors(tables._period(x))
+                             for x in {x for x, *_ in keys})
+    assert 0 < len(keys) <= bound < len(pairs) // 4
