@@ -73,32 +73,23 @@ def _emit(fmt: str, obj, header: list[str], rows: list[list[str]],
 def cmd_clips(args) -> int:
     a, b = parse_label(args.lhs), parse_label(args.rhs)
     lhs, rhs = format_label(a), format_label(b)
-    if args.method != "both":
-        result = clips(a, b, method=args.method)
-        _emit(args.format, {"op": "clips", "lhs": lhs, "rhs": rhs,
-                            "result": result.labels()},
-              ["lhs", "rhs", "result"], [[lhs, rhs, _labels(result)]],
-              [_labels(result)])
-        return 0
-
-    symbolic = clips(a, b, method="symbolic")
-    oracle = _oracle_check(a, b)
-    if oracle is None:
-        match, verdict = None, "oracle: skipped (needs finite classes)"
-    elif symbolic != oracle:
-        match, verdict = False, "MISMATCH"
-    else:
-        match, verdict = True, "MATCH"
-    rows = [["symbolic", _labels(symbolic)]]
-    if oracle is not None:
-        rows.append(["oracle", _labels(oracle)])
-    _emit(args.format, {
-        "op": "clips", "lhs": lhs, "rhs": rhs,
-        "result": symbolic.labels(),
-        "oracle": None if oracle is None else oracle.labels(),
-        "match": match,
-    }, ["method", "result"], rows,
-        [f"{method}: {result}" for method, result in rows] + [verdict])
+    both = args.method == "both"
+    result = clips(a, b, method="symbolic" if both else args.method)
+    record = {"op": "clips", "lhs": lhs, "rhs": rhs, "result": result.labels()}
+    header, rows = ["lhs", "rhs", "result"], [[lhs, rhs, _labels(result)]]
+    text, match = [_labels(result)], None
+    if both:
+        oracle = _oracle_check(a, b)
+        header, rows = ["method", "result"], [["symbolic", _labels(result)]]
+        verdict = "oracle: skipped (needs finite classes)"
+        if oracle is not None:
+            rows.append(["oracle", _labels(oracle)])
+            match = result == oracle
+            verdict = "MATCH" if match else "MISMATCH"
+        record.update(oracle=None if oracle is None else oracle.labels(),
+                      match=match)
+        text = [f"{method}: {cell}" for method, cell in rows] + [verdict]
+    _emit(args.format, record, header, rows, text)
     return 2 if match is False else 0
 
 
@@ -211,11 +202,8 @@ def cmd_piez(args) -> int:
     else:
         text.append("computed catalog differs from the builtin one:")
         text += [f"  missing: {lbl}" for lbl in d.missing]
-        for lbl in d.extra:
-            pair = d.witnesses.get(lbl)
-            where = (f" (from clips of {pair[0]} with {pair[1]})"
-                     if pair else "")
-            text.append(f"  extra: {lbl}{where}")
+        text += [f"  extra: {lbl} (from clips of {a} with {b})"
+                 for lbl, (a, b) in d.witnesses.items()]
     _emit(args.format, computed, ["label"], [[lbl] for lbl in computed],
           text)
     return 0 if d.match else 2
@@ -298,7 +286,6 @@ def build_parser() -> _Parser:
     p.add_argument("lhs")
     p.add_argument("rhs")
     p.add_argument("--method", choices=_METHODS, default="symbolic")
-    p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=cmd_clips)
 
     p = sub.add_parser("table", help="closed-form grid cells")
@@ -310,19 +297,16 @@ def build_parser() -> _Parser:
                    help="comma separated column families")
     p.add_argument("--rows", default=_families(ROW_KINDS),
                    help="comma separated row families")
-    p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify",
                        help="sweep the grid against brute force")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("piez",
                        help="recompute the coupled-law catalog")
-    p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=cmd_piez)
 
     p = sub.add_parser("info", help="describe one class")
@@ -336,6 +320,10 @@ def build_parser() -> _Parser:
                    help="0 for the reference orientation, otherwise a "
                         "seeded random one")
     p.set_defaults(func=cmd_materialize)
+    # last, so that it ends each of these subcommands' usage
+    for name in ("clips", "table", "verify", "piez"):
+        sub.choices[name].add_argument("--format", choices=_FORMATS,
+                                       default="text")
     return parser
 
 

@@ -30,6 +30,7 @@ from .infinite import clips_reduce
 from .labels import (
     ClassLabel,
     ClassSet,
+    class_set,
     format_label,
     is_infinite,
     parse_label,
@@ -124,10 +125,12 @@ def clips_families(fam1: Iterable[str | ClassLabel],
                    method: str = "symbolic") -> ClassSet:
     """Union of pairwise clips; the symmetry classes of a pair of tensors
     run over exactly this set when each factor runs over its own family."""
-    left = [_as_label(c) for c in fam1]
-    right = [_as_label(c) for c in fam2]
-    return ClassSet(c for a in left for b in right
-                    for c in clips(a, b, method=method))
+    left, right = class_set(*fam1), class_set(*fam2)
+    # a list, not a generator, so that the clips calls run before
+    # ClassSet() and not inside it, where perfbench/spans.py would count
+    # them as children of ClassSet.__init__
+    return ClassSet([c for a in left for b in right
+                     for c in clips(a, b, method=method)])
 
 
 def class_leq(c1: str | ClassLabel, c2: str | ClassLabel) -> bool:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from operator import index
 from os.path import commonprefix
 from typing import Iterable, Iterator
 
@@ -115,7 +116,10 @@ class ClassLabel:
     plus: bool
 
     def __new__(cls, kind: str, n: int = 0, plus: bool = False) -> ClassLabel:
-        key = (kind, int(n), bool(plus))
+        try:  # an int or a numpy integer, never a float or a string
+            key = (kind, index(n), bool(plus))
+        except TypeError:
+            raise ValueError(f"subscript {n!r} is not an integer") from None
         self = _POOL.get(key)
         if self is None:
             canonical = _canonical_key(*key)
@@ -307,10 +311,17 @@ def is_infinite(label: ClassLabel) -> bool:
     return label.kind in INFINITE_KINDS
 
 
+def _check_label(x) -> None:
+    if not isinstance(x, ClassLabel):
+        raise TypeError(f"a ClassSet holds ClassLabel, not {type(x).__name__}")
+
+
 @cache
 def sort_key(label: ClassLabel) -> tuple:
     """Deterministic total order: finite classes by (order, family, n),
-    then the infinite ones in a fixed sequence."""
+    then the infinite ones in a fixed sequence.  Raises ``TypeError``
+    for anything but a label, so a ``ClassSet`` holds labels only."""
+    _check_label(label)
     if label.kind in INFINITE_KINDS:
         return (1, _INFINITE_SEQ.index((label.kind, label.plus)), 0, 0)
     rank = _FAMILY_RANK[label.kind] + (20 if label.plus else 0)
@@ -471,9 +482,7 @@ class ClassSet:
         return len(self._items)
 
     def __contains__(self, label: ClassLabel) -> bool:
-        if not isinstance(label, ClassLabel):
-            raise TypeError(
-                f"a ClassSet holds ClassLabel, not {type(label).__name__}")
+        _check_label(label)
         return label in self._items
 
     def __eq__(self, other) -> bool:
@@ -483,6 +492,8 @@ class ClassSet:
         return hash(self._items)
 
     def __or__(self, other: "ClassSet") -> "ClassSet":
+        if not isinstance(other, ClassSet):
+            return NotImplemented
         return ClassSet((*self._items, *other._items))
 
     def __repr__(self) -> str:

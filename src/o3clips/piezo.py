@@ -20,10 +20,11 @@ iterables of labels or spellings.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from functools import partial, reduce
+from typing import Iterable, NamedTuple
 
-from .engine import clips
-from .labels import ClassLabel, ClassSet, class_set, format_label, parse_label
+from .engine import clips, clips_families
+from .labels import ClassSet, class_set, format_label, parse_label
 
 # Elasticity tensors: 8 classes.
 ELA_CLASSES = class_set(
@@ -51,31 +52,17 @@ PIEZ_LAW_PRINTED: tuple[str, ...] = (
 PIEZ_LAW_CLASSES = class_set(*PIEZ_LAW_PRINTED)
 
 
-def _fold(sets: Sequence[ClassSet],
-          method: str) -> dict[ClassLabel, tuple[ClassLabel, ClassLabel] | None]:
-    """The left fold of the family clips product over ``sets``: each
-    class of the last stage, mapped to the first pair (a, b), in
-    canonical order, whose clips holds it (None for a single set)."""
-    first = dict.fromkeys(sets[0])
-    for nxt in sets[1:]:
-        stage, first = ClassSet(first), {}
-        for a in stage:
-            for b in nxt:
-                for c in clips(a, b, method=method):
-                    first.setdefault(c, (a, b))
-    return first
-
-
 def isotropy_direct_sum(catalogs: Iterable[Iterable],
                         method: str = "symbolic") -> ClassSet:
     """Symmetry classes of a direct sum of tensor spaces: the left fold
     of the family clips product over the factor catalogs, each any
     iterable of labels or spellings.  The result is independent of the
     fold order."""
-    sets = [class_set(*c) for c in catalogs]
+    sets = list(catalogs)
     if not sets:
         raise ValueError("need at least one catalog")
-    return ClassSet(_fold(sets, method))
+    return reduce(partial(clips_families, method=method), sets[1:],
+                  class_set(*sets[0]))
 
 
 def compute_piez(method: str = "symbolic") -> ClassSet:
@@ -88,12 +75,8 @@ def compute_piez(method: str = "symbolic") -> ClassSet:
 def printed_collisions() -> list[tuple[str, str]]:
     """Pairs of printed spellings in the published coupled-law list that
     name the same class (canonical spelling second)."""
-    out = []
-    for spelling in PIEZ_LAW_PRINTED:
-        canon = format_label(parse_label(spelling))
-        if canon != spelling:
-            out.append((spelling, canon))
-    return out
+    pairs = ((s, format_label(parse_label(s))) for s in PIEZ_LAW_PRINTED)
+    return [(s, canon) for s, canon in pairs if canon != s]
 
 
 class PiezDiff(NamedTuple):
@@ -115,10 +98,10 @@ class PiezDiff(NamedTuple):
 
 def diff_piez(method: str = "symbolic") -> PiezDiff:
     """Recompute the coupled-law catalog and diff it against the
-    published list; extras are traced back to the first clips pair that
-    produced them in the outer fold stage."""
-    first = _fold([ELA_CLASSES, PIEZ_CLASSES, SYM_CLASSES], method)
-    computed = ClassSet(first)
+    published list; each extra class is traced back to the first pair
+    of the outer fold stage, in canonical order, whose clips holds it."""
+    stage = isotropy_direct_sum([ELA_CLASSES, PIEZ_CLASSES], method)
+    computed = clips_families(stage, SYM_CLASSES, method)
     expected = PIEZ_LAW_CLASSES
     missing = tuple(format_label(c) for c in expected if c not in computed)
     extra = [c for c in computed if c not in expected]
@@ -127,8 +110,10 @@ def diff_piez(method: str = "symbolic") -> PiezDiff:
         expected=expected,
         missing=missing,
         extra=tuple(map(format_label, extra)),
-        witnesses={format_label(c): tuple(map(format_label, first[c]))
-                   for c in extra},
+        witnesses={format_label(c): next(
+            (format_label(a), format_label(b))
+            for a in stage for b in SYM_CLASSES
+            if c in clips(a, b)) for c in extra},
         printed_count=len(PIEZ_LAW_PRINTED),
         canonical_count=len(expected),
         collisions=tuple(printed_collisions()),

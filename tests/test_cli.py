@@ -199,6 +199,13 @@ def test_parse_error_exit_1(capsys):
     assert "position 1" in err
 
 
+def test_a_second_z2c_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "clips", "O(3)+Z2c", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: 'O(3)+Z2c': +Z2c applied twice\n"
+
+
 def test_parse_error_points_inside(capsys):
     code, _, err = run(capsys, "clips", "Z4^+", "O")
     assert code == 1

@@ -78,11 +78,18 @@ def test_canonical_collapse(text, expected):
 
 @pytest.mark.parametrize("bad", [
     "", "X4", "Z", "Z0", "D", "D0^z", "Z4^+", "D4^x", "SO(4)", "O(5)",
-    "Z2+Z3c", "Z4^--", "Q8", "Z2+Z2c+Z2c", "-1",
+    "Z2+Z3c", "Z4^--", "Q8", "Z2+Z2c+Z2c", "-1", "O(3)+Z2c",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_label(bad)
+
+
+def test_a_lifted_class_refuses_a_second_z2c():
+    # O(3) is SO(3)+Z2c, so the core already carries the lift
+    with pytest.raises(ValueError) as err:
+        parse_label("O(3)+Z2c")
+    assert str(err.value) == "'O(3)+Z2c': +Z2c applied twice"
 
 
 # A syntax error points one past the longest prefix that begins a
@@ -316,6 +323,49 @@ def test_a_type3_kind_refuses_z2c_at_construction(kind, n, message):
         ClassLabel(kind, n, True)
     assert str(err.value) == message
     assert (kind, n, True) not in labels._POOL
+
+
+# a constructor and a subscript that int() would truncate to Z2, Z3, D4
+# and Z3
+NON_INTEGER_SUBSCRIPTS = {
+    "Z-2.5": (lambda n: ClassLabel("Z", n), 2.5),
+    "cyclic-3.7": (cyclic, 3.7),
+    "D-4.9": (lambda n: ClassLabel("D", n), 4.9),
+    "Z-str": (lambda n: ClassLabel("Z", n), "3"),
+}
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+@pytest.mark.parametrize("case", NON_INTEGER_SUBSCRIPTS)
+def test_a_non_integer_subscript_is_refused(case, pooled, monkeypatch):
+    # refused before the pool is read, so the answer does not depend on
+    # whether the truncated class is pooled
+    build, n = NON_INTEGER_SUBSCRIPTS[case]
+    if pooled:
+        assert cyclic(2) and cyclic(3) and dihedral(4)
+    else:
+        monkeypatch.setattr(labels, "_POOL", {})
+    keys = set(labels._POOL)
+    with pytest.raises(ValueError) as err:
+        build(n)
+    assert str(err.value) == f"subscript {n!r} is not an integer"
+    assert set(labels._POOL) == keys
+
+
+def test_an_integer_subscript_of_any_integer_type_is_kept():
+    assert ClassLabel("Z", np.int64(4)) is cyclic(4)
+    assert ClassLabel("Dd", np.int32(8)) is dihedral_d(8)
+    assert dihedral_z(np.uint8(2)) is dihedral_z(2)
+
+
+def test_a_class_set_holds_only_labels():
+    with pytest.raises(TypeError, match="ClassLabel, not str"):
+        ClassSet(["Z2"])
+    with pytest.raises(TypeError, match="ClassLabel, not int"):
+        ClassSet([cyclic(2), 2])
+    with pytest.raises(TypeError, match="unsupported operand"):
+        class_set("Z2") | [cyclic(3)]
+    assert class_set("Z2") | class_set("Z3") == class_set("Z2", "Z3")
 
 
 def test_class_set_membership_takes_only_labels():

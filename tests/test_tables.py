@@ -149,6 +149,26 @@ def test_o2_membrane_cell_kept_printed():
     assert _cell("O(2)+Z2c", "O(2)^-") == ["1", "D2^z", "O(2)^-"]
 
 
+def test_the_printed_o2_row_is_the_rule_less_the_omitted_classes():
+    # Against every finite type III column with subscript <= 40, each
+    # class that tables._omitted drops lies in the rule's cell, and the
+    # axial membership oracle gives the rule's cell.  The 31 columns
+    # with an omission are ROADMAP item 2's 31 pairs.
+    from o3clips.axial import clips_axial
+
+    row = with_z2c(o2())
+    cols = [c for c in dict.fromkeys(tables.table_cols(tables.COL_KINDS,
+                                                       range(1, 41)))
+            if c.kind != "O2-" and c.n <= 40]
+    omitting = 0
+    for col in cols:
+        rule, omitted = tables._signed_rule(row, col), tables._omitted(col)
+        assert all(c in rule for c in omitted), col
+        assert clips_axial(col, row) == rule, col
+        omitting += bool(omitted)
+    assert omitting == 31
+
+
 def test_cells_always_contain_trivial():
     rows = ["Z2+Z2c", "Z7+Z2c", "D2+Z2c", "D7+Z2c", "T+Z2c", "O+Z2c",
             "I+Z2c", "SO(2)+Z2c", "O(2)+Z2c"]
