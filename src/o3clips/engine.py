@@ -103,6 +103,10 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     ``ValueError``) for an infinite class, or one above its order cap.
     ``seed`` has no effect: no route draws random numbers.
     """
+    if method == "symbolic":
+        return clips_reduce(
+            parse_label(c1) if isinstance(c1, str) else c1,
+            parse_label(c2) if isinstance(c2, str) else c2)
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     a, b = _as_label(c1), _as_label(c2)
@@ -110,14 +114,11 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     if method == "oracle":
         return clips_oracle((a,), (b,))[0][0]
 
-    if method == "both":
-        sym = clips(a, b)
-        orc = _oracle_check(a, b)
-        if orc is not None and sym != orc:
-            raise ClipsMismatch(a, b, sym, orc)
-        return sym
-
-    return clips_reduce(a, b)
+    sym = clips(a, b)
+    orc = _oracle_check(a, b)
+    if orc is not None and sym != orc:
+        raise ClipsMismatch(a, b, sym, orc)
+    return sym
 
 
 def clips_families(fam1: Iterable[str | ClassLabel],

@@ -1,7 +1,8 @@
 """Closed-form clips: the exact reductions, then one cell.
 
 ``clips_reduce`` applies ``normalize``, answers the normalized pair with
-``tables.cell`` and lifts the answer back.  Every pair that ``normalize``
+``tables.cell`` and, for a type II x type II pair, lifts each class of
+the answer back to its +Z2c class.  Every pair that ``normalize``
 returns, type I x I, II x III or III x III with axial sides included,
 has a cell, so ``clips_reduce`` answers every pair and never reaches the
 matrix layer.
@@ -53,17 +54,13 @@ def normalize(a: ClassLabel,
     return a, b, False
 
 
-def lifted(cs: ClassSet, lift: bool) -> ClassSet:
-    """The answer for the pair before ``normalize``; ``cs`` itself when
-    nothing is lifted."""
-    return ClassSet(with_z2c(k) for k in cs) if lift else cs
-
-
 def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     """Closed-form clips of any pair of classes.
 
-    ``normalize``, then ``tables.cell`` on the normalized pair, then
-    ``lifted``; every pair has a cell.  Symmetric in its arguments.
+    ``normalize``, then ``tables.cell`` on the normalized pair, each of
+    its classes lifted to +Z2c when ``normalize`` stripped both sides;
+    every pair has a cell.  Symmetric in its arguments.
     """
     a, b, lift = normalize(c1, c2)
-    return lifted(cell(a, b), lift)
+    cs = cell(a, b)
+    return ClassSet(with_z2c(k) for k in cs) if lift else cs

@@ -116,7 +116,9 @@ class ClassLabel:
     plus: bool
 
     def __new__(cls, kind: str, n: int = 0, plus: bool = False) -> ClassLabel:
-        try:  # an int or a numpy integer, never a float or a string
+        try:  # an int or a numpy integer, never a bool, float or string
+            if type(n) is bool:
+                raise TypeError
             key = (kind, index(n), bool(plus))
         except TypeError:
             raise ValueError(f"subscript {n!r} is not an integer") from None

@@ -2,10 +2,14 @@
 table of type II row against type III column.
 
 ``cell`` answers every pair that ``infinite.normalize`` returns, a type
-I x I, II x III or III x III pair in either order: the absorbers 1 and
-SO(3) first, then the data cells, and otherwise the rule, less
-``_omitted`` on the published row [O(2)+Z2c].  ``clips_type2_type3`` is
-the same cell for a checked table row and column.
+I x I, II x III or III x III pair in either order.  One test of the two
+kinds picks out the pairs with a side of kind 1, SO(3) or O(2): the
+absorbers 1 and SO(3), with their lifts, and the published row
+[O(2)+Z2c], which is the rule less ``_omitted``.  Every other pair goes
+to the data cells and otherwise to the rule, so a cell of the type II x
+type III table costs that one test, one ``_DATA`` miss and one probe of
+the rule's memo.  ``clips_type2_type3`` is the same cell for a checked
+table row and column.
 
 Every cell with a Z, D or axial side comes from one rule,
 ``_signed_rule``: read each class as its envelope K with a sign chi on
@@ -177,6 +181,10 @@ _DATA = {key: cell for kinds, cell in (*_POLY_POLY.items(),
                                        *_AXIAL_AXIAL.items())
          for key in (kinds, kinds[::-1])}
 
+# the kinds that ``cell`` answers before ``_DATA``: the absorbers 1 and
+# SO(3), with their lifts, and the published row O(2)+Z2c
+_GUARDED = frozenset(("1", "SO3", "O2"))
+
 # The signed axes (``_signed_rule``) of the classes without a Z or D
 # envelope, one entry (p, alpha, beta) per axis orbit.  The rotation
 # groups take every sign +1; only the 3-fold axes of T have no
@@ -220,18 +228,24 @@ def cell(a: ClassLabel, b: ClassLabel) -> ClassSet:
     Returns
     -------
     ClassSet
-        The cell: the absorbers' answer when either side is 1 or SO(3)
-        (1+Z2c or O(3) against type III), a data cell of ``_POLY_POLY``
-        or ``_AXIAL_AXIAL``, and otherwise ``_signed_rule``, less
-        ``_omitted`` for O(2)+Z2c against a finite column.
+        The cell.  One kind test picks out the pairs with a side of
+        kind 1, SO(3) or O(2), lifted or not, and these are read side
+        by side: SO(3) against type I or O(3) against type III keeps the
+        other side, 1 or 1+Z2c gives [1], and O(2)+Z2c against a finite
+        column is ``_signed_rule`` less ``_omitted``.  Every pair not
+        answered there, the type II x type III table among them, takes
+        its data cell of ``_POLY_POLY`` or ``_AXIAL_AXIAL`` if it has
+        one, and otherwise ``_signed_rule``.
     """
-    for x, y in ((a, b), (b, a)):
-        if x.kind == "SO3":  # SO(3) against type I, O(3) against type III
-            return ClassSet([y])
-        if x.kind == "1":  # 1 against anything, 1+Z2c against type III
-            return ClassSet([trivial()])
-        if x.plus and x.kind == "O2" and y.kind != "O2-":
-            return ClassSet(set(_signed_rule(a, b)).difference(_omitted(y)))
+    if a.kind in _GUARDED or b.kind in _GUARDED:
+        for x, y in ((a, b), (b, a)):
+            if x.kind == "SO3":
+                return ClassSet([y])
+            if x.kind == "1":
+                return ClassSet([trivial()])
+            if x.plus and x.kind == "O2" and y.kind != "O2-":
+                return ClassSet(
+                    set(_signed_rule(a, b)).difference(_omitted(y)))
     data = _DATA.get((a.kind, b.kind))
     return _signed_rule(a, b) if data is None else data
 

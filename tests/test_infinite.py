@@ -8,9 +8,13 @@ from o3clips.labels import (
     canonicalize,
     cyclic,
     is_infinite,
+    o3,
     order_of,
     parse_label,
+    proper_part,
     so2,
+    so3,
+    trivial,
     typeclass,
     with_z2c,
 )
@@ -40,12 +44,16 @@ def test_is_infinite():
         assert not is_infinite(parse_label(text))
 
 
+# every kind, lifted where it can be: the finite classes with subscripts
+# up to 12 and their lifts, T, O, I, O^-, and the seven infinite classes
+POOL = list(dict.fromkeys([canonicalize(x) for x in finite_labels(12)]
+                          + INFINITE))
+
+
 def test_reduce_domain():
     # every pair has a closed form, the finite type III x III pairs too
-    pool = dict.fromkeys([canonicalize(x) for x in finite_labels(12)]
-                         + INFINITE)
-    for a in pool:
-        for b in pool:
+    for a in POOL:
+        for b in POOL:
             assert isinstance(clips_reduce(a, b), ClassSet), (a, b)
     formerly_deferred = {
         ("Z4^-", "D4^z"): ["1", "Z2"],
@@ -57,11 +65,9 @@ def test_reduce_domain():
 
 
 def test_normalize_is_idempotent_and_lands_in_three_type_pairs():
-    pool = dict.fromkeys([canonicalize(x) for x in finite_labels(12)]
-                         + INFINITE)
     landed = set()
-    for a in pool:
-        for b in pool:
+    for a in POOL:
+        for b in POOL:
             na, nb, _ = normalize(a, b)
             assert normalize(na, nb) == (na, nb, False), (a, b)
             landed.add(frozenset((typeclass(na), typeclass(nb))))
@@ -83,12 +89,12 @@ def test_normalize_strips_and_lifts():
 
 
 def test_reduce_is_symmetric_where_defined():
-    pairs = [("Z4+Z2c", "D4^z"), ("Z6^-", "SO(2)"), ("D8^d", "O(2)"),
-             ("O^-", "SO(2)+Z2c"), ("O(2)^-", "O(2)^-")]
-    for a, b in pairs:
-        lhs = clips_reduce(parse_label(a), parse_label(b))
-        rhs = clips_reduce(parse_label(b), parse_label(a))
-        assert lhs == rhs
+    # the pool holds SO(2)+Z2c, O(2)+Z2c and the polyhedral classes, so
+    # the rule's swap and the published O(2)+Z2c row are met in both
+    # orders
+    for a in POOL:
+        for b in POOL:
+            assert clips_reduce(a, b) == clips_reduce(b, a), (a, b)
 
 
 def test_full_group_absorbers():
@@ -101,6 +107,19 @@ def test_full_group_absorbers():
     assert clips("O(2)^-", "SO(3)").labels() == ["SO(2)"]
     assert clips("O(3)", "O(3)").labels() == ["O(3)"]
     assert clips("SO(3)", "SO(3)").labels() == ["SO(3)"]
+    # and on every class, in both orders: 1 gives [1], SO(3) the rotation
+    # part, O(3) the class, and 1+Z2c keeps -Id when the class holds it
+    one, one_c = trivial(), with_z2c(trivial())
+    for x in POOL:
+        expect = {
+            one: {one},
+            one_c: {one_c if typeclass(x) == "II" else one},
+            so3(): {proper_part(x)},
+            o3(): {x},
+        }
+        for absorber, cell in expect.items():
+            assert set(clips(x, absorber)) == cell, (x, absorber)
+            assert set(clips(absorber, x)) == cell, (absorber, x)
 
 
 def test_infinite_with_infinite():

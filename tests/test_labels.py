@@ -326,12 +326,16 @@ def test_a_type3_kind_refuses_z2c_at_construction(kind, n, message):
 
 
 # a constructor and a subscript that int() would truncate to Z2, Z3, D4
-# and Z3
+# and Z3, or that operator.index would read as D1 = Z2, Z1 = 1 and D0^z
 NON_INTEGER_SUBSCRIPTS = {
     "Z-2.5": (lambda n: ClassLabel("Z", n), 2.5),
     "cyclic-3.7": (cyclic, 3.7),
     "D-4.9": (lambda n: ClassLabel("D", n), 4.9),
     "Z-str": (lambda n: ClassLabel("Z", n), "3"),
+    "D-True": (lambda n: ClassLabel("D", n), True),
+    "cyclic-True": (cyclic, True),
+    "Dz-False": (dihedral_z, False),
+    "Z-numpy-bool": (lambda n: ClassLabel("Z", n), np.True_),
 }
 
 
@@ -356,6 +360,7 @@ def test_an_integer_subscript_of_any_integer_type_is_kept():
     assert ClassLabel("Z", np.int64(4)) is cyclic(4)
     assert ClassLabel("Dd", np.int32(8)) is dihedral_d(8)
     assert dihedral_z(np.uint8(2)) is dihedral_z(2)
+    assert cyclic(np.int8(1)) is ClassLabel("1")
 
 
 def test_a_class_set_holds_only_labels():
