@@ -7,9 +7,11 @@ kinds picks out the pairs with a side of kind 1, SO(3) or O(2): the
 absorbers 1 and SO(3), with their lifts, and the published row
 [O(2)+Z2c], which is the rule less ``_omitted``.  Every other pair goes
 to the data cells and otherwise to the rule, so a cell of the type II x
-type III table costs that one test, one ``_DATA`` miss and one probe of
-the rule's memo.  ``clips_type2_type3`` is the same cell for a checked
-table row and column.
+type III table costs that one test, one ``_DATA`` miss and one run of
+the rule.  No cell is memoized here: ``infinite.clips_reduce`` keeps
+the one memo, of finished answers, in front of ``cell``.
+``clips_type2_type3`` is the same cell for a checked table row and
+column.
 
 Every cell with a Z, D or axial side comes from one rule,
 ``_signed_rule``: read each class as its envelope K with a sign chi on
@@ -18,12 +20,12 @@ of the other side, and name what the shared axes keep.  A rotation group
 takes every sign +1, a type III class the signs of ``labels.TYPE_III``,
 and a type II class X+Z2c is its rotation part X, whose -Id lets the
 other side's sign through.  SO(2), O(2) and O(2)^- are the Z or D
-envelopes of order infinity, written n = 0 so that gcd(p, 0) = p.  The
-rule keeps one memo, ``_RULE``: with x the side whose axes are read
-and y the Z, D or axial side of order n, it is keyed by x, the kind and
-lift of y and d = gcd(n, 2L), L the lcm of x's axis orders, since the
-cell reads n only through gcd(2p, n) for each axis order p of x.  The
-rule answers
+envelopes of order infinity, written n = 0 so that gcd(p, 0) = p.  With
+x the side whose axes are read and y the Z, D or axial side of order n,
+the cell reads n only through gcd(2p, n) for each axis order p of x,
+which is what lets ``infinite.clips_reduce`` key its memo by
+gcd(n, 2L), L the lcm of x's axis orders (``_period``).  The rule
+answers
 
 * type I x type I: Z_m or D_m against Z_n, D_n, T, O or I, the SO(3)
   cells of Olive & Auffray (*Symmetry classes for even-order tensors*,
@@ -337,35 +339,15 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
       D_{d_4}};  D_m x I = {Z_2, Z_{d_3}, Z_{d_5}, D_{d_3}, D_{d_5}};
       each plus D_2 when m is even
     """
+    # x is the side whose axes are read, y the Z, D or axial side.  Per
+    # axis orbit of x: e, the generator's signs on each side, the signs
+    # of the perpendicular half-turns of x and the sign of x's
+    # half-turn or None; half2 holds the signs of y's secondary lines,
+    # only is None or the side (0 for x, 1 for y) whose signs alone name
+    # the classes, and full says that y holds every half-turn
+    # perpendicular to its axis.
     swap = b.kind in _POLYHEDRAL_AXES or a.kind in INFINITE_KINDS
     x, y = (b, a) if swap else (a, b)
-    key = (x, y.kind, y.plus, gcd(y.n, _period(x)))
-    out = _RULE.get(key)
-    if out is None:
-        out = _RULE.setdefault(key, _cell(x, y))
-    return out
-
-
-# The rule's one memo, of ``_cell`` by (x, y.kind, y.plus, d) with
-# d = gcd(y.n, 2L) and L the lcm of the orbit orders p of x.  The cell
-# reads y's order n only through e = gcd(p, n) and the parity of n/e,
-# and gcd(2p, n) fixes both: e = gcd(p, gcd(2p, n)), and n/e is even
-# exactly when gcd(2p, n) = 2e.  Since 2p divides 2L, gcd(2p, n) =
-# gcd(2p, d), so pairs of one key share their cell; an axial y (n = 0)
-# gives d = 2L.  Labels are interned and hash by identity, so a key
-# costs one gcd, and the memo holds per x at most one cell per kind and
-# lift of y and divisor of 2L, however many pairs it answers.
-_RULE: dict[tuple, ClassSet] = {}
-
-
-def _cell(x: ClassLabel, y: ClassLabel) -> ClassSet:
-    # The union of ``_signed_rule``'s configurations of x and y in the
-    # rule's order, unmemoized.  Per axis orbit of x: e, the generator's
-    # signs on each side, the signs of the perpendicular half-turns of x
-    # and the sign of x's half-turn or None; half2 holds the signs of
-    # y's secondary lines, only is None or the side (0 for x, 1 for y)
-    # whose signs alone name the classes, and full says that y holds
-    # every half-turn perpendicular to its axis.
     only = 1 if x.plus else 0 if y.plus else None
     full = y.kind in ("O2", "O2-")
     n, a2, half2, _ = _signed_axes(y)[0]
@@ -389,7 +371,11 @@ def _cell(x: ClassLabel, y: ClassLabel) -> ClassSet:
 
 @cache
 def _period(lab: ClassLabel) -> int:
-    # 2L, L the lcm of the orbit orders of a class with no axial axis
+    # 2L, L the lcm of the orbit orders of a class; 0 for a class with
+    # an axial axis (order 0) and for 1 and SO(3), which the rule never
+    # reads
+    if lab.kind in ("1", "SO3"):
+        return 0
     return 2 * lcm(*(p for p, *_ in _signed_axes(lab)))
 
 

@@ -164,6 +164,7 @@ def test_clips_both_mismatch_exit_2(capsys, monkeypatch):
     from o3clips import infinite
     from o3clips.labels import class_set
 
+    monkeypatch.setattr(infinite, "_MEMO", {})
     monkeypatch.setattr(infinite, "cell",
                         lambda a, b: class_set("1", "I"))
     code, out, _ = run(capsys, "clips", "Z4+Z2c", "D4^z",
@@ -381,6 +382,7 @@ def test_verify_mismatch_exit_2(capsys, monkeypatch):
     from o3clips import infinite
     from o3clips.labels import class_set
 
+    monkeypatch.setattr(infinite, "_MEMO", {})
     monkeypatch.setattr(infinite, "cell",
                         lambda a, b: class_set("1", "I"))
     code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2")

@@ -82,7 +82,9 @@ def test_both_method_raises_on_planted_mismatch(monkeypatch):
     def lying_cell(a, b):
         return wrong
 
-    # every normalized pair reaches the one closed-form dispatch
+    # every normalized pair reaches the one closed-form dispatch, once
+    # the memo in front of it is empty
+    monkeypatch.setattr(infinite, "_MEMO", {})
     monkeypatch.setattr(infinite, "cell", lying_cell)
     with pytest.raises(ClipsMismatch) as err:
         clips("Z4+Z2c", "D4^z", method="both")
@@ -104,6 +106,7 @@ def test_both_method_checks_the_type3_rule(monkeypatch):
     monkeypatch.setattr(engine, "clips_oracle", spy)
     assert clips(a, b, method="both") == class_set("1", "Z2")
     assert calls == [((a,), (b,))]
+    monkeypatch.setattr(infinite, "_MEMO", {})
     monkeypatch.setattr(infinite, "cell",
                         lambda x, y: class_set("1", "Z4^-"))
     with pytest.raises(ClipsMismatch):

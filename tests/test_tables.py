@@ -6,10 +6,11 @@ import pytest
 
 from conftest import load_pins
 from test_properties import finite_labels
-from o3clips import clips, tables
-from o3clips.infinite import normalize
+from o3clips import clips, infinite, tables
+from o3clips.infinite import clips_reduce, normalize
 from o3clips.labels import (
     ClassLabel,
+    ClassSet,
     class_set,
     cyclic,
     cyclic_minus,
@@ -19,12 +20,15 @@ from o3clips.labels import (
     icosa,
     o2,
     o2_minus,
+    o3,
     octa,
     octa_minus,
     parse_label,
     so2,
+    so3,
     strip_z2c,
     tetra,
+    trivial,
     typeclass,
     with_z2c,
 )
@@ -316,53 +320,108 @@ def test_rule_reads_either_z_or_d_side_as_the_principal_one():
     assert checked == 4 * 22 ** 2
 
 
-# every Z, D, Z^-, D^z and D^d class with a subscript up to 40, the
-# lifts +Z2c, T, O, I, O^- and the five axial classes: 248 classes,
-# whose 61,504 pairs normalize to 60,118 that reach ``_signed_rule``
-RULE_POOL = list(dict.fromkeys([*finite_labels(40), so2(), o2(), o2_minus(),
-                                with_z2c(so2()), with_z2c(o2())]))
+# every kind and lift: 1, 1+Z2c, SO(3), O(3) and the five axial classes;
+# T, O, I with their lifts, and O^-; Z, D with their lifts and D^z up to
+# subscript 40; Z^- and D^d up to subscript 80: 290 classes, whose
+# 84,100 ordered pairs reach the memo of ``clips_reduce``
+MEMO_POOL = list(dict.fromkeys([
+    *finite_labels(40), so2(), o2(), o2_minus(), with_z2c(so2()),
+    with_z2c(o2()), so3(), o3(),
+    *(f(2 * k) for k in range(21, 41) for f in (cyclic_minus, dihedral_d)),
+]))
+GRID_FILE = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+             / "expected_grid.json")
+
+
+def _fresh(a: ClassLabel, b: ClassLabel) -> ClassSet:
+    # ``clips_reduce``'s answer computed again, with no memo
+    x, y, lift = normalize(a, b)
+    out = cell(x, y)
+    return ClassSet(with_z2c(k) for k in out) if lift else out
 
 
 def test_rule_memo_is_exact(monkeypatch):
-    # A pair answered from the memo gets the cell that a fresh
-    # computation of that very pair gives, whichever pair of its key
-    # came first.  Keyed on gcd(n, L) instead of gcd(n, 2L), the memo
-    # gives about 1,400 of these pairs a wrong cell, the count depending
-    # on the order.
-    pairs = [normalize(a, b)[:2] for a in RULE_POOL for b in RULE_POOL]
+    # A pair answered from the memo gets the answer that a fresh
+    # normalize, cell and lift of that very pair gives, whichever pair
+    # of its key came first.  Keyed on gcd(n, L) instead of gcd(n, 2L),
+    # the memo gives about 5,100 of these pairs a wrong answer, the count
+    # depending on the order.
+    assert len(MEMO_POOL) ** 2 == 84_100
+    pairs = [(a, b) for a in MEMO_POOL for b in MEMO_POOL]
     random.Random(0).shuffle(pairs)
-    monkeypatch.setattr(tables, "_RULE", {})
-    memoized = [cell(a, b) for a, b in pairs]
-    assert len(tables._RULE) > 0
-    fresh = {}
-    for pair, got in zip(pairs, memoized):
-        if pair not in fresh:
-            tables._RULE.clear()
-            fresh[pair] = cell(*pair)
-        assert got == fresh[pair], pair
+    monkeypatch.setattr(infinite, "_MEMO", {})
+    for a, b in pairs:
+        assert clips_reduce(a, b) == _fresh(a, b), (a, b)
+    # 15,405 keys: most pairs are answered from a key that another
+    # pair filled
+    assert 0 < len(infinite._MEMO) < len(pairs) // 5
 
 
 def _divisors(n: int) -> int:
     return sum(n % k == 0 for k in range(1, n + 1))
 
 
+def _grid() -> dict:
+    with open(GRID_FILE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
-    with open(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-              / "expected_grid.json", encoding="utf-8") as fh:
-        grid = json.load(fh)
+    grid = _grid()
     pairs = [(row, col) for row in grid["table"] for col in grid["cols"]]
-    monkeypatch.setattr(tables, "_RULE", {})
+    monkeypatch.setattr(infinite, "_MEMO", {})
     for row, col in pairs:
         clips(row, col)
-    keys = list(tables._RULE)
+    keys = list(infinite._MEMO)
     # each key is one class x with the kind, lift and one divisor d of
     # 2L of the other side, never the other class itself
+    sides = {}
     for x, kind, plus, d in keys:
         assert isinstance(x, ClassLabel) and type(kind) is str
         assert type(plus) is bool and tables._period(x) % d == 0
-    # so the memo holds at most one cell per x, (kind, lift) of y and
-    # divisor of 2L: 6 x 1,003 = 6,018 here, for 24,897 pairs
-    sides = {(kind, plus) for _, kind, plus, _ in keys}
-    bound = len(sides) * sum(_divisors(tables._period(x))
-                             for x in {x for x, *_ in keys})
+        sides.setdefault(x, set()).add((kind, plus))
+    # so the memo holds at most one answer per x, (kind, lift) of y and
+    # divisor of 2L: 4,020 here, for 24,897 pairs; the (kind, lift) of y
+    # runs over the columns' kinds for a row x, and over the rows'
+    # kinds, T+Z2c, O+Z2c and I+Z2c among them, for x = O^-
+    assert {kind for side in sides.values() for kind, _ in side} == {
+        "Z", "D", "T", "O", "I", "Z-", "Dz", "Dd", "O2-"}
+    bound = sum(len(side) * _divisors(tables._period(x))
+                for x, side in sides.items())
     assert 0 < len(keys) <= bound < len(pairs) // 4
+    # an absorber 1 or SO(3), lifted or not, has period 0, so as x it
+    # keys the other side whole; as y it has no subscript to reduce
+    for z in (trivial(), with_z2c(trivial()), so3(), o3()):
+        assert tables._period(z) == 0
+        for c in map(parse_label, [*grid["table"], *grid["cols"]]):
+            whole = ((z, c.kind, c.plus, c.n),
+                     (c, z.kind, z.plus, tables._period(c)))
+            for a, b in ((z, c), (c, z)):
+                got = clips(a, b)
+                assert any(infinite._MEMO.get(k) is got for k in whole)
+
+
+def test_a_warm_repeat_builds_nothing(monkeypatch):
+    # a lifted II x II cell, a III x I cell whose side loses its sign and
+    # the printed O(2)+Z2c row each return the one stored ClassSet
+    for a, b in (("D4+Z2c", "SO(2)+Z2c"), ("D6^z", "SO(2)"),
+                 ("D4^z", "O(2)+Z2c")):
+        assert clips(a, b) is clips(a, b), (a, b)
+    grid = _grid()
+    pairs = [(row, col) for row in grid["table"] for col in grid["cols"]]
+    pairs = random.Random(1).sample(pairs, 1_000)
+    for a, b in pairs:
+        clips(a, b)
+    built = []
+    init = ClassSet.__init__
+
+    def spy(self, items=()):
+        built.append(self)
+        init(self, items)
+
+    monkeypatch.setattr(ClassSet, "__init__", spy)
+    for a, b in pairs:
+        clips(a, b)
+    assert built == []
+    ClassSet([trivial()])  # the spy sees a construction
+    assert len(built) == 1
