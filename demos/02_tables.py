@@ -13,8 +13,8 @@ prints the signed axes of one row and two columns, one of them axial,
 and the cells they give.
 """
 
-from o3clips import clips, parse_label
-from o3clips.tables import _signed_axes, clips_type2_type3
+from o3clips import clips, clips_type2_type3, parse_label
+from o3clips.tables import _signed_axes
 
 
 def show_axes(spelling: str) -> None:

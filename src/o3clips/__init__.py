@@ -28,7 +28,7 @@ from .engine import (
     clips_families,
     verify_cells,
 )
-from .infinite import clips_reduce
+from .infinite import clips_reduce, clips_type2_type3
 from .labels import (
     ClassLabel,
     ClassSet,
@@ -73,7 +73,6 @@ from .piezo import (
     isotropy_direct_sum,
     printed_collisions,
 )
-from .tables import clips_type2_type3
 
 __version__ = "0.1.0"
 

@@ -6,7 +6,8 @@ miss it applies ``normalize``, answers the normalized pair with
 the answer back to its +Z2c class.  Every pair that ``normalize``
 returns, type I x I, II x III or III x III with axial sides included,
 has a cell, so ``clips_reduce`` answers every pair and never reaches the
-matrix layer.
+matrix layer.  ``clips_type2_type3`` is ``clips_reduce`` on a checked
+row and column of the type II x type III table.
 
 ``normalize`` applies the three exact reductions, the only place they
 are written:
@@ -23,11 +24,12 @@ are written:
 from __future__ import annotations
 
 from math import gcd
+from typing import Sequence
 
 from .labels import (
-    INFINITE_KINDS,
     ClassLabel,
     ClassSet,
+    format_label,
     proper_part,
     strip_z2c,
     typeclass,
@@ -35,9 +37,7 @@ from .labels import (
 )
 # ``canonicalize`` is imported only for perfbench/spans.py, which traces it
 from .labels import canonicalize  # noqa: F401
-from .tables import _POLYHEDRAL_AXES, _period, cell
-# ``clips_type2_type3`` is imported only for perfbench/spans.py to trace
-from .tables import clips_type2_type3  # noqa: F401
+from .tables import COL_KINDS, ROW_KINDS, _period, cell
 
 
 def normalize(a: ClassLabel,
@@ -68,9 +68,7 @@ def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     and the answer is stored.  Every pair has a cell, and a repeated
     pair returns the same ``ClassSet``.  Symmetric in its arguments.
     """
-    swap = c2.kind in _POLYHEDRAL_AXES or c1.kind in INFINITE_KINDS
-    x, y = (c2, c1) if swap else (c1, c2)
-    key = (x, y.kind, y.plus, gcd(y.n, _period(x)))
+    key = (c1, c2.kind, c2.plus, gcd(c2.n, _period(c1)))
     out = _MEMO.get(key)
     if out is None:
         a, b, lift = normalize(c1, c2)
@@ -80,20 +78,47 @@ def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     return out
 
 
+def _check(lab: ClassLabel, kinds: Sequence[str], what: str,
+           plus: bool = False) -> None:
+    if lab.plus != plus or lab.kind not in kinds:
+        raise ValueError(f"not a {what}: {format_label(lab)}")
+
+
+def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
+    """Evaluate one cell of the type II x type III table.
+
+    Parameters
+    ----------
+    row : ClassLabel
+        A type II class: X+Z2c with X in {Z_m, D_m, T, O, I, SO(2), O(2)}.
+    col : ClassLabel
+        A type III class: Z_2n^-, D_n^z, D_2n^d, O^- or O(2)^-.
+
+    Returns
+    -------
+    ClassSet
+        ``clips_reduce(row, col)``, after checking that row and column
+        are classes of the table; it always includes the trivial class.
+    """
+    _check(row, ROW_KINDS, "table row class", plus=True)
+    _check(col, COL_KINDS, "table column class")
+    return clips_reduce(row, col)
+
+
 # The one memo between ``clips`` and the rule: the finished answer of
 # ``clips_reduce``, after ``normalize``, ``cell`` and the lift, keyed by
-# the pair as given.  x is the side whose axes ``tables._signed_rule``
-# reads, picked by its own swap test, and y the other side; the key is
-# (x, y.kind, y.plus, gcd(y.n, 2L)), with 2L = ``tables._period(x)``,
-# twice the lcm of x's axis orders, or 0 when x has no finite axis
-# orders (1, SO(3) and the axial classes), so that such an x keys y
-# whole.  The key fixes the answer:
+# the pair as given, (c1, c2.kind, c2.plus, gcd(c2.n, 2L)), with 2L =
+# ``tables._period(c1)``, twice the lcm of c1's axis orders, or 0 when
+# c1 has no finite axis orders (1, SO(3) and the axial classes), so that
+# such a c1 keys c2 whole.  The key fixes the answer:
 #
-# 1. ``normalize`` keeps the order of the pair, and keeps each side
-#    inside the polyhedral kinds and inside the infinite ones: O^-
-#    becomes T, O(2)^- becomes SO(2), and a lift is stripped.  So the
-#    swap on the raw pair picks the same side as the rule's swap on the
-#    normalized pair.
+# 1. ``tables._signed_rule`` reads the axes of the second side only when
+#    that side is polyhedral, whose kind has no subscript (n = 0), or
+#    the first side is infinite (2L = 0); either way the key holds both
+#    classes whole.  ``normalize`` keeps the order of the pair, and keeps
+#    each side inside the polyhedral kinds and inside the infinite ones
+#    (O^- becomes T, O(2)^- becomes SO(2), and a lift is stripped), so on
+#    every other pair the rule reads the axes of x = c1, and y = c2.
 # 2. x is keyed whole, so whatever ``normalize`` does to x is fixed by
 #    the key; it takes x to a class whose 2L divides x's.
 # 3. y keeps its subscript, except where ``proper_part`` halves it: a
@@ -109,9 +134,10 @@ def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
 #    = gcd(2p, n)/2, which d fixes as in 3.
 # 5. The data, absorber and printed-row cells read only the kinds and
 #    sides that are keyed whole: the subscript of a kind without one
-#    is 0, and the printed row's column is always x.
+#    is 0, and the printed row's column is x, or y against x = O(2)+Z2c.
 #
 # Labels are interned and hash by identity, so a key costs one gcd and
-# one ``_period`` call, and the memo holds per x at most one answer per
-# kind and lift of y and divisor of 2L, however many pairs it answers.
+# one ``_period`` call, and the memo holds per c1 at most one answer per
+# kind and lift of c2 and divisor of 2L, or per c2 when 2L = 0, however
+# many pairs it answers.
 _MEMO: dict[tuple, ClassSet] = {}

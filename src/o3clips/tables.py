@@ -2,16 +2,13 @@
 table of type II row against type III column.
 
 ``cell`` answers every pair that ``infinite.normalize`` returns, a type
-I x I, II x III or III x III pair in either order.  One test of the two
-kinds picks out the pairs with a side of kind 1, SO(3) or O(2): the
-absorbers 1 and SO(3), with their lifts, and the published row
-[O(2)+Z2c], which is the rule less ``_omitted``.  Every other pair goes
-to the data cells and otherwise to the rule, so a cell of the type II x
-type III table costs that one test, one ``_DATA`` miss and one run of
-the rule.  No cell is memoized here: ``infinite.clips_reduce`` keeps
-the one memo, of finished answers, in front of ``cell``.
-``clips_type2_type3`` is the same cell for a checked table row and
-column.
+I x I, II x III or III x III pair in either order: the absorbers 1 and
+SO(3), with their lifts, and the published row [O(2)+Z2c], which is the
+rule less ``_omitted``, then the data cells, and otherwise the rule.  No
+cell is memoized here: ``cell`` runs only on a miss of the one memo, of
+finished answers, that ``infinite.clips_reduce`` keeps in front of it,
+and ``infinite.clips_type2_type3`` answers a checked table row and
+column through that memo.
 
 Every cell with a Z, D or axial side comes from one rule,
 ``_signed_rule``: read each class as its envelope K with a sign chi on
@@ -81,7 +78,6 @@ from .labels import (
     dihedral,
     dihedral_d,
     dihedral_z,
-    format_label,
     icosa,
     o2,
     o2_minus,
@@ -183,10 +179,6 @@ _DATA = {key: cell for kinds, cell in (*_POLY_POLY.items(),
                                        *_AXIAL_AXIAL.items())
          for key in (kinds, kinds[::-1])}
 
-# the kinds that ``cell`` answers before ``_DATA``: the absorbers 1 and
-# SO(3), with their lifts, and the published row O(2)+Z2c
-_GUARDED = frozenset(("1", "SO3", "O2"))
-
 # The signed axes (``_signed_rule``) of the classes without a Z or D
 # envelope, one entry (p, alpha, beta) per axis orbit.  The rotation
 # groups take every sign +1; only the 3-fold axes of T have no
@@ -212,12 +204,6 @@ _KIND_OF_SIGNS = {signs: kind for kind, signs in _SIGNS.items()
                   if kind not in INFINITE_KINDS}
 
 
-def _check(lab: ClassLabel, kinds: Sequence[str], what: str,
-           plus: bool = False) -> None:
-    if lab.plus != plus or lab.kind not in kinds:
-        raise ValueError(f"not a {what}: {format_label(lab)}")
-
-
 def cell(a: ClassLabel, b: ClassLabel) -> ClassSet:
     """Evaluate the closed-form cell of a normalized pair.
 
@@ -230,47 +216,23 @@ def cell(a: ClassLabel, b: ClassLabel) -> ClassSet:
     Returns
     -------
     ClassSet
-        The cell.  One kind test picks out the pairs with a side of
-        kind 1, SO(3) or O(2), lifted or not, and these are read side
-        by side: SO(3) against type I or O(3) against type III keeps the
+        The cell.  The absorbers and the printed row are read side by
+        side: SO(3) against type I or O(3) against type III keeps the
         other side, 1 or 1+Z2c gives [1], and O(2)+Z2c against a finite
-        column is ``_signed_rule`` less ``_omitted``.  Every pair not
-        answered there, the type II x type III table among them, takes
-        its data cell of ``_POLY_POLY`` or ``_AXIAL_AXIAL`` if it has
-        one, and otherwise ``_signed_rule``.
+        column is ``_signed_rule`` less ``_omitted``.  Every other pair,
+        the type II x type III table among them, takes its data cell of
+        ``_POLY_POLY`` or ``_AXIAL_AXIAL`` if it has one, and otherwise
+        ``_signed_rule``.
     """
-    if a.kind in _GUARDED or b.kind in _GUARDED:
-        for x, y in ((a, b), (b, a)):
-            if x.kind == "SO3":
-                return ClassSet([y])
-            if x.kind == "1":
-                return ClassSet([trivial()])
-            if x.plus and x.kind == "O2" and y.kind != "O2-":
-                return ClassSet(
-                    set(_signed_rule(a, b)).difference(_omitted(y)))
+    for x, y in ((a, b), (b, a)):
+        if x.kind == "SO3":
+            return ClassSet([y])
+        if x.kind == "1":
+            return ClassSet([trivial()])
+        if x.plus and x.kind == "O2" and y.kind != "O2-":
+            return ClassSet(set(_signed_rule(a, b)).difference(_omitted(y)))
     data = _DATA.get((a.kind, b.kind))
     return _signed_rule(a, b) if data is None else data
-
-
-def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
-    """Evaluate one cell of the type II x type III table.
-
-    Parameters
-    ----------
-    row : ClassLabel
-        A type II class: X+Z2c with X in {Z_m, D_m, T, O, I, SO(2), O(2)}.
-    col : ClassLabel
-        A type III class: Z_2n^-, D_n^z, D_2n^d, O^- or O(2)^-.
-
-    Returns
-    -------
-    ClassSet
-        ``cell(row, col)``, after checking that row and column are
-        classes of the table; it always includes the trivial class.
-    """
-    _check(row, ROW_KINDS, "table row class", plus=True)
-    _check(col, COL_KINDS, "table column class")
-    return cell(row, col)
 
 
 def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:

@@ -1,12 +1,13 @@
 import json
 import pathlib
 import random
+from math import gcd
 
 import pytest
 
 from conftest import load_pins
 from test_properties import finite_labels
-from o3clips import clips, infinite, tables
+from o3clips import clips, clips_type2_type3, infinite, tables
 from o3clips.infinite import clips_reduce, normalize
 from o3clips.labels import (
     ClassLabel,
@@ -33,7 +34,7 @@ from o3clips.labels import (
     with_z2c,
 )
 from o3clips.oracle import clips_oracle
-from o3clips.tables import cell, clips_type2_type3
+from o3clips.tables import cell
 
 
 def _cell(row: str, col: str) -> list[str]:
@@ -352,13 +353,29 @@ def test_rule_memo_is_exact(monkeypatch):
     monkeypatch.setattr(infinite, "_MEMO", {})
     for a, b in pairs:
         assert clips_reduce(a, b) == _fresh(a, b), (a, b)
-    # 15,405 keys: most pairs are answered from a key that another
-    # pair filled
-    assert 0 < len(infinite._MEMO) < len(pairs) // 5
+    # most pairs are answered from a key that another pair filled
+    assert len(infinite._MEMO) == 19_318
+    assert len(infinite._MEMO) <= _key_bound(infinite._MEMO) < len(pairs)
 
 
 def _divisors(n: int) -> int:
     return sum(n % k == 0 for k in range(1, n + 1))
+
+
+def _key_bound(keys) -> int:
+    # Each key is the first class x with the kind, lift and one divisor
+    # d of 2L of the other side, never the other class itself unless 2L
+    # is 0.  So the memo holds per x at most one answer per (kind, lift)
+    # of the other side and divisor of 2L, or one per other class when
+    # 2L = 0.
+    sides = {}
+    for x, kind, plus, d in keys:
+        assert isinstance(x, ClassLabel) and type(kind) is str
+        assert type(plus) is bool and gcd(d, tables._period(x)) == d
+        sides.setdefault(x, set()).add(
+            (kind, plus) if tables._period(x) else (kind, plus, d))
+    return sum(len(side) * (_divisors(tables._period(x)) or 1)
+               for x, side in sides.items())
 
 
 def _grid() -> dict:
@@ -373,32 +390,21 @@ def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
     for row, col in pairs:
         clips(row, col)
     keys = list(infinite._MEMO)
-    # each key is one class x with the kind, lift and one divisor d of
-    # 2L of the other side, never the other class itself
-    sides = {}
-    for x, kind, plus, d in keys:
-        assert isinstance(x, ClassLabel) and type(kind) is str
-        assert type(plus) is bool and tables._period(x) % d == 0
-        sides.setdefault(x, set()).add((kind, plus))
-    # so the memo holds at most one answer per x, (kind, lift) of y and
-    # divisor of 2L: 4,020 here, for 24,897 pairs; the (kind, lift) of y
-    # runs over the columns' kinds for a row x, and over the rows'
-    # kinds, T+Z2c, O+Z2c and I+Z2c among them, for x = O^-
-    assert {kind for side in sides.values() for kind, _ in side} == {
-        "Z", "D", "T", "O", "I", "Z-", "Dz", "Dd", "O2-"}
-    bound = sum(len(side) * _divisors(tables._period(x))
-                for x, side in sides.items())
-    assert 0 < len(keys) <= bound < len(pairs) // 4
+    # x is always the row, and the other side's kinds are the columns'
+    # five; the bound is 4,975 here, for 24,897 pairs
+    assert {x for x, *_ in keys} == set(map(parse_label, grid["table"]))
+    assert {kind for _, kind, _, _ in keys} == set(tables.COL_KINDS)
+    assert 0 < len(keys) <= _key_bound(keys) < len(pairs) // 4
     # an absorber 1 or SO(3), lifted or not, has period 0, so as x it
     # keys the other side whole; as y it has no subscript to reduce
     for z in (trivial(), with_z2c(trivial()), so3(), o3()):
         assert tables._period(z) == 0
         for c in map(parse_label, [*grid["table"], *grid["cols"]]):
-            whole = ((z, c.kind, c.plus, c.n),
-                     (c, z.kind, z.plus, tables._period(c)))
-            for a, b in ((z, c), (c, z)):
+            whole = {(z, c): (z, c.kind, c.plus, c.n),
+                     (c, z): (c, z.kind, z.plus, tables._period(c))}
+            for (a, b), key in whole.items():
                 got = clips(a, b)
-                assert any(infinite._MEMO.get(k) is got for k in whole)
+                assert infinite._MEMO[key] is got
 
 
 def test_a_warm_repeat_builds_nothing(monkeypatch):
@@ -407,6 +413,9 @@ def test_a_warm_repeat_builds_nothing(monkeypatch):
     for a, b in (("D4+Z2c", "SO(2)+Z2c"), ("D6^z", "SO(2)"),
                  ("D4^z", "O(2)+Z2c")):
         assert clips(a, b) is clips(a, b), (a, b)
+    # the table's own entry point answers through the same memo
+    row, col = parse_label("D12+Z2c"), parse_label("D18^d")
+    assert clips_type2_type3(row, col) is clips_type2_type3(row, col)
     grid = _grid()
     pairs = [(row, col) for row in grid["table"] for col in grid["cols"]]
     pairs = random.Random(1).sample(pairs, 1_000)
