@@ -37,7 +37,7 @@ from .labels import (
 )
 # ``canonicalize`` is imported only for perfbench/spans.py, which traces it
 from .labels import canonicalize  # noqa: F401
-from .tables import COL_KINDS, ROW_KINDS, _period, cell
+from .tables import COL_KINDS, ROW_KINDS, cell
 
 
 def normalize(a: ClassLabel,
@@ -68,7 +68,7 @@ def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
     and the answer is stored.  Every pair has a cell, and a repeated
     pair returns the same ``ClassSet``.  Symmetric in its arguments.
     """
-    key = (c1, c2.kind, c2.plus, gcd(c2.n, _period(c1)))
+    key = (c1, c2.kind, c2.plus, gcd(c2.n, c1.period))
     out = _MEMO.get(key)
     if out is None:
         a, b, lift = normalize(c1, c2)
@@ -108,9 +108,10 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
 # The one memo between ``clips`` and the rule: the finished answer of
 # ``clips_reduce``, after ``normalize``, ``cell`` and the lift, keyed by
 # the pair as given, (c1, c2.kind, c2.plus, gcd(c2.n, 2L)), with 2L =
-# ``tables._period(c1)``, twice the lcm of c1's axis orders, or 0 when
-# c1 has no finite axis orders (1, SO(3) and the axial classes), so that
-# such a c1 keys c2 whole.  The key fixes the answer:
+# ``c1.period``, twice the lcm of the axis orders that
+# ``tables._signed_axes`` gives c1 (a test checks the two agree), or 0
+# when c1 has no finite axis orders (1, SO(3) and the axial classes), so
+# that such a c1 keys c2 whole.  The key fixes the answer:
 #
 # 1. ``tables._signed_rule`` reads the axes of the second side only when
 #    that side is polyhedral, whose kind has no subscript (n = 0), or
@@ -136,8 +137,8 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
 #    sides that are keyed whole: the subscript of a kind without one
 #    is 0, and the printed row's column is x, or y against x = O(2)+Z2c.
 #
-# Labels are interned and hash by identity, so a key costs one gcd and
-# one ``_period`` call, and the memo holds per c1 at most one answer per
-# kind and lift of c2 and divisor of 2L, or per c2 when 2L = 0, however
-# many pairs it answers.
+# Labels are interned and hash by identity, and each carries its 2L, so
+# a key costs one gcd and four slot reads, and the memo holds per c1 at
+# most one answer per kind and lift of c2 and divisor of 2L, or per c2
+# when 2L = 0, however many pairs it answers.
 _MEMO: dict[tuple, ClassSet] = {}

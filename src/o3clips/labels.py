@@ -44,10 +44,12 @@ Labels are canonical when built: ``ClassLabel(kind, n, plus)`` checks
 the fields, collapses a degenerate subscript (``ClassLabel("Z", 1)`` is
 ``trivial()``, ``ClassLabel("Dd", 2)`` is ``dihedral_z(2)``) and returns
 the one shared instance of the class, so ``==`` and ``is`` agree and a
-label hashes by identity.  The pool of instances is the factories' only
-memo: each factory (``cyclic``, ``dihedral_d``, ``o3``, ...) is one
-constructor call, and an invalid subscript raises its ``ValueError`` on
-every call and pools nothing.  ``parse_label``, ``sort_key`` and
+label hashes by identity.  Each instance also carries its ``period``,
+twice the lcm of its envelope's axis orders, set before the instance is
+pooled; ``infinite`` keys its memo by it.  The pool of instances is the
+factories' only memo: each factory (``cyclic``, ``dihedral_d``, ``o3``,
+...) is one constructor call, and an invalid subscript raises its
+``ValueError`` on every call and pools nothing.  ``parse_label``, ``sort_key`` and
 ``order_of`` are memoized on their one argument, so a spelling or a
 class repeated within a workload is parsed, ranked or counted once.
 """
@@ -102,6 +104,12 @@ class ClassLabel:
     plus : bool
         True for type II labels H (+) Z2c.  Only valid on type I kinds;
         ``SO3`` with ``plus`` displays as ``O(3)``.
+    period : int
+        2L, L the lcm of the axis orders of the class's envelope, or of
+        its rotation part's for a lift: 2n for Z_n, 2 lcm(n, 2) for D_n,
+        12, 24 and 60 for T, O and I, and 0 for 1, SO(3) and the axial
+        kinds.  Set with the other fields when the instance is built;
+        ``infinite.clips_reduce`` keys its memo by it.
 
     Instances are immutable and canonical: the constructor maps its
     fields to those of their class (``_canonical_key``) and returns the
@@ -109,11 +117,12 @@ class ClassLabel:
     identity.  Fields that name no class raise ``ValueError``.
     """
 
-    __slots__ = ("kind", "n", "plus")
+    __slots__ = ("kind", "n", "plus", "period")
 
     kind: str
     n: int
     plus: bool
+    period: int
 
     def __new__(cls, kind: str, n: int = 0, plus: bool = False) -> ClassLabel:
         try:  # an int or a numpy integer, never a bool, float or string
@@ -126,7 +135,8 @@ class ClassLabel:
         if self is None:
             canonical = _canonical_key(*key)
             self = object.__new__(cls)
-            for name, value in zip(cls.__slots__, canonical):
+            fields = (*canonical, _twice_lcm(*canonical[:2]))
+            for name, value in zip(cls.__slots__, fields, strict=True):
                 object.__setattr__(self, name, value)
             # a concurrent builder of either key may have won; the pool
             # holds one instance per canonical key, found under both
@@ -181,6 +191,21 @@ def _canonical_key(kind: str, n: int, plus: bool) -> tuple[str, int, bool]:
         raise ValueError(
             f"{ClassLabel(kind, n)} already contains improper elements")
     return kind, n, plus
+
+
+# 2L of the envelopes with fixed axes: L = lcm(2, 3), lcm(2, 3, 4) and
+# lcm(2, 3, 5)
+_FIXED_TWICE_LCM = {"T": 12, "O": 24, "I": 60}
+
+
+def _twice_lcm(kind: str, n: int) -> int:
+    """The ``period`` of a canonical kind and subscript."""
+    kind = TYPE_III.get(kind, (kind,))[0]
+    if kind == "Z":
+        return 2 * n
+    if kind == "D":
+        return 2 * math.lcm(n, 2)
+    return _FIXED_TWICE_LCM.get(kind, 0)
 
 
 def trivial() -> ClassLabel:

@@ -21,8 +21,8 @@ envelopes of order infinity, written n = 0 so that gcd(p, 0) = p.  With
 x the side whose axes are read and y the Z, D or axial side of order n,
 the cell reads n only through gcd(2p, n) for each axis order p of x,
 which is what lets ``infinite.clips_reduce`` key its memo by
-gcd(n, 2L), L the lcm of x's axis orders (``_period``).  The rule
-answers
+gcd(n, 2L), L the lcm of x's axis orders (``ClassLabel.period``).  The
+rule answers
 
 * type I x type I: Z_m or D_m against Z_n, D_n, T, O or I, the SO(3)
   cells of Olive & Auffray (*Symmetry classes for even-order tensors*,
@@ -63,7 +63,7 @@ The fourth is data: [D_2] dropped from T+Z2c and I+Z2c against O^-
 from __future__ import annotations
 
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .labels import (
@@ -329,16 +329,6 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
         if h is not None:
             out += [name(2, (h,), (s2,)) for s2 in half2]
     return ClassSet(out)
-
-
-@cache
-def _period(lab: ClassLabel) -> int:
-    # 2L, L the lcm of the orbit orders of a class; 0 for a class with
-    # an axial axis (order 0) and for 1 and SO(3), which the rule never
-    # reads
-    if lab.kind in ("1", "SO3"):
-        return 0
-    return 2 * lcm(*(p for p, *_ in _signed_axes(lab)))
 
 
 @cache

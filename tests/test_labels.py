@@ -405,7 +405,11 @@ def test_labels_are_immutable():
         del lab.kind
     with pytest.raises(AttributeError):
         lab.extra = 1
-    assert lab is cyclic(4) and lab.n == 4
+    with pytest.raises(AttributeError):
+        lab.period = 0
+    with pytest.raises(AttributeError):
+        del lab.period
+    assert lab is cyclic(4) and lab.n == 4 and lab.period == 8
 
 
 def test_warm_fold_builds_no_new_label():
@@ -450,3 +454,11 @@ def test_concurrent_builders_share_one_instance():
     assert all(ClassLabel(*key) is lab for key, lab in zip(keys, got[0]))
     assert all(lab is canonical.get(key, lab)
                for key, lab in zip(keys, got[0]))
+    # each label was whole when published: it carries its class's period
+    period = {("Z", 1): 0, ("D", 1, True): 4, ("Dz", 1): 4, ("Dd", 2): 4}
+    period |= {key: 12 if key[0] == "T" else 0
+               for key in canonical if key not in period}
+    period |= {key: 2 * key[1] for key in keys if key not in canonical}
+    for built in got:
+        assert all(lab.period == period[key]
+                   for key, lab in zip(keys, built, strict=True))

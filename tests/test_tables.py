@@ -1,12 +1,12 @@
 import json
 import pathlib
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from conftest import load_pins
-from test_properties import finite_labels
+from test_properties import INFINITE, finite_labels
 from o3clips import clips, clips_type2_type3, infinite, tables
 from o3clips.infinite import clips_reduce, normalize
 from o3clips.labels import (
@@ -358,6 +358,21 @@ def test_rule_memo_is_exact(monkeypatch):
     assert len(infinite._MEMO) <= _key_bound(infinite._MEMO) < len(pairs)
 
 
+def test_period_is_twice_the_lcm_of_the_rule_axes():
+    # the memo keys the second side by gcd(n, x.period), and step 3 of
+    # its exactness argument needs every axis order p that the rule
+    # reads of x to divide x.period / 2
+    absorbers = {trivial(), with_z2c(trivial()), so3(), o3()}
+    pool = set(finite_labels(128)) | set(INFINITE)
+    assert len(pool) == 771 + 7 and absorbers <= pool
+    for x in pool:
+        if x in absorbers:
+            assert x.period == 0, x
+        else:
+            orders = [p for p, *_ in tables._signed_axes(x)]
+            assert x.period == (0 if 0 in orders else 2 * lcm(*orders)), x
+
+
 def _divisors(n: int) -> int:
     return sum(n % k == 0 for k in range(1, n + 1))
 
@@ -371,10 +386,10 @@ def _key_bound(keys) -> int:
     sides = {}
     for x, kind, plus, d in keys:
         assert isinstance(x, ClassLabel) and type(kind) is str
-        assert type(plus) is bool and gcd(d, tables._period(x)) == d
+        assert type(plus) is bool and gcd(d, x.period) == d
         sides.setdefault(x, set()).add(
-            (kind, plus) if tables._period(x) else (kind, plus, d))
-    return sum(len(side) * (_divisors(tables._period(x)) or 1)
+            (kind, plus) if x.period else (kind, plus, d))
+    return sum(len(side) * (_divisors(x.period) or 1)
                for x, side in sides.items())
 
 
@@ -398,10 +413,10 @@ def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
     # an absorber 1 or SO(3), lifted or not, has period 0, so as x it
     # keys the other side whole; as y it has no subscript to reduce
     for z in (trivial(), with_z2c(trivial()), so3(), o3()):
-        assert tables._period(z) == 0
+        assert z.period == 0
         for c in map(parse_label, [*grid["table"], *grid["cols"]]):
             whole = {(z, c): (z, c.kind, c.plus, c.n),
-                     (c, z): (c, z.kind, z.plus, tables._period(c))}
+                     (c, z): (c, z.kind, z.plus, c.period)}
             for (a, b), key in whole.items():
                 got = clips(a, b)
                 assert infinite._MEMO[key] is got
