@@ -14,12 +14,11 @@ and the cells they give.
 """
 
 from o3clips import clips, clips_type2_type3, parse_label
-from o3clips.tables import _signed_axes
 
 
 def show_axes(spelling: str) -> None:
     print(f"signed axes of {spelling}:")
-    for p, alpha, half, h in _signed_axes(parse_label(spelling)):
+    for p, alpha, half, h in parse_label(spelling).axes:
         order = "infinity (written 0)" if p == 0 else p
         print(f"  order {order}, generator {alpha:+d}, "
               f"perpendicular half-turns {list(half) or 'none'}, "

@@ -108,10 +108,10 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
 # The one memo between ``clips`` and the rule: the finished answer of
 # ``clips_reduce``, after ``normalize``, ``cell`` and the lift, keyed by
 # the pair as given, (c1, c2.kind, c2.plus, gcd(c2.n, 2L)), with 2L =
-# ``c1.period``, twice the lcm of the axis orders that
-# ``tables._signed_axes`` gives c1 (a test checks the two agree), or 0
-# when c1 has no finite axis orders (1, SO(3) and the axial classes), so
-# that such a c1 keys c2 whole.  The key fixes the answer:
+# ``c1.period``, twice the lcm of the orders of ``c1.axes``, the axes
+# the rule reads (the label reads one off the other), or 0 when c1 has
+# no finite axis orders (1, SO(3) and the axial classes), so that such a
+# c1 keys c2 whole.  The key fixes the answer:
 #
 # 1. ``tables._signed_rule`` reads the axes of the second side only when
 #    that side is polyhedral, whose kind has no subscript (n = 0), or

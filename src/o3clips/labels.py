@@ -44,14 +44,18 @@ Labels are canonical when built: ``ClassLabel(kind, n, plus)`` checks
 the fields, collapses a degenerate subscript (``ClassLabel("Z", 1)`` is
 ``trivial()``, ``ClassLabel("Dd", 2)`` is ``dihedral_z(2)``) and returns
 the one shared instance of the class, so ``==`` and ``is`` agree and a
-label hashes by identity.  Each instance also carries its ``period``,
-twice the lcm of its envelope's axis orders, set before the instance is
-pooled; ``infinite`` keys its memo by it.  The pool of instances is the
-factories' only memo: each factory (``cyclic``, ``dihedral_d``, ``o3``,
-...) is one constructor call, and an invalid subscript raises its
-``ValueError`` on every call and pools nothing.  ``parse_label``, ``sort_key`` and
-``order_of`` are memoized on their one argument, so a spelling or a
-class repeated within a workload is parsed, ranked or counted once.
+label hashes by identity.  Each instance also carries the signed axes of
+its envelope, ``axes``, which ``tables._signed_rule`` reads, and its
+``period``, twice the lcm of their orders, by which ``infinite`` keys its
+memo.  Both are set before the instance is pooled, and ``axes`` is the
+one statement of the axis orbits: ``_POLYHEDRAL_AXES`` for T, O, I and
+O^-, the signs of ``TYPE_III`` for the other type III kinds.  The pool
+of instances is the factories' only memo: each factory (``cyclic``,
+``dihedral_d``, ``o3``, ...) is one constructor call, and an invalid
+subscript raises its ``ValueError`` on every call and pools nothing.
+``parse_label``, ``sort_key`` and ``order_of`` are memoized on their
+one argument, so a spelling or a class repeated within a workload is
+parsed, ranked or counted once.
 """
 
 from __future__ import annotations
@@ -62,11 +66,10 @@ from operator import index
 from os.path import commonprefix
 from typing import Iterable, Iterator
 
-# Label kinds.  'Z-' stores the printed subscript (an even number, the
+# Subscripts.  'Z-' stores the printed subscript (an even number, the
 # group order), as do 'Dz' and 'Dd'.  'Dd' subscripts are even and the
 # group order is twice the subscript.
-INFINITE_KINDS = frozenset({"SO2", "O2", "SO3", "O2-"})
-
+#
 # The type III table of the module docstring.  Per kind: the envelope's
 # kind, which takes the class's own printed subscript n; the kernel's
 # kind, which takes n // divisor; and the signs on the envelope's cyclic
@@ -79,6 +82,27 @@ TYPE_III = {
     "O2-": ("O2", "SO2", 1, (1, -1)),
 }
 
+# The signed axes (``ClassLabel.axes``) of the classes without a Z or D
+# envelope, one entry (p, alpha, beta) per axis orbit.  The rotation
+# groups take every sign +1; only the 3-fold axes of T have no
+# perpendicular half-turn.  O^- has the orbits of O: the 4-fold axes
+# (the quarter-turns lie outside T, the half-turn about a perpendicular
+# 4-fold axis inside), the 3-fold axes (their turns lie in T, the
+# perpendicular edge half-turns outside) and the edge 2-fold axes
+# (outside T, with the perpendicular 4-fold axis inside).
+_POLYHEDRAL_AXES = {
+    "T": ((2, 1, 1), (3, 1, None)),
+    "O": ((4, 1, 1), (3, 1, 1), (2, 1, 1)),
+    "I": ((5, 1, 1), (3, 1, 1), (2, 1, 1)),
+    "O-": ((4, -1, 1), (3, 1, -1), (2, -1, 1)),
+}
+
+# the signs on the cyclic factors of each kind with a Z or D envelope,
+# SO(2) and O(2) being Z and D of order infinity: +1 for the rotation
+# groups, and the rows of ``TYPE_III``
+_SIGNS = {"Z": (1,), "D": (1, 1), "SO2": (1,), "O2": (1, 1),
+          **{kind: signs for kind, (*_, signs) in TYPE_III.items()}}
+
 _FAMILY_RANK = {
     "1": 0, "Z": 1, "D": 2, "T": 3, "O": 4, "I": 5,
     "Z-": 6, "Dz": 7, "Dd": 8, "O-": 9,
@@ -89,6 +113,7 @@ _INFINITE_SEQ = (
     ("SO2", False), ("O2", False), ("SO2", True), ("O2", True),
     ("O2-", False), ("SO3", False), ("SO3", True),
 )
+INFINITE_KINDS = frozenset(kind for kind, _ in _INFINITE_SEQ)
 
 
 class ClassLabel:
@@ -104,12 +129,20 @@ class ClassLabel:
     plus : bool
         True for type II labels H (+) Z2c.  Only valid on type I kinds;
         ``SO3`` with ``plus`` displays as ``O(3)``.
+    axes : tuple
+        The signed axes of the class's envelope, or of its rotation
+        part's for a lift, that ``tables._signed_rule`` reads: per axis
+        orbit, the order p (0 for the axis of an axial class), the sign
+        of the generator, the signs of the perpendicular half-turns or
+        (), and the sign of the axis's own half-turn or None for odd p;
+        () for 1 and SO(3).
     period : int
-        2L, L the lcm of the axis orders of the class's envelope, or of
-        its rotation part's for a lift: 2n for Z_n, 2 lcm(n, 2) for D_n,
-        12, 24 and 60 for T, O and I, and 0 for 1, SO(3) and the axial
-        kinds.  Set with the other fields when the instance is built;
-        ``infinite.clips_reduce`` keys its memo by it.
+        2L, L the lcm of the orders in ``axes``: 2n for Z_n, 2 lcm(n, 2)
+        for D_n, 12, 24 and 60 for T, O and I, and 0 for 1, SO(3) and
+        the axial kinds.  ``infinite.clips_reduce`` keys its memo by it.
+
+    ``axes`` and ``period`` are set with the other fields when the
+    instance is built, before it is pooled.
 
     Instances are immutable and canonical: the constructor maps its
     fields to those of their class (``_canonical_key``) and returns the
@@ -117,11 +150,12 @@ class ClassLabel:
     identity.  Fields that name no class raise ``ValueError``.
     """
 
-    __slots__ = ("kind", "n", "plus", "period")
+    __slots__ = ("kind", "n", "plus", "axes", "period")
 
     kind: str
     n: int
     plus: bool
+    axes: tuple[tuple, ...]
     period: int
 
     def __new__(cls, kind: str, n: int = 0, plus: bool = False) -> ClassLabel:
@@ -135,7 +169,9 @@ class ClassLabel:
         if self is None:
             canonical = _canonical_key(*key)
             self = object.__new__(cls)
-            fields = (*canonical, _twice_lcm(*canonical[:2]))
+            axes = _signed_axes(*canonical[:2])
+            period = 2 * math.lcm(*(p for p, *_ in axes)) if axes else 0
+            fields = (*canonical, axes, period)
             for name, value in zip(cls.__slots__, fields, strict=True):
                 object.__setattr__(self, name, value)
             # a concurrent builder of either key may have won; the pool
@@ -193,19 +229,25 @@ def _canonical_key(kind: str, n: int, plus: bool) -> tuple[str, int, bool]:
     return kind, n, plus
 
 
-# 2L of the envelopes with fixed axes: L = lcm(2, 3), lcm(2, 3, 4) and
-# lcm(2, 3, 5)
-_FIXED_TWICE_LCM = {"T": 12, "O": 24, "I": 60}
-
-
-def _twice_lcm(kind: str, n: int) -> int:
-    """The ``period`` of a canonical kind and subscript."""
-    kind = TYPE_III.get(kind, (kind,))[0]
-    if kind == "Z":
-        return 2 * n
-    if kind == "D":
-        return 2 * math.lcm(n, 2)
-    return _FIXED_TWICE_LCM.get(kind, 0)
+def _signed_axes(kind: str, n: int) -> tuple[tuple, ...]:
+    """The ``axes`` of a canonical kind and subscript, from the orbits
+    (p, alpha, beta) of ``_POLYHEDRAL_AXES`` or of a Z or D envelope
+    under ``_SIGNS`` (``tables._signed_rule`` derives them).  Orbits
+    with equal entries give equal configurations, so one is kept."""
+    if kind in _POLYHEDRAL_AXES:
+        axes = _POLYHEDRAL_AXES[kind]
+    elif kind in _SIGNS:
+        a, *rest = _SIGNS[kind]
+        axes = ((n, a, rest[0] if rest else None),)
+        if rest:
+            perp = a ** (n // 2) if n % 2 == 0 else None
+            axes += ((2, rest[0], perp), (2, rest[0] * a, perp))
+    else:  # 1 and SO(3)
+        axes = ()
+    return tuple(dict.fromkeys(
+        (p, alpha, () if beta is None else (beta, beta * alpha),
+         alpha ** (p // 2) if p % 2 == 0 else None)
+        for p, alpha, beta in axes))
 
 
 def trivial() -> ClassLabel:

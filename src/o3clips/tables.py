@@ -13,16 +13,17 @@ column through that memo.
 Every cell with a Z, D or axial side comes from one rule,
 ``_signed_rule``: read each class as its envelope K with a sign chi on
 K, put the principal axis of the Z, D or axial side on each signed axis
-of the other side, and name what the shared axes keep.  A rotation group
-takes every sign +1, a type III class the signs of ``labels.TYPE_III``,
-and a type II class X+Z2c is its rotation part X, whose -Id lets the
-other side's sign through.  SO(2), O(2) and O(2)^- are the Z or D
-envelopes of order infinity, written n = 0 so that gcd(p, 0) = p.  With
-x the side whose axes are read and y the Z, D or axial side of order n,
-the cell reads n only through gcd(2p, n) for each axis order p of x,
-which is what lets ``infinite.clips_reduce`` key its memo by
-gcd(n, 2L), L the lcm of x's axis orders (``ClassLabel.period``).  The
-rule answers
+of the other side, and name what the shared axes keep.  Each label
+carries its signed axes (``ClassLabel.axes``), built once in ``labels``:
+a rotation group takes every sign +1, a type III class the signs of
+``labels.TYPE_III``, and a type II class X+Z2c is its rotation part X,
+whose -Id lets the other side's sign through.  SO(2), O(2) and O(2)^-
+are the Z or D envelopes of order infinity, written n = 0 so that
+gcd(p, 0) = p.  With x the side whose axes are read and y the Z, D or
+axial side of order n, the cell reads n only through gcd(2p, n) for each
+axis order p of x, which is what lets ``infinite.clips_reduce`` key its
+memo by gcd(n, 2L), L the lcm of x's axis orders (``ClassLabel.period``).
+The rule answers
 
 * type I x type I: Z_m or D_m against Z_n, D_n, T, O or I, the SO(3)
   cells of Olive & Auffray (*Symmetry classes for even-order tensors*,
@@ -62,13 +63,14 @@ The fourth is data: [D_2] dropped from T+Z2c and I+Z2c against O^-
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd
 from typing import Sequence
 
 from .labels import (
     _FAMILY_RANK,
     _PARAMETRIC_FORMS,
+    _POLYHEDRAL_AXES,
+    _SIGNS,
     INFINITE_KINDS,
     TYPE_III,
     ClassLabel,
@@ -179,27 +181,8 @@ _DATA = {key: cell for kinds, cell in (*_POLY_POLY.items(),
                                        *_AXIAL_AXIAL.items())
          for key in (kinds, kinds[::-1])}
 
-# The signed axes (``_signed_rule``) of the classes without a Z or D
-# envelope, one entry (p, alpha, beta) per axis orbit.  The rotation
-# groups take every sign +1; only the 3-fold axes of T have no
-# perpendicular half-turn.  O^- has the orbits of O: the 4-fold axes
-# (the quarter-turns lie outside T, the half-turn about a perpendicular
-# 4-fold axis inside), the 3-fold axes (their turns lie in T, the
-# perpendicular edge half-turns outside) and the edge 2-fold axes
-# (outside T, with the perpendicular 4-fold axis inside).
-_POLYHEDRAL_AXES = {
-    "T": ((2, 1, 1), (3, 1, None)),
-    "O": ((4, 1, 1), (3, 1, 1), (2, 1, 1)),
-    "I": ((5, 1, 1), (3, 1, 1), (2, 1, 1)),
-    "O-": ((4, -1, 1), (3, 1, -1), (2, -1, 1)),
-}
-
-# the signs on the cyclic factors of each kind with a Z or D envelope,
-# SO(2) and O(2) being Z and D of order infinity: +1 for the rotation
-# groups, and the rows of ``TYPE_III``; read backwards over the finite
-# kinds, the kind of Z_e or D_e under given signs
-_SIGNS = {"Z": (1,), "D": (1, 1), "SO2": (1,), "O2": (1, 1),
-          **{kind: signs for kind, (*_, signs) in TYPE_III.items()}}
+# the kind of Z_e or D_e under given signs on its cyclic factors: the
+# finite kinds of ``labels._SIGNS`` read backwards
 _KIND_OF_SIGNS = {signs: kind for kind, signs in _SIGNS.items()
                   if kind not in INFINITE_KINDS}
 
@@ -250,7 +233,7 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
     every chi2(k) k with k in M lies in it, and the intersection is chi2
     over all of M, named by the other side's signs alone.
 
-    K enters through its signed axes (``_signed_axes``): per orbit of
+    K enters through its signed axes (``ClassLabel.axes``): per orbit of
     rotation axes w, the order p, the sign alpha of the generator
     R(w, 2 pi/p), and the sign beta of a reference perpendicular
     half-turn, the j-th one after it having beta alpha^j, or None when w
@@ -259,10 +242,11 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
     axis (n, a, b); the secondary lines S_j of D_n have the half-turn
     sign b a^j, so they fall in two orbits j in {0, 1}, each with the
     principal half-turn a^(n/2) as its perpendicular reference when n is
-    even.  T, O, I and O^- list their axis orbits (``_POLYHEDRAL_AXES``).
-    SO(2), O(2) and O(2)^- are the envelopes Z_n and D_n at n = infinity,
-    written n = 0 so that gcd(p, 0) = p, with the signs (+1), (+1, +1)
-    and (+1, -1); they always play K2 below.
+    even.  T, O, I and O^- list their axis orbits
+    (``labels._POLYHEDRAL_AXES``).  SO(2), O(2) and O(2)^- are the
+    envelopes Z_n and D_n at n = infinity, written n = 0 so that
+    gcd(p, 0) = p, with the signs (+1), (+1, +1) and (+1, -1); they
+    always play K2 below.
 
     Let K2 be a Z_n or D_n envelope with signs (a2, b2) and principal
     axis w.  Every element of K2 keeps the line w, so if M holds a
@@ -312,14 +296,14 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
     x, y = (b, a) if swap else (a, b)
     only = 1 if x.plus else 0 if y.plus else None
     full = y.kind in ("O2", "O2-")
-    n, a2, half2, _ = _signed_axes(y)[0]
+    n, a2, half2, _ = y.axes[0]
 
     def name(e, s1, s2):
         return _meet(e, s1, s2) if only is None else \
             _signed_class(e, (s1, s2)[only])
 
     out = [trivial()]
-    for p, alpha, half1, h in _signed_axes(x):
+    for p, alpha, half1, h in x.axes:
         e = gcd(p, n)
         rho1, rho2 = alpha ** (p // e), a2 ** (n // e)
         if not (full and half1):
@@ -329,27 +313,6 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
         if h is not None:
             out += [name(2, (h,), (s2,)) for s2 in half2]
     return ClassSet(out)
-
-
-@cache
-def _signed_axes(lab: ClassLabel) -> tuple[tuple, ...]:
-    # per axis orbit of a class's envelope: the order p (0 for the axis
-    # of an axial class), the generator sign alpha, the signs (beta,
-    # beta alpha) of the perpendicular half-turns or (), and the
-    # half-turn sign alpha^(p/2) or None for odd p; orbits with equal
-    # entries give equal configurations, so one of them is kept
-    if lab.kind in _POLYHEDRAL_AXES:
-        axes = _POLYHEDRAL_AXES[lab.kind]
-    else:
-        n, (a, *rest) = lab.n, _SIGNS[lab.kind]
-        axes = ((n, a, rest[0] if rest else None),)
-        if rest:
-            perp = a ** (n // 2) if n % 2 == 0 else None
-            axes += ((2, rest[0], perp), (2, rest[0] * a, perp))
-    return tuple(dict.fromkeys(
-        (p, alpha, () if beta is None else (beta, beta * alpha),
-         alpha ** (p // 2) if p % 2 == 0 else None)
-        for p, alpha, beta in axes))
 
 
 def _meet(e: int, x: tuple[int, ...], y: tuple[int, ...]) -> ClassLabel:
@@ -395,10 +358,9 @@ def _families(kinds: Sequence[str], params: range) -> list[ClassLabel]:
     for kind in kinds:
         if kind not in _PARAMETRIC_FORMS:
             out.append(ClassLabel(kind))
-        elif kind in ("Z-", "Dd"):  # Z_2p^- and D_2p^d
-            out += [ClassLabel(kind, 2 * p) for p in params if p >= 1]
-        else:
-            out += [ClassLabel(kind, p) for p in params if p >= 2]
+        else:  # subscripts dp >= 2, d = 2 for Z_2p^- and D_2p^d
+            d = TYPE_III[kind][2] if kind in TYPE_III else 1
+            out += [ClassLabel(kind, d * p) for p in params if d * p >= 2]
     return out
 
 

@@ -23,18 +23,14 @@ from o3clips import (
     class_set,
     clips,
     cyclic,
-    cyclic_minus,
     diff_piez,
     dihedral,
-    dihedral_d,
-    dihedral_z,
     icosa,
     materialize,
     o2,
     o2_minus,
     o3,
     octa,
-    octa_minus,
     order_of,
     recognize,
     reference_group,
@@ -51,6 +47,7 @@ from o3clips.rotations import random_rotation
 
 from conftest import labels_up_to
 from test_infinite import INFINITE_ROW_CELLS
+from test_properties import finite_labels as _finite_labels
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
@@ -64,16 +61,6 @@ def _rotation_labels(n_max):
     return ([trivial(), tetra(), octa(), icosa()]
             + [cyclic(n) for n in range(2, n_max + 1)]
             + [dihedral(n) for n in range(2, n_max + 1)])
-
-
-def _finite_labels(n_max):
-    pool = list(_rotation_labels(n_max))
-    pool += [with_z2c(c) for c in _rotation_labels(n_max)]
-    pool += [cyclic_minus(2 * k) for k in range(1, n_max // 2 + 1)]
-    pool += [dihedral_z(n) for n in range(2, n_max + 1)]
-    pool += [dihedral_d(2 * k) for k in range(1, n_max // 2 + 1)]
-    pool.append(octa_minus())
-    return list(dict.fromkeys(pool))
 
 
 def test_criterion_1_coupled_law_catalog():

@@ -5,7 +5,6 @@ from o3clips.engine import clips
 from o3clips.infinite import clips_reduce, normalize
 from o3clips.labels import (
     ClassSet,
-    canonicalize,
     cyclic,
     is_infinite,
     o3,
@@ -46,8 +45,7 @@ def test_is_infinite():
 
 # every kind, lifted where it can be: the finite classes with subscripts
 # up to 12 and their lifts, T, O, I, O^-, and the seven infinite classes
-POOL = list(dict.fromkeys([canonicalize(x) for x in finite_labels(12)]
-                          + INFINITE))
+POOL = finite_labels(12) + INFINITE
 
 
 def test_reduce_domain():

@@ -409,7 +409,12 @@ def test_labels_are_immutable():
         lab.period = 0
     with pytest.raises(AttributeError):
         del lab.period
+    with pytest.raises(AttributeError):
+        lab.axes = ()
+    with pytest.raises(AttributeError):
+        del lab.axes
     assert lab is cyclic(4) and lab.n == 4 and lab.period == 8
+    assert lab.axes == ((4, 1, (), 1),)
 
 
 def test_warm_fold_builds_no_new_label():
@@ -454,11 +459,19 @@ def test_concurrent_builders_share_one_instance():
     assert all(ClassLabel(*key) is lab for key, lab in zip(keys, got[0]))
     assert all(lab is canonical.get(key, lab)
                for key, lab in zip(keys, got[0]))
-    # each label was whole when published: it carries its class's period
+    # each label was whole when published: it carries its class's axes
+    # and period
+    axes = {("Z", 1): (), ("D", 1, True): ((2, 1, (), 1),),
+            ("Dz", 1): ((2, -1, (), -1),),
+            ("Dd", 2): ((2, 1, (-1, -1), 1), (2, -1, (1, -1), -1))}
+    axes |= {key: ((2, 1, (1, 1), 1), (3, 1, (), None)) if key[0] == "T"
+             else () for key in canonical if key not in axes}
+    axes |= {key: ((key[1], 1, (), 1 if key[1] % 2 == 0 else None),)
+             for key in keys if key not in canonical}
     period = {("Z", 1): 0, ("D", 1, True): 4, ("Dz", 1): 4, ("Dd", 2): 4}
     period |= {key: 12 if key[0] == "T" else 0
                for key in canonical if key not in period}
     period |= {key: 2 * key[1] for key in keys if key not in canonical}
     for built in got:
-        assert all(lab.period == period[key]
+        assert all(lab.axes == axes[key] and lab.period == period[key]
                    for key, lab in zip(keys, built, strict=True))

@@ -58,7 +58,7 @@ def finite_labels(n_max=MAX_PARAM):
     pool += [dihedral_z(n) for n in range(2, n_max + 1)]
     pool += [dihedral_d(2 * k) for k in range(1, n_max // 2 + 1)]
     pool.append(octa_minus())
-    return pool
+    return list(dict.fromkeys(pool))  # D_2^d is D_2^z
 
 
 INFINITE = [so2(), o2(), with_z2c(so2()), with_z2c(o2()), o2_minus(),

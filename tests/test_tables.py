@@ -243,7 +243,7 @@ def test_type1_cell_answers_an_axial_side():
 
 
 # the finite type III classes of criterion 5's pool: order at most 24
-TYPE_III_POOL = [lab for lab in dict.fromkeys(finite_labels(12))
+TYPE_III_POOL = [lab for lab in finite_labels(12)
                  if typeclass(lab) == "III"]
 
 
@@ -302,7 +302,7 @@ def test_rule_matches_oracle_at_many_divisors(row):
 # the pairs of criterion 5's pool that the rule answers with a Z or D
 # envelope on both sides: I x I, II x III (a type II class entering with
 # the signed axes of its rotation part) and III x III
-ZD_POOL = [lab for lab in dict.fromkeys(finite_labels(12))
+ZD_POOL = [lab for lab in finite_labels(12)
            if strip_z2c(lab).kind in ("Z", "D", "Z-", "Dz", "Dd")]
 
 
@@ -363,13 +363,13 @@ def test_period_is_twice_the_lcm_of_the_rule_axes():
     # its exactness argument needs every axis order p that the rule
     # reads of x to divide x.period / 2
     absorbers = {trivial(), with_z2c(trivial()), so3(), o3()}
-    pool = set(finite_labels(128)) | set(INFINITE)
-    assert len(pool) == 771 + 7 and absorbers <= pool
+    pool = finite_labels(128) + INFINITE
+    assert len(set(pool)) == len(pool) == 771 + 7 and absorbers <= set(pool)
     for x in pool:
         if x in absorbers:
-            assert x.period == 0, x
+            assert x.axes == () and x.period == 0, x
         else:
-            orders = [p for p, *_ in tables._signed_axes(x)]
+            orders = [p for p, *_ in x.axes]
             assert x.period == (0 if 0 in orders else 2 * lcm(*orders)), x
 
 
