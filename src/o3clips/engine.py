@@ -1,8 +1,11 @@
 """One product, three routes: closed form, brute force, or both.
 
 ``clips`` is the public entry point for the conjugacy-class intersection
-product on closed subgroups of O(3).  The symbolic route answers every
-pair from ``infinite.clips_reduce``, in closed form.  The oracle route
+product on closed subgroups of O(3).  It takes labels or their
+spellings; ``parse_label`` resolves a spelling to its interned label by
+one dict probe once seen, and a label resolves to itself.  The symbolic
+route answers every pair from ``infinite.clips_reduce``, in closed form,
+passing a label on without a probe.  The oracle route
 forces the brute-force computation and is therefore restricted to
 pairs of finite classes.  The "both" route returns the symbolic answer
 after cross-checking it against the oracle whenever the pair is
@@ -57,10 +60,6 @@ class ClipsMismatch(Exception):
         )
 
 
-def _as_label(spec: str | ClassLabel) -> ClassLabel:
-    return parse_label(spec) if isinstance(spec, str) else spec
-
-
 def clips_oracle(rows: Sequence[ClassLabel],
                  cols: Sequence[ClassLabel]) -> list[list[ClassSet]]:
     """``oracle.clips_oracles``, imported on first use."""
@@ -104,12 +103,14 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     ``seed`` has no effect: no route draws random numbers.
     """
     if method == "symbolic":
+        # a label skips even the table probe: an exact class test is
+        # cheaper than hashing it
         return clips_reduce(
-            parse_label(c1) if isinstance(c1, str) else c1,
-            parse_label(c2) if isinstance(c2, str) else c2)
+            c1 if c1.__class__ is ClassLabel else parse_label(c1),
+            c2 if c2.__class__ is ClassLabel else parse_label(c2))
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    a, b = _as_label(c1), _as_label(c2)
+    a, b = parse_label(c1), parse_label(c2)
 
     if method == "oracle":
         return clips_oracle((a,), (b,))[0][0]
@@ -143,7 +144,7 @@ def class_leq(c1: str | ClassLabel, c2: str | ClassLabel) -> bool:
     the dimension and the number of components of a, so K = a and a
     sits inside g b g^-1; conversely, a inside g b g^-1 makes K = a.
     """
-    a, b = _as_label(c1), _as_label(c2)
+    a, b = parse_label(c1), parse_label(c2)
     return a in clips(a, b)
 
 

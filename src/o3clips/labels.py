@@ -53,9 +53,12 @@ O^-, the signs of ``TYPE_III`` for the other type III kinds.  The pool
 of instances is the factories' only memo: each factory (``cyclic``,
 ``dihedral_d``, ``o3``, ...) is one constructor call, and an invalid
 subscript raises its ``ValueError`` on every call and pools nothing.
-``parse_label``, ``sort_key`` and ``order_of`` are memoized on their
-one argument, so a spelling or a class repeated within a workload is
-parsed, ranked or counted once.
+``sort_key`` and ``order_of`` are memoized on their one argument, and
+``parse_label`` is the ``__getitem__`` of one dict, ``_Labels``, that
+maps each spelling seen (and each label, to itself) to its label, so a
+spelling or a class repeated within a workload is parsed, ranked or
+counted once, and a repeated spelling costs one dict probe and no
+Python call.
 """
 
 from __future__ import annotations
@@ -487,16 +490,37 @@ def _parse_core(core: str) -> ClassLabel | None:
     return ClassLabel(kind, int(core[1:end]))
 
 
-@cache
-def parse_label(text: str) -> ClassLabel:
-    """Parse an ASCII class label and return its canonical form.
+def _parse(text: str) -> ClassLabel:
+    """The class that ``text`` spells; ``_Labels`` states the contract."""
+    s = text.strip().replace(" ", "")
+    plus = s.endswith(_Z2C)
+    core = s[: -len(_Z2C)] if plus else s
+    label = _parse_core(core)
+    if label is None:
+        pos = min(_spelled_prefix(core) + 1, max(len(core), 1))
+        raise ValueError(
+            f"cannot parse class label {text!r} (near position {pos})")
+    if plus:
+        if label.plus:
+            raise ValueError(f"{text!r}: +Z2c applied twice")
+        label = with_z2c(label)
+    return label
+
+
+class _Labels(dict):
+    """The table of resolved spellings; ``parse_label`` is its
+    ``__getitem__``, so a spelling seen before costs one dict probe.
+
+    ``parse_label(spec)`` parses an ASCII class label and returns its
+    canonical form.
 
     Parameters
     ----------
-    text : str
+    spec : str or ClassLabel
         A spelling such as ``"D4"``, ``"Z6^-"``, ``"O(2)^-"`` or
         ``"D3+Z2c"``.  ``"+Z2c"`` marks the type II classes; ``"O(3)"``
-        abbreviates ``SO(3)+Z2c``.  Spaces are ignored.
+        abbreviates ``SO(3)+Z2c``.  Spaces are ignored.  A label
+        resolves to itself.
 
     Returns
     -------
@@ -513,21 +537,17 @@ def parse_label(text: str) -> ClassLabel:
         longest prefix that begins a spelling, or at the last character
         when the whole text is such a prefix.  A well-spelled label
         that names no group (``Z3^-``, ``D0``, ``Z4^-+Z2c``) raises the
-        message of the constructor that rejects it.
+        message of the constructor that rejects it.  A spec that raises
+        is not stored, so it raises again on every call.
     """
-    s = text.strip().replace(" ", "")
-    plus = s.endswith(_Z2C)
-    core = s[: -len(_Z2C)] if plus else s
-    label = _parse_core(core)
-    if label is None:
-        pos = min(_spelled_prefix(core) + 1, max(len(core), 1))
-        raise ValueError(
-            f"cannot parse class label {text!r} (near position {pos})")
-    if plus:
-        if label.plus:
-            raise ValueError(f"{text!r}: +Z2c applied twice")
-        label = with_z2c(label)
-    return label
+
+    def __missing__(self, spec: str | ClassLabel) -> ClassLabel:
+        label = spec if isinstance(spec, ClassLabel) else _parse(spec)
+        # labels are interned, so a concurrent resolver stores the same one
+        return self.setdefault(spec, label)
+
+
+parse_label = _Labels().__getitem__
 
 
 def canonicalize(label: ClassLabel) -> ClassLabel:
@@ -574,6 +594,4 @@ class ClassSet:
 
 def class_set(*specs: str | ClassLabel) -> ClassSet:
     """Build a ClassSet from labels or their spellings."""
-    return ClassSet(
-        parse_label(s) if isinstance(s, str) else s for s in specs
-    )
+    return ClassSet(map(parse_label, specs))

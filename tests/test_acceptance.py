@@ -22,7 +22,6 @@ from o3clips import (
     class_leq,
     class_set,
     clips,
-    cyclic,
     diff_piez,
     dihedral,
     icosa,
@@ -30,13 +29,11 @@ from o3clips import (
     o2,
     o2_minus,
     o3,
-    octa,
     order_of,
     recognize,
     reference_group,
     so2,
     so3,
-    tetra,
     trivial,
     typeclass,
     verify_cells,
@@ -48,6 +45,7 @@ from o3clips.rotations import random_rotation
 from conftest import labels_up_to
 from test_infinite import INFINITE_ROW_CELLS
 from test_properties import finite_labels as _finite_labels
+from test_properties import finite_rotation_labels
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
@@ -55,12 +53,6 @@ def _report(num: int, ok: bool, detail: str = "") -> None:
     if detail:
         line += f" - {detail}"
     print(line)
-
-
-def _rotation_labels(n_max):
-    return ([trivial(), tetra(), octa(), icosa()]
-            + [cyclic(n) for n in range(2, n_max + 1)]
-            + [dihedral(n) for n in range(2, n_max + 1)])
 
 
 def test_criterion_1_coupled_law_catalog():
@@ -188,7 +180,7 @@ def test_criterion_5_randomized_properties():
 
 
 def test_criterion_6_inversion_extension_identities():
-    pool = _rotation_labels(8)
+    pool = finite_rotation_labels(8)
     checked = 0
     bad = []
     for h1 in pool:

@@ -15,9 +15,11 @@ from o3clips.labels import (
     class_set,
     cyclic,
     dihedral,
+    format_label,
     is_infinite,
     order_of,
     parse_label,
+    typeclass,
     with_z2c,
 )
 from o3clips.tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
@@ -28,6 +30,22 @@ def test_accepts_strings_and_labels():
     a, b = parse_label("Z2"), parse_label("D4")
     assert clips("Z2", "D4") == clips(a, b)
     assert clips("Z2", b) == clips(a, "D4")
+
+
+def test_the_finite_square_matches_brute_force():
+    # every ordered pair of finite classes with subscript <= 16 (ROADMAP
+    # item 17), by one oracle sweep; the first side goes in as its
+    # spelling and the second as a label, so both resolve paths meet it
+    pool = finite_labels(16)
+    assert len(pool) == 99
+    brute = engine.clips_oracle(pool, pool)
+    pairs = [(a, b, answer) for a, line in zip(pool, brute, strict=True)
+             for b, answer in zip(pool, line, strict=True)]
+    assert len(pairs) == 9_801
+    assert len({(typeclass(a), typeclass(b)) for a, b, _ in pairs}) == 9
+    bad = [f"{typeclass(a)} x {typeclass(b)}: {a} x {b}"
+           for a, b, answer in pairs if clips(format_label(a), b) != answer]
+    assert not bad, f"{len(bad)} pairs differ, first: {bad[:5]}"
 
 
 def test_invalid_method():

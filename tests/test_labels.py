@@ -9,6 +9,7 @@ import pytest
 
 from conftest import labels_up_to
 from o3clips import labels
+from o3clips.engine import clips
 from o3clips.labels import (
     ClassLabel,
     ClassSet,
@@ -42,6 +43,10 @@ from o3clips.labels import (
     with_z2c,
 )
 from o3clips.rotations import ORDER_CAP
+from test_properties import INFINITE, finite_labels
+
+# ``parse_label`` is the ``__getitem__`` of the table of resolved specs
+TABLE = parse_label.__self__
 
 ROUND_TRIP = [
     "1", "Z2", "Z3", "Z12", "D2", "D3", "D8", "T", "O", "I",
@@ -74,6 +79,7 @@ COLLAPSES = [
 @pytest.mark.parametrize("text,expected", COLLAPSES)
 def test_canonical_collapse(text, expected):
     assert format_label(parse_label(text)) == expected
+    assert parse_label(text) is parse_label(expected)
 
 
 @pytest.mark.parametrize("bad", [
@@ -81,8 +87,15 @@ def test_canonical_collapse(text, expected):
     "Z2+Z3c", "Z4^--", "Q8", "Z2+Z2c+Z2c", "-1", "O(3)+Z2c",
 ])
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
-        parse_label(bad)
+    # a rejected spelling is not stored, so it raises again, alike
+    size = len(TABLE)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            parse_label(bad)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert len(TABLE) == size and bad not in TABLE
 
 
 def test_a_lifted_class_refuses_a_second_z2c():
@@ -475,3 +488,59 @@ def test_concurrent_builders_share_one_instance():
     for built in got:
         assert all(lab.axes == axes[key] and lab.period == period[key]
                    for key, lab in zip(keys, built, strict=True))
+
+
+
+def test_a_label_resolves_to_itself():
+    for lab in finite_labels(12) + INFINITE:
+        assert parse_label(lab) is lab
+
+
+def test_concurrent_resolvers_share_one_instance():
+    # eight threads on two cores race to resolve one unseen spelling
+    text = " Z 99989 "
+    assert text not in TABLE
+    got = [None] * 8
+    start = threading.Barrier(len(got))
+
+    def resolve(slot):
+        start.wait(timeout=60)
+        got[slot] = parse_label(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=resolve, args=(i,))
+                   for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(lab is cyclic(99989) for lab in got)
+    assert TABLE[text] is cyclic(99989)
+
+
+def test_a_str_subclass_still_parses():
+    assert parse_label(np.str_("D4")) is dihedral(4)
+    # unseen, so it goes through the parse
+    assert parse_label(np.str_(" D 4 ^ z ")) is dihedral_z(4)
+
+
+def test_a_warm_spelling_runs_no_parse(monkeypatch):
+    pairs = [("D12+Z2c", "D18^d"), ("O^-", "O+Z2c"), ("Z4^-", "SO(2)"),
+             ("D2^d", "O(3)")]
+    warm = {pair: clips(*pair) for pair in pairs}
+
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r} again")
+
+    monkeypatch.setattr(labels, "_parse", refuse)
+    for (a, b), answer in warm.items():
+        assert clips(a, b) is answer
+        assert clips(parse_label(a), parse_label(b)) is answer
+    # the patch is live: an unseen spelling does reach it
+    with pytest.raises(AssertionError, match="parsed"):
+        parse_label("Z 9 9 7")
