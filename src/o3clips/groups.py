@@ -449,7 +449,7 @@ def _rotation_class(k: int, counts: np.ndarray) -> ClassLabel:
 _RECOGNIZED: dict[ClassLabel, dict[bytes, ClassLabel]] = {}
 
 
-def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
+def recognize(group, mask: np.ndarray | bytes | None = None) -> ClassLabel:
     """Canonical class label of a finite subgroup of O(3).
 
     ``recognize(elems)`` takes an element set (k, 3, 3) and runs its
@@ -465,9 +465,12 @@ def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     contents, and it is memoized per class, keyed by the mask's raw
     bytes (``tobytes``, one byte per element of a boolean mask): each
     mask is read from the census once, and a mask edited in place is
-    keyed afresh.  Every key is a subgroup of the reference group, so a
-    class never holds more entries than it has subgroups (D128 has
-    tau(128) + sigma(128) = 263).  The element form is not memoized.
+    keyed afresh.  The mask may also be given as those raw bytes, as
+    the oracle hands on the masks it tells apart by them; on a miss
+    they are read back as a boolean mask.  Every key is a subgroup of
+    the reference group, so a class never holds more entries than it
+    has subgroups (D128 has tau(128) + sigma(128) = 263).  The element
+    form is not memoized.
 
     The determinant splits the group; a type III group is named by
     ``labels.type3_class`` from its envelope tilde, the proper elements
@@ -481,10 +484,11 @@ def recognize(group, mask: np.ndarray | None = None) -> ClassLabel:
     if mask is None:
         return _classify(*_census(group))
     memo = _RECOGNIZED.setdefault(group, {})
-    key = mask.tobytes()
+    key = mask if mask.__class__ is bytes else mask.tobytes()
     label = memo.get(key)
     if label is None:
         proper, axes, ids = label_census(group)
+        mask = np.frombuffer(key, bool)
         label = memo[key] = _classify(proper[mask], axes, ids[mask])
     return label
 

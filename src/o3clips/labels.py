@@ -539,9 +539,15 @@ class _Labels(dict):
         that names no group (``Z3^-``, ``D0``, ``Z4^-+Z2c``) raises the
         message of the constructor that rejects it.  A spec that raises
         is not stored, so it raises again on every call.
+    TypeError
+        When the spec is neither a ``ClassLabel`` nor a ``str`` (a
+        ``str`` subclass such as ``numpy.str_`` parses); the message
+        names its type.
     """
 
     def __missing__(self, spec: str | ClassLabel) -> ClassLabel:
+        if not isinstance(spec, (ClassLabel, str)):
+            raise TypeError(f"{type(spec).__name__} is not a class label or a str")
         label = spec if isinstance(spec, ClassLabel) else _parse(spec)
         # labels are interned, so a concurrent resolver stores the same one
         return self.setdefault(spec, label)

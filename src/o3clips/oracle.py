@@ -28,12 +28,13 @@ into blocks whose height tables stay within a fixed budget,
 ``_column_masks`` conjugates each H2 by them and masks the conjugates
 against each H1 in runs of whole columns, each against the one element
 of H1 whose key (the key that orders every reference group,
-``groups.reference_group``) is nearest its own (``_Prepped``), and each
-distinct mask is recognized from the census of H2
-(``recognize(c2, mask)``), which memoizes its answer per class and
-mask.  The oracle refuses no class itself: the gate
-``groups.reference_group`` does, for every class of a call before any
-block is swept.
+``groups.reference_group``) is nearest its own, entrywise only when the
+two keys are close enough for a member (``_Prepped``), and each
+distinct mask, told apart and handed on by its raw bytes, is
+recognized from the census of H2 (``recognize(c2, mask)``), which
+memoizes its answer per class and mask by those same bytes.  The
+oracle refuses no class itself: the gate ``groups.reference_group``
+does, for every class of a call before any block is swept.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ _SPIN = np.array([np.diag([1.0, 1.0, 0.0]),
 
 
 class _Prepped:
-    """Per-label oracle data: the flattened reference elements (``flat``)
-    and the midpoints of their membership keys, the axis frames and the
-    flat height tables.
+    """Per-label oracle data: the flattened reference elements (``flat``),
+    their sorted membership keys (``keys``) and the midpoints between
+    them, the axis frames and the flat height tables.
 
     A candidate h is a member when some element e lies within EPS_MAT
     of it entrywise, and only the element of nearest key can.  The key
@@ -80,9 +81,12 @@ class _Prepped:
     and one ``searchsorted`` of k(h) among them lands on e.  A
     non-member fails the entrywise test against every element, so the
     test against the one element found is exactly the membership
-    predicate.  ``near`` holds the elements as contiguous columns, so
-    ``member_mask`` gathers each candidate's element as a column and
-    reduces the 9 entries of all candidates as 9 long rows rather than
+    predicate.  The same bound prunes that test: a candidate whose key
+    lies 1.5 EPS_MAT or more from the key of the element found is no
+    member, so ``member_mask`` tests entrywise only the others.
+    ``near`` holds the elements as contiguous columns, so
+    ``member_mask`` gathers each tested candidate's element as a column
+    and reduces the 9 entries of all of them as 9 long rows rather than
     one short row per candidate.
 
     For each axis orbit representative b (``axis_orbit_reps``, cyclic
@@ -121,8 +125,8 @@ class _Prepped:
 
     def __init__(self, label: ClassLabel):
         self.flat = reference_group(label).reshape(-1, 9)
-        key = self.flat @ _KEY
-        self.mids = (key[1:] + key[:-1]) / 2
+        self.keys = self.flat @ _KEY
+        self.mids = (self.keys[1:] + self.keys[:-1]) / 2
         self.near = np.ascontiguousarray(self.flat.T)
         reps, self.orders = axis_orbit_reps(label)
         p = orthogonal(reps)
@@ -142,11 +146,23 @@ class _Prepped:
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group:
         each candidate against the element of nearest key, entry by
-        entry."""
+        entry, where the keys are close.
+
+        The key test drops no member: a member h of element e has
+        max_i |h_i - e_i| < EPS_MAT, so |k(h) - k(e)| <=
+        sum_i w_i |h_i - e_i| < EPS_MAT (|w|_1 = 1), up to about 1e-15
+        of rounding, well inside the 1.5 EPS_MAT kept.  The entrywise
+        test stays the predicate; the key test only skips candidates it
+        would refuse, and the gathered copy holds the tested ones
+        alone."""
         flat = cands.reshape(-1, 9)
-        near = self.near.take(self.mids.searchsorted(flat @ _KEY), axis=1)
-        near -= flat.T
-        hit = (np.abs(near, out=near) < EPS_MAT).all(axis=0)
+        key = flat @ _KEY
+        idx = self.mids.searchsorted(key)
+        test = np.flatnonzero(np.abs(key - self.keys[idx]) < 1.5 * EPS_MAT)
+        near = self.near.take(idx[test], axis=1)
+        near -= flat[test].T
+        hit = np.zeros(len(flat), dtype=bool)
+        hit[test] = (np.abs(near, out=near) < EPS_MAT).all(axis=0)
         return hit.reshape(cands.shape[:-2])
 
 
@@ -313,12 +329,15 @@ def _sweeps(rows: Sequence[ClassLabel],
     pair = (np.repeat(np.arange(len(rows)), size1)[aligner // k2] * len(cols)
             + np.repeat(np.arange(len(cols)), size2)[aligner % k2])
     # one array per row, so that each row's sweep can be freed once it
-    # is masked
-    ends = np.cumsum(np.bincount(pair, minlength=len(rows) * len(cols)))
-    ends = ends.reshape(len(rows), len(cols))
-    order = np.argsort(pair, kind="stable")
-    return [np.split(g[order[start:stop[-1]]], stop[:-1] - start)
-            for start, stop in zip([0, *ends[:-1, -1]], ends)]
+    # is masked, cut into its pairs by plain slices
+    w, order = len(cols), np.argsort(pair, kind="stable")
+    cuts = [0, *np.cumsum(np.bincount(pair, minlength=len(rows) * w)).tolist()]
+    swept = []
+    for i in range(0, len(rows) * w, w):
+        lo, row = cuts[i], g[order[cuts[i]:cuts[i + w]]]
+        swept.append([row[a - lo:b - lo]
+                      for a, b in zip(cuts[i:i + w], cuts[i + 1:i + w + 1])])
+    return swept
 
 
 def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
@@ -377,10 +396,12 @@ def _conjugates(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _column_masks(rows: Sequence[ClassLabel], cols: Sequence[ClassLabel]
-                  ) -> list[list[list[np.ndarray]]]:
+                  ) -> list[list[dict[bytes, None]]]:
     """Per class H1 of ``rows`` and per class H2 of ``cols``, the
     distinct membership masks of the pair's sweep over the elements of
-    H2's reference group, from one ``_sweeps`` of the rows as one block.
+    H2's reference group, from one ``_sweeps`` of the rows as one block,
+    each as its raw bytes (one byte per element), the keys of a dict in
+    the order the sweep first meets them.
 
     Every conjugator g in a pair's share of the sweep conjugates H2, and
     the conjugates g x g^T are masked against H1 in runs of whole
@@ -397,7 +418,10 @@ def _column_masks(rows: Sequence[ClassLabel], cols: Sequence[ClassLabel]
     its sweep, stand for their generic spins, so their masks keep only
     the elements of H2 on the line a and ±Id (``_Prepped.online``, one
     row per a, repeated for every b).  Its masks are told apart by their
-    raw bytes, each row read as one void scalar.
+    raw bytes, each row read as one void scalar, and those bytes are
+    handed on as they are: they are the key that ``recognize`` memoizes
+    a mask by.  A dict, not a set, keeps their order free of the hash
+    seed.
     """
     h2s, masks = [_prepped(c) for c in cols], []
     # popped row by row, so that each row's sweep is freed once masked
@@ -421,8 +445,7 @@ def _column_masks(rows: Sequence[ClassLabel], cols: Sequence[ClassLabel]
                 m = hits[start:stop].reshape(-1, len(h2.flat))
                 head = m[: k1 * len(h2.orders)]
                 head.reshape(k1, *h2.online.shape)[...] &= h2.online
-                keys = m.view(h2.row_bytes).ravel().tolist()
-                row.append(list(dict(zip(keys, m)).values()))
+                row.append(dict.fromkeys(m.view(h2.row_bytes).ravel().tolist()))
         masks.append(row)
     return masks
 

@@ -529,6 +529,18 @@ def test_a_str_subclass_still_parses():
     assert parse_label(np.str_(" D 4 ^ z ")) is dihedral_z(4)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: class_set(5), "int"), (lambda: clips(5, "Z2"), "int"),
+    (lambda: parse_label(None), "NoneType"), (lambda: parse_label(2.5), "float")],
+    ids=["class_set-int", "clips-int", "parse_label-None", "parse_label-float"])
+def test_a_spec_that_is_no_spelling_is_a_type_error(call, name):
+    # refused by its type, before any parse, and not stored
+    size = len(TABLE)
+    with pytest.raises(TypeError, match=f"^{name} is not a class label or a str$"):
+        call()
+    assert len(TABLE) == size
+
+
 def test_a_warm_spelling_runs_no_parse(monkeypatch):
     pairs = [("D12+Z2c", "D18^d"), ("O^-", "O+Z2c"), ("Z4^-", "SO(2)"),
              ("D2^d", "O(3)")]

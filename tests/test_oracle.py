@@ -236,7 +236,8 @@ def test_pruned_masks_match_every_conjugator(pair):
     for g, kept in zip(np.array_split(all_g, 20), np.array_split(keep, 20)):
         conj = (g[:, None] @ g2[None]) @ g.transpose(0, 2, 1)[:, None]
         want |= {np.packbits(m).tobytes() for m in member(conj) & kept}
-    got = {np.packbits(m).tobytes() for m in _column_masks((c1,), (c2,))[0][0]}
+    got = {np.packbits(np.frombuffer(key, bool)).tobytes()
+           for key in _column_masks((c1,), (c2,))[0][0]}
     assert got == want
 
 
@@ -249,7 +250,8 @@ def test_mask_recognition_reads_the_label_census(monkeypatch):
     pairs = [tuple(map(parse_label, p)) for p in [*PROBE_COUNTS, *MIXED_PAIRS]]
     for c1, c2 in pairs + SWEEP_PAIRS:
         g2 = reference_group(c2)
-        for mask in _column_masks((c1,), (c2,))[0][0]:
+        for key in _column_masks((c1,), (c2,))[0][0]:
+            mask = np.frombuffer(key, bool)
             want = recognize(g2[mask])
             assert recognize(c2, mask) == want, (c1, c2)
             assert recognize(c2, mask) == want, (c1, c2)
@@ -266,6 +268,24 @@ def _spy_census_reads(monkeypatch) -> list:
 
     monkeypatch.setattr(groups, "label_census", spy)
     return reads
+
+
+def test_a_mask_and_its_raw_bytes_are_one_memo_entry(monkeypatch):
+    # the oracle hands on each mask as the raw bytes it was deduped by,
+    # which are the memo key itself
+    monkeypatch.setattr(groups, "_RECOGNIZED", {})
+    label = parse_label("D6^d")
+    elems = reference_group(label)
+    proper = np.linalg.det(elems) > 0
+    diag = np.abs(elems[:, 2, 2] - 1.0) < 1e-9
+    for mask, first in [(proper, "array"), (diag, "bytes")]:
+        forms = [mask, mask.tobytes()]
+        if first == "bytes":
+            forms.reverse()
+        got = [recognize(label, form) for form in forms]
+        assert got[0] == got[1] == recognize(elems[mask])
+    assert list(groups._RECOGNIZED) == [label]
+    assert list(groups._RECOGNIZED[label]) == [proper.tobytes(), diag.tobytes()]
 
 
 def test_recognition_memo_keys_masks_by_content(monkeypatch):
@@ -295,6 +315,9 @@ def test_a_sweep_reads_the_census_once_per_class_and_mask(monkeypatch):
     plain = groups.recognize
 
     def spy(label, mask):
+        # the oracle hands on raw bytes, the axial oracle arrays
+        if isinstance(mask, bytes):
+            mask = np.frombuffer(mask, bool)
         keys.append((label, np.packbits(mask).tobytes()))
         return plain(label, mask)
 
@@ -369,8 +392,10 @@ def _finite_cols(size: int) -> tuple[ClassLabel, ...]:
     return tuple(dict.fromkeys(c for c in cols if not is_infinite(c)))
 
 
-def _packed(masks: list[np.ndarray]) -> list[bytes]:
-    return sorted(np.packbits(m).tobytes() for m in masks)
+def _packed(masks) -> list[bytes]:
+    """The masks of one ``_column_masks`` column, each raw-bytes key read
+    back as a boolean mask, packed and sorted."""
+    return sorted(np.packbits(np.frombuffer(key, bool)).tobytes() for key in masks)
 
 
 def test_one_sweep_of_many_columns_answers_as_each_column_alone():
@@ -705,6 +730,52 @@ def test_close_membership_keys_are_refused(monkeypatch):
     monkeypatch.setattr(groups, "_KEY", np.arange(1.0, 10.0) / 45.0)
     with pytest.raises(GroupError, match="membership keys"):
         groups.reference_group.__wrapped__(parse_label("T"))
+
+
+def _entrywise_member_mask(prep, cands: np.ndarray) -> np.ndarray:
+    """``member_mask`` without its key test: every candidate against the
+    element of nearest key, entry by entry."""
+    flat = cands.reshape(-1, 9)
+    near = prep.near.take(prep.mids.searchsorted(flat @ groups._KEY), axis=1)
+    near -= flat.T
+    return (np.abs(near, out=near) < EPS_MAT).all(axis=0).reshape(cands.shape[:-2])
+
+
+def test_the_key_test_drops_no_member_of_a_sweep(monkeypatch):
+    # every candidate that the verify_cells(8, 8) sweep masks gets the
+    # answer of the entrywise test run on all of them
+    calls, members, total = [], 0, 0
+    member = oracle._Prepped.member_mask
+
+    def spy(self, cands):
+        nonlocal members, total
+        got = member(self, cands)
+        calls.append(np.array_equal(got, _entrywise_member_mask(self, cands)))
+        members, total = members + int(got.sum()), total + got.size
+        return got
+
+    monkeypatch.setattr(oracle._Prepped, "member_mask", spy)
+    clips_oracles(_verify_rows(8), _finite_cols(8))
+    assert calls and all(calls)
+    assert 0 < members < total
+
+
+@pytest.mark.parametrize("text", ["I+Z2c", "O^-", "D128^d", "D6^d"])
+def test_member_mask_planted_near_the_keys(text):
+    # moving every entry of an element by 0.9 EPS_MAT keeps it a member,
+    # whatever the signs; one entry off by 2 EPS_MAT makes a non-member
+    # even where its key lies within EPS_MAT of the element's, so the key
+    # test prunes and the entrywise test decides
+    prep = _prepped(parse_label(text))
+    elems = prep.flat
+    rng = np.random.default_rng(11)
+    for signs in (np.ones(9), -np.ones(9), rng.choice([-1.0, 1.0], size=9)):
+        assert prep.member_mask((elems + 0.9 * EPS_MAT * signs).reshape(-1, 3, 3)).all()
+    for j in range(1, 9):
+        off = elems.copy()
+        off[:, j] += 2 * EPS_MAT
+        assert np.abs(off @ groups._KEY - prep.keys).max() < EPS_MAT, j
+        assert not prep.member_mask(off.reshape(-1, 3, 3)).any(), j
 
 
 def _dense_member_mask(label: ClassLabel, cands: np.ndarray) -> np.ndarray:
