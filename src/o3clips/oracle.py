@@ -23,13 +23,16 @@ standing for every other angle.  Everything that depends on one class
 is computed once per class (``_Prepped``), so a few array passes sweep
 a block of classes H1 against several H2 at once (``clips_oracles``;
 ``verify_cells`` makes one such call per pass, and the rows are cut
-into blocks whose height tables stay within a fixed budget,
-``_blocks``): ``_sweeps`` builds every conjugator of a block,
+into blocks whose height comparisons stay within a fixed budget,
+``_blocks``): ``_sweeps`` builds every conjugator of a block, its
+heights matched by sort and search,
 ``_column_masks`` conjugates each H2 by them and masks the conjugates
 against each H1 in runs of whole columns, each against the one element
 of H1 whose key (the key that orders every reference group,
-``groups.reference_group``) is nearest its own, entrywise only when the
-two keys are close enough for a member (``_Prepped``), and each
+``groups.reference_group``) is nearest its own, found by a bucket table
+of the keys and searched only where a bucket holds a midpoint, and
+entrywise only when the two keys are close enough for a member
+(``_Prepped``), and each
 distinct mask, told apart and handed on by its raw bytes, is
 recognized from the census of H2 (``recognize(c2, mask)``), which
 memoizes its answer per class and mask by those same bytes.  The
@@ -89,6 +92,24 @@ class _Prepped:
     and reduces the 9 entries of all of them as 9 long rows rather than
     one short row per candidate.
 
+    ``nearest`` gives that ``searchsorted`` index by table lookup for
+    most keys.  The bucket of a key x is f(x) = intp(clip((x - lo)
+    scale, 0, nb)), with ``lo`` = keys[0], nb = 32 |H1| buckets over the
+    key span, ``scale`` = nb / span, and bucket nb (``top``) for the
+    top of the span and above (a one-element class has no span: nb = 0,
+    and every key is in bucket 0).  ``first[b]`` is the number of
+    midpoints whose bucket is below b, for b = 0, ..., nb + 1, in the
+    smallest unsigned dtype that holds len(mids): one byte per bucket
+    within the order cap.  f is monotone in floating point, as the
+    subtraction, the product with a positive constant, the clip and the
+    truncation of a non-negative value each are, rounding included.  So
+    f(m) < f(x) implies m < x, and f(m) > f(x) implies m > x.  A key
+    whose bucket b holds no midpoint (first[b + 1] == first[b]) thus
+    lies above exactly the midpoints of the lower buckets, and first[b]
+    is the ``searchsorted`` answer, with no rounding bound needed.  Only
+    keys whose bucket holds a midpoint are searched: 2,050 of the 11,044
+    candidates of ``verify_cells(3, 3)``.
+
     For each axis orbit representative b (``axis_orbit_reps``, cyclic
     order ``orders``), ``frames`` holds the rotation F_b with rows
     (p, b x p, b), p orthogonal to b, so that F_b b = e3.  ``alpha`` and
@@ -101,9 +122,9 @@ class _Prepped:
     azimuth alpha - pi s.  ``row_bytes`` is the void dtype of one mask
     over the elements.  ``parts`` holds F_b^T P, F_b^T J and F_b^T E per
     representative, for the parts P, J and E of
-    R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a pair's spin
-    coefficients are one batched product of them with the other class's
-    frames (see ``_sweeps``).  ``online`` holds, per representative
+    R(e3, t) = cos t P + sin t J + E (``_SPIN``), so that a block's spin
+    coefficients are one 2-D product of them with the columns' frames
+    (see ``_sweeps``).  ``online`` holds, per representative
     b and per element, whether the element is ±Id or rotates (up to
     sign) about the line b (``groups.rep_line_mask``).
 
@@ -127,6 +148,12 @@ class _Prepped:
         self.flat = reference_group(label).reshape(-1, 9)
         self.keys = self.flat @ _KEY
         self.mids = (self.keys[1:] + self.keys[:-1]) / 2
+        # the bucket table of ``nearest``
+        span = self.keys[-1] - self.keys[0]
+        nb = 32 * len(self.keys) if span > 0 else 0
+        self.lo, self.scale, self.top = self.keys[0], nb / (span or 1.0), nb
+        self.first = self._bucket(self.mids).searchsorted(
+            np.arange(nb + 2)).astype(np.min_scalar_type(len(self.mids)))
         self.near = np.ascontiguousarray(self.flat.T)
         reps, self.orders = axis_orbit_reps(label)
         p = orthogonal(reps)
@@ -145,8 +172,8 @@ class _Prepped:
 
     def member_mask(self, cands: np.ndarray) -> np.ndarray:
         """Boolean mask over candidate matrices that lie in the group:
-        each candidate against the element of nearest key, entry by
-        entry, where the keys are close.
+        each candidate against the element of nearest key (``nearest``),
+        entry by entry, where the keys are close.
 
         The key test drops no member: a member h of element e has
         max_i |h_i - e_i| < EPS_MAT, so |k(h) - k(e)| <=
@@ -157,13 +184,30 @@ class _Prepped:
         alone."""
         flat = cands.reshape(-1, 9)
         key = flat @ _KEY
-        idx = self.mids.searchsorted(key)
+        idx = self.nearest(key)
         test = np.flatnonzero(np.abs(key - self.keys[idx]) < 1.5 * EPS_MAT)
         near = self.near.take(idx[test], axis=1)
         near -= flat[test].T
         hit = np.zeros(len(flat), dtype=bool)
         hit[test] = (np.abs(near, out=near) < EPS_MAT).all(axis=0)
         return hit.reshape(cands.shape[:-2])
+
+    def _bucket(self, key: np.ndarray) -> np.ndarray:
+        """f(key), clipped by two in-place ufuncs, which beat
+        ``np.clip`` at these sizes."""
+        b = key - self.lo
+        b *= self.scale
+        return np.maximum(np.minimum(b, self.top, out=b), 0, out=b).astype(np.intp)
+
+    def nearest(self, key: np.ndarray) -> np.ndarray:
+        """``mids.searchsorted(key)``: read off the bucket table where a
+        key's bucket holds no midpoint, searched where it does (see
+        ``_Prepped``)."""
+        b = self._bucket(key)
+        idx = self.first.take(b)
+        hard = np.flatnonzero(self.first[1:].take(b) != idx)
+        idx[hard] = self.mids.searchsorted(key[hard])
+        return idx
 
 
 @lru_cache(maxsize=None)
@@ -190,10 +234,11 @@ def _spin_table(t: np.ndarray, row: np.ndarray,
     angle, however rows are numbered.
 
     For R aligners the key is below 8 R, and its rounding below
-    8 R 2^-53.  In a block of several rows of ``_sweeps`` the height
-    table holds at most ``_BATCH`` = 2^16 entries, and at least 2 R: each
-    representative brings at least one flat height to the rows' side
-    and two signed ones to the columns'.  So R <= 2^15 and the rounding
+    8 R 2^-53.  In a block of several rows of ``_sweeps`` the rows' flat
+    heights times the columns' signed ones (``_blocks``) are at most
+    ``_BATCH`` = 2^16, and at least 2 R: each representative brings at
+    least one flat height to the rows' side and two signed ones to the
+    columns'.  So R <= 2^15 and the rounding
     is below 2^-35, about 3e-11.
     A block of one row has at most 3 representatives (no finite class
     has more axis orbits), as has each column, so R <= 9 per column and
@@ -211,6 +256,23 @@ def _spin_table(t: np.ndarray, row: np.ndarray,
     new[1:] = (t[1:] - t[:-1] > 1e-9) | (row[1:] != row[:-1])
     start = np.flatnonzero(new)
     return np.minimum.reduceat(t, start), row[start]
+
+
+def _height_matches(z: np.ndarray,
+                    signed_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of heights with z[i] within 1e-9 of signed_z[j],
+    i ascending: signed_z sorted once, each z[i]'s window found by two
+    ``searchsorted`` calls, and the windows expanded.  NaN sorts last,
+    so a NaN signed height lies in no window, and a NaN z[i] searches to
+    the end for "right" but to the first NaN for "left": its count comes
+    out negative or 0, and is clamped to 0."""
+    order = np.argsort(signed_z, kind="stable")
+    s = signed_z[order]
+    lo = s.searchsorted(z - 1e-9, "right")
+    count = np.maximum(s.searchsorted(z + 1e-9) - lo, 0)
+    i = np.repeat(np.arange(len(z)), count)
+    skip = np.repeat(lo - np.cumsum(count) + count, count)
+    return i, order[skip + np.arange(len(i))]
 
 
 def _sweeps(rows: Sequence[ClassLabel],
@@ -269,13 +331,20 @@ def _sweeps(rows: Sequence[ClassLabel],
     cos t A + sin t B + C, where A, B and C are F_b^T P F_a,
     F_b^T J F_a and F_b^T E F_a for the parts of R(e3, t) (``_SPIN``).
     H1's factors F_b^T {P, J, E} are per-label (``_Prepped.parts``), so
-    A, B and C of every aligner come from one batched product of every
+    A, B and C of every aligner come from one 2-D product of every
     row's factors with the frames of every column, and the aligner is
-    its spin by 0, A + C.  Heights are compared as one 2-D table, the
-    flat (b, w) of every row against the signed (a, s, v) of every
-    column, whose entries carry their representatives and, for s = 1,
-    the pi.  Every entry of the table belongs to one row and one column,
-    so no comparison is made for a pair that is not swept.
+    its spin by 0, A + C.  Heights are matched by sort and search
+    (``_height_matches``): the signed (a, s, v) heights of every column,
+    which carry their representatives and, for s = 1, the pi, are
+    sorted once, and the flat (b, w) height of every row finds its
+    matches among them by two ``searchsorted`` calls, in memory linear
+    in the heights and the matches, not in their product.  The matched
+    pairs are those of comparing every row height with every column
+    height: heights are equal to about 1e-15 or more than 9e-7 apart
+    (``_Prepped``), so the window 1e-9 wide holds the same heights
+    whichever side is shifted, and ``_spin_table``'s output does not
+    depend on the order of its input.  Every match belongs to one row
+    and one column, so no angle is solved for a pair that is not swept.
 
     Rows, per pair: its k1 k2 aligners g0 in (b, a) order first, then
     the distinct solved spins of each aligner in the same order, each
@@ -296,18 +365,15 @@ def _sweeps(rows: Sequence[ClassLabel],
     parts = np.concatenate([h.parts for h in h1s])
     frames = np.concatenate([h.frames for h in h2s])
     # A, B and C of every aligner in (b, a) order, b over all rows and a
-    # over all columns
-    abc = (parts[:, None] @ frames[None, :, None]).reshape(k1 * k2, 3, 9)
+    # over all columns: one 2-D product of the rows' parts, rows
+    # (b, part, i), with the columns' frames, columns (a, l)
+    abc = (parts.reshape(-1, 3) @ frames.transpose(1, 0, 2).reshape(3, -1)
+           ).reshape(k1, 3, 3, k2, 3).transpose(0, 3, 1, 2, 4).reshape(-1, 3, 9)
     g = (abc[:, 0] + abc[:, 2]).reshape(-1, 3, 3)
     # R(e3, t) puts F_a v on s F_b w at t = alpha(w) - alpha(v), plus pi
     # for s = -1, when z(w) = s z(v)
-    z = np.concatenate([h.z for h in h1s])
-    signed_z = np.concatenate([h.signed_z for h in h2s])
-    # heights within 1e-9 of each other, told by two boolean tables
-    # rather than a table of float gaps, which takes eight times the
-    # memory
-    i, j = np.nonzero((z[:, None] > signed_z - 1e-9)
-                      & (z[:, None] < signed_z + 1e-9))
+    i, j = _height_matches(np.concatenate([h.z for h in h1s]),
+                           np.concatenate([h.signed_z for h in h2s]))
     alpha = np.concatenate([h.alpha for h in h1s])
     signed_alpha = np.concatenate([h.signed_alpha for h in h2s])
     rep = np.concatenate([
@@ -320,10 +386,10 @@ def _sweeps(rows: Sequence[ClassLabel],
     t, spun = _spin_table(alpha[i] - signed_alpha[j],
                           rep[i] * k2 + signed_rep[j], period)
     # F_b^T R(e3, t) F_a = (cos t, sin t, 1) . (A, B, C)
-    coef = np.ones((len(t), 1, 3))
-    coef[:, 0, 0] = np.cos(t)
-    coef[:, 0, 1] = np.sin(t)
-    g = np.concatenate([g, (coef @ abc[spun]).reshape(-1, 3, 3)])
+    coef = np.ones((len(t), 3))
+    coef[:, 0], coef[:, 1] = np.cos(t), np.sin(t)
+    g = np.concatenate(
+        [g, np.einsum("tp,tpk->tk", coef, abc[spun]).reshape(-1, 3, 3)])
     aligner = np.concatenate([np.arange(k1 * k2), spun])
     # the pair of each conjugator, row-major over rows and columns
     pair = (np.repeat(np.arange(len(rows)), size1)[aligner // k2] * len(cols)
@@ -350,10 +416,11 @@ def conjugators(c1: ClassLabel, c2: ClassLabel, seed: int = 0) -> np.ndarray:
     return _sweeps((c1,), (c2,))[0][0]
 
 
-# what one batch holds: the entries of a block's height table in
-# ``_sweeps``, or the floats of one ``member_mask`` call's candidates,
-# 9 each, unless one item (a row's table, a column's candidates) brings
-# more
+# what one batch holds: a block's height comparisons in ``_sweeps``
+# (its rows' flat heights times the columns' signed heights, which also
+# bound ``_spin_table``'s key rounding), or the floats of one
+# ``member_mask`` call's candidates, 9 each, unless one item (a row's
+# comparisons, a column's candidates) brings more
 _BATCH = 2 ** 16
 
 
@@ -374,9 +441,9 @@ def _runs(sizes: Sequence[int]) -> list[list[int]]:
 def _blocks(rows: Sequence[ClassLabel],
             cols: Sequence[ClassLabel]) -> list[list[ClassLabel]]:
     """``rows`` cut into the blocks that ``clips_oracles`` sweeps one at
-    a time against all of ``cols``: a block's height table in
-    ``_sweeps``, its rows' flat heights against every column's signed
-    ones, stays within ``_BATCH`` entries unless the block is one row.
+    a time against all of ``cols``: a block's height comparisons in
+    ``_sweeps``, its rows' flat heights times every column's signed
+    ones, stay within ``_BATCH`` unless the block is one row.
     Every row and column is prepared here, so the gate refuses a class
     before any block is swept."""
     width = sum(len(_prepped(c).signed_z) for c in cols)

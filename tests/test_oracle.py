@@ -38,7 +38,7 @@ from o3clips.oracle import (
     clips_oracles,
     conjugators,
 )
-from o3clips.rotations import EPS_MAT, random_rotation, rotation
+from o3clips.rotations import EPS_MAT, ORDER_CAP, random_rotation, rotation
 from test_acceptance import _finite_labels
 
 PINS = load_pins("clips_oracle_pins")
@@ -797,3 +797,80 @@ def test_member_mask_matches_the_dense_nearest_element():
         cands = _conjugates(c1, c2)
         got = _prepped(c1).member_mask(cands)
         assert np.array_equal(got, _dense_member_mask(c1, cands)), (c1, c2)
+
+
+# every class of finite_labels(128) within the order cap, with the
+# one-element classes, the polyhedral classes and their lifts named again
+LOOKUP_LABELS = list(dict.fromkeys([
+    *(c for c in _finite_labels(128) if order_of(c) <= ORDER_CAP),
+    *(parse_label(text) for text in ("1", "1+Z2c", "T", "O", "I", "T+Z2c",
+                                     "O+Z2c", "I+Z2c"))]))
+
+
+def test_bucket_lookup_is_the_midpoint_search():
+    # nearest reads searchsorted's index off the bucket table: at every
+    # element key and midpoint and one float either side of each, beyond
+    # both ends and at seeded uniform keys, on every class
+    rng = np.random.default_rng(49)
+    uniform = rng.uniform(-1.5, 1.5, size=10_000)
+    for label in LOOKUP_LABELS:
+        prep = _prepped(label)
+        assert prep.first.nbytes <= 33 * len(prep.keys), label
+        marks = np.concatenate([prep.keys, prep.mids])
+        keys = np.concatenate([
+            marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+            prep.keys[0] - [1e-3, 0.5, 2.0], prep.keys[-1] + [1e-3, 0.5, 2.0],
+            uniform])
+        got = prep.nearest(keys)
+        assert np.array_equal(got, prep.mids.searchsorted(keys)), label
+
+
+def _dense_height_matches(z: np.ndarray, signed_z: np.ndarray) -> set:
+    """The (i, j) of the two boolean tables that matched heights before
+    the sort and search."""
+    i, j = np.nonzero((z[:, None] > signed_z - 1e-9)
+                      & (z[:, None] < signed_z + 1e-9))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def _height_blocks():
+    """The (z, signed_z) of every block of ``_sweeps`` that
+    ``verify_cells(8, 8)`` and the square of ``finite_labels(16)``
+    sweep."""
+    square = tuple(_finite_labels(16))
+    for rows, cols in [(_verify_rows(8), _finite_cols(8)), (square, square)]:
+        signed_z = np.concatenate([_prepped(c).signed_z for c in cols])
+        for block in oracle._blocks(rows, cols):
+            yield np.concatenate([_prepped(c).z for c in block]), signed_z
+
+
+def test_height_matches_are_the_dense_tables():
+    blocks = 0
+    for z, signed_z in _height_blocks():
+        i, j = oracle._height_matches(z, signed_z)
+        assert np.all(np.diff(i) >= 0)
+        pairs = set(zip(i.tolist(), j.tolist()))
+        assert len(pairs) == len(i)
+        assert pairs == _dense_height_matches(z, signed_z)
+        blocks += 1
+    # 4 blocks at size 8, 59 on the square
+    assert blocks == 63
+
+
+@pytest.mark.parametrize("z, signed_z", [
+    # NaN on either side, or both, matches nothing
+    ([np.nan, 0.5, np.nan], [0.5, np.nan, -0.5, 0.5 + 5e-10]),
+    ([0.0, np.nan], [np.nan, np.nan, 0.0, 1e-12]),
+    ([np.nan], [0.25, np.nan]),
+    # no match, one equal and one just outside the window, and empties
+    ([0.1, 0.2], [0.3, -0.1, 0.1 + 2e-9]),
+    ([], [0.5, np.nan]),
+    ([0.5, np.nan], []),
+    ([], []),
+], ids=["nan-both", "nan-rows", "nan-row-only", "no-match", "no-rows",
+        "no-columns", "empty"])
+def test_height_matches_planted(z, signed_z):
+    z, signed_z = np.array(z, dtype=float), np.array(signed_z, dtype=float)
+    i, j = oracle._height_matches(z, signed_z)
+    assert i.dtype.kind == j.dtype.kind == "i"
+    assert set(zip(i.tolist(), j.tolist())) == _dense_height_matches(z, signed_z)
