@@ -4,8 +4,9 @@
 product on closed subgroups of O(3).  It takes labels or their
 spellings; ``parse_label`` resolves a spelling to its interned label by
 one dict probe once seen, and a label resolves to itself.  The symbolic
-route answers every pair from ``infinite.clips_reduce``, in closed form,
-passing a label on without a probe.  The oracle route
+route passes the pair as given to ``infinite.clips_reduce``, which
+answers every pair in closed form and a pair seen before, labels or
+spellings, by two dict probes without parsing it.  The oracle route
 forces the brute-force computation and is therefore restricted to
 pairs of finite classes.  The "both" route returns the symbolic answer
 after cross-checking it against the oracle whenever the pair is
@@ -103,11 +104,7 @@ def clips(c1: str | ClassLabel, c2: str | ClassLabel,
     ``seed`` has no effect: no route draws random numbers.
     """
     if method == "symbolic":
-        # a label skips even the table probe: an exact class test is
-        # cheaper than hashing it
-        return clips_reduce(
-            c1 if c1.__class__ is ClassLabel else parse_label(c1),
-            c2 if c2.__class__ is ClassLabel else parse_label(c2))
+        return clips_reduce(c1, c2)
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     a, b = parse_label(c1), parse_label(c2)

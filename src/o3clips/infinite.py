@@ -1,7 +1,8 @@
 """Closed-form clips: one memo, then the exact reductions and one cell.
 
-``clips_reduce`` answers a pair from its one memo, ``_MEMO``.  On a
-miss it applies ``normalize``, answers the normalized pair with
+``clips_reduce`` answers a pair of labels or spellings from its one
+memo, ``_MEMO``.  On a miss it parses both sides, applies
+``normalize``, answers the normalized pair with
 ``tables.cell`` and, for a type II x type II pair, lifts each class of
 the answer back to its +Z2c class.  Every pair that ``normalize``
 returns, type I x I, II x III or III x III with axial sides included,
@@ -30,6 +31,7 @@ from .labels import (
     ClassLabel,
     ClassSet,
     format_label,
+    parse_label,
     proper_part,
     strip_z2c,
     typeclass,
@@ -59,23 +61,36 @@ def normalize(a: ClassLabel,
     return a, b, False
 
 
-def clips_reduce(c1: ClassLabel, c2: ClassLabel) -> ClassSet:
-    """Closed-form clips of any pair of classes.
+def clips_reduce(c1: str | ClassLabel, c2: str | ClassLabel) -> ClassSet:
+    """Closed-form clips of any pair of classes, given as labels or
+    spellings.
 
-    One probe of ``_MEMO``, keyed by the pair as given; on a miss,
-    ``normalize``, then ``tables.cell`` on the normalized pair, each of
-    its classes lifted to +Z2c when ``normalize`` stripped both sides,
-    and the answer is stored.  Every pair has a cell, and a repeated
-    pair returns the same ``ClassSet``.  Symmetric in its arguments.
+    A pair seen before, in the same form, is two probes of ``_MEMO``,
+    ``_MEMO[c1][c2]``: no parse, no key and no gcd.  Otherwise both
+    sides are parsed (``parse_label``), and the answer comes from
+    ``_MEMO`` under the rule's compact key of the two labels or, on a
+    miss there, from ``normalize``, then ``tables.cell`` on the
+    normalized pair, each of its classes lifted to +Z2c when
+    ``normalize`` stripped both sides; it is stored under the compact
+    key and under the pair as given.  Every pair has a cell, a repeated
+    pair returns the same ``ClassSet``, and the answer is symmetric in
+    the two classes.  A spec that is no class raises as ``parse_label``
+    does and stores nothing.
     """
-    key = (c1, c2.kind, c2.plus, gcd(c2.n, c1.period))
+    try:
+        return _MEMO[c1][c2]
+    except (KeyError, TypeError):
+        # a pair not seen in this form, or no pair of specs at all (an
+        # unhashable spec, or a compact key, whose entry is a ClassSet)
+        a, b = parse_label(c1), parse_label(c2)
+    key = (a, b.kind, b.plus, gcd(b.n, a.period))
     out = _MEMO.get(key)
     if out is None:
-        a, b, lift = normalize(c1, c2)
-        cs = cell(a, b)
+        x, y, lift = normalize(a, b)
+        cs = cell(x, y)
         out = _MEMO.setdefault(
             key, ClassSet(with_z2c(k) for k in cs) if lift else cs)
-    return out
+    return _MEMO.setdefault(c1, {}).setdefault(c2, out)
 
 
 def _check(lab: ClassLabel, kinds: Sequence[str], what: str,
@@ -105,13 +120,28 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
     return clips_reduce(row, col)
 
 
-# The one memo between ``clips`` and the rule: the finished answer of
-# ``clips_reduce``, after ``normalize``, ``cell`` and the lift, keyed by
-# the pair as given, (c1, c2.kind, c2.plus, gcd(c2.n, 2L)), with 2L =
-# ``c1.period``, twice the lcm of the orders of ``c1.axes``, the axes
-# the rule reads (the label reads one off the other), or 0 when c1 has
-# no finite axis orders (1, SO(3) and the axial classes), so that such a
-# c1 keys c2 whole.  The key fixes the answer:
+# The one memo between ``clips`` and the rule, of the finished answers
+# of ``clips_reduce``, after ``normalize``, ``cell`` and the lift.  It
+# holds two kinds of entry side by side:
+#
+# * per first argument as given, a label or a spelling, a dict from the
+#   second argument as given to the answer, read by the hit path; the
+#   memo grows by one such entry per distinct pair of arguments;
+# * per compact key of the pair of labels, (c1, c2.kind, c2.plus,
+#   gcd(c2.n, 2L)), the one ``ClassSet`` that every pair of that key
+#   shares, with 2L = ``c1.period``, twice the lcm of the orders of
+#   ``c1.axes``, the axes the rule reads (the label reads one off the
+#   other), or 0 when c1 has no finite axis orders (1, SO(3) and the
+#   axial classes), so that such a c1 keys c2 whole.
+#
+# Both kinds of entry are exact:
+#
+# 0. ``parse_label`` is a pure function of its argument (a spelling
+#    resolves to its interned label, a label to itself), so a pair as
+#    given fixes the pair of labels, and its entry, the answer stored
+#    under the compact key of those labels, is exact when that key is.
+#
+# The compact key fixes the answer:
 #
 # 1. ``tables._signed_rule`` reads the axes of the second side only when
 #    that side is polyhedral, whose kind has no subscript (n = 0), or
@@ -138,7 +168,8 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
 #    is 0, and the printed row's column is x, or y against x = O(2)+Z2c.
 #
 # Labels are interned and hash by identity, and each carries its 2L, so
-# a key costs one gcd and four slot reads, and the memo holds per c1 at
-# most one answer per kind and lift of c2 and divisor of 2L, or per c2
-# when 2L = 0, however many pairs it answers.
-_MEMO: dict[tuple, ClassSet] = {}
+# a compact key costs one gcd and four slot reads, and the memo holds
+# per c1 at most one ``ClassSet`` per kind and lift of c2 and divisor of
+# 2L, or per c2 when 2L = 0, however many pairs it answers; the pair
+# entries only point at these.
+_MEMO: dict[object, ClassSet | dict[object, ClassSet]] = {}

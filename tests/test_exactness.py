@@ -45,16 +45,22 @@ def test_a_plain_copy_has_the_same_digests_and_a_planted_change_differs(
     assert text.count(line) == 1
     labels.write_text(text.replace(line, line.replace('"\n', '".lower()\n')))
     tree = _digests(tmp_path, SRC, "tree")
-    assert len(json.loads(tree.read_text())) == 3
+    assert len(json.loads(tree.read_text())) == 7
     plain = _digests(tmp_path, _copy(tmp_path, "plain"), "plain")
-    assert _compare(tree, plain, capsys) == (0, ["0 of 3 digests differ"])
+    assert _compare(tree, plain, capsys) == (0, ["0 of 7 digests differ"])
     code, lines = _compare(tree, _digests(tmp_path, planted, "planted"), capsys)
     assert code == 1
+    # the planted spellings no longer parse, which the spelled passes
+    # record, and the CLI prints them
     assert lines == [
         "differs: clips MEMO_POOL[:40]^2",
+        "differs: clips MEMO_POOL[:40]^2 spelled",
+        "differs: clips MEMO_POOL[:40]^2, warm",
+        "differs: clips MEMO_POOL[:40]^2 spelled, warm",
         "differs: clips_oracles finite_labels(6)^2",
         "differs: o3clips verify --n-max 3 --m-max 3 --format json",
-        "3 of 3 digests differ",
+        "differs: o3clips replay of tests/fixtures/cli_cases.json",
+        "7 of 7 digests differ",
     ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import load_pins
 from test_properties import INFINITE, finite_labels
-from o3clips import clips, clips_type2_type3, infinite, tables
+from o3clips import clips, clips_type2_type3, engine, infinite, labels, tables
 from o3clips.infinite import clips_reduce, normalize
 from o3clips.labels import (
     ClassLabel,
@@ -18,6 +18,7 @@ from o3clips.labels import (
     dihedral,
     dihedral_d,
     dihedral_z,
+    format_label,
     icosa,
     o2,
     o2_minus,
@@ -354,8 +355,9 @@ def test_rule_memo_is_exact(monkeypatch):
     for a, b in pairs:
         assert clips_reduce(a, b) == _fresh(a, b), (a, b)
     # most pairs are answered from a key that another pair filled
-    assert len(infinite._MEMO) == 19_318
-    assert len(infinite._MEMO) <= _key_bound(infinite._MEMO) < len(pairs)
+    keys = _compact_keys(infinite._MEMO)
+    assert len(keys) == 19_318
+    assert len(keys) <= _key_bound(keys) < len(pairs)
 
 
 def test_period_is_twice_the_lcm_of_the_rule_axes():
@@ -371,6 +373,19 @@ def test_period_is_twice_the_lcm_of_the_rule_axes():
         else:
             orders = [p for p, *_ in x.axes]
             assert x.period == (0 if 0 in orders else 2 * lcm(*orders)), x
+
+
+def _compact_keys(memo: dict) -> list:
+    # The rule's compact keys among the memo's entries.  The other
+    # entries are the pairs as given, one dict per first argument, and
+    # each of their answers is a ClassSet that a compact key holds.
+    keys = [key for key in memo if type(key) is tuple]
+    shared = {id(memo[key]) for key in keys}
+    for first, answers in memo.items():
+        if type(first) is not tuple:
+            assert isinstance(first, (ClassLabel, str)), first
+            assert all(id(out) in shared for out in answers.values()), first
+    return keys
 
 
 def _divisors(n: int) -> int:
@@ -404,7 +419,7 @@ def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
     monkeypatch.setattr(infinite, "_MEMO", {})
     for row, col in pairs:
         clips(row, col)
-    keys = list(infinite._MEMO)
+    keys = _compact_keys(infinite._MEMO)
     # x is always the row, and the other side's kinds are the columns'
     # five; the bound is 4,975 here, for 24,897 pairs
     assert {x for x, *_ in keys} == set(map(parse_label, grid["table"]))
@@ -449,3 +464,74 @@ def test_a_warm_repeat_builds_nothing(monkeypatch):
     assert built == []
     ClassSet([trivial()])  # the spy sees a construction
     assert len(built) == 1
+
+
+def _grid_pairs() -> list[tuple[str, str]]:
+    # every ``symbolic_grid`` cell as perfbench/worker.py spells it: the
+    # table, then its finite classes against the five axial classes
+    grid = _grid()
+    axial = [format_label(x) for x in INFINITE[:5]]
+    return list(dict.fromkeys(
+        [(row, col) for row in grid["table"] for col in grid["cols"]]
+        + [(f, x) for f in grid["axial_table"] for x in axial]))
+
+
+def test_a_warm_pair_is_two_memo_probes(monkeypatch):
+    # Once the grid is answered as spellings and as labels, a warm call
+    # in either form returns the one stored ClassSet of its pair, and
+    # none parses, normalizes, reaches the rule or takes a gcd.
+    spelled = _grid_pairs()
+    assert len(spelled) == 26_373
+    labelled = [(parse_label(a), parse_label(b)) for a, b in spelled]
+    monkeypatch.setattr(infinite, "_MEMO", {})
+    warm = [[clips(a, b) for a, b in pairs] for pairs in (spelled, labelled)]
+    assert all(s is t for s, t in zip(*warm))
+    assert len(_compact_keys(infinite._MEMO)) == 3_935
+
+    def refuse(*args):
+        raise AssertionError("a warm call left the memo")
+
+    monkeypatch.setattr(labels, "_parse", refuse)
+    monkeypatch.setattr(engine, "parse_label", refuse)
+    for name in ("parse_label", "normalize", "cell", "gcd"):
+        monkeypatch.setattr(infinite, name, refuse)
+    for pairs, answers in zip((spelled, labelled), warm):
+        for (a, b), out in zip(pairs, answers):
+            assert clips(a, b) is out, (a, b)
+
+
+def test_a_spec_that_is_no_class_raises_as_before_and_stores_nothing(
+        monkeypatch):
+    # The hit path reads the memo before anything is parsed, so every
+    # spec that is no class, a compact key of the memo among them, must
+    # still raise the error of ``parse_label``, first side first, on
+    # every call, and leave the memo as it was.
+    monkeypatch.setattr(infinite, "_MEMO", {})
+    z2 = parse_label("Z2")
+    for a, b in (("Z2", "Z2"), (z2, "D4^z"), (z2, z2)):
+        clips(a, b)
+    key = next(key for key in infinite._MEMO if type(key) is tuple)
+    not_a_class = "{} is not a class label or a str"
+    bad = [
+        (5, TypeError, not_a_class.format("int")),
+        (["Z2"], TypeError, "unhashable type: 'list'"),
+        (None, TypeError, not_a_class.format("NoneType")),
+        ("bogus", ValueError,
+         "cannot parse class label 'bogus' (near position 1)"),
+        (key, TypeError, not_a_class.format("tuple")),
+    ]
+
+    def snapshot() -> dict:
+        return {k: v if type(k) is tuple else dict(v)
+                for k, v in infinite._MEMO.items()}
+
+    before = snapshot()
+    for good in ("Z2", z2):
+        for spec, exc, message in bad:
+            for pair in ((spec, good), (good, spec)) * 2:
+                with pytest.raises(exc) as err:
+                    clips(*pair)
+                assert type(err.value) is exc and str(err.value) == message
+                assert snapshot() == before, pair
+    with pytest.raises(TypeError, match="not a class label"):
+        clips(5, "bogus")
