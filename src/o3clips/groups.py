@@ -34,9 +34,9 @@ library path calls them; they are the independent reference that the
 tests compare the factor construction against.
 
 ``_census`` is the one place that finds axes: the unsigned axes of an
-element set and the axis of each element, from which ``axis_census``
-counts the cyclic order about each axis and ``orbit_reps`` picks the
-lowest axis of each orbit under the set.  ``same_line`` is the one test
+element set and the axis of each element, from which ``structural_axes``
+counts a class's cyclic order about each axis and ``orbit_reps`` picks
+the lowest axis of each orbit under the set.  ``same_line`` is the one test
 of whether two directions lie on one line, for the census, the orbits,
 ``rep_line_mask`` and both oracles.  ``label_census`` runs it once
 per class, on the reference group.  ``recognize`` counts both of its
@@ -337,23 +337,6 @@ def _census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _axis_counts(ids: np.ndarray, n: int) -> np.ndarray:
     """Elements about each of n axes, from their census axis indices."""
     return np.bincount(ids[ids >= 0], minlength=n)
-
-
-def axis_census(elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The package's one axis census of a finite element set.
-
-    Returns
-    -------
-    axes : (n, 3) array
-        Unsigned axes (``canonical_axis`` signs) of the non-central
-        elements in order of first appearance; an improper g contributes
-        the axis of -g (the reflection normal for g = -R(v, pi)).
-    orders : (n,) int array
-        The proper cyclic order about each axis: the number of rotations
-        in the set, the identity included, that fix it.
-    """
-    proper, axes, ids = _census(elems)
-    return axes, 1 + _axis_counts(ids[proper], len(axes))
 
 
 def orbit_reps(elems: np.ndarray, axes: np.ndarray) -> np.ndarray:

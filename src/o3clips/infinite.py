@@ -1,8 +1,9 @@
-"""Closed-form clips: one memo, then the exact reductions and one cell.
+"""Closed-form clips: two memo stores, the exact reductions, one cell.
 
-``clips_reduce`` answers a pair of labels or spellings from its one
-memo, ``_MEMO``.  On a miss it parses both sides, applies
-``normalize``, answers the normalized pair with
+``clips_reduce`` answers a pair of labels or spellings from ``_PAIRS``,
+keyed by the pair as given.  On a miss it parses both sides and reads
+``_MEMO``, keyed by the rule's compact key of the two labels; on a miss
+there it applies ``normalize``, answers the normalized pair with
 ``tables.cell`` and, for a type II x type II pair, lifts each class of
 the answer back to its +Z2c class.  Every pair that ``normalize``
 returns, type I x I, II x III or III x III with axial sides included,
@@ -65,23 +66,22 @@ def clips_reduce(c1: str | ClassLabel, c2: str | ClassLabel) -> ClassSet:
     """Closed-form clips of any pair of classes, given as labels or
     spellings.
 
-    A pair seen before, in the same form, is two probes of ``_MEMO``,
-    ``_MEMO[c1][c2]``: no parse, no key and no gcd.  Otherwise both
+    A pair seen before, in the same form, is two probes of ``_PAIRS``,
+    ``_PAIRS[c1][c2]``: no parse, no key and no gcd.  Otherwise both
     sides are parsed (``parse_label``), and the answer comes from
     ``_MEMO`` under the rule's compact key of the two labels or, on a
     miss there, from ``normalize``, then ``tables.cell`` on the
     normalized pair, each of its classes lifted to +Z2c when
-    ``normalize`` stripped both sides; it is stored under the compact
-    key and under the pair as given.  Every pair has a cell, a repeated
-    pair returns the same ``ClassSet``, and the answer is symmetric in
-    the two classes.  A spec that is no class raises as ``parse_label``
-    does and stores nothing.
+    ``normalize`` stripped both sides; it is stored in ``_MEMO`` under
+    the compact key and in ``_PAIRS`` under the pair as given.  Every
+    pair has a cell, a repeated pair returns the same ``ClassSet``, and
+    the answer is symmetric in the two classes.  A spec that is no class
+    raises as ``parse_label`` does and stores nothing.
     """
     try:
-        return _MEMO[c1][c2]
+        return _PAIRS[c1][c2]
     except (KeyError, TypeError):
-        # a pair not seen in this form, or no pair of specs at all (an
-        # unhashable spec, or a compact key, whose entry is a ClassSet)
+        # a pair not seen in this form, or an unhashable spec
         a, b = parse_label(c1), parse_label(c2)
     key = (a, b.kind, b.plus, gcd(b.n, a.period))
     out = _MEMO.get(key)
@@ -90,7 +90,7 @@ def clips_reduce(c1: str | ClassLabel, c2: str | ClassLabel) -> ClassSet:
         cs = cell(x, y)
         out = _MEMO.setdefault(
             key, ClassSet(with_z2c(k) for k in cs) if lift else cs)
-    return _MEMO.setdefault(c1, {}).setdefault(c2, out)
+    return _PAIRS.setdefault(c1, {}).setdefault(c2, out)
 
 
 def _check(lab: ClassLabel, kinds: Sequence[str], what: str,
@@ -120,28 +120,26 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
     return clips_reduce(row, col)
 
 
-# The one memo between ``clips`` and the rule, of the finished answers
-# of ``clips_reduce``, after ``normalize``, ``cell`` and the lift.  It
-# holds two kinds of entry side by side:
+# The two memo stores between ``clips`` and the rule, of the finished
+# answers of ``clips_reduce``, after ``normalize``, ``cell`` and the lift.
 #
-# * per first argument as given, a label or a spelling, a dict from the
-#   second argument as given to the answer, read by the hit path; the
-#   memo grows by one such entry per distinct pair of arguments;
-# * per compact key of the pair of labels, (c1, c2.kind, c2.plus,
-#   gcd(c2.n, 2L)), the one ``ClassSet`` that every pair of that key
-#   shares, with 2L = ``c1.period``, twice the lcm of the orders of
-#   ``c1.axes``, the axes the rule reads (the label reads one off the
-#   other), or 0 when c1 has no finite axis orders (1, SO(3) and the
-#   axial classes), so that such a c1 keys c2 whole.
-#
-# Both kinds of entry are exact:
+# ``_PAIRS`` maps each first argument as given, a label or a spelling,
+# to a dict from the second argument as given to the answer; the hit
+# path reads it, and it grows by one entry per distinct pair of
+# arguments.  Each answer is the ``ClassSet`` that ``_MEMO`` holds under
+# the compact key of the pair's labels, and the entry is exact:
 #
 # 0. ``parse_label`` is a pure function of its argument (a spelling
 #    resolves to its interned label, a label to itself), so a pair as
-#    given fixes the pair of labels, and its entry, the answer stored
-#    under the compact key of those labels, is exact when that key is.
+#    given fixes the pair of labels, and so its compact key.
 #
-# The compact key fixes the answer:
+# ``_MEMO`` maps each compact key of a pair of labels, (c1, c2.kind,
+# c2.plus, gcd(c2.n, 2L)), to the one ``ClassSet`` that every pair of
+# that key shares, with 2L = ``c1.period``, twice the lcm of the orders
+# of ``c1.axes``, the axes the rule reads (the label reads one off the
+# other), or 0 when c1 has no finite axis orders (1, SO(3) and the
+# axial classes), so that such a c1 keys c2 whole.  The compact key
+# fixes the answer:
 #
 # 1. ``tables._signed_rule`` reads the axes of the second side only when
 #    that side is polyhedral, whose kind has no subscript (n = 0), or
@@ -168,8 +166,10 @@ def clips_type2_type3(row: ClassLabel, col: ClassLabel) -> ClassSet:
 #    is 0, and the printed row's column is x, or y against x = O(2)+Z2c.
 #
 # Labels are interned and hash by identity, and each carries its 2L, so
-# a compact key costs one gcd and four slot reads, and the memo holds
+# a compact key costs one gcd and four slot reads, and ``_MEMO`` holds
 # per c1 at most one ``ClassSet`` per kind and lift of c2 and divisor of
-# 2L, or per c2 when 2L = 0, however many pairs it answers; the pair
-# entries only point at these.
-_MEMO: dict[object, ClassSet | dict[object, ClassSet]] = {}
+# 2L, or per c2 when 2L = 0, however many pairs it answers.  Clearing
+# ``_PAIRS`` alone drops only pointers: a repeated pair is refilled from
+# its compact key and returns the same ``ClassSet``.
+_PAIRS: dict[str | ClassLabel, dict[str | ClassLabel, ClassSet]] = {}
+_MEMO: dict[tuple[ClassLabel, str, bool, int], ClassSet] = {}

@@ -5,10 +5,10 @@ table of type II row against type III column.
 I x I, II x III or III x III pair in either order: the absorbers 1 and
 SO(3), with their lifts, and the published row [O(2)+Z2c], which is the
 rule less ``_omitted``, then the data cells, and otherwise the rule.  No
-cell is memoized here: ``cell`` runs only on a miss of the one memo, of
-finished answers, that ``infinite.clips_reduce`` keeps in front of it,
-and ``infinite.clips_type2_type3`` answers a checked table row and
-column through that memo.
+cell is memoized here: ``cell`` runs only on a miss of the two memo
+stores, of finished answers, that ``infinite.clips_reduce`` keeps in
+front of it, and ``infinite.clips_type2_type3`` answers a checked table
+row and column through those stores.
 
 Every cell with a Z, D or axial side comes from one rule,
 ``_signed_rule``: read each class as its envelope K with a sign chi on

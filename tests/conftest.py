@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 
+from o3clips import infinite
 from o3clips.labels import (
     cyclic,
     cyclic_minus,
@@ -32,6 +33,13 @@ def load_pins(name: str) -> dict[str, list[str]]:
     """Frozen brute-force results keyed by 'LHS|RHS'."""
     with open(FIXTURES / f"{name}.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def empty_clips_memo(monkeypatch) -> None:
+    """Empty both memo stores of ``clips_reduce`` for one test, so that
+    every pair reaches the rule again; monkeypatch restores them."""
+    monkeypatch.setattr(infinite, "_PAIRS", {})
+    monkeypatch.setattr(infinite, "_MEMO", {})
 
 
 def mats_equal(a: np.ndarray, b: np.ndarray, eps: float = EPS_MAT) -> bool:

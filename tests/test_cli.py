@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import o3clips
+from conftest import empty_clips_memo
 from o3clips.cli import main
 
 # the source tree this suite imported, for the interpreters it starts
@@ -164,7 +165,7 @@ def test_clips_both_mismatch_exit_2(capsys, monkeypatch):
     from o3clips import infinite
     from o3clips.labels import class_set
 
-    monkeypatch.setattr(infinite, "_MEMO", {})
+    empty_clips_memo(monkeypatch)
     monkeypatch.setattr(infinite, "cell",
                         lambda a, b: class_set("1", "I"))
     code, out, _ = run(capsys, "clips", "Z4+Z2c", "D4^z",
@@ -382,7 +383,7 @@ def test_verify_mismatch_exit_2(capsys, monkeypatch):
     from o3clips import infinite
     from o3clips.labels import class_set
 
-    monkeypatch.setattr(infinite, "_MEMO", {})
+    empty_clips_memo(monkeypatch)
     monkeypatch.setattr(infinite, "cell",
                         lambda a, b: class_set("1", "I"))
     code, out, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2")

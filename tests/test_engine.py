@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import empty_clips_memo
 from o3clips import engine, infinite
 from o3clips.engine import (
     ClipsMismatch,
@@ -101,8 +102,8 @@ def test_both_method_raises_on_planted_mismatch(monkeypatch):
         return wrong
 
     # every normalized pair reaches the one closed-form dispatch, once
-    # the memo in front of it is empty
-    monkeypatch.setattr(infinite, "_MEMO", {})
+    # the memo stores in front of it are empty
+    empty_clips_memo(monkeypatch)
     monkeypatch.setattr(infinite, "cell", lying_cell)
     with pytest.raises(ClipsMismatch) as err:
         clips("Z4+Z2c", "D4^z", method="both")
@@ -124,7 +125,7 @@ def test_both_method_checks_the_type3_rule(monkeypatch):
     monkeypatch.setattr(engine, "clips_oracle", spy)
     assert clips(a, b, method="both") == class_set("1", "Z2")
     assert calls == [((a,), (b,))]
-    monkeypatch.setattr(infinite, "_MEMO", {})
+    empty_clips_memo(monkeypatch)
     monkeypatch.setattr(infinite, "cell",
                         lambda x, y: class_set("1", "Z4^-"))
     with pytest.raises(ClipsMismatch):

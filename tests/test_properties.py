@@ -12,7 +12,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from o3clips import infinite, tables
+from conftest import empty_clips_memo
+from o3clips import tables
 from o3clips import (
     ClassLabel,
     class_leq,
@@ -194,7 +195,7 @@ def test_associativity_fails_only_through_the_printed_o2_row(row, failing,
     # expects 0 as well.
     o2_z2c = with_z2c(o2())
     if row == "rule":
-        monkeypatch.setattr(infinite, "_MEMO", {})
+        empty_clips_memo(monkeypatch)
         monkeypatch.setattr(tables, "_omitted", lambda col: ())
     pair = cache(clips)
     family = cache(lambda cs, c: clips_families(cs, (c,)))

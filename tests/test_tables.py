@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import load_pins
+from conftest import empty_clips_memo, load_pins
 from test_properties import INFINITE, finite_labels
 from o3clips import clips, clips_type2_type3, engine, infinite, labels, tables
 from o3clips.infinite import clips_reduce, normalize
@@ -351,11 +351,11 @@ def test_rule_memo_is_exact(monkeypatch):
     assert len(MEMO_POOL) ** 2 == 84_100
     pairs = [(a, b) for a in MEMO_POOL for b in MEMO_POOL]
     random.Random(0).shuffle(pairs)
-    monkeypatch.setattr(infinite, "_MEMO", {})
+    empty_clips_memo(monkeypatch)
     for a, b in pairs:
         assert clips_reduce(a, b) == _fresh(a, b), (a, b)
     # most pairs are answered from a key that another pair filled
-    keys = _compact_keys(infinite._MEMO)
+    keys = _compact_keys()
     assert len(keys) == 19_318
     assert len(keys) <= _key_bound(keys) < len(pairs)
 
@@ -375,17 +375,19 @@ def test_period_is_twice_the_lcm_of_the_rule_axes():
             assert x.period == (0 if 0 in orders else 2 * lcm(*orders)), x
 
 
-def _compact_keys(memo: dict) -> list:
-    # The rule's compact keys among the memo's entries.  The other
-    # entries are the pairs as given, one dict per first argument, and
-    # each of their answers is a ClassSet that a compact key holds.
-    keys = [key for key in memo if type(key) is tuple]
-    shared = {id(memo[key]) for key in keys}
-    for first, answers in memo.items():
-        if type(first) is not tuple:
-            assert isinstance(first, (ClassLabel, str)), first
-            assert all(id(out) in shared for out in answers.values()), first
-    return keys
+def _compact_keys() -> list:
+    # The rule's compact keys, the keys of ``_MEMO``, each holding a
+    # ClassSet.  ``_PAIRS`` holds the pairs as given, one dict per first
+    # argument, and each of their answers is a ClassSet of ``_MEMO``.
+    shared = {id(out) for out in infinite._MEMO.values()}
+    assert all(type(key) is tuple and len(key) == 4 for key in infinite._MEMO)
+    assert all(type(out) is ClassSet for out in infinite._MEMO.values())
+    for first, answers in infinite._PAIRS.items():
+        assert isinstance(first, (ClassLabel, str)), first
+        for second, out in answers.items():
+            assert isinstance(second, (ClassLabel, str)), (first, second)
+            assert id(out) in shared, (first, second)
+    return list(infinite._MEMO)
 
 
 def _divisors(n: int) -> int:
@@ -416,10 +418,10 @@ def _grid() -> dict:
 def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
     grid = _grid()
     pairs = [(row, col) for row in grid["table"] for col in grid["cols"]]
-    monkeypatch.setattr(infinite, "_MEMO", {})
+    empty_clips_memo(monkeypatch)
     for row, col in pairs:
         clips(row, col)
-    keys = _compact_keys(infinite._MEMO)
+    keys = _compact_keys()
     # x is always the row, and the other side's kinds are the columns'
     # five; the bound is 4,975 here, for 24,897 pairs
     assert {x for x, *_ in keys} == set(map(parse_label, grid["table"]))
@@ -476,17 +478,30 @@ def _grid_pairs() -> list[tuple[str, str]]:
         + [(f, x) for f in grid["axial_table"] for x in axial]))
 
 
+def _answer_grid(monkeypatch) -> tuple[list, list]:
+    # The grid's pairs as spellings and as labels, and their answers,
+    # each form answered once into emptied stores.  The spelled pass
+    # fills both stores; the labelled one adds pairs as given only.
+    spelled = _grid_pairs()
+    assert len(spelled) == 26_373
+    labelled = [(parse_label(a), parse_label(b)) for a, b in spelled]
+    empty_clips_memo(monkeypatch)
+    warm = []
+    for pairs, firsts, entries in ((spelled, 321, 26_373),
+                                   (labelled, 641, 52_612)):
+        warm.append([clips(a, b) for a, b in pairs])
+        assert len(infinite._PAIRS) == firsts
+        assert sum(map(len, infinite._PAIRS.values())) == entries
+        assert len(_compact_keys()) == 3_935
+    assert all(s is t for s, t in zip(*warm))
+    return [spelled, labelled], warm
+
+
 def test_a_warm_pair_is_two_memo_probes(monkeypatch):
     # Once the grid is answered as spellings and as labels, a warm call
     # in either form returns the one stored ClassSet of its pair, and
     # none parses, normalizes, reaches the rule or takes a gcd.
-    spelled = _grid_pairs()
-    assert len(spelled) == 26_373
-    labelled = [(parse_label(a), parse_label(b)) for a, b in spelled]
-    monkeypatch.setattr(infinite, "_MEMO", {})
-    warm = [[clips(a, b) for a, b in pairs] for pairs in (spelled, labelled)]
-    assert all(s is t for s, t in zip(*warm))
-    assert len(_compact_keys(infinite._MEMO)) == 3_935
+    forms, warm = _answer_grid(monkeypatch)
 
     def refuse(*args):
         raise AssertionError("a warm call left the memo")
@@ -495,22 +510,44 @@ def test_a_warm_pair_is_two_memo_probes(monkeypatch):
     monkeypatch.setattr(engine, "parse_label", refuse)
     for name in ("parse_label", "normalize", "cell", "gcd"):
         monkeypatch.setattr(infinite, name, refuse)
-    for pairs, answers in zip((spelled, labelled), warm):
+    for pairs, answers in zip(forms, warm):
         for (a, b), out in zip(pairs, answers):
             assert clips(a, b) is out, (a, b)
 
 
+def test_the_pair_store_can_be_cleared_alone(monkeypatch):
+    # Every pair entry points at the ClassSet of its compact key, so
+    # clearing ``_PAIRS`` keeps every compact key, and a repeated pair
+    # in either form is refilled from its key, with no rule, and returns
+    # the very ClassSet it returned before.  A bound on the pair store
+    # may therefore clear it.
+    forms, warm = _answer_grid(monkeypatch)
+    infinite._PAIRS.clear()
+    assert len(_compact_keys()) == 3_935
+
+    def refuse(*args):
+        raise AssertionError("a refilled pair reached the rule")
+
+    for name in ("normalize", "cell"):
+        monkeypatch.setattr(infinite, name, refuse)
+    for pairs, answers in zip(forms, warm):
+        for (a, b), out in zip(pairs, answers):
+            assert clips(a, b) is out, (a, b)
+    assert sum(map(len, infinite._PAIRS.values())) == 52_612
+    assert len(_compact_keys()) == 3_935
+
+
 def test_a_spec_that_is_no_class_raises_as_before_and_stores_nothing(
         monkeypatch):
-    # The hit path reads the memo before anything is parsed, so every
-    # spec that is no class, a compact key of the memo among them, must
+    # The hit path reads ``_PAIRS`` before anything is parsed, so every
+    # spec that is no class, a compact key of ``_MEMO`` among them, must
     # still raise the error of ``parse_label``, first side first, on
-    # every call, and leave the memo as it was.
-    monkeypatch.setattr(infinite, "_MEMO", {})
+    # every call, and leave both stores as they were.
+    empty_clips_memo(monkeypatch)
     z2 = parse_label("Z2")
     for a, b in (("Z2", "Z2"), (z2, "D4^z"), (z2, z2)):
         clips(a, b)
-    key = next(key for key in infinite._MEMO if type(key) is tuple)
+    key = next(iter(infinite._MEMO))
     not_a_class = "{} is not a class label or a str"
     bad = [
         (5, TypeError, not_a_class.format("int")),
@@ -521,9 +558,9 @@ def test_a_spec_that_is_no_class_raises_as_before_and_stores_nothing(
         (key, TypeError, not_a_class.format("tuple")),
     ]
 
-    def snapshot() -> dict:
-        return {k: v if type(k) is tuple else dict(v)
-                for k, v in infinite._MEMO.items()}
+    def snapshot() -> tuple[dict, dict]:
+        return ({k: dict(v) for k, v in infinite._PAIRS.items()},
+                dict(infinite._MEMO))
 
     before = snapshot()
     for good in ("Z2", z2):
