@@ -96,12 +96,12 @@ class PiezDiff(NamedTuple):
         return not self.missing and not self.extra
 
 
-def diff_piez(method: str = "symbolic") -> PiezDiff:
+def diff_piez() -> PiezDiff:
     """Recompute the coupled-law catalog and diff it against the
     published list; each extra class is traced back to the first pair
     of the outer fold stage, in canonical order, whose clips holds it."""
-    stage = isotropy_direct_sum([ELA_CLASSES, PIEZ_CLASSES], method)
-    computed = clips_families(stage, SYM_CLASSES, method)
+    stage = isotropy_direct_sum([ELA_CLASSES, PIEZ_CLASSES])
+    computed = clips_families(stage, SYM_CLASSES)
     expected = PIEZ_LAW_CLASSES
     missing = tuple(format_label(c) for c in expected if c not in computed)
     extra = [c for c in computed if c not in expected]

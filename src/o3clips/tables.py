@@ -33,15 +33,18 @@ The rule answers
 * type III x type III: Z_2n^-, D_n^z, D_2n^d, O^- and O(2)^- against each
   other, but for O^- x O^- and O(2)^- x O(2)^-.
 
-The rest is data, each with its reason where it is defined:
+The rest is data, each with its reason where it is defined, and each
+class written as its spelling (``"D2^z"``, ``"O(2)^-"``), parsed once at
+import:
 
 * ``_POLY_POLY``: the cells with no Z, D or axial side, that is T, O and
   I against each other, [T+Z2c], [O+Z2c] and [I+Z2c] against [O^-], and
   O^- x O^-;
 * ``_AXIAL_AXIAL``: the six cells with an axial class on both sides;
-* ``_omitted``: the classes that the published row [O(2)+Z2c] leaves
-  out of the rule's cell against a finite column (the tests pin where
-  the rule and the axial membership oracle disagree with it).
+* ``_OMITTED``: the classes that the published row [O(2)+Z2c] leaves
+  out of the rule's cell against a finite column, which ``_omitted``
+  reads (the tests pin where the rule and the axial membership oracle
+  disagree with it).
 
 Four cell families of the table differ from their usual published form,
 and the brute-force oracles (tests) agree with the versions here.  Three
@@ -67,7 +70,6 @@ from math import gcd
 from typing import Sequence
 
 from .labels import (
-    _FAMILY_RANK,
     _PARAMETRIC_FORMS,
     _POLYHEDRAL_AXES,
     _SIGNS,
@@ -75,31 +77,21 @@ from .labels import (
     TYPE_III,
     ClassLabel,
     ClassSet,
+    class_set,
     cyclic,
-    cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
-    icosa,
-    o2,
-    o2_minus,
-    octa,
-    octa_minus,
-    so2,
-    tetra,
     trivial,
     with_z2c,
 )
 
 # The table's families by kind tag.  The columns are the type III
-# kinds; the rows X+Z2c range over the finite rotation kinds but 1, in
-# ``_FAMILY_RANK`` order, then SO(2) and O(2).
+# kinds; the rows X+Z2c range over the finite rotation kinds but 1,
+# then SO(2) and O(2).
 COL_KINDS = tuple(TYPE_III)
-FINITE_KINDS = tuple(k for k in _FAMILY_RANK if k != "1" and k not in TYPE_III)
+FINITE_KINDS = ("Z", "D", "T", "O", "I")
 ROW_KINDS = (*FINITE_KINDS, "SO2", "O2")
 
-# The cells with no Z, D or axial side, by kinds in ``_FAMILY_RANK``
-# order; a type II row enters by its rotation part.  Each lists the
+# The cells with no Z, D or axial side, by kinds in the order T, O, I,
+# O^-; a type II row enters by its rotation part.  Each lists the
 # common subgroup classes that occur exactly.
 #
 # * T, O, I: [D_2] is missing from T x T, T x I and I x I, since every
@@ -131,23 +123,17 @@ ROW_KINDS = (*FINITE_KINDS, "SO2", "O2")
 #   - M = D_4: two 4-fold axes at the spin pi/4 put each 4-fold
 #     half-turn of one side on an edge of the other, so E = Z_4: [Z_4^-].
 #   - M = O, for g in O, gives [O^-].
-_POLY_POLY = {kinds: ClassSet([trivial(), *cell]) for kinds, cell in {
-    ("T", "T"): (cyclic(2), cyclic(3), tetra()),
-    ("T", "O"): (cyclic(2), cyclic(3), dihedral(2), tetra()),
-    ("T", "I"): (cyclic(2), cyclic(3), tetra()),
-    ("O", "O"): (cyclic(2), cyclic(3), cyclic(4), dihedral(2), dihedral(3),
-                 dihedral(4), octa()),
-    ("O", "I"): (cyclic(2), cyclic(3), dihedral(2), dihedral(3), tetra()),
-    ("I", "I"): (cyclic(2), cyclic(3), cyclic(5), dihedral(3), dihedral(5),
-                 tetra(), icosa()),
-    ("T", "O-"): (cyclic(2), cyclic(3), cyclic_minus(2), dihedral_z(2),
-                  tetra()),
-    ("O", "O-"): (cyclic(2), cyclic(3), cyclic_minus(2), cyclic_minus(4),
-                  dihedral_z(2), dihedral_z(3), dihedral_d(4), octa_minus()),
-    ("I", "O-"): (cyclic(2), cyclic_minus(2), dihedral_z(2), cyclic(3),
-                  dihedral_z(3), tetra()),
-    ("O-", "O-"): (cyclic_minus(2), cyclic(3), cyclic_minus(4),
-                   dihedral_z(3), octa_minus()),
+_POLY_POLY = {kinds: class_set("1", *cell) for kinds, cell in {
+    ("T", "T"): ("Z2", "Z3", "T"),
+    ("T", "O"): ("Z2", "Z3", "D2", "T"),
+    ("T", "I"): ("Z2", "Z3", "T"),
+    ("O", "O"): ("Z2", "Z3", "Z4", "D2", "D3", "D4", "O"),
+    ("O", "I"): ("Z2", "Z3", "D2", "D3", "T"),
+    ("I", "I"): ("Z2", "Z3", "Z5", "D3", "D5", "T", "I"),
+    ("T", "O-"): ("Z2", "Z3", "Z2^-", "D2^z", "T"),
+    ("O", "O-"): ("Z2", "Z3", "Z2^-", "Z4^-", "D2^z", "D3^z", "D4^d", "O^-"),
+    ("I", "O-"): ("Z2", "Z2^-", "D2^z", "Z3", "D3^z", "T"),
+    ("O-", "O-"): ("Z2^-", "Z3", "Z4^-", "D3^z", "O^-"),
 }.items()}
 
 # The cells with an axial class on both sides, by kinds in the order
@@ -167,19 +153,31 @@ _POLY_POLY = {kinds: ClassSet([trivial(), *cell]) for kinds, cell in {
 #   The half-turn about u carries -1 on both sides, and one about w1 or
 #   w2 carries +1 on its own side only, so M = Z_2 and M = D_2 give
 #   [Z_2^-], and w1 = w2 gives [O(2)^-].
-_AXIAL_AXIAL = {kinds: ClassSet(cell) for kinds, cell in {
-    ("SO2", "SO2"): (trivial(), so2()),
-    ("SO2", "O2"): (trivial(), cyclic(2), so2()),
-    ("O2", "O2"): (cyclic(2), dihedral(2), o2()),
-    ("SO2", "O2-"): (trivial(), cyclic_minus(2), so2()),
-    ("O2", "O2-"): (trivial(), dihedral_z(2), o2_minus()),
-    ("O2-", "O2-"): (cyclic_minus(2), o2_minus()),
+_AXIAL_AXIAL = {kinds: class_set(*cell) for kinds, cell in {
+    ("SO2", "SO2"): ("1", "SO(2)"),
+    ("SO2", "O2"): ("1", "Z2", "SO(2)"),
+    ("O2", "O2"): ("Z2", "D2", "O(2)"),
+    ("SO2", "O2-"): ("1", "Z2^-", "SO(2)"),
+    ("O2", "O2-"): ("1", "D2^z", "O(2)^-"),
+    ("O2-", "O2-"): ("Z2^-", "O(2)^-"),
 }.items()}
 
 # the data cells under their kinds in either order
 _DATA = {key: cell for kinds, cell in (*_POLY_POLY.items(),
                                        *_AXIAL_AXIAL.items())
          for key in (kinds, kinds[::-1])}
+
+# The classes that the published row O(2)+Z2c leaves out of the rule's
+# cell against a finite column, by column kind with the subscript step
+# at which it leaves them out: [Z_2] and [D_2^z] against O^-, [Z_2] and
+# [Z_2^-] against D_n^z for even n, and [Z_2^-] against D_4k^d.  The
+# axial membership oracle agrees with the rule; the tests pin each
+# divergence, and ``perfbench/expected_grid.json`` records the printed
+# cells.
+_OMITTED = {"O-": (1, class_set("Z2", "D2^z")),
+            "Dz": (2, class_set("Z2", "Z2^-")),
+            "Dd": (4, class_set("Z2^-"))}
+_NONE = ClassSet()
 
 # the kind of Z_e or D_e under given signs on its cyclic factors: the
 # finite kinds of ``labels._SIGNS`` read backwards
@@ -337,20 +335,11 @@ def _signed_class(e: int, signs: tuple[int, ...]) -> ClassLabel:
     return ClassLabel(_KIND_OF_SIGNS[signs], e)
 
 
-def _omitted(col: ClassLabel) -> tuple[ClassLabel, ...]:
-    # The classes that the published row O(2)+Z2c leaves out of the
-    # rule's cell against a finite column: [Z_2] and [D_2^z] against
-    # O^-, [Z_2] and [Z_2^-] against D_n^z for even n, and [Z_2^-]
-    # against D_4k^d.  The axial membership oracle agrees with the rule;
-    # the tests pin each divergence, and ``perfbench/expected_grid.json``
-    # records the printed cells.
-    if col.kind == "O-":
-        return cyclic(2), dihedral_z(2)
-    if col.kind == "Dz" and col.n % 2 == 0:
-        return cyclic(2), cyclic_minus(2)
-    if col.kind == "Dd" and col.n % 4 == 0:
-        return (cyclic_minus(2),)
-    return ()
+def _omitted(col: ClassLabel) -> ClassSet:
+    # the classes of ``_OMITTED`` that the printed row leaves out against
+    # ``col``, a finite column
+    step, classes = _OMITTED.get(col.kind, (1, _NONE))
+    return classes if col.n % step == 0 else _NONE
 
 
 def _families(kinds: Sequence[str], params: range) -> list[ClassLabel]:

@@ -36,10 +36,13 @@ def test_accepts_strings_and_labels():
 def test_the_finite_square_matches_brute_force():
     # every ordered pair of finite classes with subscript <= 16 (ROADMAP
     # item 17), by one oracle sweep; the first side goes in as its
-    # spelling and the second as a label, so both resolve paths meet it
+    # spelling and the second as a label, so both resolve paths meet it.
+    # The pool holds every type I class Z_k, D_k (k <= 12), T, O, I and
+    # every type III class of order <= 24, and the sweep is symmetric.
     pool = finite_labels(16)
     assert len(pool) == 99
     brute = engine.clips_oracle(pool, pool)
+    assert [list(line) for line in zip(*brute)] == brute
     pairs = [(a, b, answer) for a, line in zip(pool, brute, strict=True)
              for b, answer in zip(pool, line, strict=True)]
     assert len(pairs) == 9_801
