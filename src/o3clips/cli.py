@@ -19,6 +19,7 @@ import sys
 from typing import Sequence
 
 from .engine import _METHODS, _oracle_check, clips, verify_cells
+from .infinite import COL_KINDS, ROW_KINDS, table_cols, table_rows
 from .labels import (
     ClassSet,
     family_spelling,
@@ -32,7 +33,6 @@ from .labels import (
     typeclass,
 )
 from .piezo import diff_piez
-from .tables import COL_KINDS, ROW_KINDS, table_cols, table_rows
 
 _FORMATS = ("text", "json", "csv", "markdown")
 

@@ -6,12 +6,14 @@ spellings; ``parse_label`` resolves a spelling to its interned label by
 one dict probe once seen, and a label resolves to itself.  The symbolic
 route passes the pair as given to ``infinite.clips_reduce``, which
 answers every pair in closed form and a pair seen before, labels or
-spellings, by two dict probes without parsing it.  The oracle route
-forces the brute-force computation and is therefore restricted to
-pairs of finite classes.  The "both" route returns the symbolic answer
-after cross-checking it against the oracle whenever the pair is
-finite, raising ``ClipsMismatch`` on disagreement, so it always
-compares a rule with brute force.  The oracle refuses an infinite
+spellings, by two dict probes without parsing it.  ``infinite`` holds
+the whole closed form: the memo, the reductions, the rule, the data
+cells and the table's families, which ``verify_cells`` sweeps.  The
+oracle route forces the brute-force computation and is therefore
+restricted to pairs of finite classes.  The "both" route returns the
+symbolic answer after cross-checking it against the oracle whenever
+the pair is finite, raising ``ClipsMismatch`` on disagreement, so it
+always compares a rule with brute force.  The oracle refuses an infinite
 class, or one above its order cap, at the one gate of the matrix
 layer, ``groups.reference_group``, with a ``GroupError`` (a
 ``ValueError``); "both" passes it on.  The symbolic route has no cap.
@@ -30,7 +32,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .infinite import clips_reduce
+from .infinite import (
+    COL_KINDS,
+    FINITE_KINDS,
+    clips_reduce,
+    table_cols,
+    table_rows,
+)
 from .labels import (
     ClassLabel,
     ClassSet,
@@ -41,7 +49,6 @@ from .labels import (
 )
 # ``canonicalize`` is imported only for perfbench/spans.py, which traces it
 from .labels import canonicalize  # noqa: F401
-from .tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 
 _METHODS = ("symbolic", "oracle", "both")
 

@@ -31,8 +31,9 @@ one from H onto K), and ``groups.cyclic_factors`` multiplies the
 envelope's factors by the signs.  The envelope O(2) of O(2)^- has no
 finite factors: its two signs are those of the rotations about its axis
 and of its perpendicular half-turns, the two factors of D_n read at
-n = ∞.  ``tables`` reads them, and ``groups.cyclic_factors`` refuses
-the infinite classes before it reads any sign.
+n = ∞.  ``infinite._signed_rule`` reads them, and
+``groups.cyclic_factors`` refuses the infinite classes before it reads
+any sign.
 
 Every spelling comes from one table: the fixed spellings (``1``, ``T``,
 ``O(2)^-``, ...) and the parametric heads ``Z`` and ``D`` with their
@@ -45,7 +46,7 @@ the fields, collapses a degenerate subscript (``ClassLabel("Z", 1)`` is
 ``trivial()``, ``ClassLabel("Dd", 2)`` is ``dihedral_z(2)``) and returns
 the one shared instance of the class, so ``==`` and ``is`` agree and a
 label hashes by identity.  Each instance also carries the signed axes of
-its envelope, ``axes``, which ``tables._signed_rule`` reads, and its
+its envelope, ``axes``, which ``infinite._signed_rule`` reads, and its
 ``period``, twice the lcm of their orders, by which ``infinite`` keys its
 memo.  Both are set before the instance is pooled, and ``axes`` is the
 one statement of the axis orbits: ``_POLYHEDRAL_AXES`` for T, O, I and
@@ -134,7 +135,7 @@ class ClassLabel:
         ``SO3`` with ``plus`` displays as ``O(3)``.
     axes : tuple
         The signed axes of the class's envelope, or of its rotation
-        part's for a lift, that ``tables._signed_rule`` reads: per axis
+        part's for a lift, that ``infinite._signed_rule`` reads: per axis
         orbit, the order p (0 for the axis of an axial class), the sign
         of the generator, the signs of the perpendicular half-turns or
         (), and the sign of the axis's own half-turn or None for odd p;
@@ -235,7 +236,7 @@ def _canonical_key(kind: str, n: int, plus: bool) -> tuple[str, int, bool]:
 def _signed_axes(kind: str, n: int) -> tuple[tuple, ...]:
     """The ``axes`` of a canonical kind and subscript, from the orbits
     (p, alpha, beta) of ``_POLYHEDRAL_AXES`` or of a Z or D envelope
-    under ``_SIGNS`` (``tables._signed_rule`` derives them).  Orbits
+    under ``_SIGNS`` (``infinite._signed_rule`` derives them).  Orbits
     with equal entries give equal configurations, so one is kept."""
     if kind in _POLYHEDRAL_AXES:
         axes = _POLYHEDRAL_AXES[kind]

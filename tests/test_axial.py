@@ -27,7 +27,7 @@ from o3clips.groups import (
 from o3clips.engine import clips
 from o3clips.labels import ClassSet, format_label, parse_label
 from o3clips.rotations import IDENTITY, canonical_axis, unit
-from o3clips.tables import table_rows
+from o3clips.infinite import table_rows
 from test_acceptance import _finite_labels
 from test_oracle import CAP_LABELS
 

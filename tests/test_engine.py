@@ -23,7 +23,7 @@ from o3clips.labels import (
     typeclass,
     with_z2c,
 )
-from o3clips.tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
+from o3clips.infinite import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 from test_properties import finite_labels
 
 

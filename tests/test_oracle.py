@@ -27,7 +27,7 @@ from o3clips.labels import (
     order_of,
     parse_label,
 )
-from o3clips.tables import COL_KINDS, FINITE_KINDS, table_cols, table_rows
+from o3clips.infinite import COL_KINDS, FINITE_KINDS, table_cols, table_rows
 from o3clips import axial, groups, oracle
 from o3clips.oracle import (
     _column_masks,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import empty_clips_memo
-from o3clips import tables
+from o3clips import infinite
 from o3clips import (
     ClassLabel,
     class_leq,
@@ -189,14 +189,14 @@ def test_associativity_fails_only_through_the_printed_o2_row(row, failing,
     # clips is associative on classes: both groupings of a triple give
     # the classes of H1 ∩ g H2 g^-1 ∩ k H3 k^-1 over all g and k.  Of the
     # 85,184 ordered triples of the pool, the printed O(2)+Z2c row (the
-    # rule less tables._omitted) breaks it on 66, each holding O(2)+Z2c,
+    # rule less infinite._omitted) breaks it on 66, each holding O(2)+Z2c,
     # and the signed-axis rule with nothing omitted on none.  Once
     # ROADMAP item 2 answers that row by the rule, the printed case
     # expects 0 as well.
     o2_z2c = with_z2c(o2())
     if row == "rule":
         empty_clips_memo(monkeypatch)
-        monkeypatch.setattr(tables, "_omitted", lambda col: ())
+        monkeypatch.setattr(infinite, "_omitted", lambda col: ())
     pair = cache(clips)
     family = cache(lambda cs, c: clips_families(cs, (c,)))
     broken = [(a, b, c) for a in ORDER_POOL for b in ORDER_POOL
@@ -233,7 +233,7 @@ AXIAL_DIVERGENCES = {("O2", "O2-")}
 
 def test_an_axial_cell_holds_1_only_at_a_generic_trivial_meeting():
     diverging = set()
-    for key, data in tables._AXIAL_AXIAL.items():
+    for key, data in infinite._AXIAL_AXIAL.items():
         # an SO(2) or O(2) side facing O(2)^- serves the +Z2c row
         a, b = (ClassLabel(k, 0, k != "O2-" and "O2-" in key) for k in key)
         assert normalize(a, b) == (a, b, False)

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import empty_clips_memo, load_pins
 from test_properties import INFINITE, finite_labels
-from o3clips import clips, clips_type2_type3, engine, infinite, labels, tables
-from o3clips.infinite import clips_reduce, normalize
+from o3clips import clips, clips_type2_type3, engine, infinite, labels
+from o3clips.infinite import cell, clips_reduce, normalize
 from o3clips.labels import (
     ClassLabel,
     ClassSet,
@@ -30,11 +30,10 @@ from o3clips.labels import (
     with_z2c,
 )
 from o3clips.oracle import clips_oracle
-from o3clips.tables import cell
 
 
 def _cell(row: str, col: str) -> list[str]:
-    return clips_type2_type3(parse_label(row), parse_label(col)).labels()
+    return clips_type2_type3(row, col).labels()
 
 
 def test_octa_row_against_d6d():
@@ -152,18 +151,19 @@ def test_o2_membrane_cell_kept_printed():
 
 def test_the_printed_o2_row_is_the_rule_less_the_omitted_classes():
     # Against every finite type III column with subscript <= 40, each
-    # class that tables._omitted drops lies in the rule's cell, and the
+    # class that infinite._omitted drops lies in the rule's cell, and the
     # axial membership oracle gives the rule's cell.  The 31 columns
     # with an omission are ROADMAP item 2's 31 pairs.
     from o3clips.axial import clips_axial
 
     row = with_z2c(o2())
-    cols = [c for c in dict.fromkeys(tables.table_cols(tables.COL_KINDS,
-                                                       range(1, 41)))
+    cols = [c for c in dict.fromkeys(infinite.table_cols(infinite.COL_KINDS,
+                                                         range(1, 41)))
             if c.kind != "O2-" and c.n <= 40]
     omitting = 0
     for col in cols:
-        rule, omitted = tables._signed_rule(row, col), tables._omitted(col)
+        rule = infinite._signed_rule(row, col)
+        omitted = infinite._omitted(col)
         assert all(c in rule for c in omitted), col
         assert clips_axial(col, row) == rule, col
         omitting += bool(omitted)
@@ -183,14 +183,21 @@ def test_cells_always_contain_trivial():
 
 
 def test_rejects_wrong_kinds():
-    with pytest.raises(ValueError):
-        clips_type2_type3(parse_label("Z4"), parse_label("Z4^-"))
-    with pytest.raises(ValueError):
-        clips_type2_type3(parse_label("Z4+Z2c"), parse_label("D4"))
-    with pytest.raises(ValueError):
-        clips_type2_type3(parse_label("O^-"), parse_label("Z4^-"))
-    with pytest.raises(ValueError):
-        clips_type2_type3(parse_label("1+Z2c"), parse_label("Z4^-"))
+    # each pair is refused as labels and as spellings
+    for row, col in [("Z4", "Z4^-"), ("Z4+Z2c", "D4"), ("O^-", "Z4^-"),
+                     ("1+Z2c", "Z4^-")]:
+        with pytest.raises(ValueError):
+            clips_type2_type3(parse_label(row), parse_label(col))
+        with pytest.raises(ValueError):
+            clips_type2_type3(row, col)
+    # a spelled pair of the table answers as its labels do
+    row, col = parse_label("D4+Z2c"), parse_label("D4^z")
+    assert clips_type2_type3("D4+Z2c", "D4^z") is clips_type2_type3(row, col)
+    # a spec that names no class raises as parse_label does
+    with pytest.raises(ValueError, match="cannot parse class label 'bogus'"):
+        clips_type2_type3("bogus", col)
+    with pytest.raises(TypeError, match="int is not a class label"):
+        clips_type2_type3(row, 5)
 
 
 def test_membership_example_cells():
@@ -201,27 +208,27 @@ def test_membership_example_cells():
     assert class_set(*_cell("SO(2)+Z2c", "Z6^-")) == class_set("1", "Z6^-")
 
 
-def _type1(a: str, b: str) -> list[str]:
+def _pair_cell(a: str, b: str) -> list[str]:
     return cell(parse_label(a), parse_label(b)).labels()
 
 
 def test_type1_branches():
-    assert _type1("Z6", "Z4") == ["1", "Z2"]
-    assert _type1("D9", "Z6") == ["1", "Z2", "Z3"]
+    assert _pair_cell("Z6", "Z4") == ["1", "Z2"]
+    assert _pair_cell("D9", "Z6") == ["1", "Z2", "Z3"]
     # D2 from each principal axis on a secondary line of the other side
-    assert _type1("D4", "D6") == ["1", "Z2", "D2"]
-    assert _type1("D8", "D12") == ["1", "Z2", "Z4", "D2", "D4"]
-    assert _type1("D3", "D6") == ["1", "Z2", "Z3", "D3"]
-    assert _type1("O", "D12") == ["1", "Z2", "Z3", "Z4", "D2", "D3", "D4"]
-    assert _type1("T", "D5") == ["1", "Z2"]
+    assert _pair_cell("D4", "D6") == ["1", "Z2", "D2"]
+    assert _pair_cell("D8", "D12") == ["1", "Z2", "Z4", "D2", "D4"]
+    assert _pair_cell("D3", "D6") == ["1", "Z2", "Z3", "D3"]
+    assert _pair_cell("O", "D12") == ["1", "Z2", "Z3", "Z4", "D2", "D3", "D4"]
+    assert _pair_cell("T", "D5") == ["1", "Z2"]
     # a shared D2 frame forces a shared T
-    assert _type1("I", "T") == ["1", "Z2", "Z3", "T"]
+    assert _pair_cell("I", "T") == ["1", "Z2", "Z3", "T"]
 
 
 def test_type1_cell_answers_an_axial_side():
     # an axial side is a rotation class of the rule
-    assert _type1("SO(2)", "D4") == ["1", "Z2", "Z4"]
-    assert _type1("D4", "SO(2)") == ["1", "Z2", "Z4"]
+    assert _pair_cell("SO(2)", "D4") == ["1", "Z2", "Z4"]
+    assert _pair_cell("D4", "SO(2)") == ["1", "Z2", "Z4"]
 
 
 @pytest.mark.parametrize("a,b", [
@@ -233,23 +240,20 @@ def test_type3_table_matches_oracle_near_the_cap(a, b):
     assert cell(a, b) == clips_oracle(a, b)
 
 
-def _type3(a: str, b: str) -> list[str]:
-    return cell(parse_label(a), parse_label(b)).labels()
-
-
 def test_type3_cells():
-    assert _type3("Z4^-", "D4^z") == ["1", "Z2"]
-    assert _type3("D4^d", "O^-") == ["1", "Z2", "Z2^-", "Z4^-", "D4^d"]
-    assert _type3("O^-", "O^-") == ["1", "Z2^-", "Z3", "Z4^-", "D3^z", "O^-"]
+    assert _pair_cell("Z4^-", "D4^z") == ["1", "Z2"]
+    assert _pair_cell("D4^d", "O^-") == ["1", "Z2", "Z2^-", "Z4^-", "D4^d"]
+    assert _pair_cell("O^-", "O^-") == [
+        "1", "Z2^-", "Z3", "Z4^-", "D3^z", "O^-"]
     # above the oracle's order cap
-    assert _type3("D129^z", "D2^z") == ["1", "Z2^-"]
-    assert _type3("Z258^-", "D3^z") == ["1", "Z2^-", "Z3"]
+    assert _pair_cell("D129^z", "D2^z") == ["1", "Z2^-"]
+    assert _pair_cell("Z258^-", "D3^z") == ["1", "Z2^-", "Z3"]
 
 
 def test_type3_cell_answers_o2_minus():
     # O(2)^- is a type III class of the rule
-    assert _type3("O(2)^-", "D4^z") == ["1", "Z2^-", "D4^z"]
-    assert _type3("D4^z", "O(2)^-") == ["1", "Z2^-", "D4^z"]
+    assert _pair_cell("O(2)^-", "D4^z") == ["1", "Z2^-", "D4^z"]
+    assert _pair_cell("D4^z", "O(2)^-") == ["1", "Z2^-", "D4^z"]
 
 
 # parameters with many divisors, where the deleted gcd and parity
@@ -284,8 +288,8 @@ def test_rule_reads_either_z_or_d_side_as_the_principal_one():
         for b in ZD_POOL:
             if (typeclass(a), typeclass(b)) not in pairs:
                 continue
-            assert (tables._signed_rule(a, b)
-                    == tables._signed_rule(b, a)), (a, b)
+            assert (infinite._signed_rule(a, b)
+                    == infinite._signed_rule(b, a)), (a, b)
             checked += 1
     assert checked == 4 * 22 ** 2
 
@@ -393,7 +397,7 @@ def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
     # x is always the row, and the other side's kinds are the columns'
     # five; the bound is 4,975 here, for 24,897 pairs
     assert {x for x, *_ in keys} == set(map(parse_label, grid["table"]))
-    assert {kind for _, kind, _, _ in keys} == set(tables.COL_KINDS)
+    assert {kind for _, kind, _, _ in keys} == set(infinite.COL_KINDS)
     assert 0 < len(keys) <= _key_bound(keys) < len(pairs) // 4
     # an absorber 1 or SO(3), lifted or not, has period 0, so as x it
     # keys the other side whole; as y it has no subscript to reduce
