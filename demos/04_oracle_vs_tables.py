@@ -13,7 +13,7 @@ import numpy as np
 from o3clips import (
     clips,
     materialize,
-    octa,
+    parse_label,
     recognize,
     reference_group,
     verify_cells,
@@ -22,9 +22,9 @@ from o3clips.groups import intersect
 from o3clips.rotations import random_rotation
 
 # one worked intersection: a cube group against a reoriented copy
-G = reference_group(octa())
+G = reference_group(parse_label("O"))
 g = random_rotation(np.random.default_rng(3))
-H = materialize(octa(), g)
+H = materialize(parse_label("O"), g)
 common = intersect(G, H)
 print("O against a random copy of O intersects in:", recognize(common),
       f"({len(common)} elements)")

@@ -34,30 +34,14 @@ from .labels import (
     ClassSet,
     canonicalize,
     class_set,
-    compare,
-    cyclic,
-    cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
     format_label,
-    icosa,
     is_infinite,
-    o2,
-    o2_minus,
-    o3,
-    octa,
-    octa_minus,
     order_of,
     parse_label,
     proper_part,
-    so2,
-    so3,
     sort_key,
     strip_z2c,
-    tetra,
     tilde_part,
-    trivial,
     typeclass,
     with_z2c,
 )

@@ -57,16 +57,10 @@ import numpy as np
 from .labels import (
     TYPE_III,
     ClassLabel,
-    cyclic,
-    dihedral,
     format_label,
-    icosa,
     is_infinite,
-    octa,
     order_of,
-    tetra,
     tilde_part,
-    trivial,
     type3_class,
     with_z2c,
 )
@@ -409,22 +403,22 @@ def _rotation_class(k: int, counts: np.ndarray) -> ClassLabel:
     """Canonical class of a finite rotation group of order k, from the
     count of its non-identity rotations about each axis of a census."""
     if k == 1:
-        return trivial()
+        return ClassLabel("1")
     orders = sorted((counts[counts > 0] + 1).tolist(), reverse=True)
     if len(orders) == 1:
         if orders[0] != k:
             raise RecognitionError(f"cyclic census mismatch: {orders} vs {k}")
-        return cyclic(k)
+        return ClassLabel("Z", k)
     if k == 12 and sum(1 for m in orders if m == 3) == 4:
-        return tetra()
+        return ClassLabel("T")
     if k == 24 and sum(1 for m in orders if m == 4) == 3:
-        return octa()
+        return ClassLabel("O")
     if k == 60 and sum(1 for m in orders if m == 5) == 6:
-        return icosa()
+        return ClassLabel("I")
     n = k // 2
     if 2 * n != k or orders[0] != n or any(m != 2 for m in orders[1:] if m != n):
         raise RecognitionError(f"unrecognized rotation group: order {k}, axes {orders}")
-    return dihedral(n)
+    return ClassLabel("D", n)
 
 
 # per class, the classes that ``recognize(label, mask)`` has named, keyed

@@ -101,12 +101,10 @@ from .labels import (
     ClassLabel,
     ClassSet,
     class_set,
-    cyclic,
     format_label,
     parse_label,
     proper_part,
     strip_z2c,
-    trivial,
     typeclass,
     with_z2c,
 )
@@ -376,7 +374,7 @@ def cell(a: ClassLabel, b: ClassLabel) -> ClassSet:
         if x.kind == "SO3":
             return ClassSet([y])
         if x.kind == "1":
-            return ClassSet([trivial()])
+            return ClassSet([ClassLabel("1")])
         if x.plus and x.kind == "O2" and y.kind != "O2-":
             return ClassSet(set(_signed_rule(a, b)).difference(_omitted(y)))
     data = _DATA.get((a.kind, b.kind))
@@ -467,7 +465,7 @@ def _signed_rule(a: ClassLabel, b: ClassLabel) -> ClassSet:
         return _meet(e, s1, s2) if only is None else \
             _signed_class(e, (s1, s2)[only])
 
-    out = [trivial()]
+    out = [ClassLabel("1")]
     for p, alpha, half1, h in x.axes:
         e = gcd(p, n)
         rho1, rho2 = alpha ** (p // e), a2 ** (n // e)
@@ -488,7 +486,7 @@ def _meet(e: int, x: tuple[int, ...], y: tuple[int, ...]) -> ClassLabel:
     if x[0] == y[0]:
         return _signed_class(e, x if x[1:] == y[1:] else x[:1])
     if len(x) == 1:
-        return cyclic(e // 2)
+        return ClassLabel("Z", e // 2)
     j = 0 if x[1] == y[1] else 1
     return _signed_class(e // 2, (1, x[1] * x[0] ** j))
 

@@ -41,25 +41,26 @@ suffixes.  ``parse_label`` reads it, ``format_label`` writes it, and a
 text that is no spelling of it raises a ``ValueError`` that names the
 position where the text stops beginning one.
 
-Labels are canonical when built: ``ClassLabel(kind, n, plus)`` checks
-the fields, collapses a degenerate subscript (``ClassLabel("Z", 1)`` is
-``trivial()``, ``ClassLabel("Dd", 2)`` is ``dihedral_z(2)``) and returns
-the one shared instance of the class, so ``==`` and ``is`` agree and a
-label hashes by identity.  Each instance also carries the signed axes of
-its envelope, ``axes``, which ``infinite._signed_rule`` reads, and its
-``period``, twice the lcm of their orders, by which ``infinite`` keys its
-memo.  Both are set before the instance is pooled, and ``axes`` is the
-one statement of the axis orbits: ``_POLYHEDRAL_AXES`` for T, O, I and
-O^-, the signs of ``TYPE_III`` for the other type III kinds.  The pool
-of instances is the factories' only memo: each factory (``cyclic``,
-``dihedral_d``, ``o3``, ...) is one constructor call, and an invalid
-subscript raises its ``ValueError`` on every call and pools nothing.
-``sort_key`` and ``order_of`` are memoized on their one argument, and
-``parse_label`` is the ``__getitem__`` of one dict, ``_Labels``, that
-maps each spelling seen (and each label, to itself) to its label, so a
-spelling or a class repeated within a workload is parsed, ranked or
-counted once, and a repeated spelling costs one dict probe and no
-Python call.
+A label is built from its spelling (``parse_label``, ``class_set``) or
+from its fields, and it is canonical when built: ``ClassLabel(kind, n,
+plus)`` checks the fields, collapses a degenerate subscript
+(``ClassLabel("Z", 1)`` is ``ClassLabel("1")``, ``ClassLabel("Dd", 2)``
+is ``ClassLabel("Dz", 2)``) and returns the one shared instance of the
+class, so ``==`` and ``is`` agree and a label hashes by identity.  Each
+instance also carries the signed axes of its envelope, ``axes``, which
+``infinite._signed_rule`` reads, and its ``period``, twice the lcm of
+their orders, by which ``infinite`` keys its memo.  Both are set before
+the instance is pooled, and ``axes`` is the one statement of the axis
+orbits: ``_POLYHEDRAL_AXES`` for T, O, I and O^-, the signs of
+``TYPE_III`` for the other type III kinds.  The pool of instances is the
+constructor's only memo: repeated fields are answered from it, and an
+invalid subscript raises its ``ValueError`` on every call and pools
+nothing.  ``sort_key`` and ``order_of`` are memoized on their one
+argument, and ``parse_label`` is the ``__getitem__`` of one dict,
+``_Labels``, that maps each spelling seen (and each label, to itself) to
+its label, so a spelling or a class repeated within a workload is
+parsed, ranked or counted once, and a repeated spelling costs one dict
+probe and no Python call.
 """
 
 from __future__ import annotations
@@ -148,10 +149,14 @@ class ClassLabel:
     ``axes`` and ``period`` are set with the other fields when the
     instance is built, before it is pooled.
 
-    Instances are immutable and canonical: the constructor maps its
-    fields to those of their class (``_canonical_key``) and returns the
-    pooled instance, so equality and hashing are those of ``object``:
-    identity.  Fields that name no class raise ``ValueError``.
+    The constructor builds a label from its fields, as ``parse_label``
+    builds one from its spelling: ``ClassLabel("Z", 6)`` is
+    ``parse_label("Z6")`` and ``ClassLabel("SO3", 0, True)`` is
+    ``parse_label("O(3)")``.  Instances are immutable and canonical: the
+    constructor maps its fields to those of their class
+    (``_canonical_key``) and returns the pooled instance, so equality and
+    hashing are those of ``object``: identity.  Fields that name no class
+    raise ``ValueError``.
     """
 
     __slots__ = ("kind", "n", "plus", "axes", "period")
@@ -254,66 +259,6 @@ def _signed_axes(kind: str, n: int) -> tuple[tuple, ...]:
         for p, alpha, beta in axes))
 
 
-def trivial() -> ClassLabel:
-    return ClassLabel("1")
-
-
-def cyclic(n: int) -> ClassLabel:
-    return ClassLabel("Z", n)
-
-
-def dihedral(n: int) -> ClassLabel:
-    return ClassLabel("D", n)
-
-
-def tetra() -> ClassLabel:
-    return ClassLabel("T")
-
-
-def octa() -> ClassLabel:
-    return ClassLabel("O")
-
-
-def icosa() -> ClassLabel:
-    return ClassLabel("I")
-
-
-def so2() -> ClassLabel:
-    return ClassLabel("SO2")
-
-
-def o2() -> ClassLabel:
-    return ClassLabel("O2")
-
-
-def so3() -> ClassLabel:
-    return ClassLabel("SO3")
-
-
-def o3() -> ClassLabel:
-    return ClassLabel("SO3", 0, True)
-
-
-def cyclic_minus(k: int) -> ClassLabel:
-    return ClassLabel("Z-", k)
-
-
-def dihedral_z(n: int) -> ClassLabel:
-    return ClassLabel("Dz", n)
-
-
-def dihedral_d(k: int) -> ClassLabel:
-    return ClassLabel("Dd", k)
-
-
-def octa_minus() -> ClassLabel:
-    return ClassLabel("O-")
-
-
-def o2_minus() -> ClassLabel:
-    return ClassLabel("O2-")
-
-
 def with_z2c(label: ClassLabel) -> ClassLabel:
     """The type II class H (+) Z2c for a type I class H."""
     return ClassLabel(label.kind, label.n, True)
@@ -399,11 +344,6 @@ def sort_key(label: ClassLabel) -> tuple:
         return (1, _INFINITE_SEQ.index((label.kind, label.plus)), 0, 0)
     rank = _FAMILY_RANK[label.kind] + (20 if label.plus else 0)
     return (0, order_of(label), rank, label.n)
-
-
-def compare(a: ClassLabel, b: ClassLabel) -> int:
-    ka, kb = sort_key(a), sort_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 # The one spelling table.  A class is spelled either as one of the fixed

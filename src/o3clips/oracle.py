@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labels import ClassLabel, ClassSet, trivial, with_z2c
+from .labels import ClassLabel, ClassSet
 from .groups import (
     _KEY,
     axis_orbit_reps,
@@ -554,8 +554,8 @@ def clips_oracles(rows: Sequence[ClassLabel],
         [
             # H1 ∩ H2 ∩ {±Id}: 1+Z2c when both classes hold -Id, 1
             # otherwise
-            ClassSet([with_z2c(trivial()) if c1.plus and c2.plus
-                      else trivial(), *(recognize(c2, m) for m in masks)])
+            ClassSet([ClassLabel("1", 0, c1.plus and c2.plus),
+                      *(recognize(c2, m) for m in masks)])
             for c2, masks in zip(cols, row)
         ]
         for block in _blocks(rows, cols)

@@ -4,20 +4,7 @@ import pathlib
 import numpy as np
 
 from o3clips import infinite
-from o3clips.labels import (
-    cyclic,
-    cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
-    icosa,
-    octa,
-    octa_minus,
-    order_of,
-    tetra,
-    trivial,
-    with_z2c,
-)
+from o3clips.labels import ClassLabel, order_of, parse_label
 from o3clips.rotations import EPS_MAT
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -59,16 +46,16 @@ def contains_element(group: np.ndarray, g: np.ndarray) -> bool:
 
 def labels_up_to(cap: int) -> list:
     """Every finite canonical label of order at most cap."""
-    labs = [trivial(), with_z2c(trivial())]
-    labs += [cyclic(n) for n in range(2, cap + 1)]
-    labs += [dihedral(n) for n in range(2, cap // 2 + 1)]
-    labs += [tetra(), octa(), icosa()]
-    labs += [with_z2c(cyclic(n)) for n in range(2, cap // 2 + 1)]
-    labs += [with_z2c(dihedral(n)) for n in range(2, cap // 4 + 1)]
-    labs += [with_z2c(tetra()), with_z2c(octa()), with_z2c(icosa())]
-    labs += [cyclic_minus(2 * k) for k in range(1, cap // 2 + 1)]
-    labs += [dihedral_z(n) for n in range(2, cap // 2 + 1)]
-    labs += [dihedral_d(2 * k) for k in range(1, cap // 4 + 1)]
-    labs += [octa_minus()]
+    labs = [*map(parse_label, ("1", "1+Z2c"))]
+    labs += [ClassLabel("Z", n) for n in range(2, cap + 1)]
+    labs += [ClassLabel("D", n) for n in range(2, cap // 2 + 1)]
+    labs += map(parse_label, ("T", "O", "I"))
+    labs += [ClassLabel("Z", n, True) for n in range(2, cap // 2 + 1)]
+    labs += [ClassLabel("D", n, True) for n in range(2, cap // 4 + 1)]
+    labs += map(parse_label, ("T+Z2c", "O+Z2c", "I+Z2c"))
+    labs += [ClassLabel("Z-", 2 * k) for k in range(1, cap // 2 + 1)]
+    labs += [ClassLabel("Dz", n) for n in range(2, cap // 2 + 1)]
+    labs += [ClassLabel("Dd", 2 * k) for k in range(1, cap // 4 + 1)]
+    labs.append(parse_label("O^-"))
     labs = [lab for lab in labs if order_of(lab) <= cap]
     return list(dict.fromkeys(labs))

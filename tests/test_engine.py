@@ -14,8 +14,6 @@ from o3clips.engine import (
 from o3clips.labels import (
     ClassSet,
     class_set,
-    cyclic,
-    dihedral,
     format_label,
     is_infinite,
     order_of,

@@ -25,22 +25,10 @@ from o3clips.groups import (
     structural_axes,
 )
 from o3clips.labels import (
-    cyclic,
-    cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
+    ClassLabel,
     format_label,
-    icosa,
-    o2,
-    octa,
-    octa_minus,
     order_of,
     parse_label,
-    so3,
-    tetra,
-    trivial,
-    with_z2c,
 )
 from o3clips.rotations import random_rotation, rotation
 
@@ -88,23 +76,23 @@ def test_closure_audit(text):
 def test_group_order_formulas():
     # n-fold cyclic and dihedral families, the three polyhedral groups,
     # the mirror families, and the +Z2c doubling.
-    assert len(reference_group(cyclic(9))) == 9
-    assert len(reference_group(dihedral(9))) == 18
-    assert len(reference_group(tetra())) == 12
-    assert len(reference_group(octa())) == 24
-    assert len(reference_group(icosa())) == 60
-    assert len(reference_group(cyclic_minus(10))) == 10
-    assert len(reference_group(dihedral_z(7))) == 14
-    assert len(reference_group(dihedral_d(10))) == 20
-    assert len(reference_group(octa_minus())) == 24
-    assert len(reference_group(with_z2c(icosa()))) == 120
+    assert len(reference_group(parse_label("Z9"))) == 9
+    assert len(reference_group(parse_label("D9"))) == 18
+    assert len(reference_group(parse_label("T"))) == 12
+    assert len(reference_group(parse_label("O"))) == 24
+    assert len(reference_group(parse_label("I"))) == 60
+    assert len(reference_group(parse_label("Z10^-"))) == 10
+    assert len(reference_group(parse_label("D7^z"))) == 14
+    assert len(reference_group(parse_label("D10^d"))) == 20
+    assert len(reference_group(parse_label("O^-"))) == 24
+    assert len(reference_group(parse_label("I+Z2c"))) == 120
 
 
 def test_infinite_labels_raise():
     with pytest.raises(GroupError):
-        generators(o2())
+        generators(parse_label("O(2)"))
     with pytest.raises(GroupError):
-        materialize(so3())
+        materialize(parse_label("SO(3)"))
 
 
 def test_phi_and_icosahedral_order_5():
@@ -112,7 +100,7 @@ def test_phi_and_icosahedral_order_5():
     # A generator of the icosahedral group must have order 5; a wrong
     # golden ratio (e.g. (1 - sqrt 5)/2 or 1/phi) breaks this.
     orders = []
-    for g in generators(icosa()):
+    for g in generators(parse_label("I")):
         k, acc = 1, g.copy()
         while not np.allclose(acc, np.eye(3), atol=1e-9):
             acc = acc @ g
@@ -121,7 +109,7 @@ def test_phi_and_icosahedral_order_5():
         orders.append(k)
     assert 5 in orders
     # 24 rotations of order 5 in the full group (4 about each of 6 axes)
-    traces = [np.trace(g) for g in reference_group(icosa())]
+    traces = [np.trace(g) for g in reference_group(parse_label("I"))]
     five_fold = [t for t in traces
                  if abs(t - (1 + 2 * math.cos(2 * math.pi / 5))) < 1e-6
                  or abs(t - (1 + 2 * math.cos(4 * math.pi / 5))) < 1e-6]
@@ -129,7 +117,7 @@ def test_phi_and_icosahedral_order_5():
 
 
 def test_close_group_completes_generators():
-    elems = close_group(generators(octa()))
+    elems = close_group(generators(parse_label("O")))
     assert len(elems) == 24
 
 
@@ -215,14 +203,14 @@ def test_order_cap_guard(monkeypatch):
     monkeypatch.setattr(groups, "rotation", no_rotation)
     with pytest.raises(GroupError, match="Z257 has order 257, above the "
                                          "order cap 256"):
-        materialize(cyclic(ORDER_CAP + 1))
+        materialize(ClassLabel("Z", ORDER_CAP + 1))
 
 
 def test_materialize_orientation_conjugates():
     rng = np.random.default_rng(3)
     g = random_rotation(rng)
-    ref = materialize(dihedral(3))
-    rot = materialize(dihedral(3), g)
+    ref = materialize(parse_label("D3"))
+    rot = materialize(parse_label("D3"), g)
     assert len(rot) == 6
     got = {_key(x) for x in rot}
     want = {_key(g @ x @ g.T) for x in ref}
@@ -239,15 +227,16 @@ def test_materialize_orientation_needs_no_dedupe(text):
 
 
 def test_intersect_reference_groups():
-    t_in_o = intersect(reference_group(tetra()), reference_group(octa()))
+    t_in_o = intersect(reference_group(parse_label("T")),
+                       reference_group(parse_label("O")))
     assert format_label(recognize(t_in_o)) == "T"
-    z2_in_d2 = intersect(reference_group(cyclic(2)),
-                         reference_group(dihedral(2)))
+    z2_in_d2 = intersect(reference_group(parse_label("Z2")),
+                         reference_group(parse_label("D2")))
     assert format_label(recognize(z2_in_d2)) == "Z2"
 
 
 def test_contains_element():
-    elems = reference_group(tetra())
+    elems = reference_group(parse_label("T"))
     assert contains_element(elems, np.eye(3))
     assert not contains_element(elems, -np.eye(3))
 
@@ -270,7 +259,7 @@ def test_recognize_round_trip(text):
 
 
 def test_recognize_reports_trivial():
-    assert recognize(np.eye(3)[None]) == trivial()
+    assert recognize(np.eye(3)[None]) == parse_label("1")
 
 
 def test_recognize_names_no_class_for_an_unmatched_envelope_and_kernel():

@@ -4,16 +4,12 @@ from conftest import labels_up_to
 from o3clips.engine import clips
 from o3clips.infinite import clips_reduce, normalize
 from o3clips.labels import (
+    ClassLabel,
     ClassSet,
-    cyclic,
     is_infinite,
-    o3,
     order_of,
     parse_label,
     proper_part,
-    so2,
-    so3,
-    trivial,
     typeclass,
     with_z2c,
 )
@@ -107,13 +103,13 @@ def test_full_group_absorbers():
     assert clips("SO(3)", "SO(3)").labels() == ["SO(3)"]
     # and on every class, in both orders: 1 gives [1], SO(3) the rotation
     # part, O(3) the class, and 1+Z2c keeps -Id when the class holds it
-    one, one_c = trivial(), with_z2c(trivial())
+    one, one_c = parse_label("1"), parse_label("1+Z2c")
     for x in POOL:
         expect = {
             one: {one},
             one_c: {one_c if typeclass(x) == "II" else one},
-            so3(): {proper_part(x)},
-            o3(): {x},
+            parse_label("SO(3)"): {proper_part(x)},
+            parse_label("O(3)"): {x},
         }
         for absorber, cell in expect.items():
             assert set(clips(x, absorber)) == cell, (x, absorber)
@@ -141,9 +137,9 @@ def test_so2_limit_identity():
     # axis of SO(2) meets H exactly where the Z_N about that axis does,
     # N = 2|H|: the closed form of SO(2) is its finite cells' limit.
     for h in labels_up_to(ORDER_CAP):
-        z_n = cyclic(2 * order_of(h))
-        assert clips(h, so2()) == clips(h, z_n), h
-        assert clips(h, with_z2c(so2())) == clips(h, with_z2c(z_n)), h
+        z_n = ClassLabel("Z", 2 * order_of(h))
+        assert clips(h, parse_label("SO(2)")) == clips(h, z_n), h
+        assert clips(h, parse_label("SO(2)+Z2c")) == clips(h, with_z2c(z_n)), h
 
 
 # Cells of the two infinite rows, transcribed from the published grid

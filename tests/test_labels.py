@@ -15,29 +15,13 @@ from o3clips.labels import (
     ClassSet,
     canonicalize,
     class_set,
-    compare,
-    cyclic,
-    cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
     format_label,
-    icosa,
-    o2,
-    o2_minus,
-    o3,
-    octa,
-    octa_minus,
     order_of,
     parse_label,
     proper_part,
-    so2,
-    so3,
     sort_key,
     strip_z2c,
-    tetra,
     tilde_part,
-    trivial,
     type3_class,
     typeclass,
     with_z2c,
@@ -133,122 +117,118 @@ def test_parameter_error_keeps_the_factory_message():
 
 
 def test_factories_match_parse():
-    assert cyclic(5) == parse_label("Z5")
-    assert dihedral(5) == parse_label("D5")
-    assert cyclic_minus(6) == parse_label("Z6^-")
-    assert dihedral_z(6) == parse_label("D6^z")
-    assert dihedral_d(6) == parse_label("D6^d")
-    assert tetra() == parse_label("T")
-    assert octa() == parse_label("O")
-    assert icosa() == parse_label("I")
-    assert octa_minus() == parse_label("O^-")
-    assert o2_minus() == parse_label("O(2)^-")
-    assert so2() == parse_label("SO(2)")
-    assert o2() == parse_label("O(2)")
-    assert so3() == parse_label("SO(3)")
-    assert o3() == parse_label("O(3)")
-    assert trivial() == parse_label("1")
-    assert with_z2c(octa()) == parse_label("O+Z2c")
+    # the constructor builds from the fields the label that parse_label
+    # builds from the spelling
+    assert ClassLabel("Z", 5) == parse_label("Z5")
+    assert ClassLabel("D", 5) == parse_label("D5")
+    assert ClassLabel("Z-", 6) == parse_label("Z6^-")
+    assert ClassLabel("Dz", 6) == parse_label("D6^z")
+    assert ClassLabel("Dd", 6) == parse_label("D6^d")
+    assert ClassLabel("T") == parse_label("T")
+    assert ClassLabel("O") == parse_label("O")
+    assert ClassLabel("I") == parse_label("I")
+    assert ClassLabel("O-") == parse_label("O^-")
+    assert ClassLabel("O2-") == parse_label("O(2)^-")
+    assert ClassLabel("SO2") == parse_label("SO(2)")
+    assert ClassLabel("O2") == parse_label("O(2)")
+    assert ClassLabel("SO3") == parse_label("SO(3)")
+    assert ClassLabel("SO3", 0, True) == parse_label("O(3)")
+    assert ClassLabel("1") == parse_label("1")
+    assert with_z2c(ClassLabel("O")) == parse_label("O+Z2c")
 
 
 def test_factory_degenerate_parameters():
-    # the second round is answered by the pool
+    # the constructor collapses each degenerate subscript; the second
+    # round is answered by the pool
     for _ in range(2):
-        assert cyclic(1) is trivial()
-        assert dihedral(1) is cyclic(2)
-        assert dihedral_z(1) is cyclic_minus(2)
-        assert dihedral_d(2) is dihedral_z(2)
+        assert ClassLabel("Z", 1) is parse_label("1")
+        assert ClassLabel("D", 1) is ClassLabel("Z", 2)
+        assert ClassLabel("Dz", 1) is ClassLabel("Z-", 2)
+        assert ClassLabel("Dd", 2) is ClassLabel("Dz", 2)
 
 
-FIXED_FACTORIES = (trivial, tetra, octa, icosa, so2, o2, so3, o3,
-                   octa_minus, o2_minus)
-PARAMETRIC_FACTORIES = {
-    "Z": cyclic, "D": dihedral,
-    "Z-": cyclic_minus, "Dz": dihedral_z, "Dd": dihedral_d,
-}
-
-
-@pytest.mark.parametrize("factory, n, message", [
-    (cyclic, 0, "Z_0 is not a group"),
-    (dihedral, -1, "D_-1 is not a group"),
-    (cyclic_minus, 3, "Z_3^- is not a group (even subscript >= 2 required)"),
-    (cyclic_minus, 0, "Z_0^- is not a group (even subscript >= 2 required)"),
-    (dihedral_z, 0, "D_0^z is not a group"),
-    (dihedral_d, 3, "D_3^d is not a group (even subscript >= 2 required)"),
+@pytest.mark.parametrize("kind, n, message", [
+    ("Z", 0, "Z_0 is not a group"),
+    ("D", -1, "D_-1 is not a group"),
+    ("Z-", 3, "Z_3^- is not a group (even subscript >= 2 required)"),
+    ("Z-", 0, "Z_0^- is not a group (even subscript >= 2 required)"),
+    ("Dz", 0, "D_0^z is not a group"),
+    ("Dd", 3, "D_3^d is not a group (even subscript >= 2 required)"),
 ])
-def test_an_invalid_subscript_raises_on_every_call(factory, n, message):
-    # the pool stores no failure, so every call checks again, and the
-    # constructor raises the factory's message
-    kind, = (k for k, f in PARAMETRIC_FACTORIES.items() if f is factory)
-    for build in (factory, lambda n: ClassLabel(kind, n)) * 2:
+def test_an_invalid_subscript_raises_on_every_call(kind, n, message):
+    # the pool stores no failure, so every call checks again
+    for _ in range(2):
         with pytest.raises(ValueError) as err:
-            build(n)
+            ClassLabel(kind, n)
         assert str(err.value) == message
     assert not any(key[:2] == (kind, n) for key in labels._POOL)
 
 
-@pytest.mark.parametrize("factory_first", [True, False])
-@pytest.mark.parametrize("kind", sorted(PARAMETRIC_FACTORIES))
-def test_a_memoized_factory_returns_the_pooled_label(kind, factory_first):
-    # the pool is each factory's memo; a subscript no other test builds,
-    # so this test decides whether the factory or the constructor meets
-    # it first
-    n = 2 * 10**8 + 2 * factory_first
-    build = PARAMETRIC_FACTORIES[kind]
-    if factory_first:
-        first = build(n)
-        assert ClassLabel(kind, n) is first
-    else:
-        first = ClassLabel(kind, n)
-    assert build(n) is first
-    assert build(n) is first
+# each parametric kind's spelling at a subscript
+PARAMETRIC_SPELLINGS = {
+    "Z": "Z{}", "D": "D{}", "Z-": "Z{}^-", "Dz": "D{}^z", "Dd": "D{}^d",
+}
 
 
-@pytest.mark.parametrize("factory", FIXED_FACTORIES)
-def test_a_fixed_factory_returns_the_pooled_label(factory):
-    lab = factory()
-    assert factory() is lab
-    assert ClassLabel(lab.kind, lab.n, lab.plus) is lab
+@pytest.mark.parametrize("spelled_first", [True, False])
+@pytest.mark.parametrize("kind", sorted(PARAMETRIC_SPELLINGS))
+def test_a_memoized_factory_returns_the_pooled_label(kind, spelled_first):
+    # the pool is the constructor's memo; a subscript no other test
+    # builds, so this test decides whether the spelling or the fields
+    # meet it first
+    n = 2 * 10**8 + 2 * spelled_first
+    spelling = PARAMETRIC_SPELLINGS[kind].format(n)
+    first = parse_label(spelling) if spelled_first else ClassLabel(kind, n)
+    assert parse_label(spelling) is first
+    assert ClassLabel(kind, n) is first
+    assert ClassLabel(kind, n) is first
+
+
+@pytest.mark.parametrize("spelling", [
+    "1", "T", "O", "I", "SO(2)", "O(2)", "SO(3)", "O(3)", "O^-", "O(2)^-"])
+def test_a_fixed_spelling_returns_the_pooled_label(spelling):
+    lab = parse_label(spelling)
+    fields = lab.kind, lab.n, lab.plus
+    assert ClassLabel(*fields) is ClassLabel(*fields) is lab
 
 
 def test_with_z2c_rejects_type3():
-    for lab in (cyclic_minus(4), dihedral_z(3), dihedral_d(4),
-                octa_minus(), o2_minus()):
+    for text in ("Z4^-", "D3^z", "D4^d", "O^-", "O(2)^-"):
         with pytest.raises(ValueError):
-            with_z2c(lab)
+            with_z2c(parse_label(text))
 
 
 def test_orders():
-    assert order_of(trivial()) == 1
-    assert order_of(cyclic(7)) == 7
-    assert order_of(dihedral(7)) == 14
-    assert order_of(tetra()) == 12
-    assert order_of(octa()) == 24
-    assert order_of(icosa()) == 60
-    assert order_of(cyclic_minus(8)) == 8
-    assert order_of(dihedral_z(5)) == 10
-    assert order_of(dihedral_d(8)) == 16
-    assert order_of(octa_minus()) == 24
-    assert order_of(with_z2c(icosa())) == 120
-    assert order_of(with_z2c(trivial())) == 2
-    for inf in (so2(), o2(), o2_minus(), so3(), o3(),
-                with_z2c(so2()), with_z2c(o2())):
+    assert order_of(parse_label("1")) == 1
+    assert order_of(parse_label("Z7")) == 7
+    assert order_of(parse_label("D7")) == 14
+    assert order_of(parse_label("T")) == 12
+    assert order_of(parse_label("O")) == 24
+    assert order_of(parse_label("I")) == 60
+    assert order_of(parse_label("Z8^-")) == 8
+    assert order_of(parse_label("D5^z")) == 10
+    assert order_of(parse_label("D8^d")) == 16
+    assert order_of(parse_label("O^-")) == 24
+    assert order_of(parse_label("I+Z2c")) == 120
+    assert order_of(parse_label("1+Z2c")) == 2
+    for inf in class_set("SO(2)", "O(2)", "O(2)^-", "SO(3)", "O(3)",
+                         "SO(2)+Z2c", "O(2)+Z2c"):
         assert math.isinf(order_of(inf))
 
 
 def test_strip_and_parts():
-    assert strip_z2c(with_z2c(dihedral(6))) == dihedral(6)
-    assert strip_z2c(o3()) == so3()
-    assert proper_part(cyclic_minus(8)) == cyclic(4)
-    assert proper_part(dihedral_z(6)) == cyclic(6)
-    assert proper_part(dihedral_d(8)) == dihedral(4)
-    assert proper_part(octa_minus()) == tetra()
-    assert proper_part(o2_minus()) == so2()
-    assert tilde_part(cyclic_minus(8)) == cyclic(8)
-    assert tilde_part(dihedral_z(6)) == dihedral(6)
-    assert tilde_part(dihedral_d(8)) == dihedral(8)
-    assert tilde_part(octa_minus()) == octa()
-    assert tilde_part(o2_minus()) == o2()
+    assert strip_z2c(parse_label("D6+Z2c")) == parse_label("D6")
+    assert strip_z2c(parse_label("O(3)")) == parse_label("SO(3)")
+    assert proper_part(parse_label("Z8^-")) == parse_label("Z4")
+    assert proper_part(parse_label("D6^z")) == parse_label("Z6")
+    assert proper_part(parse_label("D8^d")) == parse_label("D4")
+    assert proper_part(parse_label("O^-")) == parse_label("T")
+    assert proper_part(parse_label("O(2)^-")) == parse_label("SO(2)")
+    assert tilde_part(parse_label("Z8^-")) == parse_label("Z8")
+    assert tilde_part(parse_label("D6^z")) == parse_label("D6")
+    assert tilde_part(parse_label("D8^d")) == parse_label("D8")
+    assert tilde_part(parse_label("O^-")) == parse_label("O")
+    assert tilde_part(parse_label("O(2)^-")) == parse_label("O(2)")
 
 
 def test_type3_table_round_trips_every_class_within_the_cap():
@@ -259,7 +239,8 @@ def test_type3_table_round_trips_every_class_within_the_cap():
         envelope = tilde_part(lab)
         assert type3_class(envelope, proper_part(lab)) is lab
         assert order_of(lab) == order_of(envelope)
-    assert type3_class(o2(), so2()) is o2_minus()
+    assert (type3_class(parse_label("O(2)"), parse_label("SO(2)"))
+            is parse_label("O(2)^-"))
     for envelope, kernel in (("Z3", "1"), ("Z4", "1"), ("T", "Z2"), ("O", "D4")):
         assert type3_class(parse_label(envelope), parse_label(kernel)) is None
 
@@ -280,12 +261,10 @@ def test_sort_key_total_on_sample():
     sample = [parse_label(t) for t in ROUND_TRIP]
     keys = [sort_key(lab) for lab in sample]
     assert len(set(keys)) == len(keys)
-
-
-def test_compare():
-    assert compare(cyclic(2), cyclic(2)) == 0
-    assert compare(trivial(), cyclic(2)) == -1
-    assert compare(o3(), cyclic(2)) == 1
+    z2 = sort_key(parse_label("Z2"))
+    assert sort_key(parse_label("Z2")) == z2
+    assert sort_key(parse_label("1")) < z2
+    assert sort_key(parse_label("O(3)")) > z2
 
 
 def test_class_set_semantics():
@@ -309,19 +288,19 @@ def test_canonicalize_idempotent():
 
 
 def test_labels_are_interned():
-    assert ClassLabel("Z", 4) is cyclic(4)
-    assert parse_label(" D2^d ") is dihedral_z(2)
-    assert ClassLabel("Z", np.int64(4)) is cyclic(4)
+    assert ClassLabel("Z", 4) is parse_label("Z4")
+    assert parse_label(" D2^d ") is ClassLabel("Dz", 2)
+    assert ClassLabel("Z", np.int64(4)) is parse_label("Z4")
     assert type(ClassLabel("Z", np.int64(4)).n) is int
-    assert ClassLabel("SO3", 0, 1) is o3()
+    assert ClassLabel("SO3", 0, 1) is parse_label("O(3)")
 
 
 def test_a_degenerate_label_is_canonical_when_built():
-    assert ClassLabel("Z", 1) is trivial()
-    assert ClassLabel("Dd", 2) is dihedral_z(2)
-    assert ClassLabel("T", 5) is tetra()
-    assert ClassLabel("D", 1, True) is with_z2c(cyclic(2))
-    assert canonicalize(ClassLabel("Dz", 1)) is cyclic_minus(2)
+    assert ClassLabel("Z", 1) is parse_label("1")
+    assert ClassLabel("Dd", 2) is parse_label("D2^z")
+    assert ClassLabel("T", 5) is parse_label("T")
+    assert ClassLabel("D", 1, True) is parse_label("Z2+Z2c")
+    assert canonicalize(ClassLabel("Dz", 1)) is parse_label("Z2^-")
     assert ClassSet([ClassLabel("Z", 1)]).labels() == ["1"]
 
 
@@ -338,17 +317,17 @@ def test_a_type3_kind_refuses_z2c_at_construction(kind, n, message):
     assert (kind, n, True) not in labels._POOL
 
 
-# a constructor and a subscript that int() would truncate to Z2, Z3, D4
-# and Z3, or that operator.index would read as D1 = Z2, Z1 = 1 and D0^z
+# a kind and a subscript that int() would truncate to Z2, Z3, D4 and Z3,
+# or that operator.index would read as D1 = Z2, Z1 = 1 and D0^z
 NON_INTEGER_SUBSCRIPTS = {
-    "Z-2.5": (lambda n: ClassLabel("Z", n), 2.5),
-    "cyclic-3.7": (cyclic, 3.7),
-    "D-4.9": (lambda n: ClassLabel("D", n), 4.9),
-    "Z-str": (lambda n: ClassLabel("Z", n), "3"),
-    "D-True": (lambda n: ClassLabel("D", n), True),
-    "cyclic-True": (cyclic, True),
-    "Dz-False": (dihedral_z, False),
-    "Z-numpy-bool": (lambda n: ClassLabel("Z", n), np.True_),
+    "Z-2.5": ("Z", 2.5),
+    "Z-3.7": ("Z", 3.7),
+    "D-4.9": ("D", 4.9),
+    "Z-str": ("Z", "3"),
+    "D-True": ("D", True),
+    "Z-True": ("Z", True),
+    "Dz-False": ("Dz", False),
+    "Z-numpy-bool": ("Z", np.True_),
 }
 
 
@@ -357,32 +336,32 @@ NON_INTEGER_SUBSCRIPTS = {
 def test_a_non_integer_subscript_is_refused(case, pooled, monkeypatch):
     # refused before the pool is read, so the answer does not depend on
     # whether the truncated class is pooled
-    build, n = NON_INTEGER_SUBSCRIPTS[case]
+    kind, n = NON_INTEGER_SUBSCRIPTS[case]
     if pooled:
-        assert cyclic(2) and cyclic(3) and dihedral(4)
+        assert ClassLabel("Z", 2) and ClassLabel("Z", 3) and ClassLabel("D", 4)
     else:
         monkeypatch.setattr(labels, "_POOL", {})
     keys = set(labels._POOL)
     with pytest.raises(ValueError) as err:
-        build(n)
+        ClassLabel(kind, n)
     assert str(err.value) == f"subscript {n!r} is not an integer"
     assert set(labels._POOL) == keys
 
 
 def test_an_integer_subscript_of_any_integer_type_is_kept():
-    assert ClassLabel("Z", np.int64(4)) is cyclic(4)
-    assert ClassLabel("Dd", np.int32(8)) is dihedral_d(8)
-    assert dihedral_z(np.uint8(2)) is dihedral_z(2)
-    assert cyclic(np.int8(1)) is ClassLabel("1")
+    assert ClassLabel("Z", np.int64(4)) is parse_label("Z4")
+    assert ClassLabel("Dd", np.int32(8)) is parse_label("D8^d")
+    assert ClassLabel("Dz", np.uint8(2)) is parse_label("D2^z")
+    assert ClassLabel("Z", np.int8(1)) is ClassLabel("1")
 
 
 def test_a_class_set_holds_only_labels():
     with pytest.raises(TypeError, match="ClassLabel, not str"):
         ClassSet(["Z2"])
     with pytest.raises(TypeError, match="ClassLabel, not int"):
-        ClassSet([cyclic(2), 2])
+        ClassSet([parse_label("Z2"), 2])
     with pytest.raises(TypeError, match="unsupported operand"):
-        class_set("Z2") | [cyclic(3)]
+        class_set("Z2") | [parse_label("Z3")]
     assert class_set("Z2") | class_set("Z3") == class_set("Z2", "Z3")
 
 
@@ -399,19 +378,19 @@ def test_unknown_kind_is_refused_at_construction():
     with pytest.raises(ValueError, match="unknown kind 'Foo'"):
         ClassLabel("Foo", 2)
     assert not any(kind == "Foo" for kind, _, _ in labels._POOL)
-    assert ClassLabel("O2-") is o2_minus()
-    assert ClassLabel("1", 0, True) is with_z2c(trivial())
+    assert ClassLabel("O2-") is parse_label("O(2)^-")
+    assert ClassLabel("1", 0, True) is parse_label("1+Z2c")
 
 
 def test_copies_and_pickles_are_the_same_label():
-    for lab in (trivial(), dihedral_d(8), o3(), with_z2c(icosa())):
+    for lab in class_set("1", "D8^d", "O(3)", "I+Z2c"):
         assert copy.copy(lab) is lab
         assert copy.deepcopy(lab) is lab
         assert pickle.loads(pickle.dumps(lab)) is lab
 
 
 def test_labels_are_immutable():
-    lab = cyclic(4)
+    lab = parse_label("Z4")
     with pytest.raises(AttributeError):
         lab.n = 5
     with pytest.raises(AttributeError):
@@ -426,7 +405,7 @@ def test_labels_are_immutable():
         lab.axes = ()
     with pytest.raises(AttributeError):
         del lab.axes
-    assert lab is cyclic(4) and lab.n == 4 and lab.period == 8
+    assert lab is parse_label("Z4") and lab.n == 4 and lab.period == 8
     assert lab.axes == ((4, 1, (), 1),)
 
 
@@ -442,10 +421,12 @@ def test_warm_fold_builds_no_new_label():
 def test_concurrent_builders_share_one_instance():
     # four threads on two cores race to build the same unseen labels,
     # and to pool unseen raw keys of degenerate subscripts
-    canonical = {("Z", 1): trivial(), ("D", 1, True): with_z2c(cyclic(2)),
-                 ("Dz", 1): cyclic_minus(2), ("Dd", 2): dihedral_z(2)}
-    canonical |= {("T", 10**6 + i): tetra() for i in range(500)}
-    canonical |= {("1", 10**6 + i, True): with_z2c(trivial())
+    canonical = {("Z", 1): parse_label("1"),
+                 ("D", 1, True): parse_label("Z2+Z2c"),
+                 ("Dz", 1): parse_label("Z2^-"),
+                 ("Dd", 2): parse_label("D2^z")}
+    canonical |= {("T", 10**6 + i): parse_label("T") for i in range(500)}
+    canonical |= {("1", 10**6 + i, True): parse_label("1+Z2c")
                   for i in range(500)}
     keys = [("Z", 10**6 + i) for i in range(2000)] + list(canonical)
     got = [None] * 4
@@ -519,14 +500,14 @@ def test_concurrent_resolvers_share_one_instance():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(lab is cyclic(99989) for lab in got)
-    assert TABLE[text] is cyclic(99989)
+    assert all(lab is ClassLabel("Z", 99989) for lab in got)
+    assert TABLE[text] is ClassLabel("Z", 99989)
 
 
 def test_a_str_subclass_still_parses():
-    assert parse_label(np.str_("D4")) is dihedral(4)
+    assert parse_label(np.str_("D4")) is ClassLabel("D", 4)
     # unseen, so it goes through the parse
-    assert parse_label(np.str_(" D 4 ^ z ")) is dihedral_z(4)
+    assert parse_label(np.str_(" D 4 ^ z ")) is ClassLabel("Dz", 4)
 
 
 @pytest.mark.parametrize("call, name", [

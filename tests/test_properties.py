@@ -20,24 +20,10 @@ from o3clips import (
     class_set,
     clips,
     clips_families,
-    cyclic,
-    cyclic_minus,
-    dihedral,
-    dihedral_d,
-    dihedral_z,
-    icosa,
     is_infinite,
-    o2,
-    o2_minus,
-    o3,
-    octa,
-    octa_minus,
     order_of,
-    so2,
+    parse_label,
     sort_key,
-    so3,
-    tetra,
-    trivial,
     with_z2c,
 )
 from o3clips.infinite import normalize
@@ -46,37 +32,37 @@ MAX_PARAM = 12
 
 
 def finite_rotation_labels(n_max=MAX_PARAM):
-    pool = [trivial(), tetra(), octa(), icosa()]
-    pool += [cyclic(n) for n in range(2, n_max + 1)]
-    pool += [dihedral(n) for n in range(2, n_max + 1)]
+    pool = [*map(parse_label, ("1", "T", "O", "I"))]
+    pool += [ClassLabel("Z", n) for n in range(2, n_max + 1)]
+    pool += [ClassLabel("D", n) for n in range(2, n_max + 1)]
     return pool
 
 
 def finite_labels(n_max=MAX_PARAM):
     pool = list(finite_rotation_labels(n_max))
     pool += [with_z2c(c) for c in finite_rotation_labels(n_max)]
-    pool += [cyclic_minus(2 * k) for k in range(1, n_max // 2 + 1)]
-    pool += [dihedral_z(n) for n in range(2, n_max + 1)]
-    pool += [dihedral_d(2 * k) for k in range(1, n_max // 2 + 1)]
-    pool.append(octa_minus())
+    pool += [ClassLabel("Z-", 2 * k) for k in range(1, n_max // 2 + 1)]
+    pool += [ClassLabel("Dz", n) for n in range(2, n_max + 1)]
+    pool += [ClassLabel("Dd", 2 * k) for k in range(1, n_max // 2 + 1)]
+    pool.append(parse_label("O^-"))
     return list(dict.fromkeys(pool))  # D_2^d is D_2^z
 
 
-INFINITE = [so2(), o2(), with_z2c(so2()), with_z2c(o2()), o2_minus(),
-            so3(), o3()]
+INFINITE = [*map(parse_label, ("SO(2)", "O(2)", "SO(2)+Z2c", "O(2)+Z2c",
+                               "O(2)^-", "SO(3)", "O(3)"))]
 
 finite = st.sampled_from(finite_labels())
 finite_small = st.sampled_from(finite_labels(6))
 rows = st.sampled_from([with_z2c(c) for c in finite_rotation_labels()
-                        if c != trivial()])
+                        if c != parse_label("1")])
 cols = st.sampled_from(
-    [cyclic_minus(2 * k) for k in range(1, 7)]
-    + [dihedral_z(n) for n in range(2, MAX_PARAM + 1)]
-    + [dihedral_d(2 * k) for k in range(1, 7)]
-    + [octa_minus(), o2_minus()])
+    [ClassLabel("Z-", 2 * k) for k in range(1, 7)]
+    + [ClassLabel("Dz", n) for n in range(2, MAX_PARAM + 1)]
+    + [ClassLabel("Dd", 2 * k) for k in range(1, 7)]
+    + [parse_label("O^-"), parse_label("O(2)^-")])
 anything = st.sampled_from(finite_labels() + INFINITE)
 rotations_small = st.sampled_from([c for c in finite_rotation_labels(8)
-                                   if c != trivial()])
+                                   if c != parse_label("1")])
 
 
 @settings(deadline=None, max_examples=300)
@@ -89,7 +75,7 @@ def test_clips_is_symmetric(a, b):
 @given(rows, cols)
 def test_mixed_reflection_cells_contain_trivial(row, col):
     # a generic relative orientation intersects down to the identity
-    assert trivial() in clips(row, col)
+    assert parse_label("1") in clips(row, col)
 
 
 @settings(deadline=None, max_examples=300)
@@ -133,7 +119,7 @@ def test_adding_inversion_to_both_sides_factors(h1, h2):
 @settings(deadline=None, max_examples=200)
 @given(anything)
 def test_full_group_is_identity_element(a):
-    assert clips(a, o3()) == class_set(a)
+    assert clips(a, parse_label("O(3)")) == class_set(a)
 
 
 @settings(deadline=None, max_examples=200)
@@ -158,13 +144,13 @@ def test_results_are_canonical_and_ordered(a, b):
 # lifts of 1, Z2, Z3, Z4, D2, D3, D4, T, O and I: 44 classes, among them
 # 13 +Z2c lifts (with SO(2)+Z2c, O(2)+Z2c and O(3))
 ORDER_POOL = (
-    [trivial(), *map(cyclic, range(2, 7)), *map(dihedral, range(2, 7))]
-    + [x for n in (2, 3, 4, 6)
-       for x in (dihedral_z(n), cyclic_minus(2 * n), dihedral_d(2 * n))]
-    + [tetra(), octa(), icosa(), octa_minus(), *INFINITE]
-    + [with_z2c(c) for c in (trivial(), cyclic(2), cyclic(3), cyclic(4),
-                             dihedral(2), dihedral(3), dihedral(4),
-                             tetra(), octa(), icosa())])
+    [parse_label("1")]
+    + [ClassLabel(kind, n) for kind in ("Z", "D") for n in range(2, 7)]
+    + [ClassLabel(kind, m * n) for n in (2, 3, 4, 6)
+       for kind, m in (("Dz", 1), ("Z-", 2), ("Dd", 2))]
+    + [*map(parse_label, ("T", "O", "I", "O^-")), *INFINITE]
+    + [*map(parse_label, ("1+Z2c", "Z2+Z2c", "Z3+Z2c", "Z4+Z2c", "D2+Z2c",
+                          "D3+Z2c", "D4+Z2c", "T+Z2c", "O+Z2c", "I+Z2c"))])
 
 
 def test_class_leq_is_a_partial_order_below_both_factors():
@@ -193,7 +179,7 @@ def test_associativity_fails_only_through_the_printed_o2_row(row, failing,
     # and the signed-axis rule with nothing omitted on none.  Once
     # ROADMAP item 2 answers that row by the rule, the printed case
     # expects 0 as well.
-    o2_z2c = with_z2c(o2())
+    o2_z2c = parse_label("O(2)+Z2c")
     if row == "rule":
         empty_clips_memo(monkeypatch)
         monkeypatch.setattr(infinite, "_omitted", lambda col: ())
@@ -214,25 +200,25 @@ def test_associativity_fails_only_through_the_printed_o2_row(row, failing,
 # normal to a, O(2)^- = SO(2) ∪ -(O(2)∖SO(2)) every reflection in a plane
 # through a, and +Z2c adds -Id and the negatives.
 GENERIC_ELEMENTS = {
-    so2(): set(),
-    o2(): {"R"},
-    with_z2c(so2()): {"-Id"},
-    with_z2c(o2()): {"-Id", "R", "-R"},
-    o2_minus(): {"-R"},
+    parse_label("SO(2)"): set(),
+    parse_label("O(2)"): {"R"},
+    parse_label("SO(2)+Z2c"): {"-Id"},
+    parse_label("O(2)+Z2c"): {"-Id", "R", "-R"},
+    parse_label("O(2)^-"): {"-R"},
 }
 GENERIC_CLASS = {
-    frozenset(): trivial(),
-    frozenset({"R"}): cyclic(2),
-    frozenset({"-Id"}): with_z2c(trivial()),
-    frozenset({"-R"}): cyclic_minus(2),
-    frozenset({"-Id", "R", "-R"}): with_z2c(cyclic(2)),
+    frozenset(): parse_label("1"),
+    frozenset({"R"}): parse_label("Z2"),
+    frozenset({"-Id"}): parse_label("1+Z2c"),
+    frozenset({"-R"}): parse_label("Z2^-"),
+    frozenset({"-Id", "R", "-R"}): parse_label("Z2+Z2c"),
 }
 # the published cell {1, D2^z, O(2)^-} against the generic class Z2^-
 AXIAL_DIVERGENCES = {("O2", "O2-")}
 
 
 def test_an_axial_cell_holds_1_only_at_a_generic_trivial_meeting():
-    diverging = set()
+    diverging, one = set(), parse_label("1")
     for key, data in infinite._AXIAL_AXIAL.items():
         # an SO(2) or O(2) side facing O(2)^- serves the +Z2c row
         a, b = (ClassLabel(k, 0, k != "O2-" and "O2-" in key) for k in key)
@@ -240,6 +226,6 @@ def test_an_axial_cell_holds_1_only_at_a_generic_trivial_meeting():
         assert clips(a, b) == data
         common = GENERIC_CLASS[frozenset(
             GENERIC_ELEMENTS[a] & GENERIC_ELEMENTS[b])]
-        if common not in data or (trivial() in data) != (common is trivial()):
+        if common not in data or (one in data) != (common is one):
             diverging.add(key)
     assert diverging == AXIAL_DIVERGENCES

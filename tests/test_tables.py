@@ -13,19 +13,9 @@ from o3clips.labels import (
     ClassLabel,
     ClassSet,
     class_set,
-    cyclic_minus,
-    dihedral_d,
-    dihedral_z,
     format_label,
-    o2,
-    o2_minus,
-    o3,
-    octa_minus,
     parse_label,
-    so2,
-    so3,
     strip_z2c,
-    trivial,
     typeclass,
     with_z2c,
 )
@@ -156,7 +146,7 @@ def test_the_printed_o2_row_is_the_rule_less_the_omitted_classes():
     # with an omission are ROADMAP item 2's 31 pairs.
     from o3clips.axial import clips_axial
 
-    row = with_z2c(o2())
+    row = parse_label("O(2)+Z2c")
     cols = [c for c in dict.fromkeys(infinite.table_cols(infinite.COL_KINDS,
                                                          range(1, 41)))
             if c.kind != "O2-" and c.n <= 40]
@@ -265,10 +255,9 @@ MANY_DIVISORS = (12, 18, 20, 24, 30)
                                  for m in MANY_DIVISORS])
 def test_rule_matches_oracle_at_many_divisors(row):
     row = parse_label(row)
-    cols = [f(n) for n in MANY_DIVISORS
-            for f in (lambda n: cyclic_minus(2 * n), dihedral_z,
-                      lambda n: dihedral_d(2 * n))]
-    for col in (*cols, octa_minus()):
+    cols = [ClassLabel(kind, m * n) for n in MANY_DIVISORS
+            for kind, m in (("Z-", 2), ("Dz", 1), ("Dd", 2))]
+    for col in (*cols, parse_label("O^-")):
         assert clips_type2_type3(row, col) == clips_oracle(row, col), col
 
 
@@ -299,9 +288,10 @@ def test_rule_reads_either_z_or_d_side_as_the_principal_one():
 # subscript 40; Z^- and D^d up to subscript 80: 290 classes, whose
 # 84,100 ordered pairs reach the memo of ``clips_reduce``
 MEMO_POOL = list(dict.fromkeys([
-    *finite_labels(40), so2(), o2(), o2_minus(), with_z2c(so2()),
-    with_z2c(o2()), so3(), o3(),
-    *(f(2 * k) for k in range(21, 41) for f in (cyclic_minus, dihedral_d)),
+    *finite_labels(40),
+    *map(parse_label, ("SO(2)", "O(2)", "O(2)^-", "SO(2)+Z2c", "O(2)+Z2c",
+                       "SO(3)", "O(3)")),
+    *(ClassLabel(kind, 2 * k) for k in range(21, 41) for kind in ("Z-", "Dd")),
 ]))
 GRID_FILE = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
              / "expected_grid.json")
@@ -336,7 +326,7 @@ def test_period_is_twice_the_lcm_of_the_rule_axes():
     # the memo keys the second side by gcd(n, x.period), and step 3 of
     # its exactness argument needs every axis order p that the rule
     # reads of x to divide x.period / 2
-    absorbers = {trivial(), with_z2c(trivial()), so3(), o3()}
+    absorbers = set(class_set("1", "1+Z2c", "SO(3)", "O(3)"))
     pool = finite_labels(128) + INFINITE
     assert len(set(pool)) == len(pool) == 771 + 7 and absorbers <= set(pool)
     for x in pool:
@@ -401,7 +391,7 @@ def test_rule_memo_is_keyed_by_label_not_pair(monkeypatch):
     assert 0 < len(keys) <= _key_bound(keys) < len(pairs) // 4
     # an absorber 1 or SO(3), lifted or not, has period 0, so as x it
     # keys the other side whole; as y it has no subscript to reduce
-    for z in (trivial(), with_z2c(trivial()), so3(), o3()):
+    for z in class_set("1", "1+Z2c", "SO(3)", "O(3)"):
         assert z.period == 0
         for c in map(parse_label, [*grid["table"], *grid["cols"]]):
             whole = {(z, c): (z, c.kind, c.plus, c.n),
@@ -436,7 +426,7 @@ def test_a_warm_repeat_builds_nothing(monkeypatch):
     for a, b in pairs:
         clips(a, b)
     assert built == []
-    ClassSet([trivial()])  # the spy sees a construction
+    ClassSet([parse_label("1")])  # the spy sees a construction
     assert len(built) == 1
 
 
